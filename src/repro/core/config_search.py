@@ -15,9 +15,14 @@ The space enumerated here:
 * for three-stage pipelines: every split of the CPU cores between the
   prefix and suffix stages.
 
-With the APU's four cores this is a few dozen configurations — small enough
-to evaluate exhaustively per re-plan, exactly as the paper reports ("the
-runtime overhead of this cost estimation is very small").
+With the APU's four cores this is 37 configurations — small enough to
+evaluate exhaustively per re-plan, as the paper reports ("the runtime
+overhead of this cost estimation is very small").  What keeps it small here
+is the batch sizing inside each evaluation
+(:meth:`~repro.core.cost_model.PipelineAnalyzer.estimate`): about six
+``evaluate_batch`` calls per configuration, so a cold search is some 200
+calls and 20-30 ms of pure Python (``docs/cost_model.md`` has the measured
+figures).
 """
 
 from __future__ import annotations
@@ -127,6 +132,10 @@ class ConfigurationSearch:
 
     def __init__(self, analyzer: PipelineAnalyzer):
         self.analyzer = analyzer
+        #: The platform's full configuration space per work-stealing flag.
+        #: Enumerated once: the same config objects then key the analyzer's
+        #: caches on every search, with their hashes already computed.
+        self._spaces: dict[bool, tuple[PipelineConfig, ...]] = {}
 
     @property
     def platform(self) -> PlatformSpec:
@@ -142,9 +151,13 @@ class ConfigurationSearch:
     ) -> list[RankedConfig]:
         """All configurations ranked by estimated throughput (best first)."""
         if configs is None:
-            configs = enumerate_configs(
-                self.platform.cpu.cores, work_stealing=work_stealing
-            )
+            configs = self._spaces.get(work_stealing)
+            if configs is None:
+                configs = self._spaces[work_stealing] = tuple(
+                    enumerate_configs(
+                        self.platform.cpu.cores, work_stealing=work_stealing
+                    )
+                )
         ranked = [
             RankedConfig(config, self.analyzer.estimate(config, profile, latency_budget_ns))
             for config in configs

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from repro.core.profiler import WorkloadProfile
 from repro.core.tasks import (
@@ -53,6 +54,11 @@ _PCIE_JOB_OUT_BYTES = 8.0
 MIN_BATCH = 64
 #: Upper bound for the batch-size search.
 MAX_BATCH = 8_000_000
+#: Where the interpolating batch-size search starts: the order of the
+#: batches the planner ends up choosing, so the first secant is short.
+_FIRST_PROBE = 4096
+#: Bracket width at which that search stops interpolating and bisects.
+_BISECT_BELOW = 8
 
 #: Average pipeline latency is roughly (stages + batch assembly) periods;
 #: with the paper's 3-stage pipeline and 1,000 us latency budget this yields
@@ -149,6 +155,15 @@ class StealPlan:
     helper_stage: int
     stolen_fraction: float
     new_tmax_ns: float
+
+
+class SizedBatch(NamedTuple):
+    """One probe of the batch-size search: a batch, its period, and the
+    full :meth:`PipelineAnalyzer.evaluate_batch` result behind it."""
+
+    batch: int
+    tmax_ns: float
+    evaluation: tuple
 
 
 @dataclass(frozen=True)
@@ -571,12 +586,9 @@ class PipelineAnalyzer:
         if cached is not None:
             return cached
         interval = self.interval_ns(config, latency_budget_ns)
-        batch = self._max_batch_within(config, profile, interval)
-        stage_times, mu_cpu, mu_gpu, steal = self.evaluate_batch(config, profile, batch)
+        batch, tmax, evaluation = self._max_batch_within(config, profile, interval)
+        stage_times, mu_cpu, mu_gpu, steal = evaluation
         times = [st.time_ns for st in stage_times]
-        tmax = max(times)
-        if steal is not None and steal.new_tmax_ns < tmax:
-            tmax = steal.new_tmax_ns
         throughput = batch / tmax * 1000.0  # queries/ns -> MOPS
         cpu_util, gpu_util = self._utilizations(config, stage_times, tmax, steal)
         estimate = PipelineEstimate(
@@ -598,34 +610,63 @@ class PipelineAnalyzer:
         self._estimate_cache[cache_key] = estimate
         return estimate
 
-    def _tmax_for_batch(
+    def _sized(
         self, config: PipelineConfig, profile: WorkloadProfile, batch: int
-    ) -> float:
-        stage_times, _, _, steal = self.evaluate_batch(config, profile, batch)
+    ) -> SizedBatch:
+        evaluation = self.evaluate_batch(config, profile, batch)
+        stage_times, _, _, steal = evaluation
         tmax = max(st.time_ns for st in stage_times)
         if steal is not None and steal.new_tmax_ns < tmax:
             tmax = steal.new_tmax_ns
-        return tmax
+        return SizedBatch(batch, tmax, evaluation)
 
     def _max_batch_within(
         self, config: PipelineConfig, profile: WorkloadProfile, interval_ns: float
-    ) -> int:
-        """Largest batch whose Tmax fits in the interval (binary search)."""
-        quantum = self.fidelity.batch_quantum
-        lo = MIN_BATCH
-        if self._tmax_for_batch(config, profile, lo) > interval_ns:
-            return lo
-        hi = lo
-        while hi < MAX_BATCH and self._tmax_for_batch(config, profile, hi * 2) <= interval_ns:
-            hi *= 2
-        hi = min(hi * 2, MAX_BATCH)
-        while hi - lo > max(quantum, 1):
-            mid = (lo + hi) // 2
-            if self._tmax_for_batch(config, profile, mid) <= interval_ns:
-                lo = mid
+    ) -> SizedBatch:
+        """Largest batch whose Tmax fits in the interval, with its evaluation.
+
+        The ``N`` with ``Tmax(N) <= interval < Tmax(N + 1)`` (``MIN_BATCH``
+        when even that does not fit), rounded down to the fidelity's batch
+        quantum.  ``Tmax`` is monotone and close to affine in ``N`` (a fixed
+        launch cost plus per-query work, the maximum over a few stages), so
+        the crossing is bracketed by interpolation — a handful of
+        evaluations where doubling and bisection took twenty — and then
+        pinned down by evaluating both of its neighbours.
+        """
+        # Bracket invariant: ``floor`` fits and ``ceiling`` does not.  Both ends
+        # start virtual: MIN_BATCH is evaluated only if nothing above it
+        # fits, MAX_BATCH never (as in the bisection).
+        low = None
+        floor, ceiling = MIN_BATCH, MAX_BATCH
+        older = None
+        latest = self._sized(config, profile, _FIRST_PROBE)
+        while True:
+            if latest.tmax_ns <= interval_ns:
+                low, floor = latest, latest.batch
             else:
-                hi = mid
-        return (lo // quantum) * quantum if quantum > 1 else lo
+                ceiling = latest.batch
+            if ceiling - floor <= 1:
+                break
+            if ceiling - floor <= _BISECT_BELOW:
+                # Tmax moves in small steps (rounded per-task counts), which
+                # a secant this close to the crossing would chase.
+                root = (floor + ceiling) // 2
+            elif older is not None and latest.tmax_ns != older.tmax_ns:
+                # Secant through the two latest probes.
+                root = latest.batch + (interval_ns - latest.tmax_ns) * (
+                    (latest.batch - older.batch) / (latest.tmax_ns - older.tmax_ns)
+                )
+            else:
+                # One point: scale through the origin (the fixed launch
+                # cost makes this fall short of the crossing, never past).
+                root = latest.batch * interval_ns / latest.tmax_ns
+            batch = min(max(int(root), floor + 1), ceiling - 1)
+            older, latest = latest, self._sized(config, profile, batch)
+        if low is None:
+            low = self._sized(config, profile, floor)
+        quantum = self.fidelity.batch_quantum
+        whole = (low.batch // quantum) * quantum
+        return low if whole == low.batch else self._sized(config, profile, whole)
 
     def _utilizations(
         self,

@@ -196,10 +196,11 @@ class DidoSystem:
         decoder (the UDP server's hot path — no per-query objects exist
         anywhere on it).
 
-        Profiles the batch, asks the controller for the configuration (which
-        re-plans only on substantial change), executes functionally, and
-        feeds observed object frequencies back into the profiler for the
-        skew estimator.
+        Folds the batch into the open profile window and executes it
+        functionally under the current configuration; only when that
+        window closes (see :mod:`repro.core.profiler`) are the observed
+        object frequencies harvested for the skew estimator and the
+        controller asked whether to re-plan.
         """
         config = self._plan_batch(queries)
         result = self.pipeline.process_batch(config, queries)
@@ -208,13 +209,27 @@ class DidoSystem:
         return result
 
     def _plan_batch(self, queries):
-        """Per-batch pre-work: profile, feed caches, pick the config."""
+        """Per-batch pre-work: profile, and pick the config.
+
+        Between window closes this is ``observe_batch`` plus an O(1)
+        readiness test; the current configuration stands.
+        """
         if not queries:
             raise WorkloadError("cannot process an empty batch")
-        self.profiler.observe_batch(queries)
-        self.profiler.observe_insert_buckets(self.store.index.stats.average_insert_buckets())
-        profile = self.profiler.snapshot()
+        profiler = self.profiler
+        controller = self.controller
+        profiler.observe_batch(queries)
+        if not profiler.window_ready(controller.planned_profile):
+            return controller.current_config
+        return self._close_window()
+
+    def _close_window(self) -> PipelineConfig:
+        """Close the profile window: harvest the skew sample, snapshot,
+        feed the caches, and let the controller decide."""
+        profiler = self.profiler
+        profiler.observe_insert_buckets(self.store.index.stats.average_insert_buckets())
         self._harvest_frequencies()
+        profile = profiler.snapshot()
         if self._procshard:
             profile = self._feed_procshard(profile)
         elif self._hot_caches:
@@ -263,34 +278,22 @@ class DidoSystem:
         return self.process_frames(frames_for_queries(queries))
 
     def _feed_hot_caches(self, profile: WorkloadProfile) -> WorkloadProfile:
-        """Close the caches' window: gate on skew, feed the profiler, and
-        attach the measured hit rate to the profile for the cost model.
+        """Gate the caches on the closed window's skew and attach their
+        measured hit rate to the profile for the cost model.
 
         The skew estimate gates every cache together (hysteresis inside
-        :meth:`~repro.kv.hotcache.HotKeyCache.gate_on_skew`); cache-served
-        hit counts flow into the *next* window's frequency sample, exactly
-        like :meth:`_harvest_frequencies` does for heap-served reads.  The
+        :meth:`~repro.kv.hotcache.HotKeyCache.gate_on_skew`).  The
         measured hot fraction is the hit rate over this window's cache
         lookups (carried forward through idle windows so brief all-write
-        batches don't zero the cost model's input).
+        windows don't zero the cost model's input).
         """
         hits = 0
         total = 0
         for cache in self._hot_caches:
             cache.gate_on_skew(profile.zipf_skew)
-            for count in cache.drain_window_hits():
-                self.profiler.observe_frequency(count)
             hits += cache.hits
             total += cache.hits + cache.misses
-        window_hits = hits - self._cache_hits_seen
-        window_total = total - self._cache_total_seen
-        self._cache_hits_seen = hits
-        self._cache_total_seen = total
-        if window_total > 0:
-            self._last_measured = window_hits / window_total
-        if self._last_measured is None:
-            return profile
-        return replace(profile, measured_hot_fraction=self._last_measured)
+        return self._with_measured_hot_fraction(profile, hits, total)
 
     def _feed_procshard(self, profile: WorkloadProfile):
         """Procshard counterpart of :meth:`_feed_hot_caches`.
@@ -305,7 +308,12 @@ class DidoSystem:
         store = self.store
         store.note_skew(profile.zipf_skew)
         hits, misses = store.hot_cache_totals()
-        total = hits + misses
+        return self._with_measured_hot_fraction(profile, hits, hits + misses)
+
+    def _with_measured_hot_fraction(
+        self, profile: WorkloadProfile, hits: int, total: int
+    ) -> WorkloadProfile:
+        """``profile`` with the window's cache hit rate (lifetime totals in)."""
         window_hits = hits - self._cache_hits_seen
         window_total = total - self._cache_total_seen
         self._cache_hits_seen = hits
@@ -316,27 +324,20 @@ class DidoSystem:
             return profile
         return replace(profile, measured_hot_fraction=self._last_measured)
 
-    def _harvest_frequencies(self, sample: int = 512) -> None:
-        """Feed recently touched objects' in-window counts to the profiler.
+    def _harvest_frequencies(self) -> None:
+        """Feed the closing window's per-object access counts to the profiler.
 
-        The real system reads counters as objects are accessed; sampling a
-        bounded number per window keeps the profiler lightweight.  With a
-        procshard store the harvesting already happened *inside* each
-        worker (same epoch-lag rule, shipped back on the batch reply);
-        here the router just drains what the workers sent.
+        The real system reads counters as objects are accessed; here each
+        heap logs the objects first touched in the open epoch (a log
+        bounded at two windows' worth), and that log — plus the keys the hot
+        caches served — is read back at window close; no heap scan.  With
+        a procshard store the same harvest runs *inside* each worker when
+        it sees the epoch advance, shipped back on the batch reply; the
+        heap view hands over what has arrived.
         """
-        if self._procshard:
-            for count in self.store.take_frequency_samples():
-                self.profiler.observe_frequency(count)
-            return
-        epoch = self.profiler.epoch
-        harvested = 0
-        for obj in self.store.heap.objects():
-            if obj.sample_epoch == epoch - 1 and obj.access_count > 0:
-                self.profiler.observe_frequency(obj.access_count)
-                harvested += 1
-                if harvested >= sample:
-                    break
+        for cache in self._hot_caches:
+            self.profiler.observe_frequencies(cache.drain_window_hits())
+        self.profiler.observe_frequencies(self.store.heap.drain_touched())
 
     # ------------------------------------------------------------- lifecycle
 

@@ -106,6 +106,26 @@ class PipelineConfig:
         if len(gpu_stages) > 1:
             raise ConfigurationError("at most one GPU stage (a single GPU device)")
 
+    def __hash__(self) -> int:
+        # A config keys every planner cache (compiled plans, demand
+        # templates, estimates) and is looked up per batch; hashing it
+        # walks three stages of enum members, whose ``__hash__`` is a
+        # Python-level call.  Frozen, so hash once.
+        cached = self.__dict__.get("_hash")
+        if cached is None:
+            cached = hash(
+                (self.stages, self.insert_on_cpu, self.delete_on_cpu, self.work_stealing)
+            )
+            object.__setattr__(self, "_hash", cached)
+        return cached
+
+    def __getstate__(self) -> dict:
+        # Enum hashes differ between interpreter processes (string hash
+        # randomisation), so the cached hash must not travel in a pickle.
+        state = dict(self.__dict__)
+        state.pop("_hash", None)
+        return state
+
     # ------------------------------------------------------------- assembly
 
     @classmethod

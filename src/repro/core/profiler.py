@@ -1,13 +1,20 @@
 """Lightweight workload profiler (paper Section III-A and IV-B).
 
-The profiler maintains "only a few counters" per batch — GET/SET counts and
-key/value byte totals — plus the sampling-based Zipf-skew estimator: each
-key-value object carries an access counter and a sampling-epoch timestamp
-(see :class:`repro.kv.objects.KVObject`), and at the end of a window the
-observed frequency distribution of the *sampled* keys yields a skew
-estimate.  Re-planning triggers when any profiled characteristic moves by
-more than 10 % relative to the profile the current pipeline was planned for
+The profiler maintains "only a few counters" — GET/SET counts and key/value
+byte totals — plus the sampling-based Zipf-skew estimator: each key-value
+object carries an access counter and a sampling-epoch timestamp (see
+:class:`repro.kv.objects.KVObject`), and at the end of a window the observed
+frequency distribution of the *sampled* keys yields a skew estimate.
+Re-planning triggers when any profiled characteristic moves by more than
+10 % relative to the profile the current pipeline was planned for
 (``ProfileDelta.substantial``).
+
+A profile *window* is a statistical sample, not a serve batch: counters
+accumulate across batches and the window closes (:meth:`WorkloadProfiler.
+window_ready`) once it holds :data:`WINDOW_QUERIES` queries — enough to
+resolve a 10 % change — or earlier, when a counter has moved past the 10 %
+threshold by more than the sampling error of the comparison.  The *epoch*
+is the index of the open window; it advances only when a window closes.
 """
 
 from __future__ import annotations
@@ -24,6 +31,41 @@ from repro.telemetry import get_telemetry
 #: The paper's re-plan threshold: "the upper limit for the alteration of
 #: workload counters is set to 10%".
 CHANGE_THRESHOLD = 0.10
+
+#: Queries a profile window holds before it closes: the order of the
+#: paper's batch.  At this size a GET ratio of 0.5 is known to +-0.8 %
+#: (one sigma), so the 10 % rule compares two such windows at > 4 sigma.
+WINDOW_QUERIES = 4096
+
+#: A window never closes early with fewer queries than this: the profile it
+#: yields becomes the next reference, and below a few hundred samples a
+#: profile is itself more than 10 % noise.
+EARLY_CLOSE_MIN_QUERIES = 512
+
+#: The value-size test needs this many SETs in the window (the normal
+#: approximation behind the sampling-error test is poor below it).
+EARLY_CLOSE_MIN_VALUES = 32
+
+#: Sampling-error allowance of the early-close test, in standard errors.
+#: The test runs after every batch, so it is far stricter than a one-shot
+#: 2-3 sigma test: at 5 sigma a steady stream closes early about once in a
+#: million batches.
+EARLY_CLOSE_SIGMAS = 5.0
+
+#: Floors under the relative change of each counter (a GET ratio near 0 or
+#: a value size near 0 would otherwise turn noise into a huge ratio).
+_GET_RATIO_FLOOR = 0.05
+_KEY_SIZE_FLOOR = 1e-6
+_VALUE_SIZE_FLOOR = 1.0
+
+#: Value size reported until a window has seen a value (the floor above).
+#: A reference at this size is not evidence, so value sizes that differ
+#: from it are a first measurement, not a shift worth an early close.
+_NO_VALUE_EVIDENCE = 1.0
+
+#: Wire opcodes of the columnar fast path (``QueryType`` values).
+_GET_OPCODE = QueryType.GET.value
+_SET_OPCODE = QueryType.SET.value
 
 
 @dataclass(frozen=True)
@@ -84,8 +126,19 @@ class ProfileDelta:
     skew: float
 
     @property
+    def largest(self) -> tuple[str, float]:
+        """``(counter name, relative change)`` of the counter that moved most."""
+        changes = (
+            ("get_ratio", self.get_ratio),
+            ("key_size", self.key_size),
+            ("value_size", self.value_size),
+            ("skew", self.skew),
+        )
+        return max(changes, key=lambda change: change[1])
+
+    @property
     def max_change(self) -> float:
-        return max(self.get_ratio, self.key_size, self.value_size, self.skew)
+        return self.largest[1]
 
     @property
     def substantial(self) -> bool:
@@ -100,11 +153,23 @@ def _relative_change(new: float, old: float, floor: float = 1e-6) -> float:
 def profile_delta(new: WorkloadProfile, old: WorkloadProfile) -> ProfileDelta:
     """Component-wise relative change (skew compared on a 0-1 scale)."""
     return ProfileDelta(
-        get_ratio=_relative_change(new.get_ratio, old.get_ratio, floor=0.05),
-        key_size=_relative_change(new.avg_key_size, old.avg_key_size),
-        value_size=_relative_change(new.avg_value_size, old.avg_value_size, floor=1.0),
+        get_ratio=_relative_change(new.get_ratio, old.get_ratio, _GET_RATIO_FLOOR),
+        key_size=_relative_change(new.avg_key_size, old.avg_key_size, _KEY_SIZE_FLOOR),
+        value_size=_relative_change(
+            new.avg_value_size, old.avg_value_size, _VALUE_SIZE_FLOOR
+        ),
         skew=abs(new.zipf_skew - old.zipf_skew) / 1.0,
     )
+
+
+def _shifted(
+    mean: float, variance: float, inverse_samples: float, old: float, floor: float
+) -> bool:
+    """True when a running mean is past the 10 % threshold around ``old``
+    by more than :data:`EARLY_CLOSE_SIGMAS` standard errors of the
+    difference (``inverse_samples`` sums ``1/n`` over both means)."""
+    margin = EARLY_CLOSE_SIGMAS * math.sqrt(max(variance, 0.0) * inverse_samples)
+    return abs(mean - old) - margin > CHANGE_THRESHOLD * max(abs(old), floor)
 
 
 def sample_skewness(frequencies: np.ndarray) -> float:
@@ -142,88 +207,104 @@ def estimate_zipf_skew(frequencies: np.ndarray, min_samples: int = 32) -> float:
     ordered = np.sort(freqs)[::-1]
     if ordered[0] == ordered[-1]:
         return 0.0
-    ranks = np.arange(1, ordered.size + 1, dtype=np.float64)
-    log_rank = np.log(ranks)
-    log_freq = np.log(ordered)
-    slope, _ = np.polyfit(log_rank, log_freq, 1)
+    log_rank = np.log(np.arange(1, ordered.size + 1, dtype=np.float64))
+    log_rank -= log_rank.mean()
+    # Least-squares slope in closed form (a degree-1 ``polyfit`` solves the
+    # same normal equations through a general solver, five times slower).
+    slope = np.dot(log_rank, np.log(ordered)) / np.dot(log_rank, log_rank)
     return float(max(0.0, -slope))
 
 
 class WorkloadProfiler:
-    """Accumulates per-batch counters and produces :class:`WorkloadProfile`.
+    """Accumulates workload counters and produces :class:`WorkloadProfile`.
 
-    Usage: call :meth:`observe_batch` with each batch of parsed queries and
-    per-object access frequencies sampled during the window (supplied by the
-    store via the objects' counters), then :meth:`snapshot` to close the
-    window.
+    Usage: call :meth:`observe_batch` with each batch of parsed queries,
+    ask :meth:`window_ready` whether the open window is a large enough
+    sample to close, and if so feed it the per-object access frequencies
+    sampled during the window (supplied by the store via the objects'
+    counters) and call :meth:`snapshot` to close it.
     """
 
     def __init__(self) -> None:
         self.epoch = 0
         self._reset_window()
         self._last_insert_buckets = 2.0
+        #: Value size carried through windows without value evidence.
+        self._last_value_size = _NO_VALUE_EVIDENCE
 
     def _reset_window(self) -> None:
         self._gets = 0
-        self._sets = 0
+        self._non_gets = 0
         self._key_bytes = 0
+        self._key_squares = 0
         self._value_bytes = 0
+        self._value_squares = 0
         self._value_events = 0
         self._frequencies: list[int] = []
 
     # ------------------------------------------------------------ observing
 
     def observe_batch(self, queries) -> None:
-        """Fold one batch's queries into the current window.
+        """Fold one batch's queries into the open window.
 
         Accepts a ``list[Query]`` or a columnar
         :class:`~repro.net.wire.QueryColumns` batch.  When the wire
         decoder's NumPy length columns are attached, the whole batch
-        folds with three array reductions instead of a per-query loop.
+        folds with a handful of array reductions instead of a per-query
+        loop.  Sums of squares ride along so :meth:`window_ready` knows
+        each mean's sampling error.
         """
         opcodes = getattr(queries, "opcodes", None)
         if opcodes is not None:
-            gets = int((opcodes == 1).sum())
-            non_gets = len(queries) - gets
+            per_opcode = np.bincount(opcodes, minlength=_SET_OPCODE + 1)
+            gets = int(per_opcode[_GET_OPCODE])
             self._gets += gets
-            self._sets += non_gets
-            self._key_bytes += int(queries.key_lens.sum())
-            # Non-SET queries carry no value (wire-validated), so the
-            # column total is exactly the SET payload bytes.
-            self._value_bytes += int(queries.value_lens.sum())
-            self._value_events += non_gets
+            self._non_gets += len(queries) - gets
+            # Only SETs carry a value (wire-validated), so the value
+            # column's totals are exactly the SET payload's.
+            self._value_events += int(per_opcode[_SET_OPCODE])
+            key_lens, value_lens = queries.key_lens, queries.value_lens
+            if key_lens.dtype != np.int64 or value_lens.dtype != np.int64:
+                # Squares of u16/u32 lengths overflow their own dtype.
+                key_lens = key_lens.astype(np.int64)
+                value_lens = value_lens.astype(np.int64)
+            self._key_bytes += int(key_lens.sum())
+            self._key_squares += int(np.dot(key_lens, key_lens))
+            self._value_bytes += int(value_lens.sum())
+            self._value_squares += int(np.dot(value_lens, value_lens))
             return
         qtypes = getattr(queries, "qtypes", None)
         if qtypes is not None:
-            get_type = QueryType.GET
-            for qtype, key, value in zip(qtypes, queries.keys, queries.values):
-                self._key_bytes += len(key)
-                if qtype is get_type:
-                    self._gets += 1
-                else:
-                    self._sets += 1
-                    self._value_bytes += len(value)
-                    self._value_events += 1
-            return
-        for query in queries:
-            self._key_bytes += len(query.key)
-            if query.qtype is QueryType.GET:
+            rows = zip(qtypes, queries.keys, queries.values)
+        else:
+            rows = ((q.qtype, q.key, q.value) for q in queries)
+        get_type, set_type = QueryType.GET, QueryType.SET
+        for qtype, key, value in rows:
+            size = len(key)
+            self._key_bytes += size
+            self._key_squares += size * size
+            if qtype is get_type:
                 self._gets += 1
-            else:
-                self._sets += 1
-                self._value_bytes += len(query.value)
-                self._value_events += 1
+                continue
+            self._non_gets += 1
+            if qtype is set_type:
+                self.observe_value_size(len(value))
 
     def observe_value_size(self, size: int) -> None:
-        """Record the size of a value served by a GET (SET sizes come from
-        the queries themselves; GET sizes are only known after RD)."""
+        """Record one value's size: a SET payload, or a value served by a
+        GET (those are only known after RD)."""
         self._value_bytes += size
+        self._value_squares += size * size
         self._value_events += 1
 
     def observe_frequency(self, in_window_count: int) -> None:
         """Record one sampled object's in-window access count (the paper's
         counter+timestamp mechanism reports these as objects are touched)."""
         self._frequencies.append(in_window_count)
+
+    def observe_frequencies(self, in_window_counts: list[int]) -> None:
+        """Record a harvest of sampled objects' in-window access counts."""
+        self._frequencies.extend(in_window_counts)
 
     def observe_insert_buckets(self, average: float) -> None:
         """Record the measured average buckets per Insert from the index."""
@@ -234,23 +315,77 @@ class WorkloadProfiler:
 
     @property
     def window_queries(self) -> int:
-        return self._gets + self._sets
+        return self._gets + self._non_gets
+
+    def window_ready(self, planned: WorkloadProfile | None) -> bool:
+        """Whether the open window should close now (O(1) per call).
+
+        True once the window holds :data:`WINDOW_QUERIES` queries, or when
+        there is no ``planned`` profile to compare with (the first plan,
+        or a forced re-plan), or — the early close — when the GET ratio,
+        key size or value size has moved from ``planned`` past the 10 %
+        threshold by more than the sampling error of the two windows at
+        their sample counts (this one's at least
+        :data:`EARLY_CLOSE_MIN_QUERIES`), so a real shift is adopted within
+        a few hundred queries while sampling noise never closes a window.
+        """
+        total = self._gets + self._non_gets
+        if planned is None or total >= WINDOW_QUERIES:
+            return total > 0
+        if total < EARLY_CLOSE_MIN_QUERIES:
+            return False
+        # Both means are samples: the reference's error counts too (the
+        # bootstrap plan may rest on a four-query batch).  A profile that
+        # came from a spec, not a window, has ``batch_queries == 0``: exact.
+        reference = planned.batch_queries
+        inverse_samples = 1.0 / total + (1.0 / reference if reference else 0.0)
+        ratio = self._gets / total
+        old_ratio = planned.get_ratio
+        # Under "no change" the variance is the planned ratio's; under a
+        # change it is the observed one's — allow for the larger.
+        ratio_variance = max(ratio * (1.0 - ratio), old_ratio * (1.0 - old_ratio))
+        if _shifted(ratio, ratio_variance, inverse_samples, old_ratio, _GET_RATIO_FLOOR):
+            return True
+        key = self._key_bytes / total
+        key_variance = self._key_squares / total - key * key
+        if _shifted(
+            key, key_variance, inverse_samples, planned.avg_key_size, _KEY_SIZE_FLOOR
+        ):
+            return True
+        events = self._value_events
+        old_value = planned.avg_value_size
+        if events < EARLY_CLOSE_MIN_VALUES or old_value == _NO_VALUE_EVIDENCE:
+            return False
+        value = self._value_bytes / events
+        value_variance = self._value_squares / events - value * value
+        # Per value, not per query: both windows at this one's SET share.
+        return _shifted(
+            value,
+            value_variance,
+            inverse_samples * total / events,
+            old_value,
+            _VALUE_SIZE_FLOOR,
+        )
 
     def snapshot(self) -> WorkloadProfile:
         """Close the window: return its profile and start a new epoch."""
         total = self.window_queries
         if total == 0:
             raise WorkloadError("cannot profile an empty window")
-        get_ratio = self._gets / total
-        avg_key = self._key_bytes / total
-        # Value size: average over SET payloads and served GET values.
-        avg_value = self._value_bytes / max(1, self._value_events)
-        skew = estimate_zipf_skew(np.asarray(self._frequencies, dtype=np.float64))
+        # Value size: average over SET payloads and served GET values; a
+        # window without either says nothing about it, so the last
+        # observed size stands.
+        if self._value_events:
+            self._last_value_size = max(
+                _VALUE_SIZE_FLOOR, self._value_bytes / self._value_events
+            )
         profile = WorkloadProfile(
-            get_ratio=get_ratio,
-            avg_key_size=avg_key,
-            avg_value_size=max(1.0, avg_value),
-            zipf_skew=skew,
+            get_ratio=self._gets / total,
+            avg_key_size=self._key_bytes / total,
+            avg_value_size=self._last_value_size,
+            zipf_skew=estimate_zipf_skew(
+                np.asarray(self._frequencies, dtype=np.float64)
+            ),
             batch_queries=total,
             insert_buckets=self._last_insert_buckets,
         )
@@ -261,7 +396,10 @@ class WorkloadProfiler:
                 "repro_profile_zipf_skew": (profile.zipf_skew, "Estimated Zipf exponent"),
                 "repro_profile_key_bytes": (profile.avg_key_size, "Average key size (bytes)"),
                 "repro_profile_value_bytes": (profile.avg_value_size, "Average value size (bytes)"),
-                "repro_profile_window_queries": (float(total), "Queries in the last window"),
+                "repro_profile_window_queries": (
+                    float(total),
+                    "Queries in the last closed profile window (all its batches)",
+                ),
             }
             for name, (value, help_text) in gauges.items():
                 telemetry.registry.gauge(name, help=help_text).set(value)

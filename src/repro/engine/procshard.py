@@ -101,10 +101,6 @@ _STATS_FIELDS = 6 + 7 + 3
 _STATS_STRUCT = struct.Struct(f"<{_STATS_FIELDS}q")
 _RESULT_HEAD = struct.Struct("<IIQQ")  # n, freq_count, dup_count, seq echo
 
-#: Worker-side frequency-harvest cap per batch (mirrors the router-side
-#: sample the in-process system takes from its own heap).
-HARVEST_SAMPLE = 512
-
 #: How long the router waits for one worker's batch reply before giving
 #: up on it (liveness failures surface much sooner via the abort probe).
 REPLY_TIMEOUT_S = 60.0
@@ -189,33 +185,27 @@ class _WorkerState:
         # Batch results are configuration-invariant (the equivalence suite's
         # core claim), so workers execute one canonical compiled plan.
         self.plan = compile_stage_plan(megakv_coupled_config())
-
-
-def _harvest_frequencies(store: KVStore, epoch: int, sample: int) -> list[int]:
-    """Worker-side mirror of the system's profiler frequency harvest."""
-    counts: list[int] = []
-    target = epoch - 1
-    for obj in store.heap.objects():
-        if obj.sample_epoch == target and obj.access_count > 0:
-            counts.append(obj.access_count)
-            if len(counts) >= sample:
-                break
-    return counts
+        #: Profiler epoch of the last batch served (None before the first).
+        self.epoch: int | None = None
 
 
 def _handle_batch(state: _WorkerState, payload, offset: int = 0) -> list:
     from repro.engine.plane import BatchPlane
 
     skew, epoch, seq, gate = _BATCH_HEAD.unpack_from(payload, offset)
-    cache = state.store.hot_cache
-    freq: list[int] = []
-    if cache is not None and gate:
+    cache = state.store.hot_cache if gate else None
+    if cache is not None:
         cache.gate_on_skew(skew)
-        freq.extend(cache.drain_window_hits())
-    if gate:
-        freq.extend(
-            _harvest_frequencies(state.store, epoch, HARVEST_SAMPLE - len(freq))
-        )
+    freq: list[int] = []
+    if epoch != state.epoch:
+        # The router closed a profile window: ship what this shard's
+        # objects counted during it (cache-served hits first, then the
+        # heap's first-touch log — the same harvest the in-process system
+        # runs).
+        state.epoch = epoch
+        if cache is not None:
+            freq.extend(cache.drain_window_hits())
+        freq.extend(state.store.heap.drain_touched())
     columns = decode_query_block(payload, offset + _BATCH_HEAD.size)
     plane = BatchPlane(columns)
     # The worker only ever ships the status/size/value columns; per-row
@@ -495,8 +485,6 @@ class _DumpedKey:
     """A key-only heap object snapshot (what cluster migration scans)."""
 
     __slots__ = ("key",)
-    access_count = 0
-    sample_epoch = -1
 
     def __init__(self, key: bytes):
         self.key = key
@@ -510,6 +498,11 @@ class _ProcHeapView:
     def __init__(self, store: "ProcShardStore", budget_bytes: int):
         self._store = store
         self.budget_bytes = budget_bytes
+
+    def drain_touched(self) -> list[int]:
+        """The workers already harvested (same rule, shipped on batch
+        replies); hand over what has arrived."""
+        return self._store.take_frequency_samples()
 
     def objects(self) -> list[_DumpedKey]:
         out: list[_DumpedKey] = []

@@ -334,23 +334,24 @@ class VectorEngine(SerialEngine):
         else:
             heap_get = store.heap.get
             rd_objs = [heap_get(loc) for loc in scratch.rd_locs]
+        touched = store.heap.touched
         hotpath = plane.hotpath
         if hotpath is not None and hotpath.dups:
             dup_lookup = hotpath.dups.get
-            for row, obj in zip(scratch.rd_rows, rd_objs):
+            for row, loc, obj in zip(scratch.rd_rows, scratch.rd_locs, rd_objs):
                 if obj is None:
                     continue
                 # One read answers the whole run; credit its multiplicity.
-                obj.record_access(epoch, 1 + len(dup_lookup(row, ())))
+                obj.record_access(epoch, 1 + len(dup_lookup(row, ())), touched, loc)
                 value = obj.value
                 read_values[row] = value
                 value_rows.append(row)
                 value_lens.append(len(value))
             return
-        for row, obj in zip(scratch.rd_rows, rd_objs):
+        for row, loc, obj in zip(scratch.rd_rows, scratch.rd_locs, rd_objs):
             if obj is None:
                 continue
-            obj.record_access(epoch)
+            obj.record_access(epoch, 1, touched, loc)
             value = obj.value
             read_values[row] = value
             value_rows.append(row)

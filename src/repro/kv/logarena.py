@@ -34,7 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.errors import CapacityError, ConfigurationError
-from repro.kv.objects import key_signature
+from repro.kv.objects import KVObject, drain_touched, key_signature
 
 #: Default segment capacity (value bytes per segment).
 DEFAULT_SEGMENT_BYTES = 1 << 20
@@ -133,14 +133,8 @@ class LogRecord:
     def signature(self) -> int:
         return key_signature(self.key)
 
-    def record_access(self, epoch: int, count: int = 1) -> int:
-        """Same counter+timestamp scheme as :meth:`KVObject.record_access`."""
-        if self.sample_epoch != epoch:
-            self.sample_epoch = epoch
-            self.access_count = count
-        else:
-            self.access_count += count
-        return self.access_count
+    #: Same counter+timestamp scheme, same first-touch log.
+    record_access = KVObject.record_access
 
 
 class LogValueArena:
@@ -179,6 +173,10 @@ class LogValueArena:
         #: vector key-compare pass calls this per candidate; the method
         #: wrapper of :meth:`get` would double its cost.
         self.probe = self._entries.get
+        #: Locations first touched in the open profiler epoch, in touch
+        #: order (appended by :meth:`LogRecord.record_access`).  Locations,
+        #: not records: a freed record's bytes are never pinned here.
+        self.touched: list[int] = []
         self._next_location = 0
         self._live_bytes = 0
         self._dead_bytes = 0
@@ -451,8 +449,12 @@ class LogValueArena:
         return len(self._entries)
 
     def objects(self) -> list[LogRecord]:
-        """All live records (profiler harvest and test aid)."""
+        """All live records (test aid)."""
         return list(self._entries.values())
+
+    def drain_touched(self) -> list[int]:
+        """Access counts of the window's touched records (profiler harvest)."""
+        return drain_touched(self.touched, self.probe)
 
     # ------------------------------------------------------------ compaction
 

@@ -42,6 +42,13 @@ def key_signature(key: bytes) -> int:
     return fnv1a64(key) & _SIGNATURE_MASK
 
 
+#: First-touch log capacity per heap: two profile windows' worth of
+#: queries (an epoch runs the batch that closed the previous window plus
+#: all but the last batch of its own).  A heap nobody drains, or a giant
+#: batch, stops logging here instead of growing.
+TOUCH_LOG_LIMIT = 8192
+
+
 @dataclass
 class KVObject:
     """One stored key-value object plus profiler bookkeeping.
@@ -71,18 +78,42 @@ class KVObject:
         """Payload footprint (key + value), the slab-class sizing input."""
         return len(self.key) + len(self.value)
 
-    def record_access(self, epoch: int, count: int = 1) -> int:
+    def record_access(
+        self,
+        epoch: int,
+        count: int = 1,
+        touched: list[int] | None = None,
+        location: int = -1,
+    ) -> int:
         """Count ``count`` accesses within sampling window ``epoch``.
 
         Returns the updated in-window count.  Implements the paper's
         counter+timestamp scheme: a new epoch restarts the count instead of
         requiring a global reset pass over all objects.  ``count`` lets the
         engines' batch dedup credit a collapsed run of a repeated key with
-        its full multiplicity in one call.
+        its full multiplicity in one call.  On the first touch in an epoch
+        the object's ``location`` is appended to ``touched`` (the owning
+        heap's first-touch log), so the profiler's harvest reads the
+        touched objects back instead of scanning the heap.
         """
         if self.sample_epoch != epoch:
             self.sample_epoch = epoch
             self.access_count = count
+            if touched is not None and len(touched) < TOUCH_LOG_LIMIT:
+                touched.append(location)
         else:
             self.access_count += count
         return self.access_count
+
+
+def drain_touched(touched: list[int], probe) -> list[int]:
+    """In-window access counts of the objects in a heap's first-touch log,
+    which is emptied.
+
+    ``probe(location)`` returns the live object or ``None``; an object
+    freed, evicted or replaced since its touch is skipped, exactly as a
+    scan over the live heap would not have seen it.
+    """
+    counts = [obj.access_count for obj in map(probe, touched) if obj is not None]
+    touched.clear()
+    return counts

@@ -100,6 +100,12 @@ class _MergedHeapView:
             out.extend(shard.heap.objects())
         return out
 
+    def drain_touched(self) -> list[int]:
+        out: list[int] = []
+        for shard in self._shards:
+            out.extend(shard.heap.drain_touched())
+        return out
+
     @property
     def budget_bytes(self) -> int:
         return sum(s.heap.budget_bytes for s in self._shards)

@@ -17,7 +17,7 @@ from collections import OrderedDict
 from dataclasses import dataclass, field
 
 from repro.errors import CapacityError, ConfigurationError
-from repro.kv.objects import KVObject
+from repro.kv.objects import KVObject, drain_touched
 
 #: Default geometric growth factor between slab classes, memcached-style.
 DEFAULT_GROWTH_FACTOR = 2.0
@@ -90,6 +90,9 @@ class SlabAllocator:
         self._classes: dict[int, _SlabClass] = {}
         self._location_to_class: dict[int, int] = {}
         self._next_location = 0
+        #: Locations first touched in the open profiler epoch, in touch
+        #: order (appended by :meth:`KVObject.record_access`).
+        self.touched: list[int] = []
         self.stats = SlabStats()
 
     # ---------------------------------------------------------------- sizing
@@ -194,3 +197,10 @@ class SlabAllocator:
         for slab in self._classes.values():
             out.extend(slab.objects.values())
         return out
+
+    def _probe(self, location: int) -> KVObject | None:
+        return self.get(location, touch=False)
+
+    def drain_touched(self) -> list[int]:
+        """Access counts of the window's touched objects (profiler harvest)."""
+        return drain_touched(self.touched, self._probe)

@@ -224,7 +224,7 @@ class KVStore:
         obj = self.heap.get(location)
         if obj is None:
             return None
-        obj.record_access(epoch)
+        obj.record_access(epoch, 1, self.heap.touched, location)
         return obj.value
 
     def allocate(self, key: bytes, value: bytes) -> SetOutcome:
@@ -388,6 +388,7 @@ class KVStore:
         repeated key once but must not under-report its popularity.
         """
         heap_get = self.heap.get
+        touched = self.heap.touched
         values: list[bytes | None] = []
         append = values.append
         if counts is not None:
@@ -399,7 +400,7 @@ class KVStore:
                 if obj is None:
                     append(None)
                 else:
-                    obj.record_access(epoch, count)
+                    obj.record_access(epoch, count, touched, location)
                     append(obj.value)
             return values
         for location in locations:
@@ -410,7 +411,7 @@ class KVStore:
             if obj is None:
                 append(None)
             else:
-                obj.record_access(epoch)
+                obj.record_access(epoch, 1, touched, location)
                 append(obj.value)
         return values
 
@@ -428,7 +429,7 @@ class KVStore:
             return
         obj = self.heap.get(location, touch=False)
         if obj is not None:
-            obj.record_access(epoch, count)
+            obj.record_access(epoch, count, self.heap.touched, location)
 
     def multi_allocate(self, items: list[tuple[bytes, bytes]]) -> list[SetOutcome]:
         """Bulk MM: allocate each (key, value) in order; outcomes per item.

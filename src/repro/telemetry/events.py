@@ -104,6 +104,9 @@ def replan_event(
     estimated_mops: float,
     changed: bool,
     estimated_tmax_us: float | None = None,
+    reason: str = "bootstrap",
+    window_queries: int = 0,
+    search_seconds: float = 0.0,
 ) -> TraceEvent:
     """Audit record of one adaptation decision (configs by full label)."""
     return TraceEvent(
@@ -118,6 +121,9 @@ def replan_event(
             "estimated_mops": estimated_mops,
             "estimated_tmax_us": _finite(estimated_tmax_us),
             "changed": changed,
+            "reason": reason,
+            "window_queries": window_queries,
+            "search_ms": search_seconds * 1e3,
         },
     )
 

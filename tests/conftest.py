@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import os
+import signal
+import time
+
 import pytest
 
 from repro.core.cost_model import CostModel
@@ -11,6 +15,62 @@ from repro.kv.store import KVStore
 from repro.pipeline.executor import PipelineExecutor
 from repro.pipeline.megakv import megakv_coupled_config
 from repro.workloads.ycsb import QueryStream, standard_workload
+
+
+#: Environment marker every process started during this test session
+#: inherits; it is how a ``repro serve`` orphan (reparented to init, so no
+#: longer a descendant by parent pid) is still recognised as ours.
+_SESSION_MARKER = "REPRO_PYTEST_SESSION"
+
+
+def _surviving_servers(marker: bytes) -> dict[int, str]:
+    """``{pid: command line}`` of live ``repro serve`` processes carrying
+    this session's marker."""
+    found: dict[int, str] = {}
+    if not os.path.isdir("/proc"):
+        return found  # no procfs: nothing to inspect on this platform
+    for entry in os.listdir("/proc"):
+        if not entry.isdigit() or int(entry) == os.getpid():
+            continue
+        try:
+            with open(f"/proc/{entry}/cmdline", "rb") as handle:
+                cmdline = handle.read()
+            if b"\0repro\0serve\0" not in cmdline:
+                continue
+            with open(f"/proc/{entry}/environ", "rb") as handle:
+                if marker not in handle.read().split(b"\0"):
+                    continue
+            with open(f"/proc/{entry}/stat", "rb") as handle:
+                if handle.read().rsplit(b")", 1)[1].split()[0] == b"Z":
+                    continue  # exited, just not reaped yet
+        except OSError:
+            continue  # gone, or not ours to read
+        found[int(entry)] = cmdline.replace(b"\0", b" ").decode(errors="replace").strip()
+    return found
+
+
+@pytest.fixture(scope="session", autouse=True)
+def no_surviving_servers():
+    """Fail the run if a ``repro serve`` process outlives the tests.
+
+    A leaked server keeps its UDP port and a core busy, so it skews every
+    later run on the host — the next test session and back-to-back
+    benchmark runs alike.
+    """
+    os.environ[_SESSION_MARKER] = str(os.getpid())
+    marker = f"{_SESSION_MARKER}={os.getpid()}".encode()
+    yield
+    deadline = time.monotonic() + 5.0
+    survivors = _surviving_servers(marker)
+    while survivors and time.monotonic() < deadline:
+        time.sleep(0.1)  # a server told to stop may still be flushing
+        survivors = _surviving_servers(marker)
+    for pid in survivors:
+        try:
+            os.kill(pid, signal.SIGKILL)
+        except ProcessLookupError:
+            pass
+    assert not survivors, f"repro serve processes outlived the tests: {survivors}"
 
 
 @pytest.fixture(scope="session")

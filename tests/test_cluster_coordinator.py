@@ -65,23 +65,22 @@ def cluster(tmp_path):
         env=env,
         stdout=subprocess.PIPE,
         stderr=subprocess.STDOUT,
+        # The coordinator leads its own session (hence process group) and its
+        # ``repro serve`` children inherit it, so teardown can take the whole
+        # fleet down even when the coordinator is already dead (a SIGKILLed
+        # coordinator cannot answer ``status``, and its children live on).
+        start_new_session=True,
     )
     control = ("127.0.0.1", port)
     try:
         _wait_ready(control)
         yield process, control
     finally:
-        if process.poll() is None:
-            process.kill()
-        process.wait(timeout=10)
-        # Belt and braces: never leak servers past the test, even on failure.
         try:
-            status = control_request(control, {"cmd": "status"}, timeout_s=2.0)
-            for entry in status["nodes"].values():
-                if _alive(entry["pid"]):
-                    os.kill(entry["pid"], signal.SIGKILL)
-        except (OSError, ClusterError):
+            os.killpg(process.pid, signal.SIGKILL)
+        except ProcessLookupError:
             pass
+        process.wait(timeout=10)
 
 
 def test_sigterm_tears_down_every_child(cluster):

@@ -120,6 +120,51 @@ class TestAdaptationEvents:
         assert event.new_config.label == event.new_label
         assert event.changed == (event.old_label != event.new_label)
 
+    def test_events_say_why(self, controller):
+        controller.config_for(WorkloadProfile(0.95, 16, 64, 0.0, batch_queries=53))
+        controller.config_for(WorkloadProfile(0.50, 16, 64, 0.0, batch_queries=600))
+        controller.config_for(WorkloadProfile(0.50, 16, 64, 0.5, batch_queries=4096))
+        controller.config_for(WorkloadProfile(0.50, 128, 1024, 0.5, batch_queries=512))
+        controller.force_replan()
+        controller.config_for(WorkloadProfile(0.50, 128, 1024, 0.5, batch_queries=7))
+        events = controller.events
+        # 64 -> 1024 B (x15) outweighs 16 -> 128 B (x7): the largest mover is named.
+        assert [e.reason for e in events] == [
+            "bootstrap", "get_ratio", "skew", "value_size", "forced",
+        ]
+        assert [e.window_queries for e in events] == [53, 600, 4096, 512, 7]
+        assert events[1].trigger_change == pytest.approx(0.45 / 0.95)
+        assert all(0.0 < e.search_seconds < 5.0 for e in events)
+
+    def test_key_size_reason(self, controller):
+        controller.config_for(WorkloadProfile(0.95, 16, 64, 0.0))
+        controller.config_for(WorkloadProfile(0.95, 32, 64, 0.0))
+        assert controller.events[-1].reason == "key_size"
+
+    def test_planned_profile_tracks_the_plan(self, controller):
+        assert controller.planned_profile is None
+        profile = profile_for("K16-G95-S")
+        controller.config_for(profile)
+        assert controller.planned_profile is profile
+        controller.config_for(WorkloadProfile(0.94, 16, 64, 0.99))  # no re-plan
+        assert controller.planned_profile is profile
+        controller.force_replan()
+        assert controller.planned_profile is None
+
+    def test_confirming_full_window_becomes_the_reference(self, controller):
+        """A bootstrap plan made from a 53-query batch is confirmed, not
+        redone, by the first full window that agrees with it — and that
+        window is the better reference for later comparisons."""
+        bootstrap = WorkloadProfile(0.94, 16, 64, 0.0, batch_queries=53)
+        full = WorkloadProfile(0.95, 16, 64, 0.05, batch_queries=4100)
+        later = WorkloadProfile(0.951, 16, 64, 0.05, batch_queries=4200)
+        config = controller.config_for(bootstrap)
+        assert controller.config_for(full) is config
+        assert controller.planned_profile is full
+        assert controller.config_for(later) is config
+        assert controller.planned_profile is full  # one upgrade, then drift accumulates
+        assert controller.replan_count == 1
+
     def test_replans_logged_at_info(self, controller, caplog):
         import logging
 

@@ -5,6 +5,8 @@ import pytest
 
 from repro.core.profiler import (
     CHANGE_THRESHOLD,
+    EARLY_CLOSE_MIN_QUERIES,
+    WINDOW_QUERIES,
     WorkloadProfile,
     WorkloadProfiler,
     estimate_zipf_skew,
@@ -90,6 +92,115 @@ class TestProfiler:
         profiler.snapshot()
         profiler.observe_batch(queries(0, 10))
         assert profiler.snapshot().get_ratio == 0.0
+
+
+    def test_value_size_carried_through_a_window_without_sets(self):
+        """A GET-only window has no value evidence; it must not report 1.0
+        (a 64 -> 1 -> 64 flip re-planned twice per one-datagram window)."""
+        profiler = WorkloadProfiler()
+        profiler.observe_batch(queries(90, 10, value_size=64))
+        assert profiler.snapshot().avg_value_size == 64.0
+        profiler.observe_batch(queries(100, 0))
+        assert profiler.snapshot().avg_value_size == 64.0
+        profiler.observe_batch(queries(0, 5, value_size=256))
+        assert profiler.snapshot().avg_value_size == 256.0
+
+    def test_value_size_unknown_until_first_value(self):
+        profiler = WorkloadProfiler()
+        profiler.observe_batch(queries(10, 0))
+        assert profiler.snapshot().avg_value_size == 1.0
+
+    @pytest.mark.parametrize("columnar", [False, True])
+    def test_deletes_are_not_value_events(self, columnar):
+        """K32/V256 at 45 % SET / 5 % DELETE profiled 230 B: DELETEs were
+        averaged in as zero-length values."""
+        batch = queries(50, 45, key_size=32, value_size=256)
+        batch += [Query(QueryType.DELETE, bytes(32)) for _ in range(5)]
+        if columnar:
+            from repro.net.wire import QueryColumns
+
+            batch = QueryColumns(
+                [q.qtype for q in batch],
+                [q.key for q in batch],
+                [q.value for q in batch],
+                opcodes=np.array([q.qtype.value for q in batch], dtype=np.uint8),
+                key_lens=np.array([len(q.key) for q in batch], dtype=np.uint16),
+                value_lens=np.array([len(q.value) for q in batch], dtype=np.uint32),
+            )
+        profiler = WorkloadProfiler()
+        profiler.observe_batch(batch)
+        profile = profiler.snapshot()
+        assert profile.avg_value_size == 256.0
+        assert profile.get_ratio == 0.5  # a DELETE is still a non-GET query
+        assert profile.avg_key_size == 32.0
+
+
+class TestWindows:
+    """A window is a statistical sample: what closes one."""
+
+    PLANNED = WorkloadProfile(0.95, 16.0, 64.0, 0.0, batch_queries=WINDOW_QUERIES)
+
+    def test_no_reference_closes_at_once(self):
+        profiler = WorkloadProfiler()
+        assert not profiler.window_ready(None)  # nothing observed yet
+        profiler.observe_batch(queries(1, 0))
+        assert profiler.window_ready(None)
+
+    def test_steady_window_closes_only_when_full(self):
+        profiler = WorkloadProfiler()
+        for _ in range(WINDOW_QUERIES // 100):
+            assert not profiler.window_ready(self.PLANNED)
+            profiler.observe_batch(queries(95, 5))
+        profiler.observe_batch(queries(95, 5))
+        assert profiler.window_ready(self.PLANNED)
+
+    def test_sampling_noise_does_not_close_early(self):
+        """600 queries at p = 0.5 against a planned 0.45 is a 11 % change
+        on paper and 2.5 standard errors in fact."""
+        planned = WorkloadProfile(0.45, 16.0, 64.0, 0.0, batch_queries=WINDOW_QUERIES)
+        profiler = WorkloadProfiler()
+        profiler.observe_batch(queries(300, 300))
+        assert not profiler.window_ready(planned)
+
+    def test_shift_closes_early_but_not_on_a_handful(self):
+        profiler = WorkloadProfiler()
+        profiler.observe_batch(queries(50, 50))
+        assert not profiler.window_ready(self.PLANNED)  # 100 queries: too few
+        while profiler.window_queries < EARLY_CLOSE_MIN_QUERIES:
+            profiler.observe_batch(queries(50, 50))
+        assert profiler.window_ready(self.PLANNED)
+
+    def test_key_and_value_size_shifts_close_early(self):
+        for shifted in (
+            queries(95, 5, key_size=128),
+            queries(90, 10, value_size=1024),
+        ):
+            profiler = WorkloadProfiler()
+            for _ in range(6):
+                profiler.observe_batch(shifted)
+            assert profiler.window_ready(self.PLANNED)
+
+    def test_noisy_reference_cannot_support_an_early_close(self):
+        """The bootstrap plan may rest on a four-query batch; only a full
+        window corrects it."""
+        planned = WorkloadProfile(0.25, 16.0, 1.0, 0.0, batch_queries=4)
+        profiler = WorkloadProfiler()
+        for _ in range(10):
+            profiler.observe_batch(queries(95, 5))
+        assert not profiler.window_ready(planned)
+
+    def test_skew_comes_from_the_windows_harvested_counts(self):
+        ranks = ZipfKeys(32768, skew=0.99, seed=4).sample(3000)
+        counts = np.unique(ranks, return_counts=True)[1].tolist()
+        profiler = WorkloadProfiler()
+        profiler.observe_frequency(counts[0])
+        profiler.observe_frequencies(counts[1:])
+        profiler.observe_batch(queries(1, 0))
+        estimate = estimate_zipf_skew(np.array(counts, dtype=float))
+        assert profiler.snapshot().zipf_skew == estimate > 0.3
+        # The next window starts with no counts.
+        profiler.observe_batch(queries(1, 0))
+        assert profiler.snapshot().zipf_skew == 0.0
 
 
 class TestSkewEstimation:

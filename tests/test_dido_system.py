@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core.dido import DidoSystem
+from repro.core.profiler import WINDOW_QUERIES
 from repro.errors import WorkloadError
 from repro.kv.protocol import Query, QueryType, ResponseStatus
 from repro.net.packets import frames_for_queries
@@ -105,7 +106,12 @@ class TestAnalyticalPath:
         """After processing a skewed stream, the profiler's estimated skew
         is visible in the controller's planned-for profile."""
         stream = QueryStream(standard_workload("K8-G95-S"), 400, seed=7)
-        for _ in range(5):
-            system.process(stream.next_batch(500))
+        # The first batch closes the bootstrap window; from then on a
+        # window closes every WINDOW_QUERIES queries, whatever the batching.
+        system.process(stream.next_batch(500))
+        assert system.profiler.epoch == 1
+        for _ in range(2 * WINDOW_QUERIES // 512):
+            system.process(stream.next_batch(512))
+        assert system.profiler.epoch == 3
         # The sampled-frequency estimator observed repeated hot keys.
-        assert system.profiler.epoch == 5
+        assert system.controller.planned_profile.zipf_skew > 0.5

@@ -47,6 +47,8 @@ class TestStagePlan:
     def test_compile_is_memoised(self):
         config = megakv_coupled_config()
         assert compile_stage_plan(config) is compile_stage_plan(config)
+        # ... per configuration value, not per object.
+        assert compile_stage_plan(megakv_coupled_config()) is compile_stage_plan(config)
 
     def test_every_task_appears_exactly_once_as_a_phase_owner(self):
         """Each of the eight tasks owns at least one phase, and non-IN

@@ -147,6 +147,27 @@ class TestConfigInvariants:
         assert "Delete@CPU" in config.label
 
 
+class TestHashing:
+    def test_hash_is_cached_and_consistent_with_equality(self):
+        a = PipelineConfig.assemble((Task.IN,), total_cpu_cores=4, prefix_cores=2)
+        b = PipelineConfig.assemble((Task.IN,), total_cpu_cores=4, prefix_cores=2)
+        assert a == b and a is not b
+        assert hash(a) == hash(b)
+        assert a.__dict__["_hash"] == hash(a)
+        assert {a: 1}[b] == 1
+        assert hash(a.with_work_stealing(False)) != hash(a)
+
+    def test_cached_hash_does_not_travel_in_a_pickle(self):
+        """Enum hashes are per-process (string hash randomisation)."""
+        import pickle
+
+        config = PipelineConfig.assemble((Task.IN, Task.KC), total_cpu_cores=4)
+        hash(config)
+        clone = pickle.loads(pickle.dumps(config))
+        assert "_hash" not in clone.__dict__
+        assert clone == config and hash(clone) == hash(config)
+
+
 class TestGpuSegments:
     def test_segments_start_at_in(self):
         segments = gpu_segments()

@@ -25,6 +25,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core.dido import DidoSystem
+from repro.core.profiler import WINDOW_QUERIES
 from repro.engine import BatchPlane, compile_stage_plan
 from repro.engine.procshard import (
     ProcShardEngine,
@@ -531,14 +532,17 @@ class TestProcShardSystem:
         try:
             hot = [Query(QueryType.SET, b"hot", b"v")] + [
                 Query(QueryType.GET, b"hot")
-            ] * 63
-            for _ in range(4):
+            ] * 511
+            # Batch 1 closes the bootstrap window; batches 2-9 fill the
+            # next one, which closes as batch 9 is planned.
+            for _ in range(1 + WINDOW_QUERIES // len(hot)):
+                assert not system.store.take_frequency_samples()
                 system.process(list(hot))
-            # The last batch's reply shipped a worker-side harvest of the
-            # hot key's access counts (drained into the profiler at the
-            # start of the *next* process call — the same one-window lag
-            # the in-process heap harvest has).
-            assert system.store.take_frequency_samples()
+            # Batch 9 carried the new epoch, so its reply shipped the
+            # worker-side harvest of the closed window's access counts
+            # (drained into the profiler when the *next* window closes).
+            assert system.profiler.epoch == 2
+            assert 511 in system.store.take_frequency_samples()
         finally:
             system.close()
 

@@ -342,6 +342,23 @@ class TestInstrumentedSystem:
             assert event.fields["old_config"] != event.fields["new_config"]
             assert event.fields["estimated_mops"] > 0
 
+    def test_replan_events_say_why_and_what_they_cost(self, traced_system):
+        system, telemetry = traced_system
+        replans = telemetry.events.by_kind("replan")
+        assert replans[0].fields["reason"] == "bootstrap"
+        reasons = {e.fields["reason"] for e in replans[1:]}
+        assert reasons <= {"get_ratio", "key_size", "value_size", "skew"}
+        assert "key_size" in reasons or "value_size" in reasons  # K8 -> K128
+        histogram = telemetry.registry.get("repro_replan_seconds")
+        for event, record in zip(system.controller.events, replans):
+            assert record.fields["window_queries"] == event.window_queries >= 512
+            assert record.fields["search_ms"] == pytest.approx(event.search_seconds * 1e3)
+        assert sum(slot.count for _, slot in histogram.samples()) == len(replans)
+        assert histogram.count(reason="bootstrap") == 1
+        assert histogram.total(reason="bootstrap") == pytest.approx(
+            system.controller.events[0].search_seconds
+        )
+
     def test_spans_cover_all_eight_tasks(self, traced_system):
         _, telemetry = traced_system
         spans = [e for e in telemetry.events.snapshot() if e.name == "pipeline_stage"]
@@ -360,7 +377,23 @@ class TestInstrumentedSystem:
         get_ratio = telemetry.registry.get("repro_profile_get_ratio")
         assert get_ratio is not None
         assert 0.0 <= get_ratio.value() <= 1.0
+        # The last *closed* window: the K8-G50-U shift closed one early on
+        # its first 512-query batch; the batch after it is still open.
         assert telemetry.registry.get("repro_profile_window_queries").value() == 512
+
+    def test_window_gauge_counts_every_batch_of_the_window(self, live_telemetry):
+        from repro import DidoSystem, QueryStream, standard_workload
+
+        system = DidoSystem(memory_bytes=48 << 20, expected_objects=20_000)
+        stream = QueryStream(standard_workload("K8-G95-S"), num_keys=2_000, seed=3)
+        gauge = lambda: live_telemetry.registry.get("repro_profile_window_queries").value()
+        system.process(stream.next_batch(500))
+        assert gauge() == 500  # the bootstrap window is the first batch
+        for _ in range(7):
+            system.process(stream.next_batch(512))
+        assert (system.profiler.epoch, gauge()) == (1, 500)  # window still open
+        system.process(stream.next_batch(512))
+        assert (system.profiler.epoch, gauge()) == (2, 4096)
 
     def test_trace_exports_round_trip(self, traced_system, tmp_path):
         _, telemetry = traced_system
