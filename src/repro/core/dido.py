@@ -344,11 +344,11 @@ class DidoSystem:
     def maintain(self) -> list[int]:
         """Periodic idle-tick work: heap compaction + worker health checks.
 
-        For in-process stores this is the log arena's compaction barrier:
-        the UDP server calls it every 0.5 s between windows, so dead
-        space from tombstoned SET/DELETEs is reclaimed in large batches
-        off the query path (``force=True`` lowers the trigger — an idle
-        tick can afford the scan).  A slab-heap store makes this a no-op.
+        For in-process stores this is a maintenance barrier the UDP server
+        reaches every 0.5 s between windows: a pending delta merges now
+        (that is all ``force=True`` asks for), and the log arena compacts
+        if its one gate — the same the post-batch barrier reads — is open.
+        A slab-heap store without a delta makes this a no-op.
 
         For procshard stores it additionally respawns dead shard workers
         (compaction happens inside the workers, at their own idle ticks)

@@ -56,6 +56,24 @@ def _credit(task_times: dict[Task, float] | None, task: Task, t0: float) -> None
         task_times[task] = task_times.get(task, 0.0) + elapsed_us
 
 
+def count_store_ops(store: KVStore, plane: BatchPlane, get_hits: int | None = None) -> None:
+    """Add a finished batch's GET/SET counts to ``store.stats``, once.
+
+    DELETEs are not counted here: the Delete pass answers them through
+    :meth:`KVStore.delete`, which counts ``deletes``/``delete_hits`` itself.
+    ``get_hits`` may be passed by an engine that already knows it; otherwise
+    it is read off the batch's value column.
+    """
+    get_rows = plane.get_indices
+    if get_hits is None:
+        read_values = plane.read_values
+        get_hits = sum(1 for i in get_rows if read_values[i] is not None)
+    stats = store.stats
+    stats.gets += len(get_rows)
+    stats.get_hits += get_hits
+    stats.sets += len(plane.set_indices)
+
+
 class SerialEngine:
     """Whole-batch columnar execution, one pass per phase.
 
@@ -117,7 +135,11 @@ class SerialEngine:
                 # All representative reads are in: scatter values/responses
                 # to duplicate rows and admit hot values before WR runs.
                 hotpath.finish(plane)
+        self._count_store_ops(store, plane)
         return {}
+
+    def _count_store_ops(self, store: KVStore, plane: BatchPlane) -> None:
+        count_store_ops(store, plane)
 
     # ----------------------------------------------------------- dispatch
 
@@ -401,6 +423,7 @@ class StealingEngine(SerialEngine):
                     # duplicate's WR chunk may precede its representative's,
                     # so the scatter must complete before WR starts.
                     hotpath.finish(plane)
+        self._count_store_ops(store, plane)
         return claims
 
     def _run_phase_stolen(

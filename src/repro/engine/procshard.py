@@ -269,7 +269,8 @@ def _worker_main(in_name: str, out_name: str, config: dict) -> None:
                 break
             if msg is None:
                 # Idle tick: the worker owns its shard outright, so this
-                # is a free compaction barrier for a log-arena heap.
+                # is a free barrier — merge a pending delta, and compact
+                # the log arena if its gate is open.
                 state.store.maintenance(force=True)
                 continue
             mtype = msg[0]

@@ -24,6 +24,7 @@ from repro.engine.backends import (
     NOT_FOUND_RESPONSE,
     STORED_RESPONSE,
     _credit,
+    count_store_ops,
 )
 from repro.engine.plan import PhaseKind, PlanPhase, StagePlan
 from repro.engine.plane import BatchPlane
@@ -65,6 +66,7 @@ class ReferenceEngine:
                     for i in range(plane.size):
                         step(store, plane, i, epoch)
                 _credit(task_times, phase.task, t0)
+        count_store_ops(store, plane)
         return claims
 
     def _run_phase_stolen(self, store, plane, step, claims, epoch) -> None:

@@ -44,6 +44,7 @@ from repro.engine.backends import (
     NOT_FOUND_RESPONSE,
     STORED_RESPONSE,
     SerialEngine,
+    count_store_ops,
 )
 from repro.engine.hotpath import prepare_hot_path_vector
 from repro.engine.plane import BatchPlane
@@ -122,6 +123,18 @@ def fnv_hash_columns(keys: list[bytes], num_states: int, lens=None):
     return states
 
 
+def _kick_offsets(signatures):
+    """``fnv1a64`` of each 32-bit signature's little-endian bytes — the XOR
+    distance from a bucket to its kick-displaced twin
+    (:meth:`~repro.kv.hashtable.CuckooHashTable.displaced_buckets`)."""
+    octets = signatures.astype("<u4").view(np.uint8).reshape(-1, 4)
+    prime = np.uint64(_FNV_PRIME)
+    state = np.full(len(signatures), _FNV_OFFSET, dtype=np.uint64)
+    for j in range(4):
+        state = (state ^ octets[:, j]) * prime
+    return state
+
+
 class _VectorScratch:
     """Per-batch columnar state the vector passes hand to each other."""
 
@@ -171,6 +184,13 @@ class VectorEngine(SerialEngine):
                     use_cache=self.use_hot_cache,
                 )
         return super().run(store, plan, plane, epoch=epoch, task_times=task_times)
+
+    def _count_store_ops(self, store: KVStore, plane: BatchPlane) -> None:
+        scratch = plane.scratch
+        # The RD/WR passes already listed every GET hit: no per-row work.
+        count_store_ops(
+            store, plane, None if scratch is None else len(scratch.value_rows)
+        )
 
     # --------------------------------------------------------------- search
 
@@ -230,10 +250,24 @@ class VectorEngine(SerialEngine):
                         keep = np.ones(n, dtype=bool)
                         keep[resolved_local] = False
                         remaining = remaining[keep]
-        for probe in range(num_hashes):
+        # After the candidate rounds, rows whose signature a kick has ever
+        # displaced go through the same rounds again on the displaced
+        # buckets (candidate ^ h(signature)); any other miss is final.
+        for probe in range(2 * num_hashes):
             if remaining.size == 0:
                 break
-            buckets = (states[probe + 1][remaining] & bucket_mask).astype(np.intp)
+            if probe < num_hashes:
+                buckets = states[probe + 1][remaining] & bucket_mask
+            else:
+                if probe == num_hashes:
+                    classes = signatures[remaining] & np.uint32(index.num_buckets - 1)
+                    remaining = remaining[mirror.displaced[classes] != 0]
+                    if remaining.size == 0:
+                        break
+                    shift = _kick_offsets(signatures[remaining]) & bucket_mask
+                    reads[remaining] = 2 * num_hashes
+                buckets = (states[probe - num_hashes + 1][remaining] & bucket_mask) ^ shift
+            buckets = buckets.astype(np.intp)
             sig_slots = mirror.signatures[buckets]
             loc_slots = mirror.locations[buckets]
             match = (loc_slots != EMPTY) & (sig_slots == signatures[remaining][:, None])
@@ -265,6 +299,8 @@ class VectorEngine(SerialEngine):
                     if qtypes[row] is get_type:
                         scratch.multi_hits[row] = locs
                 remaining = remaining[~matched]
+                if probe >= num_hashes:
+                    shift = shift[~matched]
         stats = index.stats
         stats.searches += n
         stats.search_bucket_reads += int(reads.sum())

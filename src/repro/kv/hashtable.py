@@ -91,10 +91,14 @@ class SignatureMirror:
     test in ``tests/test_vector_engine.py`` pins this down).
     """
 
-    __slots__ = ("signatures", "locations")
+    __slots__ = ("signatures", "locations", "displaced")
 
-    def __init__(self, buckets: list[list[_Slot]], slots_per_bucket: int):
+    def __init__(
+        self, buckets: list[list[_Slot]], slots_per_bucket: int, displaced: bytearray
+    ):
         num_buckets = len(buckets)
+        #: Zero-copy view of the table's displaced-signature filter.
+        self.displaced = _np.frombuffer(displaced, dtype=_np.uint8)
         self.signatures = _np.zeros((num_buckets, slots_per_bucket), dtype=_np.uint32)
         self.locations = _np.full((num_buckets, slots_per_bucket), EMPTY, dtype=_np.int64)
         for bucket_idx, bucket in enumerate(buckets):
@@ -149,6 +153,12 @@ class CuckooHashTable:
         ]
         self._versions = [0] * size
         self._count = 0
+        #: ``_displaced[signature & mask]`` is set when a cuckoo kick moves
+        #: an entry with that signature out of its key's candidate buckets
+        #: (never cleared, so it errs towards looking).  A miss goes on to
+        #: the :meth:`displaced_buckets` only for signatures marked here, so
+        #: a plain miss costs what it did before any insert kicked.
+        self._displaced = bytearray(size)
         self.stats = IndexStats()
         # Probe specs are a pure function of the key and the (fixed) table
         # geometry, so they can be cached indefinitely; kept as a bounded
@@ -189,6 +199,11 @@ class CuckooHashTable:
     def load_factor(self) -> float:
         return self._count / self.capacity
 
+    @property
+    def kicked(self) -> bool:
+        """Whether any insert has moved an entry to a displaced bucket."""
+        return 1 in self._displaced
+
     def bucket_version(self, index: int) -> int:
         """Seqlock-style version of bucket ``index`` (bumped on every write)."""
         return self._versions[index & self._mask]
@@ -208,6 +223,18 @@ class CuckooHashTable:
     def candidate_buckets(self, key: bytes) -> list[int]:
         """All bucket indices where ``key`` may reside, in probe order."""
         return [self._bucket_index(key, i) for i in range(self._num_hashes)]
+
+    def displaced_buckets(self, signature: int, buckets: list[int]) -> list[int]:
+        """Where a cuckoo kick may have moved an entry of ``signature``.
+
+        A kick moves the entry it displaces from bucket ``b`` to
+        ``b ^ h(signature)`` (the key is not stored, so the alternative is
+        derived from the signature).  The XOR is an involution — a second
+        kick moves the entry back to ``b`` — so an entry is always either in
+        one of its key's candidate ``buckets`` or in exactly these.
+        """
+        delta = fnv1a64(signature.to_bytes(4, "little")) & self._mask
+        return [bucket ^ delta for bucket in buckets]
 
     def probe(self, key: bytes) -> tuple[int, list[int]]:
         """Precomputed probe spec: ``(signature, candidate bucket indices)``.
@@ -298,7 +325,9 @@ class CuckooHashTable:
                 raise ConfigurationError(
                     "the signature mirror requires numpy, which is not installed"
                 )
-            self._mirror = SignatureMirror(self._buckets, self._slots_per_bucket)
+            self._mirror = SignatureMirror(
+                self._buckets, self._slots_per_bucket, self._displaced
+            )
         return self._mirror
 
     # ------------------------------------------------------------ operations
@@ -317,9 +346,32 @@ class CuckooHashTable:
 
     def search_prehashed(self, signature: int, buckets: list[int]) -> tuple[list[int], int]:
         """:meth:`search` with the key's probe spec already computed."""
-        candidates: list[int] = []
-        buckets_read = 0
+        candidates, buckets_read = self._lookup(signature, buckets)
+        stats = self.stats
+        stats.searches += 1
+        stats.search_bucket_reads += buckets_read
+        return candidates, buckets_read
+
+    def _lookup(self, signature: int, buckets: list[int]) -> tuple[list[int], int]:
+        """``(candidate locations, buckets read)`` for one probe spec.
+
+        A miss in the candidate buckets goes on to the key's
+        :meth:`displaced_buckets` when a kick has ever moved an entry with
+        this signature, so an entry displaced by another key's insert is
+        still found.
+        """
+        candidates, buckets_read = self._scan(signature, buckets)
+        if not candidates and self._displaced[signature & self._mask]:
+            candidates, more = self._scan(
+                signature, self.displaced_buckets(signature, buckets)
+            )
+            buckets_read += more
+        return candidates, buckets_read
+
+    def _scan(self, signature: int, buckets: list[int]) -> tuple[list[int], int]:
+        """Locations matching ``signature`` in the first bucket that has any."""
         table = self._buckets
+        buckets_read = 0
         for bucket_idx in buckets:
             buckets_read += 1
             found = [
@@ -328,12 +380,8 @@ class CuckooHashTable:
                 if s.location != EMPTY and s.signature == signature
             ]
             if found:
-                candidates.extend(found)
-                break
-        stats = self.stats
-        stats.searches += 1
-        stats.search_bucket_reads += buckets_read
-        return candidates, buckets_read
+                return found, buckets_read
+        return [], buckets_read
 
     def multi_search(self, keys: list[bytes]) -> list[list[int]]:
         """Bulk search: candidate locations per key, in input order.
@@ -343,24 +391,12 @@ class CuckooHashTable:
         ``search(key)[0]`` would return.
         """
         probe = self.probe_cached
-        table = self._buckets
+        lookup = self._lookup
         out: list[list[int]] = []
         append = out.append
         total_reads = 0
         for key in keys:
-            signature, buckets = probe(key)
-            candidates: list[int] = []
-            buckets_read = 0
-            for bucket_idx in buckets:
-                buckets_read += 1
-                found = [
-                    s.location
-                    for s in table[bucket_idx]
-                    if s.location != EMPTY and s.signature == signature
-                ]
-                if found:
-                    candidates.extend(found)
-                    break
+            candidates, buckets_read = lookup(*probe(key))
             total_reads += buckets_read
             append(candidates)
         stats = self.stats
@@ -416,9 +452,10 @@ class CuckooHashTable:
             if evicted_loc == EMPTY:
                 return writes
             carried_sig, carried_loc = evicted_sig, evicted_loc
-            # The evicted entry moves to one of its alternative buckets; we
-            # derive them from the signature since the key is not stored.
-            alt = (victim_bucket ^ fnv1a64(carried_sig.to_bytes(4, "little"))) & self._mask
+            # The evicted entry moves to its alternative bucket, derived
+            # from the signature since the key is not stored.
+            self._displaced[carried_sig & self._mask] = 1
+            (alt,) = self.displaced_buckets(carried_sig, [victim_bucket])
             placed = False
             for slot2_idx, slot2 in enumerate(self._buckets[alt]):
                 if slot2.location == EMPTY:
@@ -458,35 +495,44 @@ class CuckooHashTable:
         """
         if new_location < 0:
             raise ConfigurationError("location must be a non-negative slab offset")
+        hit = self._find_slot(signature, buckets, old_location)
+        if hit is None:
+            return False
+        self._rewrite_location(*hit, new_location)
+        stats = self.stats
+        stats.inserts += 1
+        stats.deletes += 1
+        stats.insert_bucket_writes += 1
+        stats.reassigns += 1
+        return True
+
+    def _find_slot(
+        self, signature: int, buckets: list[int], location: int | None
+    ) -> tuple[int, int] | None:
+        """``(bucket, slot)`` of the entry with ``signature`` (and, when
+        given, ``location``): the candidate ``buckets`` first, then — for a
+        signature a kick has displaced — the :meth:`displaced_buckets`."""
+        hit = self._match(signature, buckets, location)
+        if hit is None and self._displaced[signature & self._mask]:
+            hit = self._match(
+                signature, self.displaced_buckets(signature, buckets), location
+            )
+        return hit
+
+    def _match(
+        self, signature: int, buckets: list[int], location: int | None
+    ) -> tuple[int, int] | None:
         table = self._buckets
         for bucket_idx in buckets:
             slot_idx = 0
             for slot in table[bucket_idx]:
-                if slot.location == old_location and slot.signature == signature:
-                    self._rewrite_location(bucket_idx, slot_idx, new_location)
-                    stats = self.stats
-                    stats.inserts += 1
-                    stats.deletes += 1
-                    stats.insert_bucket_writes += 1
-                    stats.reassigns += 1
-                    return True
+                if slot.signature == signature and (
+                    slot.location == location
+                    or (location is None and slot.location != EMPTY)
+                ):
+                    return bucket_idx, slot_idx
                 slot_idx += 1
-        # The old entry may have been kicked to a displacement-derived
-        # bucket during an earlier insert; probe those too.
-        for origin in range(self._num_hashes):
-            bucket_idx = (
-                fnv1a64(signature.to_bytes(4, "little"), seed=origin + 1) & self._mask
-            )
-            for slot_idx, slot in enumerate(table[bucket_idx]):
-                if slot.location == old_location and slot.signature == signature:
-                    self._rewrite_location(bucket_idx, slot_idx, new_location)
-                    stats = self.stats
-                    stats.inserts += 1
-                    stats.deletes += 1
-                    stats.insert_bucket_writes += 1
-                    stats.reassigns += 1
-                    return True
-        return False
+        return None
 
     def delete(self, key: bytes, location: int | None = None) -> bool:
         """Remove the entry for ``key`` (optionally matching ``location``).
@@ -501,45 +547,12 @@ class CuckooHashTable:
     ) -> bool:
         """:meth:`delete` with the key's probe spec already computed."""
         self.stats.deletes += 1
-        for bucket_idx in buckets:
-            bucket = self._buckets[bucket_idx]
-            for slot_idx, slot in enumerate(bucket):
-                if slot.location == EMPTY or slot.signature != signature:
-                    continue
-                if location is not None and slot.location != location:
-                    continue
-                self._write_slot(bucket_idx, slot_idx, 0, EMPTY)
-                self._count -= 1
-                return True
-        # The entry may have been kicked to a derived bucket during insert.
-        removed = self._delete_displaced(signature, location)
-        if removed:
-            self._count -= 1
-        return removed
-
-    def _delete_displaced(self, signature: int, location: int | None) -> bool:
-        """Fallback scan of displacement-derived buckets for kicked entries."""
-        for origin in range(self._num_hashes):
-            bucket_idx = fnv1a64(signature.to_bytes(4, "little"), seed=origin + 1) & self._mask
-            for slot_idx, slot in enumerate(self._buckets[bucket_idx]):
-                if slot.location == EMPTY or slot.signature != signature:
-                    continue
-                if location is not None and slot.location != location:
-                    continue
-                self._write_slot(bucket_idx, slot_idx, 0, EMPTY)
-                return True
-        if location is None:
+        hit = self._find_slot(signature, buckets, location)
+        if hit is None:
             return False
-        # Last resort: a bounded linear probe is not representative of the
-        # real structure, so instead scan all buckets only when a concrete
-        # location is known (unit tests exercise this path; the store always
-        # supplies locations).
-        for bucket_idx, bucket in enumerate(self._buckets):
-            for slot_idx, slot in enumerate(bucket):
-                if slot.location == location and slot.signature == signature:
-                    self._write_slot(bucket_idx, slot_idx, 0, EMPTY)
-                    return True
-        return False
+        self._write_slot(*hit, 0, EMPTY)
+        self._count -= 1
+        return True
 
     def bulk_apply_prehashed(
         self,
@@ -564,8 +577,8 @@ class CuckooHashTable:
         pairs can only match distinct slots — a slot *is* that pair —
         and duplicate pairs are routed to the scalar path, which reads the
         authoritative ``_Slot`` objects.  Rows the gather misses (entries
-        kicked to displacement-derived buckets, or already gone) also fall
-        back to the scalar probes.  Frees happen before fills so inserts
+        a kick moved to their :meth:`displaced_buckets`, or already gone)
+        also fall back to the scalar probes.  Frees happen before fills so inserts
         see the emptied slots.  Mirror writes buffer in ``_mirror_batch``
         and flush as one fancy-indexed store per array at the end (in a
         ``finally`` so a :class:`CapacityError` mid-insert cannot leave the
@@ -681,9 +694,9 @@ class CuckooHashTable:
                 if self.reassign_prehashed(sig, buckets, old, new):
                     reassigned += 1
                 else:
-                    # The old entry vanished between absorb and merge (e.g.
-                    # a full-table-scan delete); fall back to the unfused
-                    # Delete + Insert pair the reassign stood for.
+                    # The old entry vanished between absorb and merge; fall
+                    # back to the unfused Delete + Insert pair the reassign
+                    # stood for.
                     if self.delete_prehashed(sig, buckets, old):
                         removed += 1
                     pending_inserts.append((sig, buckets, new))

@@ -17,13 +17,39 @@ an append-only log:
   where they are) instead of freeing in place, so **live values are never
   moved or evicted mid-batch**;
 * a segment compactor (:meth:`LogValueArena.compact`) reclaims dead space
-  in large batches at barriers — the server's 0.5 s maintenance tick and
-  the pipeline's post-batch hook — rewriting dead-heavy segments and,
-  while the live set exceeds the memory budget, victimising whole
-  least-recently-touched segments.  Evicted records are returned to the
-  caller so the store can issue the matching index Deletes: the paper's
-  steady-state "one Insert + one Delete per SET" (§II-C2) is preserved in
-  aggregate, settled at the barrier instead of inside the batch.
+  at barriers — the server's 0.5 s maintenance tick and the pipeline's
+  post-batch hook, both behind the one gate
+  :attr:`LogValueArena.needs_maintenance`.
+
+**What a compaction pass costs.**  Every segment keeps the locations ever
+written into it, so a record is live in a segment exactly when
+``probe(location).segment is segment``.  A pass therefore reads only the
+membership lists of the segments it rewrites or evicts — never the whole
+entry table — and its work is counted in :attr:`ArenaStats.scanned`.
+
+**When it runs and what it picks.**  The gate opens when tombstoned bytes
+reach :data:`DEAD_SHARE` of everything the arena holds (at least one
+segment's worth), or when live plus dead bytes exceed the budget.  A pass
+then (1) while live bytes alone exceed the budget, victimises whole
+least-recently-touched segments — the evicted records are returned so the
+store can issue the matching index Deletes: the paper's steady-state "one
+Insert + one Delete per SET" (§II-C2) is preserved in aggregate, settled at
+the barrier instead of inside the batch; (2) drops every wholly dead
+segment and rewrites the rest *deadest first* until arena-wide dead bytes
+are down to half the gate's threshold.  The band between half and full
+threshold is the hysteresis: a pass buys several ticks of quiet, and the
+segments it leaves alone keep ageing until rewriting them moves little.
+Survivors of a rewritten segment move as runs — one join and one
+slice-assign per destination segment, like a bulk SET.
+
+Measured on the ``serving`` benchmark's ``write-heavy`` mix (K32/V256, 45 %
+SET over 32768 keys, a barrier per batch and a tick every 5000 queries):
+regrouping the whole live set and rewriting every segment that was 25 %
+dead cost 5.1 us of upkeep per query and relocated 2.6 records per SET;
+this pass costs 0.8 us and relocates 1.8.  What is left is the price of
+holding dead space under a quarter of the arena on a uniform stream — the
+deadest segment is still ~70 % live when its turn comes (see
+``docs/architecture.md``, "Value storage").
 
 Locations are stable integer handles exactly like the slab's, so the store
 and every engine backend work unchanged on either heap.
@@ -31,7 +57,10 @@ and every engine backend work unchanged on either heap.
 
 from __future__ import annotations
 
+from array import array
+from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import accumulate, compress
 
 from repro.errors import CapacityError, ConfigurationError
 from repro.kv.objects import KVObject, drain_touched, key_signature
@@ -39,9 +68,9 @@ from repro.kv.objects import KVObject, drain_touched, key_signature
 #: Default segment capacity (value bytes per segment).
 DEFAULT_SEGMENT_BYTES = 1 << 20
 
-#: A sealed segment at least this dead (fraction of its accounted bytes)
-#: is rewritten — survivors relocated to the log tail, buffer dropped.
-REWRITE_DEAD_FRACTION = 0.25
+#: Tombstoned share of the arena's accounted bytes (live + dead) that opens
+#: the compaction gate; a pass rewrites down to half of it.
+DEAD_SHARE = 0.25
 
 
 @dataclass
@@ -55,7 +84,12 @@ class ArenaStats:
     compactions: int = 0
     segments_dropped: int = 0
     relocations: int = 0
+    #: Value bytes copied by those relocations (the compactor's write cost).
+    relocated_bytes: int = 0
     bytes_reclaimed: int = 0
+    #: Segment-membership entries compaction passes examined — the work a
+    #: pass does, bounded by the records of the segments it rewrites/evicts.
+    scanned: int = 0
 
     @property
     def eviction_rate(self) -> float:
@@ -72,9 +106,11 @@ class _Segment:
     unit) for every record ever written here / still live here; the buffer
     itself holds only value bytes — keys stay as the ``bytes`` objects the
     batch plane already materialised, referenced from the records.
+    ``locations`` lists every location ever written here, so the record at
+    ``loc`` is live in this segment iff ``probe(loc).segment is self``.
     """
 
-    __slots__ = ("buf", "wpos", "acct_used", "acct_live", "last_touch")
+    __slots__ = ("buf", "wpos", "acct_used", "acct_live", "last_touch", "locations")
 
     def __init__(self, buf: bytearray, wpos: int = 0):
         self.buf = buf
@@ -82,6 +118,7 @@ class _Segment:
         self.acct_used = 0
         self.acct_live = 0
         self.last_touch = 0
+        self.locations = array("q")
 
 
 class LogRecord:
@@ -163,8 +200,6 @@ class LogValueArena:
             raise ConfigurationError("segment size must be positive")
         self._budget_bytes = memory_bytes
         self.segment_bytes = segment_bytes
-        #: Dead bytes worth a compaction pass on their own (no pressure).
-        self._dead_trigger = max(segment_bytes, memory_bytes // 4)
         self._segments: list[_Segment] = []
         self._head: _Segment | None = None
         self._entries: dict[int, LogRecord] = {}
@@ -209,12 +244,18 @@ class LogValueArena:
     def num_segments(self) -> int:
         return len(self._segments)
 
+    def _dead_trigger(self) -> int:
+        """Dead bytes that open the gate: the share, at least one segment."""
+        held = self._live_bytes + self._dead_bytes
+        return max(self.segment_bytes, int(DEAD_SHARE * held))
+
     @property
     def needs_maintenance(self) -> bool:
-        """Cheap barrier gate: over budget, or enough dead space to matter."""
+        """The one compaction gate, for tick and post-batch barrier alike:
+        over budget, or dead bytes at :data:`DEAD_SHARE` of what is held."""
         return (
             self._live_bytes + self._dead_bytes > self._budget_bytes
-            or self._dead_bytes > self._dead_trigger
+            or self._dead_bytes >= self._dead_trigger()
         )
 
     # ------------------------------------------------------------- segments
@@ -277,6 +318,7 @@ class LogValueArena:
         location = self._next_location
         self._next_location = location + 1
         self._entries[location] = record
+        segment.locations.append(location)
         segment.acct_used += size
         segment.acct_live += size
         segment.last_touch = self._tick
@@ -348,6 +390,7 @@ class LogValueArena:
                 record._value = value
                 entries[location] = record
                 locations.append(location)
+                segment.locations.append(location)
                 location += 1
                 segment.acct_used += size
                 segment.acct_live += size
@@ -366,6 +409,7 @@ class LogValueArena:
             head.wpos = wpos + run_bytes
             offset = wpos
             append = locations.append
+            head.locations.extend(range(location, location + j - i))
             for k in range(i, j):
                 value = values[k]
                 vlen = len(value)
@@ -461,84 +505,125 @@ class LogValueArena:
     def compact(self) -> list[tuple[int, LogRecord]]:
         """Reclaim dead space and settle the memory budget in one pass.
 
-        Two phases over one O(live) grouping of records by segment:
-
         1. **Victimisation** — while live bytes alone exceed the budget,
            evict the least-recently-touched sealed segment wholesale (the
            open head goes last).  Evicted ``(location, record)`` pairs are
            returned so the caller can issue the matching index Deletes —
            the aggregate form of the slab's per-SET LRU eviction.
-        2. **Rewrite** — segments at least :data:`REWRITE_DEAD_FRACTION`
-           dead (the head is sealed first if it qualifies) have their
-           survivors relocated to the log tail and their buffers dropped.
+        2. **Rewrite** — sealed segments holding dead bytes are taken
+           deadest first (by dead fraction): a wholly dead one is simply
+           dropped, any other has its survivors moved to the log tail
+           first.  The pass stops once arena-wide dead bytes are at most
+           half the gate's threshold: it copies the survivors of the
+           segments that pay best and of no others.  The open head is
+           left alone — it seals when full, and the gate's one-segment
+           floor already tolerates its dead.
 
-        Runs only at barriers (maintenance tick, post-batch hook), never
-        inside a batch.
+        Only the membership lists of the segments it evicts or rewrites
+        are read (:attr:`ArenaStats.scanned`).  Runs only at barriers
+        (maintenance tick, post-batch hook), never inside a batch.
         """
-        if not self._segments:
+        segments = self._segments
+        if not segments:
             return []
         budget = self._budget_bytes
         stats = self.stats
-        segments = self._segments
-        groups: dict[int, list[tuple[int, LogRecord]]] = {}
-        for location, record in self._entries.items():
-            groups.setdefault(id(record.segment), []).append((location, record))
+        entries = self._entries
         evicted: list[tuple[int, LogRecord]] = []
         did_work = False
         while self._live_bytes > budget and segments:
             victims = [s for s in segments if s is not self._head] or segments
             victim = min(victims, key=lambda s: s.last_touch)
-            for location, record in groups.pop(id(victim), ()):
-                del self._entries[location]
-                size = record.size_bytes
-                victim.acct_live -= size
-                self._live_bytes -= size
-                self._dead_bytes += size
-                evicted.append((location, record))
-                stats.evictions += 1
+            for location in victim.locations:
+                record = entries.get(location)
+                if record is not None and record.segment is victim:
+                    del entries[location]
+                    evicted.append((location, record))
+            stats.scanned += len(victim.locations)
+            # Everything still live here just died with the segment.
+            self._live_bytes -= victim.acct_live
+            self._dead_bytes += victim.acct_live
+            victim.acct_live = 0
             self._drop_segment(victim)
             did_work = True
+        stats.evictions += len(evicted)
+        target = self._dead_trigger() // 2
         head = self._head
-        if head is not None and head.acct_used:
-            if head.acct_used - head.acct_live >= REWRITE_DEAD_FRACTION * head.acct_used:
-                self._head = None  # seal: the head becomes a rewrite candidate
-        for segment in [s for s in segments if s is not self._head]:
-            dead = segment.acct_used - segment.acct_live
-            if dead <= 0 or dead < REWRITE_DEAD_FRACTION * segment.acct_used:
-                continue
-            for _location, record in groups.pop(id(segment), ()):
-                self._relocate(record)
-                stats.relocations += 1
+        candidates = sorted(
+            (s for s in segments if s.acct_used > s.acct_live and s is not head),
+            key=lambda s: s.acct_live / s.acct_used,
+        )
+        for segment in candidates:
+            if segment.acct_live:
+                if self._dead_bytes <= target:
+                    break
+                self._move_survivors(segment)
             self._drop_segment(segment)
             did_work = True
         if did_work:
             stats.compactions += 1
         return evicted
 
-    def _relocate(self, record: LogRecord) -> None:
-        """Move a survivor's bytes to the log tail (compaction only)."""
-        old = record.segment
-        vlen = record.vlen
-        size = record.size_bytes
-        segment, offset = self._append(
-            memoryview(old.buf)[record.offset : record.offset + vlen], vlen
-        )
-        record.segment = segment
-        record.offset = offset
-        old.acct_live -= size
-        self._dead_bytes += size
-        segment.acct_used += size
-        segment.acct_live += size
-        # Survivors carry their old segment's recency forward so the LRU
-        # victim order is preserved across rewrites.
-        if old.last_touch > segment.last_touch:
-            segment.last_touch = old.last_touch
+    def _move_survivors(self, victim: _Segment) -> None:
+        """Copy ``victim``'s live records to the log tail, as runs.
+
+        One join and one slice-assign per destination segment, sizes
+        summed once per run — the shape of :meth:`multi_allocate_kv`.  (A
+        jumbo segment never gets here: its single record is either live,
+        leaving nothing to reclaim, or dead, and the segment is dropped.)
+        """
+        stats = self.stats
+        found = list(map(self.probe, victim.locations))
+        live = [r is not None and r.segment is victim for r in found]
+        records: list[LogRecord] = list(compress(found, live))
+        locations = list(compress(victim.locations, live))
+        stats.scanned += len(found)
+        values = [record._value for record in records]
+        if None in values:  # a record whose write-path cache was dropped
+            source = memoryview(victim.buf)
+            values = [
+                source[r.offset : r.offset + r.vlen] if v is None else v
+                for r, v in zip(records, values)
+            ]
+        # ends[k] = value bytes of survivors [0, k]; a run is a bisect away.
+        ends = list(accumulate([record.vlen for record in records]))
+        starts = [0, *ends[:-1]]
+        n = len(records)
+        i = 0
+        while i < n:
+            head = self._head
+            base = starts[i]
+            if head is None or len(head.buf) - head.wpos < ends[i] - base:
+                head = self._open_segment()
+            wpos = head.wpos
+            j = bisect_right(ends, base + len(head.buf) - wpos, i)
+            run = records[i:j]
+            run_bytes = ends[j - 1] - base
+            run_acct = run_bytes + sum([len(record.key) for record in run])
+            head.buf[wpos : wpos + run_bytes] = b"".join(values[i:j])
+            head.wpos = wpos + run_bytes
+            shift = wpos - base
+            for record, start in zip(run, starts[i:j]):
+                record.segment = head
+                record.offset = shift + start
+            head.locations.extend(locations[i:j])
+            head.acct_used += run_acct
+            head.acct_live += run_acct
+            # Survivors carry their old segment's recency forward so the
+            # LRU victim order is preserved across rewrites.
+            if victim.last_touch > head.last_touch:
+                head.last_touch = victim.last_touch
+            victim.acct_live -= run_acct
+            self._dead_bytes += run_acct
+            stats.relocations += j - i
+            stats.relocated_bytes += run_bytes
+            i = j
 
 
 __all__ = [
     "ArenaStats",
+    "DEAD_SHARE",
     "DEFAULT_SEGMENT_BYTES",
     "LogRecord",
     "LogValueArena",
-    "REWRITE_DEAD_FRACTION",
 ]

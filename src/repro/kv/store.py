@@ -27,6 +27,26 @@ from repro.kv.objects import KVObject
 from repro.kv.slab import SlabAllocator
 from repro.telemetry import get_telemetry
 
+#: 10 us .. 1 s: a maintenance step is a barrier the next window waits on.
+_MAINTENANCE_NS_BUCKETS = (1e4, 1e5, 1e6, 2.5e6, 1e7, 2.5e7, 1e8, 1e9)
+
+#: (name, help) of the counters fed from the arena's compactions /
+#: relocations / relocated_bytes stats, in that order.
+_COMPACTION_COUNTERS = (
+    (
+        "repro_logarena_compactions_total",
+        "Log-arena compaction passes that reclaimed space",
+    ),
+    (
+        "repro_logarena_relocations_total",
+        "Live records the log-arena compactor moved to the log tail",
+    ),
+    (
+        "repro_logarena_relocated_bytes_total",
+        "Value bytes the log-arena compactor copied",
+    ),
+)
+
 
 @dataclass
 class StoreStats:
@@ -745,16 +765,16 @@ class KVStore:
         threshold is hit — or whenever it is non-empty under ``force``
         (the server's idle tick) — so compaction-generated index Deletes
         land in a fresh delta and searches never outlive a stale binding.
+        ``force`` means nothing else: the heap has one trigger,
+        :attr:`~repro.kv.logarena.LogValueArena.needs_maintenance`, shared
+        by the tick and the post-batch barrier.
 
         Compaction is log-arena only (a no-op on the slab, which never
         defers work).  It evicts whole least-recently-touched segments
         while the live set exceeds the budget; every evicted record gets
         its index Delete, key-location unmapping and hot-cache
         invalidation here — the aggregate settlement of the paper's
-        one-Insert-one-Delete SET accounting (§II-C2).  ``force`` lowers
-        the trigger to "at least a segment's worth of dead bytes" for the
-        server's idle tick, where the scan costs nothing anyone is
-        waiting on.
+        one-Insert-one-Delete SET accounting (§II-C2).
         """
         telemetry = get_telemetry()
         registry = telemetry.registry if telemetry.enabled else None
@@ -766,26 +786,21 @@ class KVStore:
                     help="Keys currently absorbed in the delta index",
                 ).set(len(delta))
             if delta.wants_merge() or (force and delta.pending_ops):
+                started = time.perf_counter_ns()
                 self._merge_delta()
+                if registry is not None:
+                    self._observe_maintenance(registry, "delta_merge", started)
         compact = self._heap_compact
         if compact is None:
             return 0
         heap = self.heap
         if registry is not None:
-            registry.gauge(
-                "repro_logarena_live_bytes",
-                help="Live key+value bytes in the log arena",
-            ).set(heap.live_bytes)
-            registry.gauge(
-                "repro_logarena_dead_bytes",
-                help="Tombstoned log-arena bytes awaiting compaction",
-            ).set(heap.dead_bytes)
-        if not (
-            heap.needs_maintenance
-            or (force and heap.dead_bytes >= heap.segment_bytes)
-        ):
+            self._export_heap_balance(registry)
+        if not heap.needs_maintenance:
             return 0
-        runs_before = heap.stats.compactions
+        started = time.perf_counter_ns()
+        stats = heap.stats
+        before = (stats.compactions, stats.relocations, stats.relocated_bytes)
         evicted = compact()
         for location, record in evicted:
             key = record.key
@@ -794,22 +809,32 @@ class KVStore:
             self.index_delete(key, location)
             if self.hot_cache is not None:
                 self.hot_cache.invalidate(key)
-        if registry is not None:
-            runs = heap.stats.compactions - runs_before
-            if runs:
-                registry.counter(
-                    "repro_logarena_compactions_total",
-                    help="Log-arena compaction passes that reclaimed space",
-                ).inc(runs)
-            registry.gauge(
-                "repro_logarena_live_bytes",
-                help="Live key+value bytes in the log arena",
-            ).set(heap.live_bytes)
-            registry.gauge(
-                "repro_logarena_dead_bytes",
-                help="Tombstoned log-arena bytes awaiting compaction",
-            ).set(heap.dead_bytes)
+        if registry is not None and stats.compactions > before[0]:
+            self._observe_maintenance(registry, "compaction", started)
+            after = (stats.compactions, stats.relocations, stats.relocated_bytes)
+            for (name, help_text), was, now in zip(_COMPACTION_COUNTERS, before, after):
+                if now > was:
+                    registry.counter(name, help=help_text).inc(now - was)
+            self._export_heap_balance(registry)
         return len(evicted)
+
+    @staticmethod
+    def _observe_maintenance(registry, stream: str, started: int) -> None:
+        registry.histogram(
+            "repro_maintenance_ns",
+            buckets=_MAINTENANCE_NS_BUCKETS,
+            help="Wall time of one maintenance step, by stream (ns)",
+        ).observe(time.perf_counter_ns() - started, stream=stream)
+
+    def _export_heap_balance(self, registry) -> None:
+        registry.gauge(
+            "repro_logarena_live_bytes",
+            help="Live key+value bytes in the log arena",
+        ).set(self.heap.live_bytes)
+        registry.gauge(
+            "repro_logarena_dead_bytes",
+            help="Tombstoned log-arena bytes awaiting compaction",
+        ).set(self.heap.dead_bytes)
 
     # ------------------------------------------------------- bulk entry points
     # Arena-backed bulk operations: one call applies a whole decoded

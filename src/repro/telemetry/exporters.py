@@ -221,12 +221,14 @@ WIRE_TIMER_SERIES = (
 
 #: Log-arena health called out in its own section: the live/dead byte
 #: balance an operator reads the compactor's effectiveness from, plus the
-#: compaction-pass counter (see ``--heap`` and
+#: compaction-pass counter and what the passes copied (see ``--heap`` and
 #: :meth:`repro.kv.store.KVStore.maintenance`).
 LOGARENA_SERIES = (
     "repro_logarena_live_bytes",
     "repro_logarena_dead_bytes",
     "repro_logarena_compactions_total",
+    "repro_logarena_relocations_total",
+    "repro_logarena_relocated_bytes_total",
 )
 
 #: Delta-index health: pending keys, merges landed, and the per-merge

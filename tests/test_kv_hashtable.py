@@ -206,12 +206,11 @@ class TestDisplacement:
                 stored[key] = i
         except CapacityError:
             pass  # near-capacity failure is legitimate cuckoo behaviour
-        # Entries must remain present *somewhere* (signature-level check:
-        # kicked entries move to derived buckets the search may not probe,
-        # as in real signature-only cuckoo tables, so check the global set).
-        present = {loc for _, loc in table.entries()}
+        assert table.kicked
+        # Every stored key stays reachable by Search: a kicked entry sits
+        # in one of its key's displaced buckets, which a miss goes on to.
         for key, loc in stored.items():
-            assert loc in present, f"{key!r} vanished from the table"
+            assert loc in table.search(key)[0], f"{key!r} is unreachable"
 
     def test_capacity_error_at_overload(self):
         table = CuckooHashTable(num_buckets=4, slots_per_bucket=2, max_kicks=8)
@@ -233,6 +232,128 @@ class TestDisplacement:
         for i in range(32):
             table.insert(f"k{i}".encode(), i)
         assert table.load_factor == pytest.approx(32 / table.capacity)
+
+
+class _RecordingBuckets(list):
+    """The bucket array, remembering which buckets were read and whether
+    anything walked the whole table."""
+
+    def __init__(self, buckets):
+        super().__init__(buckets)
+        self.read: list[int] = []
+        self.walked = False
+
+    def __getitem__(self, index):
+        self.read.append(index)
+        return super().__getitem__(index)
+
+    def __iter__(self):
+        self.walked = True
+        return super().__iter__()
+
+
+class TestKickedEntries:
+    """An entry displaced by another key's insert lands in
+    ``bucket ^ h(signature)``; every operation must still reach it."""
+
+    @staticmethod
+    def loaded_table():
+        table = CuckooHashTable(num_buckets=64, slots_per_bucket=4)
+        stored = {}
+        for i in range(int(table.capacity * 0.9)):
+            key = f"key-{i}".encode()
+            table.insert(key, i)
+            stored[key] = i
+        return table, stored
+
+    @classmethod
+    def displaced_keys(cls, table, stored):
+        """Keys whose entry is in none of their candidate buckets."""
+        out = []
+        for key, location in stored.items():
+            signature, buckets = table.probe(key)
+            home = any(
+                slot.location == location and slot.signature == signature
+                for bucket in buckets
+                for slot in table._buckets[bucket]
+            )
+            if not home:
+                out.append(key)
+        return out
+
+    def test_displaced_buckets_is_an_involution(self):
+        table = make_table(buckets=256)
+        signature, buckets = table.probe(b"some-key")
+        twins = table.displaced_buckets(signature, buckets)
+        assert all(0 <= twin < table.num_buckets for twin in twins)
+        assert table.displaced_buckets(signature, twins) == buckets
+
+    def test_unkicked_table_probes_only_candidates(self):
+        table = make_table(buckets=256)
+        table.insert(b"present", 1)
+        assert not table.kicked
+        assert table.search(b"absent") == ([], 2)
+
+    def test_plain_miss_in_kicked_table_reads_only_candidates(self):
+        """The second look is per signature class: a miss on a key no kick
+        has touched still costs num_hashes bucket reads."""
+        table = CuckooHashTable(num_buckets=1024, slots_per_bucket=4)
+        i = 0
+        while table.stats.insert_kicks < 3:
+            table.insert(f"key-{i}".encode(), i)
+            i += 1
+        assert table.kicked
+        reads = [table.search(f"absent-{j}".encode())[1] for j in range(500)]
+        assert set(reads) <= {2, 4}
+        assert reads.count(2) >= 480
+
+    def test_search_and_multi_search_find_displaced_entries(self):
+        table, stored = self.loaded_table()
+        displaced = self.displaced_keys(table, stored)
+        assert displaced  # the load actually kicked entries out of home
+        for key in displaced:
+            candidates, reads = table.search(key)
+            assert stored[key] in candidates
+            assert 2 < reads <= 4
+        found = table.multi_search(displaced)
+        assert all(stored[k] in c for k, c in zip(displaced, found))
+
+    def test_delete_of_displaced_entry_writes_one_slot_scans_no_table(self):
+        table, stored = self.loaded_table()
+        key = self.displaced_keys(table, stored)[0]
+        signature, buckets = table.probe(key)
+        allowed = set(buckets) | set(table.displaced_buckets(signature, buckets))
+        versions = [table.bucket_version(b) for b in range(table.num_buckets)]
+        table._buckets = recording = _RecordingBuckets(table._buckets)
+        count = len(table)
+        assert table.delete(key, stored[key])
+        assert not recording.walked
+        assert set(recording.read) <= allowed
+        bumped = [
+            b
+            for b in range(table.num_buckets)
+            if table.bucket_version(b) != versions[b]
+        ]
+        assert len(bumped) == 1 and bumped[0] in allowed
+        assert table.bucket_version(bumped[0]) == versions[bumped[0]] + 1
+        assert len(table) == count - 1
+        assert stored[key] not in table.search(key)[0]
+
+    def test_delete_miss_in_kicked_table_scans_no_table(self):
+        table, stored = self.loaded_table()
+        table._buckets = recording = _RecordingBuckets(table._buckets)
+        for i in range(50):
+            assert not table.delete(b"never-stored-%d" % i, 12345)
+        assert not recording.walked
+        assert len(recording.read) <= 50 * 4
+
+    def test_reassign_rewrites_displaced_entry_in_place(self):
+        table, stored = self.loaded_table()
+        key = self.displaced_keys(table, stored)[0]
+        count = len(table)
+        assert table.reassign_prehashed(*table.probe(key), stored[key], 9999)
+        assert len(table) == count
+        assert table.search(key)[0] == [9999]
 
 
 class TestVersioning:

@@ -4,8 +4,9 @@ Four layers:
 
 * :class:`repro.kv.logarena.LogValueArena` in isolation — bump-pointer
   allocation, tombstone accounting, jumbo segments, the columnar
-  ``multi_allocate_kv`` fast path, and the two compaction phases (LRU
-  segment victimisation, dead-space rewrite);
+  ``multi_allocate_kv`` fast path, the two compaction phases (LRU
+  segment victimisation, deadest-first rewrite), a model-based fuzz
+  against a dict, and the work and steady-state bounds of a pass;
 * :class:`KVStore` on the arena — maintenance-driven eviction with index
   cleanup, and the stale-mapping regression on a failed replace (both
   heaps);
@@ -19,6 +20,8 @@ Four layers:
 """
 
 from __future__ import annotations
+
+import random
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -254,6 +257,266 @@ class TestCompaction:
             if location in arena:
                 arena.free(location)
         assert arena.needs_maintenance
+
+
+    def test_wholly_dead_segments_always_dropped(self):
+        arena = LogValueArena(1 << 20, segment_bytes=256)
+        # Three 80 B values per segment, 82 B accounted each.
+        locations = arena.multi_allocate_kv(
+            [b"k%d" % i for i in range(9)], [bytes([i]) * 80 for i in range(9)]
+        )
+        for location in locations[:3]:
+            arena.free(location)  # segment 0 is all tombstones
+        claimed = arena.claimed_bytes
+        assert not arena.needs_maintenance  # 246 B dead: under one segment
+        arena.compact()
+        assert arena.claimed_bytes == claimed - 256
+        assert arena.stats.relocations == 0
+        assert arena.dead_bytes == 0
+
+    def test_rewrite_takes_deadest_first_and_stops_at_half_the_trigger(self):
+        arena = LogValueArena(1 << 20, segment_bytes=256)
+        # Five full segments of four 66 B records; the sixth is the head.
+        locations = arena.multi_allocate_kv(
+            [b"k%02d" % i for i in range(21)], [bytes([i]) * 63 for i in range(21)]
+        )
+        # Dead records per sealed segment: 1, 3, 2, 1, 0.
+        for i in (0, 4, 5, 6, 8, 9, 12):
+            arena.free(locations[i])
+        assert arena.needs_maintenance  # 462 dead of 1386 held: past 25 %
+        arena.compact()
+        # Segment 1 (75 % dead) and segment 2 (50 %) pay best: rewriting
+        # them brings dead bytes to 132, under half the 346 B trigger, so
+        # the 25 %-dead segments are left to age.
+        assert arena.stats.segments_dropped == 2
+        assert arena.stats.relocations == 3
+        assert arena.dead_bytes == 2 * 66
+        assert not arena.needs_maintenance
+        for i in (7, 10, 11):
+            record = arena.get(locations[i])
+            record._value = None
+            assert record.value == bytes([i]) * 63
+
+    def test_pass_examines_only_the_segments_it_rewrites(self):
+        """Work bound: with N live records, thin dead space everywhere and
+        one dead-heavy segment, a pass reads that segment's membership
+        list and nothing else — not the N entries."""
+        arena = LogValueArena(64 << 20, segment_bytes=1 << 14)
+        per_segment = (1 << 14) // 64
+        n = 40 * per_segment
+        locations = arena.multi_allocate_kv(
+            [b"key-%06d" % i for i in range(n)], [b"v" * 64] * n
+        )
+        victim = arena.get(locations[0], touch=False).segment
+        for location in locations[: per_segment * 3 // 4]:
+            arena.free(location)  # segment 0: 75 % dead
+        for first in range(per_segment, n - per_segment, per_segment):
+            for location in locations[first : first + 30]:
+                arena.free(location)  # every other sealed segment: 12 %
+        target = max(arena.segment_bytes, (arena.live_bytes + arena.dead_bytes) // 4) // 2
+        assert target < arena.dead_bytes <= target + per_segment * 3 // 4 * 74
+        live_before = len(arena)
+        arena.compact()
+        assert arena.stats.segments_dropped == 1
+        assert arena.stats.relocations == per_segment // 4
+        assert arena.stats.scanned == len(victim.locations) == per_segment
+        assert len(arena) == live_before > 30 * per_segment
+
+    def test_record_relocated_twice_keeps_bytes_and_touch_log(self):
+        arena = LogValueArena(1 << 20, segment_bytes=256)
+        # Four 64 B records fill a segment.
+        first = arena.multi_allocate_kv(
+            [b"a%02d" % i for i in range(8)], [bytes([i]) * 61 for i in range(8)]
+        )
+        survivor = first[3]
+        record = arena.get(survivor)
+        record.record_access(7, 5, arena.touched, survivor)
+        homes = [record.segment]
+        for location in first[:3]:
+            arena.free(location)  # segment 0: only the survivor is live
+        arena.compact()
+        homes.append(record.segment)
+        # Fill the survivor's new segment, seal it, kill its neighbours.
+        second = arena.multi_allocate_kv(
+            [b"b%02d" % i for i in range(4)], [bytes([i]) * 61 for i in range(4)]
+        )
+        assert arena.get(second[0]).segment is record.segment
+        assert arena.get(second[3]).segment is not record.segment
+        for location in second[:3]:
+            arena.free(location)
+        arena.compact()
+        homes.append(record.segment)
+        assert len({id(segment) for segment in homes}) == 3  # moved twice
+        assert arena.stats.relocations == 2
+        assert arena.get(survivor) is record
+        record._value = None
+        assert record.value == bytes([3]) * 61
+        # The first-touch log names locations, which outlive every move.
+        assert arena.drain_touched() == [5]
+        assert arena.touched == []
+
+
+class ArenaModel:
+    """A dict the arena must agree with: key -> (location, value)."""
+
+    def __init__(self, arena: LogValueArena):
+        self.arena = arena
+        self.live: dict[bytes, tuple[int, bytes]] = {}
+        self.touches: dict[int, int] = {}
+
+    def set(self, key: bytes, value: bytes) -> None:
+        old = self.live.pop(key, None)
+        if old is not None:
+            assert self.arena.discard(old[0]).key == key
+            self.touches.pop(old[0], None)
+        location, evicted = self.arena.allocate_kv(key, value)
+        assert evicted is None
+        self.live[key] = (location, value)
+
+    def set_many(self, keys: list[bytes], value: bytes) -> None:
+        fresh = list(dict.fromkeys(keys))
+        for key in fresh:
+            old = self.live.pop(key, None)
+            if old is not None:
+                self.arena.free(old[0])
+                self.touches.pop(old[0], None)
+        for key, location in zip(
+            fresh, self.arena.multi_allocate_kv(fresh, [value] * len(fresh))
+        ):
+            self.live[key] = (location, value)
+
+    def delete(self, key: bytes) -> None:
+        old = self.live.pop(key, None)
+        if old is not None:
+            self.arena.free(old[0])
+            self.touches.pop(old[0], None)
+
+    def read(self, key: bytes, epoch: int) -> None:
+        entry = self.live.get(key)
+        if entry is not None:
+            location = entry[0]
+            record = self.arena.get(location)
+            record.record_access(epoch, 1, self.arena.touched, location)
+            self.touches[location] = self.touches.get(location, 0) + 1
+
+    def compact(self) -> None:
+        arena = self.arena
+        for location, record in arena.compact():
+            assert self.live.pop(record.key)[0] == location
+            self.touches.pop(location, None)
+        assert arena.live_bytes <= arena.budget_bytes
+
+    def harvest(self) -> None:
+        assert sorted(self.arena.drain_touched()) == sorted(self.touches.values())
+        self.touches.clear()
+
+    def check(self) -> None:
+        arena = self.arena
+        assert len(arena) == len(self.live)
+        segments = arena._segments
+        for key, (location, value) in self.live.items():
+            record = arena.get(location, touch=False)
+            assert record.key == key
+            assert any(record.segment is s for s in segments)
+            assert location in record.segment.locations
+            record._value = None  # force a read of the segment's bytes
+            assert record.value == value
+        assert arena.live_bytes == sum(
+            len(k) + len(v) for k, (_, v) in self.live.items()
+        )
+        assert arena.live_bytes == sum(s.acct_live for s in segments)
+        assert arena.dead_bytes == sum(s.acct_used - s.acct_live for s in segments)
+        assert arena.claimed_bytes == sum(len(s.buf) for s in segments)
+
+
+_KEY_IDS = st.integers(min_value=0, max_value=23)
+_ARENA_OPS = st.lists(
+    st.one_of(
+        st.tuples(st.just("set"), _KEY_IDS, st.integers(min_value=0, max_value=120)),
+        st.tuples(st.just("jumbo"), _KEY_IDS, st.integers(min_value=257, max_value=400)),
+        st.tuples(st.just("set_many"), _KEY_IDS, st.integers(min_value=1, max_value=9)),
+        st.tuples(st.just("delete"), _KEY_IDS, st.just(0)),
+        st.tuples(st.just("read"), _KEY_IDS, st.just(0)),
+        st.tuples(st.just("compact"), st.just(0), st.just(0)),
+        st.tuples(st.just("harvest"), st.just(0), st.just(0)),
+    ),
+    max_size=120,
+)
+
+
+class TestArenaAgainstModel:
+    """SET / replace / DELETE / jumbo / bulk SET / compact at arbitrary
+    points against a dict.  The budget (1.5 KiB over 256 B segments) is
+    small enough that passes evict, relocate the same record repeatedly
+    and drop jumbo segments; the touched log is harvested across them."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(_ARENA_OPS)
+    def test_fuzz(self, ops):
+        model = ArenaModel(LogValueArena(1536, segment_bytes=256))
+        epoch = 0
+        for step, (op, key_id, arg) in enumerate(ops):
+            key = b"key-%02d" % key_id
+            if op in ("set", "jumbo"):
+                model.set(key, bytes([step % 251]) * arg)
+            elif op == "set_many":
+                keys = [b"key-%02d" % ((key_id + d) % 24) for d in range(arg)]
+                model.set_many(keys, bytes([step % 251]) * 40)
+            elif op == "delete":
+                model.delete(key)
+            elif op == "read":
+                model.read(key, epoch)
+            elif op == "compact":
+                model.compact()
+            else:
+                model.harvest()
+                epoch += 1
+            if model.arena.needs_maintenance and step % 3 == 0:
+                model.compact()
+            model.check()
+        model.compact()
+        model.check()
+        model.harvest()
+
+
+class TestSteadyState:
+    @pytest.mark.parametrize(
+        "every, bound",
+        [
+            # A tick every 5000 replaces lets dead space swing well past the
+            # share between passes, so what is rewritten is mostly dead.
+            (5000, 1.0),
+            # A barrier every 64 holds dead space inside the 12.5-25 % band;
+            # a uniform stream then cleans segments that are still ~70 %
+            # live: ~1.7 measured (the rule this replaced: 2.5).
+            (64, 2.0),
+        ],
+    )
+    def test_uniform_replaces_hold_the_dead_share_band(self, every, bound):
+        """Uniform replaces over 4x the live set: after every pass dead
+        bytes are inside the band, the gate is shut, and the copying stays
+        proportional to the writing."""
+        rng = random.Random(20260927)
+        n = 8192
+        arena = LogValueArena(64 << 20, segment_bytes=1 << 18)
+        keys = [b"key-%027d" % i for i in range(n)]
+        locations = arena.multi_allocate_kv(keys, [b"v" * 256] * n)
+        loaded = arena.stats.allocations
+        passes = 0
+        for op in range(1, 4 * n + 1):
+            i = rng.randrange(n)
+            arena.discard(locations[i])
+            locations[i] = arena.allocate_kv(keys[i], b"w" * 256)[0]
+            if op % every == 0 and arena.needs_maintenance:
+                assert arena.compact() == []
+                passes += 1
+                held = arena.live_bytes + arena.dead_bytes
+                assert arena.dead_bytes <= 0.30 * held
+                assert not arena.needs_maintenance
+        assert passes >= 3
+        replaces = arena.stats.allocations - loaded
+        assert arena.stats.relocations / replaces <= bound
+        assert len(arena) == n
 
 
 # ----------------------------------------------------------- store on log

@@ -448,6 +448,41 @@ class TestLogArenaTelemetry:
         assert "repro_logarena_dead_bytes" in text
         assert "repro_logarena_compactions_total" in text
 
+    def test_maintenance_streams_and_relocation_counters(self, live_telemetry):
+        from repro.kv.logarena import LogValueArena
+        from repro.kv.store import KVStore
+
+        heap = LogValueArena(1 << 20, segment_bytes=1 << 12)
+        store = KVStore(1 << 20, 4096, heap=heap, delta_index=True)
+        for i in range(300):
+            store.set(b"key-%04d" % i, b"a" * 100)
+        for i in range(0, 300, 2):  # every segment of the load: half dead
+            store.set(b"key-%04d" % i, b"b" * 100)
+        assert heap.needs_maintenance
+        assert store.maintenance(force=True) == 0  # rewrite, not eviction
+        assert heap.stats.relocations > 0
+        registry = live_telemetry.registry
+        assert (
+            registry.get("repro_logarena_relocations_total").value()
+            == heap.stats.relocations
+        )
+        assert (
+            registry.get("repro_logarena_relocated_bytes_total").value()
+            == heap.stats.relocated_bytes
+            == 100 * heap.stats.relocations
+        )
+        spent = registry.get("repro_maintenance_ns")
+        assert spent.count(stream="compaction") == 1
+        assert spent.count(stream="delta_merge") == 1
+        assert spent.total(stream="compaction") > 0
+        # A tick with nothing due observes nothing.
+        store.maintenance(force=True)
+        assert spent.count(stream="compaction") == 1
+        assert spent.count(stream="delta_merge") == 1
+        text = prometheus_text(live_telemetry.registry)
+        assert 'repro_maintenance_ns_count{stream="compaction"} 1' in text
+        assert "repro_logarena_relocations_total" in console_summary(live_telemetry)
+
     def test_maintenance_emits_nothing_when_disabled(self):
         from repro.kv.logarena import LogValueArena
         from repro.kv.store import KVStore

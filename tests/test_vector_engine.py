@@ -77,7 +77,10 @@ def mirror_search(index: CuckooHashTable, key: bytes) -> list[int]:
     """Search via the NumPy mirror exactly as the vector kernel does."""
     signature = key_signature(key)
     mirror = index.mirror
-    for bucket in index.candidate_buckets(key):
+    buckets = index.candidate_buckets(key)
+    if index.kicked:
+        buckets = buckets + index.displaced_buckets(signature, buckets)
+    for bucket in buckets:
         found = [
             int(loc)
             for loc, sig in zip(mirror.locations[bucket], mirror.signatures[bucket])
@@ -234,6 +237,67 @@ class TestVectorEquivalence:
         )
         assert result.responses[1].value == b"v"
         assert result.response_sizes is None
+
+
+class TestKickedKeysAnswerEverywhere:
+    """The serving benchmark's prefill — 32768 fixed-width K16 keys into
+    the default 64 MiB / 65536-object store — kicks six entries out of
+    their candidate buckets.  Every acknowledged key must still answer on
+    every engine, and the store must count what it served."""
+
+    @pytest.fixture(scope="class")
+    def prefilled(self):
+        keys = [b"k" * 8 + b"%08d" % i for i in range(32768)]
+        store = KVStore(64 << 20, 65536)
+        assert store.populate([(key, b"v" * 64) for key in keys]) == len(keys)
+        assert store.index.stats.insert_kicks > 0
+        assert store.index.kicked
+        return store, keys
+
+    def test_scalar_get(self, prefilled):
+        store, keys = prefilled
+        assert [key for key in keys if store.get(key) is None] == []
+
+    @pytest.mark.parametrize("engine", ["reference", "serial", "vector"])
+    def test_engine_get_and_store_counters(self, prefilled, engine):
+        from repro.kv.protocol import Query, QueryType, ResponseStatus
+
+        store, keys = prefilled
+        plan = compile_stage_plan(megakv_coupled_config())
+        queries = [Query(QueryType.GET, key) for key in keys]
+        queries.append(Query(QueryType.GET, b"k" * 8 + b"99999999"))
+        plane = BatchPlane(queries)
+        gets, hits = store.stats.gets, store.stats.get_hits
+        resolve_engine(engine).run(store, plan, plane, epoch=0)
+        statuses = [response.status for response in plane.take_responses()]
+        assert statuses[:-1] == [ResponseStatus.OK] * len(keys)
+        assert statuses[-1] is ResponseStatus.NOT_FOUND
+        assert store.stats.gets - gets == len(queries)
+        assert store.stats.get_hits - hits == len(keys)
+
+    def test_vector_counts_sets_and_deletes_once(self):
+        from repro.kv.protocol import Query, QueryType
+
+        store = KVStore(memory_bytes=1 << 20, expected_objects=512)
+        pipeline = FunctionalPipeline(store, engine="vector")
+        config = megakv_coupled_config()
+        pipeline.process_batch(
+            config, [Query(QueryType.SET, b"k%d" % i, b"v") for i in range(5)]
+        )
+        pipeline.process_batch(
+            config,
+            [
+                Query(QueryType.GET, b"k0"),
+                Query(QueryType.GET, b"missing"),
+                Query(QueryType.DELETE, b"k1"),
+                Query(QueryType.DELETE, b"missing"),
+                Query(QueryType.SET, b"k2", b"w"),
+            ],
+        )
+        stats = store.stats
+        assert (stats.sets, stats.gets, stats.get_hits) == (6, 2, 1)
+        assert (stats.deletes, stats.delete_hits) == (2, 1)
+        assert stats.hit_rate == 0.5
 
 
 class TestResolveNewEngines:
