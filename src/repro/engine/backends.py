@@ -61,8 +61,12 @@ def count_store_ops(store: KVStore, plane: BatchPlane, get_hits: int | None = No
 
     DELETEs are not counted here: the Delete pass answers them through
     :meth:`KVStore.delete`, which counts ``deletes``/``delete_hits`` itself.
-    ``get_hits`` may be passed by an engine that already knows it; otherwise
-    it is read off the batch's value column.
+    ``get_hits`` may be passed by an engine that already knows it (the
+    vector engine does); the per-row engines read it off the batch's value
+    column.  The counts are of the rows on ``plane``: under
+    :class:`~repro.engine.sharded.ShardedEngine` with ``dedup`` each shard
+    store sees its sub-plane *after* duplicate GETs were collapsed, so the
+    collapsed rows are not counted there.
     """
     get_rows = plane.get_indices
     if get_hits is None:

@@ -123,18 +123,6 @@ def fnv_hash_columns(keys: list[bytes], num_states: int, lens=None):
     return states
 
 
-def _kick_offsets(signatures):
-    """``fnv1a64`` of each 32-bit signature's little-endian bytes — the XOR
-    distance from a bucket to its kick-displaced twin
-    (:meth:`~repro.kv.hashtable.CuckooHashTable.displaced_buckets`)."""
-    octets = signatures.astype("<u4").view(np.uint8).reshape(-1, 4)
-    prime = np.uint64(_FNV_PRIME)
-    state = np.full(len(signatures), _FNV_OFFSET, dtype=np.uint64)
-    for j in range(4):
-        state = (state ^ octets[:, j]) * prime
-    return state
-
-
 class _VectorScratch:
     """Per-batch columnar state the vector passes hand to each other."""
 
@@ -250,34 +238,37 @@ class VectorEngine(SerialEngine):
                         keep = np.ones(n, dtype=bool)
                         keep[resolved_local] = False
                         remaining = remaining[keep]
-        # After the candidate rounds, rows whose signature a kick has ever
-        # displaced go through the same rounds again on the displaced
-        # buckets (candidate ^ h(signature)); any other miss is final.
-        for probe in range(2 * num_hashes):
+        # One round per candidate bucket; once any insert has kicked, rows
+        # they all miss get one more round over the buckets' displaced twins.
+        slots = index.slots_per_bucket
+        for probe in range(num_hashes + index.kicked):
             if remaining.size == 0:
                 break
             if probe < num_hashes:
-                buckets = states[probe + 1][remaining] & bucket_mask
+                buckets = (states[probe + 1][remaining] & bucket_mask).astype(np.intp)
             else:
-                if probe == num_hashes:
-                    classes = signatures[remaining] & np.uint32(index.num_buckets - 1)
-                    remaining = remaining[mirror.displaced[classes] != 0]
-                    if remaining.size == 0:
-                        break
-                    shift = _kick_offsets(signatures[remaining]) & bucket_mask
-                    reads[remaining] = 2 * num_hashes
-                buckets = (states[probe - num_hashes + 1][remaining] & bucket_mask) ^ shift
-            buckets = buckets.astype(np.intp)
-            sig_slots = mirror.signatures[buckets]
-            loc_slots = mirror.locations[buckets]
+                twins = index.displaced_buckets
+                candidates = (states[1:, remaining] & bucket_mask).T.tolist()
+                buckets = np.array(
+                    [
+                        twins(signature, row)
+                        for signature, row in zip(
+                            signatures[remaining].tolist(), candidates
+                        )
+                    ],
+                    dtype=np.intp,
+                )
+                reads[remaining] = 2 * num_hashes
+            sig_slots = mirror.signatures[buckets].reshape(remaining.size, -1)
+            loc_slots = mirror.locations[buckets].reshape(remaining.size, -1)
             match = (loc_slots != EMPTY) & (sig_slots == signatures[remaining][:, None])
             matched = match.any(axis=1)
             if matched.any():
                 local = np.nonzero(matched)[0]
                 resolved = remaining[local]
-                reads[resolved] = probe + 1
                 counts = match[local].sum(axis=1)
                 first_slot = match[local].argmax(axis=1)
+                reads[resolved] = probe + 1 + first_slot // slots
                 first_locs = loc_slots[local, first_slot]
                 single = counts == 1
                 resolved_planes = plane_rows[resolved]
@@ -299,8 +290,6 @@ class VectorEngine(SerialEngine):
                     if qtypes[row] is get_type:
                         scratch.multi_hits[row] = locs
                 remaining = remaining[~matched]
-                if probe >= num_hashes:
-                    shift = shift[~matched]
         stats = index.stats
         stats.searches += n
         stats.search_bucket_reads += int(reads.sum())

@@ -91,14 +91,10 @@ class SignatureMirror:
     test in ``tests/test_vector_engine.py`` pins this down).
     """
 
-    __slots__ = ("signatures", "locations", "displaced")
+    __slots__ = ("signatures", "locations")
 
-    def __init__(
-        self, buckets: list[list[_Slot]], slots_per_bucket: int, displaced: bytearray
-    ):
+    def __init__(self, buckets: list[list[_Slot]], slots_per_bucket: int):
         num_buckets = len(buckets)
-        #: Zero-copy view of the table's displaced-signature filter.
-        self.displaced = _np.frombuffer(displaced, dtype=_np.uint8)
         self.signatures = _np.zeros((num_buckets, slots_per_bucket), dtype=_np.uint32)
         self.locations = _np.full((num_buckets, slots_per_bucket), EMPTY, dtype=_np.int64)
         for bucket_idx, bucket in enumerate(buckets):
@@ -153,12 +149,10 @@ class CuckooHashTable:
         ]
         self._versions = [0] * size
         self._count = 0
-        #: ``_displaced[signature & mask]`` is set when a cuckoo kick moves
-        #: an entry with that signature out of its key's candidate buckets
-        #: (never cleared, so it errs towards looking).  A miss goes on to
-        #: the :meth:`displaced_buckets` only for signatures marked here, so
-        #: a plain miss costs what it did before any insert kicked.
-        self._displaced = bytearray(size)
+        #: Set (and never cleared) by the first cuckoo kick: from then on a
+        #: miss in a key's candidate buckets goes on to its
+        #: :meth:`displaced_buckets`.
+        self.kicked = False
         self.stats = IndexStats()
         # Probe specs are a pure function of the key and the (fixed) table
         # geometry, so they can be cached indefinitely; kept as a bounded
@@ -198,11 +192,6 @@ class CuckooHashTable:
     @property
     def load_factor(self) -> float:
         return self._count / self.capacity
-
-    @property
-    def kicked(self) -> bool:
-        """Whether any insert has moved an entry to a displaced bucket."""
-        return 1 in self._displaced
 
     def bucket_version(self, index: int) -> int:
         """Seqlock-style version of bucket ``index`` (bumped on every write)."""
@@ -325,9 +314,7 @@ class CuckooHashTable:
                 raise ConfigurationError(
                     "the signature mirror requires numpy, which is not installed"
                 )
-            self._mirror = SignatureMirror(
-                self._buckets, self._slots_per_bucket, self._displaced
-            )
+            self._mirror = SignatureMirror(self._buckets, self._slots_per_bucket)
         return self._mirror
 
     # ------------------------------------------------------------ operations
@@ -355,13 +342,12 @@ class CuckooHashTable:
     def _lookup(self, signature: int, buckets: list[int]) -> tuple[list[int], int]:
         """``(candidate locations, buckets read)`` for one probe spec.
 
-        A miss in the candidate buckets goes on to the key's
-        :meth:`displaced_buckets` when a kick has ever moved an entry with
-        this signature, so an entry displaced by another key's insert is
-        still found.
+        Once any insert has kicked, a miss in the candidate buckets goes on
+        to the key's :meth:`displaced_buckets`, so an entry displaced by
+        another key's insert is still found.
         """
         candidates, buckets_read = self._scan(signature, buckets)
-        if not candidates and self._displaced[signature & self._mask]:
+        if not candidates and self.kicked:
             candidates, more = self._scan(
                 signature, self.displaced_buckets(signature, buckets)
             )
@@ -454,7 +440,7 @@ class CuckooHashTable:
             carried_sig, carried_loc = evicted_sig, evicted_loc
             # The evicted entry moves to its alternative bucket, derived
             # from the signature since the key is not stored.
-            self._displaced[carried_sig & self._mask] = 1
+            self.kicked = True
             (alt,) = self.displaced_buckets(carried_sig, [victim_bucket])
             placed = False
             for slot2_idx, slot2 in enumerate(self._buckets[alt]):
@@ -510,10 +496,10 @@ class CuckooHashTable:
         self, signature: int, buckets: list[int], location: int | None
     ) -> tuple[int, int] | None:
         """``(bucket, slot)`` of the entry with ``signature`` (and, when
-        given, ``location``): the candidate ``buckets`` first, then — for a
-        signature a kick has displaced — the :meth:`displaced_buckets`."""
+        given, ``location``): the candidate ``buckets`` first, then — once
+        any insert has kicked — the :meth:`displaced_buckets`."""
         hit = self._match(signature, buckets, location)
-        if hit is None and self._displaced[signature & self._mask]:
+        if hit is None and self.kicked:
             hit = self._match(
                 signature, self.displaced_buckets(signature, buckets), location
             )

@@ -294,19 +294,6 @@ class TestKickedEntries:
         assert not table.kicked
         assert table.search(b"absent") == ([], 2)
 
-    def test_plain_miss_in_kicked_table_reads_only_candidates(self):
-        """The second look is per signature class: a miss on a key no kick
-        has touched still costs num_hashes bucket reads."""
-        table = CuckooHashTable(num_buckets=1024, slots_per_bucket=4)
-        i = 0
-        while table.stats.insert_kicks < 3:
-            table.insert(f"key-{i}".encode(), i)
-            i += 1
-        assert table.kicked
-        reads = [table.search(f"absent-{j}".encode())[1] for j in range(500)]
-        assert set(reads) <= {2, 4}
-        assert reads.count(2) >= 480
-
     def test_search_and_multi_search_find_displaced_entries(self):
         table, stored = self.loaded_table()
         displaced = self.displaced_keys(table, stored)

@@ -258,6 +258,19 @@ class TestCompaction:
                 arena.free(location)
         assert arena.needs_maintenance
 
+    def test_open_gate_always_means_work(self):
+        """Live + dead past the budget, dead under the share: nothing a
+        pass would do, so the gate stays shut instead of asking every
+        barrier for a pass that relocates nothing."""
+        arena = LogValueArena(1024, segment_bytes=256)
+        locations = arena.multi_allocate_kv(
+            [b"key-%03d" % i for i in range(17)], [b"v" * 56] * 17
+        )
+        arena.free(locations[0])
+        arena.free(locations[5])
+        assert arena.live_bytes + arena.dead_bytes > arena.budget_bytes
+        assert arena.live_bytes <= arena.budget_bytes
+        assert not arena.needs_maintenance
 
     def test_wholly_dead_segments_always_dropped(self):
         arena = LogValueArena(1 << 20, segment_bytes=256)
@@ -488,7 +501,7 @@ class TestSteadyState:
             (5000, 1.0),
             # A barrier every 64 holds dead space inside the 12.5-25 % band;
             # a uniform stream then cleans segments that are still ~70 %
-            # live: ~1.7 measured (the rule this replaced: 2.5).
+            # live: ~1.7 measured.
             (64, 2.0),
         ],
     )

@@ -3,14 +3,15 @@
     python3 tools/ab_serving.py --parent DIR --change DIR --workload write-heavy --pairs 10
 
 Each pair runs the *untouched* ``benchmarks/serving/run.py`` of both
-checkouts on one seed (``--seed-base`` + pair index), parent first on even
-pairs and change first on odd ones, with nothing else running.  For every
-``--metric`` (default ``cpu_us_per_q``) it prints each run, then per side
-q1 / median / q3, the wins (ties count for neither) and the verdict of the
-rule in the `choosing-metrics` guide: the change wins at least nine tenths
-of the pairs and the medians differ by more than the parent's own
-inter-quartile distance.  A run that is not ``correct`` or has failed
-operations is printed as such and makes the exit status 1.
+checkouts on one seed (fresh per invocation, printed with every run) at the
+benchmark's own run length, untraced, parent first on even pairs and change
+first on odd ones, with nothing else running.  For each end-to-end metric
+it prints every run, then per side q1 / median / q3, the wins (ties count
+for neither) and the verdict of the rule in the `choosing-metrics` guide:
+the change wins at least nine tenths of the pairs and the medians differ by
+more than the parent's own inter-quartile distance.  A run that is not
+``correct`` or has failed operations is printed as such and makes the exit
+status 1.
 """
 
 from __future__ import annotations
@@ -20,15 +21,21 @@ import json
 import statistics
 import subprocess
 import sys
+import time
 from pathlib import Path
 
+#: BENCHMARK.json's ``run_seconds``: the length the bounds were calibrated at.
+RUN_SECONDS = 20
+#: The end-to-end metrics of an untraced run; lower is better for all three.
+METRICS = ("setup_s", "cpu_us_per_q", "rss_mb")
 
-def run_once(checkout: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
-    """One benchmark run from ``checkout``; returns its last-line record."""
+
+def run_once(checkout: Path, workload: str, seed: int) -> dict:
+    """One untraced benchmark run from ``checkout``; returns its last-line record."""
     command = [
         sys.executable, "benchmarks/serving/run.py",
         "--workload", workload, "--seed", str(seed),
-        "--seconds", str(seconds), "--trace", str(trace),
+        "--seconds", str(RUN_SECONDS), "--trace", "0",
     ]
     done = subprocess.run(command, cwd=checkout, capture_output=True, text=True)
     lines = done.stdout.strip().splitlines()
@@ -45,13 +52,12 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
     return q1, median, q3
 
 
-def report(metric: str, lower_is_better: bool, parent: list[float], change: list[float]) -> None:
-    sign = 1.0 if lower_is_better else -1.0
-    wins = sum(sign * c < sign * p for p, c in zip(parent, change))
-    losses = sum(sign * c > sign * p for p, c in zip(parent, change))
+def report(metric: str, parent: list[float], change: list[float]) -> None:
+    wins = sum(c < p for p, c in zip(parent, change))
+    losses = sum(c > p for p, c in zip(parent, change))
     p_q1, p_med, p_q3 = quartiles(parent)
     c_q1, c_med, c_q3 = quartiles(change)
-    gap = sign * (p_med - c_med)
+    gap = p_med - c_med
     decided = wins + losses
     if len(parent) < 10:
         verdict = "fewer than ten pairs: no claim either way"
@@ -59,7 +65,7 @@ def report(metric: str, lower_is_better: bool, parent: list[float], change: list
         verdict = "gain holds"
     else:
         verdict = "no gain shown"
-    print(f"{metric} ({'lower' if lower_is_better else 'higher'} is better)")
+    print(f"{metric} (lower is better)")
     print(f"   parent  q1/median/q3  {p_q1:.4g} / {p_med:.4g} / {p_q3:.4g}")
     print(f"   change  q1/median/q3  {c_q1:.4g} / {c_med:.4g} / {c_q3:.4g}")
     print(
@@ -76,35 +82,20 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--change", type=Path, required=True, help="checkout of the change")
     parser.add_argument("--workload", required=True)
     parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seed-base", type=int, default=101)
-    parser.add_argument("--seconds", type=float, default=20.0)
-    parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
-    parser.add_argument(
-        "--metric", action="append",
-        help="metric name from the run's last line; repeatable; "
-        "prefix with + when higher is better (default: cpu_us_per_q)",
-    )
     args = parser.parse_args(argv)
-    # name -> lower is better ("+name" on the command line means higher is)
-    metrics = {m.lstrip("+"): not m.startswith("+") for m in args.metric or ["cpu_us_per_q"]}
     sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
-    values = {name: {side: [] for side in sides} for name in metrics}
+    values = {name: {side: [] for side in sides} for name in METRICS}
+    first_seed = int(time.time()) % 1_000_000
     clean = True
     for pair in range(args.pairs):
-        seed = args.seed_base + pair
+        seed = first_seed + pair
         order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
         for side in order:
-            record = run_once(sides[side], args.workload, seed, args.seconds, args.trace)
+            record = run_once(sides[side], args.workload, seed)
             ok = record["correct"] and record["failed"] == 0
             clean = clean and ok
-            missing = [name for name in metrics if name not in record["metrics"]]
-            if missing:
-                raise SystemExit(
-                    f"no metric {missing} in a --trace {args.trace} run; "
-                    f"it has {', '.join(record['metrics'])}"
-                )
             shown = []
-            for name in metrics:
+            for name in METRICS:
                 value = record["metrics"][name]["value"]
                 values[name][side].append(value)
                 shown.append(f"{name}={value:.4g}")
@@ -115,8 +106,8 @@ def main(argv: list[str] | None = None) -> int:
                 flush=True,
             )
     print()
-    for name, lower_is_better in metrics.items():
-        report(name, lower_is_better, values[name]["parent"], values[name]["change"])
+    for name in METRICS:
+        report(name, values[name]["parent"], values[name]["change"])
     return 0 if clean else 1
 
 
