@@ -11,10 +11,10 @@ Commands
     Regenerate paper figures (e.g. ``fig11 fig15``; default: the quick ones)
     and print their tables.
 ``serve [--host H] [--port P] [--engine NAME] [--shards N]
-[--batch-size N] [--coalesce-us US] [--wire columnar|legacy]``
+[--batch-size N] [--coalesce-us US]``
     Run a real UDP key-value server backed by an adaptive DIDO system,
-    with adaptive batch coalescing (size target or deadline) and either
-    the zero-copy columnar wire plane or the legacy per-object codec.
+    with adaptive batch coalescing (size target or deadline) over the
+    columnar wire plane.
 ``loadgen [--mode closed|open] [--workers N] [--depth N] [--duration S]``
     Drive a running server with the pipelined load generator and print
     (or ``--json``-dump) the achieved throughput and latency.
@@ -48,6 +48,90 @@ from repro.workloads.ycsb import STANDARD_WORKLOADS, standard_workload
 
 #: Figures cheap enough for interactive use (the rest live in benchmarks/).
 _QUICK_FIGURES = ("fig04", "fig05", "fig06", "fig11", "fig12")
+
+
+#: The store flags of ``serve``, ``cluster`` and ``telemetry``, declared
+#: once: :func:`_add_store_flags` adds them to a subparser,
+#: :func:`_store_kwargs` turns the parsed values into ``DidoSystem``
+#: arguments and :func:`_store_argv` turns them back into a command line
+#: (what ``cluster`` hands every node's ``serve``), so a flag added here
+#: reaches all three.
+_STORE_FLAGS = (
+    ("--memory-mb", dict(type=int, default=64, help="store budget in MiB (default: 64)")),
+    ("--expected-objects", dict(type=int, default=65536, help="index sizing hint")),
+    (
+        "--engine",
+        dict(
+            choices=ENGINE_NAMES, default="auto",
+            help="functional execution backend (default: auto)",
+        ),
+    ),
+    (
+        "--shards",
+        dict(
+            type=int, default=1,
+            help="hash-partition the store across N shard worker processes "
+            "(default: 1; more than 1 needs --engine auto or procshard)",
+        ),
+    ),
+    (
+        "--dedup",
+        dict(
+            action="store_true",
+            help="collapse duplicate GET runs per batch (skew-aware hot path)",
+        ),
+    ),
+    (
+        "--hot-cache",
+        dict(
+            action="store_true",
+            help="attach the skew-gated versioned hot-key read cache",
+        ),
+    ),
+    (
+        "--heap",
+        dict(
+            choices=("log", "slab"), default="log",
+            help="value heap: append-only log arena (default) or slab allocator",
+        ),
+    ),
+    (
+        "--delta-index",
+        dict(
+            action="store_true",
+            help="absorb index updates in a delta table, merged in bulk at barriers",
+        ),
+    ),
+)
+
+
+def _add_store_flags(parser: argparse.ArgumentParser) -> None:
+    for flag, options in _STORE_FLAGS:
+        parser.add_argument(flag, **options)
+
+
+def _store_dest(flag: str) -> str:
+    return flag[2:].replace("-", "_")
+
+
+def _store_kwargs(args: argparse.Namespace) -> dict:
+    """The parsed store flags as ``DidoSystem`` keyword arguments."""
+    kwargs = {_store_dest(flag): getattr(args, _store_dest(flag)) for flag, _ in _STORE_FLAGS}
+    kwargs["memory_bytes"] = kwargs.pop("memory_mb") << 20
+    return kwargs
+
+
+def _store_argv(args: argparse.Namespace) -> list[str]:
+    """The parsed store flags as a command line for a child ``serve``."""
+    argv: list[str] = []
+    for flag, options in _STORE_FLAGS:
+        value = getattr(args, _store_dest(flag))
+        if options.get("action") == "store_true":
+            if value:
+                argv.append(flag)
+        else:
+            argv += [flag, str(value)]
+    return argv
 
 
 def _profile(label: str) -> WorkloadProfile:
@@ -222,24 +306,13 @@ def cmd_serve(args: argparse.Namespace) -> int:
     from repro.core.dido import DidoSystem
     from repro.server import DidoUDPServer
 
-    system = DidoSystem(
-        memory_bytes=args.memory_mb << 20,
-        expected_objects=args.expected_objects,
-        engine=args.engine,
-        shards=args.shards,
-        dedup=args.dedup,
-        hot_cache=args.hot_cache,
-        heap=args.heap,
-        delta_index=args.delta_index,
-    )
+    system = DidoSystem(**_store_kwargs(args))
     server = DidoUDPServer(
         (args.host, args.port),
         system=system,
         batch_size=args.batch_size,
         coalesce_us=args.coalesce_us,
-        wire=args.wire,
         drain_limit=args.drain_limit,
-        pipeline_depth=args.pipeline_depth,
     )
     if args.cluster_node:
         return _serve_cluster_node(args, server)
@@ -307,19 +380,7 @@ def cmd_cluster(args: argparse.Namespace) -> int:
 
     from repro.cluster.serving import ClusterCoordinator
 
-    serve_args: list[str] = []
-    serve_args += ["--memory-mb", str(args.memory_mb)]
-    serve_args += ["--expected-objects", str(args.expected_objects)]
-    serve_args += ["--engine", args.engine]
-    serve_args += ["--shards", str(args.shards)]
-    serve_args += ["--batch-size", str(args.batch_size)]
-    serve_args += ["--heap", args.heap]
-    if args.delta_index:
-        serve_args.append("--delta-index")
-    if args.dedup:
-        serve_args.append("--dedup")
-    if args.hot_cache:
-        serve_args.append("--hot-cache")
+    serve_args = _store_argv(args) + ["--batch-size", str(args.batch_size)]
     coordinator = ClusterCoordinator(
         nodes=args.nodes,
         host=args.host,
@@ -419,20 +480,15 @@ def cmd_telemetry(args: argparse.Namespace) -> int:
     from repro.workloads.ycsb import QueryStream
 
     telemetry = configure(enabled=True)
-    system = DidoSystem(
-        memory_bytes=64 << 20,
-        expected_objects=40_000,
-        engine=args.engine,
-        shards=args.shards,
-        dedup=args.dedup,
-        hot_cache=args.hot_cache,
-        heap=args.heap,
-        delta_index=args.delta_index,
-    )
-    for label in _TELEMETRY_PHASES:
-        stream = QueryStream(standard_workload(label), num_keys=6_000, seed=3)
-        for _ in range(args.batches):
-            system.process(stream.next_batch(args.batch_size))
+    system = DidoSystem(**_store_kwargs(args))
+    try:
+        for label in _TELEMETRY_PHASES:
+            stream = QueryStream(standard_workload(label), num_keys=6_000, seed=3)
+            for _ in range(args.batches):
+                system.process(stream.next_batch(args.batch_size))
+    finally:
+        # --shards N runs shard worker processes; stop them with the run.
+        system.close()
     if args.export == "jsonl":
         if args.out:
             records = export_jsonl(telemetry, args.out)
@@ -483,16 +539,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("serve", help="run a UDP key-value server")
     p.add_argument("--host", default="127.0.0.1")
     p.add_argument("--port", type=int, default=11311)
-    p.add_argument("--memory-mb", type=int, default=64)
-    p.add_argument("--expected-objects", type=int, default=65536)
-    p.add_argument(
-        "--engine", choices=ENGINE_NAMES, default="auto",
-        help="functional execution backend (default: auto)",
-    )
-    p.add_argument(
-        "--shards", type=int, default=1,
-        help="hash-partition the store across N shards (default: 1)",
-    )
+    _add_store_flags(p)
     p.add_argument(
         "--batch-size", type=int, default=4096,
         help="dispatch a batch once it holds this many queries (default: 4096)",
@@ -502,33 +549,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="coalescing deadline in microseconds (default: 2000)",
     )
     p.add_argument(
-        "--wire", choices=("columnar", "legacy"), default="columnar",
-        help="wire plane: columnar window decoder or legacy per-object codec",
-    )
-    p.add_argument(
         "--drain-limit", type=int, default=64,
         help="datagrams drained from the kernel per receive poll (default: 64)",
-    )
-    p.add_argument(
-        "--pipeline-depth", type=int, default=None, metavar="N",
-        help="windows in flight to the procshard workers (default: 2 when "
-        "the engine supports pipelining, else 1; 1 disables overlap)",
-    )
-    p.add_argument(
-        "--dedup", action="store_true",
-        help="collapse duplicate GET runs per batch (skew-aware hot path)",
-    )
-    p.add_argument(
-        "--hot-cache", action="store_true",
-        help="attach the skew-gated versioned hot-key read cache",
-    )
-    p.add_argument(
-        "--heap", choices=("log", "slab"), default="log",
-        help="value heap: append-only log arena (default) or slab allocator",
-    )
-    p.add_argument(
-        "--delta-index", action="store_true",
-        help="absorb index updates in a delta table, merged in bulk at barriers",
     )
     p.add_argument("--telemetry-out", metavar="PATH", help="write a JSONL telemetry trace")
     cluster_group = p.add_argument_group("cluster membership (spawned by `repro cluster`)")
@@ -563,24 +585,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--workdir", default=None,
         help="directory for manifests and per-node logs (default: temp dir)",
     )
-    p.add_argument("--memory-mb", type=int, default=64, help="per-node store budget")
-    p.add_argument("--expected-objects", type=int, default=65536)
-    p.add_argument(
-        "--engine", choices=ENGINE_NAMES, default="auto",
-        help="functional execution backend for every node (default: auto)",
-    )
-    p.add_argument("--shards", type=int, default=1, help="store shards per node")
+    _add_store_flags(p)  # per node: forwarded to every node's `serve`
     p.add_argument("--batch-size", type=int, default=4096)
-    p.add_argument("--dedup", action="store_true")
-    p.add_argument("--hot-cache", action="store_true")
-    p.add_argument(
-        "--heap", choices=("log", "slab"), default="log",
-        help="value heap for every node (default: log)",
-    )
-    p.add_argument(
-        "--delta-index", action="store_true",
-        help="absorb index updates in a delta table on every node",
-    )
     p.set_defaults(func=cmd_cluster)
 
     p = sub.add_parser("loadgen", help="drive a running server with generated load")
@@ -634,30 +640,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", metavar="PATH", help="write to PATH instead of stdout")
     p.add_argument("--batches", type=int, default=4, help="batches per workload phase")
     p.add_argument("--batch-size", type=int, default=1024, help="queries per batch")
-    p.add_argument(
-        "--engine", choices=ENGINE_NAMES, default="auto",
-        help="functional execution backend (default: auto)",
-    )
-    p.add_argument(
-        "--shards", type=int, default=1,
-        help="hash-partition the store across N shards (default: 1)",
-    )
-    p.add_argument(
-        "--dedup", action="store_true",
-        help="collapse duplicate GET runs per batch (skew-aware hot path)",
-    )
-    p.add_argument(
-        "--hot-cache", action="store_true",
-        help="attach the skew-gated versioned hot-key read cache",
-    )
-    p.add_argument(
-        "--heap", choices=("log", "slab"), default="log",
-        help="value heap: append-only log arena (default) or slab allocator",
-    )
-    p.add_argument(
-        "--delta-index", action="store_true",
-        help="absorb index updates in a delta table, merged in bulk at barriers",
-    )
+    _add_store_flags(p)
     p.set_defaults(func=cmd_telemetry)
 
     return parser

@@ -43,13 +43,6 @@ class KVCluster:
         Hardware model each node plans against.
     node_memory_bytes / expected_objects:
         Per-node store sizing.
-    engine:
-        Functional execution backend for every node's pipeline (see
-        :class:`~repro.pipeline.functional.FunctionalPipeline`).
-    shards:
-        Shard count for every node's store (see
-        :class:`~repro.kv.sharding.ShardedKVStore`); 1 keeps the
-        single-partition store.
     """
 
     def __init__(
@@ -58,8 +51,6 @@ class KVCluster:
         platform: PlatformSpec = APU_A10_7850K,
         node_memory_bytes: int = 32 << 20,
         expected_objects: int = 32768,
-        engine=None,
-        shards: int = 1,
     ):
         if not node_names:
             raise ConfigurationError("a cluster needs at least one node")
@@ -74,8 +65,6 @@ class KVCluster:
                 platform,
                 memory_bytes=node_memory_bytes,
                 expected_objects=expected_objects,
-                engine=engine,
-                shards=shards,
             )
             self._queries_routed[name] = 0
 

@@ -20,8 +20,8 @@ retrying.
 
 :class:`ManifestRouter` is the client-side hot path: it flattens the
 manifest into one sorted point array plus an owner column and routes
-whole key batches with a vectorized hash + ``searchsorted`` when NumPy is
-available (bit-identical to :meth:`HashRing.node_for` key by key).
+whole key batches with a vectorized hash + ``searchsorted``
+(bit-identical to :meth:`HashRing.node_for` key by key).
 """
 
 from __future__ import annotations
@@ -30,19 +30,15 @@ import bisect
 import json
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.cluster.ring import DEFAULT_VNODES, HashRing, key_point
 from repro.errors import ConfigurationError
 
-try:
-    import numpy as np
-except ImportError:  # pragma: no cover - exercised only on numpy-less installs
-    np = None
-
-if np is not None:
-    _U64 = np.uint64
-    _SPLITMIX_A = np.uint64(0x9E3779B97F4A7C15)
-    _SPLITMIX_B = np.uint64(0xBF58476D1CE4E5B9)
-    _SPLITMIX_C = np.uint64(0x94D049BB133111EB)
+_U64 = np.uint64
+_SPLITMIX_A = np.uint64(0x9E3779B97F4A7C15)
+_SPLITMIX_B = np.uint64(0xBF58476D1CE4E5B9)
+_SPLITMIX_C = np.uint64(0x94D049BB133111EB)
 
 
 @dataclass(frozen=True)
@@ -183,7 +179,7 @@ class ClusterManifest:
 class ManifestRouter:
     """Flattened, batch-capable view of a manifest's ring.
 
-    Owner lookups run against one sorted point array; with NumPy the
+    Owner lookups run against one sorted point array; a batch's
     whole key column is hashed (vectorized FNV-1a + splitmix64 finaliser,
     bit-identical to :func:`repro.cluster.ring.key_point`) and routed with
     a single ``searchsorted``.
@@ -201,12 +197,8 @@ class ManifestRouter:
         self.names = sorted(manifest.nodes)
         index = {name: i for i, name in enumerate(self.names)}
         self._owner_ids = [index[name] for _, name in pairs]
-        self._np_points = (
-            np.asarray(self._points, dtype=np.uint64) if np is not None else None
-        )
-        self._np_owners = (
-            np.asarray(self._owner_ids, dtype=np.intp) if np is not None else None
-        )
+        self._np_points = np.asarray(self._points, dtype=np.uint64)
+        self._np_owners = np.asarray(self._owner_ids, dtype=np.intp)
 
     def owner_for(self, key: bytes) -> str:
         point = key_point(key)
@@ -216,8 +208,8 @@ class ManifestRouter:
         return self.names[self._owner_ids[index]]
 
     def owner_ids_for(self, keys: list[bytes]):
-        """Owner index (into :attr:`names`) per key, vectorized when possible."""
-        if np is None or len(keys) < 16:
+        """Owner index (into :attr:`names`) per key; small batches stay scalar."""
+        if len(keys) < 16:
             points = self._points
             owners = self._owner_ids
             n = len(points)

@@ -25,7 +25,6 @@ from repro.core.profiler import WorkloadProfile, WorkloadProfiler
 from repro.errors import ConfigurationError, WorkloadError
 from repro.hardware.specs import APU_A10_7850K, PlatformSpec
 from repro.kv.protocol import Query, decode_queries
-from repro.kv.sharding import ShardedKVStore
 from repro.kv.store import KVStore
 from repro.net.nic import SimulatedNIC
 from repro.net.packets import Frame, frames_for_queries
@@ -69,21 +68,21 @@ class DidoSystem:
         Enable work stealing in planned configurations.
     engine:
         Functional execution backend ("auto"/None, "serial", "stealing",
-        "reference", "vector", "sharded", or a backend instance);
+        "reference", "vector", "procshard", or a backend instance);
         forwarded to :class:`~repro.pipeline.functional.FunctionalPipeline`.
     shards:
-        Hash-partition the store across this many independent
-        :class:`~repro.kv.store.KVStore` shards (a
-        :class:`~repro.kv.sharding.ShardedKVStore`).  With ``shards > 1``
-        an unset/auto ``engine`` resolves to "sharded" — the only backend
-        that executes across partitions.
+        Hash-partition the store across this many shard worker processes
+        (a :class:`~repro.engine.procshard.ProcShardStore`).  With
+        ``shards > 1`` an unset/auto ``engine`` resolves to "procshard" —
+        the only backend that executes across partitions; any other
+        engine raises :class:`~repro.errors.ConfigurationError`.
     dedup:
         Collapse each batch's duplicate GET runs to one index probe per
         key between write barriers (the skew-aware hot path; see
         :mod:`repro.engine.hotpath`).
     hot_cache:
-        Attach a versioned hot-key read cache to the store (per shard on a
-        sharded store).  The cache starts inactive; each profiler window
+        Attach a versioned hot-key read cache to the store (per worker on a
+        procshard store).  The cache starts inactive; each profiler window
         the estimated Zipf skew gates it on (>= 0.5) or off (< 0.2), and
         its measured hit rate feeds the cost model's hot-fraction input.
     hot_cache_keys:
@@ -96,7 +95,7 @@ class DidoSystem:
         Absorb index Insert/Delete/Reassign traffic in a per-store
         :class:`~repro.kv.deltaindex.DeltaIndex` and merge it into the
         cuckoo table in bulk at write barriers and :meth:`maintain` ticks
-        (per shard / per worker on partitioned stores).
+        (per worker on a procshard store).
     """
 
     def __init__(
@@ -117,9 +116,16 @@ class DidoSystem:
     ):
         self.platform = platform
         budget = memory_bytes if memory_bytes is not None else platform.shared_memory_bytes
+        if shards > 1 and (engine is None or engine == "auto"):
+            engine = "procshard"
         self._procshard = engine == "procshard" or (
             getattr(engine, "name", None) == "procshard"
         )
+        if shards > 1 and not self._procshard:
+            raise ConfigurationError(
+                f"engine {engine!r} cannot execute across {shards} shards; "
+                "use engine='procshard' (or shards=1)"
+            )
         if self._procshard:
             # Process-per-shard: the store facade owns one worker process
             # per shard; dedup and the hot cache live *inside* the workers
@@ -141,31 +147,16 @@ class DidoSystem:
                 heap=heap,
                 delta_index=delta_index,
             )
-        elif shards > 1:
-            self.store = ShardedKVStore(
-                budget, expected_objects, shards, heap=heap, delta_index=delta_index
-            )
-            if engine is None or engine == "auto":
-                engine = "sharded"
-            elif engine != "sharded" and not hasattr(engine, "run"):
-                raise ConfigurationError(
-                    f"engine {engine!r} cannot execute across {shards} shards; "
-                    "use engine='sharded' (or shards=1)"
-                )
         else:
             self.store = KVStore(
                 budget, expected_objects, heap=heap, delta_index=delta_index
             )
-        self._hot_caches = []
+        self._hot_cache = None
         if hot_cache and not self._procshard:
-            if isinstance(self.store, ShardedKVStore):
-                self._hot_caches = self.store.attach_hot_cache(hot_cache_keys)
-            else:
-                self._hot_caches = [self.store.attach_hot_cache(hot_cache_keys)]
-            # Caches start cold and inactive; the per-window skew gate in
-            # process() switches them on once the estimator sees real skew.
-            for cache in self._hot_caches:
-                cache.active = False
+            # The cache starts cold and inactive; the per-window skew gate in
+            # process() switches it on once the estimator sees real skew.
+            self._hot_cache = self.store.attach_hot_cache(hot_cache_keys)
+            self._hot_cache.active = False
         self._cache_hits_seen = 0
         self._cache_total_seen = 0
         self._last_measured: float | None = None
@@ -232,8 +223,8 @@ class DidoSystem:
         profile = profiler.snapshot()
         if self._procshard:
             profile = self._feed_procshard(profile)
-        elif self._hot_caches:
-            profile = self._feed_hot_caches(profile)
+        elif self._hot_cache is not None:
+            profile = self._feed_hot_cache(profile)
         return self.controller.config_for(profile)
 
     @property
@@ -277,26 +268,24 @@ class DidoSystem:
         """Client-style entry: pack queries into frames and go through the NIC."""
         return self.process_frames(frames_for_queries(queries))
 
-    def _feed_hot_caches(self, profile: WorkloadProfile) -> WorkloadProfile:
-        """Gate the caches on the closed window's skew and attach their
+    def _feed_hot_cache(self, profile: WorkloadProfile) -> WorkloadProfile:
+        """Gate the cache on the closed window's skew and attach its
         measured hit rate to the profile for the cost model.
 
-        The skew estimate gates every cache together (hysteresis inside
+        The skew estimate gates the cache (hysteresis inside
         :meth:`~repro.kv.hotcache.HotKeyCache.gate_on_skew`).  The
         measured hot fraction is the hit rate over this window's cache
         lookups (carried forward through idle windows so brief all-write
         windows don't zero the cost model's input).
         """
-        hits = 0
-        total = 0
-        for cache in self._hot_caches:
-            cache.gate_on_skew(profile.zipf_skew)
-            hits += cache.hits
-            total += cache.hits + cache.misses
-        return self._with_measured_hot_fraction(profile, hits, total)
+        cache = self._hot_cache
+        cache.gate_on_skew(profile.zipf_skew)
+        return self._with_measured_hot_fraction(
+            profile, cache.hits, cache.hits + cache.misses
+        )
 
     def _feed_procshard(self, profile: WorkloadProfile):
-        """Procshard counterpart of :meth:`_feed_hot_caches`.
+        """Procshard counterpart of :meth:`_feed_hot_cache`.
 
         The caches live inside the shard workers, so the router records
         the window's skew on the store facade (each batch header then
@@ -330,13 +319,13 @@ class DidoSystem:
         The real system reads counters as objects are accessed; here each
         heap logs the objects first touched in the open epoch (a log
         bounded at two windows' worth), and that log — plus the keys the hot
-        caches served — is read back at window close; no heap scan.  With
+        cache served — is read back at window close; no heap scan.  With
         a procshard store the same harvest runs *inside* each worker when
         it sees the epoch advance, shipped back on the batch reply; the
         heap view hands over what has arrived.
         """
-        for cache in self._hot_caches:
-            self.profiler.observe_frequencies(cache.drain_window_hits())
+        if self._hot_cache is not None:
+            self.profiler.observe_frequencies(self._hot_cache.drain_window_hits())
         self.profiler.observe_frequencies(self.store.heap.drain_touched())
 
     # ------------------------------------------------------------- lifecycle

@@ -16,9 +16,10 @@ This package is the single home of pipeline *stage semantics*:
 * :mod:`repro.engine.vector` — :class:`VectorEngine`, NumPy batch kernels
   for the index-side passes (whole-column hashing, signature mask-match
   against the cuckoo table's mirror);
-* :mod:`repro.engine.sharded` — :class:`ShardedEngine`, splitting each
-  batch across a :class:`~repro.kv.sharding.ShardedKVStore`'s partitions
-  on a persistent worker pool.
+* :mod:`repro.engine.procshard` — :class:`ProcShardEngine`, the only
+  backend that executes across partitions: it splits each batch by the
+  seed-0 FNV shard hash and fans it out to one worker process per shard
+  over shared-memory rings (imported lazily by :func:`resolve_engine`).
 """
 
 from __future__ import annotations
@@ -34,7 +35,6 @@ from repro.engine.plan import (
 )
 from repro.engine.plane import BatchPlane, indices_between
 from repro.engine.reference import ReferenceEngine
-from repro.engine.sharded import ShardedEngine
 from repro.engine.vector import VectorEngine
 from repro.errors import ConfigurationError
 
@@ -45,7 +45,6 @@ ENGINE_NAMES = (
     "stealing",
     "reference",
     "vector",
-    "sharded",
     "procshard",
 )
 
@@ -64,10 +63,6 @@ def resolve_engine(engine, *, dedup: bool = False, hot_cache: bool = True):
     if isinstance(engine, str):
         if engine == "reference":
             return ReferenceEngine()
-        if engine == "sharded":
-            return ShardedEngine(
-                VectorEngine(dedup=dedup, hot_cache=hot_cache), dedup=dedup
-            )
         if engine == "procshard":
             # Imported lazily: the procshard module pulls in
             # multiprocessing machinery nothing else needs.
@@ -98,7 +93,6 @@ __all__ = [
     "PlanPhase",
     "ReferenceEngine",
     "SerialEngine",
-    "ShardedEngine",
     "StagePlan",
     "StealingEngine",
     "VectorEngine",

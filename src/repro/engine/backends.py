@@ -63,10 +63,8 @@ def count_store_ops(store: KVStore, plane: BatchPlane, get_hits: int | None = No
     :meth:`KVStore.delete`, which counts ``deletes``/``delete_hits`` itself.
     ``get_hits`` may be passed by an engine that already knows it (the
     vector engine does); the per-row engines read it off the batch's value
-    column.  The counts are of the rows on ``plane``: under
-    :class:`~repro.engine.sharded.ShardedEngine` with ``dedup`` each shard
-    store sees its sub-plane *after* duplicate GETs were collapsed, so the
-    collapsed rows are not counted there.
+    column.  The counts are of the rows on ``plane``, duplicates that
+    dedup collapsed included.
     """
     get_rows = plane.get_indices
     if get_hits is None:
@@ -92,8 +90,7 @@ class SerialEngine:
         Allow serving GETs from the store's attached
         :class:`~repro.kv.hotcache.HotKeyCache` (when one is attached and
         gated active).  Enabled by default — with no cache attached it is
-        inert — and turned off by the sharded engine on inner engines it
-        feeds already-reduced sub-batches.
+        inert.
     """
 
     name = "serial"

@@ -24,7 +24,7 @@ collapse that redundancy two ways:
 
 Two builders produce the same state: :func:`prepare_hot_path` (dict-based
 run detection through :meth:`HotPathState.add_run`, used by the scalar
-engines and the sharded splitter) and :func:`prepare_hot_path_vector`
+engines) and :func:`prepare_hot_path_vector`
 (the same grouping pass fused with direct cache-dict probes, fronted by a
 *uniformity gate*: a strided sample of the batch's GET keys estimates the
 duplicate fraction, and a visibly uniform batch skips grouping entirely —
@@ -41,10 +41,7 @@ from bisect import bisect_right
 
 from repro.kv.protocol import Response, ResponseStatus
 
-try:
-    import numpy as np
-except ImportError:  # pragma: no cover - exercised only on numpy-less installs
-    np = None
+import numpy as np
 
 #: Shared miss response for pre-filled duplicate rows (same bytes as the
 #: backends' singleton; sharing an object is an allocation nicety only).
@@ -147,10 +144,6 @@ class HotPathState:
             # graduates through the cross-batch probation ledger.
             if count >= _MIN_ADMIT or cache.note_probation(key, count):
                 self.admissions.append((rows[0], key))
-        elif count >= _MIN_ADMIT and not written:
-            # Cache-less grouping (sharded pre-split): record multi-runs so
-            # the merge step can feed the per-shard caches.
-            self.admissions.append((rows[0], key))
         if count >= _MIN_ADMIT and dedup:
             dup_rows = rows[1:]
             self.dups[rows[0]] = dup_rows
@@ -161,7 +154,7 @@ class HotPathState:
         """Freeze the live index subsets after every run is classified."""
         if self.excluded:
             excluded = self.excluded
-            if np is not None and len(excluded) > 64:
+            if len(excluded) > 64:
                 # Vectorized filter: one boolean mask gather instead of a
                 # per-row set probe (matters at high skew, where most of
                 # the batch is excluded).
@@ -428,9 +421,8 @@ def prepare_hot_path_vector(
     which is nearly the entire skew-0 overhead of the hot path.  The gate
     (and the no-duplicates fast-out) is bypassed when the cache is
     provisioned at keyspace scale: singleton rows are then worth probing
-    even with nothing to collapse — notably the sharded engine's inner
-    sub-batches, which arrive pre-deduped to multiplicity-1 runs.  Past
-    the gate, the GET rows' keys are FNV-hashed once and duplicate keys found
+    even with nothing to collapse.  Past the gate, the GET rows' keys are
+    FNV-hashed once and duplicate keys found
     by sorting the hash column — only rows in hash groups of two or more
     fall back to a Python dict pass keyed on the real key bytes (resolving
     the rare collision), so the classification loop runs per *duplicated*
@@ -462,9 +454,6 @@ def prepare_hot_path_vector(
     keys = plane.keys
     # When the cache dwarfs the batch, lone rows are probed too — and
     # none of the grouping fast-outs below may skip that probe pass.
-    # This matters most under the sharded engine, whose pre-split dedup
-    # hands the inner engines multiplicity-1 sub-batches: without the
-    # singleton probe the per-shard caches would admit but never serve.
     singles_probe = (
         cache is not None and cache.capacity >= SINGLETON_PROBE_MIN_CAPACITY * n
     )
@@ -570,22 +559,8 @@ def prepare_hot_path_vector(
     return state.seal(plane)
 
 
-class _NoCacheStore:
-    """Stand-in store for cache-less grouping (sharded pre-split dedup)."""
-
-    hot_cache = None
-
-
-def dedup_batch_keys(plane) -> HotPathState | None:
-    """Pure dedup grouping with no cache (the sharded engine's pre-split
-    pass): duplicate rows never reach a shard sub-batch, and the recorded
-    admissions let the sharded engine feed per-shard caches after merge."""
-    return prepare_hot_path(_NoCacheStore, plane, dedup=True, use_cache=False)
-
-
 __all__ = [
     "HotPathState",
-    "dedup_batch_keys",
     "prepare_hot_path",
     "prepare_hot_path_vector",
 ]

@@ -1,30 +1,27 @@
 """ProcShardEngine: true shared-nothing process-per-shard execution.
 
-:class:`~repro.engine.sharded.ShardedEngine` splits batches across shards
-but runs the sub-batches on a *thread* pool — under CPython's GIL the
-"parallel" backend loses to single-core vector on uniform traffic (the
-BENCH_skew 0.88x row).  This module is the DINOMO-shaped fix: each shard
-becomes a :class:`ShardWorker` **process** owning its own
+Sub-batches run on a thread pool cannot overlap under CPython's GIL, so
+partitioned execution here is DINOMO-shaped: each shard is a
+:class:`ShardWorker` **process** owning its own
 :class:`~repro.kv.store.KVStore`, hot-key cache and dedup builder, fed
 columnar sub-batches through ``multiprocessing.shared_memory`` ring
 arenas (:class:`~repro.net.arena.ShmRing`) — header columns + byte arena
 in, WR size columns + response-payload arena out, no pickling anywhere on
 the data plane.
 
-The split/merge shape is the sharded engine's, lifted across the process
-boundary:
+The split/merge shape:
 
 * the router (:class:`ProcShardEngine`) computes the batch's shard
-  assignment with the same seed-0 FNV hash
+  assignment with the seed-0 FNV hash
   (:func:`~repro.kv.sharding.shard_of` == the vector kernel's row 0), so
-  routing is bit-identical to the in-process backends;
-* each worker runs a full inner engine (vector by default, with the
-  worker's own dedup/hot-cache state) against its private store and
-  answers with the single-pass response framer's bytes;
+  batched and per-key routing are bit-identical;
+* each worker runs a full :class:`~repro.engine.vector.VectorEngine`
+  (with the worker's own dedup/hot-cache state) against its private
+  store and answers with the single-pass response framer's bytes;
 * the router scatters the returned status/size/value columns back into
   batch row order, so the merged stream is byte-identical to
   :class:`~repro.engine.reference.ReferenceEngine` — enforced by the
-  procshard test suite and the skew-sweep benchmark.
+  procshard test suite.
 
 Workers piggyback their store/index counters, per-batch hot-path stats
 and a bounded frequency-harvest sample on every batch reply, so the
@@ -48,6 +45,8 @@ import traceback
 import weakref
 from functools import partial
 
+import numpy as np
+
 from repro.errors import ConfigurationError, ReproError
 from repro.kv.hashtable import IndexStats
 from repro.kv.protocol import QueryType, Response, ResponseStatus
@@ -65,11 +64,6 @@ from repro.net.arena import (
     encode_response_block,
 )
 from repro.telemetry import get_telemetry
-
-try:
-    import numpy as np
-except ImportError:  # pragma: no cover - exercised only on numpy-less installs
-    np = None
 
 logger = logging.getLogger("repro.procshard")
 
@@ -116,15 +110,14 @@ _STORED = Response(ResponseStatus.STORED)
 _DELETED = Response(ResponseStatus.DELETED)
 _NOT_FOUND = Response(ResponseStatus.NOT_FOUND)
 _WORKER_DOWN = Response(ResponseStatus.ERROR)
-_BY_CODE = {
+#: Merge-side materialization table: fill-down rows carry ERROR, which the
+#: engine itself only ever produces for dead-worker rows.
+_MERGE_BY_CODE = {
     ResponseStatus.STORED.value: _STORED,
     ResponseStatus.DELETED.value: _DELETED,
     ResponseStatus.NOT_FOUND.value: _NOT_FOUND,
+    ResponseStatus.ERROR.value: _WORKER_DOWN,
 }
-#: Merge-side materialization table: fill-down rows carry ERROR, which the
-#: engine itself only ever produces for dead-worker rows.
-_MERGE_BY_CODE = dict(_BY_CODE)
-_MERGE_BY_CODE[ResponseStatus.ERROR.value] = _WORKER_DOWN
 
 
 class WorkerDiedError(ReproError):
@@ -172,13 +165,11 @@ class _WorkerState:
         if config.get("hot_cache"):
             cache = self.store.attach_hot_cache(config.get("hot_cache_keys"))
             cache.active = bool(config.get("hot_cache_active", True))
-        # Workers import the engine registry lazily so this module never
-        # drags the pipeline package in at import time.
-        from repro.engine import resolve_engine
+        # Workers import the engine lazily so this module never drags the
+        # pipeline package in at import time.
+        from repro.engine.vector import VectorEngine
 
-        self.engine = resolve_engine(
-            config.get("inner", "vector"), dedup=bool(config.get("dedup"))
-        )
+        self.engine = VectorEngine(dedup=bool(config.get("dedup")))
         from repro.engine.plan import compile_stage_plan
         from repro.pipeline.megakv import megakv_coupled_config
 
@@ -216,34 +207,20 @@ def _handle_batch(state: _WorkerState, payload, offset: int = 0) -> list:
     # settle the log arena's memory debt before the next batch arrives.
     if state.store.needs_maintenance:
         state.store.maintenance()
-    statuses = plane.response_statuses
-    sizes = plane.response_sizes
-    if statuses is None or sizes is None:
-        # Engines without columnar output (scalar fallback) still build
-        # the Response column; derive the wire columns from it.
-        responses = plane.take_responses()
-        if statuses is None:
-            statuses = [r.status.value for r in responses]
-        if sizes is None:
-            sizes = [r.wire_size for r in responses]
     hotpath = plane.hotpath
     dup_count = hotpath.dup_count if hotpath is not None else 0
     head = _RESULT_HEAD.pack(plane.size, len(freq), dup_count, seq)
-    if np is not None:
-        freq_b = np.fromiter(freq, dtype=np.uint32, count=len(freq)).tobytes()
-    else:
-        freq_b = struct.pack(f"<{len(freq)}I", *freq)
-    block = encode_response_block(statuses, plane.read_values, sizes)
+    freq_b = np.fromiter(freq, dtype=np.uint32, count=len(freq)).tobytes()
+    block = encode_response_block(
+        plane.response_statuses, plane.read_values, plane.response_sizes
+    )
     return [bytes([MSG_RESULT]), head, freq_b, _pack_stats(state.store), *block]
 
 
 def _handle_dump(state: _WorkerState) -> list:
     keys = [obj.key for obj in state.store.heap.objects()]
     n = len(keys)
-    if np is not None:
-        lens = np.fromiter(map(len, keys), dtype=np.uint32, count=n).tobytes()
-    else:
-        lens = struct.pack(f"<{n}I", *map(len, keys))
+    lens = np.fromiter(map(len, keys), dtype=np.uint32, count=n).tobytes()
     return [bytes([MSG_OK]), _U32.pack(n), lens, b"".join(keys)]
 
 
@@ -522,10 +499,9 @@ class _ProcHeapView:
 class ProcShardStore:
     """N shard-worker processes behind one store facade.
 
-    The router-side counterpart of
-    :class:`~repro.kv.sharding.ShardedKVStore`: the same even split of the
-    memory/index budget, the same seed-0 FNV routing — but every shard is
-    a separate process and the facade talks to it over shared-memory
+    The memory/index budget is split evenly and keys route by the seed-0
+    FNV hash (:func:`~repro.kv.sharding.shard_of`); every shard is a
+    separate process and the facade talks to it over shared-memory
     rings.  Scalar ``get``/``set``/``delete`` ride the batch plane as
     one-row windows (the control path — migration, tests); the engine
     fan-out is the hot path.
@@ -548,9 +524,7 @@ class ProcShardStore:
         hot_cache: bool = False,
         hot_cache_keys: int | None = None,
         hot_cache_active: bool = True,
-        inner: str = "vector",
         ring_bytes: int | None = None,
-        start_method: str | None = None,
         heap: str = "log",
         delta_index: bool = False,
     ):
@@ -563,11 +537,9 @@ class ProcShardStore:
             ring_bytes = MAX_INFLIGHT_WINDOWS * DEFAULT_RING_BYTES
         import multiprocessing as mp
 
-        if start_method is None:
-            start_method = os.environ.get("REPRO_PROCSHARD_START")
-        if start_method is None:
-            start_method = "fork" if "fork" in mp.get_all_start_methods() else "spawn"
-        ctx = mp.get_context(start_method)
+        ctx = mp.get_context(
+            "fork" if "fork" in mp.get_all_start_methods() else "spawn"
+        )
         self.num_shards = num_shards
         from repro.kv.slab import SlabAllocator
 
@@ -582,7 +554,6 @@ class ProcShardStore:
             "hot_cache": hot_cache,
             "hot_cache_keys": per_cache,
             "hot_cache_active": hot_cache_active,
-            "inner": inner,
             "heap": heap,
             "delta_index": delta_index,
         }
@@ -801,7 +772,7 @@ class ProcShardStore:
 
     def attach_hot_cache(self, capacity: int | None = None) -> list:
         """Attach a hot-key cache inside every worker (evenly divided,
-        active — mirroring :meth:`ShardedKVStore.attach_hot_cache`).
+        active).
         Returns ``[]``: the caches live in the workers and are reached
         through batch piggybacks, not direct references."""
         self.drain_inflight()
@@ -832,7 +803,6 @@ class ProcShardTicket:
         "plane",
         "sent",
         "shard_sizes",
-        "vector",
         "statuses_col",
         "sizes_col",
         "values_col",
@@ -852,7 +822,6 @@ class ProcShardTicket:
         #: pair the window was sent on, seq the reply that answers it.
         self.sent: list[tuple] = []
         self.shard_sizes: list[int] = []
-        self.vector = False
         self.statuses_col = None
         self.sizes_col = None
         self.values_col = None
@@ -885,22 +854,12 @@ class ProcShardEngine:
 
     name = "procshard"
 
-    def __init__(
-        self,
-        *,
-        dedup: bool = False,
-        hot_cache: bool = True,
-        vectorize: bool = True,
-    ):
+    def __init__(self, *, dedup: bool = False, hot_cache: bool = True):
         # Dedup/caching happen inside the workers (each owns its own
         # builder and cache); the flags exist for resolve_engine symmetry
         # and configure the in-process fallback only.
         self._fallback = None
         self._fallback_flags = (dedup, hot_cache)
-        #: ``vectorize=False`` keeps the per-row split/merge loops — the
-        #: numpy-less fallback, and the honest pre-vectorization baseline
-        #: the benches compare against.
-        self._vector = vectorize and np is not None
         self.windows_submitted = 0
         self.windows_overlapped = 0
 
@@ -914,39 +873,16 @@ class ProcShardEngine:
             return 0.0
         return self.windows_overlapped / self.windows_submitted
 
-    def _assign(self, keys: list[bytes], num_shards: int) -> list[int]:
-        if np is not None:
-            from repro.engine.vector import fnv_hash_columns
-
-            states = fnv_hash_columns(keys, 1)
-            return (states[0] % np.uint64(num_shards)).astype(np.intp).tolist()
-        return [shard_of(key, num_shards) for key in keys]
-
-    def _split_rows(self, plane, num_shards: int, key_lens=None) -> list:
-        """Row indices per shard; ``[None]`` when there is one shard.
-
-        Vector path: one whole-batch FNV hash, one stable argsort, one
-        bincount — the stable sort keeps ascending row order inside each
-        shard, so sub-batch order is bit-identical to the per-row append
-        loop it replaces.  ``key_lens`` forwards a precomputed key-length
-        column to the hash kernel (one pass over the keys per window, not
-        one per consumer).
-        """
-        if num_shards == 1:
-            return [None]
-        keys = plane.keys
-        if self._vector:
-            order, bounds = self._shard_order(keys, num_shards, key_lens)
-            return [order[bounds[s] : bounds[s + 1]] for s in range(num_shards)]
-        assignment = self._assign(keys, num_shards)
-        rows: list[list[int]] = [[] for _ in range(num_shards)]
-        for row, shard in enumerate(assignment):
-            rows[shard].append(row)
-        return rows
-
     @staticmethod
     def _shard_order(keys, num_shards: int, key_lens=None):
-        """Stable shard argsort of one window plus per-shard span bounds."""
+        """Stable shard argsort of one window plus per-shard span bounds.
+
+        One whole-batch FNV hash, one stable argsort, one bincount — the
+        stable sort keeps ascending row order inside each shard, so every
+        sub-batch preserves batch order.  ``key_lens`` forwards a
+        precomputed key-length column to the hash kernel (one pass over
+        the keys per window, not one per consumer).
+        """
         from repro.engine.vector import fnv_hash_columns
 
         states = fnv_hash_columns(keys, 1, lens=key_lens)
@@ -981,41 +917,34 @@ class ProcShardEngine:
         t0 = time.perf_counter_ns()
         num_shards = store.num_shards
         n = plane.size
-        vector = ticket.vector = self._vector
-        qtypes, keys, set_values = plane.qtypes, plane.keys, plane.set_values
+        keys = plane.keys
         key_lens = getattr(plane, "key_lens", None)
-        if vector and key_lens is None and n:
+        if key_lens is None and n:
             # One pass over the key bytes per window: the same column
             # feeds the FNV shard split and the block encoder.
             key_lens = np.fromiter(map(len, keys), dtype=np.int64, count=n)
+        cols = QueryBlockColumns(
+            plane.qtypes,
+            keys,
+            plane.set_values,
+            getattr(plane, "opcodes", None),
+            key_lens,
+            getattr(plane, "value_lens", None),
+        )
         spans = bounds = None
-        if vector and num_shards > 1:
+        if num_shards > 1:
             order, bounds = self._shard_order(keys, num_shards, key_lens)
             shard_rows = [
                 order[bounds[s] : bounds[s + 1]] for s in range(num_shards)
             ]
+            # One whole-window permute; each shard's block is then a
+            # zero-copy span slice of the sorted columns.
+            spans = cols.sorted_spans(order)
         else:
-            shard_rows = self._split_rows(plane, num_shards, key_lens)
-        if vector:
-            cols = QueryBlockColumns(
-                qtypes,
-                keys,
-                set_values,
-                getattr(plane, "opcodes", None),
-                key_lens,
-                getattr(plane, "value_lens", None),
-            )
-            if bounds is not None:
-                # One whole-window permute; each shard's block is then a
-                # zero-copy span slice of the sorted columns.
-                spans = cols.sorted_spans(order)
-            ticket.statuses_col = np.zeros(n, dtype=np.int64)
-            ticket.sizes_col = np.zeros(n, dtype=np.int64)
-            ticket.values_col = np.empty(n, dtype=object)
-        else:
-            cols = None
-            ticket.statuses_col = [0] * n
-            ticket.sizes_col = [0] * n
+            shard_rows = [None]
+        ticket.statuses_col = np.zeros(n, dtype=np.int64)
+        ticket.sizes_col = np.zeros(n, dtype=np.int64)
+        ticket.values_col = np.empty(n, dtype=object)
         ticket.shard_sizes = [
             n if rows is None else len(rows) for rows in shard_rows
         ]
@@ -1030,10 +959,8 @@ class ProcShardEngine:
             t_enc = time.perf_counter_ns()
             if spans is not None:
                 block = spans.encode(bounds[shard], bounds[shard + 1])
-            elif vector:
-                block = cols.encode(rows)
             else:
-                block = encode_query_block(qtypes, keys, set_values, rows)
+                block = cols.encode(rows)
             t_send = time.perf_counter_ns()
             encode_ns += t_send - t_enc
             seq = worker.next_seq()
@@ -1080,7 +1007,6 @@ class ProcShardEngine:
         statuses_col = ticket.statuses_col
         sizes_col = ticket.sizes_col
         values_col = ticket.values_col
-        vector = ticket.vector
         dup_count = 0
         cache_hits = cache_misses = 0
         wait_ns = decode_ns = scatter_ns = 0
@@ -1103,7 +1029,7 @@ class ProcShardEngine:
                     continue
                 t_decode = time.perf_counter_ns()
                 wait_ns += t_decode - t_wait
-                n, freq_count, dups, reply_seq = _RESULT_HEAD.unpack_from(reply, 0)
+                _n, freq_count, dups, reply_seq = _RESULT_HEAD.unpack_from(reply, 0)
                 if reply_seq != seq:
                     # A reply surviving from a window the router already
                     # abandoned (an earlier timeout fill-down): the ring
@@ -1133,38 +1059,18 @@ class ProcShardEngine:
                 cache_misses += row_stats[15] - prev[15]
                 at += _STATS_STRUCT.size
                 dup_count += dups
-                if vector:
-                    statuses, values, sizes = decode_response_columns(reply, at)
-                    t_scatter = time.perf_counter_ns()
-                    decode_ns += t_scatter - t_decode
-                    if rows is None:
-                        statuses_col[:] = statuses
-                        sizes_col[:] = sizes
-                        values_col[:] = values
-                    else:
-                        statuses_col[rows] = statuses
-                        sizes_col[rows] = sizes
-                        values_col[rows] = values
-                    scatter_ns += time.perf_counter_ns() - t_scatter
+                statuses, values, sizes = decode_response_columns(reply, at)
+                t_scatter = time.perf_counter_ns()
+                decode_ns += t_scatter - t_decode
+                if rows is None:
+                    statuses_col[:] = statuses
+                    sizes_col[:] = sizes
+                    values_col[:] = values
                 else:
-                    statuses, values, sizes = decode_response_block(reply, at)
-                    t_scatter = time.perf_counter_ns()
-                    decode_ns += t_scatter - t_decode
-                    rows_iter = range(n) if rows is None else rows
-                    ok = ResponseStatus.OK
-                    for local, row in enumerate(rows_iter):
-                        code = statuses[local]
-                        value = values[local]
-                        statuses_col[row] = code
-                        sizes_col[row] = sizes[local]
-                        if code == 0:
-                            responses[row] = Response(ok, value)
-                            read_values[row] = value
-                        else:
-                            responses[row] = _BY_CODE.get(
-                                code, Response(ResponseStatus(code))
-                            )
-                    scatter_ns += time.perf_counter_ns() - t_scatter
+                    statuses_col[rows] = statuses
+                    sizes_col[rows] = sizes
+                    values_col[rows] = values
+                scatter_ns += time.perf_counter_ns() - t_scatter
                 depth = max(depth, worker.take_high_water_bytes())
                 stall_ns += worker.take_ring_stall_ns()
         finally:
@@ -1172,34 +1078,30 @@ class ProcShardEngine:
             if ticket in inflight:
                 inflight.remove(ticket)
 
-        if vector:
-            t_scatter = time.perf_counter_ns()
-            values_l = values_col.tolist()
-            ok = ResponseStatus.OK
-            if not statuses_col.any():
-                # All-OK window (GET-heavy steady state): materialize with
-                # one C-level map instead of a per-row branch loop.
-                responses[:] = map(partial(Response, ok), values_l)
-                read_values[:] = values_l
-                statuses_l = [0] * len(values_l)
-            else:
-                statuses_l = statuses_col.tolist()
-                by_code = _MERGE_BY_CODE
-                for row, code in enumerate(statuses_l):
-                    if code == 0:
-                        value = values_l[row]
-                        responses[row] = Response(ok, value)
-                        read_values[row] = value
-                    else:
-                        responses[row] = by_code.get(code) or Response(
-                            ResponseStatus(code)
-                        )
-            plane.response_statuses = statuses_l
-            plane.response_sizes = sizes_col.tolist()
-            scatter_ns += time.perf_counter_ns() - t_scatter
+        t_scatter = time.perf_counter_ns()
+        values_l = values_col.tolist()
+        ok = ResponseStatus.OK
+        if not statuses_col.any():
+            # All-OK window (GET-heavy steady state): materialize with
+            # one C-level map instead of a per-row branch loop.
+            responses[:] = map(partial(Response, ok), values_l)
+            read_values[:] = values_l
+            statuses_l = [0] * len(values_l)
         else:
-            plane.response_statuses = statuses_col
-            plane.response_sizes = sizes_col
+            statuses_l = statuses_col.tolist()
+            by_code = _MERGE_BY_CODE
+            for row, code in enumerate(statuses_l):
+                if code == 0:
+                    value = values_l[row]
+                    responses[row] = Response(ok, value)
+                    read_values[row] = value
+                else:
+                    responses[row] = by_code.get(code) or Response(
+                        ResponseStatus(code)
+                    )
+        plane.response_statuses = statuses_l
+        plane.response_sizes = sizes_col.tolist()
+        scatter_ns += time.perf_counter_ns() - t_scatter
         # Every row is answered by construction (replies merge in, dead
         # workers fill down); take_responses can skip its per-row scan.
         plane.responses_complete = True
@@ -1288,23 +1190,10 @@ class ProcShardEngine:
         plane = ticket.plane
         code = ResponseStatus.ERROR.value
         wire = _WORKER_DOWN.wire_size
-        if ticket.vector:
-            idx = slice(None) if rows is None else rows
-            ticket.statuses_col[idx] = code
-            ticket.sizes_col[idx] = wire
-            count = plane.size if rows is None else len(rows)
-        else:
-            rows_iter = range(plane.size) if rows is None else rows
-            responses = plane.responses
-            read_values = plane.read_values
-            statuses_col = ticket.statuses_col
-            sizes_col = ticket.sizes_col
-            for row in rows_iter:
-                responses[row] = _WORKER_DOWN
-                read_values[row] = None
-                statuses_col[row] = code
-                sizes_col[row] = wire
-            count = len(rows_iter)
+        idx = slice(None) if rows is None else rows
+        ticket.statuses_col[idx] = code
+        ticket.sizes_col[idx] = wire
+        count = plane.size if rows is None else len(rows)
         telemetry = get_telemetry()
         if telemetry.enabled:
             telemetry.registry.counter(

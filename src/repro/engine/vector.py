@@ -32,13 +32,14 @@ authoritative cuckoo slots, which has no array form — and the flexible
 index-operation analysis (paper Figure 6) is precisely that those
 operations do *not* benefit from batched kernels the way Search does.
 
-The backend degrades gracefully: when NumPy is missing or the store's
-index does not support the signature mirror (e.g. the chained-hash
-alternative), every pass falls back to the serial implementation and
-results are still correct.
+The backend degrades gracefully: when the store's index does not support
+the signature mirror (e.g. the chained-hash alternative), every pass
+falls back to the serial implementation and results are still correct.
 """
 
 from __future__ import annotations
+
+import numpy as np
 
 from repro.engine.backends import (
     NOT_FOUND_RESPONSE,
@@ -52,11 +53,6 @@ from repro.kv.hashtable import EMPTY
 from repro.kv.objects import _FNV_OFFSET, _FNV_PRIME, fnv1a64
 from repro.kv.protocol import QueryType, Response, ResponseStatus
 from repro.kv.store import KVStore
-
-try:
-    import numpy as np
-except ImportError:  # pragma: no cover - exercised only on numpy-less installs
-    np = None
 
 #: Keys longer than this take the scalar FNV path (the padded matrix would
 #: waste cache on a few giants; production keys are tens of bytes).
@@ -161,7 +157,7 @@ class VectorEngine(SerialEngine):
         task_times=None,
     ) -> dict[str, int]:
         index = getattr(store, "index", None)
-        if np is not None and hasattr(index, "ensure_mirror"):
+        if hasattr(index, "ensure_mirror"):
             index.ensure_mirror()
             plane.scratch = _VectorScratch()
             if plane.hotpath is None and (self.dedup or self.use_hot_cache):
@@ -216,7 +212,7 @@ class VectorEngine(SerialEngine):
             # tombstones alike) never touch the main mirror — their bucket
             # reads are zero, matching the scalar delta-first path.
             column = delta.signature_column()
-            if column is not None and column.size:
+            if column.size:
                 pos = np.searchsorted(column, signatures)
                 pos[pos == column.size] = 0
                 maybe = column[pos] == signatures

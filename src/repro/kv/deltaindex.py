@@ -43,10 +43,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 
-try:  # NumPy backs the sorted signature column for the vector engine.
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised only on numpy-less installs
-    _np = None
+import numpy as _np
 
 #: Sentinel ``final`` meaning "the newest absorbed op deleted this key".
 TOMBSTONE = -2
@@ -246,11 +243,8 @@ class DeltaIndex:
         column with one ``searchsorted``; rows whose signature cannot be in
         the delta skip the dict entirely.  Tombstones must be present —
         their rows have to resolve in the delta (to an empty candidate
-        list) rather than fall through to the stale main entry.  Returns
-        ``None`` without NumPy.
+        list) rather than fall through to the stale main entry.
         """
-        if _np is None:
-            return None
         column = self._sig_column
         if column is None:
             sigs = self._sigs
@@ -310,7 +304,7 @@ class DeltaIndex:
     def merge_columns(self):
         """Array-form merge plan (the NumPy fast path of :meth:`merge_rows`).
 
-        Returns ``None`` when NumPy is unavailable or any key is too long
+        Returns ``None`` when any key is too long
         for the column hasher (callers fall back to :meth:`merge_rows`).
         Otherwise returns ``(keys, signatures, buckets, classes)`` where
         ``signatures`` is ``uint32 (n,)``, ``buckets`` is ``intp (n, H)``
@@ -322,8 +316,6 @@ class DeltaIndex:
         of thousands of short-lived objects (GC pauses were the dominant
         cost of the tuple-form plan on write-heavy mixes).
         """
-        if _np is None:
-            return None
         from repro.engine.vector import MAX_VECTOR_KEY_BYTES, fnv_hash_columns
 
         keys: list[bytes] = list(self._map)

@@ -25,13 +25,10 @@ from __future__ import annotations
 from collections import OrderedDict
 from dataclasses import dataclass
 
+import numpy as _np
+
 from repro.errors import CapacityError, ConfigurationError
 from repro.kv.objects import fnv1a64, key_signature
-
-try:  # NumPy backs the optional signature mirror; everything else is pure.
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised only on numpy-less installs
-    _np = None
 
 #: Slots per bucket; 4-way set-associativity is the common choice in
 #: Mega-KV-like stores (one bucket per 32-byte index line on the GPU).
@@ -272,27 +269,21 @@ class CuckooHashTable:
         """Probe specs for many keys at once, hashed in one vectorized pass.
 
         Uses the vector engine's column hasher (bit-exact with
-        :func:`fnv1a64`) when NumPy is available, so merging a delta of N
-        distinct keys costs one array pass instead of N pure-Python FNV
-        walks.  Does *not* populate the probe cache — merge traffic is
+        :func:`fnv1a64`), so merging a delta of N distinct keys costs one
+        array pass instead of N pure-Python FNV walks.  Does *not* populate the probe cache — merge traffic is
         one-shot and would only churn the LRU.
         """
         if not keys:
             return []
-        if _np is not None:
-            try:
-                from repro.engine.vector import MAX_VECTOR_KEY_BYTES, fnv_hash_columns
-            except ImportError:  # pragma: no cover - engine package stripped
-                fnv_hash_columns = None
-            if fnv_hash_columns is not None and all(
-                len(key) <= MAX_VECTOR_KEY_BYTES for key in keys
-            ):
-                states = fnv_hash_columns(keys, self._num_hashes + 1)
-                # One .tolist() per column keeps the per-key spec assembly in
-                # C — NumPy scalar indexing here costs ~1us per element.
-                signatures = (states[0] & 0xFFFFFFFF).tolist()
-                buckets = (states[1:] & self._mask).T.tolist()
-                return list(zip(signatures, buckets))
+        from repro.engine.vector import MAX_VECTOR_KEY_BYTES, fnv_hash_columns
+
+        if all(len(key) <= MAX_VECTOR_KEY_BYTES for key in keys):
+            states = fnv_hash_columns(keys, self._num_hashes + 1)
+            # One .tolist() per column keeps the per-key spec assembly in
+            # C — NumPy scalar indexing here costs ~1us per element.
+            signatures = (states[0] & 0xFFFFFFFF).tolist()
+            buckets = (states[1:] & self._mask).T.tolist()
+            return list(zip(signatures, buckets))
         return [self.probe(key) for key in keys]
 
     # ----------------------------------------------------- signature mirror
@@ -306,14 +297,9 @@ class CuckooHashTable:
         """Attach (or return) the NumPy mirror of the slot arrays.
 
         Built once from the authoritative buckets; afterwards every
-        :meth:`_write_slot` updates both representations.  Raises
-        :class:`ConfigurationError` when NumPy is unavailable.
+        :meth:`_write_slot` updates both representations.
         """
         if self._mirror is None:
-            if _np is None:  # pragma: no cover - numpy-less installs
-                raise ConfigurationError(
-                    "the signature mirror requires numpy, which is not installed"
-                )
             self._mirror = SignatureMirror(self._buckets, self._slots_per_bucket)
         return self._mirror
 
@@ -580,7 +566,7 @@ class CuckooHashTable:
         if self._mirror is not None:
             self._mirror_batch = {}
         try:
-            if _np is not None and self._mirror is not None and (deletes or reassigns):
+            if self._mirror is not None and (deletes or reassigns):
                 seen: set[tuple[int, int]] = set()
                 for sig, buckets, old in deletes:
                     if old is None or (sig, old) in seen:
@@ -716,9 +702,9 @@ class CuckooHashTable:
         stats = self.stats
         removed = reassigned = inserted = 0
         mirror = self._mirror
-        if mirror is None or _np is None:
+        if mirror is None:
             raise ConfigurationError(
-                "bulk_apply_columns needs numpy and an attached signature mirror"
+                "bulk_apply_columns needs an attached signature mirror"
             )
         num_deletes = len(del_idx)
         n = num_deletes + len(re_idx)

@@ -435,22 +435,6 @@ class KVStore:
                 append(obj.value)
         return values
 
-    def record_extra_accesses(self, key: bytes, count: int, *, epoch: int = 0) -> None:
-        """Credit ``count`` additional profiler accesses to ``key``'s object.
-
-        The sharded engine's pre-split dedup answers duplicate GET rows
-        outside the owning shard, so the RD pass inside the shard sees the
-        run at multiplicity 1; this restores the run's full popularity for
-        the skew estimator without touching the heap LRU (the
-        representative's read already did).
-        """
-        location = self._key_location.get(key)
-        if location is None:
-            return
-        obj = self.heap.get(location, touch=False)
-        if obj is not None:
-            obj.record_access(epoch, count, self.heap.touched, location)
-
     def multi_allocate(self, items: list[tuple[bytes, bytes]]) -> list[SetOutcome]:
         """Bulk MM: allocate each (key, value) in order; outcomes per item.
 

@@ -17,7 +17,7 @@ Two driving disciplines:
   measures behaviour under offered load (the paper's client machines).
 
 Both report a :class:`LoadgenReport`; the CLI prints it or dumps JSON for
-the benchmark harness (``benchmarks/bench_wire_end_to_end.py``).
+scripts.
 """
 
 from __future__ import annotations

@@ -19,7 +19,7 @@ query or a response.  Three pieces live here:
   ``key_len``/``value_len`` u32 columns, then every key and every value
   back to back.  Decoding reproduces the
   :class:`~repro.net.wire.QueryColumns` shape (NumPy length columns
-  attached when available) so the worker's
+  attached) so the worker's
   :class:`~repro.engine.plane.BatchPlane` keeps its mask fast paths.
 * :func:`encode_response_block` / :func:`decode_response_block` — one
   sub-batch's responses as a WR size column followed by the exact byte
@@ -42,6 +42,8 @@ import struct
 import time
 from multiprocessing import shared_memory
 
+import numpy as np
+
 from repro.errors import ReproError
 from repro.kv.protocol import QueryType
 from repro.net.wire import (
@@ -50,11 +52,6 @@ from repro.net.wire import (
     decode_response_window,
     encode_response_window,
 )
-
-try:
-    import numpy as np
-except ImportError:  # pragma: no cover - exercised only on numpy-less installs
-    np = None
 
 #: Opcode -> QueryType, indexable by raw opcode (mirrors the wire table).
 _QTYPE_BY_OP = (None, QueryType.GET, QueryType.SET, QueryType.DELETE)
@@ -388,12 +385,8 @@ def encode_query_block(qtypes, keys, values, rows=None) -> list:
         sub_values = [values[i] for i in rows]
         ops = bytes(qtypes[i].value for i in rows)
     n = len(sub_keys)
-    if np is not None:
-        klens = np.fromiter(map(len, sub_keys), dtype=np.uint32, count=n).tobytes()
-        vlens = np.fromiter(map(len, sub_values), dtype=np.uint32, count=n).tobytes()
-    else:
-        klens = struct.pack(f"<{n}I", *map(len, sub_keys))
-        vlens = struct.pack(f"<{n}I", *map(len, sub_values))
+    klens = np.fromiter(map(len, sub_keys), dtype=np.uint32, count=n).tobytes()
+    vlens = np.fromiter(map(len, sub_values), dtype=np.uint32, count=n).tobytes()
     return [
         _U32.pack(n),
         ops,
@@ -413,9 +406,6 @@ class QueryBlockColumns:
     batch so each shard's block is a handful of fancy-indexed gathers —
     :meth:`encode` with a row array is byte-identical to
     :func:`encode_query_block` with the same rows.
-
-    Only constructed when NumPy is present; numpy-less installs keep the
-    per-row :func:`encode_query_block` path.
     """
 
     __slots__ = ("size", "_keys", "_values", "_ops", "_klens", "_vlens", "_no_values")
@@ -523,8 +513,7 @@ def decode_query_block(buf, offset: int = 0) -> QueryColumns:
 
     Key/value bytes are copied out of the arena (the store keeps keys far
     beyond the message's lifetime); the opcode/length columns are attached
-    as NumPy arrays when available so the plane's mask subsets stay
-    vectorized.
+    as NumPy arrays so the plane's mask subsets stay vectorized.
     """
     (n,) = _U32.unpack_from(buf, offset)
     ops_off = offset + 4
@@ -536,14 +525,10 @@ def decode_query_block(buf, offset: int = 0) -> QueryColumns:
     # memoryview-then-copy dance, which only other buffer types need.
     direct = type(buf) is bytes
     mv = None if direct else memoryview(buf)
-    if np is not None:
-        klens = np.frombuffer(buf, dtype="<u4", count=n, offset=klen_off)
-        vlens = np.frombuffer(buf, dtype="<u4", count=n, offset=vlen_off)
-        klens_l = klens.tolist()
-        vlens_l = vlens.tolist()
-    else:
-        klens_l = list(struct.unpack_from(f"<{n}I", buf, klen_off))
-        vlens_l = list(struct.unpack_from(f"<{n}I", buf, vlen_off))
+    klens = np.frombuffer(buf, dtype="<u4", count=n, offset=klen_off)
+    vlens = np.frombuffer(buf, dtype="<u4", count=n, offset=vlen_off)
+    klens_l = klens.tolist()
+    vlens_l = vlens.tolist()
     keys: list[bytes] = []
     at = arena_off
     if direct:
@@ -570,8 +555,6 @@ def decode_query_block(buf, offset: int = 0) -> QueryColumns:
             at += length
     ops_b = buf[ops_off:klen_off] if direct else bytes(mv[ops_off:klen_off])
     qtypes = [_QTYPE_BY_OP[o] for o in ops_b]
-    if np is None:
-        return QueryColumns(qtypes, keys, values)
     return QueryColumns(
         qtypes,
         keys,
@@ -595,19 +578,7 @@ def encode_response_block(statuses, values, sizes=None) -> list:
     """
     n = len(statuses)
     buffer, offsets = encode_response_window(statuses, values, sizes)
-    if np is not None:
-        if isinstance(offsets, np.ndarray):
-            sizes_b = np.diff(offsets).astype(np.uint32).tobytes()
-        else:
-            sizes_b = np.fromiter(
-                (offsets[i + 1] - offsets[i] for i in range(n)),
-                dtype=np.uint32,
-                count=n,
-            ).tobytes()
-    else:
-        sizes_b = struct.pack(
-            f"<{n}I", *(offsets[i + 1] - offsets[i] for i in range(n))
-        )
+    sizes_b = np.diff(offsets).astype(np.uint32).tobytes()
     return [_U32.pack(n), sizes_b, buffer]
 
 
@@ -623,11 +594,7 @@ def decode_response_block(buf, offset: int = 0):
     window_off = sizes_off + 4 * n
     hdr = RESPONSE_HEADER_BYTES
     mv = memoryview(buf)
-    if np is not None:
-        sizes_arr = np.frombuffer(buf, dtype="<u4", count=n, offset=sizes_off)
-        sizes = sizes_arr.astype(np.int64).tolist()
-    else:
-        sizes = list(struct.unpack_from(f"<{n}I", buf, sizes_off))
+    sizes = np.frombuffer(buf, dtype="<u4", count=n, offset=sizes_off).tolist()
     statuses: list[int] = []
     values: list[bytes | None] = []
     at = window_off
@@ -655,11 +622,8 @@ def decode_response_columns(buf, offset: int = 0):
     Returns ``(statuses, values, sizes)`` where ``statuses``/``sizes``
     are int64 arrays and ``values`` is an object array (``None`` for
     non-OK rows) — ready for fancy-indexed scatter into whole-batch
-    response columns.  Falls back to the scalar decoder on numpy-less
-    installs (lists come back instead of arrays).
+    response columns.
     """
-    if np is None:  # pragma: no cover - exercised only on numpy-less installs
-        return decode_response_block(buf, offset)
     (n,) = _U32.unpack_from(buf, offset)
     sizes_off = offset + 4
     window_off = sizes_off + 4 * n

@@ -1,14 +1,14 @@
 """Columnar wire plane: socket bytes to BatchPlane and back without
 per-query Python objects.
 
-The legacy codec (:mod:`repro.kv.protocol`) decodes every datagram into a
-list of :class:`~repro.kv.protocol.Query` dataclasses — one
+The reference codec (:mod:`repro.kv.protocol`) decodes every datagram
+into a list of :class:`~repro.kv.protocol.Query` dataclasses — one
 ``struct.unpack`` plus one enum lookup plus one ``__post_init__`` per
 query — and re-materialises every answer as a
 :class:`~repro.kv.protocol.Response` before encoding it message by
-message.  Once the index-side stages are batched (the vector/sharded
-engines), that scalar wire path dominates the serve loop.  This module
-replaces it with three columnar pieces:
+message.  Once the index-side stages are batched (the vector engine),
+that scalar wire path would dominate the serve loop.  The server runs
+three columnar pieces instead:
 
 * :func:`decode_window` — parses a *window* of datagram payloads in one
   vectorized pass.  All payloads are concatenated into a shared byte
@@ -31,17 +31,14 @@ replaces it with three columnar pieces:
   :func:`chunk_response_payloads` — the MTU cut as one cumulative-sum
   walk (``searchsorted`` per emitted frame rather than a size check per
   message), byte-identical to the greedy first-fit of
-  :func:`repro.net.packets._pack` and
-  :func:`repro.server._chunk_responses`.
-
-Everything degrades to a scalar fallback without NumPy, with identical
-bytes and identical error behaviour.
+  :func:`repro.net.packets._pack`.
 """
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
+
+import numpy as np
 
 from repro.errors import ProtocolError
 from repro.kv.protocol import (
@@ -52,29 +49,23 @@ from repro.kv.protocol import (
 )
 from repro.net.packets import ETHERNET_MTU, Frame
 
-try:
-    import numpy as np
-except ImportError:  # pragma: no cover - exercised only on numpy-less installs
-    np = None
-
-if np is not None:
-    #: Per-round header gather: ``u8[cur[:, None] + _HDR_OFFSETS]`` pulls
-    #: each active datagram's 7 header bytes in one fancy index.
-    _HDR_OFFSETS = np.arange(7, dtype=np.int64)
-    #: One matmul turns the gathered header bytes into the three fields:
-    #: columns are (opcode, key_len, value_len) in little-endian weights.
-    _HDR_WEIGHTS = np.array(
-        [
-            [1, 0, 0],
-            [0, 1, 0],
-            [0, 1 << 8, 0],
-            [0, 0, 1],
-            [0, 0, 1 << 8],
-            [0, 0, 1 << 16],
-            [0, 0, 1 << 24],
-        ],
-        dtype=np.int64,
-    )
+#: Per-round header gather: ``u8[cur[:, None] + _HDR_OFFSETS]`` pulls
+#: each active datagram's 7 header bytes in one fancy index.
+_HDR_OFFSETS = np.arange(7, dtype=np.int64)
+#: One matmul turns the gathered header bytes into the three fields:
+#: columns are (opcode, key_len, value_len) in little-endian weights.
+_HDR_WEIGHTS = np.array(
+    [
+        [1, 0, 0],
+        [0, 1, 0],
+        [0, 1 << 8, 0],
+        [0, 0, 1],
+        [0, 0, 1 << 8],
+        [0, 0, 1 << 16],
+        [0, 0, 1 << 24],
+    ],
+    dtype=np.int64,
+)
 
 #: Query header bytes: ``opcode:u8 | key_len:u16 | value_len:u32``.
 QUERY_HEADER_BYTES = _QUERY_HEADER.size
@@ -171,7 +162,7 @@ class QueryColumns:
             keys.extend(part.keys)
             values.extend(part.values)
         arrays = None
-        if np is not None and all(p.opcodes is not None for p in parts):
+        if all(p.opcodes is not None for p in parts):
             arrays = (
                 np.concatenate([p.opcodes for p in parts]) if parts else None,
                 np.concatenate([p.key_lens for p in parts]),
@@ -228,8 +219,6 @@ def decode_window(
     """
     if not payloads:
         return [], []
-    if np is None:
-        return _decode_window_scalar(payloads)
     total = 0
     largest = 0
     for payload in payloads:
@@ -440,10 +429,10 @@ def _materialise(arena, op, koff, klen, vlen) -> QueryColumns:
 def _decode_payload_scalar(payload: bytes) -> QueryColumns:
     """Legacy-identical single-payload decode into columns.
 
-    One `unpack_from` + two slices per query, no per-query objects.  When
-    NumPy is available the opcode/length columns are attached as arrays
-    (built once at the end) so the plane's index-subset and the
-    profiler's column sums keep their vectorized fast paths.
+    One `unpack_from` + two slices per query, no per-query objects.  The
+    opcode/length columns are attached as arrays (built once at the end)
+    so the plane's index-subset and the profiler's column sums keep their
+    vectorized fast paths.
     """
     qtypes: list[QueryType] = []
     keys: list[bytes] = []
@@ -473,8 +462,6 @@ def _decode_payload_scalar(payload: bytes) -> QueryColumns:
         offset += value_len
         qtypes.append(qtype)
         ops.append(opcode)
-    if np is None:
-        return QueryColumns(qtypes, keys, values)
     # Length columns come from one C-speed pass over the slices already
     # collected, keeping the per-query loop to a single extra append.
     n = len(qtypes)
@@ -524,8 +511,6 @@ def encode_response_window(
     """
     n = len(statuses)
     hdr = RESPONSE_HEADER_BYTES
-    if np is None:
-        return _encode_window_scalar(statuses, values, n)
     if sizes is None:
         vlens = np.fromiter(
             (0 if v is None else len(v) for v in values), dtype=np.int64, count=n
@@ -555,20 +540,6 @@ def encode_response_window(
     return buffer, offsets
 
 
-def _encode_window_scalar(statuses, values, n):
-    pack = _RESPONSE_HEADER.pack
-    offsets = [0] * (n + 1)
-    parts: list[bytes] = []
-    total = 0
-    for i in range(n):
-        value = values[i] or _EMPTY
-        parts.append(pack(statuses[i], len(value)))
-        parts.append(value)
-        total += RESPONSE_HEADER_BYTES + len(value)
-        offsets[i + 1] = total
-    return bytearray(b"".join(parts)), offsets
-
-
 def decode_response_window(buffer, sizes, offset: int = 0):
     """Inverse of :func:`encode_response_window` given per-row frame sizes.
 
@@ -578,23 +549,9 @@ def decode_response_window(buffer, sizes, offset: int = 0):
     payload bytes (``None`` for non-OK rows, ``b""`` for OK rows with an
     empty value) — the plane's ``read_values`` convention.  Status bytes
     are gathered with one fancy-indexed load over the window; only OK
-    rows' payloads are copied out.  Lists come back on numpy-less
-    installs.
+    rows' payloads are copied out.
     """
     hdr = RESPONSE_HEADER_BYTES
-    if np is None:  # pragma: no cover - exercised only on numpy-less installs
-        statuses: list[int] = []
-        values: list[bytes | None] = []
-        at = offset
-        for size in sizes:
-            status = buffer[at]
-            statuses.append(status)
-            if status == 0:
-                values.append(bytes(buffer[at + hdr : at + size]))
-            else:
-                values.append(None)
-            at += size
-        return statuses, values
     sz = np.asarray(sizes, dtype=np.int64)
     n = len(sz)
     ends = np.empty(n, dtype=np.int64)
@@ -636,26 +593,14 @@ def cut_frame_bounds(offsets, limit: int) -> list[int]:
     """
     n = len(offsets) - 1
     bounds = [0]
-    if n == 0:
-        return bounds
-    if np is not None and isinstance(offsets, np.ndarray):
-        i = 0
-        append = bounds.append
-        searchsorted = np.searchsorted
-        while i < n:
-            j = int(searchsorted(offsets, offsets[i] + limit, side="right")) - 1
-            if j <= i:
-                j = i + 1
-            append(j)
-            i = j
-        return bounds
     i = 0
+    append = bounds.append
+    searchsorted = np.searchsorted
     while i < n:
-        j = i + 1
-        cap = offsets[i] + limit
-        while j < n and offsets[j + 1] <= cap:
-            j += 1
-        bounds.append(j)
+        j = int(searchsorted(offsets, offsets[i] + limit, side="right")) - 1
+        if j <= i:
+            j = i + 1
+        append(j)
         i = j
     return bounds
 
@@ -691,8 +636,7 @@ def chunk_response_payloads(
 
     ``ranges`` are ``[start, stop)`` index spans into the window's
     response columns, in the peer's arrival order (one span per datagram
-    the peer sent).  Payload boundaries match
-    :func:`repro.server._chunk_responses` over the concatenated span:
+    the peer sent).  Payloads are cut over the concatenated span:
     greedy fill up to ``max_payload``, a single larger response rides
     alone.  Each returned payload is a join of buffer slices — responses
     are never re-encoded.
@@ -701,18 +645,11 @@ def chunk_response_payloads(
     payloads: list[bytes] = []
     parts: list[memoryview] = []
     size = 0
-    use_np = np is not None and isinstance(offsets, np.ndarray)
     for a, b in ranges:
         i = a
         while i < b:
             budget = max_payload - size
-            if use_np:
-                j = int(np.searchsorted(offsets, offsets[i] + budget, side="right")) - 1
-            else:
-                j = i
-                cap = offsets[i] + budget
-                while j < b and offsets[j + 1] <= cap:
-                    j += 1
+            j = int(np.searchsorted(offsets, offsets[i] + budget, side="right")) - 1
             j = min(j, b)
             if j <= i:
                 if parts:

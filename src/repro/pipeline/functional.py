@@ -38,7 +38,7 @@ from repro.engine import (
 )
 from repro.kv.protocol import Query, Response, ResponseStatus, decode_queries
 from repro.kv.store import KVStore
-from repro.net.packets import Frame, frames_for_responses
+from repro.net.packets import Frame
 from repro.net.wire import frames_for_response_columns
 from repro.telemetry import get_telemetry, stage_span, steal_event
 
@@ -52,9 +52,12 @@ class BatchResult:
     path) is materialised lazily: the UDP server sends datagrams straight
     from the response columns and never reads it, so per-batch frame
     packing would be pure overhead there.  First access builds the frames
-    — through the columnar wire framer when the engine produced the
-    status/size columns, else through the legacy per-Response packing —
-    and caches them.
+    through the columnar wire framer and caches them.
+
+    The status/size/value columns are always present: an engine that
+    builds only :class:`Response` objects (serial, stealing, reference)
+    gets them derived from ``responses`` here, so framing, ``ok_count``
+    and the server's TX read columns whatever engine ran.
     """
 
     __slots__ = (
@@ -80,35 +83,31 @@ class BatchResult:
         self.responses = responses
         self.config_label = config_label
         self.steal_claims = steal_claims if steal_claims is not None else {}
-        #: Wire size per response when the engine computed the column
-        #: (vector/sharded backends); None otherwise.
+        if response_statuses is None:
+            response_statuses = [r.status.value for r in responses]
+            response_values = [r.value for r in responses]
+            response_sizes = [r.wire_size for r in responses]
+        #: Wire size per response.
         self.response_sizes = response_sizes
-        #: Raw wire status codes per response (same backends); None
-        #: otherwise.
+        #: Raw wire status codes per response.
         self.response_statuses = response_statuses
-        #: Per-response value bytes (None for value-less responses) —
-        #: the plane's read-value column, present with the status column.
+        #: Per-response value bytes (None or empty for value-less
+        #: responses) — the plane's read-value column when the engine
+        #: filled the status column.
         self.response_values = response_values
         self._frames = frames
 
     @property
     def frames(self) -> list[Frame]:
         if self._frames is None:
-            self._frames = self._build_frames()
-        return self._frames
-
-    def _build_frames(self) -> list[Frame]:
-        if self.response_statuses is not None:
-            return frames_for_response_columns(
+            self._frames = frames_for_response_columns(
                 self.response_statuses, self.response_values, self.response_sizes
             )
-        return frames_for_responses(self.responses)
+        return self._frames
 
     @property
     def ok_count(self) -> int:
-        if self.response_statuses is not None:
-            return sum(1 for s in self.response_statuses if s != _ERROR_CODE)
-        return sum(1 for r in self.responses if r.status is not ResponseStatus.ERROR)
+        return sum(1 for s in self.response_statuses if s != _ERROR_CODE)
 
 
 class PendingBatch:
@@ -154,10 +153,10 @@ class FunctionalPipeline:
     engine:
         Execution backend: ``None``/"auto" picks per batch (stealing when
         the config enables it on a GPU stage, serial otherwise); "serial",
-        "stealing", "reference", "vector" or "sharded" pins a backend; an
-        object with a ``run`` method is used as-is.  "sharded" expects the
-        store to be a :class:`~repro.kv.sharding.ShardedKVStore` (it falls
-        back to its inner engine on a plain store).
+        "stealing", "reference", "vector" or "procshard" pins a backend; an
+        object with a ``run`` method is used as-is.  "procshard" expects the
+        store to be a :class:`~repro.engine.procshard.ProcShardStore` (it
+        falls back to an in-process vector engine on a plain store).
     dedup:
         Collapse each batch's duplicate GET runs to one probe per key
         between write barriers (see :mod:`repro.engine.hotpath`).

@@ -14,26 +14,22 @@ expires — whichever comes first.  Under heavy traffic batches fill to the
 target and the deadline never fires (maximum kernel efficiency); under
 light traffic the deadline bounds latency and the pipeline sees partial
 batches.  Queries beyond the target carry over to the next batch, and the
-carry-over depth, batch fill ratio, and (on sharded stores) shard
+carry-over depth, batch fill ratio, and (on procshard stores) shard
 imbalance are exported as gauges so the coalescing behaviour is observable
 via ``repro telemetry``.
 
-Two wire planes share the loop (selected by ``wire=``):
+There is one wire path: each poll drains up to ``drain_limit`` datagrams
+from the kernel and decodes the whole window in one pass with
+:func:`repro.net.wire.decode_window` into :class:`~repro.net.wire.QueryColumns`
+segments (zero per-query objects); responses go out through the
+single-pass columnar framer (:func:`~repro.net.wire.encode_response_window`
++ :func:`~repro.net.wire.chunk_response_payloads`).  The per-object codec
+in :mod:`repro.kv.protocol` is the reference the tests compare these
+bytes against; the server never calls it.
 
-* ``"columnar"`` (default) — each poll drains up to ``drain_limit``
-  datagrams from the kernel and decodes the whole window in one pass with
-  :func:`repro.net.wire.decode_window` into :class:`~repro.net.wire.QueryColumns`
-  segments (zero per-query objects); responses go out through the
-  single-pass columnar framer (:func:`~repro.net.wire.encode_response_window`
-  + :func:`~repro.net.wire.chunk_response_payloads`).
-* ``"legacy"`` — the original per-datagram
-  :func:`~repro.kv.protocol.decode_queries` / per-:class:`Response`
-  :func:`~repro.kv.protocol.encode_responses` object path, kept as the
-  benchmark baseline and the semantic reference.
-
-Either way a malformed datagram is dropped (never crashes the serve
-loop): the peer is logged, ``stats.protocol_errors`` increments, and the
-``repro_wire_parse_errors_total`` counter records it per wire plane.
+A malformed datagram is dropped (never crashes the serve loop): the peer
+is logged, ``stats.protocol_errors`` increments, and the
+``repro_wire_parse_errors_total`` counter records it.
 
 Usage::
 
@@ -44,7 +40,7 @@ Usage::
     # or blocking: server.serve_forever()
 
 See :mod:`repro.client` for the matching client and :mod:`repro.loadgen`
-for the load-generator used by the wire benchmarks.
+for the load generator.
 """
 
 from __future__ import annotations
@@ -58,13 +54,7 @@ from dataclasses import dataclass
 
 from repro.core.dido import DidoSystem
 from repro.errors import ConfigurationError, ProtocolError
-from repro.kv.protocol import (
-    Query,
-    Response,
-    ResponseStatus,
-    decode_queries,
-    encode_responses,
-)
+from repro.kv.protocol import Response, ResponseStatus
 from repro.pipeline.functional import BatchResult
 from repro.net.wire import (
     QueryColumns,
@@ -126,46 +116,21 @@ class DidoUDPServer:
     batch_window_s:
         Coalescing deadline in seconds, measured from the first query of a
         batch; ``coalesce_us`` overrides it when given.
-    engine:
-        Functional execution backend for the default-created system (see
-        :class:`~repro.pipeline.functional.FunctionalPipeline`); ignored
-        when an explicit ``system`` is passed.
     batch_size:
         Dispatch a batch as soon as it holds this many queries (the
         adaptive cutoff); excess queries carry over to the next batch.
     coalesce_us:
         Coalescing deadline in microseconds (overrides ``batch_window_s``).
-    shards:
-        Shard count for the default-created system; ignored when an
-        explicit ``system`` is passed.
-    wire:
-        ``"columnar"`` (default) for the zero-copy window decoder and
-        single-pass response framer; ``"legacy"`` for the per-object
-        codec path.
     drain_limit:
         Upper bound on datagrams taken from the kernel per poll.
-    dedup:
-        Collapse duplicate GET runs per batch in the default-created
-        system (ignored when an explicit ``system`` is passed).
-    hot_cache:
-        Attach the skew-gated hot-key read cache to the default-created
-        system (ignored when an explicit ``system`` is passed).
-    heap:
-        Value heap kind ("log"/"slab") for the default-created system
-        (ignored when an explicit ``system`` is passed).  The log arena's
-        compaction rides the server's 0.5 s maintenance tick.
-    delta_index:
-        Attach the write-absorbing delta index to the default-created
-        system (ignored when an explicit ``system`` is passed).  Deltas
-        merge at batch barriers and on the same 0.5 s maintenance tick.
-    pipeline_depth:
-        Window pipelining depth for procshard systems: with depth 2
-        (the default when the system supports it) the serve loop submits
-        window N+1 to the shard workers while window N's replies are
-        still pending, completing (and transmitting) the oldest window
-        only once the next is in flight — IPC transport hides under
-        worker compute.  Depth 1 keeps the synchronous dispatch.  Cluster
-        ownership filtering always runs synchronously regardless.
+
+    On a system that supports pipelining (procshard) the serve loop keeps
+    :data:`~repro.engine.procshard.MAX_INFLIGHT_WINDOWS` windows in
+    flight: it submits window N+1 to the shard workers while window N's
+    replies are still pending, completing (and transmitting) the oldest
+    window only once the next is in flight — IPC transport hides under
+    worker compute.  Every other system dispatches synchronously, as does
+    cluster ownership filtering regardless of the system.
     """
 
     def __init__(
@@ -173,17 +138,9 @@ class DidoUDPServer:
         address: tuple[str, int] = ("127.0.0.1", 0),
         system: DidoSystem | None = None,
         batch_window_s: float = DEFAULT_BATCH_WINDOW_S,
-        engine=None,
         batch_size: int = DEFAULT_BATCH_SIZE,
         coalesce_us: float | None = None,
-        shards: int = 1,
-        wire: str = "columnar",
         drain_limit: int = DEFAULT_DRAIN_LIMIT,
-        dedup: bool = False,
-        hot_cache: bool = False,
-        heap: str = "log",
-        delta_index: bool = False,
-        pipeline_depth: int | None = None,
     ):
         if coalesce_us is not None:
             if coalesce_us < 0:
@@ -193,24 +150,10 @@ class DidoUDPServer:
             raise ConfigurationError("batch window must be non-negative")
         if batch_size < 1:
             raise ConfigurationError("batch size must be positive")
-        if wire not in ("columnar", "legacy"):
-            raise ConfigurationError(
-                f"wire plane must be 'columnar' or 'legacy', not {wire!r}"
-            )
         if drain_limit < 1:
             raise ConfigurationError("drain limit must be positive")
-        if pipeline_depth is not None and pipeline_depth < 1:
-            raise ConfigurationError("pipeline depth must be positive")
-        self._owns_system = system is None
         self.system = system or DidoSystem(
-            memory_bytes=64 << 20,
-            expected_objects=65536,
-            engine=engine,
-            shards=shards,
-            dedup=dedup,
-            hot_cache=hot_cache,
-            heap=heap,
-            delta_index=delta_index,
+            memory_bytes=64 << 20, expected_objects=65536
         )
         self._socket = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
         try:
@@ -221,15 +164,12 @@ class DidoUDPServer:
         self._socket.settimeout(0.1)
         self._batch_window_s = batch_window_s
         self._batch_size = batch_size
-        self.wire = wire
         self._drain_limit = drain_limit
         #: Queries received but not yet dispatched (the carry-over queue):
         #: ``(segment, peer)`` groups, oldest first.  A segment is a
-        #: ``list[Query]`` (legacy plane) or a
-        #: :class:`~repro.net.wire.QueryColumns` slice (columnar plane);
-        #: both support ``len`` and row slicing, which is all the
-        #: coalescer needs.
-        self._backlog: list[tuple[object, tuple[str, int]]] = []
+        #: :class:`~repro.net.wire.QueryColumns` slice; ``len`` and row
+        #: slicing are all the coalescer needs of it.
+        self._backlog: list[tuple[QueryColumns, tuple[str, int]]] = []
         self._running = threading.Event()
         self._thread: threading.Thread | None = None
         self.stats = ServerStats()
@@ -250,11 +190,14 @@ class DidoUDPServer:
         #: Next worker health check (procshard stores); throttled so the
         #: per-window cost is one monotonic read.
         self._next_maintenance = 0.0
-        if pipeline_depth is None:
-            pipeline_depth = (
-                2 if getattr(self.system, "supports_pipelining", False) else 1
-            )
-        self._pipeline_depth = pipeline_depth
+        self._pipeline_depth = 1
+        if getattr(self.system, "supports_pipelining", False):
+            # Only a procshard system pipelines, so its module is already
+            # loaded; importing it at the top would charge every other
+            # server the multiprocessing machinery.
+            from repro.engine.procshard import MAX_INFLIGHT_WINDOWS
+
+            self._pipeline_depth = MAX_INFLIGHT_WINDOWS
         #: Submitted-but-unmerged windows, oldest first:
         #: ``(pending_handle, batch, pending_segments)``.  Completion is
         #: strictly FIFO so every peer still sees its responses in
@@ -301,10 +244,6 @@ class DidoUDPServer:
             self._socket.close()
         except OSError:  # pragma: no cover - double close
             pass
-        if self._owns_system:
-            # The default-created system is ours to tear down; a procshard
-            # store drains its workers and unlinks every arena here.
-            self.system.close()
         logger.info(
             "stopped: %d queries in %d batches, %d protocol errors",
             self.stats.queries,
@@ -431,63 +370,40 @@ class DidoUDPServer:
         """
         telemetry = get_telemetry()
         added = 0
-        if self.wire == "columnar":
-            t0 = time.perf_counter_ns()
-            segments, errors = decode_window(payloads)
-            parse_ns = time.perf_counter_ns() - t0
-            for error in errors:
-                self.stats.protocol_errors += 1
-                logger.warning(
-                    "dropping undecodable datagram from %s: %s",
-                    peers[error.datagram],
-                    error.message,
-                )
-            if telemetry.enabled:
-                telemetry.registry.histogram(
-                    "repro_wire_parse_ns",
-                    help="Wire decode time per drained datagram window (ns)",
-                ).observe(parse_ns)
-                if errors:
-                    telemetry.registry.counter(
-                        "repro_wire_parse_errors_total",
-                        help="Datagrams dropped as unparseable",
-                    ).inc(len(errors), wire="columnar")
-            for segment, peer in zip(segments, peers):
-                if len(segment):
-                    pending.append((segment, peer))
-                    added += len(segment)
-            return added
         t0 = time.perf_counter_ns()
-        for payload, peer in zip(payloads, peers):
-            try:
-                queries = decode_queries(payload)
-            except ProtocolError as exc:
-                self.stats.protocol_errors += 1
-                logger.warning("dropping undecodable datagram from %s: %s", peer, exc)
-                if telemetry.enabled:
-                    telemetry.registry.counter(
-                        "repro_wire_parse_errors_total",
-                        help="Datagrams dropped as unparseable",
-                    ).inc(wire="legacy")
-                continue
-            if queries:
-                pending.append((queries, peer))
-                added += len(queries)
+        segments, errors = decode_window(payloads)
+        parse_ns = time.perf_counter_ns() - t0
+        for error in errors:
+            self.stats.protocol_errors += 1
+            logger.warning(
+                "dropping undecodable datagram from %s: %s",
+                peers[error.datagram],
+                error.message,
+            )
         if telemetry.enabled:
             telemetry.registry.histogram(
                 "repro_wire_parse_ns",
                 help="Wire decode time per drained datagram window (ns)",
-            ).observe(time.perf_counter_ns() - t0)
+            ).observe(parse_ns)
+            if errors:
+                telemetry.registry.counter(
+                    "repro_wire_parse_errors_total",
+                    help="Datagrams dropped as unparseable",
+                ).inc(len(errors))
+        for segment, peer in zip(segments, peers):
+            if len(segment):
+                pending.append((segment, peer))
+                added += len(segment)
         return added
 
-    def _cut_batch(self, pending) -> list[tuple[object, tuple[str, int]]]:
+    def _cut_batch(self, pending) -> list[tuple[QueryColumns, tuple[str, int]]]:
         """Take up to ``batch_size`` queries; the excess becomes backlog.
 
         A datagram straddling the cutoff is split — its tail queries keep
         their peer attribution and run first in the next batch, so each
         peer still sees its responses in submission order.
         """
-        batch: list[tuple[object, tuple[str, int]]] = []
+        batch: list[tuple[QueryColumns, tuple[str, int]]] = []
         taken = 0
         for i, (segment, peer) in enumerate(pending):
             room = self._batch_size - taken
@@ -515,18 +431,7 @@ class DidoUDPServer:
         return batch
 
     def _process_window(self, pending) -> None:
-        segments = [segment for segment, _ in pending]
-        if len(segments) == 1 and isinstance(segments[0], QueryColumns):
-            batch = segments[0]
-        elif all(isinstance(segment, QueryColumns) for segment in segments):
-            batch = QueryColumns.concat(segments)
-        else:
-            batch = []
-            for segment in segments:
-                if isinstance(segment, QueryColumns):
-                    batch.extend(segment.to_queries())
-                else:
-                    batch.extend(segment)
+        batch = QueryColumns.concat([segment for segment, _ in pending])
         ownership = self.ownership
         if ownership is not None:
             # Cluster serving: ownership filtering (and migration's batch
@@ -534,11 +439,7 @@ class DidoUDPServer:
             # behind any windows already in flight.
             self._drain_inflight_windows()
             result = self._process_owned(batch, ownership)
-        elif (
-            self._pipeline_depth > 1
-            and self.batch_hook is None
-            and getattr(self.system, "supports_pipelining", False)
-        ):
+        elif self._pipeline_depth > 1 and self.batch_hook is None:
             self._submit_window(batch, pending)
             return
         else:
@@ -584,10 +485,7 @@ class DidoUDPServer:
                     "repro_server_query_errors_total",
                     help="Queries answered with an error status",
                 ).inc(errors)
-        if self.wire == "columnar" and result.response_statuses is not None:
-            self._send_columnar(pending, result, telemetry)
-        else:
-            self._send_legacy(pending, result)
+        self._send_columnar(pending, result, telemetry)
 
     def _observe_batch(self, batch) -> None:
         hook = self.batch_hook
@@ -606,10 +504,7 @@ class DidoUDPServer:
         wrong node during a membership change must not create a divergent
         replica.
         """
-        if isinstance(batch, QueryColumns):
-            keys = batch.keys
-        else:
-            keys = [q.key for q in batch]
+        keys = batch.keys
         misrouted = ownership.misrouted_rows(keys)
         if not misrouted:
             result = self.system.process(batch)
@@ -629,41 +524,32 @@ class DidoUDPServer:
         redirect = Response(ResponseStatus.WRONG_NODE, ownership.redirect_value)
         misrouted_set = set(misrouted)
         owned_rows = [i for i in range(len(keys)) if i not in misrouted_set]
+        n = len(keys)
+        responses: list[Response] = [redirect] * n
+        statuses = [ResponseStatus.WRONG_NODE.value] * n
+        values = [redirect.value] * n
+        sizes = [RESPONSE_HEADER_BYTES + len(redirect.value)] * n
+        config_label = "redirect-only"
         if owned_rows:
-            if isinstance(batch, QueryColumns):
-                sub = QueryColumns(
-                    [batch.qtypes[i] for i in owned_rows],
-                    [batch.keys[i] for i in owned_rows],
-                    [batch.values[i] for i in owned_rows],
-                )
-            else:
-                sub = [batch[i] for i in owned_rows]
+            sub = QueryColumns(
+                [batch.qtypes[i] for i in owned_rows],
+                [batch.keys[i] for i in owned_rows],
+                [batch.values[i] for i in owned_rows],
+            )
             inner = self.system.process(sub)
             self._observe_batch(sub)
-        else:
-            inner = None
-        n = len(keys)
-        code = ResponseStatus.WRONG_NODE.value
-        size = RESPONSE_HEADER_BYTES + len(redirect.value)
-        responses: list[Response] = [redirect] * n
-        has_columns = inner is None or inner.response_statuses is not None
-        statuses = [code] * n if has_columns else None
-        values = [redirect.value] * n if has_columns else None
-        sizes = [size] * n if has_columns else None
-        if inner is not None:
+            config_label = inner.config_label
+            inner_statuses = inner.response_statuses
+            inner_values = inner.response_values
+            inner_sizes = inner.response_sizes
             for local, row in enumerate(owned_rows):
                 responses[row] = inner.responses[local]
-            if has_columns:
-                inner_statuses = inner.response_statuses
-                inner_values = inner.response_values
-                inner_sizes = inner.response_sizes
-                for local, row in enumerate(owned_rows):
-                    statuses[row] = inner_statuses[local]
-                    values[row] = inner_values[local]
-                    sizes[row] = inner_sizes[local]
+                statuses[row] = inner_statuses[local]
+                values[row] = inner_values[local]
+                sizes[row] = inner_sizes[local]
         return BatchResult(
             responses,
-            inner.config_label if inner is not None else "redirect-only",
+            config_label,
             response_sizes=sizes,
             response_statuses=statuses,
             response_values=values,
@@ -709,50 +595,3 @@ class DidoUDPServer:
                     self.stats.datagrams_out += 1
                 except OSError:  # pragma: no cover - peer vanished
                     break
-
-    def _send_legacy(self, pending, result) -> None:
-        """TX through the per-object codec (legacy plane, or an engine
-        that produced no response columns)."""
-        owners: list[tuple[str, int]] = []
-        for segment, peer in pending:
-            owners.extend([peer] * len(segment))
-        # Regroup responses per peer, preserving per-peer order.  When the
-        # engine produced the response-size column (vector/sharded), chunking
-        # reads precomputed sizes instead of per-response wire_size calls.
-        all_sizes = result.response_sizes
-        by_peer: dict[tuple[str, int], list[Response]] = {}
-        sizes_by_peer: dict[tuple[str, int], list[int]] = {}
-        for i, (peer, response) in enumerate(zip(owners, result.responses)):
-            by_peer.setdefault(peer, []).append(response)
-            if all_sizes is not None:
-                sizes_by_peer.setdefault(peer, []).append(all_sizes[i])
-        for peer, responses in by_peer.items():
-            for chunk in _chunk_responses(responses, sizes_by_peer.get(peer)):
-                try:
-                    self._socket.sendto(encode_responses(chunk), peer)
-                    self.stats.datagrams_out += 1
-                except OSError:  # pragma: no cover - peer vanished
-                    break
-
-
-def _chunk_responses(
-    responses: list[Response], sizes: list[int] | None = None
-) -> list[list[Response]]:
-    """Split responses into datagram-sized groups (stream-order preserved).
-
-    ``sizes`` is the engine's precomputed response-size column for these
-    responses (same order); without it sizes come from ``wire_size``.
-    """
-    chunks: list[list[Response]] = []
-    current: list[Response] = []
-    size = 0
-    for i, response in enumerate(responses):
-        wire = sizes[i] if sizes is not None else response.wire_size
-        if current and size + wire > MAX_RESPONSE_PAYLOAD:
-            chunks.append(current)
-            current, size = [], 0
-        current.append(response)
-        size += wire
-    if current:
-        chunks.append(current)
-    return chunks

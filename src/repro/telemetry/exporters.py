@@ -243,7 +243,7 @@ DELTA_SERIES = (
 #: Procshard pipelined-IPC breakdown: where a window's wall time goes
 #: (gather/encode, ring send, reply wait, response decode, result
 #: scatter), writer-side ring backpressure, and how deep the in-flight
-#: overlap actually runs (see ``--pipeline-depth`` and
+#: overlap actually runs (see
 #: :class:`repro.engine.procshard.ProcShardEngine`).
 PROCSHARD_SERIES = (
     "repro_procshard_encode_ns",

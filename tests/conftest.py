@@ -111,6 +111,32 @@ def k16_stream():
     return QueryStream(standard_workload("K16-G95-S"), num_keys=2000, seed=11)
 
 
+class ProcShardPool:
+    """Persistent procshard worker fleets, one per distinct argument set,
+    emptied with ``reset()`` between uses: spawning processes per
+    hypothesis example would dominate a module.  Modules keep one pool
+    and close it from a module-scoped autouse fixture (import from
+    conftest)."""
+
+    def __init__(self):
+        self._stores = {}
+
+    def store(self, *args, **kwargs):
+        from repro.engine.procshard import ProcShardStore
+
+        key = (args, tuple(sorted(kwargs.items())))
+        store = self._stores.get(key)
+        if store is None:
+            store = self._stores[key] = ProcShardStore(*args, **kwargs)
+        else:
+            store.reset()
+        return store
+
+    def close(self) -> None:
+        while self._stores:
+            self._stores.popitem()[1].close()
+
+
 def profile_for(label: str) -> WorkloadProfile:
     """Helper used across test modules (import from conftest)."""
     return WorkloadProfile.from_spec(standard_workload(label))

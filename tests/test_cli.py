@@ -106,3 +106,70 @@ class TestTelemetryCommand:
         metrics, events = read_jsonl(path)
         assert "repro_executor_measurements_total" in metrics
         assert any(e.kind == "span" for e in events)
+
+
+class TestStoreFlags:
+    """``serve``, ``cluster`` and ``telemetry`` share one declaration of
+    the store flags, and ``cluster`` forwards it whole to its nodes."""
+
+    ALL_SET = [
+        "--memory-mb", "8", "--expected-objects", "4096", "--engine", "procshard",
+        "--shards", "3", "--dedup", "--hot-cache", "--heap", "slab", "--delta-index",
+    ]
+    DESTS = [
+        "memory_mb", "expected_objects", "engine", "shards",
+        "dedup", "hot_cache", "heap", "delta_index",
+    ]
+
+    def test_three_subcommands_accept_identical_store_flags(self):
+        parser = build_parser()
+        parsed = [
+            parser.parse_args([command, *self.ALL_SET])
+            for command in ("serve", "cluster", "telemetry")
+        ]
+        defaults = [
+            parser.parse_args([command]) for command in ("serve", "cluster", "telemetry")
+        ]
+        for dest in self.DESTS:
+            assert len({repr(getattr(args, dest)) for args in parsed}) == 1, dest
+            assert len({repr(getattr(args, dest)) for args in defaults}) == 1, dest
+            assert getattr(parsed[0], dest) != getattr(defaults[0], dest), dest
+
+    @pytest.mark.parametrize("flags", [ALL_SET, []], ids=["all-set", "defaults"])
+    def test_cluster_forwards_every_store_flag(self, flags, monkeypatch):
+        import repro.cluster.serving as serving
+
+        captured = {}
+
+        class FakeCoordinator:
+            control_address = ("127.0.0.1", 0)
+            manifest = type("Manifest", (), {"nodes": {}})()
+
+            def __init__(self, **kwargs):
+                captured.update(kwargs)
+
+            def start(self):
+                pass
+
+            def serve_forever(self):
+                pass
+
+            def shutdown(self):
+                pass
+
+        monkeypatch.setattr(serving, "ClusterCoordinator", FakeCoordinator)
+        monkeypatch.setattr("signal.signal", lambda *args: None)
+        assert main(["cluster", "--nodes", "2", *flags]) == 0
+        parser = build_parser()
+        node = parser.parse_args(["serve", *captured["serve_args"]])
+        asked = parser.parse_args(["cluster", *flags])
+        for dest in self.DESTS:
+            assert getattr(node, dest) == getattr(asked, dest), dest
+
+    def test_serve_help_has_no_deleted_flags(self, capsys):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["serve", "--help"])
+        text = capsys.readouterr().out
+        assert "--shards" in text and "--drain-limit" in text
+        assert "--wire" not in text
+        assert "--pipeline-depth" not in text

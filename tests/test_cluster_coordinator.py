@@ -4,17 +4,27 @@ The load-bearing regression here is orphaned children: a coordinator that
 dies on SIGTERM must take every spawned ``repro serve`` process with it,
 because leaked servers keep their UDP ports and silently absorb the next
 test run's traffic.
+
+Two correctness gates ride the same real fleet: partitioning the keyspace
+is invisible to a routed client (a 1-node and a 2-node fleet answer one
+query sequence with equal bytes), and a live ``add_node`` loses and
+corrupts nothing under a concurrent reader.
 """
 
 import os
+import random
 import signal
 import subprocess
 import sys
+import threading
 import time
+from contextlib import contextmanager
 
 import pytest
 
+from repro.client import ClusterClient
 from repro.cluster.serving import ClusterError, control_request, free_tcp_port
+from repro.kv.protocol import Query, QueryType, ResponseStatus
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -39,8 +49,8 @@ def _wait_ready(control, timeout_s=30.0):
     raise AssertionError("coordinator never became ready")
 
 
-@pytest.fixture
-def cluster(tmp_path):
+@contextmanager
+def spawn_cluster(workdir, nodes):
     port = free_tcp_port()
     env = dict(os.environ)
     env["PYTHONPATH"] = os.path.join(REPO_ROOT, "src")
@@ -51,11 +61,11 @@ def cluster(tmp_path):
             "repro",
             "cluster",
             "--nodes",
-            "2",
+            str(nodes),
             "--control-port",
             str(port),
             "--workdir",
-            str(tmp_path),
+            str(workdir),
             "--memory-mb",
             "8",
             "--expected-objects",
@@ -81,6 +91,12 @@ def cluster(tmp_path):
         except ProcessLookupError:
             pass
         process.wait(timeout=10)
+
+
+@pytest.fixture
+def cluster(tmp_path):
+    with spawn_cluster(tmp_path, 2) as fleet:
+        yield fleet
 
 
 def test_sigterm_tears_down_every_child(cluster):
@@ -149,3 +165,77 @@ def test_status_reports_dead_children(cluster):
             break
         time.sleep(0.1)
     assert not status["nodes"][victim_name]["alive"]
+
+
+def _response_stream(control, queries, chunk=256) -> bytes:
+    """Execute in order through the routed client; ``status || value``."""
+    blob = bytearray()
+    with ClusterClient(control, timeout_s=5.0) as client:
+        for start in range(0, len(queries), chunk):
+            for response in client.execute(queries[start : start + chunk]):
+                blob.append(response.status.value)
+                blob.extend(response.value)
+    return bytes(blob)
+
+
+def test_two_node_fleet_byte_identical_to_one_node(cluster, tmp_path):
+    """Sharding the keyspace across nodes is invisible to clients."""
+    rng = random.Random(23)
+    keys = [b"ident-%04d" % i for i in range(256)]
+    queries = []
+    for _ in range(2048):
+        key = rng.choice(keys)
+        roll = rng.random()
+        if roll < 0.6:
+            queries.append(Query(QueryType.GET, key))
+        elif roll < 0.9:
+            queries.append(Query(QueryType.SET, key, b"v%d" % rng.randrange(1000)))
+        else:
+            queries.append(Query(QueryType.DELETE, key))
+    _, two_nodes = cluster
+    single_dir = tmp_path / "single"
+    single_dir.mkdir()
+    with spawn_cluster(single_dir, 1) as (_, one_node):
+        expected = _response_stream(one_node, queries)
+    assert ResponseStatus.OK.value in expected
+    assert _response_stream(two_nodes, queries) == expected
+
+
+def test_add_node_under_concurrent_reads_loses_nothing(cluster):
+    """Live migration: zero wrong reads while arcs move to a third node,
+    and every prefilled key reads back byte-for-byte afterwards."""
+    _, control = cluster
+    expected = {b"mig-%04d" % i: b"m:%04d" % i for i in range(512)}
+    keys = list(expected)
+    with ClusterClient(control, timeout_s=5.0) as client:
+        client.execute([Query(QueryType.SET, k, v) for k, v in expected.items()])
+
+    stop = threading.Event()
+    reads = {"total": 0, "wrong": 0}
+
+    def reader() -> None:
+        with ClusterClient(control, timeout_s=5.0) as rc:
+            i = 0
+            while not stop.is_set():
+                key = keys[i % len(keys)]
+                i += 1
+                reads["total"] += 1
+                if rc.get(key) != expected[key]:
+                    reads["wrong"] += 1
+
+    thread = threading.Thread(target=reader, daemon=True)
+    thread.start()
+    time.sleep(0.2)  # let the reader reach steady state first
+    summary = control_request(control, {"cmd": "add_node"}, timeout_s=120.0)
+    time.sleep(0.2)  # observe the post-migration topology too
+    stop.set()
+    thread.join(timeout=30)
+    assert not thread.is_alive()
+
+    assert summary["ok"] and summary["moved_keys"] > 0
+    assert reads["total"] > 0 and reads["wrong"] == 0
+    with ClusterClient(control, timeout_s=5.0) as verify:
+        responses = verify.execute([Query(QueryType.GET, k) for k in keys])
+    assert [(r.status, r.value) for r in responses] == [
+        (ResponseStatus.OK, expected[k]) for k in keys
+    ]

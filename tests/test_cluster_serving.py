@@ -4,8 +4,7 @@ plane's epoch discipline, and the live migration state machine.
 Every test runs real loopback sockets — UDP data plane, TCP control
 plane — but keeps the fleet in-process (one ``DidoUDPServer`` thread per
 node) so failures are debuggable and fast.  The full multi-*process*
-path is covered by ``tests/test_cluster_coordinator.py`` and
-``benchmarks/bench_cluster.py``.
+path is covered by ``tests/test_cluster_coordinator.py``.
 """
 
 import socket

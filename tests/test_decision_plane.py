@@ -290,7 +290,6 @@ def test_touched_log_matches_heap_scan(heap):
         picked = [keys[i] for i in rng.zipf(1.3, size=400) % len(keys)]
         store.bulk_get_columns(picked, epoch=epoch)
         store.get(picked[0], epoch=epoch)
-        store.record_extra_accesses(picked[1], 3, epoch=epoch)
         # Mid-window churn: touched objects are deleted and replaced, and
         # the heap is compacted under the log.
         store.delete(picked[2])

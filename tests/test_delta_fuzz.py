@@ -3,22 +3,25 @@
 The delta index is a pure write-absorption layer — responses must be
 byte-identical whether it is attached or not.  Hypothesis drives random
 GET/SET/DELETE streams through the functional pipeline per engine x heap
-x shard count and asserts the framed responses match the delta-less
+and asserts the framed responses match the delta-less
 reference exactly, including with merges forced mid-stream and with a
 tiny delta capacity overflowing into synchronous merges.
 """
+
+import time
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.engine import ReferenceEngine, SerialEngine, ShardedEngine, VectorEngine
+from repro.engine import ReferenceEngine, SerialEngine, VectorEngine
 from repro.engine.procshard import ProcShardEngine, ProcShardStore
 from repro.kv.protocol import Query, QueryType
-from repro.kv.sharding import ShardedKVStore
 from repro.kv.store import KVStore
 from repro.pipeline.functional import FunctionalPipeline
 from repro.pipeline.megakv import megakv_coupled_config
+
+from conftest import ProcShardPool
 
 #: (op, key index, value index) triples; a small key pool maximises
 #: collisions (re-sets, delete-then-set, get-after-delete) per stream.
@@ -39,8 +42,16 @@ op_streams = st.lists(
 ENGINES = {
     "serial": lambda: SerialEngine(),
     "vector": lambda: VectorEngine(),
-    "sharded": lambda: ShardedEngine(VectorEngine()),
+    "procshard": lambda: ProcShardEngine(),
 }
+
+_POOL = ProcShardPool()
+
+
+@pytest.fixture(scope="module", autouse=True)
+def _close_procshard_stores():
+    yield
+    _POOL.close()
 
 
 def build_batches(raw):
@@ -63,24 +74,22 @@ def run_stream(
     batches,
     engine=None,
     heap="slab",
-    shards=1,
     delta=False,
     merge_threshold=None,
     capacity=None,
     force_every=None,
 ):
-    if shards > 1:
-        store = ShardedKVStore(8 << 20, 4096, shards, heap=heap, delta_index=delta)
-        deltas = [s.delta_index for s in store.shards]
+    if isinstance(engine, ProcShardEngine):
+        # Each worker's delta keeps its default thresholds and merges on
+        # the worker's own barriers and idle ticks.
+        store = _POOL.store(8 << 20, 4096, 2, heap=heap, delta_index=delta)
     else:
         store = KVStore(8 << 20, 4096, heap=heap, delta_index=delta)
-        deltas = [store.delta_index]
-    if delta:
-        for d in deltas:
+        if delta:
             if merge_threshold is not None:
-                d.merge_threshold = merge_threshold
+                store.delta_index.merge_threshold = merge_threshold
             if capacity is not None:
-                d.capacity = capacity
+                store.delta_index.capacity = capacity
     pipeline = FunctionalPipeline(store, engine=engine)
     config = megakv_coupled_config()
     frames = []
@@ -89,8 +98,6 @@ def run_stream(
         frames.append(b"".join(f.payload for f in result.frames))
         if force_every is not None and i % force_every == 0:
             store.maintenance(force=True)
-    if isinstance(engine, ShardedEngine):
-        engine.close()
     return frames
 
 
@@ -109,19 +116,15 @@ def reference_frames(batches):
 def test_delta_matches_reference(engine_name, heap, raw):
     batches = build_batches(raw)
     expected = reference_frames(batches)
-    shards = 4 if engine_name == "sharded" else 1
     # barrier-paced merges (tiny threshold => several per stream)
     on = run_stream(
         batches,
         engine=ENGINES[engine_name](),
         heap=heap,
-        shards=shards,
         delta=True,
         merge_threshold=8,
     )
-    off = run_stream(
-        batches, engine=ENGINES[engine_name](), heap=heap, shards=shards
-    )
+    off = run_stream(batches, engine=ENGINES[engine_name](), heap=heap)
     assert off == expected
     assert on == expected
 
@@ -157,26 +160,6 @@ def test_forced_merge_mid_stream_and_overflow(raw):
     assert overflow == expected
 
 
-@settings(
-    max_examples=6,
-    deadline=None,
-    suppress_health_check=[HealthCheck.too_slow],
-)
-@given(raw=op_streams, shards=st.sampled_from([1, 4]))
-def test_sharded_shard_counts_match(raw, shards):
-    batches = build_batches(raw)
-    expected = reference_frames(batches)
-    frames = run_stream(
-        batches,
-        engine=ShardedEngine(VectorEngine()),
-        heap="log",
-        shards=shards,
-        delta=True,
-        merge_threshold=8,
-    )
-    assert frames == expected
-
-
 def test_procshard_delta_matches_reference():
     """Deterministic (no hypothesis): worker processes are expensive."""
     raw = [
@@ -192,9 +175,13 @@ def test_procshard_delta_matches_reference():
         pipeline = FunctionalPipeline(store, engine=ProcShardEngine())
         config = megakv_coupled_config()
         frames = []
-        for batch in batches:
+        for i, batch in enumerate(batches):
             result = pipeline.process_batch(config, batch)
             frames.append(b"".join(f.payload for f in result.frames))
+            if i == 1:
+                # Past the workers' 0.2 s idle tick: each merges its delta,
+                # so the rest of the stream reads the merged tables.
+                time.sleep(0.3)
     finally:
         store.close()
     assert frames == expected

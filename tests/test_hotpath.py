@@ -8,8 +8,8 @@ Covers the three layers the feature spans:
   engine on skewed mixed traffic, write-barrier run splitting, duplicate
   scatter) across every backend;
 * the system wiring (stale-read regression through the functional
-  pipeline and a DidoSystem, shard-imbalance improvement from pre-split
-  dedup, telemetry series).
+  pipeline and a DidoSystem, per-worker caches under procshard,
+  telemetry series).
 """
 
 from __future__ import annotations
@@ -25,12 +25,11 @@ from repro.engine import (
     BatchPlane,
     ReferenceEngine,
     SerialEngine,
-    ShardedEngine,
     StealingEngine,
     VectorEngine,
     compile_stage_plan,
 )
-from repro.engine.hotpath import dedup_batch_keys
+from repro.engine.procshard import ProcShardEngine, ProcShardStore
 from repro.errors import ConfigurationError
 from repro.hardware.memory import MemorySystem
 from repro.hardware.specs import APU_A10_7850K, ProcessorKind
@@ -40,24 +39,37 @@ from repro.kv.hotcache import (
     HotKeyCache,
 )
 from repro.kv.protocol import Query, QueryType, ResponseStatus
-from repro.kv.sharding import ShardedKVStore
+from repro.kv.sharding import shard_of
 from repro.kv.store import KVStore
 from repro.pipeline.functional import FunctionalPipeline
 from repro.pipeline.megakv import megakv_coupled_config
 from repro.telemetry import configure
 from repro.workloads.ycsb import QueryStream, standard_workload
 
+from conftest import ProcShardPool
+
 PLAN = compile_stage_plan(megakv_coupled_config())
+
+
+_POOL = ProcShardPool()
 
 
 def fresh_store(*, cache: bool = True, shards: int = 1):
     if shards > 1:
-        store = ShardedKVStore(8 << 20, 4096, shards)
-    else:
-        store = KVStore(8 << 20, 4096)
+        # Dedup and the caches live inside the workers.
+        return _POOL.store(
+            8 << 20, 4096, shards, dedup=True, hot_cache=True, hot_cache_keys=256
+        )
+    store = KVStore(8 << 20, 4096)
     if cache:
         store.attach_hot_cache(256)
     return store
+
+
+@pytest.fixture(scope="module", autouse=True)
+def _close_procshard_stores():
+    yield
+    _POOL.close()
 
 
 def run_batches(engine, store, batches):
@@ -96,7 +108,7 @@ ALL_HOT_ENGINES = [
     ("stealing", lambda: StealingEngine(dedup=True), 1),
     ("vector", lambda: VectorEngine(dedup=True), 1),
     ("vector-nocache", lambda: VectorEngine(dedup=True, hot_cache=False), 1),
-    ("sharded", lambda: ShardedEngine(VectorEngine(dedup=True), dedup=True), 4),
+    ("procshard", lambda: ProcShardEngine(), 4),
 ]
 
 
@@ -254,14 +266,6 @@ class TestHotPathEquivalence:
         run_batches(engine, store, [[Query(QueryType.GET, b"k")] * 8])
         assert store.hot_cache.hits == 0 and store.hot_cache.misses == 0
 
-    def test_dedup_batch_keys_standalone(self):
-        plane = BatchPlane(
-            [Query(QueryType.GET, b"a")] * 3 + [Query(QueryType.GET, b"b")]
-        )
-        state = dedup_batch_keys(plane)
-        assert state.dup_count == 2
-        assert state.excluded == {1, 2}
-
 
 # -------------------------------------------------------- stale-read guard
 
@@ -315,7 +319,7 @@ class TestStaleReadRegression:
         stream = QueryStream(standard_workload("K16-G95-S"), num_keys=2048, seed=5)
         for _ in range(8):
             system.process(stream.next_batch(1024))
-        cache = system._hot_caches[0]
+        cache = system._hot_cache
         assert cache.active, "skew gate should have opened on Zipf traffic"
         assert cache.hits > 0
         system.process([Query(QueryType.SET, b"k", b"old")] + [Query(QueryType.GET, b"k")] * 63)
@@ -378,124 +382,76 @@ class TestStaleReadRegression:
         assert cache.lookup(b"victim-00000") is None
 
 
-# ------------------------------------------------------ sharded imbalance
+# ----------------------------------------------------- procshard hot path
 
 
-class TestShardImbalance:
-    def _imbalance(self, dedup: bool) -> float:
-        telemetry = configure(enabled=True)
+class TestProcShardHotPath:
+    def test_workers_serve_per_shard_caches(self):
+        """Dedup and the caches live inside the shard workers, each seeing
+        its shard's full runs; --hot-cache with --shards must serve, not
+        admit forever without a single hit."""
+        store = ProcShardStore(
+            8 << 20, 4096, 4, dedup=True, hot_cache=True, hot_cache_keys=1024
+        )
         try:
-            store = fresh_store(cache=False, shards=4)
-            stream = QueryStream(standard_workload("K16-G95-S"), num_keys=4096, seed=3)
-            engine = ShardedEngine(VectorEngine(dedup=dedup), dedup=dedup)
-            plane = BatchPlane(stream.next_batch(4096))
-            engine.run(store, PLAN, plane)
-            return telemetry.registry.gauge("repro_shard_imbalance").value()
+            engine = ProcShardEngine()
+            hot_keys = [b"hot-%02d" % i for i in range(8)]
+            run_batches(
+                engine, store, [[Query(QueryType.SET, k, b"v:" + k) for k in hot_keys]]
+            )
+            batch = [Query(QueryType.GET, k) for k in hot_keys for _ in range(8)]
+            first, second = run_batches(engine, store, [batch, batch])
+            expected = [
+                (ResponseStatus.OK, b"v:" + k) for k in hot_keys for _ in range(8)
+            ]
+            assert first == expected and second == expected
+            hits, _misses = store.hot_cache_totals()
+            assert hits >= len(batch), "worker caches admitted but never served"
         finally:
-            configure(enabled=False)
+            store.close()
 
-    def test_dedup_improves_skewed_shard_balance(self):
-        """Pre-split dedup keeps a hot key's duplicates off its shard, so
-        the imbalance gauge on a skew-0.99 batch must improve."""
-        plain = self._imbalance(dedup=False)
-        deduped = self._imbalance(dedup=True)
-        assert plain > 1.0
-        assert deduped < plain
-
-
-# ------------------------------------------------------- sharded hot path
-
-
-class TestShardedHotPath:
-    def test_inner_engines_serve_per_shard_caches(self):
-        """Pre-split dedup hands the inner engines multiplicity-1 runs;
-        the vector builder's singleton probe must still serve those from
-        the per-shard caches — otherwise --hot-cache with --shards admits
-        forever without a single hit."""
-        store = ShardedKVStore(8 << 20, 4096, 4)
-        store.attach_hot_cache(1024)
-        engine = ShardedEngine(VectorEngine(dedup=True), dedup=True)
-        hot_keys = [b"hot-%02d" % i for i in range(8)]
-        run_batches(
-            engine, store, [[Query(QueryType.SET, k, b"v:" + k) for k in hot_keys]]
-        )
-        batch = [Query(QueryType.GET, k) for k in hot_keys for _ in range(8)]
-        first, second = run_batches(engine, store, [batch, batch])
-        expected = [(ResponseStatus.OK, b"v:" + k) for k in hot_keys for _ in range(8)]
-        assert first == expected and second == expected
-        hits = sum(shard.hot_cache.hits for shard in store.shards)
-        assert hits >= len(hot_keys), "per-shard caches admitted but never served"
-
-    def test_presplit_serving_at_default_scale_caches(self):
-        """Multi-runs must be served from the owning shard's cache at the
-        pre-split level: with per-shard caches far smaller than the batch
-        (the default provisioning), the inner engines' capacity-gated
-        singleton probe never fires, so without outer serving the caches
-        would admit forever and serve nothing."""
-        store = ShardedKVStore(16 << 20, 8192, 4)
-        store.attach_hot_cache(256)  # 64 per shard << batch GET count
-        engine = ShardedEngine(VectorEngine(dedup=True), dedup=True)
-        hot_keys = [b"hot-%03d" % i for i in range(256)]
-        run_batches(
-            engine, store, [[Query(QueryType.SET, k, b"v:" + k) for k in hot_keys]]
-        )
-        batch = [Query(QueryType.GET, k) for k in hot_keys for _ in range(8)]
-        first, second = run_batches(engine, store, [batch, batch])
-        expected = [(ResponseStatus.OK, b"v:" + k) for k in hot_keys for _ in range(8)]
-        assert first == expected and second == expected
-        hits = sum(shard.hot_cache.hits for shard in store.shards)
-        assert hits >= len(batch), "pre-split runs not served from shard caches"
-
-    def test_mid_batch_eviction_revalidated_at_merge(self):
+    def test_mid_batch_eviction_revalidated_in_worker(self):
         """A SET routed to the served key's shard can slab-evict it while
-        the sub-batches run; the merge must re-validate the captured
-        snapshot and answer NOT_FOUND, never the stale value."""
-        from repro.kv.sharding import shard_of
-
-        store = ShardedKVStore(2 << 20, 8192, 2, heap="slab")  # 1 MB slab per shard
-        store.attach_hot_cache(128)
-        engine = ShardedEngine(VectorEngine(dedup=True), dedup=True)
-        value = b"v" * 8000
-        victim = b"victim-00000"
-        vshard = shard_of(victim, 2)
-        fillers = [
-            k
-            for k in (b"filler-%05d" % i for i in range(2000))
-            if shard_of(k, 2) == vshard
-        ]
-        run_batches(engine, store, [[Query(QueryType.SET, victim, value)]])
-        # Two warm GET batches: the first admits (merge-time admission),
-        # the second serves from the shard's cache.
-        run_batches(
-            engine, store, [[Query(QueryType.GET, victim)] * 4 for _ in range(2)]
+        its GET run sits captured for cache serving; the worker must
+        re-validate the snapshot and answer NOT_FOUND, never the stale
+        value."""
+        store = ProcShardStore(  # 1 MB slab per shard
+            2 << 20, 8192, 2, heap="slab", dedup=True, hot_cache=True, hot_cache_keys=128
         )
-        assert store.shards[vshard].hot_cache.lookup(victim) == value
-        evicted_rows = None
-        for filler in fillers:
-            batch = [Query(QueryType.SET, filler, value)]
-            batch += [Query(QueryType.GET, victim)] * 4
-            (rows,) = run_batches(engine, store, [batch])
-            if victim not in store.shards[vshard]._key_location:
-                evicted_rows = rows
-                break
-            assert all(row == (ResponseStatus.OK, value) for row in rows[1:])
-        assert evicted_rows is not None, "victim never slab-evicted"
-        assert all(
-            row == (ResponseStatus.NOT_FOUND, b"") for row in evicted_rows[1:]
-        ), "stale snapshot served after mid-batch eviction in shard"
-        assert store.shards[vshard].hot_cache.lookup(victim) is None
-
-    def test_dedup_credits_duplicate_accesses(self):
-        """The outer merge credits a run's collapsed duplicates to the
-        object's profiler counter, mirroring the serial/vector counts
-        path — otherwise popularity is under-reported exactly where dedup
-        collapses the most, biasing the skew estimate."""
-        store = ShardedKVStore(8 << 20, 4096, 4)
-        engine = ShardedEngine(VectorEngine(dedup=True), dedup=True)
-        run_batches(engine, store, [[Query(QueryType.SET, b"hot", b"v")]])
-        run_batches(engine, store, [[Query(QueryType.GET, b"hot")] * 8])
-        obj = next(o for o in store.heap.objects() if o.key == b"hot")
-        assert obj.access_count == 8
+        try:
+            engine = ProcShardEngine()
+            value = b"v" * 8000
+            victim = b"victim-00000"
+            vshard = shard_of(victim, 2)
+            fillers = [
+                k
+                for k in (b"filler-%05d" % i for i in range(2000))
+                if shard_of(k, 2) == vshard
+            ]
+            run_batches(engine, store, [[Query(QueryType.SET, victim, value)]])
+            # Two warm GET batches: the first admits, the second serves
+            # from the worker's cache.
+            run_batches(
+                engine, store, [[Query(QueryType.GET, victim)] * 4 for _ in range(2)]
+            )
+            assert store.hot_cache_totals()[0] >= 4
+            evicted_rows = None
+            for filler in fillers:
+                # Eviction only ever happens under a SET, and every SET
+                # here shares its batch with the victim's GET run.
+                batch = [Query(QueryType.SET, filler, value)]
+                batch += [Query(QueryType.GET, victim)] * 4
+                (rows,) = run_batches(engine, store, [batch])
+                if rows[1] != (ResponseStatus.OK, value):
+                    evicted_rows = rows
+                    break
+                assert all(row == (ResponseStatus.OK, value) for row in rows[1:])
+            assert evicted_rows is not None, "victim never slab-evicted"
+            assert all(
+                row == (ResponseStatus.NOT_FOUND, b"") for row in evicted_rows[1:]
+            ), "stale snapshot served after mid-batch eviction in worker"
+        finally:
+            store.close()
 
 
 # ------------------------------------------------------------- telemetry
@@ -572,11 +528,11 @@ class TestMeasuredHotFraction:
             dedup=True,
             hot_cache=True,
         )
-        assert all(not c.active for c in system._hot_caches)
+        assert not system._hot_cache.active
         stream = QueryStream(standard_workload("K16-G95-S"), num_keys=2048, seed=5)
         for _ in range(10):
             system.process(stream.next_batch(1024))
-        assert system._hot_caches[0].active
+        assert system._hot_cache.active
         assert system._last_measured is not None
         assert system._last_measured > 0.0
 

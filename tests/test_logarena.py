@@ -31,7 +31,6 @@ from repro.engine import (
     BatchPlane,
     ReferenceEngine,
     SerialEngine,
-    ShardedEngine,
     VectorEngine,
     compile_stage_plan,
 )
@@ -39,7 +38,6 @@ from repro.errors import CapacityError, ConfigurationError
 from repro.kv.logarena import LogValueArena
 from repro.kv.objects import KVObject
 from repro.kv.protocol import Query, QueryType, ResponseStatus
-from repro.kv.sharding import ShardedKVStore
 from repro.kv.slab import SlabAllocator
 from repro.kv.store import KVStore
 from repro.pipeline.functional import FunctionalPipeline
@@ -815,35 +813,6 @@ class TestNoRevalidationOnLogArena:
             assert victim in store._key_location
             assert plane.hotpath is not None
             revalidations += plane.hotpath.revalidations
-        assert revalidations == 0
-
-    def test_sharded_merge_never_revalidates(self):
-        from repro.kv.sharding import shard_of
-
-        store = ShardedKVStore(2 << 20, 8192, 2)  # log heap per shard
-        store.attach_hot_cache(128)
-        engine = ShardedEngine(VectorEngine(dedup=True), dedup=True)
-        value = b"v" * 8000
-        victim = b"victim-00000"
-        vshard = shard_of(victim, 2)
-        fillers = [
-            k
-            for k in (b"filler-%05d" % i for i in range(400))
-            if shard_of(k, 2) == vshard
-        ]
-        run_batch(engine, store, [Query(QueryType.SET, victim, value)])
-        for _ in range(2):  # admit, then serve from the shard cache
-            run_batch(engine, store, [Query(QueryType.GET, victim)] * 4)
-        assert store.shards[vshard].hot_cache.lookup(victim) == value
-        revalidations = 0
-        for filler in fillers:
-            batch = [Query(QueryType.SET, filler, value)]
-            batch += [Query(QueryType.GET, victim)] * 4
-            plane, rows = run_batch(engine, store, batch)
-            assert all(row == (ResponseStatus.OK, value) for row in rows[1:])
-            assert victim in store.shards[vshard]._key_location
-            if plane.hotpath is not None:
-                revalidations += plane.hotpath.revalidations
         assert revalidations == 0
 
 

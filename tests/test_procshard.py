@@ -11,12 +11,15 @@ Covers the ISSUE-7 tentpole and its satellites:
   shared-memory leak regression (a SIGKILLed worker must leave no
   orphaned ``/dev/shm`` segment after close);
 * the hypothesis byte-identity fuzz vs :class:`ReferenceEngine` across
-  shard counts {1, 2, 4, 7} x (dedup, hot_cache) flags, mirroring the
-  sharded-vs-plain property test.
+  shard counts {1, 2, 4, 7} x (dedup, hot_cache) flags;
+* shard routing: the router's batched split against the per-key
+  :func:`~repro.kv.sharding.shard_of`.
 """
 
 import os
 import signal
+import subprocess
+import sys
 import threading
 import time
 
@@ -34,6 +37,7 @@ from repro.engine.procshard import (
 )
 from repro.errors import ConfigurationError
 from repro.kv.protocol import Query, QueryType, ResponseStatus, encode_responses
+from repro.kv.sharding import shard_of
 from repro.kv.store import KVStore
 from repro.net.arena import (
     QueryBlockColumns,
@@ -49,6 +53,7 @@ from repro.pipeline.functional import FunctionalPipeline
 from repro.pipeline.megakv import megakv_coupled_config
 from repro.telemetry import configure as configure_telemetry
 
+from conftest import ProcShardPool
 from test_engine import workload_batches
 
 SHARD_COUNTS = (1, 2, 4, 7)
@@ -60,6 +65,37 @@ def shm_segments() -> set[str]:
         return {f for f in os.listdir("/dev/shm") if f.startswith("repro-ring-")}
     except FileNotFoundError:  # pragma: no cover - non-Linux
         return set()
+
+
+# ------------------------------------------------------------------ routing
+
+
+class TestShardRouting:
+    def test_shard_of_is_stable_and_in_range(self):
+        for n in SHARD_COUNTS:
+            for i in range(200):
+                key = f"key-{i}".encode()
+                shard = shard_of(key, n)
+                assert 0 <= shard < n
+                assert shard == shard_of(key, n)
+
+    def test_shard_order_matches_shard_of(self):
+        """The batched split (the vector hash kernel's row 0) puts every
+        row on the shard ``shard_of`` names, in ascending row order —
+        ragged and oversized keys included."""
+        keys = [f"some-key-{i}".encode() for i in range(500)] + [b"", b"x" * 300]
+        for n in SHARD_COUNTS:
+            order, bounds = ProcShardEngine._shard_order(keys, n)
+            for shard in range(n):
+                rows = order[bounds[shard] : bounds[shard + 1]].tolist()
+                assert rows == [
+                    row for row, key in enumerate(keys) if shard_of(key, n) == shard
+                ]
+
+    def test_all_shards_receive_keys(self):
+        keys = [f"key-{i}".encode() for i in range(400)]
+        _, bounds = ProcShardEngine._shard_order(keys, 4)
+        assert all(stop > start for start, stop in zip(bounds, bounds[1:]))
 
 
 # ------------------------------------------------------------------ the ring
@@ -297,6 +333,7 @@ class TestProcShardStoreFacade:
             items = [(b"key-%d" % i, b"v") for i in range(100)]
             assert store.populate(items) == 100
             assert len(store) == 100
+            assert len(store.index) == 100
             keys = {obj.key for obj in store.heap.objects()}
             assert keys == {key for key, _ in items}
         finally:
@@ -307,10 +344,13 @@ class TestProcShardStoreFacade:
         try:
             for i in range(30):
                 store.set(b"key-%d" % i, b"v")
+                store.get(b"key-%d" % i)
             stats = store.index.stats
             assert stats.inserts == 30
             assert stats.average_insert_buckets() > 0
             assert len(store.index) == 30
+            merged = store.stats
+            assert (merged.sets, merged.gets, merged.get_hits) == (30, 30, 30)
         finally:
             store.close()
 
@@ -372,8 +412,9 @@ class TestWorkerCrash:
             statuses = {r.status for r in responses}
             assert ResponseStatus.ERROR in statuses  # dead shard's rows
             assert ResponseStatus.OK in statuses  # live shard still serves
-            # Column view stays consistent with the response objects.
+            # Column views stay consistent with the response objects.
             assert plane.response_statuses == [r.status.value for r in responses]
+            assert plane.response_sizes == [r.wire_size for r in responses]
             assert store.ensure_workers() == [0]
             assert store.respawns == 1
             # The respawned worker is empty but serving again.
@@ -403,36 +444,22 @@ class TestWorkerCrash:
 
 # ------------------------------------------------- byte-identity (property)
 
-_STORES: dict[tuple[int, bool, bool, bool], ProcShardStore] = {}
+_POOL = ProcShardPool()
 
 
 def _pooled_store(
     shards: int, dedup: bool, hot_cache: bool, delta_index: bool = False
 ) -> ProcShardStore:
-    """Persistent worker fleets reused across hypothesis examples (spawning
-    14 processes per example would dominate the suite); reset() between
-    examples rebuilds every shard's store fresh."""
-    key = (shards, dedup, hot_cache, delta_index)
-    store = _STORES.get(key)
-    if store is None:
-        store = _STORES[key] = ProcShardStore(
-            32 << 20, 2048, shards,
-            dedup=dedup, hot_cache=hot_cache, delta_index=delta_index,
-        )
-    else:
-        store.reset()
-    return store
-
-
-def _drain_pools() -> None:
-    while _STORES:
-        _STORES.popitem()[1].close()
+    return _POOL.store(
+        32 << 20, 2048, shards,
+        dedup=dedup, hot_cache=hot_cache, delta_index=delta_index,
+    )
 
 
 @pytest.fixture(scope="module", autouse=True)
 def _close_pooled_stores():
     yield
-    _drain_pools()
+    _POOL.close()
 
 
 def _queries_from_ops(ops) -> list[Query]:
@@ -497,16 +524,26 @@ def test_procshard_byte_identical_to_reference(batches_ops):
 
 class TestProcShardSystem:
     def test_dido_system_constructs_procshard_store(self):
-        system = DidoSystem(
-            memory_bytes=4 << 20, expected_objects=2048,
-            engine="procshard", shards=4,
-        )
-        try:
-            assert isinstance(system.store, ProcShardStore)
-            assert isinstance(system.pipeline._engine, ProcShardEngine)
-            assert system.store.num_shards == 4
-        finally:
-            system.close()
+        """Also with the engine unset: ``shards > 1`` resolves to
+        procshard, the only backend that executes across partitions."""
+        for engine in ("procshard", "auto", None):
+            system = DidoSystem(
+                memory_bytes=4 << 20, expected_objects=2048,
+                engine=engine, shards=4,
+            )
+            try:
+                assert isinstance(system.store, ProcShardStore)
+                assert isinstance(system.pipeline._engine, ProcShardEngine)
+                assert system.store.num_shards == 4
+            finally:
+                system.close()
+
+    def test_dido_system_rejects_incompatible_engine(self):
+        before = shm_segments()
+        with pytest.raises(ConfigurationError, match="cannot execute across 4 shards"):
+            DidoSystem(memory_bytes=8 << 20, expected_objects=4096,
+                       engine="serial", shards=4)
+        assert shm_segments() <= before  # rejected before any worker spawned
 
     def test_system_matches_plain_system_with_flags(self):
         system = DidoSystem(
@@ -603,25 +640,6 @@ def test_pipelined_byte_identical_to_synchronous(batches_ops):
 
 
 class TestPipelinedEngine:
-    def test_scalar_fallback_matches_vectorized_merge(self):
-        """``vectorize=False`` keeps the per-row split/merge loops; both
-        paths must produce identical response frames."""
-        config = megakv_coupled_config()
-        batches = [list(b) for b in workload_batches(batches=2, size=128)]
-        vec_store = ProcShardStore(8 << 20, 2048, 3)
-        scalar_store = ProcShardStore(8 << 20, 2048, 3)
-        try:
-            vector = run_pipeline(
-                vec_store, ProcShardEngine(vectorize=True), config, batches
-            )
-            scalar = run_pipeline(
-                scalar_store, ProcShardEngine(vectorize=False), config, batches
-            )
-            assert vector == scalar
-        finally:
-            vec_store.close()
-            scalar_store.close()
-
     def test_overlap_counters_and_inflight_cap(self):
         store = ProcShardStore(4 << 20, 2048, 2)
         engine = ProcShardEngine()
@@ -751,28 +769,74 @@ class TestProcShardServer:
 
         # The pooled hypothesis fleets (~14 idle workers) poll their rings;
         # on a 1-core host they can starve the server past the client
-        # timeout.  This is the last test that needs processes — drop them.
-        _drain_pools()
-        server = DidoUDPServer(
-            ("127.0.0.1", 0), engine="procshard", shards=2,
-            batch_size=64, coalesce_us=500,
-        )
+        # timeout.  The remaining tests spawn their own workers — drop them.
+        _POOL.close()
         before = shm_segments()
-        # A procshard-backed system auto-enables double-buffered windows.
-        assert server._pipeline_depth == 2
-        with server:
-            server.start()
-            with DidoClient(server.address, timeout_s=5.0) as client:
-                assert client.set(b"alpha", b"1")
-                assert client.get(b"alpha") == b"1"
-                assert client.get(b"missing") is None
-                assert client.delete(b"alpha") is True
-        # stop() closed the default-created system: workers gone, arenas
-        # unlinked (the SIGTERM-drain path exercises the same close()).
+        system = DidoSystem(
+            memory_bytes=64 << 20, expected_objects=65536,
+            engine="procshard", shards=2,
+        )
+        server = DidoUDPServer(
+            ("127.0.0.1", 0), system=system, batch_size=64, coalesce_us=500
+        )
+        try:
+            # A procshard-backed system gets double-buffered windows.
+            assert server._pipeline_depth == 2
+            with server:
+                server.start()
+                with DidoClient(server.address, timeout_s=5.0) as client:
+                    assert client.set(b"alpha", b"1")
+                    assert client.get(b"alpha") == b"1"
+                    assert client.get(b"missing") is None
+                    assert client.delete(b"alpha") is True
+        finally:
+            system.close()
+        # Workers gone, arenas unlinked.
         assert shm_segments() <= before
 
-    def test_invalid_pipeline_depth_rejected(self):
-        from repro.server import DidoUDPServer
+    def test_serve_shards_runs_procshard_and_sigterm_unlinks_arenas(self):
+        """``repro serve --shards 4`` with the engine unset serves through
+        four shard workers; SIGTERM stops them and leaves no /dev/shm
+        segment behind."""
+        from repro.client import DidoClient
+        from repro.cluster.serving import free_port
 
-        with pytest.raises(ConfigurationError):
-            DidoUDPServer(("127.0.0.1", 0), pipeline_depth=0)
+        before = shm_segments()
+        port = free_port()
+        process = _spawn_serve("--port", str(port), "--shards", "4")
+        try:
+            # Printed once the workers are up and the socket is bound.
+            assert "serving on" in process.stdout.readline()
+            with DidoClient(("127.0.0.1", port), timeout_s=5.0) as client:
+                for i in range(64):
+                    assert client.set(b"key-%d" % i, b"v%d" % i)
+                for i in range(64):
+                    assert client.get(b"key-%d" % i) == b"v%d" % i
+            assert len(shm_segments() - before) == 8  # two rings per worker
+            process.send_signal(signal.SIGTERM)
+            assert process.wait(timeout=30) == 0
+        finally:
+            if process.poll() is None:
+                process.kill()
+                process.wait(timeout=10)
+        assert shm_segments() <= before
+
+    def test_serve_shards_with_in_process_engine_exits_with_error(self):
+        before = shm_segments()
+        process = _spawn_serve("--port", "0", "--shards", "4", "--engine", "vector")
+        output, _ = process.communicate(timeout=30)
+        assert process.returncode == 1
+        assert "error: engine 'vector' cannot execute across 4 shards" in output
+        assert shm_segments() <= before
+
+
+def _spawn_serve(*flags: str) -> subprocess.Popen:
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.path.join(root, "src")
+    env["PYTHONUNBUFFERED"] = "1"
+    return subprocess.Popen(
+        [sys.executable, "-m", "repro", "serve", *flags],
+        cwd=root, env=env, text=True,
+        stdout=subprocess.PIPE, stderr=subprocess.STDOUT,
+    )

@@ -6,8 +6,7 @@ from repro.client import DidoClient, TimeoutError_
 from repro.core.dido import DidoSystem
 from repro.errors import ConfigurationError
 from repro.kv.protocol import Query, QueryType, ResponseStatus
-from repro.server import DidoUDPServer, _chunk_responses
-from repro.kv.protocol import Response
+from repro.server import DidoUDPServer
 
 
 @pytest.fixture
@@ -221,39 +220,51 @@ class TestWirePlanes:
         system = DidoSystem(memory_bytes=16 << 20, expected_objects=8192, engine="vector")
         return DidoUDPServer(("127.0.0.1", 0), system=system, **kwargs)
 
-    def test_invalid_wire_and_drain_rejected(self):
-        with pytest.raises(ConfigurationError):
-            self.make_server(wire="simd")
+    def test_invalid_drain_limit_rejected(self):
         with pytest.raises(ConfigurationError):
             self.make_server(drain_limit=0)
 
-    @pytest.mark.parametrize("wire", ["columnar", "legacy"])
-    def test_round_trip_identical_across_planes(self, wire):
-        srv = self.make_server(wire=wire, batch_window_s=0.001)
+    @pytest.mark.parametrize("engine", ["vector", "serial"])
+    def test_server_bytes_equal_reference_codec(self, engine):
+        """The one TX path — response columns filled by the engine (vector)
+        or derived from its Response objects (serial) — puts the bytes on
+        the wire that ``encode_responses`` gives for ReferenceEngine's
+        answers to the same datagrams."""
+        import socket
+
+        from repro.kv.protocol import encode_queries, encode_responses
+        from repro.kv.store import KVStore
+        from repro.pipeline.functional import FunctionalPipeline
+        from repro.pipeline.megakv import megakv_coupled_config
+
+        datagrams = [
+            [Query(QueryType.SET, b"w%d" % i, b"val%d" % i) for i in range(40)],
+            [Query(QueryType.GET, b"w%d" % i) for i in range(40)]
+            + [Query(QueryType.GET, b"nope"), Query(QueryType.DELETE, b"w0")],
+            [Query(QueryType.DELETE, b"w0"), Query(QueryType.GET, b"w0"),
+             Query(QueryType.SET, b"w1", b""), Query(QueryType.GET, b"w1")],
+        ]
+        reference = FunctionalPipeline(KVStore(16 << 20, 8192), engine="reference")
+        config = megakv_coupled_config()
+        system = DidoSystem(memory_bytes=16 << 20, expected_objects=8192, engine=engine)
+        srv = DidoUDPServer(("127.0.0.1", 0), system=system, batch_window_s=0.001)
         srv.start()
         try:
-            with DidoClient(srv.address, timeout_s=5.0) as client:
-                sets = [
-                    Query(QueryType.SET, b"w%d" % i, b"val%d" % i) for i in range(40)
-                ]
-                assert all(
-                    r.status is ResponseStatus.STORED for r in client.execute(sets)
-                )
-                gets = [Query(QueryType.GET, b"w%d" % i) for i in range(40)]
-                assert [r.value for r in client.execute(gets)] == [
-                    b"val%d" % i for i in range(40)
-                ]
-                assert client.get(b"nope") is None
-                assert client.delete(b"w0")
+            with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as sock:
+                sock.settimeout(5.0)
+                for queries in datagrams:
+                    sock.sendto(encode_queries(queries), srv.address)
+                    payload, _ = sock.recvfrom(64 * 1024)
+                    expected = reference.process_batch(config, queries).responses
+                    assert payload == encode_responses(expected)
         finally:
             srv.stop()
 
-    @pytest.mark.parametrize("wire", ["columnar", "legacy"])
-    def test_parse_errors_counted_per_plane(self, wire):
+    def test_parse_errors_counted(self):
         from repro.telemetry import configure, get_telemetry
 
         configure(enabled=True)
-        srv = self.make_server(wire=wire, batch_window_s=0.001)
+        srv = self.make_server(batch_window_s=0.001)
         srv.start()
         try:
             with DidoClient(srv.address, timeout_s=5.0) as client:
@@ -262,7 +273,7 @@ class TestWirePlanes:
                 assert client.set(b"alive", b"yes")
             assert srv.stats.protocol_errors >= 1
             counter = get_telemetry().registry.counter("repro_wire_parse_errors_total")
-            assert counter.value(wire=wire) >= 1
+            assert counter.value() >= 1
         finally:
             srv.stop()
             configure(enabled=False)
@@ -271,7 +282,7 @@ class TestWirePlanes:
         from repro.telemetry import configure, get_telemetry
 
         configure(enabled=True)
-        srv = self.make_server(wire="columnar", batch_window_s=0.001)
+        srv = self.make_server(batch_window_s=0.001)
         srv.start()
         try:
             with DidoClient(srv.address, timeout_s=5.0) as client:
@@ -302,28 +313,3 @@ class TestWirePlanes:
             assert srv._backlog[0][0].keys == [b"k3", b"k4"]
         finally:
             srv.stop()
-
-
-class TestChunking:
-    def test_chunk_responses_respects_bound(self):
-        responses = [Response(ResponseStatus.OK, b"v" * 5000) for _ in range(20)]
-        chunks = _chunk_responses(responses)
-        assert sum(len(c) for c in chunks) == 20
-        from repro.server import MAX_RESPONSE_PAYLOAD
-
-        for chunk in chunks:
-            if len(chunk) > 1:
-                assert sum(r.wire_size for r in chunk) <= MAX_RESPONSE_PAYLOAD
-
-    def test_chunk_preserves_order(self):
-        responses = [Response(ResponseStatus.OK, str(i).encode()) for i in range(100)]
-        chunks = _chunk_responses(responses)
-        flat = [r for c in chunks for r in c]
-        assert [r.value for r in flat] == [str(i).encode() for i in range(100)]
-
-    def test_precomputed_size_column_chunks_identically(self):
-        responses = [
-            Response(ResponseStatus.OK, b"v" * (i * 37 % 5000)) for i in range(50)
-        ]
-        sizes = [r.wire_size for r in responses]
-        assert _chunk_responses(responses, sizes) == _chunk_responses(responses)

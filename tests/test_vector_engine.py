@@ -7,7 +7,6 @@ import pytest
 
 from repro.engine import (
     BatchPlane,
-    ShardedEngine,
     VectorEngine,
     compile_stage_plan,
     resolve_engine,
@@ -236,7 +235,9 @@ class TestVectorEquivalence:
             [Query(QueryType.SET, b"k", b"v"), Query(QueryType.GET, b"k")],
         )
         assert result.responses[1].value == b"v"
-        assert result.response_sizes is None
+        # The serial passes fill no wire columns; the result derives them.
+        assert result.response_statuses == [r.status.value for r in result.responses]
+        assert result.response_sizes == [r.wire_size for r in result.responses]
 
 
 class TestKickedKeysAnswerEverywhere:
@@ -301,9 +302,14 @@ class TestKickedKeysAnswerEverywhere:
 
 
 class TestResolveNewEngines:
-    def test_vector_and_sharded_resolve(self):
+    def test_vector_and_procshard_resolve(self):
+        from repro.engine.procshard import ProcShardEngine
+        from repro.errors import ConfigurationError
+
         assert isinstance(resolve_engine("vector"), VectorEngine)
-        assert isinstance(resolve_engine("sharded"), ShardedEngine)
+        assert isinstance(resolve_engine("procshard"), ProcShardEngine)
+        with pytest.raises(ConfigurationError, match="unknown engine 'sharded'"):
+            resolve_engine("sharded")
 
 
 # ---------------------------------------------------------------- plumbing

@@ -1,11 +1,11 @@
-"""The columnar wire plane vs the legacy dataclass codec.
+"""The columnar wire plane vs the reference dataclass codec.
 
-Every test here is an identity check: whatever the legacy per-object
-codec (:mod:`repro.kv.protocol`, :func:`repro.net.packets._pack`,
-:func:`repro.server._chunk_responses`) produces, the columnar plane
-(:mod:`repro.net.wire`) must produce byte for byte — including the exact
-:class:`~repro.errors.ProtocolError` messages on malformed input, and
-with NumPy absent (the scalar fallback).
+Every test here is an identity check: whatever the per-object reference
+codec (:mod:`repro.kv.protocol`, :func:`repro.net.packets._pack`)
+produces, the columnar plane (:mod:`repro.net.wire`) must produce byte
+for byte — including the exact :class:`~repro.errors.ProtocolError`
+messages on malformed input, from the cross-datagram gather and from the
+scalar walk ``decode_window`` picks for deep windows alike.
 """
 
 import pytest
@@ -33,7 +33,7 @@ from repro.net.wire import (
     encode_response_window,
     frames_for_response_columns,
 )
-from repro.server import MAX_RESPONSE_PAYLOAD, _chunk_responses
+from repro.server import MAX_RESPONSE_PAYLOAD
 
 keys = st.binary(min_size=1, max_size=64)
 #: Values reach past the MTU so oversized queries/responses are covered.
@@ -61,11 +61,19 @@ responses_strategy = st.lists(
 
 
 @pytest.fixture(params=["vector", "scalar"])
-def wire_mode(request, monkeypatch):
-    """Run the wrapped test twice: NumPy path and the no-NumPy fallback."""
-    if request.param == "scalar":
-        monkeypatch.setattr(wire, "np", None)
-    return request.param
+def wire_mode(request):
+    """Run the wrapped test against each window decoder ``decode_window``
+    selects between by window shape: the wide-window NumPy gather and the
+    deep-window scalar walk."""
+    return {
+        "vector": wire._decode_window_vector,
+        "scalar": wire._decode_window_scalar,
+    }[request.param]
+
+
+def peer_chunks(responses: list[Response]) -> list[bytes]:
+    """Reference datagram cut: greedy first-fit per-object packing."""
+    return [f.payload for f in frames_for_responses(responses, MAX_RESPONSE_PAYLOAD)]
 
 
 def columns_equal_queries(columns: QueryColumns, queries: list[Query]) -> bool:
@@ -159,21 +167,21 @@ class TestDecodeIdentity:
         ],
     )
     def test_exact_error_messages(self, wire_mode, payload, message):
-        with pytest.raises(ProtocolError, match=f"^{message}$"):
-            decode_payload(payload)
+        segments, errors = wire_mode([payload])
+        assert [(e.datagram, e.message) for e in errors] == [(0, message)]
+        assert len(segments[0]) == 0
         with pytest.raises(ProtocolError, match=f"^{message}$"):
             decode_queries(payload)
 
-    def test_scalar_window_matches_vector(self, monkeypatch):
+    def test_scalar_window_matches_vector(self):
         batches = [
             [Query(QueryType.SET, b"a", b"1"), Query(QueryType.GET, b"b")],
             [],
             [Query(QueryType.DELETE, b"c")],
         ]
         payloads = [encode_queries(batch) for batch in batches] + [b"\xffjunk"]
-        vector = decode_window(payloads)
-        monkeypatch.setattr(wire, "np", None)
-        scalar = decode_window(payloads)
+        vector = wire._decode_window_vector(payloads)
+        scalar = wire._decode_window_scalar(payloads)
         assert [
             (s.qtypes, s.keys, s.values) for s in vector[0]
         ] == [(s.qtypes, s.keys, s.values) for s in scalar[0]]
@@ -222,20 +230,6 @@ class TestEncodeIdentity:
         assert bytes(with_sizes[0]) == bytes(without[0])
         assert list(with_sizes[1]) == list(without[1])
 
-    def test_scalar_encode_matches_vector(self, monkeypatch):
-        raw = [
-            (ResponseStatus.OK, b"x" * 40),
-            (ResponseStatus.NOT_FOUND, b""),
-            (ResponseStatus.STORED, b""),
-            (ResponseStatus.OK, b"y" * 3000),
-        ]
-        responses, statuses, values_col = make_responses(raw)
-        vector = encode_response_window(statuses, values_col)
-        monkeypatch.setattr(wire, "np", None)
-        scalar = encode_response_window(statuses, values_col)
-        assert bytes(vector[0]) == bytes(scalar[0]) == encode_responses(responses)
-        assert list(vector[1]) == list(scalar[1])
-
 
 # ----------------------------------------------------------------- chunking
 
@@ -249,10 +243,7 @@ class TestChunkingIdentity:
         got = chunk_response_payloads(
             buffer, offsets, [(0, len(responses))], MAX_RESPONSE_PAYLOAD
         )
-        expected = [
-            encode_responses(chunk) for chunk in _chunk_responses(responses)
-        ]
-        assert got == expected
+        assert got == peer_chunks(responses)
 
     @settings(deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(responses_strategy, st.integers(1, 5))
@@ -265,10 +256,7 @@ class TestChunkingIdentity:
         bounds = sorted({0, n, *[(i * n) // pieces for i in range(1, pieces)]})
         ranges = list(zip(bounds, bounds[1:]))
         got = chunk_response_payloads(buffer, offsets, ranges, MAX_RESPONSE_PAYLOAD)
-        expected = [
-            encode_responses(chunk) for chunk in _chunk_responses(responses)
-        ]
-        assert got == expected
+        assert got == peer_chunks(responses)
 
     @settings(deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(responses_strategy, st.sampled_from([64, 600, ETHERNET_MTU]))
@@ -282,7 +270,7 @@ class TestChunkingIdentity:
         spans = [b - a for a, b in zip(bounds, bounds[1:])]
         assert spans == [f.query_count for f in expected]
 
-    def test_oversized_response_rides_alone(self, wire_mode):
+    def test_oversized_response_rides_alone(self):
         raw = [
             (ResponseStatus.OK, b"a" * 100),
             (ResponseStatus.OK, b"b" * (2 * MAX_RESPONSE_PAYLOAD)),
@@ -293,8 +281,7 @@ class TestChunkingIdentity:
         got = chunk_response_payloads(
             buffer, offsets, [(0, 3)], MAX_RESPONSE_PAYLOAD
         )
-        expected = [encode_responses(c) for c in _chunk_responses(responses)]
-        assert got == expected
+        assert got == peer_chunks(responses)
         assert len(got) == 3
 
 
@@ -320,18 +307,18 @@ class TestQueryColumns:
         part = columns[2:5]
         assert len(part) == 3
         assert part.keys == [b"k2", b"k3", b"k4"]
-        if columns.opcodes is not None:
-            assert list(part.opcodes) == [2, 2, 2]
-            assert list(part.key_lens) == [2, 2, 2]
+        assert list(part.opcodes) == [2, 2, 2]
+        assert list(part.key_lens) == [2, 2, 2]
 
     def test_concat_restores_window(self, wire_mode):
         batches = [
             [Query(QueryType.SET, b"a", b"1")],
             [Query(QueryType.GET, b"b"), Query(QueryType.DELETE, b"c")],
         ]
-        segments, errors = decode_window([encode_queries(b) for b in batches])
+        segments, errors = wire_mode([encode_queries(b) for b in batches])
         assert not errors
         merged = QueryColumns.concat(segments)
+        assert list(merged.opcodes) == [2, 1, 3]
         assert merged.to_queries() == [q for batch in batches for q in batch]
 
     def test_slice_indexing_only(self):
