@@ -3,7 +3,7 @@
 DIDO is an in-memory key-value store with *dynamic pipeline execution* on
 coupled CPU-GPU architectures (Zhang, Hu, He, Hua — ICDE 2017).  This
 package implements the complete system in Python: the KV store substrate
-(cuckoo index, slab heap, wire protocol), a calibrated analytical model of
+(cuckoo index, log-arena heap, wire protocol), a calibrated analytical model of
 the AMD A10-7850K APU (and the discrete Mega-KV testbed for comparison),
 the eight-task pipeline engine, the workload profiler, the APU-aware cost
 model, exhaustive configuration search, work stealing, and the adaptation

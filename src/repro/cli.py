@@ -88,20 +88,6 @@ _STORE_FLAGS = (
             help="attach the skew-gated versioned hot-key read cache",
         ),
     ),
-    (
-        "--heap",
-        dict(
-            choices=("log", "slab"), default="log",
-            help="value heap: append-only log arena (default) or slab allocator",
-        ),
-    ),
-    (
-        "--delta-index",
-        dict(
-            action="store_true",
-            help="absorb index updates in a delta table, merged in bulk at barriers",
-        ),
-    ),
 )
 
 

@@ -266,7 +266,7 @@ class _Migration:
     def _scan(self) -> None:
         name = self.node.name
         store = self.node.server.system.store
-        keys = [obj.key for obj in store.heap.objects()]
+        keys = store.keys()
         if keys:
             owners = self.router.owners_for(keys)
             self.pending.extend(
@@ -359,11 +359,7 @@ class _Migration:
         # Flip: redirects start, then the moved keys are dropped locally.
         # Same serve-loop tick, so no batch can interleave.
         self.node._install(self.manifest)
-        moved = [
-            obj.key
-            for obj in store.heap.objects()
-            if self._owner_of(obj.key) != name
-        ]
+        moved = [key for key in store.keys() if self._owner_of(key) != name]
         for key in moved:
             store.delete(key)
         self._account()

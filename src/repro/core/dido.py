@@ -22,6 +22,7 @@ from dataclasses import dataclass, replace
 
 from repro.core.controller import AdaptationController
 from repro.core.profiler import WorkloadProfile, WorkloadProfiler
+from repro.engine import resolve_engine
 from repro.errors import ConfigurationError, WorkloadError
 from repro.hardware.specs import APU_A10_7850K, PlatformSpec
 from repro.kv.protocol import Query, decode_queries
@@ -59,7 +60,7 @@ class DidoSystem:
     platform:
         Hardware model (defaults to the paper's A10-7850K APU).
     memory_bytes:
-        Slab budget for objects; defaults to the platform's shareable region.
+        Heap budget for objects; defaults to the platform's shareable region.
     expected_objects:
         Index sizing hint.
     latency_budget_ns:
@@ -87,15 +88,10 @@ class DidoSystem:
         its measured hit rate feeds the cost model's hot-fraction input.
     hot_cache_keys:
         Cache capacity in keys (total across shards); default 1024.
-    heap:
-        Value heap kind for every store this system creates: ``"log"``
-        (default — append-only arena, compacted from :meth:`maintain`) or
-        ``"slab"`` (size-classed allocator with per-SET LRU eviction).
-    delta_index:
-        Absorb index Insert/Delete/Reassign traffic in a per-store
-        :class:`~repro.kv.deltaindex.DeltaIndex` and merge it into the
-        cuckoo table in bulk at write barriers and :meth:`maintain` ticks
-        (per worker on a procshard store).
+
+    Whichever store is built, the system reaches it through the same
+    store protocol (see :mod:`repro.kv.store`); which one it holds is
+    decided here in the constructor and asked nowhere else.
     """
 
     def __init__(
@@ -111,24 +107,21 @@ class DidoSystem:
         dedup: bool = False,
         hot_cache: bool = False,
         hot_cache_keys: int | None = None,
-        heap: str = "log",
-        delta_index: bool = False,
     ):
         self.platform = platform
         budget = memory_bytes if memory_bytes is not None else platform.shared_memory_bytes
         if shards > 1 and (engine is None or engine == "auto"):
             engine = "procshard"
-        self._procshard = engine == "procshard" or (
-            getattr(engine, "name", None) == "procshard"
-        )
-        if shards > 1 and not self._procshard:
+        engine = resolve_engine(engine, dedup=dedup, hot_cache=hot_cache)
+        procshard = engine is not None and engine.name == "procshard"
+        if shards > 1 and not procshard:
             raise ConfigurationError(
-                f"engine {engine!r} cannot execute across {shards} shards; "
-                "use engine='procshard' (or shards=1)"
+                f"engine {engine.name!r} cannot execute across {shards} "
+                "shards; use engine='procshard' (or shards=1)"
             )
-        if self._procshard:
-            # Process-per-shard: the store facade owns one worker process
-            # per shard; dedup and the hot cache live *inside* the workers
+        if procshard:
+            # Process-per-shard: the store owns one worker process per
+            # shard; dedup and the hot cache live *inside* the workers
             # (each sees its shard's full runs), so the parent attaches
             # nothing and the flags travel in the worker config.
             from repro.engine.procshard import ProcShardStore
@@ -140,23 +133,13 @@ class DidoSystem:
                 dedup=dedup,
                 hot_cache=hot_cache,
                 hot_cache_keys=hot_cache_keys,
-                # Caches start cold and inactive, exactly like the
-                # in-process path; each batch header carries the skew
-                # gate once the profiler has seen a window.
-                hot_cache_active=False,
-                heap=heap,
-                delta_index=delta_index,
             )
         else:
-            self.store = KVStore(
-                budget, expected_objects, heap=heap, delta_index=delta_index
-            )
-        self._hot_cache = None
-        if hot_cache and not self._procshard:
-            # The cache starts cold and inactive; the per-window skew gate in
-            # process() switches it on once the estimator sees real skew.
-            self._hot_cache = self.store.attach_hot_cache(hot_cache_keys)
-            self._hot_cache.active = False
+            self.store = KVStore(budget, expected_objects)
+            if hot_cache:
+                # The cache starts cold and inactive; the per-window skew
+                # gate switches it on once the estimator sees real skew.
+                self.store.attach_hot_cache(hot_cache_keys).active = False
         self._cache_hits_seen = 0
         self._cache_total_seen = 0
         self._last_measured: float | None = None
@@ -218,19 +201,23 @@ class DidoSystem:
         """Close the profile window: harvest the skew sample, snapshot,
         feed the caches, and let the controller decide."""
         profiler = self.profiler
-        profiler.observe_insert_buckets(self.store.index.stats.average_insert_buckets())
-        self._harvest_frequencies()
+        # The real system reads counters as objects are accessed; here the
+        # store logs the objects first touched in the open epoch and hands
+        # that log over now — no heap scan.
+        counts, insert_buckets = self.store.harvest_window()
+        profiler.observe_insert_buckets(insert_buckets)
+        profiler.observe_frequencies(counts)
         profile = profiler.snapshot()
-        if self._procshard:
-            profile = self._feed_procshard(profile)
-        elif self._hot_cache is not None:
-            profile = self._feed_hot_cache(profile)
+        # The skew estimate gates the hot cache(s); the measured hot
+        # fraction is the hit rate over this window's cache lookups.
+        hits, lookups = self.store.gate_hot_cache(profile.zipf_skew)
+        profile = self._with_measured_hot_fraction(profile, hits, lookups)
         return self.controller.config_for(profile)
 
     @property
     def supports_pipelining(self) -> bool:
         """Whether :meth:`process_submit` actually overlaps windows."""
-        return self._procshard and self.pipeline.supports_pipelining
+        return self.pipeline.supports_pipelining
 
     def process_submit(self, queries):
         """Pipelined entry: plan and submit one window without merging.
@@ -268,41 +255,12 @@ class DidoSystem:
         """Client-style entry: pack queries into frames and go through the NIC."""
         return self.process_frames(frames_for_queries(queries))
 
-    def _feed_hot_cache(self, profile: WorkloadProfile) -> WorkloadProfile:
-        """Gate the cache on the closed window's skew and attach its
-        measured hit rate to the profile for the cost model.
-
-        The skew estimate gates the cache (hysteresis inside
-        :meth:`~repro.kv.hotcache.HotKeyCache.gate_on_skew`).  The
-        measured hot fraction is the hit rate over this window's cache
-        lookups (carried forward through idle windows so brief all-write
-        windows don't zero the cost model's input).
-        """
-        cache = self._hot_cache
-        cache.gate_on_skew(profile.zipf_skew)
-        return self._with_measured_hot_fraction(
-            profile, cache.hits, cache.hits + cache.misses
-        )
-
-    def _feed_procshard(self, profile: WorkloadProfile):
-        """Procshard counterpart of :meth:`_feed_hot_cache`.
-
-        The caches live inside the shard workers, so the router records
-        the window's skew on the store facade (each batch header then
-        carries it to the workers, whose caches run the same
-        ``gate_on_skew`` hysteresis) and derives the measured hot fraction
-        from the hit/miss totals the workers piggyback on batch replies —
-        no extra round trips.
-        """
-        store = self.store
-        store.note_skew(profile.zipf_skew)
-        hits, misses = store.hot_cache_totals()
-        return self._with_measured_hot_fraction(profile, hits, hits + misses)
-
     def _with_measured_hot_fraction(
         self, profile: WorkloadProfile, hits: int, total: int
     ) -> WorkloadProfile:
-        """``profile`` with the window's cache hit rate (lifetime totals in)."""
+        """``profile`` with the window's cache hit rate (lifetime totals in;
+        carried forward through windows without lookups so brief all-write
+        windows don't zero the cost model's input)."""
         window_hits = hits - self._cache_hits_seen
         window_total = total - self._cache_total_seen
         self._cache_hits_seen = hits
@@ -313,48 +271,24 @@ class DidoSystem:
             return profile
         return replace(profile, measured_hot_fraction=self._last_measured)
 
-    def _harvest_frequencies(self) -> None:
-        """Feed the closing window's per-object access counts to the profiler.
-
-        The real system reads counters as objects are accessed; here each
-        heap logs the objects first touched in the open epoch (a log
-        bounded at two windows' worth), and that log — plus the keys the hot
-        cache served — is read back at window close; no heap scan.  With
-        a procshard store the same harvest runs *inside* each worker when
-        it sees the epoch advance, shipped back on the batch reply; the
-        heap view hands over what has arrived.
-        """
-        if self._hot_cache is not None:
-            self.profiler.observe_frequencies(self._hot_cache.drain_window_hits())
-        self.profiler.observe_frequencies(self.store.heap.drain_touched())
-
     # ------------------------------------------------------------- lifecycle
 
-    def maintain(self) -> list[int]:
-        """Periodic idle-tick work: heap compaction + worker health checks.
+    def maintain(self) -> int | list[int]:
+        """Periodic idle-tick work, a barrier the UDP server reaches every
+        0.5 s between windows: the store's :meth:`maintenance`.
 
-        For in-process stores this is a maintenance barrier the UDP server
-        reaches every 0.5 s between windows: a pending delta merges now
-        (that is all ``force=True`` asks for), and the log arena compacts
-        if its one gate — the same the post-batch barrier reads — is open.
-        A slab-heap store without a delta makes this a no-op.
-
-        For procshard stores it additionally respawns dead shard workers
+        In-process that compacts the log arena if its one gate — the same
+        the post-batch barrier reads — is open, and returns the number of
+        records evicted.  A procshard store respawns dead shard workers
         (compaction happens inside the workers, at their own idle ticks)
         and returns the respawned shard ids; a respawned worker starts
         empty — same durability contract as a rebooted cache node.
         """
-        if self._procshard:
-            return self.store.ensure_workers()
-        maintenance = getattr(self.store, "maintenance", None)
-        if maintenance is not None:
-            maintenance(force=True)
-        return []
+        return self.store.maintenance()
 
     def close(self) -> None:
         """Release process-backed resources (worker processes + arenas)."""
-        if self._procshard:
-            self.store.close()
+        self.store.close()
 
     # ------------------------------------------------------------ analytical
 

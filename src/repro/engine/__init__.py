@@ -56,7 +56,9 @@ def resolve_engine(engine, *, dedup: bool = False, hot_cache: bool = True):
     when the config wants it, serial otherwise); a backend instance passes
     through unchanged (its own flags win); a known name constructs the
     backend with the skew-aware hot-path flags — except "reference", the
-    per-query ground truth, which never dedups or cache-serves.
+    per-query ground truth, which never dedups or cache-serves, and
+    "procshard", whose workers own dedup and caches (configured on the
+    :class:`~repro.engine.procshard.ProcShardStore`).
     """
     if engine is None or engine == "auto":
         return None
@@ -68,7 +70,7 @@ def resolve_engine(engine, *, dedup: bool = False, hot_cache: bool = True):
             # multiprocessing machinery nothing else needs.
             from repro.engine.procshard import ProcShardEngine
 
-            return ProcShardEngine(dedup=dedup, hot_cache=hot_cache)
+            return ProcShardEngine()
         factory = {
             "serial": SerialEngine,
             "stealing": StealingEngine,

@@ -25,13 +25,13 @@ The split/merge shape:
 
 Workers piggyback their store/index counters, per-batch hot-path stats
 and a bounded frequency-harvest sample on every batch reply, so the
-router-side :class:`ProcShardStore` facade presents merged
-``stats``/``index`` views and feeds the workload profiler without extra
-round trips.  A dead worker never wedges the serve loop: its rows are
-answered with ``ERROR`` responses for that batch, the server's
-maintenance tick respawns it (empty, like a rebooted cache node), and
-every arena is unlinked on close/``atexit``/SIGTERM even when a worker
-died mid-batch.
+router-side :class:`ProcShardStore` answers the store protocol (see
+:mod:`repro.kv.store`) — merged ``stats``, the window harvest, the cache
+totals — without extra round trips.  A dead worker never wedges the
+serve loop: its rows are answered with ``ERROR`` responses for that
+batch, the next maintenance barrier respawns it (empty, like a rebooted
+cache node), and every arena is unlinked on close/``atexit``/SIGTERM
+even when a worker died mid-batch.
 """
 
 from __future__ import annotations
@@ -48,7 +48,7 @@ from functools import partial
 import numpy as np
 
 from repro.errors import ConfigurationError, ReproError
-from repro.kv.hashtable import IndexStats
+from repro.kv.logarena import DEFAULT_SEGMENT_BYTES
 from repro.kv.protocol import QueryType, Response, ResponseStatus
 from repro.kv.sharding import shard_of
 from repro.kv.store import KVStore, StoreStats
@@ -74,8 +74,6 @@ MSG_POPULATE = 2
 MSG_DUMP = 3
 MSG_STATS = 4
 MSG_RESET = 5
-MSG_PING = 6
-MSG_ATTACH_CACHE = 7
 MSG_SHUTDOWN = 8
 
 MSG_OK = 64
@@ -156,15 +154,12 @@ class _WorkerState:
 
     def __init__(self, config: dict):
         self.config = config
-        self.store = KVStore(
-            config["memory_bytes"],
-            config["expected_objects"],
-            heap=config.get("heap", "log"),
-            delta_index=bool(config.get("delta_index")),
-        )
+        self.store = KVStore(config["memory_bytes"], config["expected_objects"])
         if config.get("hot_cache"):
-            cache = self.store.attach_hot_cache(config.get("hot_cache_keys"))
-            cache.active = bool(config.get("hot_cache_active", True))
+            # Cold and inactive, exactly like the in-process path; batch
+            # headers carry the skew gate once the profiler has seen a
+            # window.
+            self.store.attach_hot_cache(config.get("hot_cache_keys")).active = False
         # Workers import the engine lazily so this module never drags the
         # pipeline package in at import time.
         from repro.engine.vector import VectorEngine
@@ -184,19 +179,15 @@ def _handle_batch(state: _WorkerState, payload, offset: int = 0) -> list:
     from repro.engine.plane import BatchPlane
 
     skew, epoch, seq, gate = _BATCH_HEAD.unpack_from(payload, offset)
-    cache = state.store.hot_cache if gate else None
-    if cache is not None:
-        cache.gate_on_skew(skew)
+    if gate:
+        state.store.gate_hot_cache(skew)
     freq: list[int] = []
     if epoch != state.epoch:
         # The router closed a profile window: ship what this shard's
-        # objects counted during it (cache-served hits first, then the
-        # heap's first-touch log — the same harvest the in-process system
-        # runs).
+        # objects counted during it — the same harvest the in-process
+        # system runs.
         state.epoch = epoch
-        if cache is not None:
-            freq.extend(cache.drain_window_hits())
-        freq.extend(state.store.heap.drain_touched())
+        freq = state.store.harvest_window()[0]
     columns = decode_query_block(payload, offset + _BATCH_HEAD.size)
     plane = BatchPlane(columns)
     # The worker only ever ships the status/size/value columns; per-row
@@ -218,7 +209,7 @@ def _handle_batch(state: _WorkerState, payload, offset: int = 0) -> list:
 
 
 def _handle_dump(state: _WorkerState) -> list:
-    keys = [obj.key for obj in state.store.heap.objects()]
+    keys = state.store.keys()
     n = len(keys)
     lens = np.fromiter(map(len, keys), dtype=np.uint32, count=n).tobytes()
     return [bytes([MSG_OK]), _U32.pack(n), lens, b"".join(keys)]
@@ -246,9 +237,9 @@ def _worker_main(in_name: str, out_name: str, config: dict) -> None:
                 break
             if msg is None:
                 # Idle tick: the worker owns its shard outright, so this
-                # is a free barrier — merge a pending delta, and compact
-                # the log arena if its gate is open.
-                state.store.maintenance(force=True)
+                # is a free barrier — compact the log arena if its gate is
+                # open.
+                state.store.maintenance()
                 continue
             mtype = msg[0]
             if mtype == MSG_SHUTDOWN:
@@ -257,7 +248,6 @@ def _worker_main(in_name: str, out_name: str, config: dict) -> None:
                 except RingClosedError:  # pragma: no cover - parent gone
                     pass
                 break
-            payload = memoryview(msg)[1:]
             try:
                 if mtype == MSG_BATCH:
                     # Pass the raw bytes + offset (not a memoryview slice)
@@ -276,13 +266,6 @@ def _worker_main(in_name: str, out_name: str, config: dict) -> None:
                     reply = [bytes([MSG_OK]), _pack_stats(state.store)]
                 elif mtype == MSG_RESET:
                     state = _WorkerState(state.config)
-                    reply = [bytes([MSG_OK])]
-                elif mtype == MSG_ATTACH_CACHE:
-                    capacity, active = struct.unpack_from("<QB", payload, 0)
-                    cache = state.store.attach_hot_cache(capacity or None)
-                    cache.active = bool(active)
-                    reply = [bytes([MSG_OK])]
-                elif mtype == MSG_PING:
                     reply = [bytes([MSG_OK])]
                 else:
                     raise ConfigurationError(f"unknown message type {mtype}")
@@ -427,92 +410,27 @@ class ShardWorker:
         self.terminate()
 
 
-# ------------------------------------------------------------- store facade
-
-
-class _ProcIndexView:
-    """Merged ``store.index`` stand-in built from piggybacked counters."""
-
-    __slots__ = ("_store",)
-
-    def __init__(self, store: "ProcShardStore"):
-        self._store = store
-
-    @property
-    def stats(self) -> IndexStats:
-        merged = IndexStats()
-        for row in self._store._stats_rows():
-            merged.searches += row[6]
-            merged.inserts += row[7]
-            merged.deletes += row[8]
-            merged.search_bucket_reads += row[9]
-            merged.insert_bucket_writes += row[10]
-            merged.insert_kicks += row[11]
-            merged.failed_inserts += row[12]
-        return merged
-
-    @property
-    def num_hashes(self) -> int:
-        return 2
-
-    def __len__(self) -> int:
-        return sum(row[13] for row in self._store._stats_rows())
-
-
-class _DumpedKey:
-    """A key-only heap object snapshot (what cluster migration scans)."""
-
-    __slots__ = ("key",)
-
-    def __init__(self, key: bytes):
-        self.key = key
-
-
-class _ProcHeapView:
-    """Merged ``store.heap`` stand-in: key dumps on demand."""
-
-    __slots__ = ("_store", "budget_bytes")
-
-    def __init__(self, store: "ProcShardStore", budget_bytes: int):
-        self._store = store
-        self.budget_bytes = budget_bytes
-
-    def drain_touched(self) -> list[int]:
-        """The workers already harvested (same rule, shipped on batch
-        replies); hand over what has arrived."""
-        return self._store.take_frequency_samples()
-
-    def objects(self) -> list[_DumpedKey]:
-        out: list[_DumpedKey] = []
-        self._store.drain_inflight()
-        for worker in self._store.workers:
-            reply = worker.request(bytes([MSG_DUMP]))
-            (n,) = _U32.unpack_from(reply, 0)
-            lens = struct.unpack_from(f"<{n}I", reply, 4)
-            at = 4 + 4 * n
-            for length in lens:
-                out.append(_DumpedKey(bytes(reply[at : at + length])))
-                at += length
-        return out
+# -------------------------------------------------------------------- store
 
 
 class ProcShardStore:
-    """N shard-worker processes behind one store facade.
+    """N shard-worker processes behind the store protocol.
 
     The memory/index budget is split evenly and keys route by the seed-0
     FNV hash (:func:`~repro.kv.sharding.shard_of`); every shard is a
-    separate process and the facade talks to it over shared-memory
-    rings.  Scalar ``get``/``set``/``delete`` ride the batch plane as
-    one-row windows (the control path — migration, tests); the engine
-    fan-out is the hot path.
+    separate process holding a :class:`~repro.kv.store.KVStore`, reached
+    over shared-memory rings.  Scalar ``get``/``set``/``delete`` ride the
+    batch plane as one-row windows (the control path — migration, tests);
+    the engine fan-out is the hot path.  :meth:`keys`,
+    :meth:`harvest_window`, :meth:`gate_hot_cache`,
+    :attr:`needs_maintenance`/:meth:`maintenance` and :meth:`close` are
+    the same five jobs :class:`~repro.kv.store.KVStore` does in-process.
 
     Every arena is unlinked on :meth:`close`, which is also registered
     with ``atexit`` so segments cannot outlive the router even on an
     unclean exit; a SIGKILLed worker leaves no orphan either, because the
     router owns (and unlinks) both of its rings.
     """
-
-    is_procshard = True
 
     def __init__(
         self,
@@ -523,10 +441,7 @@ class ProcShardStore:
         dedup: bool = False,
         hot_cache: bool = False,
         hot_cache_keys: int | None = None,
-        hot_cache_active: bool = True,
         ring_bytes: int | None = None,
-        heap: str = "log",
-        delta_index: bool = False,
     ):
         if num_shards < 1:
             raise ConfigurationError(f"num_shards must be >= 1, got {num_shards}")
@@ -541,9 +456,7 @@ class ProcShardStore:
             "fork" if "fork" in mp.get_all_start_methods() else "spawn"
         )
         self.num_shards = num_shards
-        from repro.kv.slab import SlabAllocator
-
-        shard_budget = max(memory_bytes // num_shards, SlabAllocator.PAGE_BYTES)
+        shard_budget = max(memory_bytes // num_shards, DEFAULT_SEGMENT_BYTES)
         per_cache = None
         if hot_cache_keys is not None:
             per_cache = max(64, hot_cache_keys // num_shards)
@@ -553,11 +466,7 @@ class ProcShardStore:
             "dedup": dedup,
             "hot_cache": hot_cache,
             "hot_cache_keys": per_cache,
-            "hot_cache_active": hot_cache_active,
-            "heap": heap,
-            "delta_index": delta_index,
         }
-        self.dedup = dedup
         self.workers = [
             ShardWorker(i, config, ctx, ring_bytes) for i in range(num_shards)
         ]
@@ -573,8 +482,6 @@ class ProcShardStore:
         #: reply is never interleaved with a pending batch reply.
         self._inflight: list = []
         self._closed = False
-        self._index_view = _ProcIndexView(self)
-        self._heap_view = _ProcHeapView(self, shard_budget * num_shards)
         self.respawns = 0
         # atexit must not keep the store alive; close through a weakref.
         ref = weakref.ref(self)
@@ -592,7 +499,7 @@ class ProcShardStore:
 
         The worker rings are strict FIFOs, so a stats/dump/populate
         request sent while a batch reply is pending would consume that
-        reply as its own.  Every facade round-trip calls this first;
+        reply as its own.  Every control-plane round-trip calls this first;
         collection is idempotent, so racing an explicit ``collect`` is
         safe.
         """
@@ -626,8 +533,16 @@ class ProcShardStore:
         except Exception:
             pass
 
-    def ensure_workers(self) -> list[int]:
-        """Respawn any dead worker (fresh and empty); returns their ids."""
+    @property
+    def needs_maintenance(self) -> bool:
+        """Whether a worker is dead (one liveness poll per worker)."""
+        return not self._closed and not all(w.alive() for w in self.workers)
+
+    def maintenance(self) -> list[int]:
+        """Respawn any dead worker, fresh and empty — same durability
+        contract as a rebooted cache node; returns their shard ids.
+        Compaction needs no router: each worker runs it at its own
+        post-batch barrier and idle tick."""
         if self._closed:
             return []
         respawned = []
@@ -659,31 +574,40 @@ class ProcShardStore:
 
     # ------------------------------------------------------- profiler feeds
 
-    def note_skew(self, skew: float) -> None:
-        """Record the profiler's skew estimate; batches gate worker caches
-        with it from now on (the system's per-window hysteresis)."""
+    def harvest_window(self) -> tuple[list[int], float]:
+        """The closing profile window's harvest, drained.
+
+        The workers run the in-process harvest themselves when they see
+        the epoch advance and ship it on the batch reply; this hands over
+        what has arrived, with the fleet's average buckets written per
+        Insert from the last piggybacked counters.
+        """
+        counts, self._freq_pending = self._freq_pending, []
+        rows = self._stats_cache
+        inserts = sum(r[7] for r in rows)
+        writes = sum(r[10] for r in rows)
+        return counts, writes / inserts if inserts else 0.0
+
+    def gate_hot_cache(self, skew: float) -> tuple[int, int]:
+        """Record a window's skew estimate and return the worker caches'
+        lifetime ``(hits, lookups)``.
+
+        The caches live inside the workers: every batch header carries
+        the skew from now on and each worker's cache runs the same
+        ``gate_on_skew`` hysteresis; the totals come from the last
+        piggybacked counters — no extra round trips.
+        """
         self.current_skew = skew
         self._gate_caches = True
-
-    def take_frequency_samples(self) -> list[int]:
-        """Drain worker-harvested access counts for the profiler."""
-        out, self._freq_pending = self._freq_pending, []
-        return out
-
-    def hot_cache_totals(self) -> tuple[int, int]:
-        """Aggregated (hits, misses) across worker caches, from the last
-        piggybacked counters."""
         rows = self._stats_cache
-        return sum(r[14] for r in rows), sum(r[15] for r in rows)
+        hits = sum(r[14] for r in rows)
+        return hits, hits + sum(r[15] for r in rows)
 
     def _note_stats(self, shard: int, row: tuple) -> None:
         self._stats_cache[shard] = row
 
-    def _stats_rows(self) -> list[tuple]:
-        return self._stats_cache
-
     def refresh_stats(self) -> None:
-        """Round-trip every worker for fresh counters (facade reads)."""
+        """Round-trip every worker for fresh counters (``stats``/``len``)."""
         self.drain_inflight()
         for worker in self.workers:
             reply = worker.request(bytes([MSG_STATS]))
@@ -704,17 +628,23 @@ class ProcShardStore:
             merged.signature_false_positives += row[5]
         return merged
 
-    @property
-    def index(self) -> _ProcIndexView:
-        return self._index_view
-
-    @property
-    def heap(self) -> _ProcHeapView:
-        return self._heap_view
-
     def __len__(self) -> int:
         self.refresh_stats()
         return sum(row[13] for row in self._stats_cache)
+
+    def keys(self) -> list[bytes]:
+        """The live keys of every shard (what cluster migration scans)."""
+        out: list[bytes] = []
+        self.drain_inflight()
+        for worker in self.workers:
+            reply = worker.request(bytes([MSG_DUMP]))
+            (n,) = _U32.unpack_from(reply, 0)
+            lens = struct.unpack_from(f"<{n}I", reply, 4)
+            at = 4 + 4 * n
+            for length in lens:
+                out.append(bytes(reply[at : at + length]))
+                at += length
+        return out
 
     # -------------------------------------------------------------- routing
 
@@ -743,7 +673,7 @@ class ProcShardStore:
     def set(self, key: bytes, value: bytes) -> None:
         """Route one SET; returns ``None`` (the worker's SetOutcome stays
         in its process — callers needing displacement detail run in the
-        worker, not through the facade)."""
+        worker, not through the router)."""
         self._scalar(QueryType.SET, key, value)
 
     def delete(self, key: bytes) -> bool:
@@ -769,20 +699,6 @@ class ProcShardStore:
             reply = worker.request(bytes([MSG_POPULATE]), *block)
             stored += _U32.unpack_from(reply, 0)[0]
         return stored
-
-    def attach_hot_cache(self, capacity: int | None = None) -> list:
-        """Attach a hot-key cache inside every worker (evenly divided,
-        active).
-        Returns ``[]``: the caches live in the workers and are reached
-        through batch piggybacks, not direct references."""
-        self.drain_inflight()
-        per_shard = None
-        if capacity is not None:
-            per_shard = max(64, capacity // self.num_shards)
-        payload = struct.pack("<QB", per_shard or 0, 1)
-        for worker in self.workers:
-            worker.request(bytes([MSG_ATTACH_CACHE]), payload)
-        return []
 
 
 # ------------------------------------------------------------------- engine
@@ -835,11 +751,12 @@ class ProcShardTicket:
 class ProcShardEngine:
     """Router-side engine: split by shard hash, fan out over rings, merge.
 
-    Runs against a :class:`ProcShardStore`; on any other store it
-    degrades to an in-process :class:`~repro.engine.vector.VectorEngine`
-    so the backend stays safe to pin unconditionally.  A worker that dies
-    mid-batch answers its rows with ``ERROR`` responses instead of
-    killing the serve loop; the maintenance tick respawns it.
+    Runs against a :class:`ProcShardStore` only — dedup and caching
+    happen inside the workers, so the engine itself has nothing to
+    configure, and :class:`~repro.pipeline.functional.FunctionalPipeline`
+    has :meth:`check_store` reject any other store when it is built.  A
+    worker that dies mid-batch answers its rows with ``ERROR`` responses
+    instead of killing the serve loop; the maintenance tick respawns it.
 
     The data plane is pipelined: :meth:`submit` splits a window with one
     argsort over the FNV shard-hash column, gathers each sub-batch's
@@ -854,14 +771,18 @@ class ProcShardEngine:
 
     name = "procshard"
 
-    def __init__(self, *, dedup: bool = False, hot_cache: bool = True):
-        # Dedup/caching happen inside the workers (each owns its own
-        # builder and cache); the flags exist for resolve_engine symmetry
-        # and configure the in-process fallback only.
-        self._fallback = None
-        self._fallback_flags = (dedup, hot_cache)
+    def __init__(self):
         self.windows_submitted = 0
         self.windows_overlapped = 0
+
+    @staticmethod
+    def check_store(store) -> None:
+        """Raise unless ``store`` is a worker fleet this engine can route to."""
+        if not isinstance(store, ProcShardStore):
+            raise ConfigurationError(
+                "engine 'procshard' routes to shard worker processes and "
+                f"needs a ProcShardStore, not {type(store).__name__}"
+            )
 
     def close(self) -> None:
         """Engine holds no processes (the store owns workers); no-op."""
@@ -902,14 +823,7 @@ class ProcShardEngine:
         At most :data:`MAX_INFLIGHT_WINDOWS` windows may be resident per
         store — submitting beyond that collects the oldest first, so the
         double-buffered rings can never deadlock on a healthy worker.
-        On a non-procshard store the window runs synchronously and the
-        returned ticket is already done.
         """
-        if not isinstance(store, ProcShardStore):
-            ticket = ProcShardTicket(self, None, plane)
-            ticket.claims = self.run(store, plan, plane, epoch=epoch)
-            ticket.done = True
-            return ticket
         while len(store._inflight) >= MAX_INFLIGHT_WINDOWS:
             self.collect(store._inflight[0])
         ticket = ProcShardTicket(self, store, plane)
@@ -1174,15 +1088,6 @@ class ProcShardEngine:
         epoch: int = 0,
         task_times=None,
     ) -> dict[str, int]:
-        if not isinstance(store, ProcShardStore):
-            if self._fallback is None:
-                from repro.engine.vector import VectorEngine
-
-                dedup, hot_cache = self._fallback_flags
-                self._fallback = VectorEngine(dedup=dedup, hot_cache=hot_cache)
-            return self._fallback.run(
-                store, plan, plane, epoch=epoch, task_times=task_times
-            )
         return self.collect(self.submit(store, plan, plane, epoch=epoch))
 
     def _fill_down(self, ticket: ProcShardTicket, rows) -> None:

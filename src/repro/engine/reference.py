@@ -9,8 +9,8 @@ still live in exactly one module.  It serves two purposes:
 * **ground truth** for the engine-equivalence property tests: every legal
   configuration must produce byte-identical response frames through the
   columnar engines and through this per-query path;
-* **baseline** for ``benchmarks/bench_functional_throughput.py``, which
-  reports the columnar engines' speedup over per-query dispatch.
+* **verifier** for ``benchmarks/serving``, which replays every run's
+  traffic through this path and requires the served bytes to match.
 """
 
 from __future__ import annotations

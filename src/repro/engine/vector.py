@@ -204,36 +204,6 @@ class VectorEngine(SerialEngine):
         # replaces the per-hit ``qtypes[row] is GET`` interpreter branch.
         opcodes = plane.opcodes
         get_mask = opcodes == 1 if opcodes is not None else None
-        delta = getattr(store, "delta_index", None)
-        if delta is not None and len(delta):
-            # Delta pre-filter: one searchsorted against the delta's sorted
-            # signature column finds the rows that *might* live in the
-            # delta; only those pay a dict lookup.  Resolved rows (hits and
-            # tombstones alike) never touch the main mirror — their bucket
-            # reads are zero, matching the scalar delta-first path.
-            column = delta.signature_column()
-            if column.size:
-                pos = np.searchsorted(column, signatures)
-                pos[pos == column.size] = 0
-                maybe = column[pos] == signatures
-                if maybe.any():
-                    lookup = delta.lookup
-                    resolved_local: list[int] = []
-                    for local in np.nonzero(maybe)[0].tolist():
-                        row = int(plane_rows[local])
-                        hit = lookup(keys[row])
-                        if hit is None:
-                            # Signature collision with a main-only key.
-                            continue
-                        resolved_local.append(local)
-                        if hit and qtypes[row] is get_type:
-                            hit_rows.append(row)
-                            hit_locs.append(hit[0])
-                    if resolved_local:
-                        reads[resolved_local] = 0
-                        keep = np.ones(n, dtype=bool)
-                        keep[resolved_local] = False
-                        remaining = remaining[keep]
         # One round per candidate bucket; once any insert has kicked, rows
         # they all miss get one more round over the buckets' displaced twins.
         slots = index.slots_per_bucket

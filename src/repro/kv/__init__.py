@@ -2,7 +2,7 @@
 
 This package is a *working* key-value store, not a stub: queries parsed from
 the simulated network really look keys up in a cuckoo hash table, really
-allocate/evict through a slab allocator, and really produce response bytes.
+allocate/evict through the value heap, and really produce response bytes.
 The pipeline engine charges simulated time for each of those actions, but
 their functional results are exact, which is what the test suite verifies.
 
@@ -12,9 +12,11 @@ Components mirror the paper's Section II-B description of an IMKV node:
   counter and sampling timestamp used by the skew estimator (Section IV-B);
 * :mod:`repro.kv.hashtable` — the cuckoo hash index storing short key
   signatures plus object locations (Section II-B, [15]);
-* :mod:`repro.kv.slab` — slab allocation with LRU eviction; a SET on a full
-  store evicts an existing object, generating the Insert+Delete pairs the
-  paper analyses in Figure 6;
+* :mod:`repro.kv.logarena` — the value heap: an append-only log arena
+  with tombstoned deletes and barrier-time compaction/eviction;
+* :mod:`repro.kv.slab` — slab allocation with per-SET LRU eviction (the
+  paper's Figure 6 Insert+Delete pairing in its original form), kept as
+  the oracle the heap-parity tests compare the log arena against;
 * :mod:`repro.kv.store` — the assembled store exposing GET/SET/DELETE;
 * :mod:`repro.kv.protocol` — the binary wire format used by the simulated
   clients and NIC.

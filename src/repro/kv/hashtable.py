@@ -159,10 +159,6 @@ class CuckooHashTable:
         self._probe_cache: OrderedDict[bytes, tuple[int, list[int]]] = OrderedDict()
         self._probe_cache_cap = 1 << 17
         self._mirror: SignatureMirror | None = None
-        # When a bulk apply is in flight, mirror writes buffer here as
-        # {(bucket, slot): (signature, location)} and land in one batched
-        # fancy-indexed store instead of one cell write per op.
-        self._mirror_batch: dict[tuple[int, int], tuple[int, int]] | None = None
 
     # ------------------------------------------------------------------ info
 
@@ -251,40 +247,6 @@ class CuckooHashTable:
         else:
             cache.move_to_end(key)
         return spec
-
-    def forget_probes(self, keys) -> None:
-        """Drop cached probe specs for ``keys`` (merge-time invalidation).
-
-        Probe specs are geometry-pure, but a bulk merge may relocate a
-        key's slot via cuckoo kicks; evicting merged keys keeps the cache
-        honest by forcing the next operation to recompute against the
-        post-merge table rather than trusting an entry minted before it.
-        """
-        cache = self._probe_cache
-        pop = cache.pop
-        for key in keys:
-            pop(key, None)
-
-    def bulk_probe(self, keys: list[bytes]) -> list[tuple[int, list[int]]]:
-        """Probe specs for many keys at once, hashed in one vectorized pass.
-
-        Uses the vector engine's column hasher (bit-exact with
-        :func:`fnv1a64`), so merging a delta of N distinct keys costs one
-        array pass instead of N pure-Python FNV walks.  Does *not* populate the probe cache — merge traffic is
-        one-shot and would only churn the LRU.
-        """
-        if not keys:
-            return []
-        from repro.engine.vector import MAX_VECTOR_KEY_BYTES, fnv_hash_columns
-
-        if all(len(key) <= MAX_VECTOR_KEY_BYTES for key in keys):
-            states = fnv_hash_columns(keys, self._num_hashes + 1)
-            # One .tolist() per column keeps the per-key spec assembly in
-            # C — NumPy scalar indexing here costs ~1us per element.
-            signatures = (states[0] & 0xFFFFFFFF).tolist()
-            buckets = (states[1:] & self._mask).T.tolist()
-            return list(zip(signatures, buckets))
-        return [self.probe(key) for key in keys]
 
     # ----------------------------------------------------- signature mirror
 
@@ -526,345 +488,14 @@ class CuckooHashTable:
         self._count -= 1
         return True
 
-    def bulk_apply_prehashed(
-        self,
-        deletes=(),
-        reassigns=(),
-        inserts=(),
-    ) -> tuple[int, int, int]:
-        """Apply a merged batch of index ops in one pass.
-
-        The delta index calls this at merge time with prehashed rows:
-
-        - ``deletes``: ``(signature, buckets, location | None)`` tombstones,
-        - ``reassigns``: ``(signature, buckets, old_location, new_location)``
-          for keys whose main entry moves to a new heap location,
-        - ``inserts``: ``(signature, buckets, location)`` fresh bindings.
-
-        Deletes and reassigns are resolved with **one** NumPy gather against
-        the signature mirror (when attached): every row's candidate buckets
-        are matched for ``(signature, old_location)`` simultaneously, and
-        each hit becomes a single slot write.  The gather snapshot stays
-        valid throughout because distinct ``(signature, old_location)``
-        pairs can only match distinct slots — a slot *is* that pair —
-        and duplicate pairs are routed to the scalar path, which reads the
-        authoritative ``_Slot`` objects.  Rows the gather misses (entries
-        a kick moved to their :meth:`displaced_buckets`, or already gone)
-        also fall back to the scalar probes.  Frees happen before fills so inserts
-        see the emptied slots.  Mirror writes buffer in ``_mirror_batch``
-        and flush as one fancy-indexed store per array at the end (in a
-        ``finally`` so a :class:`CapacityError` mid-insert cannot leave the
-        mirror stale).
-
-        Returns ``(removed, reassigned, inserted)`` op counts.
-        """
-        stats = self.stats
-        removed = reassigned = inserted = 0
-        scalar_deletes: list[tuple[int, list[int], int | None]] = []
-        scalar_reassigns: list[tuple[int, list[int], int, int]] = []
-        vec_rows: list[tuple[int, list[int], int, int | None]] = []
-        if self._mirror is not None:
-            self._mirror_batch = {}
-        try:
-            if self._mirror is not None and (deletes or reassigns):
-                seen: set[tuple[int, int]] = set()
-                for sig, buckets, old in deletes:
-                    if old is None or (sig, old) in seen:
-                        scalar_deletes.append((sig, buckets, old))
-                    else:
-                        seen.add((sig, old))
-                        vec_rows.append((sig, buckets, old, None))
-                for sig, buckets, old, new in reassigns:
-                    if (sig, old) in seen:
-                        scalar_reassigns.append((sig, buckets, old, new))
-                    else:
-                        seen.add((sig, old))
-                        vec_rows.append((sig, buckets, old, new))
-            else:
-                scalar_deletes.extend(deletes)
-                scalar_reassigns.extend(reassigns)
-            if vec_rows:
-                mirror = self._mirror
-                n = len(vec_rows)
-                num_hashes = self._num_hashes
-                slots = self._slots_per_bucket
-                cand = _np.array([row[1] for row in vec_rows], dtype=_np.intp)
-                sigs = _np.fromiter(
-                    (row[0] for row in vec_rows), dtype=_np.uint32, count=n
-                )
-                olds = _np.fromiter(
-                    (row[2] for row in vec_rows), dtype=_np.int64, count=n
-                )
-                hit = (mirror.locations[cand] == olds[:, None, None]) & (
-                    mirror.signatures[cand] == sigs[:, None, None]
-                )
-                flat = hit.reshape(n, num_hashes * slots)
-                hit_mask = flat.any(axis=1)
-                first = flat.argmax(axis=1)
-                hit_bucket = _np.take_along_axis(
-                    cand, (first // slots)[:, None], axis=1
-                )[:, 0]
-                hit_slot = first % slots
-                # Mirror sync for every vector hit is two fancy-indexed
-                # stores (the batched-write half of the merge contract);
-                # distinct (signature, old) pairs hit distinct slots, so
-                # the fancy store never writes one cell twice.  These land
-                # directly rather than through ``_mirror_store`` — the
-                # gather snapshot above is already taken, and scalar
-                # fallbacks run after this block, so their buffered writes
-                # still win on flush.
-                is_delete = _np.fromiter(
-                    (row[3] is None for row in vec_rows), dtype=bool, count=n
-                )
-                news = _np.fromiter(
-                    (EMPTY if row[3] is None else row[3] for row in vec_rows),
-                    dtype=_np.int64,
-                    count=n,
-                )
-                mb_bucket = hit_bucket[hit_mask]
-                mb_slot = hit_slot[hit_mask]
-                mirror.signatures[mb_bucket, mb_slot] = _np.where(is_delete, 0, sigs)[
-                    hit_mask
-                ]
-                mirror.locations[mb_bucket, mb_slot] = news[hit_mask]
-                # Authoritative slots: hand the loop plain Python ints —
-                # scalar array indexing here would dominate the merge.
-                has_hit = hit_mask.tolist()
-                hb_list = hit_bucket.tolist()
-                hs_list = hit_slot.tolist()
-                table = self._buckets
-                versions = self._versions
-                vec_removed = vec_reassigned = 0
-                for i, (sig, buckets, old, new) in enumerate(vec_rows):
-                    if has_hit[i]:
-                        bucket_idx = hb_list[i]
-                        slot = table[bucket_idx][hs_list[i]]
-                        if new is None:
-                            slot.signature = 0
-                            slot.location = EMPTY
-                            vec_removed += 1
-                        else:
-                            slot.location = new
-                            vec_reassigned += 1
-                        versions[bucket_idx] += 1
-                    elif new is None:
-                        scalar_deletes.append((sig, buckets, old))
-                    else:
-                        scalar_reassigns.append((sig, buckets, old, new))
-                self._count -= vec_removed
-                removed += vec_removed
-                reassigned += vec_reassigned
-                stats.deletes += vec_removed + vec_reassigned
-                stats.inserts += vec_reassigned
-                stats.insert_bucket_writes += vec_reassigned
-                stats.reassigns += vec_reassigned
-            for sig, buckets, old in scalar_deletes:
-                if self.delete_prehashed(sig, buckets, old):
-                    removed += 1
-            pending_inserts = list(inserts)
-            for sig, buckets, old, new in scalar_reassigns:
-                if self.reassign_prehashed(sig, buckets, old, new):
-                    reassigned += 1
-                else:
-                    # The old entry vanished between absorb and merge; fall
-                    # back to the unfused Delete + Insert pair the reassign
-                    # stood for.
-                    if self.delete_prehashed(sig, buckets, old):
-                        removed += 1
-                    pending_inserts.append((sig, buckets, new))
-            for sig, buckets, location in pending_inserts:
-                self.insert_prehashed(sig, buckets, location)
-                inserted += 1
-        finally:
-            self._flush_mirror_batch()
-        return removed, reassigned, inserted
-
-    def bulk_apply_columns(self, signatures, buckets, classes) -> tuple[int, int, int]:
-        """Column-form :meth:`bulk_apply_prehashed` (NumPy + mirror required).
-
-        ``signatures``/``buckets`` are the delta's aligned hash columns
-        (``uint32 (n,)`` / ``intp (n, H)``) and ``classes`` is the
-        ``(del_idx, del_old, re_idx, re_old, re_new, ins_idx, ins_loc)``
-        plan from :meth:`~repro.kv.deltaindex.DeltaIndex.merge_columns`.
-        Works like the tuple form but never materialises per-row tuples or
-        bucket lists: the candidate matrix is one fancy gather of ``buckets``
-        rows, hits land with two fancy-indexed mirror stores plus a bare
-        slot-object loop, and only gather misses, duplicate
-        ``(signature, old)`` pairs, and fresh inserts drop to the scalar
-        prehashed calls (with their bucket lists built lazily).  Keeping
-        the plan columnar matters beyond speed: tuple-form merges allocated
-        tens of thousands of GC-tracked containers, and the resulting
-        collector pauses dominated write-heavy mixes.
-
-        Returns ``(removed, reassigned, inserted)`` op counts.
-        """
-        del_idx, del_old, re_idx, re_old, re_new, ins_idx, ins_loc = classes
-        stats = self.stats
-        removed = reassigned = inserted = 0
-        mirror = self._mirror
-        if mirror is None:
-            raise ConfigurationError(
-                "bulk_apply_columns needs an attached signature mirror"
-            )
-        num_deletes = len(del_idx)
-        n = num_deletes + len(re_idx)
-        miss_rows: list[int] = []
-        if n:
-            idx = _np.array(del_idx + re_idx, dtype=_np.intp)
-            olds = _np.array(del_old + re_old, dtype=_np.int64)
-            sigs = signatures[idx].astype(_np.int64)
-            news = _np.empty(n, dtype=_np.int64)
-            news[:num_deletes] = EMPTY
-            news[num_deletes:] = re_new
-            new_sigs = signatures[idx].copy()
-            new_sigs[:num_deletes] = 0
-            # Duplicate (signature, old) pairs would race the gather
-            # snapshot (a slot *is* that pair, so only distinct pairs are
-            # guaranteed distinct slots): keep the first of each run,
-            # route the rest through the scalar calls below.
-            order = _np.lexsort((olds, sigs))
-            dup_sorted = _np.zeros(n, dtype=bool)
-            if n > 1:
-                so = sigs[order]
-                oo = olds[order]
-                dup_sorted[1:] = (so[1:] == so[:-1]) & (oo[1:] == oo[:-1])
-            dup = _np.zeros(n, dtype=bool)
-            dup[order] = dup_sorted
-            vec = ~dup
-            vidx = idx[vec]
-            cand = buckets[vidx]
-            sigs_v = signatures[vidx]
-            olds_v = olds[vec]
-            news_v = news[vec]
-            nsig_v = new_sigs[vec]
-            slots = self._slots_per_bucket
-            hit = (mirror.locations[cand] == olds_v[:, None, None]) & (
-                mirror.signatures[cand] == sigs_v[:, None, None]
-            )
-            flat = hit.reshape(len(vidx), self._num_hashes * slots)
-            hit_mask = flat.any(axis=1)
-            first = flat.argmax(axis=1)
-            hit_bucket = _np.take_along_axis(cand, (first // slots)[:, None], axis=1)[
-                :, 0
-            ]
-            hit_slot = first % slots
-            mirror.signatures[hit_bucket[hit_mask], hit_slot[hit_mask]] = nsig_v[
-                hit_mask
-            ]
-            mirror.locations[hit_bucket[hit_mask], hit_slot[hit_mask]] = news_v[
-                hit_mask
-            ]
-            table = self._buckets
-            versions = self._versions
-            del_sel = hit_mask & (news_v == EMPTY)
-            re_sel = hit_mask & (news_v != EMPTY)
-            for bucket_idx, slot_idx in zip(
-                hit_bucket[del_sel].tolist(), hit_slot[del_sel].tolist()
-            ):
-                slot = table[bucket_idx][slot_idx]
-                slot.signature = 0
-                slot.location = EMPTY
-                versions[bucket_idx] += 1
-            for bucket_idx, slot_idx, new in zip(
-                hit_bucket[re_sel].tolist(),
-                hit_slot[re_sel].tolist(),
-                news_v[re_sel].tolist(),
-            ):
-                table[bucket_idx][slot_idx].location = new
-                versions[bucket_idx] += 1
-            vec_removed = int(del_sel.sum())
-            vec_reassigned = int(re_sel.sum())
-            self._count -= vec_removed
-            removed += vec_removed
-            reassigned += vec_reassigned
-            stats.deletes += vec_removed + vec_reassigned
-            stats.inserts += vec_reassigned
-            stats.insert_bucket_writes += vec_reassigned
-            stats.reassigns += vec_reassigned
-            if not hit_mask.all():
-                miss_rows = _np.nonzero(~hit_mask)[0].tolist()
-        self._mirror_batch = {}
-        try:
-            for j in miss_rows:
-                sig = int(sigs_v[j])
-                row = int(vidx[j])
-                bucket_list = buckets[row].tolist()
-                old = int(olds_v[j])
-                new = int(news_v[j])
-                if new == EMPTY:
-                    if self.delete_prehashed(sig, bucket_list, old):
-                        removed += 1
-                elif self.reassign_prehashed(sig, bucket_list, old, new):
-                    reassigned += 1
-                else:
-                    # The old entry vanished between absorb and merge; fall
-                    # back to the unfused Delete + Insert pair.
-                    if self.delete_prehashed(sig, bucket_list, old):
-                        removed += 1
-                    self.insert_prehashed(sig, bucket_list, new)
-                    inserted += 1
-            if n:
-                dup_rows = _np.nonzero(dup)[0].tolist()
-                for j in dup_rows:
-                    row = int(idx[j])
-                    sig = int(signatures[row])
-                    bucket_list = buckets[row].tolist()
-                    old = int(olds[j])
-                    new = int(news[j])
-                    if new == EMPTY:
-                        if self.delete_prehashed(sig, bucket_list, old):
-                            removed += 1
-                    elif self.reassign_prehashed(sig, bucket_list, old, new):
-                        reassigned += 1
-                    else:
-                        if self.delete_prehashed(sig, bucket_list, old):
-                            removed += 1
-                        self.insert_prehashed(sig, bucket_list, new)
-                        inserted += 1
-            if ins_idx:
-                sig_list = signatures[ins_idx].tolist()
-                for i, sig, location in zip(ins_idx, sig_list, ins_loc):
-                    self.insert_prehashed(sig, buckets[i].tolist(), location)
-                    inserted += 1
-        finally:
-            self._flush_mirror_batch()
-        return removed, reassigned, inserted
-
-    def _flush_mirror_batch(self) -> None:
-        """Land buffered mirror writes as one fancy-indexed store per array."""
-        batch, self._mirror_batch = self._mirror_batch, None
-        if not batch or self._mirror is None:
-            return
-        mirror = self._mirror
-        n = len(batch)
-        rows = _np.empty(n, dtype=_np.intp)
-        cols = _np.empty(n, dtype=_np.intp)
-        sigs = _np.empty(n, dtype=_np.uint32)
-        locs = _np.empty(n, dtype=_np.int64)
-        for i, ((bucket_idx, slot_idx), (signature, location)) in enumerate(batch.items()):
-            rows[i] = bucket_idx
-            cols[i] = slot_idx
-            sigs[i] = signature
-            locs[i] = location
-        mirror.signatures[rows, cols] = sigs
-        mirror.locations[rows, cols] = locs
-
     def _mirror_store(self, bucket_idx: int, slot_idx: int, signature: int, location: int) -> None:
-        """The single mirror-write point for every *scalar* slot mutation.
+        """The single mirror-write point for every slot mutation.
 
-        All scalar writers (:meth:`_write_slot` and :meth:`_rewrite_location`)
+        Both writers (:meth:`_write_slot` and :meth:`_rewrite_location`)
         funnel through here, so mirror coherence is asserted in exactly one
-        place.  During a :meth:`bulk_apply_prehashed` the write is buffered
-        into ``_mirror_batch`` (last write per cell wins) and flushed as one
-        fancy-indexed store at the end of the merge.  The merge's vectorized
-        hit path is the one other mirror writer: it stores all its cells with
-        two fancy-indexed writes before any scalar fallback runs, so the
-        flush ordering above still makes the scalar writes win.
+        place.
         """
-        batch = self._mirror_batch
-        if batch is not None:
-            batch[bucket_idx, slot_idx] = (signature, location)
-        elif self._mirror is not None:
+        if self._mirror is not None:
             self._mirror.write(bucket_idx, slot_idx, signature, location)
 
     def _rewrite_location(self, bucket_idx: int, slot_idx: int, location: int) -> None:

@@ -1,4 +1,4 @@
-"""Log-structured value arena: the write-optimised heap behind ``--heap log``.
+"""Log-structured value arena: the store's value heap.
 
 The slab allocator (:mod:`repro.kv.slab`) charges every SET a full round of
 per-object bookkeeping — a size-class lookup, an ``OrderedDict`` LRU insert,

@@ -1,11 +1,19 @@
 """The assembled key-value store: cuckoo index over a value heap.
 
-:class:`KVStore` wires the cuckoo hash table and a value heap — the
-append-only :class:`~repro.kv.logarena.LogValueArena` by default, or the
-classic :class:`~repro.kv.slab.SlabAllocator` via ``heap="slab"`` — into
-the GET/SET/DELETE semantics of Section II-B, and reports the
-per-operation cost observations (buckets touched, evictions generated)
-that both the workload profiler and the cost model consume.
+:class:`KVStore` wires the cuckoo hash table and the value heap — the
+append-only :class:`~repro.kv.logarena.LogValueArena` — into the
+GET/SET/DELETE semantics of Section II-B, and reports the per-operation
+cost observations (buckets touched, evictions generated) that both the
+workload profiler and the cost model consume.  Tests inject other
+allocators with the same interface as instances (small-segment arenas,
+and :class:`~repro.kv.slab.SlabAllocator` as the parity oracle).
+
+Beyond ``get``/``set``/``delete``/``populate``/``len``/``stats`` the
+system asks five things of a store, and :class:`KVStore` and
+:class:`~repro.engine.procshard.ProcShardStore` both answer them:
+:meth:`KVStore.keys`, :meth:`KVStore.harvest_window`,
+:meth:`KVStore.gate_hot_cache`, :attr:`KVStore.needs_maintenance` with
+:meth:`KVStore.maintenance`, and :meth:`KVStore.close`.
 
 The pipeline engine does not call ``get``/``set`` directly — it runs the
 fine-grained tasks (IN, KC, RD, ...) separately so they can live on
@@ -20,11 +28,10 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 
-from repro.errors import CapacityError, ConfigurationError
+from repro.errors import CapacityError
 from repro.kv.hashtable import CuckooHashTable
 from repro.kv.logarena import LogValueArena
 from repro.kv.objects import KVObject
-from repro.kv.slab import SlabAllocator
 from repro.telemetry import get_telemetry
 
 #: 10 us .. 1 s: a maintenance step is a barrier the next window waits on.
@@ -109,16 +116,10 @@ class KVStore:
         Sizing hint for the index (buckets ~ expected / slots, padded to
         keep cuckoo load factors safe).
     heap:
-        Value storage substrate: ``"log"`` (default) for the append-only
-        :class:`~repro.kv.logarena.LogValueArena` (bump-pointer SETs,
-        tombstoned deletes, barrier-time compaction), ``"slab"`` for the
-        size-classed :class:`~repro.kv.slab.SlabAllocator` with per-SET
-        LRU eviction, or an allocator instance with the same interface.
-    delta_index:
-        When true, attach a write-absorbing
-        :class:`~repro.kv.deltaindex.DeltaIndex`: Insert/Delete/Reassign
-        traffic collects there between write barriers and merges into the
-        cuckoo table in bulk; Searches resolve delta-first, then main.
+        ``None`` (default) for a
+        :class:`~repro.kv.logarena.LogValueArena` over ``memory_bytes``
+        (bump-pointer SETs, tombstoned deletes, barrier-time compaction),
+        or an allocator instance with the same interface.
     """
 
     def __init__(
@@ -127,24 +128,14 @@ class KVStore:
         expected_objects: int,
         num_hashes: int = 2,
         index=None,
-        heap: str | object = "log",
-        delta_index: bool = False,
+        heap=None,
     ):
         buckets = max(64, int(expected_objects / 2))
         if index is None:
             index = CuckooHashTable(num_buckets=buckets, num_hashes=num_hashes)
         self.index = index
-        if heap is None or heap == "log":
-            self.heap = LogValueArena(memory_bytes)
-        elif heap == "slab":
-            self.heap = SlabAllocator(memory_bytes)
-        elif isinstance(heap, str):
-            raise ConfigurationError(
-                f"heap must be 'slab' or 'log', not {heap!r}"
-            )
-        else:
-            self.heap = heap
-        #: Log-arena fast paths, bound once (None on a slab heap).
+        self.heap = LogValueArena(memory_bytes) if heap is None else heap
+        #: Log-arena fast paths, bound once (None on an injected slab).
         self._heap_alloc_kv = getattr(self.heap, "allocate_kv", None)
         self._heap_bulk_alloc = getattr(self.heap, "multi_allocate_kv", None)
         self._heap_discard = getattr(self.heap, "discard", None)
@@ -155,13 +146,6 @@ class KVStore:
         #: paths (allocate/delete) keep it coherent, the engines' hot path
         #: serves GETs from it when it is attached and gated active.
         self.hot_cache = None
-        #: Optional :class:`~repro.kv.deltaindex.DeltaIndex` (public so the
-        #: vector engine's Search pass can pre-filter against it); ``_delta``
-        #: is the same object, bound separately for the hot-path guards.
-        self.delta_index = None
-        self._delta = None
-        if delta_index:
-            self.attach_delta_index()
 
     def attach_hot_cache(self, capacity: int | None = None):
         """Create and attach a hot-key read cache; returns it."""
@@ -170,41 +154,6 @@ class KVStore:
         self.hot_cache = HotKeyCache(capacity or DEFAULT_CAPACITY)
         return self.hot_cache
 
-    def attach_delta_index(
-        self,
-        merge_threshold: int | None = None,
-        capacity: int | None = None,
-        max_age_s: float | None = None,
-    ):
-        """Create and attach a write-absorbing delta index; returns it.
-
-        Requires an index exposing the prehashed bulk interface
-        (:meth:`~repro.kv.hashtable.CuckooHashTable.bulk_probe` /
-        ``bulk_apply_prehashed`` / ``forget_probes``); raises
-        :class:`~repro.errors.ConfigurationError` otherwise.
-        """
-        from repro.kv.deltaindex import (
-            DEFAULT_CAPACITY,
-            DEFAULT_MAX_AGE_S,
-            DEFAULT_MERGE_THRESHOLD,
-            DeltaIndex,
-        )
-
-        index = self.index
-        for attr in ("bulk_probe", "bulk_apply_prehashed", "forget_probes"):
-            if not hasattr(index, attr):
-                raise ConfigurationError(
-                    "the delta index requires an index with the bulk "
-                    f"prehashed interface (missing {attr!r})"
-                )
-        self._delta = self.delta_index = DeltaIndex(
-            index,
-            merge_threshold or DEFAULT_MERGE_THRESHOLD,
-            capacity or DEFAULT_CAPACITY,
-            DEFAULT_MAX_AGE_S if max_age_s is None else max_age_s,
-        )
-        return self._delta
-
     def __len__(self) -> int:
         return len(self._key_location)
 
@@ -212,15 +161,7 @@ class KVStore:
     # These are what the pipeline's fine-grained tasks call.
 
     def index_search(self, key: bytes) -> list[int]:
-        """IN/Search: candidate locations by signature (delta-first)."""
-        delta = self._delta
-        if delta is not None:
-            hit = delta.lookup(key)
-            if hit is not None:
-                # A delta hit is still one Search; it just costs no bucket
-                # reads (the binding is exact, KC verifies as usual).
-                self.index.stats.searches += 1
-                return hit
+        """IN/Search: candidate locations by signature."""
         candidates, _ = self.index.search(key)
         return candidates
 
@@ -292,34 +233,11 @@ class KVStore:
         )
 
     def index_insert(self, key: bytes, location: int) -> int:
-        """IN/Insert: add the new entry; returns buckets written.
-
-        With a delta attached the insert is absorbed there (zero bucket
-        writes now; the merge settles it in bulk).
-        """
-        delta = self._delta
-        if delta is not None:
-            delta.insert(key, location)
-            if delta.overflowed:
-                self._merge_delta()
-            return 0
+        """IN/Insert: add the new entry; returns buckets written."""
         return self.index.insert(key, location)
 
     def index_delete(self, key: bytes, location: int | None = None) -> bool:
-        """IN/Delete: drop an index entry (for evicted/replaced/deleted keys).
-
-        With a delta attached the delete is absorbed as a tombstone; the
-        rare location-less delete of a key unknown to the delta applies to
-        the main table synchronously (the delta cannot express "remove any
-        signature match").
-        """
-        delta = self._delta
-        if delta is not None:
-            absorbed = delta.delete(key, location)
-            if absorbed is not None:
-                if delta.overflowed:
-                    self._merge_delta()
-                return bool(absorbed)
+        """IN/Delete: drop an index entry (for evicted/replaced/deleted keys)."""
         return self.index.delete(key, location)
 
     # ------------------------------------------------------- bulk primitives
@@ -337,37 +255,7 @@ class KVStore:
     # scalar operations, so the engine works against any index.
 
     def multi_index_search(self, keys: list[bytes]) -> list[list[int]]:
-        """Bulk IN/Search: candidate locations per key, in input order.
-
-        Delta-resident keys resolve from the delta (exact, zero bucket
-        reads); only the misses touch the main table.
-        """
-        delta = self._delta
-        if delta is not None and len(delta):
-            lookup = delta.lookup
-            out: list[list[int] | None] = [None] * len(keys)
-            miss_keys: list[bytes] = []
-            miss_pos: list[int] = []
-            for i, key in enumerate(keys):
-                hit = lookup(key)
-                if hit is None:
-                    miss_keys.append(key)
-                    miss_pos.append(i)
-                else:
-                    out[i] = hit
-            delta_hits = len(keys) - len(miss_keys)
-            if delta_hits:
-                self.index.stats.searches += delta_hits
-            if miss_keys:
-                multi = getattr(self.index, "multi_search", None)
-                if multi is not None:
-                    found = multi(miss_keys)
-                else:
-                    search = self.index.search
-                    found = [search(key)[0] for key in miss_keys]
-                for pos, candidates in zip(miss_pos, found):
-                    out[pos] = candidates
-            return out
+        """Bulk IN/Search: candidate locations per key, in input order."""
         multi = getattr(self.index, "multi_search", None)
         if multi is not None:
             return multi(keys)
@@ -530,31 +418,6 @@ class KVStore:
 
         cache = self.hot_cache
         on_write = cache.on_write if cache is not None else None
-        delta = self._delta
-        if delta is not None:
-            # Eager absorb: the whole SET run's index traffic lands in the
-            # delta right here at MM time — no probe specs, no per-op
-            # bucket scans — and every row reports settled, so the Insert
-            # phase has nothing to queue.  Stage plans keep MM ahead of the
-            # IN phase and sort Delete before Insert before Search inside
-            # it, so absorbing at MM is observationally identical to
-            # absorbing at the Insert phase (the same ordering argument
-            # that lets ``reassign_prehashed`` settle pairs at MM).
-            absorb_insert = delta.insert
-            absorb_assign = delta.assign
-            for key, value, location in zip(keys, values, locations):
-                old_location = key_location_get(key)
-                if old_location is not None and discard(old_location) is not None:
-                    absorb_assign(key, old_location, location)
-                else:
-                    absorb_insert(key, location)
-                key_location[key] = location
-                if on_write is not None:
-                    on_write(key, value)
-            if delta.overflowed:
-                self._merge_delta()
-            n = len(keys)
-            return locations, [None] * n, [True] * n
         index = self.index
         probe = getattr(index, "probe_cached", None)
         reassign = (
@@ -585,14 +448,6 @@ class KVStore:
 
     def multi_index_insert(self, entries: list[tuple[bytes, int]]) -> int:
         """Bulk IN/Insert: apply entries in order; returns buckets written."""
-        delta = self._delta
-        if delta is not None:
-            absorb = delta.insert
-            for key, location in entries:
-                absorb(key, location)
-            if delta.overflowed:
-                self._merge_delta()
-            return 0
         index = self.index
         probe = getattr(index, "probe_cached", None)
         if probe is None:
@@ -607,24 +462,6 @@ class KVStore:
 
     def multi_index_delete(self, entries: list[tuple[bytes, int | None]]) -> int:
         """Bulk IN/Delete: apply entries in order; returns entries removed."""
-        delta = self._delta
-        if delta is not None:
-            absorb = delta.delete
-            index_delete = self.index.delete
-            removed = 0
-            for key, location in entries:
-                absorbed = absorb(key, location)
-                if absorbed is None:
-                    # Location-less delete of a key the delta has never
-                    # seen: apply to main synchronously (rare; the engine
-                    # paths always supply locations).
-                    if index_delete(key, location):
-                        removed += 1
-                elif absorbed:
-                    removed += 1
-            if delta.overflowed:
-                self._merge_delta()
-            return removed
         index = self.index
         probe = getattr(index, "probe_cached", None)
         if probe is None:
@@ -676,107 +513,66 @@ class KVStore:
         self.stats.delete_hits += 1
         return True
 
-    # ----------------------------------------------------------- maintenance
+    # ------------------------------------------------------- store protocol
+    # What DidoSystem, FunctionalPipeline and the cluster ask of a store
+    # beyond the operations above; ProcShardStore answers the same five.
+
+    def keys(self) -> list[bytes]:
+        """The live keys (what cluster migration scans)."""
+        return [obj.key for obj in self.heap.objects()]
+
+    def harvest_window(self) -> tuple[list[int], float]:
+        """The closing profile window's harvest, drained.
+
+        Returns the in-window access counts of the objects touched since
+        the last harvest — the keys the hot cache served, then the heap's
+        first-touch log (bounded at two windows' worth; no heap scan) — and
+        the index's running average of buckets written per Insert.
+        """
+        counts = self.heap.drain_touched()
+        if self.hot_cache is not None:
+            counts = self.hot_cache.drain_window_hits() + counts
+        return counts, self.index.stats.average_insert_buckets()
+
+    def gate_hot_cache(self, skew: float) -> tuple[int, int]:
+        """Gate the hot cache on a window's skew estimate (hysteresis inside
+        :meth:`~repro.kv.hotcache.HotKeyCache.gate_on_skew`); returns its
+        lifetime ``(hits, lookups)`` — zeros with no cache attached."""
+        cache = self.hot_cache
+        if cache is None:
+            return 0, 0
+        cache.gate_on_skew(skew)
+        return cache.hits, cache.hits + cache.misses
 
     @property
     def needs_maintenance(self) -> bool:
-        """Cheap barrier gate: delta merge due, or heap wants compaction?
+        """Cheap barrier gate: does the heap want compaction?
 
-        The heap half is always ``False`` on a slab heap (it reclaims
-        inline, per SET); the delta half fires on the size/age threshold.
+        Always ``False`` on an injected slab (it reclaims inline, per SET).
         """
-        delta = self._delta
-        if delta is not None and delta.wants_merge():
-            return True
         if self._heap_compact is None:
             return False
         return self.heap.needs_maintenance
 
-    def _merge_delta(self) -> int:
-        """Merge the delta into the main table in one bulk apply.
+    def maintenance(self) -> int:
+        """Run barrier work — heap compaction; returns evictions.
 
-        Every delta key is hashed in one vectorized pass and, when the
-        signature mirror is attached, the whole plan stays columnar
-        (:meth:`~repro.kv.deltaindex.DeltaIndex.merge_columns` into
-        ``bulk_apply_columns``) — no per-row tuples, so a merge does not
-        flood the garbage collector.  Without a mirror the tuple-form
-        ``merge_rows``/``bulk_apply_prehashed`` path applies the same ops
-        scalar.  Merged keys' probe-cache entries are invalidated so
-        nothing resolves against a pre-merge spec.  The delta resets only after the apply succeeds: a
-        :class:`~repro.errors.CapacityError` mid-apply leaves every
-        binding still resolvable delta-first, so responses stay correct.
-        Returns the number of ops applied.
-        """
-        delta = self._delta
-        if delta is None or delta.pending_ops == 0:
-            return 0
-        started = time.perf_counter_ns()
-        index = self.index
-        plan = None
-        if index.mirror is not None:
-            plan = delta.merge_columns()
-        if plan is not None:
-            keys, signatures, buckets, classes = plan
-            index.bulk_apply_columns(signatures, buckets, classes)
-            merged = len(classes[0]) + len(classes[2]) + len(classes[5])
-        else:
-            deletes, reassigns, inserts, keys = delta.merge_rows()
-            index.bulk_apply_prehashed(deletes, reassigns, inserts)
-            merged = len(deletes) + len(reassigns) + len(inserts)
-        index.forget_probes(keys)
-        delta.finish_merge(merged)
-        telemetry = get_telemetry()
-        if telemetry.enabled:
-            registry = telemetry.registry
-            registry.counter(
-                "repro_delta_merges_total",
-                help="Delta-index merges applied to the main cuckoo table",
-            ).inc()
-            registry.histogram(
-                "repro_delta_merge_ns",
-                help="Wall time of one delta-index merge (ns)",
-            ).observe(time.perf_counter_ns() - started)
-            registry.gauge(
-                "repro_delta_index_size",
-                help="Keys currently absorbed in the delta index",
-            ).set(0)
-        return merged
-
-    def maintenance(self, force: bool = False) -> int:
-        """Run barrier work: delta merge, then heap compaction; returns evictions.
-
-        The delta (when attached) merges first whenever its size/age
-        threshold is hit — or whenever it is non-empty under ``force``
-        (the server's idle tick) — so compaction-generated index Deletes
-        land in a fresh delta and searches never outlive a stale binding.
-        ``force`` means nothing else: the heap has one trigger,
+        The heap has one trigger,
         :attr:`~repro.kv.logarena.LogValueArena.needs_maintenance`, shared
-        by the tick and the post-batch barrier.
+        by the server's idle tick and the post-batch barrier.
 
-        Compaction is log-arena only (a no-op on the slab, which never
-        defers work).  It evicts whole least-recently-touched segments
+        Compaction is log-arena only (a no-op on an injected slab, which
+        never defers work).  It evicts whole least-recently-touched segments
         while the live set exceeds the budget; every evicted record gets
         its index Delete, key-location unmapping and hot-cache
         invalidation here — the aggregate settlement of the paper's
         one-Insert-one-Delete SET accounting (§II-C2).
         """
-        telemetry = get_telemetry()
-        registry = telemetry.registry if telemetry.enabled else None
-        delta = self._delta
-        if delta is not None:
-            if registry is not None:
-                registry.gauge(
-                    "repro_delta_index_size",
-                    help="Keys currently absorbed in the delta index",
-                ).set(len(delta))
-            if delta.wants_merge() or (force and delta.pending_ops):
-                started = time.perf_counter_ns()
-                self._merge_delta()
-                if registry is not None:
-                    self._observe_maintenance(registry, "delta_merge", started)
         compact = self._heap_compact
         if compact is None:
             return 0
+        telemetry = get_telemetry()
+        registry = telemetry.registry if telemetry.enabled else None
         heap = self.heap
         if registry is not None:
             self._export_heap_balance(registry)
@@ -794,7 +590,11 @@ class KVStore:
             if self.hot_cache is not None:
                 self.hot_cache.invalidate(key)
         if registry is not None and stats.compactions > before[0]:
-            self._observe_maintenance(registry, "compaction", started)
+            registry.histogram(
+                "repro_maintenance_ns",
+                buckets=_MAINTENANCE_NS_BUCKETS,
+                help="Wall time of one maintenance step, by stream (ns)",
+            ).observe(time.perf_counter_ns() - started, stream="compaction")
             after = (stats.compactions, stats.relocations, stats.relocated_bytes)
             for (name, help_text), was, now in zip(_COMPACTION_COUNTERS, before, after):
                 if now > was:
@@ -802,13 +602,9 @@ class KVStore:
             self._export_heap_balance(registry)
         return len(evicted)
 
-    @staticmethod
-    def _observe_maintenance(registry, stream: str, started: int) -> None:
-        registry.histogram(
-            "repro_maintenance_ns",
-            buckets=_MAINTENANCE_NS_BUCKETS,
-            help="Wall time of one maintenance step, by stream (ns)",
-        ).observe(time.perf_counter_ns() - started, stream=stream)
+    def close(self) -> None:
+        """Nothing to release in-process (the procshard store stops its
+        workers here)."""
 
     def _export_heap_balance(self, registry) -> None:
         registry.gauge(
@@ -821,56 +617,19 @@ class KVStore:
         ).set(self.heap.dead_bytes)
 
     # ------------------------------------------------------- bulk entry points
-    # Arena-backed bulk operations: one call applies a whole decoded
-    # column block (the procshard workers' populate/import path and the
-    # cluster's columnar bulk-SET windows land here).
 
     def bulk_set_columns(self, keys: list[bytes], values: list[bytes]) -> int:
         """Apply a columnar SET block in order; returns items stored.
 
-        Semantics match :meth:`populate` (sequential full SETs, stopping
-        when the index is saturated) over parallel key/value columns —
-        typically sliced straight out of a shared-memory arena block
-        (:func:`repro.net.arena.decode_query_block`).
+        Sequential full SETs over parallel key/value columns — typically
+        sliced straight out of a shared-memory arena block
+        (:func:`repro.net.arena.decode_query_block`; the procshard workers'
+        populate path).  Stops early if the index cannot absorb more
+        (cuckoo capacity), which callers treat as "store is full" rather
+        than an error.
         """
         stored = 0
         for key, value in zip(keys, values):
-            try:
-                self.set(key, value)
-            except CapacityError:
-                break
-            stored += 1
-            if not stored % 4096 and self.needs_maintenance:
-                self.maintenance()
-        return stored
-
-    def bulk_get_columns(
-        self, keys: list[bytes], *, epoch: int = 0
-    ) -> list[bytes | None]:
-        """Bulk GET over a key column: Search -> KC -> RD as three passes.
-
-        The columnar counterpart of :meth:`get` (stats counted the same
-        way), used by arena-fed readers that already hold a key column
-        and want one store round instead of a per-key call chain.
-        """
-        n = len(keys)
-        self.stats.gets += n
-        candidates = self.multi_index_search(keys)
-        locations = self.multi_key_compare(keys, candidates)
-        values = self.multi_read_value(locations, epoch=epoch)
-        self.stats.get_hits += sum(1 for v in values if v is not None)
-        return values
-
-    # -------------------------------------------------------------- warm-up
-
-    def populate(self, items: list[tuple[bytes, bytes]]) -> int:
-        """Bulk-load items (benchmark warm-up); returns count stored.
-
-        Stops early if the index cannot absorb more (cuckoo capacity), which
-        callers treat as "store is full" rather than an error.
-        """
-        stored = 0
-        for key, value in items:
             try:
                 self.set(key, value)
             except CapacityError:
@@ -881,3 +640,10 @@ class KVStore:
                 # periodically instead of overcommitting unboundedly.
                 self.maintenance()
         return stored
+
+    def populate(self, items: list[tuple[bytes, bytes]]) -> int:
+        """Bulk-load ``(key, value)`` pairs (benchmark warm-up); returns
+        count stored — :meth:`bulk_set_columns` over the zipped columns."""
+        return self.bulk_set_columns(
+            [key for key, _ in items], [value for _, value in items]
+        )

@@ -37,7 +37,6 @@ from repro.engine import (
     resolve_engine,
 )
 from repro.kv.protocol import Query, Response, ResponseStatus, decode_queries
-from repro.kv.store import KVStore
 from repro.net.packets import Frame
 from repro.net.wire import frames_for_response_columns
 from repro.telemetry import get_telemetry, stage_span, steal_event
@@ -114,8 +113,8 @@ class PendingBatch:
     """A batch submitted to a pipelined engine but not yet merged.
 
     Produced by :meth:`FunctionalPipeline.submit_batch`, finished by
-    :meth:`FunctionalPipeline.collect_batch`.  When the engine (or store)
-    cannot pipeline, the batch ran synchronously at submit time and
+    :meth:`FunctionalPipeline.collect_batch`.  When the pipeline does not
+    split windows, the batch ran synchronously at submit time and
     ``result`` is already populated — collect just returns it.
     """
 
@@ -140,13 +139,17 @@ class PendingBatch:
 
 
 class FunctionalPipeline:
-    """Executes batches against a :class:`~repro.kv.store.KVStore`.
+    """Executes batches against a store.
 
     Parameters
     ----------
     store:
         The store to operate on (shared across batches and reconfigurations,
-        as on the real shared-memory APU).
+        as on the real shared-memory APU): a
+        :class:`~repro.kv.store.KVStore`, or the
+        :class:`~repro.engine.procshard.ProcShardStore` the "procshard"
+        engine routes to.  The pipeline itself asks it only for the
+        post-batch barrier (``needs_maintenance`` / ``maintenance()``).
     epoch_source:
         Callable returning the profiler's current sampling epoch, used to
         stamp object access counters; defaults to a constant 0.
@@ -154,9 +157,9 @@ class FunctionalPipeline:
         Execution backend: ``None``/"auto" picks per batch (stealing when
         the config enables it on a GPU stage, serial otherwise); "serial",
         "stealing", "reference", "vector" or "procshard" pins a backend; an
-        object with a ``run`` method is used as-is.  "procshard" expects the
-        store to be a :class:`~repro.engine.procshard.ProcShardStore` (it
-        falls back to an in-process vector engine on a plain store).
+        object with a ``run`` method is used as-is.  "procshard" needs the
+        store to be a :class:`~repro.engine.procshard.ProcShardStore` and
+        raises :class:`~repro.errors.ConfigurationError` here otherwise.
     dedup:
         Collapse each batch's duplicate GET runs to one probe per key
         between write barriers (see :mod:`repro.engine.hotpath`).
@@ -168,7 +171,7 @@ class FunctionalPipeline:
 
     def __init__(
         self,
-        store: KVStore,
+        store,
         epoch_source=None,
         engine=None,
         *,
@@ -178,6 +181,14 @@ class FunctionalPipeline:
         self.store = store
         self._epoch_source = epoch_source or (lambda: 0)
         self._engine = resolve_engine(engine, dedup=dedup, hot_cache=hot_cache)
+        #: Whether submit/collect overlap windows.  Only the procshard
+        #: engine splits a window, and only against the worker fleet it
+        #: routes to — checked here, once, so nothing downstream asks.
+        self.supports_pipelining = (
+            self._engine is not None and self._engine.name == "procshard"
+        )
+        if self.supports_pipelining:
+            self._engine.check_store(store)
         self._serial = SerialEngine(dedup=dedup, hot_cache=hot_cache)
         self._stealing = StealingEngine(dedup=dedup, hot_cache=hot_cache)
         self._batch_counter = 0
@@ -231,25 +242,7 @@ class FunctionalPipeline:
             epoch=self._epoch_source(),
             task_times=task_times,
         )
-        responses = plane.take_responses()
-        # Post-batch barrier: the log arena compacts only between batches
-        # (never mid-batch, so live values are never moved under a running
-        # engine).  The gate is one cheap property read; slab-heap stores
-        # report False forever.
-        store = self.store
-        if getattr(store, "needs_maintenance", False):
-            store.maintenance()
-        self._batch_counter += 1
-        result = BatchResult(
-            responses=responses,
-            config_label=config.label,
-            steal_claims=steal_claims,
-            response_sizes=plane.response_sizes,
-            response_statuses=plane.response_statuses,
-            response_values=plane.read_values
-            if plane.response_statuses is not None
-            else None,
-        )
+        result = self._finish_batch(config, plane, steal_claims)
         if collect:
             # Frame eagerly under telemetry so the SD span stays a real
             # measurement of response framing; otherwise frames build
@@ -264,32 +257,24 @@ class FunctionalPipeline:
 
     # --------------------------------------------------- pipelined windows
 
-    @property
-    def supports_pipelining(self) -> bool:
-        """Whether submit/collect can overlap windows on this store."""
-        return getattr(self.store, "is_procshard", False) and hasattr(
-            self._engine, "submit"
-        )
-
     def submit_batch(self, config: PipelineConfig, queries) -> PendingBatch:
         """Hand one window to the engine without waiting for its merge.
 
         The returned :class:`PendingBatch` must be finished with
         :meth:`collect_batch` (in submission order — the engine enforces
         FIFO anyway).  Falls back to a synchronous :meth:`process_batch`
-        when the engine or store cannot pipeline, so callers can use the
+        unless :attr:`supports_pipelining`, so callers can use the
         submit/collect pair unconditionally.
         """
-        engine = self._engine_for(config)
-        submit = getattr(engine, "submit", None)
-        if submit is None or not getattr(self.store, "is_procshard", False):
+        if not self.supports_pipelining:
             return PendingBatch(
                 result=self.process_batch(config, queries),
                 num_queries=len(queries),
             )
+        engine = self._engine
         plan = compile_stage_plan(config)
         plane = BatchPlane(queries)
-        ticket = submit(self.store, plan, plane, epoch=self._epoch_source())
+        ticket = engine.submit(self.store, plan, plane, epoch=self._epoch_source())
         return PendingBatch(
             ticket=ticket,
             plane=plane,
@@ -304,21 +289,7 @@ class FunctionalPipeline:
             return pending.result
         steal_claims = pending.engine.collect(pending.ticket)
         plane = pending.plane
-        responses = plane.take_responses()
-        store = self.store
-        if getattr(store, "needs_maintenance", False):
-            store.maintenance()
-        self._batch_counter += 1
-        result = BatchResult(
-            responses=responses,
-            config_label=pending.config.label,
-            steal_claims=steal_claims,
-            response_sizes=plane.response_sizes,
-            response_statuses=plane.response_statuses,
-            response_values=plane.read_values
-            if plane.response_statuses is not None
-            else None,
-        )
+        result = self._finish_batch(pending.config, plane, steal_claims)
         pending.result = result
         telemetry = get_telemetry()
         if telemetry.enabled:
@@ -338,6 +309,30 @@ class FunctionalPipeline:
             ).inc(engine=pending.engine.name)
             self._emit_hotpath(telemetry, plane, pending.num_queries)
         return result
+
+    def _finish_batch(
+        self, config: PipelineConfig, plane: BatchPlane, steal_claims
+    ) -> BatchResult:
+        """What every executed window ends with: take the responses, run
+        the post-batch barrier, count the batch, assemble the result."""
+        responses = plane.take_responses()
+        # The store does its upkeep only between batches (the log arena
+        # never moves live values under a running engine); the gate is one
+        # cheap property read.
+        store = self.store
+        if store.needs_maintenance:
+            store.maintenance()
+        self._batch_counter += 1
+        return BatchResult(
+            responses=responses,
+            config_label=config.label,
+            steal_claims=steal_claims,
+            response_sizes=plane.response_sizes,
+            response_statuses=plane.response_statuses,
+            response_values=plane.read_values
+            if plane.response_statuses is not None
+            else None,
+        )
 
     def _emit_batch(
         self,

@@ -187,11 +187,12 @@ class DidoUDPServer:
         #: transfer runs in the serve thread and never races batch
         #: processing on the store.
         self.idle_hook = None
-        #: Next worker health check (procshard stores); throttled so the
-        #: per-window cost is one monotonic read.
+        #: Next maintenance tick (compaction, or worker health checks on a
+        #: procshard store); throttled so the per-window cost is one
+        #: monotonic read.
         self._next_maintenance = 0.0
         self._pipeline_depth = 1
-        if getattr(self.system, "supports_pipelining", False):
+        if self.system.supports_pipelining:
             # Only a procshard system pipelines, so its module is already
             # loaded; importing it at the top would charge every other
             # server the multiprocessing machinery.
@@ -273,14 +274,9 @@ class DidoUDPServer:
             if now >= self._next_maintenance:
                 self._next_maintenance = now + 0.5
                 try:
-                    respawned = self.system.maintain()
+                    self.system.maintain()
                 except Exception:  # pragma: no cover - maintenance bug
                     logger.exception("system maintenance failed")
-                else:
-                    if respawned:
-                        logger.warning(
-                            "respawned dead shard workers: %s", respawned
-                        )
 
     # ------------------------------------------------------------- serving
 

@@ -221,7 +221,7 @@ WIRE_TIMER_SERIES = (
 
 #: Log-arena health called out in its own section: the live/dead byte
 #: balance an operator reads the compactor's effectiveness from, plus the
-#: compaction-pass counter and what the passes copied (see ``--heap`` and
+#: compaction-pass counter and what the passes copied (see
 #: :meth:`repro.kv.store.KVStore.maintenance`).
 LOGARENA_SERIES = (
     "repro_logarena_live_bytes",
@@ -229,15 +229,6 @@ LOGARENA_SERIES = (
     "repro_logarena_compactions_total",
     "repro_logarena_relocations_total",
     "repro_logarena_relocated_bytes_total",
-)
-
-#: Delta-index health: pending keys, merges landed, and the per-merge
-#: wall-time histogram (see ``--delta-index`` and
-#: :meth:`repro.kv.store.KVStore.maintenance`).
-DELTA_SERIES = (
-    "repro_delta_index_size",
-    "repro_delta_merges_total",
-    "repro_delta_merge_ns",
 )
 
 #: Procshard pipelined-IPC breakdown: where a window's wall time goes
@@ -304,24 +295,6 @@ def console_summary(telemetry: Telemetry, max_events: int = 10) -> str:
             for labels, value in sorted(snapshot[name]["samples"].items()):
                 label_text = f"{{{labels}}}" if labels else ""
                 lines.append(f"  {name}{label_text}: {value:g}")
-    delta = [name for name in DELTA_SERIES if name in snapshot]
-    if delta:
-        lines.append("")
-        lines.append("delta index")
-        for name in delta:
-            entry = snapshot[name]
-            if entry["kind"] == "histogram":
-                for labels, slot in sorted(entry["samples"].items()):
-                    mean = slot["sum"] / slot["count"] if slot["count"] else 0.0
-                    label_text = f"{{{labels}}}" if labels else ""
-                    lines.append(
-                        f"  {name}{label_text}: n={slot['count']} "
-                        f"mean={mean / 1e3:.1f}us"
-                    )
-            else:
-                for labels, value in sorted(entry["samples"].items()):
-                    label_text = f"{{{labels}}}" if labels else ""
-                    lines.append(f"  {name}{label_text}: {value:g}")
     procshard = [name for name in PROCSHARD_SERIES if name in snapshot]
     if procshard:
         lines.append("")

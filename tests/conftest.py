@@ -137,6 +137,17 @@ class ProcShardPool:
             self._stores.popitem()[1].close()
 
 
+def heap_named(kind: str, memory_bytes: int):
+    """``KVStore(heap=)`` for a parametrised heap kind: ``None`` (the
+    store builds its log arena) or a slab of the same budget, the oracle
+    the heap-parity tests compare against (import from conftest)."""
+    if kind == "log":
+        return None
+    from repro.kv.slab import SlabAllocator
+
+    return SlabAllocator(memory_bytes)
+
+
 def profile_for(label: str) -> WorkloadProfile:
     """Helper used across test modules (import from conftest)."""
     return WorkloadProfile.from_spec(standard_workload(label))

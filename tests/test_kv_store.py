@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.kv.slab import SlabAllocator
 from repro.kv.store import KVStore
 
 
@@ -83,7 +84,9 @@ class TestPrimitives:
 
 class TestEvictionIntegration:
     def test_set_on_full_store_evicts_and_cleans_index(self):
-        store = KVStore(memory_bytes=1 << 20, expected_objects=70000, heap="slab")
+        store = KVStore(
+            memory_bytes=1 << 20, expected_objects=70000, heap=SlabAllocator(1 << 20)
+        )
         evictions = 0
         n = 0
         while evictions == 0 and n < 80000:
@@ -99,7 +102,9 @@ class TestEvictionIntegration:
     def test_steady_state_insert_delete_pairing(self):
         """At steady state each SET produces one Insert and one Delete
         (the paper's Figure 6 premise)."""
-        store = KVStore(memory_bytes=1 << 20, expected_objects=70000, heap="slab")
+        store = KVStore(
+            memory_bytes=1 << 20, expected_objects=70000, heap=SlabAllocator(1 << 20)
+        )
         # Fill until the first eviction.
         n = 0
         while True:

@@ -43,6 +43,8 @@ from repro.kv.store import KVStore
 from repro.pipeline.functional import FunctionalPipeline
 from repro.pipeline.megakv import megakv_coupled_config
 
+from conftest import heap_named
+
 PLAN = compile_stage_plan(megakv_coupled_config())
 
 
@@ -548,10 +550,6 @@ class TestStoreOnLogArena:
         assert store.delete(b"k") is True
         assert store.get(b"k") is None
 
-    def test_invalid_heap_name_rejected(self):
-        with pytest.raises(ConfigurationError):
-            KVStore(1 << 20, 1024, heap="arena")
-
     def test_heap_instance_passes_through(self):
         arena = LogValueArena(1 << 16, segment_bytes=1 << 12)
         store = KVStore(1 << 20, 1024, heap=arena)
@@ -583,9 +581,9 @@ class TestStoreOnLogArena:
         assert hits == 700 - evictions
 
     def test_maintenance_noop_on_slab(self):
-        store = KVStore(1 << 20, 1024, heap="slab")
+        store = KVStore(1 << 20, 1024, heap=SlabAllocator(1 << 20))
         assert not store.needs_maintenance
-        assert store.maintenance(force=True) == 0
+        assert store.maintenance() == 0
 
     def test_populate_stops_at_index_capacity_on_log(self):
         store = KVStore(1 << 20, 64)
@@ -597,7 +595,9 @@ class TestStoreOnLogArena:
 class TestStaleMappingRegression:
     @pytest.mark.parametrize("heap", ["slab", "log"])
     def test_failed_replace_drops_mapping(self, heap):
-        store = KVStore(memory_bytes=1 << 20, expected_objects=256, heap=heap)
+        store = KVStore(
+            memory_bytes=1 << 20, expected_objects=256, heap=heap_named(heap, 1 << 20)
+        )
         store.set(b"k", b"small")
         with pytest.raises(CapacityError):
             store.set(b"k", b"x" * (2 << 20))  # exceeds the whole budget
@@ -653,8 +653,8 @@ class TestHeapEquivalence:
         8 MiB funds a slab page for every size class the 0-64 B values
         can touch, so neither heap ever evicts or rejects.
         """
-        slab_store = KVStore(8 << 20, 1024, heap="slab")
-        log_store = KVStore(8 << 20, 1024, heap="log")
+        slab_store = KVStore(8 << 20, 1024, heap=SlabAllocator(8 << 20))
+        log_store = KVStore(8 << 20, 1024)
         for op, kid, value in ops:
             key = b"key-%02d" % kid
             if op == "set":
@@ -696,8 +696,8 @@ class TestHeapEquivalence:
         )
         items = [(b"key-%04d" % i, b"x" * vlens[i]) for i in range(n)]
         items[poison_at] = (b"poison", b"x" * (2 << 20))
-        slab_store = KVStore(1 << 20, 4096, heap="slab")
-        log_store = KVStore(1 << 20, 4096, heap="log")
+        slab_store = KVStore(1 << 20, 4096, heap=SlabAllocator(1 << 20))
+        log_store = KVStore(1 << 20, 4096)
         assert slab_store.populate(items) == poison_at
         assert log_store.populate(items) == poison_at
         for key, value in items[:poison_at]:
@@ -711,8 +711,8 @@ class TestHeapEquivalence:
         keys = [b"key-%04d" % i for i in range(64)]
         values = [b"x" * 8] * 64
         values[40] = b"x" * (2 << 20)
-        slab_store = KVStore(1 << 20, 4096, heap="slab")
-        log_store = KVStore(1 << 20, 4096, heap="log")
+        slab_store = KVStore(1 << 20, 4096, heap=SlabAllocator(1 << 20))
+        log_store = KVStore(1 << 20, 4096)
         assert slab_store.bulk_set_columns(keys, values) == 40
         assert log_store.bulk_set_columns(keys, values) == 40
         for key in keys[:40]:
@@ -738,7 +738,7 @@ class TestReassignFusionThroughEngines:
     @pytest.mark.parametrize("engine_cls", [SerialEngine, VectorEngine])
     def test_replaces_settle_in_place_with_identical_results(self, engine_cls):
         store = KVStore(8 << 20, 4096)
-        reference = KVStore(8 << 20, 4096, heap="slab")
+        reference = KVStore(8 << 20, 4096, heap=SlabAllocator(8 << 20))
         keys = [f"key-{i:04d}".encode() for i in range(256)]
         for s in (store, reference):
             s.populate([(k, b"seed") for k in keys])
@@ -766,7 +766,7 @@ class TestReassignFusionThroughEngines:
         """A SET whose old version is still pending in the same batch falls
         back to the queued pair; a trailing DELETE leaves no trace."""
         store = KVStore(8 << 20, 4096)
-        reference = KVStore(8 << 20, 4096, heap="slab")
+        reference = KVStore(8 << 20, 4096, heap=SlabAllocator(8 << 20))
         batch = [
             Query(QueryType.SET, b"dup", b"v1"),
             Query(QueryType.SET, b"dup", b"v2"),

@@ -5,6 +5,7 @@ from repro.core.config_search import enumerate_configs
 from repro.core.pipeline_config import PipelineConfig
 from repro.core.tasks import Task
 from repro.kv.protocol import Query, QueryType, ResponseStatus, decode_responses
+from repro.kv.slab import SlabAllocator
 from repro.kv.store import KVStore
 from repro.net.packets import frames_for_queries
 from repro.pipeline.functional import FunctionalPipeline
@@ -162,7 +163,9 @@ class TestEvictionThroughPipeline:
     def test_eviction_generates_correct_responses(self):
         """A tiny store evicts under load; every response stays well-formed
         and evicted keys read back as NOT_FOUND (never stale values)."""
-        store = KVStore(memory_bytes=1 << 20, expected_objects=70000, heap="slab")
+        store = KVStore(
+            memory_bytes=1 << 20, expected_objects=70000, heap=SlabAllocator(1 << 20)
+        )
         pipeline = FunctionalPipeline(store)
         config = megakv_coupled_config()
         keys = [f"key-{i:06d}".encode() for i in range(40_000)]

@@ -1,12 +1,12 @@
-"""Process-per-shard backend: rings, codecs, facade, crash paths, identity.
+"""Process-per-shard backend: rings, codecs, store, crash paths, identity.
 
 Covers the ISSUE-7 tentpole and its satellites:
 
 * :class:`~repro.net.arena.ShmRing` unit behaviour (roundtrip, oversized
   streaming, timeout, close);
 * query/response block codec roundtrips;
-* :class:`~repro.engine.procshard.ProcShardStore` facade parity with a
-  plain :class:`~repro.kv.store.KVStore`;
+* :class:`~repro.engine.procshard.ProcShardStore` parity with a plain
+  :class:`~repro.kv.store.KVStore`, scalar ops and the store protocol;
 * worker-crash handling: ERROR-filled rows, respawn, and the
   shared-memory leak regression (a SIGKILLed worker must leave no
   orphaned ``/dev/shm`` segment after close);
@@ -16,6 +16,7 @@ Covers the ISSUE-7 tentpole and its satellites:
   :func:`~repro.kv.sharding.shard_of`.
 """
 
+import dataclasses
 import os
 import signal
 import subprocess
@@ -38,7 +39,7 @@ from repro.engine.procshard import (
 from repro.errors import ConfigurationError
 from repro.kv.protocol import Query, QueryType, ResponseStatus, encode_responses
 from repro.kv.sharding import shard_of
-from repro.kv.store import KVStore
+from repro.kv.store import KVStore, StoreStats
 from repro.net.arena import (
     QueryBlockColumns,
     RingClosedError,
@@ -54,7 +55,7 @@ from repro.pipeline.megakv import megakv_coupled_config
 from repro.telemetry import configure as configure_telemetry
 
 from conftest import ProcShardPool
-from test_engine import workload_batches
+from test_engine import batch_frames, workload_batches
 
 SHARD_COUNTS = (1, 2, 4, 7)
 
@@ -333,9 +334,7 @@ class TestProcShardStoreFacade:
             items = [(b"key-%d" % i, b"v") for i in range(100)]
             assert store.populate(items) == 100
             assert len(store) == 100
-            assert len(store.index) == 100
-            keys = {obj.key for obj in store.heap.objects()}
-            assert keys == {key for key, _ in items}
+            assert set(store.keys()) == {key for key, _ in items}
         finally:
             store.close()
 
@@ -345,12 +344,10 @@ class TestProcShardStoreFacade:
             for i in range(30):
                 store.set(b"key-%d" % i, b"v")
                 store.get(b"key-%d" % i)
-            stats = store.index.stats
-            assert stats.inserts == 30
-            assert stats.average_insert_buckets() > 0
-            assert len(store.index) == 30
             merged = store.stats
             assert (merged.sets, merged.gets, merged.get_hits) == (30, 30, 30)
+            _counts, insert_buckets = store.harvest_window()
+            assert insert_buckets >= 1.0  # 30 inserts, each wrote a bucket
         finally:
             store.close()
 
@@ -415,7 +412,7 @@ class TestWorkerCrash:
             # Column views stay consistent with the response objects.
             assert plane.response_statuses == [r.status.value for r in responses]
             assert plane.response_sizes == [r.wire_size for r in responses]
-            assert store.ensure_workers() == [0]
+            assert store.maintenance() == [0]
             assert store.respawns == 1
             # The respawned worker is empty but serving again.
             plane = BatchPlane([Query(QueryType.SET, b"fresh", b"1"),
@@ -447,13 +444,13 @@ class TestWorkerCrash:
 _POOL = ProcShardPool()
 
 
-def _pooled_store(
-    shards: int, dedup: bool, hot_cache: bool, delta_index: bool = False
-) -> ProcShardStore:
-    return _POOL.store(
-        32 << 20, 2048, shards,
-        dedup=dedup, hot_cache=hot_cache, delta_index=delta_index,
-    )
+def _pooled_store(shards: int, dedup: bool, hot_cache: bool) -> ProcShardStore:
+    store = _POOL.store(32 << 20, 2048, shards, dedup=dedup, hot_cache=hot_cache)
+    if hot_cache:
+        # Worker caches start gated off; open them the way a skewed
+        # window would, so the cache-serving path is what gets compared.
+        store.gate_hot_cache(0.9)
+    return store
 
 
 @pytest.fixture(scope="module", autouse=True)
@@ -475,13 +472,82 @@ def _queries_from_ops(ops) -> list[Query]:
     return queries
 
 
-def run_pipeline(store, engine, config, batches):
-    pipeline = FunctionalPipeline(store, engine=engine)
-    frames = []
-    for batch in batches:
-        result = pipeline.process_batch(config, batch)
-        frames.append(b"".join(f.payload for f in result.frames))
-    return frames
+
+
+# ------------------------------------------------------------ store protocol
+
+
+@pytest.mark.parametrize("kind", ["kvstore", "procshard"])
+def test_store_protocol_same_answers_on_both_stores(kind):
+    """The five jobs the system asks of a store beyond get/set/delete/
+    populate/len/stats — keys, the window harvest, the skew gate with its
+    cache totals, needs_maintenance/maintenance, close — give the same
+    answers in-process and across two shard workers for one op stream."""
+    if kind == "kvstore":
+        store, engine = KVStore(8 << 20, 2048), "vector"
+        store.attach_hot_cache(256).active = False  # as DidoSystem attaches it
+    else:
+        store = _POOL.store(8 << 20, 2048, 2, hot_cache=True, hot_cache_keys=256)
+        engine = "procshard"
+    epoch = [1]
+    pipeline = FunctionalPipeline(store, epoch_source=lambda: epoch[0], engine=engine)
+    config = megakv_coupled_config()
+    keys = [b"key-%02d" % i for i in range(20)]
+    reads = {key: i % 3 + 1 for i, key in enumerate(keys)}
+    pipeline.process_batch(config, [Query(QueryType.SET, k, b"v1") for k in keys])
+    pipeline.process_batch(
+        config, [Query(QueryType.GET, k) for k in keys for _ in range(reads[k])]
+    )
+    pipeline.process_batch(
+        config,
+        [
+            Query(QueryType.SET, keys[0], b"v2"),  # replace
+            Query(QueryType.SET, keys[1], b"v2"),
+            Query(QueryType.DELETE, keys[18]),
+            Query(QueryType.DELETE, keys[19]),
+            Query(QueryType.GET, keys[19]),  # get-after-delete: a miss
+            Query(QueryType.DELETE, b"absent"),
+        ],
+    )
+    assert sorted(store.keys()) == keys[:18]
+    assert len(store) == 18
+    assert dataclasses.replace(store.stats) == StoreStats(
+        gets=sum(reads.values()) + 1,
+        get_hits=sum(reads.values()),
+        sets=22,
+        deletes=3,
+        delete_hits=2,
+    )
+    # The window closes: the next batch carries the new epoch to both
+    # workers (fresh keys only, so it touches nothing itself), and the
+    # harvest is the closed window's reads of the objects still live —
+    # replaced and deleted ones drop out, as a heap scan would not see them.
+    epoch[0] = 2
+    fresh = [b"fresh-%d" % i for i in range(8)]
+    if kind == "procshard":
+        assert {store.shard_for(k) for k in fresh} == {0, 1}
+    pipeline.process_batch(config, [Query(QueryType.SET, k, b"x") for k in fresh])
+    counts, insert_buckets = store.harvest_window()
+    assert sorted(counts) == sorted(reads[k] for k in keys[2:18])
+    assert insert_buckets == 1.0  # every Insert found a free slot
+    assert store.harvest_window()[0] == []  # drained
+    # Caches start gated off and have seen nothing; skew 0.9 opens them.
+    assert store.gate_hot_cache(0.9) == (0, 0)
+    hot = [Query(QueryType.GET, keys[5])] * 64
+    pipeline.process_batch(config, hot)  # a 64-row miss: admitted
+    pipeline.process_batch(config, hot)  # served from the cache
+    assert store.gate_hot_cache(0.9) == (64, 128)
+    assert not store.needs_maintenance
+    assert not store.maintenance()  # healthy: nothing compacted or respawned
+    if kind == "procshard":
+        worker = store.workers[1]
+        os.kill(worker.process.pid, signal.SIGKILL)
+        worker.process.join(timeout=5.0)
+        assert store.needs_maintenance
+        assert store.maintenance() == [1]
+        assert not store.needs_maintenance
+    else:
+        store.close()  # nothing to release; the pool closes the fleet
 
 
 # A small key space forces hot keys: repeated GET runs of one key exercise
@@ -509,11 +575,11 @@ def test_procshard_byte_identical_to_reference(batches_ops):
     combinations on mixed GET/SET/DELETE traces."""
     config = megakv_coupled_config()
     batches = [_queries_from_ops(ops) for ops in batches_ops]
-    baseline = run_pipeline(KVStore(32 << 20, 2048), "reference", config, batches)
+    baseline = batch_frames(KVStore(32 << 20, 2048), "reference", config, batches)
     for shards in SHARD_COUNTS:
         for dedup, hot_cache in ((False, False), (True, True)):
             store = _pooled_store(shards, dedup, hot_cache)
-            frames = run_pipeline(store, ProcShardEngine(), config, batches)
+            frames = batch_frames(store, ProcShardEngine(), config, batches)
             assert frames == baseline, (
                 f"shards={shards} dedup={dedup} hot_cache={hot_cache}"
             )
@@ -573,25 +639,22 @@ class TestProcShardSystem:
             # Batch 1 closes the bootstrap window; batches 2-9 fill the
             # next one, which closes as batch 9 is planned.
             for _ in range(1 + WINDOW_QUERIES // len(hot)):
-                assert not system.store.take_frequency_samples()
+                assert not system.store.harvest_window()[0]
                 system.process(list(hot))
             # Batch 9 carried the new epoch, so its reply shipped the
             # worker-side harvest of the closed window's access counts
             # (drained into the profiler when the *next* window closes).
             assert system.profiler.epoch == 2
-            assert 511 in system.store.take_frequency_samples()
+            assert 511 in system.store.harvest_window()[0]
         finally:
             system.close()
 
-    def test_engine_falls_back_in_process_on_plain_store(self):
-        store = KVStore(2 << 20, 512)
-        engine = ProcShardEngine()
-        plan = compile_stage_plan(megakv_coupled_config())
-        plane = BatchPlane(
-            [Query(QueryType.SET, b"a", b"1"), Query(QueryType.GET, b"a")]
-        )
-        engine.run(store, plan, plane, epoch=0)
-        assert plane.take_responses()[1].value == b"1"
+    def test_procshard_engine_rejects_plain_store(self):
+        """No silent in-process fallback: the engine routes to worker
+        processes, and a pipeline built over anything else says so."""
+        for engine in ("procshard", ProcShardEngine()):
+            with pytest.raises(ConfigurationError, match="ProcShardStore"):
+                FunctionalPipeline(KVStore(2 << 20, 512), engine=engine)
 
 
 # -------------------------------------------- pipelined IPC (submit/collect)
@@ -618,23 +681,20 @@ def run_pipeline_overlapped(store, engine, config, batches):
 @given(st.lists(ops_strategy, min_size=2, max_size=4))
 def test_pipelined_byte_identical_to_synchronous(batches_ops):
     """ISSUE satellite: pipelined submit/collect vs the synchronous run()
-    contract across shard counts {1, 2, 4, 7} x (dedup, hot-cache,
-    delta-index) flags, both byte-identical to the ReferenceEngine."""
+    contract across shard counts {1, 2, 4, 7} x (dedup, hot-cache)
+    flags, both byte-identical to the ReferenceEngine."""
     config = megakv_coupled_config()
     batches = [_queries_from_ops(ops) for ops in batches_ops]
-    baseline = run_pipeline(KVStore(32 << 20, 2048), "reference", config, batches)
+    baseline = batch_frames(KVStore(32 << 20, 2048), "reference", config, batches)
     for shards in SHARD_COUNTS:
-        for dedup, hot_cache, delta in (
-            (False, False, False),
-            (True, True, True),
-        ):
-            store = _pooled_store(shards, dedup, hot_cache, delta)
-            sync = run_pipeline(store, ProcShardEngine(), config, batches)
+        for dedup, hot_cache in ((False, False), (True, True)):
+            store = _pooled_store(shards, dedup, hot_cache)
+            sync = batch_frames(store, ProcShardEngine(), config, batches)
             store.reset()
             overlapped = run_pipeline_overlapped(
                 store, ProcShardEngine(), config, batches
             )
-            flags = f"shards={shards} dedup={dedup} hot={hot_cache} delta={delta}"
+            flags = f"shards={shards} dedup={dedup} hot={hot_cache}"
             assert sync == baseline, flags
             assert overlapped == baseline, flags
 
@@ -753,7 +813,7 @@ class TestPipelinedCrash:
                 assert ResponseStatus.ERROR in statuses  # dead shard's rows
                 assert ResponseStatus.OK in statuses  # live shard answered
             assert time.monotonic() - start < 30.0  # dead ring aborts fast
-            assert store.ensure_workers() == [0]
+            assert store.maintenance() == [0]
         finally:
             store.close()
         assert shm_segments() <= before

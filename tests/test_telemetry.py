@@ -437,7 +437,7 @@ class TestLogArenaTelemetry:
         )
         for i in range(700):  # ~72 KiB live against a 64 KiB budget
             store.set(b"key-%04d" % i, b"x" * 100)
-        assert store.maintenance(force=True) > 0
+        assert store.maintenance() > 0
         registry = live_telemetry.registry
         assert registry.get("repro_logarena_live_bytes").value() <= 1 << 16
         assert registry.get("repro_logarena_dead_bytes").value() >= 0
@@ -453,13 +453,13 @@ class TestLogArenaTelemetry:
         from repro.kv.store import KVStore
 
         heap = LogValueArena(1 << 20, segment_bytes=1 << 12)
-        store = KVStore(1 << 20, 4096, heap=heap, delta_index=True)
+        store = KVStore(1 << 20, 4096, heap=heap)
         for i in range(300):
             store.set(b"key-%04d" % i, b"a" * 100)
         for i in range(0, 300, 2):  # every segment of the load: half dead
             store.set(b"key-%04d" % i, b"b" * 100)
         assert heap.needs_maintenance
-        assert store.maintenance(force=True) == 0  # rewrite, not eviction
+        assert store.maintenance() == 0  # rewrite, not eviction
         assert heap.stats.relocations > 0
         registry = live_telemetry.registry
         assert (
@@ -473,12 +473,10 @@ class TestLogArenaTelemetry:
         )
         spent = registry.get("repro_maintenance_ns")
         assert spent.count(stream="compaction") == 1
-        assert spent.count(stream="delta_merge") == 1
         assert spent.total(stream="compaction") > 0
         # A tick with nothing due observes nothing.
-        store.maintenance(force=True)
+        store.maintenance()
         assert spent.count(stream="compaction") == 1
-        assert spent.count(stream="delta_merge") == 1
         text = prometheus_text(live_telemetry.registry)
         assert 'repro_maintenance_ns_count{stream="compaction"} 1' in text
         assert "repro_logarena_relocations_total" in console_summary(live_telemetry)
@@ -495,7 +493,7 @@ class TestLogArenaTelemetry:
         )
         for i in range(700):
             store.set(b"key-%04d" % i, b"x" * 100)
-        assert store.maintenance(force=True) > 0
+        assert store.maintenance() > 0
         assert telemetry.registry.snapshot() == before
 
 
