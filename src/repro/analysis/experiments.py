@@ -6,12 +6,16 @@ them, and ``tools/make_experiments_md.py`` renders EXPERIMENTS.md from the
 same source, so the repository's claims and its benchmarks can never drift
 apart.
 
-All functions are deterministic (the simulator is analytic and the
-generators are seeded).
+All ``figNN_*`` functions are deterministic (the simulator is analytic and
+the generators are seeded).  :func:`host_kernel_choice` is Figures 9 and 10
+on the substrate the server actually runs on, so it measures wall time.
 """
 
 from __future__ import annotations
 
+import random
+import statistics
+import time
 from dataclasses import dataclass
 
 from repro.analysis.metrics import (
@@ -22,9 +26,13 @@ from repro.analysis.metrics import (
 from repro.core.config_search import ConfigurationSearch, enumerate_configs
 from repro.core.controller import AdaptationController
 from repro.core.cost_model import CostModel, PipelineEstimate
-from repro.core.profiler import WorkloadProfile
+from repro.core.profiler import KERNELS, HostCostModel, WorkloadProfile
 from repro.core.tasks import IndexOp
+from repro.engine import BatchPlane, VectorEngine, compile_stage_plan
 from repro.hardware.specs import APU_A10_7850K, DISCRETE_MEGAKV, PlatformSpec
+from repro.kv.protocol import Query, QueryType, encode_queries
+from repro.kv.store import KVStore
+from repro.net.wire import decode_payload
 from repro.pipeline.executor import PipelineExecutor
 from repro.pipeline.megakv import (
     megakv_coupled_config,
@@ -645,3 +653,158 @@ def fig21_fluctuation(
             FluctuationRow(cycle_ms=cycle_ms, dido_mops=dido_avg, megakv_mops=mk_avg)
         )
     return rows
+
+
+# ------------------------------------------- Figures 9 and 10 on the host
+
+
+#: ``name: (key bytes, value bytes, GET share, SET share)`` — the rest are
+#: DELETEs.  The serving benchmark's ``write-heavy`` mix and its 95 %-GET
+#: read mix.
+HOST_MIXES = {
+    "write-heavy": (32, 256, 0.50, 0.45),
+    "read-95": (16, 64, 0.95, 0.05),
+}
+
+#: Queries per window: the fixed rates' window sizes (40, 160) and one the
+#: columnar kernels were built for.
+HOST_WINDOWS = (40, 160, 1024)
+
+_HOST_KEYS = 8192
+_HOST_WARMUP_WINDOWS = 36
+_HOST_MEASURED_WINDOWS = 60
+
+
+@dataclass
+class HostKernelRow:
+    """One (mix, window size) cell: both Search kernels measured, and what
+    the fitted model did with it."""
+
+    mix: str
+    window: int
+    #: Median engine time per window (us) with Search forced onto each
+    #: kernel.
+    forced_us: dict[str, float]
+    #: The Search kernel the chooser ran most once bootstrapped, and its
+    #: own median time per window (us), exploration windows included.
+    picked: str
+    chooser_us: float
+    #: Mean ``|predicted - measured| / measured`` of the Search pass over
+    #: the chooser run's measured windows (Figure 9 on the host).
+    model_error: float
+
+    @property
+    def best(self) -> str:
+        return min(self.forced_us, key=self.forced_us.get)
+
+    @property
+    def gap(self) -> float:
+        """Chooser time over the measured optimum's, minus one."""
+        return self.chooser_us / self.forced_us[self.best] - 1.0
+
+    @property
+    def near_optimal(self) -> bool:
+        """Figure 10 on the host: the pick is within 10 % of the optimum."""
+        return self.gap <= 0.10
+
+
+class _AuditedCosts(HostCostModel):
+    """A host cost model that records what it chose and how wrong it was;
+    with ``forced`` set it places nothing itself."""
+
+    def __init__(self, forced: str | None = None):
+        super().__init__()
+        self.forced = forced
+        self.picks: list[str] = []
+        self.errors: list[float] = []
+
+    def choose(self, pass_name, n):
+        kernel = self.forced or super().choose(pass_name, n)
+        self.picks.append(kernel)
+        return kernel
+
+    def observe(self, pass_name, kernel, n, elapsed_us):
+        error = self.relative_error(pass_name, kernel, n, elapsed_us)
+        if error is not None:
+            self.errors.append(error)
+        super().observe(pass_name, kernel, n, elapsed_us)
+
+
+def _host_windows(rng: random.Random, keys, mix: str, size: int, count: int):
+    """``count`` windows of ``size`` queries, decoded off the wire like the
+    server's (so the opcode column rides along)."""
+    _, value_bytes, get_share, set_share = HOST_MIXES[mix]
+    value = b"v" * value_bytes
+    windows = []
+    for _ in range(count):
+        queries = []
+        for _ in range(size):
+            draw = rng.random()
+            key = rng.choice(keys)
+            if draw < get_share:
+                queries.append(Query(QueryType.GET, key))
+            elif draw < get_share + set_share:
+                queries.append(Query(QueryType.SET, key, value))
+            else:
+                queries.append(Query(QueryType.DELETE, key))
+        windows.append(decode_payload(encode_queries(queries)))
+    return windows
+
+
+def _host_cell(mix: str, size: int, rng: random.Random) -> HostKernelRow:
+    """Measure one cell: the two forced kernels and the chooser each serve
+    the same windows on their own identically prefilled store, interleaved
+    window by window (rotating who goes first) so drift in the host's
+    state lands on all three alike."""
+    key_bytes, value_bytes, _, _ = HOST_MIXES[mix]
+    keys = [b"k" * (key_bytes - 8) + b"%08d" % i for i in range(_HOST_KEYS)]
+    items = [(key, b"v" * value_bytes) for key in keys]
+    plan = compile_stage_plan(megakv_coupled_config())
+    runs = []
+    for forced in (*KERNELS, None):  # None: the chooser
+        store = KVStore(64 << 20, 65536)
+        store.populate(items)
+        engine = VectorEngine()
+        engine.costs = _AuditedCosts(forced)
+        runs.append((forced, store, engine, []))
+    windows = _host_windows(
+        rng, keys, mix, size, _HOST_WARMUP_WINDOWS + _HOST_MEASURED_WINDOWS
+    )
+    chooser = runs[-1][2].costs
+    for index, window in enumerate(windows):
+        if index == _HOST_WARMUP_WINDOWS:
+            del chooser.picks[:], chooser.errors[:]
+        turn = index % len(runs)
+        for _forced, store, engine, times in runs[turn:] + runs[:turn]:
+            plane = BatchPlane(window)
+            started = time.perf_counter()
+            engine.run(store, plan, plane)
+            times.append((time.perf_counter() - started) * 1e6)
+            if store.needs_maintenance:
+                store.maintenance()
+    medians = {
+        forced: statistics.median(times[_HOST_WARMUP_WINDOWS:])
+        for forced, _store, _engine, times in runs
+    }
+    return HostKernelRow(
+        mix=mix,
+        window=size,
+        forced_us={kernel: medians[kernel] for kernel in KERNELS},
+        picked=statistics.mode(chooser.picks),
+        chooser_us=medians[None],
+        model_error=statistics.fmean(chooser.errors),
+    )
+
+
+def host_kernel_choice(seed: int = 7) -> list[HostKernelRow]:
+    """Figures 9 and 10 on the host substrate: is the fitted Search cost
+    model right, and is the kernel it picks the measured optimum?
+
+    Over {``write-heavy``, 95 %-GET} x {40, 160, 1024}-query windows: time
+    :class:`VectorEngine` with Search forced onto each kernel in process
+    (median of 60 windows after 36 of warm-up) next to a fresh
+    :class:`HostCostModel` placing the same windows itself, and record its
+    pick, its time, and its per-window prediction error.
+    """
+    rng = random.Random(seed)
+    return [_host_cell(mix, size, rng) for mix in HOST_MIXES for size in HOST_WINDOWS]

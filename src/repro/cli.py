@@ -63,7 +63,9 @@ _STORE_FLAGS = (
         "--engine",
         dict(
             choices=ENGINE_NAMES, default="auto",
-            help="functional execution backend (default: auto)",
+            help="functional execution backend (default: auto — vector, "
+            "which places Search by its fitted host cost; procshard "
+            "with --shards > 1)",
         ),
     ),
     (
@@ -198,21 +200,24 @@ def cmd_figures(args: argparse.Namespace) -> int:
 
     harness = X.Harness()
     wanted = args.ids or list(_QUICK_FIGURES)
-    renderers = {
-        "fig04": _render_fig04,
-        "fig05": _render_fig05,
-        "fig06": _render_fig06,
-        "fig09": _render_fig09,
-        "fig11": _render_fig11,
-        "fig12": _render_fig12,
-        "fig15": _render_fig15,
+    #: name -> (what it is measured on, renderer).
+    figures = {
+        "fig04": ("simulated-apu", _render_fig04),
+        "fig05": ("simulated-apu", _render_fig05),
+        "fig06": ("simulated-apu", _render_fig06),
+        "fig09": ("simulated-apu", _render_fig09),
+        "fig11": ("simulated-apu", _render_fig11),
+        "fig12": ("simulated-apu", _render_fig12),
+        "fig15": ("simulated-apu", _render_fig15),
+        "host-kernels": ("host", _render_host_kernels),
     }
-    unknown = [w for w in wanted if w not in renderers]
+    unknown = [w for w in wanted if w not in figures]
     if unknown:
-        print(f"unknown figures: {unknown}; available: {sorted(renderers)}", file=sys.stderr)
+        available = [f"{name} ({substrate})" for name, (substrate, _) in sorted(figures.items())]
+        print(f"unknown figures: {unknown}; available: {available}", file=sys.stderr)
         return 2
     for fig in wanted:
-        renderers[fig](harness)
+        figures[fig][1](harness)
         print()
     return 0
 
@@ -285,6 +290,21 @@ def _render_fig15(h) -> None:
     )
     for r in fig15_work_stealing(h):
         table.add(r.workload, r.baseline_mops, r.technique_mops, r.speedup)
+    print(table.render())
+
+
+def _render_host_kernels(_h) -> None:
+    from repro.analysis.experiments import host_kernel_choice
+
+    table = Table(
+        "Figures 9/10 on the host — Search kernel placement (us per window)",
+        ["mix", "window", "scalar", "columnar", "picked", "chooser", "gap_%", "model_err_%"],
+    )
+    for r in host_kernel_choice():
+        table.add(
+            r.mix, r.window, r.forced_us["scalar"], r.forced_us["columnar"],
+            r.picked, r.chooser_us, r.gap * 100, r.model_error * 100,
+        )
     print(table.render())
 
 

@@ -23,11 +23,16 @@ from __future__ import annotations
 
 import logging
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from repro.core.config_search import ConfigurationSearch
 from repro.core.cost_model import CostModel, PipelineEstimate
-from repro.core.profiler import WINDOW_QUERIES, WorkloadProfile, profile_delta
+from repro.core.profiler import (
+    WINDOW_QUERIES,
+    HostCostModel,
+    WorkloadProfile,
+    profile_delta,
+)
 from repro.hardware.specs import PlatformSpec
 from repro.core.pipeline_config import PipelineConfig
 from repro.telemetry import get_telemetry, replan_event
@@ -64,6 +69,12 @@ class AdaptationEvent:
     window_queries: int = 0
     #: Wall time of the configuration search.
     search_seconds: float = 0.0
+    #: The host cost model at decision time
+    #: (:meth:`~repro.core.profiler.HostCostModel.summary`): per placed
+    #: engine pass, each kernel's fitted ``[a_us, b_us_per_row, samples]``
+    #: and the implied ``crossover_rows`` — what the per-window kernel
+    #: placement is currently decided from.
+    host_costs: dict | None = field(default=None, compare=False)
 
     @property
     def changed(self) -> bool:
@@ -86,6 +97,9 @@ class AdaptationController:
         The latency limit the periodical scheduler must respect.
     work_stealing:
         Whether chosen plans enable stealing (on by default, as in DIDO).
+    host_costs:
+        The serving engine's fitted pass costs, when there is one to
+        audit: every decision records its state.
     """
 
     def __init__(
@@ -93,7 +107,9 @@ class AdaptationController:
         platform: PlatformSpec,
         latency_budget_ns: float = 1_000_000.0,
         work_stealing: bool = True,
+        host_costs: HostCostModel | None = None,
     ):
+        self.host_costs = host_costs
         self.cost_model = CostModel(platform)
         self.search = ConfigurationSearch(self.cost_model)
         self.latency_budget_ns = latency_budget_ns
@@ -159,6 +175,7 @@ class AdaptationController:
             reason=reason,
             window_queries=profile.batch_queries,
             search_seconds=time.perf_counter() - started,
+            host_costs=None if self.host_costs is None else self.host_costs.summary(),
         )
         self.events.append(event)
         self._planned_for = profile
@@ -196,6 +213,7 @@ class AdaptationController:
                     reason=event.reason,
                     window_queries=event.window_queries,
                     search_seconds=event.search_seconds,
+                    host_costs=event.host_costs,
                 )
             )
             telemetry.registry.counter(

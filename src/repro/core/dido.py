@@ -68,15 +68,15 @@ class DidoSystem:
     work_stealing:
         Enable work stealing in planned configurations.
     engine:
-        Functional execution backend ("auto"/None, "serial", "stealing",
-        "reference", "vector", "procshard", or a backend instance);
-        forwarded to :class:`~repro.pipeline.functional.FunctionalPipeline`.
+        Functional execution backend ("serial", "stealing", "reference",
+        "vector", "procshard", or a backend instance).  Unset/"auto" is
+        the production engine: "vector" — Search on the kernel the
+        fitted host cost model picks — or "procshard" when ``shards > 1``.
     shards:
         Hash-partition the store across this many shard worker processes
-        (a :class:`~repro.engine.procshard.ProcShardStore`).  With
-        ``shards > 1`` an unset/auto ``engine`` resolves to "procshard" —
-        the only backend that executes across partitions; any other
-        engine raises :class:`~repro.errors.ConfigurationError`.
+        (a :class:`~repro.engine.procshard.ProcShardStore`), served by
+        "procshard" — the only backend that executes across partitions;
+        any other engine raises :class:`~repro.errors.ConfigurationError`.
     dedup:
         Collapse each batch's duplicate GET runs to one index probe per
         key between write barriers (the skew-aware hot path; see
@@ -110,10 +110,12 @@ class DidoSystem:
     ):
         self.platform = platform
         budget = memory_bytes if memory_bytes is not None else platform.shared_memory_bytes
-        if shards > 1 and (engine is None or engine == "auto"):
-            engine = "procshard"
+        if engine is None or engine == "auto":
+            # The system decides: the engine that places Search by the
+            # fitted host costs, behind the shard router when partitioned.
+            engine = "procshard" if shards > 1 else "vector"
         engine = resolve_engine(engine, dedup=dedup, hot_cache=hot_cache)
-        procshard = engine is not None and engine.name == "procshard"
+        procshard = engine.name == "procshard"
         if shards > 1 and not procshard:
             raise ConfigurationError(
                 f"engine {engine.name!r} cannot execute across {shards} "
@@ -145,8 +147,16 @@ class DidoSystem:
         self._last_measured: float | None = None
         self.nic = SimulatedNIC()
         self.profiler = WorkloadProfiler()
+        if hasattr(engine, "costs"):
+            # One host cost model per system: the engine feeds and asks it,
+            # the profiler resets it on a key-size shift, the controller
+            # audits it.  (Procshard workers each fit their own.)
+            engine.costs = self.profiler.host_costs
         self.controller = AdaptationController(
-            platform, latency_budget_ns, work_stealing=work_stealing
+            platform,
+            latency_budget_ns,
+            work_stealing=work_stealing,
+            host_costs=self.profiler.host_costs,
         )
         self.executor = PipelineExecutor(platform)
         self.pipeline = FunctionalPipeline(

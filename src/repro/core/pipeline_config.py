@@ -251,15 +251,19 @@ class PipelineConfig:
     @property
     def label(self) -> str:
         """Paper-style pipeline notation with index-op annotations."""
-        parts = [stage.label for stage in self.stages]
-        text = " -> ".join(parts)
-        notes = []
-        if self.insert_on_cpu:
-            notes.append("Insert@CPU")
-        if self.delete_on_cpu:
-            notes.append("Delete@CPU")
-        if notes:
-            text += " (" + ", ".join(notes) + ")"
+        # Every executed window names its config on its BatchResult;
+        # frozen, so build the string once (like the hash above).
+        text = self.__dict__.get("_label")
+        if text is None:
+            text = " -> ".join(stage.label for stage in self.stages)
+            notes = []
+            if self.insert_on_cpu:
+                notes.append("Insert@CPU")
+            if self.delete_on_cpu:
+                notes.append("Delete@CPU")
+            if notes:
+                text += " (" + ", ".join(notes) + ")"
+            object.__setattr__(self, "_label", text)
         return text
 
 

@@ -15,6 +15,12 @@ window_ready`) once it holds :data:`WINDOW_QUERIES` queries — enough to
 resolve a 10 % change — or earlier, when a counter has moved past the 10 %
 threshold by more than the sampling error of the comparison.  The *epoch*
 is the index of the open window; it advances only when a window closes.
+
+Next to the workload counters the profiler holds what the serving engine's
+passes cost on this host: a :class:`HostCostModel`, fitted online from the
+engine's own kernel timers, which places each window's Search pass on its
+scalar or its columnar kernel (the paper's cost-model-guided task
+placement, taken on the substrate that actually serves).
 """
 
 from __future__ import annotations
@@ -24,6 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.core.tasks import IndexOp
 from repro.errors import WorkloadError
 from repro.kv.protocol import Query, QueryType
 from repro.telemetry import get_telemetry
@@ -62,6 +69,34 @@ _VALUE_SIZE_FLOOR = 1.0
 #: A reference at this size is not evidence, so value sizes that differ
 #: from it are a first measurement, not a shift worth an early close.
 _NO_VALUE_EVIDENCE = 1.0
+
+#: Forgetting factor of the host cost fits: every window a pass runs ages
+#: the samples of both its kernels by this much — a memory of ~50 windows.
+FIT_FORGETTING = 0.98
+
+#: Samples each kernel of a pass needs before its fit is trusted; until
+#: then the chooser alternates so both lines exist.
+BOOTSTRAP_SAMPLES = 8
+
+#: Once the fits exist, one window in this many runs the kernel the model
+#: did *not* pick, so its fit never goes stale.
+RESAMPLE_PERIOD = 32
+
+#: A fitted line is trusted up to twice the most rows it remembers being
+#: given; further out it is an extrapolation, and the kernel is run
+#: instead of predicted.
+EXTRAPOLATION_LIMIT = 2.0
+
+#: The two kernels a placed pass has, as the model, the audit trail and
+#: the ``repro_pass_kernel_total`` label name them: the Python row loop
+#: and the NumPy column kernel.
+SCALAR = "scalar"
+COLUMNAR = "columnar"
+KERNELS = (SCALAR, COLUMNAR)
+
+#: The pass whose columnar intercept scales with key length, under the
+#: name the engine reports it by; its fits reset on a key-size shift.
+SEARCH_PASS = IndexOp.SEARCH.value
 
 #: Wire opcodes of the columnar fast path (``QueryType`` values).
 _GET_OPCODE = QueryType.GET.value
@@ -215,6 +250,198 @@ def estimate_zipf_skew(frequencies: np.ndarray, min_samples: int = 32) -> float:
     return float(max(0.0, -slope))
 
 
+class LineFit:
+    """``t = a + b*n`` fitted by exponentially-forgetting least squares.
+
+    Keeps the five weighted sums of the normal equations; each sample
+    first ages them by :data:`FIT_FORGETTING` per window since the last
+    one, so the line tracks the host it runs on (cache state, table load,
+    a noisy neighbour) with a memory of about ``1 / (1 - FIT_FORGETTING)``
+    windows.  A pass cannot cost less than nothing nor get cheaper per
+    row, so the solution is clamped to ``a >= 0`` and ``b >= 0`` (the
+    constrained optimum lies on the boundary that was crossed); with no
+    spread in ``n`` at all the slope is unidentifiable and the line goes
+    through the origin.  The fit also keeps the most rows it was given,
+    forgotten at the same rate: far beyond them the line is an
+    extrapolation (:meth:`covers`).
+    """
+
+    __slots__ = ("samples", "a", "b", "hi", "seen_at", "_w", "_sx", "_sy", "_sxx", "_sxy")
+
+    def __init__(self) -> None:
+        #: Samples folded in since construction (never aged).
+        self.samples = 0
+        #: Fitted intercept (us) and slope (us per row).
+        self.a = 0.0
+        self.b = 0.0
+        #: Most rows of any sample the fit still remembers.
+        self.hi = 0.0
+        #: The owning pass's window count at the last sample.
+        self.seen_at = 0
+        self._w = self._sx = self._sy = self._sxx = self._sxy = 0.0
+
+    def predict(self, n: float) -> float:
+        return self.a + self.b * n
+
+    def covers(self, n: float) -> bool:
+        """Whether the line can be trusted at ``n``: up to
+        :data:`EXTRAPOLATION_LIMIT` times the most rows it remembers.
+        (Towards fewer rows ``a, b >= 0`` bound the error by what the
+        kernel cost where it *was* measured; towards more, nothing does.)"""
+        return n <= self.hi * EXTRAPOLATION_LIMIT
+
+    def observe(self, n: float, elapsed_us: float, windows: int = 1) -> None:
+        """Fold in one sample taken ``windows`` windows after the last."""
+        keep = FIT_FORGETTING if windows == 1 else FIT_FORGETTING**windows
+        self.samples += 1
+        # The reach forgets like the sums do: it relaxes toward the new
+        # sample unless the sample extends it.
+        self.hi = n if n > self.hi else n + (self.hi - n) * keep
+        w = self._w = self._w * keep + 1.0
+        sx = self._sx = self._sx * keep + n
+        sy = self._sy = self._sy * keep + elapsed_us
+        sxx = self._sxx = self._sxx * keep + n * n
+        sxy = self._sxy = self._sxy * keep + n * elapsed_us
+        scale = w * sxx
+        spread = scale - sx * sx
+        if spread > 1e-9 * scale:
+            b = (w * sxy - sx * sy) / spread
+            a = (sy - b * sx) / w
+            if b < 0.0:
+                a, b = sy / w, 0.0
+            elif a < 0.0:
+                a, b = 0.0, sxy / sxx
+        else:
+            a, b = 0.0, (sy / sx if sx > 0.0 else 0.0)
+        self.a = a
+        self.b = b
+
+
+def crossover_rows(first: LineFit, second: LineFit) -> float | None:
+    """Rows ``n*`` at which two fitted lines cost the same, or None when
+    they do not cross at a positive ``n`` (one kernel wins everywhere)."""
+    slope_gap = first.b - second.b
+    if slope_gap == 0.0:
+        return None
+    n_star = (second.a - first.a) / slope_gap
+    return n_star if n_star > 0.0 else None
+
+
+class _PassCosts:
+    """One pass's two fits and how many windows ran the pass."""
+
+    __slots__ = ("fits", "windows")
+
+    def __init__(self) -> None:
+        self.fits = {SCALAR: LineFit(), COLUMNAR: LineFit()}
+        self.windows = 0
+
+
+class HostCostModel:
+    """Fitted cost of the engine passes that have two kernels, on the host
+    this process runs on.
+
+    The engine reports every such pass it executes — ``(pass, kernel, rows
+    the pass touched, elapsed)`` — through :meth:`observe`; one
+    :class:`LineFit` per (pass, kernel) turns those into ``T(pass, kernel,
+    n) = a + b*n``, and :meth:`choose` places the window on the kernel with
+    the lower prediction at that window's ``n``: the paper's placement
+    decision (which processor runs which task, from the profiled workload)
+    taken on the substrate that serves — the scalar row loop against the
+    NumPy column kernel, whose fixed cost per call makes it lose small
+    windows and win large ones.  Today one pass has two kernels: Search.
+
+    A kernel that is never chosen would never be measured again, so the
+    choice explores on a bounded schedule: until both kernels have
+    :data:`BOOTSTRAP_SAMPLES` samples the less-sampled one runs;
+    afterwards one window in :data:`RESAMPLE_PERIOD` runs the kernel *not*
+    predicted cheaper.  A line is trusted only near the row counts it still
+    remembers (:meth:`LineFit.covers`): when a window's ``n`` is far beyond
+    the idle kernel's (the windows grew fifty-fold) that kernel runs the
+    window instead of being extrapolated, so a change of regime is
+    measured on both kernels within two windows.  Nothing else decides: no
+    size threshold, flag or environment variable.
+
+    The columnar Search kernel hashes keys a byte column at a time, so its
+    intercept is per key byte: :meth:`observe_key_size` (called with each
+    closed profile window's average key size) drops the Search fits when
+    the key size moves past the re-plan threshold.
+    """
+
+    def __init__(self) -> None:
+        self._passes: dict[str, _PassCosts] = {}
+        self._key_size: float | None = None
+
+    def fit(self, pass_name: str, kernel: str) -> LineFit:
+        """The fit of one (pass, kernel), created empty on first use.  Its
+        ``samples`` is how many windows that kernel has run the pass."""
+        return self._costs(pass_name).fits[kernel]
+
+    def _costs(self, pass_name: str) -> _PassCosts:
+        costs = self._passes.get(pass_name)
+        if costs is None:
+            costs = self._passes[pass_name] = _PassCosts()
+        return costs
+
+    def choose(self, pass_name: str, n: int) -> str:
+        """The kernel this window's ``pass_name`` (touching ``n`` rows) runs."""
+        costs = self._costs(pass_name)
+        scalar = costs.fits[SCALAR]
+        columnar = costs.fits[COLUMNAR]
+        if scalar.samples < BOOTSTRAP_SAMPLES or columnar.samples < BOOTSTRAP_SAMPLES:
+            return SCALAR if scalar.samples <= columnar.samples else COLUMNAR
+        if scalar.a + scalar.b * n <= columnar.a + columnar.b * n:
+            best, idle, idle_fit = SCALAR, COLUMNAR, columnar
+        else:
+            best, idle, idle_fit = COLUMNAR, SCALAR, scalar
+        if (costs.windows + 1) % RESAMPLE_PERIOD == 0 or not idle_fit.covers(n):
+            return idle  # this window explores
+        return best
+
+    def observe(self, pass_name: str, kernel: str, n: int, elapsed_us: float) -> None:
+        """Fold one executed pass (one window of it) into its fit."""
+        costs = self._costs(pass_name)
+        fit = costs.fits[kernel]
+        windows = costs.windows = costs.windows + 1
+        fit.observe(n, elapsed_us, windows - fit.seen_at)
+        fit.seen_at = windows
+
+    def relative_error(
+        self, pass_name: str, kernel: str, n: int, elapsed_us: float
+    ) -> float | None:
+        """``|predicted - measured| / measured`` of one executed pass, to be
+        asked *before* the sample is folded in; None while the fit is
+        still bootstrapping (Figure 9's error rate, per window)."""
+        fit = self.fit(pass_name, kernel)
+        if fit.samples < BOOTSTRAP_SAMPLES or elapsed_us <= 0.0:
+            return None
+        return abs(fit.a + fit.b * n - elapsed_us) / elapsed_us
+
+    def observe_key_size(self, avg_key_size: float) -> None:
+        """Drop the Search fits when the profiled key size has moved more
+        than the re-plan threshold from the size they were fitted at."""
+        fitted_at = self._key_size
+        if fitted_at is None:
+            self._key_size = avg_key_size
+        elif _relative_change(avg_key_size, fitted_at, _KEY_SIZE_FLOOR) > CHANGE_THRESHOLD:
+            self._key_size = avg_key_size
+            self._passes.pop(SEARCH_PASS, None)
+
+    def summary(self) -> dict[str, dict]:
+        """The audit trail of the current fits, JSON-ready: per pass, each
+        kernel's ``[a_us, b_us_per_row, samples]`` and ``crossover_rows``,
+        the ``n*`` the two lines imply (None when one kernel is predicted
+        cheaper at every size)."""
+        out: dict[str, dict] = {}
+        for pass_name, costs in self._passes.items():
+            entry: dict = {
+                kernel: [fit.a, fit.b, fit.samples] for kernel, fit in costs.fits.items()
+            }
+            entry["crossover_rows"] = crossover_rows(*costs.fits.values())
+            out[pass_name] = entry
+        return out
+
+
 class WorkloadProfiler:
     """Accumulates workload counters and produces :class:`WorkloadProfile`.
 
@@ -231,6 +458,9 @@ class WorkloadProfiler:
         self._last_insert_buckets = 2.0
         #: Value size carried through windows without value evidence.
         self._last_value_size = _NO_VALUE_EVIDENCE
+        #: What the engine's placed passes cost on this host, fitted from
+        #: the engine's own timer (the engine is handed this object).
+        self.host_costs = HostCostModel()
 
     def _reset_window(self) -> None:
         self._gets = 0
@@ -389,6 +619,7 @@ class WorkloadProfiler:
             batch_queries=total,
             insert_buckets=self._last_insert_buckets,
         )
+        self.host_costs.observe_key_size(profile.avg_key_size)
         telemetry = get_telemetry()
         if telemetry.enabled:
             gauges = {

@@ -13,9 +13,10 @@ This package is the single home of pipeline *stage semantics*:
   claiming over the same passes);
 * :mod:`repro.engine.reference` — the per-query :class:`ReferenceEngine`,
   kept as equivalence ground truth and benchmark baseline;
-* :mod:`repro.engine.vector` — :class:`VectorEngine`, NumPy batch kernels
-  for the index-side passes (whole-column hashing, signature mask-match
-  against the cuckoo table's mirror);
+* :mod:`repro.engine.vector` — :class:`VectorEngine`, the production
+  engine: one definition of each pass, a scalar and a columnar (NumPy)
+  kernel for Search, and a fitted host cost model placing each window's
+  Search on the cheaper one;
 * :mod:`repro.engine.procshard` — :class:`ProcShardEngine`, the only
   backend that executes across partitions: it splits each batch by the
   seed-0 FNV shard hash and fans it out to one worker process per shard
@@ -52,8 +53,10 @@ ENGINE_NAMES = (
 def resolve_engine(engine, *, dedup: bool = False, hot_cache: bool = True):
     """Map an engine selector to a backend instance.
 
-    ``None``/"auto" returns None (the pipeline picks per batch: stealing
-    when the config wants it, serial otherwise); a backend instance passes
+    ``None``/"auto" returns None: no backend pinned.  (``DidoSystem``
+    never passes that on — it resolves unset to "vector", or "procshard"
+    when sharded, first; a standalone ``FunctionalPipeline`` picks per
+    batch: stealing when the config wants it, serial otherwise.)  A backend instance passes
     through unchanged (its own flags win); a known name constructs the
     backend with the skew-aware hot-path flags — except "reference", the
     per-query ground truth, which never dedups or cache-serves, and

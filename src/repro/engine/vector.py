@@ -1,46 +1,59 @@
-"""VectorEngine: NumPy batch kernels for the index-side hot passes.
+"""VectorEngine: NumPy batch kernels where they pay, placed by a cost model.
 
-The columnar :class:`~repro.engine.backends.SerialEngine` already executes
-each compiled phase as one pass, but every pass is still a scalar Python
-loop — per key it hashes (or probe-caches), walks bucket slot lists, and
-branches per query type.  Mega-KV's throughput comes from running exactly
-these passes as bulk SIMD/GPU kernels over arrays; this backend does the
-same with NumPy over the :class:`~repro.engine.plane.BatchPlane` columns:
+DIDO places each task on the processor a cost model predicts cheapest for
+the profiled workload, because a GPU's efficiency depends on batch size.
+This host has the same curve between its two "processors": a **scalar**
+kernel (a Python row loop: no fixed cost, microseconds per row) and a
+**columnar** kernel (NumPy over the :class:`~repro.engine.plane.BatchPlane`
+columns: a fixed cost per call — tens of small-array dispatches, three per
+key *byte* for the hash — and a fraction of the per-row cost).  For Search
+the two cross inside the window sizes the server sees (columnar loses
+40-query windows and wins 1,000-query ones), so each window's Search runs
+on the kernel a fitted :class:`~repro.core.profiler.HostCostModel` predicts
+cheaper at that window's row count; the pass times the kernel it ran (two
+clock reads) and feeds the fit.
 
-* **Hashing** — the entire key column is hashed once per batch: the keys
-  are packed into a padded ``uint8`` matrix and 64-bit FNV-1a is mixed
-  across byte columns for all ``num_hashes + 1`` seeds simultaneously
-  (signature + every candidate bucket), with a scalar fallback for
-  oversized keys.  Candidate buckets come from one mask broadcast over the
-  hash columns.
-* **Search** — signatures are mask-matched against the cuckoo table's
-  :class:`~repro.kv.hashtable.SignatureMirror` (a struct-of-arrays copy of
-  the slot state that :meth:`~repro.kv.hashtable.CuckooHashTable._write_slot`
-  keeps in sync): one gather + compare per probe round, with the same
-  probe-order short-circuit and bucket-read accounting as the scalar path.
-* **KC / RD** — the search pass leaves its matches in columnar form, so
-  key-compare and read only touch queries that actually have candidates,
-  and RD only locations that passed the full-key comparison.
+The passes, in plan order, and what they hand each other on the plane's
+:class:`_VectorScratch`:
+
+* **MM / Insert / Delete** — inherited from
+  :class:`~repro.engine.backends.SerialEngine` unchanged: they mutate
+  Python heap objects and the authoritative cuckoo slots, which have no
+  array form (paper Figure 6: these operations do not benefit from batched
+  kernels the way Search does).
+* **Search** — two kernels, one hand-off.  *Scalar*: the probe-cache walk
+  :class:`SerialEngine` does.
+  *Columnar*: the key column hashed in one pass (keys packed into a
+  ``uint8`` matrix, 64-bit FNV-1a mixed across byte columns for all
+  ``num_hashes + 1`` seeds at once, a scalar fallback for oversized
+  keys), then one gather + compare per probe round against the cuckoo
+  table's :class:`~repro.kv.hashtable.SignatureMirror`, with the scalar
+  path's probe-order short-circuit.  Both leave GET rows with one
+  candidate on ``hit_rows`` / ``hit_locs`` and the rare multi-match in
+  ``multi_hits``, and account ``IndexStats.searches`` /
+  ``search_bucket_reads`` identically.  An index without a mirror (the
+  chained-hash alternative) has only the scalar kernel.
+* **KC / RD** — one row loop each over the hits: key-compare touches only
+  rows with candidates, RD only locations that passed it.
 * **WR** — responses are filled per query-type subset (shared singletons
-  bulk-assigned), and the batch's *response-size column* is computed with
-  one NumPy broadcast, so SD framing and server chunking need no
-  per-response ``wire_size`` property calls.
+  bulk-assigned), and the batch's status and *response-size* columns are
+  filled next to them, so SD framing and server chunking need no
+  per-response ``wire_size`` property calls.  One kernel, a row loop: the
+  consumer wants Python lists, and NumPy broadcasts plus ``tolist`` were
+  measured slower at 40-query windows and no faster at 2,000.
 
-Allocation (MM) and the index Insert/Delete passes are inherited from
-:class:`SerialEngine` unchanged: they mutate Python heap objects and the
-authoritative cuckoo slots, which has no array form — and the flexible
-index-operation analysis (paper Figure 6) is precisely that those
-operations do *not* benefit from batched kernels the way Search does.
-
-The backend degrades gracefully: when the store's index does not support
-the signature mirror (e.g. the chained-hash alternative), every pass
-falls back to the serial implementation and results are still correct.
+Either Search kernel is byte-identical to
+:class:`~repro.engine.reference.ReferenceEngine` with equal store and
+index statistics (``tests/test_vector_engine.py``).
 """
 
 from __future__ import annotations
 
+import time
+
 import numpy as np
 
+from repro.core.profiler import SCALAR, SEARCH_PASS, HostCostModel
 from repro.engine.backends import (
     NOT_FOUND_RESPONSE,
     STORED_RESPONSE,
@@ -53,6 +66,7 @@ from repro.kv.hashtable import EMPTY
 from repro.kv.objects import _FNV_OFFSET, _FNV_PRIME, fnv1a64
 from repro.kv.protocol import QueryType, Response, ResponseStatus
 from repro.kv.store import KVStore
+from repro.telemetry import get_telemetry
 
 #: Keys longer than this take the scalar FNV path (the padded matrix would
 #: waste cache on a few giants; production keys are tens of bytes).
@@ -65,6 +79,9 @@ _RESPONSE_HEADER_BYTES = Response(ResponseStatus.STORED).wire_size
 _OK_CODE = ResponseStatus.OK.value
 _NOT_FOUND_CODE = ResponseStatus.NOT_FOUND.value
 _STORED_CODE = ResponseStatus.STORED.value
+
+#: ``repro_cost_model_error`` buckets (a ratio, not microseconds).
+_MODEL_ERROR_BUCKETS = (0.05, 0.1, 0.2, 0.35, 0.5, 1.0, 2.0)
 
 _MASK64 = (1 << 64) - 1
 _SIG_MASK32 = (1 << 32) - 1
@@ -143,9 +160,17 @@ class _VectorScratch:
 
 
 class VectorEngine(SerialEngine):
-    """Whole-batch execution with NumPy kernels for the index-side passes."""
+    """Whole-batch execution; Search on the kernel the host cost model picks."""
 
     name = "vector"
+
+    def __init__(self, *, dedup: bool = False, hot_cache: bool = True):
+        super().__init__(dedup=dedup, hot_cache=hot_cache)
+        #: Fitted kernel costs, fed by this engine's Search timer and asked
+        #: for each window's placement.  ``DidoSystem`` swaps in its
+        #: profiler's model so the controller audits the same fits; a
+        #: standalone engine (a procshard worker's) fits its own windows.
+        self.costs = HostCostModel()
 
     def run(
         self,
@@ -156,35 +181,82 @@ class VectorEngine(SerialEngine):
         epoch: int = 0,
         task_times=None,
     ) -> dict[str, int]:
-        index = getattr(store, "index", None)
+        index = store.index
         if hasattr(index, "ensure_mirror"):
             index.ensure_mirror()
-            plane.scratch = _VectorScratch()
-            if plane.hotpath is None and (self.dedup or self.use_hot_cache):
-                plane.hotpath = prepare_hot_path_vector(
-                    store,
-                    plane,
-                    dedup=self.dedup,
-                    use_cache=self.use_hot_cache,
-                )
+        plane.scratch = _VectorScratch()
+        if plane.hotpath is None and (self.dedup or self.use_hot_cache):
+            plane.hotpath = prepare_hot_path_vector(
+                store, plane, dedup=self.dedup, use_cache=self.use_hot_cache
+            )
         return super().run(store, plan, plane, epoch=epoch, task_times=task_times)
 
     def _count_store_ops(self, store: KVStore, plane: BatchPlane) -> None:
-        scratch = plane.scratch
         # The RD/WR passes already listed every GET hit: no per-row work.
-        count_store_ops(
-            store, plane, None if scratch is None else len(scratch.value_rows)
-        )
+        count_store_ops(store, plane, len(plane.scratch.value_rows))
 
     # --------------------------------------------------------------- search
 
     def _pass_search(self, store: KVStore, plane: BatchPlane, indices) -> None:
+        n = len(indices)
+        if not n:
+            return
+        if getattr(store.index, "mirror", None) is None:
+            # Nothing to gather from: the probe-cache walk is the only
+            # Search kernel this index has, so there is nothing to place.
+            self._search_scalar(store, plane, indices)
+            return
+        costs = self.costs
+        kernel = costs.choose(SEARCH_PASS, n)
+        t0 = time.perf_counter()
+        if kernel == SCALAR:
+            self._search_scalar(store, plane, indices)
+        else:
+            self._search_columnar(store, plane, indices)
+        elapsed_us = (time.perf_counter() - t0) * 1e6
+        telemetry = get_telemetry()
+        if telemetry.enabled:
+            telemetry.registry.counter(
+                "repro_pass_kernel_total",
+                help="Windows each placed engine pass ran, by the kernel it ran on",
+            ).inc(**{"pass": SEARCH_PASS, "kernel": kernel})
+            error = costs.relative_error(SEARCH_PASS, kernel, n, elapsed_us)
+            if error is not None:
+                telemetry.registry.histogram(
+                    "repro_cost_model_error",
+                    buckets=_MODEL_ERROR_BUCKETS,
+                    help="|predicted - measured| / measured pass time per window",
+                ).observe(error, **{"pass": SEARCH_PASS})
+        costs.observe(SEARCH_PASS, kernel, n, elapsed_us)
+
+    @staticmethod
+    def _search_scalar(store: KVStore, plane: BatchPlane, indices) -> None:
+        """The scalar Search kernel: :meth:`SerialEngine._pass_search`'s
+        probe-cache walk (:meth:`KVStore.multi_index_search`, which
+        accounts ``IndexStats`` itself), with the candidates left where
+        the columnar kernel leaves them.  DELETE rows are probed (the
+        Search op covers them) and dropped — the Delete pass answers them.
+        """
         scratch = plane.scratch
-        if scratch is None:
-            SerialEngine._pass_search(store, plane, indices)
-            return
-        if not indices:
-            return
+        keys = plane.keys
+        qtypes = plane.qtypes
+        get_type = QueryType.GET
+        hit_rows = scratch.hit_rows
+        hit_locs = scratch.hit_locs
+        found = store.multi_index_search([keys[i] for i in indices])
+        for i, candidates in zip(indices, found):
+            if candidates and qtypes[i] is get_type:
+                if len(candidates) == 1:
+                    hit_rows.append(i)
+                    hit_locs.append(candidates[0])
+                else:
+                    scratch.multi_hits[i] = candidates
+
+    @staticmethod
+    def _search_columnar(store: KVStore, plane: BatchPlane, indices) -> None:
+        """The columnar Search kernel: hash the key column, then one mirror
+        gather + signature compare per probe round."""
+        scratch = plane.scratch
         index = store.index
         mirror = index.mirror
         num_hashes = index.num_hashes
@@ -264,9 +336,6 @@ class VectorEngine(SerialEngine):
 
     def _pass_kc(self, store: KVStore, plane: BatchPlane, indices) -> None:
         scratch = plane.scratch
-        if scratch is None:
-            SerialEngine._pass_kc(store, plane, indices)
-            return
         heap = store.heap
         probe = getattr(heap, "probe", None)
         if probe is None:
@@ -308,9 +377,6 @@ class VectorEngine(SerialEngine):
 
     def _pass_rd(self, store: KVStore, plane: BatchPlane, indices, epoch: int) -> None:
         scratch = plane.scratch
-        if scratch is None:
-            SerialEngine._pass_rd(store, plane, indices, epoch)
-            return
         read_values = plane.read_values
         value_rows = scratch.value_rows
         value_lens = scratch.value_lens
@@ -352,9 +418,6 @@ class VectorEngine(SerialEngine):
 
     def _pass_wr(self, plane: BatchPlane, indices) -> None:
         scratch = plane.scratch
-        if scratch is None:
-            SerialEngine._pass_wr(plane, indices)
-            return
         hotpath = plane.hotpath
         if hotpath is not None:
             hotpath.finish(plane)
@@ -404,29 +467,30 @@ class VectorEngine(SerialEngine):
                     responses[i] = NOT_FOUND_RESPONSE
                 else:
                     responses[i] = Response(ok, value)
-        # The raw status-code column mirrors the Response column so the
-        # wire framer never needs the objects: NOT_FOUND everywhere, then
-        # bulk-corrected per subset (SETs stored, GET hits OK, DELETEs
-        # copied from the answers the Delete pass already wrote) — fancy
-        # indexing instead of per-row list stores.
-        status_col = np.full(plane.size, _NOT_FOUND_CODE, dtype=np.int64)
-        if plane.set_indices:
-            status_col[plane.set_indices] = _STORED_CODE
-        if scratch.value_rows:
-            status_col[scratch.value_rows] = _OK_CODE
-        # Column-only consumers keep the ndarray (the wire framer casts it
-        # for free); Response consumers get the documented plain list.
-        statuses = status_col.tolist() if wants_responses else status_col
+        # The raw status-code and wire-size columns mirror the Response
+        # column so the wire framer never needs the objects: NOT_FOUND and
+        # a bare header everywhere, then SETs stored, GET hits OK plus
+        # their value bytes, DELETEs copied from the answers the Delete
+        # pass already wrote.  Filled per row: Response consumers want
+        # plain lists, and in the serve loop the fill costs a third of
+        # NumPy broadcasts plus ``tolist`` at 40-query windows and no more
+        # at 2,000-query ones.
+        size = plane.size
+        statuses = [_NOT_FOUND_CODE] * size
+        sizes = [_RESPONSE_HEADER_BYTES] * size
+        for i in plane.set_indices:
+            statuses[i] = _STORED_CODE
+        for i, value_len in zip(scratch.value_rows, scratch.value_lens):
+            statuses[i] = _OK_CODE
+            sizes[i] = _RESPONSE_HEADER_BYTES + value_len
         for i in plane.delete_indices:
             response = responses[i]
             if response is not None:
                 statuses[i] = response.status.value
+        if not wants_responses:
+            # Column-only consumers get ndarrays (the wire framer casts
+            # them for free).
+            statuses = np.array(statuses, dtype=np.int64)
+            sizes = np.array(sizes, dtype=np.int64)
         plane.response_statuses = statuses
-        # The response-size column: header bytes everywhere, plus the value
-        # bytes of each GET hit, in one broadcast.
-        sizes = np.full(plane.size, _RESPONSE_HEADER_BYTES, dtype=np.int64)
-        if scratch.value_rows:
-            sizes[np.asarray(scratch.value_rows, dtype=np.intp)] += np.asarray(
-                scratch.value_lens, dtype=np.int64
-            )
-        plane.response_sizes = sizes.tolist() if wants_responses else sizes
+        plane.response_sizes = sizes

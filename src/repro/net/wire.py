@@ -161,16 +161,17 @@ class QueryColumns:
             qtypes.extend(part.qtypes)
             keys.extend(part.keys)
             values.extend(part.values)
-        arrays = None
-        if all(p.opcodes is not None for p in parts):
-            arrays = (
-                np.concatenate([p.opcodes for p in parts]) if parts else None,
-                np.concatenate([p.key_lens for p in parts]),
-                np.concatenate([p.value_lens for p in parts]),
-            )
-        if arrays is None:
+        # `all()` over no parts is true, but there is nothing to concatenate.
+        if not parts or any(p.opcodes is None for p in parts):
             return cls(qtypes, keys, values)
-        return cls(qtypes, keys, values, *arrays)
+        return cls(
+            qtypes,
+            keys,
+            values,
+            np.concatenate([p.opcodes for p in parts]),
+            np.concatenate([p.key_lens for p in parts]),
+            np.concatenate([p.value_lens for p in parts]),
+        )
 
 
 @dataclass

@@ -155,9 +155,11 @@ class FunctionalPipeline:
         stamp object access counters; defaults to a constant 0.
     engine:
         Execution backend: ``None``/"auto" picks per batch (stealing when
-        the config enables it on a GPU stage, serial otherwise); "serial",
-        "stealing", "reference", "vector" or "procshard" pins a backend; an
-        object with a ``run`` method is used as-is.  "procshard" needs the
+        the config enables it on a GPU stage, serial otherwise — what a
+        pipeline built standalone does; ``DidoSystem`` always names one);
+        "serial", "stealing", "reference", "vector" or "procshard" pins a
+        backend; an object with a ``run`` method is used as-is (and keeps
+        whatever cost model it was handed).  "procshard" needs the
         store to be a :class:`~repro.engine.procshard.ProcShardStore` and
         raises :class:`~repro.errors.ConfigurationError` here otherwise.
     dedup:

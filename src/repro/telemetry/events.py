@@ -107,6 +107,7 @@ def replan_event(
     reason: str = "bootstrap",
     window_queries: int = 0,
     search_seconds: float = 0.0,
+    host_costs: dict | None = None,
 ) -> TraceEvent:
     """Audit record of one adaptation decision (configs by full label)."""
     return TraceEvent(
@@ -124,6 +125,7 @@ def replan_event(
             "reason": reason,
             "window_queries": window_queries,
             "search_ms": search_seconds * 1e3,
+            "host_costs": host_costs,
         },
     )
 

@@ -3,10 +3,16 @@
 import numpy as np
 import pytest
 
+import random
+
 from repro.core.profiler import (
+    BOOTSTRAP_SAMPLES,
     CHANGE_THRESHOLD,
     EARLY_CLOSE_MIN_QUERIES,
+    RESAMPLE_PERIOD,
     WINDOW_QUERIES,
+    HostCostModel,
+    LineFit,
     WorkloadProfile,
     WorkloadProfiler,
     estimate_zipf_skew,
@@ -266,3 +272,173 @@ class TestProfileDelta:
         delta = profile_delta(new, self.base())
         assert delta.max_change < CHANGE_THRESHOLD
         assert not delta.substantial
+
+
+# --------------------------------------------------------- host cost model
+
+#: Two known lines (us): scalar has no fixed cost, columnar a large one
+#: and a small slope; they cross at n* = 120 / (3.0 - 0.6) = 50 rows.
+LINES = {"scalar": (0.0, 3.0), "columnar": (120.0, 0.6)}
+CROSSOVER = 50.0
+
+
+def drive(model, lines, windows, rng, sizes=(8, 400), noise=0.05):
+    """Run the chooser over ``windows`` synthetic windows whose pass time
+    follows ``lines`` (5 % multiplicative noise); returns the picks."""
+    picks = []
+    for _ in range(windows):
+        n = rng.randint(*sizes)
+        kernel = model.choose("search", n)
+        a, b = lines[kernel]
+        model.observe("search", kernel, n, (a + b * n) * rng.uniform(1 - noise, 1 + noise))
+        picks.append((n, kernel))
+    return picks
+
+
+class TestLineFit:
+    def test_recovers_a_line(self):
+        fit = LineFit()
+        for n in (10, 50, 200, 30, 400, 120):
+            fit.observe(n, 40.0 + 2.5 * n)
+        assert fit.a == pytest.approx(40.0, rel=1e-6)
+        assert fit.b == pytest.approx(2.5, rel=1e-6)
+        assert fit.predict(100) == pytest.approx(290.0, rel=1e-6)
+
+    def test_no_spread_in_n_goes_through_the_origin(self):
+        fit = LineFit()
+        for _ in range(10):
+            fit.observe(40, 120.0)
+        assert (fit.a, fit.b) == (0.0, pytest.approx(3.0))
+
+    def test_never_negative(self):
+        falling = LineFit()
+        for n, t in ((10, 100.0), (100, 50.0), (200, 20.0)):
+            falling.observe(n, t)
+        assert falling.b == 0.0 and falling.a > 0.0
+        steep = LineFit()
+        for n, t in ((100, 100.0), (200, 400.0), (300, 700.0)):
+            steep.observe(n, t)
+        assert steep.a == 0.0 and steep.b > 0.0
+
+    def test_forgets_old_samples(self):
+        fit = LineFit()
+        rng = random.Random(5)
+        for _ in range(200):
+            n = rng.randint(10, 400)
+            fit.observe(n, 100.0 + 1.0 * n)
+        for _ in range(300):
+            n = rng.randint(10, 400)
+            fit.observe(n, 10.0 + 4.0 * n)
+        assert fit.a == pytest.approx(10.0, abs=2.0)
+        assert fit.b == pytest.approx(4.0, rel=0.02)
+
+
+class TestHostCostModel:
+    def test_bootstrap_alternates_until_both_fits_exist(self):
+        model = HostCostModel()
+        picks = drive(model, LINES, 2 * BOOTSTRAP_SAMPLES, random.Random(1))
+        kernels = [kernel for _, kernel in picks]
+        assert kernels.count("scalar") == kernels.count("columnar") == BOOTSTRAP_SAMPLES
+        assert kernels[:4] == ["scalar", "columnar", "scalar", "columnar"]
+
+    def test_recovers_the_crossover_and_picks_the_cheaper_side(self):
+        model = HostCostModel()
+        rng = random.Random(2)
+        drive(model, LINES, 400, rng)
+        n_star = model.summary()["search"]["crossover_rows"]
+        assert n_star == pytest.approx(CROSSOVER, rel=0.10)
+        picks = drive(model, LINES, 640, rng)
+        below = [k for n, k in picks if n < 0.8 * CROSSOVER]
+        above = [k for n, k in picks if n > 1.25 * CROSSOVER]
+        # Everything but the 1-in-RESAMPLE_PERIOD exploration windows —
+        # and, above, the windows where this stream's 50-fold swings in
+        # ``n`` outran what the scalar fit (fed small windows) remembers.
+        assert below.count("scalar") >= len(below) - len(picks) // RESAMPLE_PERIOD
+        assert above.count("columnar") >= len(above) - 2 * len(picks) // RESAMPLE_PERIOD
+        assert below.count("scalar") > 0.9 * len(below)
+        assert above.count("columnar") > 0.9 * len(above)
+
+    def test_refits_after_the_lines_swap(self):
+        model = HostCostModel()
+        rng = random.Random(3)
+        drive(model, LINES, 400, rng)
+        swapped = {"scalar": LINES["columnar"], "columnar": LINES["scalar"]}
+        drive(model, swapped, 3000, rng)
+        picks = drive(model, swapped, 640, rng)
+        below = [k for n, k in picks if n < 0.8 * CROSSOVER]
+        above = [k for n, k in picks if n > 1.25 * CROSSOVER]
+        assert below.count("columnar") > 0.9 * len(below)
+        assert above.count("scalar") > 0.9 * len(above)
+        assert model.summary()["search"]["crossover_rows"] == pytest.approx(CROSSOVER, rel=0.10)
+
+    def test_key_size_shift_resets_search(self):
+        model = HostCostModel()
+        rng = random.Random(4)
+        model.observe_key_size(16.0)
+        drive(model, LINES, 200, rng)
+        model.observe_key_size(17.0)  # +6 %: inside the re-plan threshold
+        assert model.fit("search", "columnar").samples > BOOTSTRAP_SAMPLES
+        model.observe_key_size(32.0)
+        assert model.fit("search", "scalar").samples == 0
+        assert model.fit("search", "columnar").samples == 0
+        # ... and Search bootstraps again.
+        kernels = [k for _, k in drive(model, LINES, 4, rng)]
+        assert kernels == ["scalar", "columnar", "scalar", "columnar"]
+        model.observe_key_size(33.0)  # measured against 32 now, not 16
+        assert model.fit("search", "scalar").samples == 2
+
+    def test_steady_windows_explore_on_a_bounded_schedule(self):
+        model = HostCostModel()
+        picks = drive(model, LINES, 1000, random.Random(6), sizes=(36, 44))
+        explored = sum(1 for _, kernel in picks if kernel == "columnar")
+        assert BOOTSTRAP_SAMPLES <= explored <= 1000 // RESAMPLE_PERIOD + BOOTSTRAP_SAMPLES
+        # ... and the schedule keeps the idle kernel's fit alive.
+        assert model.fit("search", "columnar").predict(40) == pytest.approx(144.0, rel=0.1)
+
+    def test_a_jump_in_window_size_is_measured_not_extrapolated(self):
+        """After a fifty-fold jump in ``n`` both kernels run within two
+        windows, and the cheaper one at the new size is chosen from then
+        on — not the idle kernel's line extrapolated from 40-row windows."""
+        model = HostCostModel()
+        rng = random.Random(11)
+        drive(model, LINES, 300, rng, sizes=(18, 40))
+        assert model.choose("search", 30) == "scalar"
+        picks = [k for _, k in drive(model, LINES, 40, rng, sizes=(1600, 1700))]
+        assert set(picks[:2]) == {"scalar", "columnar"}
+        # From then on columnar, but for the 1-in-32 slot.
+        assert picks[2:].count("columnar") >= len(picks) - 2 - 2
+        columnar = model.fit("search", "columnar")
+        assert columnar.predict(1650) == pytest.approx(120.0 + 0.6 * 1650, rel=0.10)
+
+    def test_relative_error_once_fitted(self):
+        model = HostCostModel()
+        for _ in range(BOOTSTRAP_SAMPLES):
+            assert model.relative_error("search", "scalar", 20, 60.0) is None
+            model.observe("search", "scalar", 20, 60.0)
+        assert model.relative_error("search", "scalar", 20, 60.0) == pytest.approx(0.0, abs=1e-9)
+        assert model.relative_error("search", "scalar", 20, 120.0) == pytest.approx(0.5)
+
+    def test_summary_is_json_ready(self):
+        import json
+
+        model = HostCostModel()
+        drive(model, LINES, 100, random.Random(7))
+        summary = json.loads(json.dumps(model.summary()))
+        assert set(summary) == {"search"}
+        assert set(summary["search"]) == {"scalar", "columnar", "crossover_rows"}
+        a_us, b_us, samples = summary["search"]["columnar"]
+        assert a_us == pytest.approx(120.0, rel=0.15) and b_us == pytest.approx(0.6, rel=0.15)
+        assert samples == model.fit("search", "columnar").samples
+
+    def test_profiler_resets_search_when_a_window_closes_on_new_key_sizes(self):
+        profiler = WorkloadProfiler()
+        model = profiler.host_costs
+        profiler.observe_batch(queries(90, 10, key_size=16))
+        profiler.snapshot()
+        drive(model, LINES, 50, random.Random(8))
+        profiler.observe_batch(queries(90, 10, key_size=16))
+        profiler.snapshot()
+        assert model.fit("search", "scalar").samples > 0
+        profiler.observe_batch(queries(90, 10, key_size=32))
+        profiler.snapshot()
+        assert model.fit("search", "scalar").samples == 0

@@ -93,6 +93,45 @@ class TestFunctionalPath:
                     # NOT_FOUND may legitimately occur (unset or evicted key)
 
 
+class TestEngineResolution:
+    """Unset/``auto`` is the production engine, not a per-batch pick from
+    the simulated plan."""
+
+    @pytest.mark.parametrize("engine", [None, "auto", "vector"])
+    def test_default_is_the_engine_the_benchmark_measures(self, engine):
+        from repro.engine import VectorEngine
+
+        system = DidoSystem(memory_bytes=16 << 20, expected_objects=16384, engine=engine)
+        chosen = system.pipeline._engine
+        assert type(chosen) is VectorEngine
+        # One host cost model: fed by the engine, reset by the profiler,
+        # audited by the controller.
+        assert chosen.costs is system.profiler.host_costs is system.controller.host_costs
+
+    def test_named_engines_still_selectable(self):
+        from repro.engine import SerialEngine, StealingEngine
+
+        for name, cls in (("serial", SerialEngine), ("stealing", StealingEngine)):
+            system = DidoSystem(memory_bytes=16 << 20, expected_objects=16384, engine=name)
+            assert type(system.pipeline._engine) is cls
+
+    def test_replan_events_carry_the_fitted_pass_costs(self, system):
+        writes = QueryStream(standard_workload("K16-G50-U"), 500, seed=5)
+        reads = QueryStream(standard_workload("K16-G95-U"), 500, seed=5)
+        for stream in (writes, reads):
+            for _ in range(12):
+                system.process(stream.next_batch(300))
+        events = system.controller.events
+        assert events[0].bootstrap and events[0].host_costs == {}  # nothing measured yet
+        assert events[-1].reason == "get_ratio"
+        audited = events[-1].host_costs
+        assert set(audited) == {"search"}
+        assert "crossover_rows" in audited["search"]
+        for kernel in ("scalar", "columnar"):
+            a_us, b_us, samples = audited["search"][kernel]
+            assert a_us >= 0.0 and b_us >= 0.0 and samples > 0
+
+
 class TestAnalyticalPath:
     def test_measure_steady_state(self, system):
         m = system.measure_steady_state(profile_for("K16-G95-S"))

@@ -318,16 +318,20 @@ class TestHub:
 class TestInstrumentedSystem:
     """The acceptance demo as a test: a dynamic workload leaves a full trace."""
 
-    @pytest.fixture
-    def traced_system(self, live_telemetry):
+    @staticmethod
+    def drive(engine=None):
         from repro import DidoSystem, QueryStream, standard_workload
 
-        system = DidoSystem(memory_bytes=48 << 20, expected_objects=20_000)
+        system = DidoSystem(memory_bytes=48 << 20, expected_objects=20_000, engine=engine)
         for label in ("K8-G95-S", "K128-G95-S", "K8-G50-U"):
             stream = QueryStream(standard_workload(label), num_keys=2_000, seed=3)
             for _ in range(2):
                 system.process(stream.next_batch(512))
-        return system, live_telemetry
+        return system
+
+    @pytest.fixture
+    def traced_system(self, live_telemetry):
+        return self.drive(), live_telemetry
 
     def test_replan_events_with_before_after_configs(self, traced_system):
         _, telemetry = traced_system
@@ -365,9 +369,25 @@ class TestInstrumentedSystem:
         tasks = {e.fields["task"] for e in spans}
         assert tasks == {"RV", "PP", "MM", "IN", "KC", "RD", "WR", "SD"}
 
-    def test_steal_claims_counted_per_owner(self, traced_system):
-        _, telemetry = traced_system
-        counter = telemetry.registry.get("repro_steal_claims_total")
+    def test_kernel_placement_is_visible_from_the_running_system(self, traced_system):
+        system, telemetry = traced_system
+        mix = telemetry.registry.get("repro_pass_kernel_total")
+        scalar = mix.value(**{"pass": "search", "kernel": "scalar"})
+        columnar = mix.value(**{"pass": "search", "kernel": "columnar"})
+        assert scalar > 0 and columnar > 0
+        assert scalar + columnar == system.report().batches
+        replans = telemetry.events.by_kind("replan")
+        assert replans[0].fields["host_costs"] == {}  # bootstrap: nothing measured yet
+        # (This drive's later re-plans each follow a key-size shift, which
+        # has just dropped the Search fits; tests/test_dido_system.py reads
+        # fitted lines off a GET-ratio re-plan.)
+        assert [r.fields["host_costs"] for r in replans] == [
+            e.host_costs for e in system.controller.events
+        ]
+
+    def test_steal_claims_counted_per_owner(self, live_telemetry):
+        self.drive(engine="stealing")
+        counter = live_telemetry.registry.get("repro_steal_claims_total")
         assert counter is not None
         assert counter.value(owner="gpu", stolen="false") > 0
         assert counter.value(owner="cpu", stolen="true") > 0

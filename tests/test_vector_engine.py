@@ -1,12 +1,17 @@
 """VectorEngine: hash-kernel exactness, mirror consistency, equivalence."""
 
+import dataclasses
 import random
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
 
+from repro.core.profiler import KERNELS, HostCostModel
+from repro.core.tasks import Task
 from repro.engine import (
     BatchPlane,
+    ReferenceEngine,
     VectorEngine,
     compile_stage_plan,
     resolve_engine,
@@ -14,12 +19,13 @@ from repro.engine import (
 from repro.engine.vector import MAX_VECTOR_KEY_BYTES, fnv_hash_columns
 from repro.kv.hashtable import EMPTY, CuckooHashTable
 from repro.kv.objects import fnv1a64, key_signature
-from repro.kv.protocol import encode_responses
+from repro.kv.protocol import Query, QueryType, encode_responses
 from repro.kv.store import KVStore
 from repro.pipeline.functional import FunctionalPipeline
+from repro.net.wire import encode_response_window
 from repro.pipeline.megakv import megakv_coupled_config
 
-from test_engine import all_canonical_configs, workload_batches
+from test_engine import all_canonical_configs, op_streams, stream_batches, workload_batches
 
 
 # ------------------------------------------------------------- hash kernel
@@ -217,7 +223,9 @@ class TestVectorEquivalence:
         assert outs[0] == outs[1]
 
     def test_falls_back_without_mirror_support(self):
-        """A store whose index has no mirror still runs (serial passes)."""
+        """A store whose index has no mirror still runs: Search has only
+        its scalar kernel there (so nothing is placed or fitted),
+        everything else is unchanged."""
 
         class NoMirrorIndex(CuckooHashTable):
             ensure_mirror = property()  # attribute access raises -> hasattr False
@@ -235,7 +243,7 @@ class TestVectorEquivalence:
             [Query(QueryType.SET, b"k", b"v"), Query(QueryType.GET, b"k")],
         )
         assert result.responses[1].value == b"v"
-        # The serial passes fill no wire columns; the result derives them.
+        assert pipeline._engine.costs.summary() == {}
         assert result.response_statuses == [r.status.value for r in result.responses]
         assert result.response_sizes == [r.wire_size for r in result.responses]
 
@@ -299,6 +307,145 @@ class TestKickedKeysAnswerEverywhere:
         assert (stats.sets, stats.gets, stats.get_hits) == (6, 2, 1)
         assert (stats.deletes, stats.delete_hits) == (2, 1)
         assert stats.hit_rate == 0.5
+
+
+# ------------------------------------------------------- Search kernels
+
+
+class ForcedKernel(HostCostModel):
+    """A cost model whose placement is fixed."""
+
+    def __init__(self, kernel: str):
+        super().__init__()
+        self.kernel = kernel
+
+    def choose(self, pass_name, n):
+        return self.kernel
+
+
+_FILL_KEYS = [b"fill-%03d" % i for i in range(192)]
+
+
+def kicked_store(hot: bool) -> KVStore:
+    """A store whose 64-bucket index has already kicked (so every miss
+    takes the displaced-bucket round on both Search kernels), with room
+    left for the fuzz pool; ``hot`` attaches an active hot-key cache."""
+    store = KVStore(8 << 20, 4096, index=CuckooHashTable(num_buckets=64))
+    assert store.populate([(key, b"x" * 9) for key in _FILL_KEYS]) == len(_FILL_KEYS)
+    assert store.index.kicked
+    if hot:
+        store.attach_hot_cache(64).active = True
+    return store
+
+
+def served_bytes(engine, hot: bool, wants_responses: bool, batches) -> tuple[list[bytes], tuple]:
+    """Run ``batches`` through ``engine`` on a fresh kicked store; the wire
+    bytes of each batch's answers plus the final (store, index) counters."""
+    store = kicked_store(hot)
+    plan = compile_stage_plan(megakv_coupled_config())
+    out = []
+    for batch in batches:
+        plane = BatchPlane(batch)
+        plane.wants_responses = wants_responses
+        engine.run(store, plan, plane, epoch=0)
+        if plane.response_statuses is None:
+            out.append(encode_responses(plane.take_responses()))
+            continue
+        framed = bytes(
+            encode_response_window(
+                plane.response_statuses, plane.read_values, plane.response_sizes
+            )[0]
+        )
+        if wants_responses:
+            assert framed == encode_responses(plane.take_responses())
+            assert isinstance(plane.response_statuses, list)
+        else:
+            # Column-only consumers (the procshard worker) get ndarrays.
+            assert isinstance(plane.response_statuses, np.ndarray)
+            assert isinstance(plane.response_sizes, np.ndarray)
+        out.append(framed)
+    counters = (dataclasses.asdict(store.stats), dataclasses.asdict(store.index.stats))
+    return out, counters
+
+
+@pytest.mark.parametrize("wants_responses", [True, False])
+@pytest.mark.parametrize("hot", [False, True])
+@settings(max_examples=8, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(raw=op_streams)
+def test_both_search_kernels_match_reference(hot, wants_responses, raw):
+    """Either Search kernel answers a colliding multi-batch stream byte
+    for byte like the per-query reference — after a forced cuckoo kick,
+    with dedup and hot-cache rows live (``hot``), and in the column-only
+    form the procshard worker asks for — and both leave identical store
+    and index counters behind."""
+    batches = stream_batches(raw)
+    # Every prefilled key once more, so kick-displaced entries are read.
+    batches.append([Query(QueryType.GET, key) for key in _FILL_KEYS])
+    expected, _ = served_bytes(ReferenceEngine(), False, True, batches)
+    outcomes = []
+    for kernel in KERNELS:
+        engine = VectorEngine(dedup=hot, hot_cache=hot)
+        engine.costs = ForcedKernel(kernel)
+        served, counters = served_bytes(engine, hot, wants_responses, batches)
+        assert served == expected, kernel
+        assert engine.costs.fit("search", kernel).samples > 0
+        outcomes.append(counters)
+    assert outcomes[0] == outcomes[1]
+
+
+class TestSearchTimer:
+    """The engine times the kernel it placed whether or not anyone asked."""
+
+    QUERIES = [Query(QueryType.SET, b"k%d" % i, b"v") for i in range(6)] + [
+        Query(QueryType.GET, b"k%d" % i) for i in range(8)
+    ]
+
+    def run_once(self, task_times):
+        store = KVStore(memory_bytes=1 << 20, expected_objects=512)
+        engine = VectorEngine()
+        plan = compile_stage_plan(megakv_coupled_config())
+        engine.run(store, plan, BatchPlane(list(self.QUERIES)), task_times=task_times)
+        return engine
+
+    @pytest.mark.parametrize("telemetry_on", [False, True])
+    def test_task_times_filled_with_task_keyed_microseconds(self, telemetry_on):
+        """The benchmark's ``with_task_spans`` contract."""
+        from repro.telemetry import configure
+
+        configure(enabled=telemetry_on)
+        try:
+            times = {Task.RV: 1.5}
+            self.run_once(times)
+        finally:
+            configure(enabled=False)
+        assert set(times) == {Task.RV, Task.MM, Task.IN, Task.KC, Task.RD, Task.WR}
+        assert times[Task.RV] == 1.5  # the caller's entries are added to, not replaced
+        assert all(isinstance(v, float) and v > 0.0 for v in times.values())
+        assert sum(times.values()) < 1e6  # microseconds, not nanoseconds
+
+    def test_model_is_fed_without_task_times(self):
+        engine = self.run_once(None)
+        assert set(engine.costs.summary()) == {"search"}
+        scalar = engine.costs.fit("search", "scalar")  # bootstrap starts scalar
+        assert scalar.samples == 1 and scalar.predict(8) > 0.0
+
+    def test_kernel_mix_and_model_error_exported(self):
+        from repro.telemetry import configure
+
+        telemetry = configure(enabled=True)
+        try:
+            store = KVStore(memory_bytes=1 << 20, expected_objects=512)
+            engine = VectorEngine()
+            plan = compile_stage_plan(megakv_coupled_config())
+            for _ in range(40):
+                engine.run(store, plan, BatchPlane(list(self.QUERIES)))
+            mix = telemetry.registry.get("repro_pass_kernel_total")
+            counts = [mix.value(**{"pass": "search", "kernel": kernel}) for kernel in KERNELS]
+            assert min(counts) >= 8 and sum(counts) == 40
+            errors = telemetry.registry.get("repro_cost_model_error")
+            assert errors.count(**{"pass": "search"}) == 40 - 16  # all but bootstrap
+        finally:
+            configure(enabled=False)
 
 
 class TestResolveNewEngines:

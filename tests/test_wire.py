@@ -321,6 +321,11 @@ class TestQueryColumns:
         assert list(merged.opcodes) == [2, 1, 3]
         assert merged.to_queries() == [q for batch in batches for q in batch]
 
+    def test_concat_of_no_parts_is_an_empty_batch(self):
+        merged = QueryColumns.concat([])
+        assert len(merged) == 0
+        assert merged == QueryColumns([], [], [])
+
     def test_slice_indexing_only(self):
         columns = QueryColumns.from_queries([Query(QueryType.GET, b"k")])
         with pytest.raises(TypeError):
