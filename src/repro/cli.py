@@ -76,20 +76,6 @@ _STORE_FLAGS = (
             "(default: 1; more than 1 needs --engine auto or procshard)",
         ),
     ),
-    (
-        "--dedup",
-        dict(
-            action="store_true",
-            help="collapse duplicate GET runs per batch (skew-aware hot path)",
-        ),
-    ),
-    (
-        "--hot-cache",
-        dict(
-            action="store_true",
-            help="attach the skew-gated versioned hot-key read cache",
-        ),
-    ),
 )
 
 
@@ -112,13 +98,8 @@ def _store_kwargs(args: argparse.Namespace) -> dict:
 def _store_argv(args: argparse.Namespace) -> list[str]:
     """The parsed store flags as a command line for a child ``serve``."""
     argv: list[str] = []
-    for flag, options in _STORE_FLAGS:
-        value = getattr(args, _store_dest(flag))
-        if options.get("action") == "store_true":
-            if value:
-                argv.append(flag)
-        else:
-            argv += [flag, str(value)]
+    for flag, _ in _STORE_FLAGS:
+        argv += [flag, str(getattr(args, _store_dest(flag)))]
     return argv
 
 

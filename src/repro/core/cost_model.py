@@ -231,7 +231,6 @@ class PipelineAnalyzer:
             int(profile.avg_key_size),
             int(profile.avg_value_size),
             profile.zipf_skew,
-            measured=profile.measured_hot_fraction,
         )
         return StageContext(
             cache_line_bytes=proc.cache_line_bytes,

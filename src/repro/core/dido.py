@@ -18,7 +18,7 @@ Two usage styles:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from repro.core.controller import AdaptationController
 from repro.core.profiler import WorkloadProfile, WorkloadProfiler
@@ -77,17 +77,6 @@ class DidoSystem:
         (a :class:`~repro.engine.procshard.ProcShardStore`), served by
         "procshard" — the only backend that executes across partitions;
         any other engine raises :class:`~repro.errors.ConfigurationError`.
-    dedup:
-        Collapse each batch's duplicate GET runs to one index probe per
-        key between write barriers (the skew-aware hot path; see
-        :mod:`repro.engine.hotpath`).
-    hot_cache:
-        Attach a versioned hot-key read cache to the store (per worker on a
-        procshard store).  The cache starts inactive; each profiler window
-        the estimated Zipf skew gates it on (>= 0.5) or off (< 0.2), and
-        its measured hit rate feeds the cost model's hot-fraction input.
-    hot_cache_keys:
-        Cache capacity in keys (total across shards); default 1024.
 
     Whichever store is built, the system reaches it through the same
     store protocol (see :mod:`repro.kv.store`); which one it holds is
@@ -104,9 +93,6 @@ class DidoSystem:
         work_stealing: bool = True,
         engine=None,
         shards: int = 1,
-        dedup: bool = False,
-        hot_cache: bool = False,
-        hot_cache_keys: int | None = None,
     ):
         self.platform = platform
         budget = memory_bytes if memory_bytes is not None else platform.shared_memory_bytes
@@ -114,7 +100,7 @@ class DidoSystem:
             # The system decides: the engine that places Search by the
             # fitted host costs, behind the shard router when partitioned.
             engine = "procshard" if shards > 1 else "vector"
-        engine = resolve_engine(engine, dedup=dedup, hot_cache=hot_cache)
+        engine = resolve_engine(engine)
         procshard = engine.name == "procshard"
         if shards > 1 and not procshard:
             raise ConfigurationError(
@@ -122,29 +108,12 @@ class DidoSystem:
                 "shards; use engine='procshard' (or shards=1)"
             )
         if procshard:
-            # Process-per-shard: the store owns one worker process per
-            # shard; dedup and the hot cache live *inside* the workers
-            # (each sees its shard's full runs), so the parent attaches
-            # nothing and the flags travel in the worker config.
+            # Process-per-shard: the store owns one worker process per shard.
             from repro.engine.procshard import ProcShardStore
 
-            self.store = ProcShardStore(
-                budget,
-                expected_objects,
-                max(shards, 1),
-                dedup=dedup,
-                hot_cache=hot_cache,
-                hot_cache_keys=hot_cache_keys,
-            )
+            self.store = ProcShardStore(budget, expected_objects, max(shards, 1))
         else:
             self.store = KVStore(budget, expected_objects)
-            if hot_cache:
-                # The cache starts cold and inactive; the per-window skew
-                # gate switches it on once the estimator sees real skew.
-                self.store.attach_hot_cache(hot_cache_keys).active = False
-        self._cache_hits_seen = 0
-        self._cache_total_seen = 0
-        self._last_measured: float | None = None
         self.nic = SimulatedNIC()
         self.profiler = WorkloadProfiler()
         if hasattr(engine, "costs"):
@@ -163,8 +132,6 @@ class DidoSystem:
             self.store,
             epoch_source=lambda: self.profiler.epoch,
             engine=engine,
-            dedup=dedup,
-            hot_cache=hot_cache,
         )
         self.latency_budget_ns = latency_budget_ns
         self._batches = 0
@@ -209,7 +176,7 @@ class DidoSystem:
 
     def _close_window(self) -> PipelineConfig:
         """Close the profile window: harvest the skew sample, snapshot,
-        feed the caches, and let the controller decide."""
+        and let the controller decide."""
         profiler = self.profiler
         # The real system reads counters as objects are accessed; here the
         # store logs the objects first touched in the open epoch and hands
@@ -217,12 +184,7 @@ class DidoSystem:
         counts, insert_buckets = self.store.harvest_window()
         profiler.observe_insert_buckets(insert_buckets)
         profiler.observe_frequencies(counts)
-        profile = profiler.snapshot()
-        # The skew estimate gates the hot cache(s); the measured hot
-        # fraction is the hit rate over this window's cache lookups.
-        hits, lookups = self.store.gate_hot_cache(profile.zipf_skew)
-        profile = self._with_measured_hot_fraction(profile, hits, lookups)
-        return self.controller.config_for(profile)
+        return self.controller.config_for(profiler.snapshot())
 
     @property
     def supports_pipelining(self) -> bool:
@@ -264,22 +226,6 @@ class DidoSystem:
     def submit(self, queries: list[Query]) -> BatchResult:
         """Client-style entry: pack queries into frames and go through the NIC."""
         return self.process_frames(frames_for_queries(queries))
-
-    def _with_measured_hot_fraction(
-        self, profile: WorkloadProfile, hits: int, total: int
-    ) -> WorkloadProfile:
-        """``profile`` with the window's cache hit rate (lifetime totals in;
-        carried forward through windows without lookups so brief all-write
-        windows don't zero the cost model's input)."""
-        window_hits = hits - self._cache_hits_seen
-        window_total = total - self._cache_total_seen
-        self._cache_hits_seen = hits
-        self._cache_total_seen = total
-        if window_total > 0:
-            self._last_measured = window_hits / window_total
-        if self._last_measured is None:
-            return profile
-        return replace(profile, measured_hot_fraction=self._last_measured)
 
     # ------------------------------------------------------------- lifecycle
 

@@ -32,7 +32,7 @@ import numpy as np
 
 from repro.core.tasks import IndexOp
 from repro.errors import WorkloadError
-from repro.kv.protocol import Query, QueryType
+from repro.kv.protocol import QueryType
 from repro.telemetry import get_telemetry
 
 #: The paper's re-plan threshold: "the upper limit for the alteration of
@@ -110,11 +110,6 @@ class WorkloadProfile:
     ``insert_buckets`` is the runtime-measured average buckets written per
     index Insert (cuckoo amortised cost; paper Section IV-B), carried here
     because the profiler is the component that observes the running system.
-
-    ``measured_hot_fraction`` is the observed hot-key cache hit rate over
-    the last window (None when no cache is attached or it saw no traffic);
-    the memory model uses it as a floor under its analytic Zipf-derived
-    hot fraction, so cache-effectiveness feedback reaches the cost model.
     """
 
     get_ratio: float
@@ -123,7 +118,6 @@ class WorkloadProfile:
     zipf_skew: float
     batch_queries: int = 0
     insert_buckets: float = 2.0
-    measured_hot_fraction: float | None = None
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.get_ratio <= 1.0:

@@ -50,40 +50,35 @@ ENGINE_NAMES = (
 )
 
 
-def resolve_engine(engine, *, dedup: bool = False, hot_cache: bool = True):
+def resolve_engine(engine):
     """Map an engine selector to a backend instance.
 
     ``None``/"auto" returns None: no backend pinned.  (``DidoSystem``
     never passes that on — it resolves unset to "vector", or "procshard"
     when sharded, first; a standalone ``FunctionalPipeline`` picks per
-    batch: stealing when the config wants it, serial otherwise.)  A backend instance passes
-    through unchanged (its own flags win); a known name constructs the
-    backend with the skew-aware hot-path flags — except "reference", the
-    per-query ground truth, which never dedups or cache-serves, and
-    "procshard", whose workers own dedup and caches (configured on the
-    :class:`~repro.engine.procshard.ProcShardStore`).
+    batch: stealing when the config wants it, serial otherwise.)  A backend
+    instance passes through unchanged; a known name constructs the backend
+    ("procshard" lazily: its module pulls in multiprocessing machinery
+    nothing else needs).
     """
     if engine is None or engine == "auto":
         return None
     if isinstance(engine, str):
-        if engine == "reference":
-            return ReferenceEngine()
         if engine == "procshard":
-            # Imported lazily: the procshard module pulls in
-            # multiprocessing machinery nothing else needs.
             from repro.engine.procshard import ProcShardEngine
 
             return ProcShardEngine()
         factory = {
             "serial": SerialEngine,
             "stealing": StealingEngine,
+            "reference": ReferenceEngine,
             "vector": VectorEngine,
         }.get(engine)
         if factory is None:
             raise ConfigurationError(
                 f"unknown engine {engine!r}; expected one of {ENGINE_NAMES}"
             )
-        return factory(dedup=dedup, hot_cache=hot_cache)
+        return factory()
     if hasattr(engine, "run"):
         return engine
     raise ConfigurationError(f"engine must be a name or a backend, got {engine!r}")

@@ -32,7 +32,6 @@ import time
 
 from repro.core.tasks import IndexOp, Task
 from repro.core.work_stealing import TagArray
-from repro.engine.hotpath import prepare_hot_path
 from repro.engine.plan import PhaseKind, PlanPhase, StagePlan
 from repro.engine.plane import BatchPlane, indices_between
 from repro.errors import ConfigurationError
@@ -63,8 +62,7 @@ def count_store_ops(store: KVStore, plane: BatchPlane, get_hits: int | None = No
     :meth:`KVStore.delete`, which counts ``deletes``/``delete_hits`` itself.
     ``get_hits`` may be passed by an engine that already knows it (the
     vector engine does); the per-row engines read it off the batch's value
-    column.  The counts are of the rows on ``plane``, duplicates that
-    dedup collapsed included.
+    column.
     """
     get_rows = plane.get_indices
     if get_hits is None:
@@ -77,36 +75,11 @@ def count_store_ops(store: KVStore, plane: BatchPlane, get_hits: int | None = No
 
 
 class SerialEngine:
-    """Whole-batch columnar execution, one pass per phase.
-
-    Parameters
-    ----------
-    dedup:
-        Collapse each batch's duplicate GET runs to one index probe + one
-        value read per run, scattering results back after RD (see
-        :mod:`repro.engine.hotpath`).  Off by default: the default path
-        stays bit-for-bit the pre-dedup engine, including store counters.
-    hot_cache:
-        Allow serving GETs from the store's attached
-        :class:`~repro.kv.hotcache.HotKeyCache` (when one is attached and
-        gated active).  Enabled by default — with no cache attached it is
-        inert.
-    """
+    """Whole-batch columnar execution, one pass per phase."""
 
     name = "serial"
 
-    def __init__(self, *, dedup: bool = False, hot_cache: bool = True):
-        self.dedup = dedup
-        self.use_hot_cache = hot_cache
-
     # ------------------------------------------------------------------ run
-
-    def prepare(self, store: KVStore, plane: BatchPlane) -> None:
-        """Attach the batch's hot-path state (dedup/cache) when enabled."""
-        if plane.hotpath is None and (self.dedup or self.use_hot_cache):
-            plane.hotpath = prepare_hot_path(
-                store, plane, dedup=self.dedup, use_cache=self.use_hot_cache
-            )
 
     def run(
         self,
@@ -118,24 +91,12 @@ class SerialEngine:
         task_times: dict[Task, float] | None = None,
     ) -> dict[str, int]:
         """Execute every non-boundary phase; returns steal-claim counts."""
-        self.prepare(store, plane)
-        hotpath = plane.hotpath
-        if hotpath is not None:
-            hotpath.epoch = epoch
         for phase in plan.phases:
             if phase.kind is PhaseKind.BOUNDARY:
                 continue
             t0 = time.perf_counter() if task_times is not None else 0.0
             self._execute(store, plane, phase, self.phase_indices(plane, phase), epoch)
             _credit(task_times, phase.task, t0)
-            if (
-                hotpath is not None
-                and phase.kind is PhaseKind.TASK
-                and phase.task is Task.RD
-            ):
-                # All representative reads are in: scatter values/responses
-                # to duplicate rows and admit hot values before WR runs.
-                hotpath.finish(plane)
         self._count_store_ops(store, plane)
         return {}
 
@@ -146,18 +107,9 @@ class SerialEngine:
 
     @staticmethod
     def phase_indices(plane: BatchPlane, phase: PlanPhase):
-        """The query indices a phase applies to (sorted ascending).
-
-        With a hot path attached, Search/KC/RD see only the *live* rows:
-        duplicates collapse to their run representative and cache-served
-        rows skip the index entirely.  Write-side phases (MM, Insert,
-        Delete) and WR always see their full subsets.
-        """
+        """The query indices a phase applies to (sorted ascending)."""
         if phase.kind is PhaseKind.INDEX_OP:
             if phase.op is IndexOp.SEARCH:
-                hotpath = plane.hotpath
-                if hotpath is not None and hotpath.search_live is not None:
-                    return hotpath.search_live
                 return plane.search_indices
             if phase.op is IndexOp.INSERT:
                 return plane.set_indices
@@ -166,9 +118,6 @@ class SerialEngine:
         if task is Task.MM:
             return plane.set_indices
         if task in (Task.KC, Task.RD):
-            hotpath = plane.hotpath
-            if hotpath is not None and hotpath.get_live is not None:
-                return hotpath.get_live
             return plane.get_indices
         if task is Task.WR:
             return plane.all_indices
@@ -330,27 +279,13 @@ class SerialEngine:
         if not indices:
             return
         locations = plane.locations
-        hotpath = plane.hotpath
-        counts = None
-        if hotpath is not None and hotpath.dups:
-            # A representative read answers its whole run; credit the full
-            # multiplicity to the object's profiler access counter.
-            dup_lookup = hotpath.dups.get
-            counts = [1 + len(dup_lookup(i, ())) for i in indices]
-        values = store.multi_read_value(
-            [locations[i] for i in indices], epoch=epoch, counts=counts
-        )
+        values = store.multi_read_value([locations[i] for i in indices], epoch=epoch)
         read_values = plane.read_values
         for i, value in zip(indices, values):
             read_values[i] = value
 
     @staticmethod
     def _pass_wr(plane: BatchPlane, indices) -> None:
-        hotpath = plane.hotpath
-        if hotpath is not None:
-            # Normally a no-op (the run loop finishes after RD); covers
-            # engines that reach WR without the standard phase loop.
-            hotpath.finish(plane)
         qtypes = plane.qtypes
         responses = plane.responses
         read_values = plane.read_values
@@ -358,7 +293,7 @@ class SerialEngine:
         ok = ResponseStatus.OK
         for i in indices:
             if responses[i] is not None:
-                continue  # DELETE (or a hot-path pre-fill) already answered
+                continue  # the Delete pass already answered a DELETE
             qtype = qtypes[i]
             if qtype is get_qtype:
                 value = read_values[i]
@@ -395,10 +330,6 @@ class StealingEngine(SerialEngine):
     ) -> dict[str, int]:
         claims: dict[str, int] = {}
         config = plan.config
-        self.prepare(store, plane)
-        hotpath = plane.hotpath
-        if hotpath is not None:
-            hotpath.epoch = epoch
         for stage_index, stage in enumerate(config.stages):
             steal = (
                 config.work_stealing
@@ -415,15 +346,6 @@ class StealingEngine(SerialEngine):
                 else:
                     self._execute(store, plane, phase, indices, epoch)
                 _credit(task_times, phase.task, t0)
-                if (
-                    hotpath is not None
-                    and phase.kind is PhaseKind.TASK
-                    and phase.task is Task.RD
-                ):
-                    # Between phases, never inside a stolen chunk: a
-                    # duplicate's WR chunk may precede its representative's,
-                    # so the scatter must complete before WR starts.
-                    hotpath.finish(plane)
         self._count_store_ops(store, plane)
         return claims
 

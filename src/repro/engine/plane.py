@@ -62,7 +62,6 @@ class BatchPlane:
         "_subsets",
         "all_indices",
         "scratch",
-        "hotpath",
         "response_sizes",
         "response_statuses",
         "wants_responses",
@@ -114,10 +113,6 @@ class BatchPlane:
         #: Engine-private per-batch state (the vector engine parks its
         #: hashed key columns here); plain engines leave it None.
         self.scratch = None
-        #: Skew-aware hot-path state (:class:`repro.engine.hotpath.
-        #: HotPathState`) when batch key dedup or the hot-key cache is
-        #: active for this batch; None on the default path.
-        self.hotpath = None
         #: Optional wire-size column filled by the WR pass (vector engine):
         #: ``response_sizes[i]`` is ``responses[i].wire_size``, precomputed
         #: so downstream framing/chunking needs no per-response property

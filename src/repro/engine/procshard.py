@@ -3,11 +3,11 @@
 Sub-batches run on a thread pool cannot overlap under CPython's GIL, so
 partitioned execution here is DINOMO-shaped: each shard is a
 :class:`ShardWorker` **process** owning its own
-:class:`~repro.kv.store.KVStore`, hot-key cache and dedup builder, fed
-columnar sub-batches through ``multiprocessing.shared_memory`` ring
-arenas (:class:`~repro.net.arena.ShmRing`) — header columns + byte arena
-in, WR size columns + response-payload arena out, no pickling anywhere on
-the data plane.
+:class:`~repro.kv.store.KVStore`, fed columnar sub-batches through
+``multiprocessing.shared_memory`` ring arenas
+(:class:`~repro.net.arena.ShmRing`) — header columns + byte arena in, WR
+size columns + response-payload arena out, no pickling anywhere on the
+data plane.
 
 The split/merge shape:
 
@@ -16,22 +16,22 @@ The split/merge shape:
   (:func:`~repro.kv.sharding.shard_of` == the vector kernel's row 0), so
   batched and per-key routing are bit-identical;
 * each worker runs a full :class:`~repro.engine.vector.VectorEngine`
-  (with the worker's own dedup/hot-cache state) against its private
-  store and answers with the single-pass response framer's bytes;
+  against its private store and answers with the single-pass response
+  framer's bytes;
 * the router scatters the returned status/size/value columns back into
   batch row order, so the merged stream is byte-identical to
   :class:`~repro.engine.reference.ReferenceEngine` — enforced by the
   procshard test suite.
 
-Workers piggyback their store/index counters, per-batch hot-path stats
-and a bounded frequency-harvest sample on every batch reply, so the
-router-side :class:`ProcShardStore` answers the store protocol (see
-:mod:`repro.kv.store`) — merged ``stats``, the window harvest, the cache
-totals — without extra round trips.  A dead worker never wedges the
-serve loop: its rows are answered with ``ERROR`` responses for that
-batch, the next maintenance barrier respawns it (empty, like a rebooted
-cache node), and every arena is unlinked on close/``atexit``/SIGTERM
-even when a worker died mid-batch.
+Workers piggyback their store/index counters and a bounded
+frequency-harvest sample on every batch reply, so the router-side
+:class:`ProcShardStore` answers the store protocol (see
+:mod:`repro.kv.store`) — merged ``stats``, the window harvest — without
+extra round trips.  A dead worker never wedges the serve loop: its rows
+are answered with ``ERROR`` responses for that batch, the next
+maintenance barrier respawns it (empty, like a rebooted cache node), and
+every arena is unlinked on close/``atexit``/SIGTERM even when a worker
+died mid-batch.
 """
 
 from __future__ import annotations
@@ -81,17 +81,17 @@ MSG_RESULT = 65
 MSG_ERROR = 66
 
 _U32 = struct.Struct("<I")
-#: Per-batch header: skew, epoch, per-worker sequence number, gate flag.
-#: The sequence number is echoed back in the reply head so the router can
+#: Per-batch header: profiler epoch, per-worker sequence number.  The
+#: sequence number is echoed back in the reply head so the router can
 #: detect a desynchronized ring (a reply surviving from a window the
 #: router already gave up on) instead of merging the wrong window.
-_BATCH_HEAD = struct.Struct("<dqIB")
+_BATCH_HEAD = struct.Struct("<qI")
 
-#: Piggybacked counters: StoreStats(6) + IndexStats(7) + store len +
-#: hot-cache hit/miss totals, as little-endian i64s.
-_STATS_FIELDS = 6 + 7 + 3
+#: Piggybacked counters: StoreStats(6) + IndexStats(7) + store len, as
+#: little-endian i64s.
+_STATS_FIELDS = 6 + 7 + 1
 _STATS_STRUCT = struct.Struct(f"<{_STATS_FIELDS}q")
-_RESULT_HEAD = struct.Struct("<IIQQ")  # n, freq_count, dup_count, seq echo
+_RESULT_HEAD = struct.Struct("<IIQ")  # n, freq_count, seq echo
 
 #: How long the router waits for one worker's batch reply before giving
 #: up on it (liveness failures surface much sooner via the abort probe).
@@ -130,15 +130,12 @@ class WorkerFailedError(ReproError):
 def _pack_stats(store: KVStore) -> bytes:
     s = store.stats
     ix = store.index.stats
-    cache = store.hot_cache
     return _STATS_STRUCT.pack(
         s.gets, s.get_hits, s.sets, s.deletes, s.delete_hits,
         s.signature_false_positives,
         ix.searches, ix.inserts, ix.deletes, ix.search_bucket_reads,
         ix.insert_bucket_writes, ix.insert_kicks, ix.failed_inserts,
         len(store),
-        cache.hits if cache is not None else 0,
-        cache.misses if cache is not None else 0,
     )
 
 
@@ -150,21 +147,16 @@ def _unpack_stats(buf, offset: int = 0) -> tuple:
 
 
 class _WorkerState:
-    """Everything one shard worker owns: store, cache, engine, plan."""
+    """Everything one shard worker owns: store, engine, plan."""
 
     def __init__(self, config: dict):
         self.config = config
         self.store = KVStore(config["memory_bytes"], config["expected_objects"])
-        if config.get("hot_cache"):
-            # Cold and inactive, exactly like the in-process path; batch
-            # headers carry the skew gate once the profiler has seen a
-            # window.
-            self.store.attach_hot_cache(config.get("hot_cache_keys")).active = False
         # Workers import the engine lazily so this module never drags the
         # pipeline package in at import time.
         from repro.engine.vector import VectorEngine
 
-        self.engine = VectorEngine(dedup=bool(config.get("dedup")))
+        self.engine = VectorEngine()
         from repro.engine.plan import compile_stage_plan
         from repro.pipeline.megakv import megakv_coupled_config
 
@@ -178,9 +170,7 @@ class _WorkerState:
 def _handle_batch(state: _WorkerState, payload, offset: int = 0) -> list:
     from repro.engine.plane import BatchPlane
 
-    skew, epoch, seq, gate = _BATCH_HEAD.unpack_from(payload, offset)
-    if gate:
-        state.store.gate_hot_cache(skew)
+    epoch, seq = _BATCH_HEAD.unpack_from(payload, offset)
     freq: list[int] = []
     if epoch != state.epoch:
         # The router closed a profile window: ship what this shard's
@@ -198,9 +188,7 @@ def _handle_batch(state: _WorkerState, payload, offset: int = 0) -> list:
     # settle the log arena's memory debt before the next batch arrives.
     if state.store.needs_maintenance:
         state.store.maintenance()
-    hotpath = plane.hotpath
-    dup_count = hotpath.dup_count if hotpath is not None else 0
-    head = _RESULT_HEAD.pack(plane.size, len(freq), dup_count, seq)
+    head = _RESULT_HEAD.pack(plane.size, len(freq), seq)
     freq_b = np.fromiter(freq, dtype=np.uint32, count=len(freq)).tobytes()
     block = encode_response_block(
         plane.response_statuses, plane.read_values, plane.response_sizes
@@ -422,9 +410,9 @@ class ProcShardStore:
     over shared-memory rings.  Scalar ``get``/``set``/``delete`` ride the
     batch plane as one-row windows (the control path — migration, tests);
     the engine fan-out is the hot path.  :meth:`keys`,
-    :meth:`harvest_window`, :meth:`gate_hot_cache`,
-    :attr:`needs_maintenance`/:meth:`maintenance` and :meth:`close` are
-    the same five jobs :class:`~repro.kv.store.KVStore` does in-process.
+    :meth:`harvest_window`, :attr:`needs_maintenance`/:meth:`maintenance`
+    and :meth:`close` are the same four jobs
+    :class:`~repro.kv.store.KVStore` does in-process.
 
     Every arena is unlinked on :meth:`close`, which is also registered
     with ``atexit`` so segments cannot outlive the router even on an
@@ -438,9 +426,6 @@ class ProcShardStore:
         expected_objects: int,
         num_shards: int = 1,
         *,
-        dedup: bool = False,
-        hot_cache: bool = False,
-        hot_cache_keys: int | None = None,
         ring_bytes: int | None = None,
     ):
         if num_shards < 1:
@@ -457,22 +442,16 @@ class ProcShardStore:
         )
         self.num_shards = num_shards
         shard_budget = max(memory_bytes // num_shards, DEFAULT_SEGMENT_BYTES)
-        per_cache = None
-        if hot_cache_keys is not None:
-            per_cache = max(64, hot_cache_keys // num_shards)
         config = {
             "memory_bytes": shard_budget,
             "expected_objects": max(64, expected_objects // num_shards),
-            "dedup": dedup,
-            "hot_cache": hot_cache,
-            "hot_cache_keys": per_cache,
         }
         self.workers = [
             ShardWorker(i, config, ctx, ring_bytes) for i in range(num_shards)
         ]
-        self.hot_cache = None  # engines never probe caches router-side
-        self.current_skew = 0.0
-        self._gate_caches = False
+        #: Profiler epoch of the last submitted window; scalar operations
+        #: carry it so a worker does not take one for a window boundary.
+        self._epoch = 0
         self._stats_cache: list[tuple] = [
             (0,) * _STATS_FIELDS for _ in range(num_shards)
         ]
@@ -588,23 +567,22 @@ class ProcShardStore:
         writes = sum(r[10] for r in rows)
         return counts, writes / inserts if inserts else 0.0
 
-    def gate_hot_cache(self, skew: float) -> tuple[int, int]:
-        """Record a window's skew estimate and return the worker caches'
-        lifetime ``(hits, lookups)``.
-
-        The caches live inside the workers: every batch header carries
-        the skew from now on and each worker's cache runs the same
-        ``gate_on_skew`` hysteresis; the totals come from the last
-        piggybacked counters — no extra round trips.
-        """
-        self.current_skew = skew
-        self._gate_caches = True
-        rows = self._stats_cache
-        hits = sum(r[14] for r in rows)
-        return hits, hits + sum(r[15] for r in rows)
-
     def _note_stats(self, shard: int, row: tuple) -> None:
         self._stats_cache[shard] = row
+
+    def _note_reply(self, shard: int, reply) -> int:
+        """Take a batch reply's piggyback — the harvest of a window the
+        worker saw close, its counters — and return where the response
+        block starts."""
+        at = _RESULT_HEAD.size
+        freq_count = _RESULT_HEAD.unpack_from(reply, 0)[1]
+        if freq_count:
+            self._freq_pending.extend(
+                struct.unpack_from(f"<{freq_count}I", reply, at)
+            )
+            at += 4 * freq_count
+        self._note_stats(shard, _unpack_stats(reply, at))
+        return at + _STATS_STRUCT.size
 
     def refresh_stats(self) -> None:
         """Round-trip every worker for fresh counters (``stats``/``len``)."""
@@ -654,16 +632,11 @@ class ProcShardStore:
     def _scalar(self, qtype: QueryType, key: bytes, value: bytes):
         self.drain_inflight()
         worker = self.workers[self.shard_for(key)]
-        head = _BATCH_HEAD.pack(self.current_skew, 0, worker.next_seq(), 0)
+        head = _BATCH_HEAD.pack(self._epoch, worker.next_seq())
         block = encode_query_block([qtype], [key], [value])
         reply = worker.request(bytes([MSG_BATCH]), head, *block)
-        parsed = _RESULT_HEAD.unpack_from(reply, 0)
-        offset = _RESULT_HEAD.size + 4 * parsed[1] + _STATS_STRUCT.size
-        self._note_stats(
-            worker.shard_id,
-            _unpack_stats(reply, _RESULT_HEAD.size + 4 * parsed[1]),
-        )
-        statuses, values, _sizes = decode_response_block(reply, offset)
+        at = self._note_reply(worker.shard_id, reply)
+        statuses, values, _sizes = decode_response_block(reply, at)
         return statuses[0], values[0]
 
     def get(self, key: bytes, *, epoch: int = 0) -> bytes | None:
@@ -751,10 +724,9 @@ class ProcShardTicket:
 class ProcShardEngine:
     """Router-side engine: split by shard hash, fan out over rings, merge.
 
-    Runs against a :class:`ProcShardStore` only — dedup and caching
-    happen inside the workers, so the engine itself has nothing to
-    configure, and :class:`~repro.pipeline.functional.FunctionalPipeline`
-    has :meth:`check_store` reject any other store when it is built.  A
+    Runs against a :class:`ProcShardStore` only:
+    :class:`~repro.pipeline.functional.FunctionalPipeline` has
+    :meth:`check_store` reject any other store when it is built.  A
     worker that dies mid-batch answers its rows with ``ERROR`` responses
     instead of killing the serve loop; the maintenance tick respawns it.
 
@@ -862,8 +834,7 @@ class ProcShardEngine:
         ticket.shard_sizes = [
             n if rows is None else len(rows) for rows in shard_rows
         ]
-        skew = store.current_skew
-        gate = 1 if store._gate_caches else 0
+        store._epoch = epoch
         encode_ns = time.perf_counter_ns() - t0
         send_ns = 0
         for shard, rows in enumerate(shard_rows):
@@ -878,7 +849,7 @@ class ProcShardEngine:
             t_send = time.perf_counter_ns()
             encode_ns += t_send - t_enc
             seq = worker.next_seq()
-            head = _BATCH_HEAD.pack(skew, epoch, seq, gate)
+            head = _BATCH_HEAD.pack(epoch, seq)
             try:
                 worker.send(bytes([MSG_BATCH]), head, *block)
             except WorkerDiedError:
@@ -921,8 +892,6 @@ class ProcShardEngine:
         statuses_col = ticket.statuses_col
         sizes_col = ticket.sizes_col
         values_col = ticket.values_col
-        dup_count = 0
-        cache_hits = cache_misses = 0
         wait_ns = decode_ns = scatter_ns = 0
         depth = 0
         stall_ns = 0
@@ -943,7 +912,7 @@ class ProcShardEngine:
                     continue
                 t_decode = time.perf_counter_ns()
                 wait_ns += t_decode - t_wait
-                _n, freq_count, dups, reply_seq = _RESULT_HEAD.unpack_from(reply, 0)
+                reply_seq = _RESULT_HEAD.unpack_from(reply, 0)[2]
                 if reply_seq != seq:
                     # A reply surviving from a window the router already
                     # abandoned (an earlier timeout fill-down): the ring
@@ -960,19 +929,7 @@ class ProcShardEngine:
                     store._stats_cache[shard] = (0,) * _STATS_FIELDS
                     store.respawns += 1
                     continue
-                at = _RESULT_HEAD.size
-                if freq_count:
-                    store._freq_pending.extend(
-                        struct.unpack_from(f"<{freq_count}I", reply, at)
-                    )
-                at += 4 * freq_count
-                prev = store._stats_cache[shard]
-                row_stats = _unpack_stats(reply, at)
-                store._note_stats(shard, row_stats)
-                cache_hits += row_stats[14] - prev[14]
-                cache_misses += row_stats[15] - prev[15]
-                at += _STATS_STRUCT.size
-                dup_count += dups
+                at = store._note_reply(shard, reply)
                 statuses, values, sizes = decode_response_columns(reply, at)
                 t_scatter = time.perf_counter_ns()
                 decode_ns += t_scatter - t_decode
@@ -1019,15 +976,6 @@ class ProcShardEngine:
         # Every row is answered by construction (replies merge in, dead
         # workers fill down); take_responses can skip its per-row scan.
         plane.responses_complete = True
-        if dup_count or cache_hits or cache_misses:
-            from repro.engine.hotpath import HotPathState
-
-            hotpath = HotPathState()
-            hotpath.finished = True
-            hotpath.dup_count = dup_count
-            hotpath.cache_hits = cache_hits
-            hotpath.cache_misses = cache_misses
-            plane.hotpath = hotpath
 
         telemetry = get_telemetry()
         if telemetry.enabled:

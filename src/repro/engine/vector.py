@@ -60,7 +60,6 @@ from repro.engine.backends import (
     SerialEngine,
     count_store_ops,
 )
-from repro.engine.hotpath import prepare_hot_path_vector
 from repro.engine.plane import BatchPlane
 from repro.kv.hashtable import EMPTY
 from repro.kv.objects import _FNV_OFFSET, _FNV_PRIME, fnv1a64
@@ -164,8 +163,7 @@ class VectorEngine(SerialEngine):
 
     name = "vector"
 
-    def __init__(self, *, dedup: bool = False, hot_cache: bool = True):
-        super().__init__(dedup=dedup, hot_cache=hot_cache)
+    def __init__(self) -> None:
         #: Fitted kernel costs, fed by this engine's Search timer and asked
         #: for each window's placement.  ``DidoSystem`` swaps in its
         #: profiler's model so the controller audits the same fits; a
@@ -185,10 +183,6 @@ class VectorEngine(SerialEngine):
         if hasattr(index, "ensure_mirror"):
             index.ensure_mirror()
         plane.scratch = _VectorScratch()
-        if plane.hotpath is None and (self.dedup or self.use_hot_cache):
-            plane.hotpath = prepare_hot_path_vector(
-                store, plane, dedup=self.dedup, use_cache=self.use_hot_cache
-            )
         return super().run(store, plan, plane, epoch=epoch, task_times=task_times)
 
     def _count_store_ops(self, store: KVStore, plane: BatchPlane) -> None:
@@ -392,23 +386,10 @@ class VectorEngine(SerialEngine):
             heap_get = store.heap.get
             rd_objs = [heap_get(loc) for loc in scratch.rd_locs]
         touched = store.heap.touched
-        hotpath = plane.hotpath
-        if hotpath is not None and hotpath.dups:
-            dup_lookup = hotpath.dups.get
-            for row, loc, obj in zip(scratch.rd_rows, scratch.rd_locs, rd_objs):
-                if obj is None:
-                    continue
-                # One read answers the whole run; credit its multiplicity.
-                obj.record_access(epoch, 1 + len(dup_lookup(row, ())), touched, loc)
-                value = obj.value
-                read_values[row] = value
-                value_rows.append(row)
-                value_lens.append(len(value))
-            return
         for row, loc, obj in zip(scratch.rd_rows, scratch.rd_locs, rd_objs):
             if obj is None:
                 continue
-            obj.record_access(epoch, 1, touched, loc)
+            obj.record_access(epoch, touched, loc)
             value = obj.value
             read_values[row] = value
             value_rows.append(row)
@@ -418,9 +399,6 @@ class VectorEngine(SerialEngine):
 
     def _pass_wr(self, plane: BatchPlane, indices) -> None:
         scratch = plane.scratch
-        hotpath = plane.hotpath
-        if hotpath is not None:
-            hotpath.finish(plane)
         responses = plane.responses
         read_values = plane.read_values
         ok = ResponseStatus.OK
@@ -431,36 +409,6 @@ class VectorEngine(SerialEngine):
         if wants_responses:
             for i in plane.set_indices:
                 responses[i] = STORED_RESPONSE
-        if hotpath is not None and hotpath.prefilled:
-            # Hot-path rows (cache-served runs and scattered duplicates)
-            # already carry their shared Response; extend the value
-            # row/length lists so the status and size columns cover them.
-            value_rows = scratch.value_rows
-            value_lens = scratch.value_lens
-            for rows, value, _resp in hotpath.cache_groups:
-                value_rows.extend(rows)
-                value_lens.extend([len(value)] * len(rows))
-            for rep, dup_rows in hotpath.dups.items():
-                value = read_values[rep]
-                if value is not None:
-                    value_rows.extend(dup_rows)
-                    value_lens.extend([len(value)] * len(dup_rows))
-            # Every excluded row was prefilled by finish(); only the live
-            # subset can still need a Response object.
-            if wants_responses:
-                get_rows = (
-                    hotpath.get_live
-                    if hotpath.get_live is not None
-                    else plane.get_indices
-                )
-                for i in get_rows:
-                    if responses[i] is None:
-                        value = read_values[i]
-                        if value is None:
-                            responses[i] = NOT_FOUND_RESPONSE
-                        else:
-                            responses[i] = Response(ok, value)
-        elif wants_responses:
             for i in plane.get_indices:
                 value = read_values[i]
                 if value is None:

@@ -150,31 +150,20 @@ class MemorySystem:
         value_size: int,
         zipf_skew: float,
         total_objects: int | None = None,
-        measured: float | None = None,
     ) -> float:
         """Fraction ``P`` of object accesses served from cache under Zipf skew.
 
         ``P = sum_{i<=n'} f_i / sum_{j<=n} f_j`` with ``f_i ~ 1/i^theta``
         (paper Section IV-B).  A uniform workload (``zipf_skew == 0``) gets
         ``P = n'/n`` which is negligible for realistic store sizes.
-
-        ``measured`` is an observed hot-hit rate (e.g. the runtime hot-key
-        cache's window hit rate); it floors the analytic estimate — a cache
-        demonstrably serving X% of reads proves at least that fraction of
-        accesses is hot, while the analytic curve still governs workloads
-        the cache has not yet warmed up on.
         """
         n = total_objects or self.object_capacity(key_size, value_size)
         n_cached = min(n, self.cached_objects(kind, key_size, value_size))
         if n <= 0 or n_cached <= 0:
             return 0.0
         if zipf_skew <= 0.0:
-            analytic = n_cached / n
-        else:
-            analytic = _zipf_cdf(n_cached, n, zipf_skew)
-        if measured is not None:
-            return min(1.0, max(analytic, measured))
-        return analytic
+            return n_cached / n
+        return _zipf_cdf(n_cached, n, zipf_skew)
 
     def bytes_per_second(self) -> float:
         """Peak shared-memory bandwidth in bytes/second."""

@@ -303,8 +303,7 @@ class LogValueArena:
         """Place one key-value pair; returns ``(location, None)``.
 
         The second element is always ``None`` — the log never evicts
-        synchronously (the slab returns its LRU victim here), which is the
-        property that removes the hot-cache mid-batch eviction hazard.
+        synchronously (the slab returns its LRU victim here).
         """
         vlen = len(value)
         size = len(key) + vlen

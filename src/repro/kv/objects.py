@@ -81,28 +81,25 @@ class KVObject:
     def record_access(
         self,
         epoch: int,
-        count: int = 1,
         touched: list[int] | None = None,
         location: int = -1,
     ) -> int:
-        """Count ``count`` accesses within sampling window ``epoch``.
+        """Count one access within sampling window ``epoch``.
 
         Returns the updated in-window count.  Implements the paper's
         counter+timestamp scheme: a new epoch restarts the count instead of
-        requiring a global reset pass over all objects.  ``count`` lets the
-        engines' batch dedup credit a collapsed run of a repeated key with
-        its full multiplicity in one call.  On the first touch in an epoch
-        the object's ``location`` is appended to ``touched`` (the owning
-        heap's first-touch log), so the profiler's harvest reads the
-        touched objects back instead of scanning the heap.
+        requiring a global reset pass over all objects.  On the first touch
+        in an epoch the object's ``location`` is appended to ``touched``
+        (the owning heap's first-touch log), so the profiler's harvest
+        reads the touched objects back instead of scanning the heap.
         """
         if self.sample_epoch != epoch:
             self.sample_epoch = epoch
-            self.access_count = count
+            self.access_count = 1
             if touched is not None and len(touched) < TOUCH_LOG_LIMIT:
                 touched.append(location)
         else:
-            self.access_count += count
+            self.access_count += 1
         return self.access_count
 
 

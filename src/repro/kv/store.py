@@ -9,11 +9,11 @@ allocators with the same interface as instances (small-segment arenas,
 and :class:`~repro.kv.slab.SlabAllocator` as the parity oracle).
 
 Beyond ``get``/``set``/``delete``/``populate``/``len``/``stats`` the
-system asks five things of a store, and :class:`KVStore` and
+system asks four things of a store, and :class:`KVStore` and
 :class:`~repro.engine.procshard.ProcShardStore` both answer them:
 :meth:`KVStore.keys`, :meth:`KVStore.harvest_window`,
-:meth:`KVStore.gate_hot_cache`, :attr:`KVStore.needs_maintenance` with
-:meth:`KVStore.maintenance`, and :meth:`KVStore.close`.
+:attr:`KVStore.needs_maintenance` with :meth:`KVStore.maintenance`, and
+:meth:`KVStore.close`.
 
 The pipeline engine does not call ``get``/``set`` directly — it runs the
 fine-grained tasks (IN, KC, RD, ...) separately so they can live on
@@ -142,17 +142,6 @@ class KVStore:
         self._heap_compact = getattr(self.heap, "compact", None)
         self._key_location: dict[bytes, int] = {}
         self.stats = StoreStats()
-        #: Optional :class:`~repro.kv.hotcache.HotKeyCache`; the write
-        #: paths (allocate/delete) keep it coherent, the engines' hot path
-        #: serves GETs from it when it is attached and gated active.
-        self.hot_cache = None
-
-    def attach_hot_cache(self, capacity: int | None = None):
-        """Create and attach a hot-key read cache; returns it."""
-        from repro.kv.hotcache import DEFAULT_CAPACITY, HotKeyCache
-
-        self.hot_cache = HotKeyCache(capacity or DEFAULT_CAPACITY)
-        return self.hot_cache
 
     def __len__(self) -> int:
         return len(self._key_location)
@@ -185,7 +174,7 @@ class KVStore:
         obj = self.heap.get(location)
         if obj is None:
             return None
-        obj.record_access(epoch, 1, self.heap.touched, location)
+        obj.record_access(epoch, self.heap.touched, location)
         return obj.value
 
     def allocate(self, key: bytes, value: bytes) -> SetOutcome:
@@ -209,21 +198,11 @@ class KVStore:
                 # dangling handle through the stale mapping.
                 self._key_location.pop(key, None)
                 self.index_delete(key, replaced_location)
-                if self.hot_cache is not None:
-                    self.hot_cache.invalidate(key)
             raise
         evicted_location: int | None = None
         if evicted is not None:
             evicted_location = self._key_location.pop(evicted.key, None)
         self._key_location[key] = location
-        cache = self.hot_cache
-        if cache is not None:
-            # The single key->value binding write point: bump the written
-            # key's version (refreshing a hot snapshot in place) and drop
-            # any snapshot of a slab-evicted key.
-            if evicted is not None:
-                cache.invalidate(evicted.key)
-            cache.on_write(key, value)
         return SetOutcome(
             location=location,
             evicted=evicted,
@@ -283,34 +262,13 @@ class KVStore:
         return matches
 
     def multi_read_value(
-        self,
-        locations: list[int | None],
-        *,
-        epoch: int = 0,
-        counts: list[int] | None = None,
+        self, locations: list[int | None], *, epoch: int = 0
     ) -> list[bytes | None]:
-        """Bulk RD: value bytes per location (None passes through as a miss).
-
-        ``counts`` (aligned with ``locations``) credits each read with that
-        many profiler accesses — the engines' batch dedup reads a run of a
-        repeated key once but must not under-report its popularity.
-        """
+        """Bulk RD: value bytes per location (None passes through as a miss)."""
         heap_get = self.heap.get
         touched = self.heap.touched
         values: list[bytes | None] = []
         append = values.append
-        if counts is not None:
-            for location, count in zip(locations, counts):
-                if location is None:
-                    append(None)
-                    continue
-                obj = heap_get(location)
-                if obj is None:
-                    append(None)
-                else:
-                    obj.record_access(epoch, count, touched, location)
-                    append(obj.value)
-            return values
         for location in locations:
             if location is None:
                 append(None)
@@ -319,7 +277,7 @@ class KVStore:
             if obj is None:
                 append(None)
             else:
-                obj.record_access(epoch, 1, touched, location)
+                obj.record_access(epoch, touched, location)
                 append(obj.value)
         return values
 
@@ -357,18 +315,14 @@ class KVStore:
             def discard(location):
                 return heap_free(location) if heap_contains(location) else None
 
-        cache = self.hot_cache
-        on_write = cache.on_write if cache is not None else None
         outcomes: list[SetOutcome] = []
         append = outcomes.append
-        for key, value, location in zip(keys, values, locations):
+        for key, location in zip(keys, locations):
             old_location = key_location_get(key)
             replaced = (
                 discard(old_location) if old_location is not None else None
             )
             key_location[key] = location
-            if on_write is not None:
-                on_write(key, value)
             append(
                 SetOutcome(
                     location,
@@ -416,8 +370,6 @@ class KVStore:
             def discard(location):
                 return heap_free(location) if heap_contains(location) else None
 
-        cache = self.hot_cache
-        on_write = cache.on_write if cache is not None else None
         index = self.index
         probe = getattr(index, "probe_cached", None)
         reassign = (
@@ -427,7 +379,7 @@ class KVStore:
         settled: list[bool] = []
         rappend = replaced.append
         sappend = settled.append
-        for key, value, location in zip(keys, values, locations):
+        for key, location in zip(keys, locations):
             old_location = key_location_get(key)
             if old_location is not None and discard(old_location) is not None:
                 if reassign is not None and reassign(
@@ -442,8 +394,6 @@ class KVStore:
                 rappend(None)
                 sappend(False)
             key_location[key] = location
-            if on_write is not None:
-                on_write(key, value)
         return locations, replaced, settled
 
     def multi_index_insert(self, entries: list[tuple[bytes, int]]) -> int:
@@ -508,14 +458,12 @@ class KVStore:
             return False
         self.heap.free(location)
         self.index_delete(key, location)
-        if self.hot_cache is not None:
-            self.hot_cache.invalidate(key)
         self.stats.delete_hits += 1
         return True
 
     # ------------------------------------------------------- store protocol
     # What DidoSystem, FunctionalPipeline and the cluster ask of a store
-    # beyond the operations above; ProcShardStore answers the same five.
+    # beyond the operations above; ProcShardStore answers the same four.
 
     def keys(self) -> list[bytes]:
         """The live keys (what cluster migration scans)."""
@@ -525,24 +473,11 @@ class KVStore:
         """The closing profile window's harvest, drained.
 
         Returns the in-window access counts of the objects touched since
-        the last harvest — the keys the hot cache served, then the heap's
-        first-touch log (bounded at two windows' worth; no heap scan) — and
-        the index's running average of buckets written per Insert.
+        the last harvest — the heap's first-touch log (bounded at two
+        windows' worth; no heap scan) — and the index's running average of
+        buckets written per Insert.
         """
-        counts = self.heap.drain_touched()
-        if self.hot_cache is not None:
-            counts = self.hot_cache.drain_window_hits() + counts
-        return counts, self.index.stats.average_insert_buckets()
-
-    def gate_hot_cache(self, skew: float) -> tuple[int, int]:
-        """Gate the hot cache on a window's skew estimate (hysteresis inside
-        :meth:`~repro.kv.hotcache.HotKeyCache.gate_on_skew`); returns its
-        lifetime ``(hits, lookups)`` — zeros with no cache attached."""
-        cache = self.hot_cache
-        if cache is None:
-            return 0, 0
-        cache.gate_on_skew(skew)
-        return cache.hits, cache.hits + cache.misses
+        return self.heap.drain_touched(), self.index.stats.average_insert_buckets()
 
     @property
     def needs_maintenance(self) -> bool:
@@ -564,9 +499,9 @@ class KVStore:
         Compaction is log-arena only (a no-op on an injected slab, which
         never defers work).  It evicts whole least-recently-touched segments
         while the live set exceeds the budget; every evicted record gets
-        its index Delete, key-location unmapping and hot-cache
-        invalidation here — the aggregate settlement of the paper's
-        one-Insert-one-Delete SET accounting (§II-C2).
+        its index Delete and key-location unmapping here — the aggregate
+        settlement of the paper's one-Insert-one-Delete SET accounting
+        (§II-C2).
         """
         compact = self._heap_compact
         if compact is None:
@@ -587,8 +522,6 @@ class KVStore:
             if self._key_location.get(key) == location:
                 del self._key_location[key]
             self.index_delete(key, location)
-            if self.hot_cache is not None:
-                self.hot_cache.invalidate(key)
         if registry is not None and stats.compactions > before[0]:
             registry.histogram(
                 "repro_maintenance_ns",

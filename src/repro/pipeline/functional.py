@@ -162,27 +162,12 @@ class FunctionalPipeline:
         whatever cost model it was handed).  "procshard" needs the
         store to be a :class:`~repro.engine.procshard.ProcShardStore` and
         raises :class:`~repro.errors.ConfigurationError` here otherwise.
-    dedup:
-        Collapse each batch's duplicate GET runs to one probe per key
-        between write barriers (see :mod:`repro.engine.hotpath`).
-    hot_cache:
-        Let engines serve GETs from the store's attached
-        :class:`~repro.kv.hotcache.HotKeyCache`; inert unless a cache has
-        been attached and gated active.
     """
 
-    def __init__(
-        self,
-        store,
-        epoch_source=None,
-        engine=None,
-        *,
-        dedup: bool = False,
-        hot_cache: bool = True,
-    ):
+    def __init__(self, store, epoch_source=None, engine=None):
         self.store = store
         self._epoch_source = epoch_source or (lambda: 0)
-        self._engine = resolve_engine(engine, dedup=dedup, hot_cache=hot_cache)
+        self._engine = resolve_engine(engine)
         #: Whether submit/collect overlap windows.  Only the procshard
         #: engine splits a window, and only against the worker fleet it
         #: routes to — checked here, once, so nothing downstream asks.
@@ -191,8 +176,8 @@ class FunctionalPipeline:
         )
         if self.supports_pipelining:
             self._engine.check_store(store)
-        self._serial = SerialEngine(dedup=dedup, hot_cache=hot_cache)
-        self._stealing = StealingEngine(dedup=dedup, hot_cache=hot_cache)
+        self._serial = SerialEngine()
+        self._stealing = StealingEngine()
         self._batch_counter = 0
         self._pp_hint_us = 0.0
 
@@ -253,7 +238,7 @@ class FunctionalPipeline:
             result.frames  # noqa: B018 - builds and caches the frames
             task_times[Task.SD] = (time.perf_counter() - t_send) * 1e6
             self._emit_batch(
-                telemetry, config, engine, task_times, steal_claims, len(queries), plane
+                telemetry, config, engine, task_times, steal_claims, len(queries)
             )
         return result
 
@@ -309,7 +294,6 @@ class FunctionalPipeline:
                 "repro_engine_batches_total",
                 help="Functional batches executed, by engine backend",
             ).inc(engine=pending.engine.name)
-            self._emit_hotpath(telemetry, plane, pending.num_queries)
         return result
 
     def _finish_batch(
@@ -344,7 +328,6 @@ class FunctionalPipeline:
         task_times: dict[Task, float],
         steal_claims: dict[str, int],
         num_queries: int,
-        plane: BatchPlane | None = None,
     ) -> None:
         """Append this batch's spans, steal summary, and counters."""
         batch = self._batch_counter
@@ -382,31 +365,3 @@ class FunctionalPipeline:
             "repro_engine_batches_total",
             help="Functional batches executed, by engine backend",
         ).inc(engine=engine.name)
-        if plane is not None:
-            self._emit_hotpath(telemetry, plane, num_queries)
-
-    @staticmethod
-    def _emit_hotpath(telemetry, plane: BatchPlane, num_queries: int) -> None:
-        """Dedup/hot-cache effectiveness gauges for one batch's plane."""
-        hotpath = plane.hotpath
-        if hotpath is not None:
-            telemetry.registry.gauge(
-                "repro_batch_dedup_ratio",
-                help="Fraction of this batch's queries answered as duplicates",
-            ).set(hotpath.dup_count / max(1, num_queries))
-            traffic = hotpath.cache_hits + hotpath.cache_misses
-            if hotpath.cache_hits:
-                telemetry.registry.counter(
-                    "repro_hotkey_cache_hits_total",
-                    help="GETs served from the hot-key cache",
-                ).inc(hotpath.cache_hits)
-            if hotpath.cache_misses:
-                telemetry.registry.counter(
-                    "repro_hotkey_cache_misses_total",
-                    help="Hot-cache lookups that fell through to the index",
-                ).inc(hotpath.cache_misses)
-            if traffic:
-                telemetry.registry.gauge(
-                    "repro_hotkey_cache_hit_rate",
-                    help="Hot-key cache hit rate over this batch's lookups",
-                ).set(hotpath.cache_hits / traffic)

@@ -200,16 +200,13 @@ def _family_of(series_name: str, families: dict[str, dict]) -> str | None:
 
 #: The batch-coalescing gauges the console summary calls out explicitly
 #: (queue carry-over, batch fill vs target, shard balance, receive-loop
-#: drain depth, and the skew-aware hot path's dedup/cache effectiveness)
-#: — the knobs an operator tunes ``--batch-size``/``--coalesce-us``/
-#: ``--shards``/``--drain-limit``/``--dedup``/``--hot-cache`` against.
+#: drain depth) — what an operator tunes ``--batch-size``/
+#: ``--coalesce-us``/``--shards``/``--drain-limit`` against.
 COALESCING_SERIES = (
     "repro_server_queue_depth",
     "repro_batch_fill_ratio",
     "repro_shard_imbalance",
     "repro_datagrams_per_poll",
-    "repro_batch_dedup_ratio",
-    "repro_hotkey_cache_hit_rate",
 )
 
 #: Wire-plane timers shown next to the coalescing gauges: window decode

@@ -1,6 +1,9 @@
-"""Tests for the command-line interface."""
+"""Tests for the command-line interface and the scripts under ``tools/``."""
 
+import os
 import re
+import subprocess
+import sys
 
 import pytest
 
@@ -116,11 +119,9 @@ class TestStoreFlags:
 
     ALL_SET = [
         "--memory-mb", "8", "--expected-objects", "4096", "--engine", "procshard",
-        "--shards", "3", "--dedup", "--hot-cache",
+        "--shards", "3",
     ]
-    DESTS = [
-        "memory_mb", "expected_objects", "engine", "shards", "dedup", "hot_cache",
-    ]
+    DESTS = ["memory_mb", "expected_objects", "engine", "shards"]
 
     def test_three_subcommands_accept_identical_store_flags(self):
         parser = build_parser()
@@ -137,7 +138,7 @@ class TestStoreFlags:
             assert getattr(parsed[0], dest) != getattr(defaults[0], dest), dest
 
     #: Each subcommand's own flags; everything else it accepts must be
-    #: one of the six store flags.
+    #: one of the four store flags.
     OWN_FLAGS = {
         "serve": {
             "--help", "--host", "--port", "--batch-size", "--coalesce-us",
@@ -152,16 +153,16 @@ class TestStoreFlags:
     }
 
     @pytest.mark.parametrize("command", ["serve", "cluster", "telemetry"])
-    def test_store_flags_are_exactly_these_six(self, command, capsys, monkeypatch):
-        """No store flag beyond the six — in the declaration or in what
+    def test_store_flags_are_exactly_these_four(self, command, capsys, monkeypatch):
+        """No store flag beyond the four — in the declaration or in what
         ``--help`` offers (so a deleted switch cannot linger in either)."""
-        six = [flag for flag in self.ALL_SET if flag.startswith("--")]
-        assert [flag for flag, _ in _STORE_FLAGS] == six
+        four = [flag for flag in self.ALL_SET if flag.startswith("--")]
+        assert [flag for flag, _ in _STORE_FLAGS] == four
         monkeypatch.setenv("COLUMNS", "400")  # no flag wrapped mid-name
         with pytest.raises(SystemExit):
             build_parser().parse_args([command, "--help"])
         offered = set(re.findall(r"(?<![\w-])--[a-z]+(?:-[a-z]+)*", capsys.readouterr().out))
-        assert offered - self.OWN_FLAGS[command] == set(six)
+        assert offered - self.OWN_FLAGS[command] == set(four)
 
     @pytest.mark.parametrize("flags", [ALL_SET, []], ids=["all-set", "defaults"])
     def test_cluster_forwards_every_store_flag(self, flags, monkeypatch):
@@ -201,3 +202,26 @@ class TestStoreFlags:
         assert "--shards" in text and "--drain-limit" in text
         assert "--wire" not in text
         assert "--pipeline-depth" not in text
+
+
+REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+@pytest.mark.parametrize(
+    "argv, row",
+    [
+        (["tools/diag.py", "K8-G95-S"], r"DIDO choice .* thr= *\d+\.\d+"),
+        (["tools/calibrate.py"], r"K8-G95-S +mega= *\d+\.\d+ dido= *\d+\.\d+ speedup="),
+    ],
+    ids=["diag", "calibrate"],
+)
+def test_tool_scripts_run(argv, row):
+    """The two model-diagnostic scripts still run against today's
+    ``repro`` and print their tables (they have no other test)."""
+    env = {**os.environ, "PYTHONPATH": os.path.join(REPO, "src")}
+    done = subprocess.run(
+        [sys.executable, *argv], cwd=REPO, env=env, capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    assert re.search(row, done.stdout), done.stdout
+    assert len(done.stdout.splitlines()) >= 6

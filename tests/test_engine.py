@@ -1,5 +1,7 @@
 """Unit tests for the engine layer: plan compiler, batch plane, backends."""
 
+import random
+
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -22,6 +24,7 @@ from repro.kv.protocol import Query, QueryType
 from repro.kv.store import KVStore
 from repro.pipeline.functional import FunctionalPipeline
 from repro.pipeline.megakv import megakv_coupled_config
+from repro.workloads.distributions import make_distribution
 from repro.workloads.ycsb import QueryStream, standard_workload
 
 from conftest import ProcShardPool, heap_named
@@ -42,6 +45,37 @@ def all_canonical_configs():
 def workload_batches(label="K16-G50-S", batches=3, size=400, seed=11):
     stream = QueryStream(standard_workload(label), num_keys=600, seed=seed)
     return [stream.next_batch(size) for _ in range(batches)]
+
+
+def skewed_repeat_batches(batches=3, size=160, num_keys=48, seed=7):
+    """Zipf(0.99) GET/SET/DELETE windows over a small key pool, each SET
+    writing a value of its own.  Every window is duplicate-heavy in the
+    three ways an engine could get wrong by answering a repeated key once:
+    one key GET many times, SET-then-GET and DELETE-then-GET of one key
+    (asserted here, so the streams built on this cannot lose them)."""
+    ranks = make_distribution(num_keys, 0.99, seed=seed)
+    rng = random.Random(seed)
+    windows = []
+    for b in range(batches):
+        window = []
+        for i, rank in enumerate(ranks.sample(size).tolist()):
+            key = b"skew-key-%03d" % rank
+            roll = rng.random()
+            if roll < 0.7:
+                window.append(Query(QueryType.GET, key))
+            elif roll < 0.9:
+                window.append(Query(QueryType.SET, key, b"v%d.%d" % (b, i)))
+            else:
+                window.append(Query(QueryType.DELETE, key))
+        last_op: dict[bytes, QueryType] = {}
+        gets_after = {QueryType.GET: 0, QueryType.SET: 0, QueryType.DELETE: 0}
+        for query in window:
+            if query.qtype is QueryType.GET and query.key in last_op:
+                gets_after[last_op[query.key]] += 1
+            last_op[query.key] = query.qtype
+        assert min(gets_after.values()) >= 3, gets_after
+        windows.append(window)
+    return windows
 
 
 def batch_frames(store, engine, config, batches):
@@ -297,6 +331,35 @@ class TestEngineEquivalence:
             assert col_frames == ref_frames, config.label
             assert col_store.stats == ref_store.stats, config.label
             assert col_store.index.stats.searches == ref_store.index.stats.searches
+
+    @pytest.mark.parametrize("engine", ["serial", "stealing", "vector"])
+    def test_duplicate_heavy_windows_match_reference(self, engine):
+        """Skewed windows that repeat keys (and the write barrier spelled
+        out: a GET between two SETs of its key) answer byte for byte like
+        the per-query reference, with the same store and Search counts —
+        every repeated GET is probed and read, none answered for another."""
+        barrier = [
+            Query(QueryType.SET, b"k", b"v1"),
+            Query(QueryType.GET, b"k"),
+            Query(QueryType.SET, b"k", b"v2"),
+            Query(QueryType.GET, b"k"),
+            Query(QueryType.GET, b"k"),
+            Query(QueryType.DELETE, b"other"),
+        ]
+        batches = skewed_repeat_batches() + [barrier]
+        for config in (
+            megakv_coupled_config(),
+            PipelineConfig.assemble(
+                megakv_coupled_config().gpu_stage.tasks,
+                total_cpu_cores=4,
+                work_stealing=True,
+            ),
+        ):
+            ref_frames, ref_store = self.run_all("reference", config, batches)
+            frames, store = self.run_all(engine, config, batches)
+            assert frames == ref_frames, config.label
+            assert store.stats == ref_store.stats, config.label
+            assert store.index.stats.searches == ref_store.index.stats.searches
 
     def test_pinned_engines_match_auto(self):
         config = megakv_coupled_config()

@@ -1,6 +1,6 @@
 """Log-structured value arena: unit, equivalence, and regression coverage.
 
-Four layers:
+Three layers:
 
 * :class:`repro.kv.logarena.LogValueArena` in isolation — bump-pointer
   allocation, tombstone accounting, jumbo segments, the columnar
@@ -12,11 +12,7 @@ Four layers:
   heaps);
 * slab-vs-log equivalence — hypothesis GET/SET/DELETE fuzz plus the
   capacity-saturation parity property (both heaps stop a bulk load at the
-  same item and agree on every stored value);
-* the hot-path regression the arena exists to close — on a log heap a
-  mid-batch SET can never evict a cache-served key, so the revalidation
-  fallback (`HotPathState.revalidations`) must stay at zero under exactly
-  the filler pressure that forces it on the slab.
+  same item and agree on every stored value).
 """
 
 from __future__ import annotations
@@ -127,10 +123,9 @@ class TestArenaBasics:
         location, _ = arena.allocate_kv(b"k", b"v")
         record = arena.get(location)
         obj = KVObject(b"k", b"v")
-        for epoch, count in [(1, 1), (1, 3), (2, 2), (2, 1)]:
-            assert record.record_access(epoch, count) == obj.record_access(
-                epoch, count
-            )
+        for epoch in (1, 1, 1, 2, 2):
+            assert record.record_access(epoch) == obj.record_access(epoch)
+        assert record.access_count == 2
         assert record.signature == obj.signature
         assert record.size_bytes == obj.size_bytes
 
@@ -343,7 +338,8 @@ class TestCompaction:
         )
         survivor = first[3]
         record = arena.get(survivor)
-        record.record_access(7, 5, arena.touched, survivor)
+        for _ in range(5):
+            record.record_access(7, arena.touched, survivor)
         homes = [record.segment]
         for location in first[:3]:
             arena.free(location)  # segment 0: only the survivor is live
@@ -409,7 +405,7 @@ class ArenaModel:
         if entry is not None:
             location = entry[0]
             record = self.arena.get(location)
-            record.record_access(epoch, 1, self.arena.touched, location)
+            record.record_access(epoch, self.arena.touched, location)
             self.touches[location] = self.touches.get(location, 0) + 1
 
     def compact(self) -> None:
@@ -719,7 +715,7 @@ class TestHeapEquivalence:
             assert slab_store.get(key) == log_store.get(key) == b"x" * 8
 
 
-# ------------------------------------------- hot-path regression on log
+# ------------------------------------------------- engines on the log
 
 
 def run_batch(engine, store, queries):
@@ -780,40 +776,6 @@ class TestReassignFusionThroughEngines:
         assert store.get(b"dup") is None
         candidates, _ = store.index.search(b"dup")
         assert candidates == []
-
-
-class TestNoRevalidationOnLogArena:
-    """The filler pressure that forces mid-batch revalidation on the slab
-    (see ``tests/test_hotpath.py::TestStaleReadRegression``) must never
-    trigger it on the log arena: allocation there cannot evict, so a
-    cache-served key stays valid across every write barrier in the batch.
-    """
-
-    @pytest.mark.parametrize(
-        "engine_factory",
-        [lambda: SerialEngine(dedup=True), lambda: VectorEngine(dedup=True)],
-        ids=["serial", "vector"],
-    )
-    def test_mid_batch_writes_never_stale_served_groups(self, engine_factory):
-        store = KVStore(memory_bytes=1 << 20, expected_objects=1 << 12)
-        store.attach_hot_cache(64)
-        engine = engine_factory()
-        value = b"v" * 8000
-        victim = b"victim-00000"
-        run_batch(engine, store, [Query(QueryType.SET, victim, value)])
-        plane, warm = run_batch(engine, store, [Query(QueryType.GET, victim)] * 4)
-        assert all(row == (ResponseStatus.OK, value) for row in warm)
-        assert store.hot_cache.lookup(victim) == value
-        revalidations = plane.hotpath.revalidations if plane.hotpath else 0
-        for i in range(200):  # same pressure that slab-evicts the victim
-            batch = [Query(QueryType.SET, b"filler-%05d" % i, value)]
-            batch += [Query(QueryType.GET, victim)] * 4
-            plane, rows = run_batch(engine, store, batch)
-            assert all(row == (ResponseStatus.OK, value) for row in rows[1:])
-            assert victim in store._key_location
-            assert plane.hotpath is not None
-            revalidations += plane.hotpath.revalidations
-        assert revalidations == 0
 
 
 class TestEvictionThroughPipelineOnLog:

@@ -11,7 +11,7 @@ Covers the ISSUE-7 tentpole and its satellites:
   shared-memory leak regression (a SIGKILLed worker must leave no
   orphaned ``/dev/shm`` segment after close);
 * the hypothesis byte-identity fuzz vs :class:`ReferenceEngine` across
-  shard counts {1, 2, 4, 7} x (dedup, hot_cache) flags;
+  shard counts {1, 2, 4, 7};
 * shard routing: the router's batched split against the per-key
   :func:`~repro.kv.sharding.shard_of`.
 """
@@ -55,7 +55,7 @@ from repro.pipeline.megakv import megakv_coupled_config
 from repro.telemetry import configure as configure_telemetry
 
 from conftest import ProcShardPool
-from test_engine import batch_frames, workload_batches
+from test_engine import batch_frames, skewed_repeat_batches, workload_batches
 
 SHARD_COUNTS = (1, 2, 4, 7)
 
@@ -444,15 +444,6 @@ class TestWorkerCrash:
 _POOL = ProcShardPool()
 
 
-def _pooled_store(shards: int, dedup: bool, hot_cache: bool) -> ProcShardStore:
-    store = _POOL.store(32 << 20, 2048, shards, dedup=dedup, hot_cache=hot_cache)
-    if hot_cache:
-        # Worker caches start gated off; open them the way a skewed
-        # window would, so the cache-serving path is what gets compared.
-        store.gate_hot_cache(0.9)
-    return store
-
-
 @pytest.fixture(scope="module", autouse=True)
 def _close_pooled_stores():
     yield
@@ -479,16 +470,14 @@ def _queries_from_ops(ops) -> list[Query]:
 
 @pytest.mark.parametrize("kind", ["kvstore", "procshard"])
 def test_store_protocol_same_answers_on_both_stores(kind):
-    """The five jobs the system asks of a store beyond get/set/delete/
-    populate/len/stats — keys, the window harvest, the skew gate with its
-    cache totals, needs_maintenance/maintenance, close — give the same
-    answers in-process and across two shard workers for one op stream."""
+    """The four jobs the system asks of a store beyond get/set/delete/
+    populate/len/stats — keys, the window harvest,
+    needs_maintenance/maintenance, close — give the same answers
+    in-process and across two shard workers for one op stream."""
     if kind == "kvstore":
         store, engine = KVStore(8 << 20, 2048), "vector"
-        store.attach_hot_cache(256).active = False  # as DidoSystem attaches it
     else:
-        store = _POOL.store(8 << 20, 2048, 2, hot_cache=True, hot_cache_keys=256)
-        engine = "procshard"
+        store, engine = _POOL.store(8 << 20, 2048, 2), "procshard"
     epoch = [1]
     pipeline = FunctionalPipeline(store, epoch_source=lambda: epoch[0], engine=engine)
     config = megakv_coupled_config()
@@ -531,12 +520,11 @@ def test_store_protocol_same_answers_on_both_stores(kind):
     assert sorted(counts) == sorted(reads[k] for k in keys[2:18])
     assert insert_buckets == 1.0  # every Insert found a free slot
     assert store.harvest_window()[0] == []  # drained
-    # Caches start gated off and have seen nothing; skew 0.9 opens them.
-    assert store.gate_hot_cache(0.9) == (0, 0)
-    hot = [Query(QueryType.GET, keys[5])] * 64
-    pipeline.process_batch(config, hot)  # a 64-row miss: admitted
-    pipeline.process_batch(config, hot)  # served from the cache
-    assert store.gate_hot_cache(0.9) == (64, 128)
+    # A key read 64 times in one window is read — and counted — 64 times.
+    pipeline.process_batch(config, [Query(QueryType.GET, keys[5])] * 64)
+    epoch[0] = 3
+    pipeline.process_batch(config, [Query(QueryType.DELETE, k) for k in fresh])
+    assert store.harvest_window()[0] == [64]
     assert not store.needs_maintenance
     assert not store.maintenance()  # healthy: nothing compacted or respawned
     if kind == "procshard":
@@ -550,8 +538,8 @@ def test_store_protocol_same_answers_on_both_stores(kind):
         store.close()  # nothing to release; the pool closes the fleet
 
 
-# A small key space forces hot keys: repeated GET runs of one key exercise
-# the workers' dedup and hot-cache paths on every shard count.
+# A small key space forces hot keys: repeated GET runs of one key reach
+# every shard count's workers.
 ops_strategy = st.lists(
     st.tuples(
         st.sampled_from(["set", "get", "get", "delete"]),
@@ -571,18 +559,16 @@ ops_strategy = st.lists(
 @given(st.lists(ops_strategy, min_size=1, max_size=3))
 def test_procshard_byte_identical_to_reference(batches_ops):
     """ISSUE satellite: procshard vs ReferenceEngine, byte-identical
-    responses across shard counts {1, 2, 4, 7} x (dedup, hot-cache) flag
-    combinations on mixed GET/SET/DELETE traces."""
+    responses across shard counts {1, 2, 4, 7} on mixed GET/SET/DELETE
+    traces followed by Zipf-skewed windows that repeat keys."""
     config = megakv_coupled_config()
     batches = [_queries_from_ops(ops) for ops in batches_ops]
+    batches += skewed_repeat_batches(batches=2)
     baseline = batch_frames(KVStore(32 << 20, 2048), "reference", config, batches)
     for shards in SHARD_COUNTS:
-        for dedup, hot_cache in ((False, False), (True, True)):
-            store = _pooled_store(shards, dedup, hot_cache)
-            frames = batch_frames(store, ProcShardEngine(), config, batches)
-            assert frames == baseline, (
-                f"shards={shards} dedup={dedup} hot_cache={hot_cache}"
-            )
+        store = _POOL.store(32 << 20, 2048, shards)
+        frames = batch_frames(store, ProcShardEngine(), config, batches)
+        assert frames == baseline, f"shards={shards}"
 
 
 # ------------------------------------------------------------ system level
@@ -614,7 +600,7 @@ class TestProcShardSystem:
     def test_system_matches_plain_system_with_flags(self):
         system = DidoSystem(
             memory_bytes=8 << 20, expected_objects=4096,
-            engine="procshard", shards=3, dedup=True, hot_cache=True,
+            engine="procshard", shards=3,
         )
         plain = DidoSystem(memory_bytes=8 << 20, expected_objects=4096)
         try:
@@ -630,7 +616,7 @@ class TestProcShardSystem:
     def test_worker_frequency_harvest_feeds_profiler(self):
         system = DidoSystem(
             memory_bytes=4 << 20, expected_objects=2048,
-            engine="procshard", shards=2, hot_cache=True,
+            engine="procshard", shards=2,
         )
         try:
             hot = [Query(QueryType.SET, b"hot", b"v")] + [
@@ -648,6 +634,45 @@ class TestProcShardSystem:
             assert 511 in system.store.harvest_window()[0]
         finally:
             system.close()
+
+    @pytest.mark.parametrize(
+        "scalar",
+        [
+            lambda store: store.get(b"absent"),
+            lambda store: store.set(b"migrated-in", b"v"),
+            lambda store: store.delete(b"absent"),
+        ],
+        ids=["get", "set", "delete"],
+    )
+    def test_scalar_op_mid_window_is_not_a_window_boundary(self, scalar):
+        """A scalar get/set/delete between two windows of one epoch (what
+        cluster migration does on a sharded node) leaves the window's
+        harvest exactly what it is without it: the worker must not take
+        the op for an epoch change, drain its open window onto a reply
+        the router drops, and re-harvest a fragment later."""
+        config = megakv_coupled_config()
+        keys = [b"key-%02d" % i for i in range(24)]
+        first = [Query(QueryType.GET, k) for k in keys for _ in range(2)]
+        second = [Query(QueryType.GET, k) for k in keys[8:]]
+
+        def harvest(mid_window) -> list[int]:
+            store = _POOL.store(8 << 20, 2048, 2)
+            assert store.populate([(k, b"v") for k in keys]) == len(keys)
+            epoch = [1]
+            pipeline = FunctionalPipeline(
+                store, epoch_source=lambda: epoch[0], engine="procshard"
+            )
+            pipeline.process_batch(config, first)
+            mid_window(store)
+            pipeline.process_batch(config, second)
+            assert store.harvest_window()[0] == []  # the window is still open
+            epoch[0] = 2
+            pipeline.process_batch(config, [Query(QueryType.GET, k) for k in keys])
+            return sorted(store.harvest_window()[0])
+
+        expected = harvest(lambda store: None)
+        assert expected == [2] * 8 + [3] * 16
+        assert harvest(scalar) == expected
 
     def test_procshard_engine_rejects_plain_store(self):
         """No silent in-process fallback: the engine routes to worker
@@ -681,22 +706,21 @@ def run_pipeline_overlapped(store, engine, config, batches):
 @given(st.lists(ops_strategy, min_size=2, max_size=4))
 def test_pipelined_byte_identical_to_synchronous(batches_ops):
     """ISSUE satellite: pipelined submit/collect vs the synchronous run()
-    contract across shard counts {1, 2, 4, 7} x (dedup, hot-cache)
-    flags, both byte-identical to the ReferenceEngine."""
+    contract across shard counts {1, 2, 4, 7}, both byte-identical to the
+    ReferenceEngine — duplicate-heavy skewed windows included."""
     config = megakv_coupled_config()
     batches = [_queries_from_ops(ops) for ops in batches_ops]
+    batches += skewed_repeat_batches(batches=2)
     baseline = batch_frames(KVStore(32 << 20, 2048), "reference", config, batches)
     for shards in SHARD_COUNTS:
-        for dedup, hot_cache in ((False, False), (True, True)):
-            store = _pooled_store(shards, dedup, hot_cache)
-            sync = batch_frames(store, ProcShardEngine(), config, batches)
-            store.reset()
-            overlapped = run_pipeline_overlapped(
-                store, ProcShardEngine(), config, batches
-            )
-            flags = f"shards={shards} dedup={dedup} hot={hot_cache}"
-            assert sync == baseline, flags
-            assert overlapped == baseline, flags
+        store = _POOL.store(32 << 20, 2048, shards)
+        sync = batch_frames(store, ProcShardEngine(), config, batches)
+        store.reset()
+        overlapped = run_pipeline_overlapped(
+            store, ProcShardEngine(), config, batches
+        )
+        assert sync == baseline, f"shards={shards}"
+        assert overlapped == baseline, f"shards={shards}"
 
 
 class TestPipelinedEngine:

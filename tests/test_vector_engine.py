@@ -25,7 +25,13 @@ from repro.pipeline.functional import FunctionalPipeline
 from repro.net.wire import encode_response_window
 from repro.pipeline.megakv import megakv_coupled_config
 
-from test_engine import all_canonical_configs, op_streams, stream_batches, workload_batches
+from test_engine import (
+    all_canonical_configs,
+    op_streams,
+    skewed_repeat_batches,
+    stream_batches,
+    workload_batches,
+)
 
 
 # ------------------------------------------------------------- hash kernel
@@ -326,22 +332,20 @@ class ForcedKernel(HostCostModel):
 _FILL_KEYS = [b"fill-%03d" % i for i in range(192)]
 
 
-def kicked_store(hot: bool) -> KVStore:
+def kicked_store() -> KVStore:
     """A store whose 64-bucket index has already kicked (so every miss
     takes the displaced-bucket round on both Search kernels), with room
-    left for the fuzz pool; ``hot`` attaches an active hot-key cache."""
+    left for the fuzz pool."""
     store = KVStore(8 << 20, 4096, index=CuckooHashTable(num_buckets=64))
     assert store.populate([(key, b"x" * 9) for key in _FILL_KEYS]) == len(_FILL_KEYS)
     assert store.index.kicked
-    if hot:
-        store.attach_hot_cache(64).active = True
     return store
 
 
-def served_bytes(engine, hot: bool, wants_responses: bool, batches) -> tuple[list[bytes], tuple]:
+def served_bytes(engine, wants_responses: bool, batches) -> tuple[list[bytes], tuple]:
     """Run ``batches`` through ``engine`` on a fresh kicked store; the wire
     bytes of each batch's answers plus the final (store, index) counters."""
-    store = kicked_store(hot)
+    store = kicked_store()
     plan = compile_stage_plan(megakv_coupled_config())
     out = []
     for batch in batches:
@@ -369,28 +373,32 @@ def served_bytes(engine, hot: bool, wants_responses: bool, batches) -> tuple[lis
 
 
 @pytest.mark.parametrize("wants_responses", [True, False])
-@pytest.mark.parametrize("hot", [False, True])
 @settings(max_examples=8, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(raw=op_streams)
-def test_both_search_kernels_match_reference(hot, wants_responses, raw):
-    """Either Search kernel answers a colliding multi-batch stream byte
-    for byte like the per-query reference — after a forced cuckoo kick,
-    with dedup and hot-cache rows live (``hot``), and in the column-only
-    form the procshard worker asks for — and both leave identical store
-    and index counters behind."""
-    batches = stream_batches(raw)
+def test_both_search_kernels_match_reference(wants_responses, raw):
+    """Either Search kernel answers a colliding multi-batch stream, then
+    Zipf-skewed windows that repeat keys, byte for byte like the per-query
+    reference — after a forced cuckoo kick, and in the column-only form
+    the procshard worker asks for — and both leave identical store and
+    index counters behind."""
+    batches = stream_batches(raw) + skewed_repeat_batches(batches=2)
     # Every prefilled key once more, so kick-displaced entries are read.
     batches.append([Query(QueryType.GET, key) for key in _FILL_KEYS])
-    expected, _ = served_bytes(ReferenceEngine(), False, True, batches)
+    expected, reference_counters = served_bytes(ReferenceEngine(), True, batches)
     outcomes = []
     for kernel in KERNELS:
-        engine = VectorEngine(dedup=hot, hot_cache=hot)
+        engine = VectorEngine()
         engine.costs = ForcedKernel(kernel)
-        served, counters = served_bytes(engine, hot, wants_responses, batches)
+        served, counters = served_bytes(engine, wants_responses, batches)
         assert served == expected, kernel
         assert engine.costs.fit("search", kernel).samples > 0
         outcomes.append(counters)
     assert outcomes[0] == outcomes[1]
+    # One read path: every repeated GET is probed and counted, as on the
+    # reference (whose Inserts are never fused, so only Search compares).
+    assert outcomes[0][0] == reference_counters[0]
+    for name in ("searches", "search_bucket_reads"):
+        assert outcomes[0][1][name] == reference_counters[1][name], name
 
 
 class TestSearchTimer:
