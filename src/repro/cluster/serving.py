@@ -306,12 +306,16 @@ class _Migration:
 
     def _bulk_chunk(self) -> None:
         store = self.node.server.system.store
+        # Reads stamp the open profile window, like every other access, so
+        # the scan adds to each object's in-window count instead of
+        # restarting it.
+        epoch = self.node.server.system.profiler.epoch
         by_owner: dict[str, list[Query]] = {}
         taken = 0
         while self.pending and taken < MIGRATION_CHUNK_KEYS:
             key = self.pending.popleft()
             taken += 1
-            value = store.get(key)
+            value = store.get(key, epoch=epoch)
             if value is None:
                 continue  # deleted since the scan; nothing to move
             by_owner.setdefault(self._owner_of(key), []).append(
@@ -336,6 +340,7 @@ class _Migration:
 
     def _delta_and_flip(self) -> None:
         store = self.node.server.system.store
+        epoch = self.node.server.system.profiler.epoch
         name = self.node.name
         by_owner: dict[str, list[Query]] = {}
         replayed = 0
@@ -343,7 +348,7 @@ class _Migration:
             owner = self._owner_of(key)
             if owner == name:
                 continue
-            value = store.get(key)
+            value = store.get(key, epoch=epoch)
             query = (
                 Query(QueryType.DELETE, key)
                 if value is None

@@ -10,18 +10,18 @@ message.  Once the index-side stages are batched (the vector engine),
 that scalar wire path would dominate the serve loop.  The server runs
 three columnar pieces instead:
 
-* :func:`decode_window` — parses a *window* of datagram payloads in one
-  vectorized pass.  All payloads are concatenated into a shared byte
-  arena; a NumPy gather walks one query per still-active datagram per
-  round (the query headers of all datagrams are decoded simultaneously),
-  producing opcode / key-offset / key-length / value-offset /
-  value-length columns.  Validation (unknown opcodes, truncation, empty
-  keys, values on non-SET queries) happens on whole columns, with error
+* :func:`decode_window` — appends the queries of a poll's datagram
+  payloads to one open window's list columns and reports where each
+  datagram's rows stop.  Few datagrams take a scalar walk; many small
+  ones take a NumPy frontier gather that decodes one query of every
+  still-active datagram per round.  Validation (unknown opcodes,
+  truncation, empty keys, values on non-SET queries) reports error
   messages byte-identical to the legacy decoder's
   :class:`~repro.errors.ProtocolError` texts.  A malformed datagram
   invalidates only itself — its queries are dropped from the window and
   the error is reported per datagram, exactly as if
-  ``decode_queries`` had raised for that payload alone.
+  ``decode_queries`` had raised for that payload alone.  The window's
+  NumPy columns are built once, by :meth:`QueryColumns.sealed`.
 * :func:`encode_response_window` — writes an entire batch's responses
   into one preallocated ``bytearray`` in a single pass: the status and
   length header bytes are scattered with NumPy stores, values are copied
@@ -31,7 +31,8 @@ three columnar pieces instead:
   :func:`chunk_response_payloads` — the MTU cut as one cumulative-sum
   walk (``searchsorted`` per emitted frame rather than a size check per
   message), byte-identical to the greedy first-fit of
-  :func:`repro.net.packets._pack`.
+  :func:`repro.net.packets._pack`.  A peer whose answers fit one
+  datagram gets them as one join, with no cut at all.
 """
 
 from __future__ import annotations
@@ -85,12 +86,14 @@ class QueryColumns:
     what :class:`~repro.engine.plane.BatchPlane` keeps per batch, so a
     decoded window plugs into the engine layer without ever constructing
     :class:`~repro.kv.protocol.Query` objects.  The optional NumPy columns
-    (``opcodes``, ``key_lens``, ``value_lens``) ride along when the
-    vectorized decoder produced them; the workload profiler folds whole
-    batches with array sums instead of a per-query loop.
+    (``opcodes``, ``key_lens``, ``value_lens``) ride along once the window
+    is :meth:`sealed`; the workload profiler folds whole batches with
+    array sums instead of a per-query loop.  A window still open for
+    appending (:meth:`open_window`) keeps its opcodes as a Python list and
+    has no length columns.
 
     Supports ``len()`` and slicing so the server's batch cut / carry-over
-    logic treats a columnar segment exactly like a ``list[Query]``.
+    logic treats a columnar window exactly like a ``list[Query]``.
     """
 
     __slots__ = ("qtypes", "keys", "values", "opcodes", "key_lens", "value_lens")
@@ -143,6 +146,25 @@ class QueryColumns:
         ]
 
     @classmethod
+    def open_window(cls) -> "QueryColumns":
+        """An empty window for :func:`decode_window` to append rows to;
+        every column, the opcodes included, is a Python list."""
+        return cls([], [], [], [])
+
+    def sealed(self) -> "QueryColumns":
+        """These rows with the opcode and length columns as NumPy arrays,
+        each built in one pass over the whole window."""
+        n = len(self.qtypes)
+        return QueryColumns(
+            self.qtypes,
+            self.keys,
+            self.values,
+            np.fromiter(self.opcodes, dtype=np.uint8, count=n),
+            np.fromiter(map(len, self.keys), dtype=np.int64, count=n),
+            np.fromiter(map(len, self.values), dtype=np.int64, count=n),
+        )
+
+    @classmethod
     def from_queries(cls, queries: list[Query]) -> "QueryColumns":
         return cls(
             [q.qtype for q in queries],
@@ -193,33 +215,41 @@ def decode_payload(payload: bytes) -> QueryColumns:
     (header truncation, then unknown opcode, then body truncation, then
     the empty-key and value-on-non-SET constraints).
     """
-    segments, errors = decode_window([payload])
+    window, _, errors = decode_window([payload])
     if errors:
         raise ProtocolError(errors[0].message)
-    return segments[0]
+    return window.sealed()
 
 
 def decode_window(
     payloads: list[bytes],
-) -> tuple[list[QueryColumns], list[WindowParseError]]:
-    """Decode many datagram payloads in one vectorized pass.
+    window: QueryColumns | None = None,
+) -> tuple[QueryColumns, list[int], list[WindowParseError]]:
+    """Decode datagram payloads onto the end of one open window.
 
-    Returns one :class:`QueryColumns` per payload (empty for empty or
-    malformed payloads, aligned by index) plus the parse errors.  A
-    malformed datagram contributes *no* queries — even ones parsed before
-    the error — matching the legacy all-or-nothing per-datagram decode.
+    The queries of every well-formed payload are appended, in payload
+    order, to the list columns of ``window`` (a fresh
+    :meth:`QueryColumns.open_window` when omitted); no NumPy column is
+    built here — :meth:`QueryColumns.sealed` builds them once per window.
+    Returns ``(window, stops, errors)``: ``stops[d]`` is the window's row
+    count after payload ``d``, so payload ``d``'s queries are the rows
+    from the previous stop up to ``stops[d]`` (none for an empty or
+    malformed payload).  A malformed datagram contributes *no* queries —
+    even ones parsed before the error — matching the legacy
+    all-or-nothing per-datagram decode.
 
-    The implementation is picked per window: the cross-datagram NumPy
+    The implementation is picked per call: the cross-datagram NumPy
     gather parses one query per datagram per *round*, so its cost scales
-    with the deepest datagram's query count no matter how wide the window
-    is — it amortises only when the window is much wider than deep (many
-    small datagrams).  Deep windows (few large datagrams, the
-    bulk-loading shape) use the columnar scalar walk, which still builds
-    zero per-query objects and attaches the NumPy length columns.  Both
-    produce identical columns and identical errors.
+    with the deepest datagram's query count no matter how many datagrams
+    there are — it amortises only when the payloads are many more than
+    deep (a poll that drained many small datagrams).  Otherwise the
+    scalar walk appends each query straight to the window's lists.  Both
+    produce identical rows and identical errors.
     """
+    if window is None:
+        window = QueryColumns.open_window()
     if not payloads:
-        return [], []
+        return window, [], []
     total = 0
     largest = 0
     for payload in payloads:
@@ -228,14 +258,16 @@ def decode_window(
         if size > largest:
             largest = size
     if largest and total >= 64 * largest:
-        return _decode_window_vector(payloads)
-    return _decode_window_scalar(payloads)
+        stops, errors = _decode_window_vector(payloads, window)
+    else:
+        stops, errors = _decode_window_scalar(payloads, window)
+    return window, stops, errors
 
 
 # ------------------------------------------------------------ vector decode
 
 
-def _decode_window_vector(payloads):
+def _decode_window_vector(payloads, window):
     m = len(payloads)
     arena = payloads[0] if m == 1 else b"".join(payloads)
     u8 = np.frombuffer(arena, dtype=np.uint8)
@@ -372,9 +404,9 @@ def _decode_window_vector(payloads):
         active = active[nxt < end]
         round_no += 1
 
-    empty = QueryColumns([], [], [])
+    start = len(window)
     if not chunk_dgram:
-        return [empty] * m, errors
+        return [start] * m, errors
 
     dgram = np.concatenate(chunk_dgram)
     rounds = np.concatenate(chunk_round)
@@ -393,100 +425,71 @@ def _decode_window_vector(payloads):
     dgram, op = dgram[order], op[order]
     koff, klen, vlen = koff[order], klen[order], vlen[order]
 
-    columns = _materialise(arena, op, koff, klen, vlen)
-    if m == 1:
-        return [columns], errors
-    counts = np.bincount(dgram, minlength=m)
-    bounds = np.concatenate(([0], np.cumsum(counts)))
-    segments = []
-    for d in range(m):
-        a, b = int(bounds[d]), int(bounds[d + 1])
-        segments.append(columns[a:b] if b > a else empty)
-    return segments, errors
-
-
-def _materialise(arena, op, koff, klen, vlen) -> QueryColumns:
-    """Turn offset/length columns into the engine's list columns."""
-    n = op.shape[0]
-    koff_l = koff.tolist()
-    klen_l = klen.tolist()
-    keys = [arena[o : o + L] for o, L in zip(koff_l, klen_l)]
-    values = [_EMPTY] * n
+    # Append the rows to the window's list columns.
+    ops = op.tolist()
+    window.opcodes.extend(ops)
+    window.qtypes.extend([_QTYPE_BY_OP[o] for o in ops])
+    window.keys.extend(
+        [arena[o : o + L] for o, L in zip(koff.tolist(), klen.tolist())]
+    )
+    values = [_EMPTY] * len(ops)
     has_value = np.nonzero(vlen > 0)[0]
     if has_value.size:
         voff = koff + klen
         for i in has_value.tolist():
             o = voff[i]
             values[i] = arena[o : o + vlen[i]]
-    qtypes = [_QTYPE_BY_OP[o] for o in op.tolist()]
-    return QueryColumns(
-        qtypes, keys, values, op.astype(np.uint8), klen, vlen
-    )
+    window.values.extend(values)
+    stops = np.cumsum(np.bincount(dgram, minlength=m)) + start
+    return stops.tolist(), errors
 
 
 # ------------------------------------------------------------ scalar decode
 
 
-def _decode_payload_scalar(payload: bytes) -> QueryColumns:
-    """Legacy-identical single-payload decode into columns.
+def _decode_window_scalar(payloads, window):
+    """Legacy-identical walk appending straight to the window's lists.
 
-    One `unpack_from` + two slices per query, no per-query objects.  The
-    opcode/length columns are attached as arrays (built once at the end)
-    so the plane's index-subset and the profiler's column sums keep their
-    vectorized fast paths.
+    One ``unpack_from`` and two slices per query, no per-query objects,
+    no NumPy call.  A malformed payload's rows are truncated off again.
     """
-    qtypes: list[QueryType] = []
-    keys: list[bytes] = []
-    values: list[bytes] = []
-    ops: list[int] = []
-    offset = 0
-    end = len(payload)
+    qtypes, keys, values, ops = window.qtypes, window.keys, window.values, window.opcodes
+    stops: list[int] = []
+    errors: list[WindowParseError] = []
     hdr = QUERY_HEADER_BYTES
     unpack_from = _QUERY_HEADER.unpack_from
-    while offset < end:
-        if end - offset < hdr:
-            raise ProtocolError(f"truncated query header at offset {offset}")
-        opcode, key_len, value_len = unpack_from(payload, offset)
-        offset += hdr
-        if not 1 <= opcode <= 3:
-            raise ProtocolError(f"unknown opcode {opcode} at offset {offset}")
-        if end - offset < key_len + value_len:
-            raise ProtocolError(f"truncated query body at offset {offset}")
-        if key_len == 0:
-            raise ProtocolError("query key must be non-empty")
-        qtype = _QTYPE_BY_OP[opcode]
-        if value_len and opcode != 2:
-            raise ProtocolError(f"{qtype.name} query cannot carry a value")
-        keys.append(payload[offset : offset + key_len])
-        offset += key_len
-        values.append(payload[offset : offset + value_len] if value_len else _EMPTY)
-        offset += value_len
-        qtypes.append(qtype)
-        ops.append(opcode)
-    # Length columns come from one C-speed pass over the slices already
-    # collected, keeping the per-query loop to a single extra append.
-    n = len(qtypes)
-    return QueryColumns(
-        qtypes,
-        keys,
-        values,
-        np.fromiter(ops, dtype=np.uint8, count=n),
-        np.fromiter(map(len, keys), dtype=np.int64, count=n),
-        np.fromiter(map(len, values), dtype=np.int64, count=n),
-    )
-
-
-def _decode_window_scalar(payloads):
-    segments: list[QueryColumns] = []
-    errors: list[WindowParseError] = []
-    empty = QueryColumns([], [], [])
     for d, payload in enumerate(payloads):
+        start = len(qtypes)
+        offset = 0
+        end = len(payload)
         try:
-            segments.append(_decode_payload_scalar(payload))
+            while offset < end:
+                if end - offset < hdr:
+                    raise ProtocolError(f"truncated query header at offset {offset}")
+                opcode, key_len, value_len = unpack_from(payload, offset)
+                offset += hdr
+                if not 1 <= opcode <= 3:
+                    raise ProtocolError(f"unknown opcode {opcode} at offset {offset}")
+                if end - offset < key_len + value_len:
+                    raise ProtocolError(f"truncated query body at offset {offset}")
+                if key_len == 0:
+                    raise ProtocolError("query key must be non-empty")
+                qtype = _QTYPE_BY_OP[opcode]
+                if value_len and opcode != 2:
+                    raise ProtocolError(f"{qtype.name} query cannot carry a value")
+                keys.append(payload[offset : offset + key_len])
+                offset += key_len
+                values.append(
+                    payload[offset : offset + value_len] if value_len else _EMPTY
+                )
+                offset += value_len
+                qtypes.append(qtype)
+                ops.append(opcode)
         except ProtocolError as exc:
-            segments.append(empty)
+            del qtypes[start:], keys[start:], values[start:], ops[start:]
             errors.append(WindowParseError(d, str(exc)))
-    return segments, errors
+        stops.append(len(qtypes))
+    return stops, errors
 
 
 # --------------------------------------------------------- response framing
@@ -637,12 +640,18 @@ def chunk_response_payloads(
 
     ``ranges`` are ``[start, stop)`` index spans into the window's
     response columns, in the peer's arrival order (one span per datagram
-    the peer sent).  Payloads are cut over the concatenated span:
+    the peer sent).  When the peer's answers fit in ``max_payload`` — one
+    window's answers to one peer usually do — they are one payload, a
+    single join.  Otherwise payloads are cut over the concatenated span:
     greedy fill up to ``max_payload``, a single larger response rides
     alone.  Each returned payload is a join of buffer slices — responses
     are never re-encoded.
     """
     mv = memoryview(buffer)
+    spans = [(offsets[a], offsets[b]) for a, b in ranges]
+    total = sum(hi - lo for lo, hi in spans)
+    if total <= max_payload:
+        return [b"".join([mv[lo:hi] for lo, hi in spans])] if total else []
     payloads: list[bytes] = []
     parts: list[memoryview] = []
     size = 0

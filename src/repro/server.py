@@ -18,12 +18,16 @@ carry-over depth, batch fill ratio, and (on procshard stores) shard
 imbalance are exported as gauges so the coalescing behaviour is observable
 via ``repro telemetry``.
 
-There is one wire path: each poll drains up to ``drain_limit`` datagrams
-from the kernel and decodes the whole window in one pass with
-:func:`repro.net.wire.decode_window` into :class:`~repro.net.wire.QueryColumns`
-segments (zero per-query objects); responses go out through the
-single-pass columnar framer (:func:`~repro.net.wire.encode_response_window`
-+ :func:`~repro.net.wire.chunk_response_payloads`).  The per-object codec
+There is one wire path, and it pays per window, not per datagram.  The
+open window is one :class:`~repro.net.wire.QueryColumns` plus a bounds
+column of one ``(row_stop, peer)`` entry per datagram.  Each poll drains
+up to ``drain_limit`` datagrams from the kernel and
+:func:`repro.net.wire.decode_window` appends their queries to the window's
+lists (zero per-query objects); the NumPy columns are built once, when the
+window is cut.  Responses go out through the single-pass columnar framer
+(:func:`~repro.net.wire.encode_response_window`), and each peer's answers
+leave as one join of buffer slices unless they overflow a datagram
+(:func:`~repro.net.wire.chunk_response_payloads`).  The per-object codec
 in :mod:`repro.kv.protocol` is the reference the tests compare these
 bytes against; the server never calls it.
 
@@ -51,6 +55,9 @@ import threading
 import time
 from collections import deque
 from dataclasses import dataclass
+from itertools import compress
+
+import numpy as np
 
 from repro.core.dido import DidoSystem
 from repro.errors import ConfigurationError, ProtocolError
@@ -58,7 +65,6 @@ from repro.kv.protocol import Response, ResponseStatus
 from repro.pipeline.functional import BatchResult
 from repro.net.wire import (
     QueryColumns,
-    RESPONSE_HEADER_BYTES,
     chunk_response_payloads,
     decode_window,
     encode_response_window,
@@ -101,6 +107,15 @@ class ServerStats:
     #: Queries answered with a cluster WRONG_NODE redirect (the key is
     #: not owned under the server's current manifest).
     redirects: int = 0
+
+
+def _scatter(owned, rows, fill) -> list:
+    """One response column: ``rows`` at the ``owned`` positions, in order,
+    and ``fill`` everywhere else."""
+    column = np.empty(len(owned), dtype=object)
+    column.fill(fill)
+    column[owned] = rows
+    return column.tolist()
 
 
 class DidoUDPServer:
@@ -165,11 +180,14 @@ class DidoUDPServer:
         self._batch_window_s = batch_window_s
         self._batch_size = batch_size
         self._drain_limit = drain_limit
-        #: Queries received but not yet dispatched (the carry-over queue):
-        #: ``(segment, peer)`` groups, oldest first.  A segment is a
-        #: :class:`~repro.net.wire.QueryColumns` slice; ``len`` and row
-        #: slicing are all the coalescer needs of it.
-        self._backlog: list[tuple[QueryColumns, tuple[str, int]]] = []
+        #: Queries received but not yet dispatched (the carry-over queue),
+        #: as the open window the next poll appends to: its columns and
+        #: its bounds column, one ``(row_stop, peer)`` per datagram, oldest
+        #: first.
+        self._backlog: tuple[QueryColumns, list[tuple[int, tuple[str, int]]]] = (
+            QueryColumns.open_window(),
+            [],
+        )
         self._running = threading.Event()
         self._thread: threading.Thread | None = None
         self.stats = ServerStats()
@@ -200,7 +218,7 @@ class DidoUDPServer:
 
             self._pipeline_depth = MAX_INFLIGHT_WINDOWS
         #: Submitted-but-unmerged windows, oldest first:
-        #: ``(pending_handle, batch, pending_segments)``.  Completion is
+        #: ``(pending_handle, batch, bounds)``.  Completion is
         #: strictly FIFO so every peer still sees its responses in
         #: submission order.
         self._inflight_windows: deque = deque()
@@ -290,13 +308,12 @@ class DidoUDPServer:
 
         Each poll takes one blocking receive and then drains whatever else
         the kernel already queued (up to ``drain_limit`` datagrams) without
-        blocking, so under load the whole burst is decoded as one window.
+        blocking; every poll's queries are appended to the one open window.
         """
-        pending = self._backlog
-        self._backlog = []
-        count = sum(len(segment) for segment, _ in pending)
+        window, bounds = self._backlog
+        count = len(window)
         deadline = (
-            time.monotonic() + self._batch_window_s if pending else None
+            time.monotonic() + self._batch_window_s if bounds else None
         )
         if deadline is None and self._inflight_windows:
             # Windows are in flight: cap the blocking wait at one coalesce
@@ -316,7 +333,6 @@ class DidoUDPServer:
             except socket.timeout:
                 break
             except OSError:
-                self._backlog = pending
                 return  # socket closed under us during stop()
             payloads = [payload]
             peers = [peer]
@@ -334,7 +350,7 @@ class DidoUDPServer:
             polls += 1
             drained += len(payloads)
             self.stats.datagrams_in += len(payloads)
-            count += self._ingest(payloads, peers, pending)
+            count += self._ingest(payloads, peers, window, bounds)
             if deadline is None:
                 deadline = time.monotonic() + self._batch_window_s
         self._socket.settimeout(0.1)
@@ -345,29 +361,32 @@ class DidoUDPServer:
                     "repro_datagrams_per_poll",
                     help="Datagrams drained from the kernel per receive poll",
                 ).set(drained / polls)
-        if not pending:
+        if not bounds:
             self._drain_inflight_windows()
             return
-        batch = self._cut_batch(pending)
-        self._process_window(batch)
+        batch, bounds = self._cut_batch(window, bounds)
+        self._process_window(batch, bounds)
 
     def _ingest(
         self,
         payloads: list[bytes],
         peers: list[tuple[str, int]],
-        pending: list,
+        window: QueryColumns,
+        bounds: list,
     ) -> int:
-        """Decode one drained group of datagrams into ``pending`` segments.
+        """Decode one poll's datagrams onto the open window.
 
+        Their queries are appended to ``window`` and each datagram that
+        brought any adds one ``(row_stop, peer)`` entry to ``bounds``.
         Returns the number of queries added.  Malformed datagrams are
         dropped with a log line naming the peer and the
         ``repro_wire_parse_errors_total`` counter; decode errors never
         propagate.
         """
         telemetry = get_telemetry()
-        added = 0
+        start = len(window)
         t0 = time.perf_counter_ns()
-        segments, errors = decode_window(payloads)
+        _, stops, errors = decode_window(payloads, window)
         parse_ns = time.perf_counter_ns() - t0
         for error in errors:
             self.stats.protocol_errors += 1
@@ -379,55 +398,54 @@ class DidoUDPServer:
         if telemetry.enabled:
             telemetry.registry.histogram(
                 "repro_wire_parse_ns",
-                help="Wire decode time per drained datagram window (ns)",
+                help="Wire decode time per receive poll (ns)",
             ).observe(parse_ns)
             if errors:
                 telemetry.registry.counter(
                     "repro_wire_parse_errors_total",
                     help="Datagrams dropped as unparseable",
                 ).inc(len(errors))
-        for segment, peer in zip(segments, peers):
-            if len(segment):
-                pending.append((segment, peer))
-                added += len(segment)
-        return added
+        row = start
+        for stop, peer in zip(stops, peers):
+            if stop > row:
+                bounds.append((stop, peer))
+                row = stop
+        return row - start
 
-    def _cut_batch(self, pending) -> list[tuple[QueryColumns, tuple[str, int]]]:
-        """Take up to ``batch_size`` queries; the excess becomes backlog.
+    def _cut_batch(self, window: QueryColumns, bounds: list):
+        """Seal the first ``batch_size`` rows as the batch; the rest is
+        the backlog.  Returns ``(batch, bounds)``.
 
-        A datagram straddling the cutoff is split — its tail queries keep
-        their peer attribution and run first in the next batch, so each
-        peer still sees its responses in submission order.
+        One slice at ``batch_size``: a datagram straddling it splits its
+        row bound, and its tail keeps its peer at the head of the backlog,
+        so each peer still sees its responses in submission order.  The
+        batch's opcode and length arrays are built here, once per window.
         """
-        batch: list[tuple[QueryColumns, tuple[str, int]]] = []
-        taken = 0
-        for i, (segment, peer) in enumerate(pending):
-            room = self._batch_size - taken
-            if len(segment) <= room:
-                batch.append((segment, peer))
-                taken += len(segment)
-            else:
-                if room:
-                    batch.append((segment[:room], peer))
-                    taken += room
-                self._backlog.append((segment[room:], peer))
-                self._backlog.extend(pending[i + 1 :])
-                break
+        cut = self._batch_size
+        if len(window) <= cut:
+            batch = window
+            self._backlog = (QueryColumns.open_window(), [])
+        else:
+            batch = window[:cut]
+            i = 0
+            while bounds[i][0] < cut:
+                i += 1
+            tail = [(stop - cut, peer) for stop, peer in bounds[i:] if stop > cut]
+            self._backlog = (window[cut:], tail)
+            bounds = bounds[:i] + [(cut, bounds[i][1])]
         telemetry = get_telemetry()
         if telemetry.enabled:
-            depth = sum(len(segment) for segment, _ in self._backlog)
             telemetry.registry.gauge(
                 "repro_server_queue_depth",
                 help="Queries carried over past the batch-size cutoff",
-            ).set(depth)
+            ).set(len(self._backlog[0]))
             telemetry.registry.gauge(
                 "repro_batch_fill_ratio",
                 help="Dispatched batch size over the batch-size target",
-            ).set(min(taken, self._batch_size) / self._batch_size)
-        return batch
+            ).set(len(batch) / cut)
+        return batch.sealed(), bounds
 
-    def _process_window(self, pending) -> None:
-        batch = QueryColumns.concat([segment for segment, _ in pending])
+    def _process_window(self, batch: QueryColumns, bounds: list) -> None:
         ownership = self.ownership
         if ownership is not None:
             # Cluster serving: ownership filtering (and migration's batch
@@ -436,34 +454,34 @@ class DidoUDPServer:
             self._drain_inflight_windows()
             result = self._process_owned(batch, ownership)
         elif self._pipeline_depth > 1 and self.batch_hook is None:
-            self._submit_window(batch, pending)
+            self._submit_window(batch, bounds)
             return
         else:
             self._drain_inflight_windows()
             result = self.system.process(batch)
             self._observe_batch(batch)
-        self._finish_window(pending, batch, result)
+        self._finish_window(bounds, batch, result)
 
-    def _submit_window(self, batch, pending) -> None:
+    def _submit_window(self, batch, bounds) -> None:
         """Pipelined dispatch: hand the window to the shard workers and
         return to coalescing; the oldest window completes (merge + TX)
         once the in-flight count reaches the pipeline depth."""
         handle = self.system.process_submit(batch)
-        self._inflight_windows.append((handle, batch, pending))
+        self._inflight_windows.append((handle, batch, bounds))
         while len(self._inflight_windows) >= self._pipeline_depth:
             self._complete_oldest_window()
 
     def _complete_oldest_window(self) -> None:
-        handle, batch, pending = self._inflight_windows.popleft()
+        handle, batch, bounds = self._inflight_windows.popleft()
         result = self.system.process_collect(handle)
         self._observe_batch(batch)
-        self._finish_window(pending, batch, result)
+        self._finish_window(bounds, batch, result)
 
     def _drain_inflight_windows(self) -> None:
         while self._inflight_windows:
             self._complete_oldest_window()
 
-    def _finish_window(self, pending, batch, result) -> None:
+    def _finish_window(self, bounds, batch, result) -> None:
         """Stats, counters, and response TX for one completed window."""
         self.stats.queries += len(batch)
         self.stats.batches += 1
@@ -481,7 +499,7 @@ class DidoUDPServer:
                     "repro_server_query_errors_total",
                     help="Queries answered with an error status",
                 ).inc(errors)
-        self._send_columnar(pending, result, telemetry)
+        self._send_columnar(bounds, result, telemetry)
 
     def _observe_batch(self, batch) -> None:
         hook = self.batch_hook
@@ -500,8 +518,8 @@ class DidoUDPServer:
         wrong node during a membership change must not create a divergent
         replica.
         """
-        keys = batch.keys
-        misrouted = ownership.misrouted_rows(keys)
+        n = len(batch)
+        misrouted = ownership.misrouted_rows(batch.keys)
         if not misrouted:
             result = self.system.process(batch)
             self._observe_batch(batch)
@@ -516,67 +534,54 @@ class DidoUDPServer:
             telemetry.registry.gauge(
                 "repro_cluster_redirect_rate",
                 help="Redirected fraction of the last ownership-checked window",
-            ).set(len(misrouted) / len(keys))
+            ).set(len(misrouted) / n)
         redirect = Response(ResponseStatus.WRONG_NODE, ownership.redirect_value)
-        misrouted_set = set(misrouted)
-        owned_rows = [i for i in range(len(keys)) if i not in misrouted_set]
-        n = len(keys)
-        responses: list[Response] = [redirect] * n
-        statuses = [ResponseStatus.WRONG_NODE.value] * n
-        values = [redirect.value] * n
-        sizes = [RESPONSE_HEADER_BYTES + len(redirect.value)] * n
+        # One boolean mask splits the window: the owned rows run as one
+        # sub-batch, and their answers scatter back over redirect columns.
+        owned = np.ones(n, dtype=bool)
+        owned[misrouted] = False
         config_label = "redirect-only"
-        if owned_rows:
+        responses, sizes, statuses, values = [], [], [], []
+        if len(misrouted) < n:
+            keep = owned.tolist()
             sub = QueryColumns(
-                [batch.qtypes[i] for i in owned_rows],
-                [batch.keys[i] for i in owned_rows],
-                [batch.values[i] for i in owned_rows],
+                list(compress(batch.qtypes, keep)),
+                list(compress(batch.keys, keep)),
+                list(compress(batch.values, keep)),
+                batch.opcodes[owned],
+                batch.key_lens[owned],
+                batch.value_lens[owned],
             )
             inner = self.system.process(sub)
             self._observe_batch(sub)
             config_label = inner.config_label
-            inner_statuses = inner.response_statuses
-            inner_values = inner.response_values
-            inner_sizes = inner.response_sizes
-            for local, row in enumerate(owned_rows):
-                responses[row] = inner.responses[local]
-                statuses[row] = inner_statuses[local]
-                values[row] = inner_values[local]
-                sizes[row] = inner_sizes[local]
+            responses, sizes = inner.responses, inner.response_sizes
+            statuses, values = inner.response_statuses, inner.response_values
         return BatchResult(
-            responses,
+            _scatter(owned, responses, redirect),
             config_label,
-            response_sizes=sizes,
-            response_statuses=statuses,
-            response_values=values,
+            response_sizes=_scatter(owned, sizes, redirect.wire_size),
+            response_statuses=_scatter(owned, statuses, redirect.status.value),
+            response_values=_scatter(owned, values, redirect.value),
         )
 
-    def _send_columnar(self, pending, result, telemetry) -> None:
-        """TX through the single-pass framer: one shared buffer, peer
-        datagrams cut as ``(start, stop)`` row ranges over it."""
+    def _send_columnar(self, bounds, result, telemetry) -> None:
+        """TX through the single-pass framer: one shared buffer; each
+        peer's datagrams are slices of it, grouped from the bounds column
+        (one join per peer unless its answers overflow a datagram)."""
         t0 = time.perf_counter_ns()
         buffer, offsets = encode_response_window(
             result.response_statuses, result.response_values, result.response_sizes
         )
-        # Contiguous row ranges per peer, in first-arrival order; adjacent
-        # segments from the same peer merge into one range.
-        ranges: dict[tuple[str, int], list[list[int]]] = {}
-        order: list[tuple[str, int]] = []
+        # Row ranges per peer, in first-arrival order.
+        ranges: dict[tuple[str, int], list[tuple[int, int]]] = {}
         row = 0
-        for segment, peer in pending:
-            stop = row + len(segment)
-            peer_ranges = ranges.get(peer)
-            if peer_ranges is None:
-                ranges[peer] = peer_ranges = []
-                order.append(peer)
-            if peer_ranges and peer_ranges[-1][1] == row:
-                peer_ranges[-1][1] = stop
-            else:
-                peer_ranges.append([row, stop])
+        for stop, peer in bounds:
+            ranges.setdefault(peer, []).append((row, stop))
             row = stop
         payload_groups = [
-            (peer, chunk_response_payloads(buffer, offsets, ranges[peer], MAX_RESPONSE_PAYLOAD))
-            for peer in order
+            (peer, chunk_response_payloads(buffer, offsets, peer_ranges, MAX_RESPONSE_PAYLOAD))
+            for peer, peer_ranges in ranges.items()
         ]
         frame_ns = time.perf_counter_ns() - t0
         if telemetry.enabled:

@@ -1,5 +1,6 @@
 """Tests for the command-line interface and the scripts under ``tools/``."""
 
+import importlib.util
 import os
 import re
 import subprocess
@@ -225,3 +226,43 @@ def test_tool_scripts_run(argv, row):
     assert done.returncode == 0, done.stderr
     assert re.search(row, done.stdout), done.stdout
     assert len(done.stdout.splitlines()) >= 6
+
+
+def _load_tool(name):
+    spec = importlib.util.spec_from_file_location(name, os.path.join(REPO, "tools", f"{name}.py"))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_ab_serving_runs_each_workload_in_turn(monkeypatch, capsys):
+    """``--workload`` repeats; the pairs of each workload run in turn and
+    the run ends with one row per workload x metric (no benchmark runs:
+    ``run_once`` is replaced)."""
+    ab = _load_tool("ab_serving")
+    args = ab.build_parser().parse_args(
+        ["--parent", "p", "--change", "c", "--workload", "small-dgram", "--workload", "read-uniform"]
+    )
+    assert args.workload == ["small-dgram", "read-uniform"] and args.pairs == 10
+    calls = []
+
+    def fake_run(checkout, workload, seed):
+        calls.append((checkout.name, workload))
+        value = 2.0 if checkout.name == "p" else 1.0
+        metrics = {name: {"value": value} for name in ab.METRICS}
+        return {"correct": True, "failed": 0, "attempted": 10, "metrics": metrics}
+
+    monkeypatch.setattr(ab, "run_once", fake_run)
+    argv = ["--parent", "p", "--change", "c", "--pairs", "2"]
+    assert ab.main(argv + ["--workload", "small-dgram", "--workload", "read-uniform"]) == 0
+    assert calls == [
+        ("p", "small-dgram"), ("c", "small-dgram"), ("c", "small-dgram"), ("p", "small-dgram"),
+        ("p", "read-uniform"), ("c", "read-uniform"), ("c", "read-uniform"), ("p", "read-uniform"),
+    ]
+    table = capsys.readouterr().out.split("verdict\n")[-1].splitlines()
+    assert [line.split()[:2] for line in table] == [
+        [workload, metric] for workload in ("small-dgram", "read-uniform") for metric in ab.METRICS
+    ]
+    assert all(" 2/2 " in line for line in table)
+    with pytest.raises(SystemExit):
+        ab.build_parser().parse_args(["--parent", "p", "--change", "c"])

@@ -11,6 +11,8 @@ import socket
 import time
 
 import pytest
+from hypothesis import HealthCheck, Phase, given, settings
+from hypothesis import strategies as st
 
 from repro.client import ClusterClient
 from repro.cluster.manifest import ClusterManifest, ManifestRouter
@@ -19,6 +21,7 @@ from repro.cluster.serving import (
     ClusterError,
     ClusterNode,
     NodeOwnership,
+    _Migration,
     control_request,
     fetch_manifest,
     free_port,
@@ -28,10 +31,17 @@ from repro.core.dido import DidoSystem
 from repro.kv.protocol import (
     Query,
     QueryType,
+    Response,
     ResponseStatus,
     decode_responses,
     encode_queries,
+    encode_responses,
 )
+from repro.kv.store import KVStore
+from repro.net.wire import decode_window
+from repro.pipeline.functional import FunctionalPipeline
+from repro.pipeline.megakv import megakv_coupled_config
+from repro.server import DidoUDPServer
 
 VNODES = 16
 
@@ -44,8 +54,6 @@ def build_manifest(names, epoch, addresses):
 
 
 def spawn_node(name, manifest, *, gated=False):
-    from repro.server import DidoUDPServer
-
     system = DidoSystem(memory_bytes=8 << 20, expected_objects=4096)
     info = manifest.nodes[name]
     server = DidoUDPServer(info.address, system=system, batch_window_s=0.001)
@@ -182,6 +190,85 @@ class TestRedirects:
             assert int.from_bytes(response.value, "little") == 3
         finally:
             node.stop()
+
+
+class _RowOwnership:
+    """An ownership view that misroutes exactly the given window rows."""
+
+    name = "rows"
+    epoch = 9
+    redirect_value = (9).to_bytes(8, "little")
+
+    def __init__(self, misrouted):
+        self.misrouted = misrouted
+
+    def misrouted_rows(self, keys):
+        return self.misrouted
+
+
+datagram_queries = st.lists(
+    st.tuples(
+        st.sampled_from(list(QueryType)),
+        st.sampled_from([b"k%d" % i for i in range(4)]),
+        st.binary(max_size=8),
+    ),
+    min_size=1,
+    max_size=6,
+).map(lambda rows: [Query(q, k, v if q is QueryType.SET else b"") for q, k, v in rows])
+
+
+class TestOwnedSplit:
+    # Each example drives real sockets and a fresh system: a failure is
+    # reported as found, without a shrink phase of thousands more.
+    @settings(
+        max_examples=25,
+        deadline=None,
+        phases=[Phase.explicit, Phase.reuse, Phase.generate],
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(
+        st.lists(st.tuples(st.integers(0, 1), datagram_queries), min_size=1, max_size=6),
+        st.data(),
+    )
+    def test_mask_split_serves_owned_rows_and_redirects_the_rest(self, datagrams, data):
+        """A two-peer window under a random ownership mask: each peer gets
+        ReferenceEngine's answers to the owned rows and ``WRONG_NODE`` plus
+        the epoch on the misrouted ones, in arrival order."""
+        rows = [(who, q) for who, queries in datagrams for q in queries]
+        owned = data.draw(st.lists(st.booleans(), min_size=len(rows), max_size=len(rows)))
+        peers = [socket.socket(socket.AF_INET, socket.SOCK_DGRAM) for _ in range(2)]
+        system = DidoSystem(memory_bytes=2 << 20, expected_objects=256)
+        server = DidoUDPServer(("127.0.0.1", 0), system=system)
+        try:
+            for sock in peers:
+                sock.bind(("127.0.0.1", 0))
+                sock.settimeout(5.0)
+            window, stops, _ = decode_window([encode_queries(q) for _, q in datagrams])
+            bounds = [
+                (stop, peers[who].getsockname()) for stop, (who, _) in zip(stops, datagrams)
+            ]
+            server.ownership = _RowOwnership([i for i, mine in enumerate(owned) if not mine])
+            server._process_window(*server._cut_batch(window, bounds))
+
+            reference = FunctionalPipeline(KVStore(2 << 20, 256), engine="reference")
+            served = [q for (_, q), mine in zip(rows, owned) if mine]
+            answers = iter(
+                reference.process_batch(megakv_coupled_config(), served).responses
+                if served
+                else []
+            )
+            redirect = Response(ResponseStatus.WRONG_NODE, _RowOwnership.redirect_value)
+            expected = [[], []]
+            for (who, _), mine in zip(rows, owned):
+                expected[who].append(next(answers) if mine else redirect)
+            for sock, responses in zip(peers, expected):
+                if responses:
+                    assert sock.recvfrom(65535)[0] == encode_responses(responses)
+            assert server.stats.redirects == owned.count(False)
+        finally:
+            server.stop()
+            for sock in peers:
+                sock.close()
 
 
 # ------------------------------------------------------------ control plane
@@ -352,6 +439,33 @@ class TestMigration:
             assert r.value == b"fresh"
         finally:
             joiner.stop()
+
+    @pytest.mark.parametrize("reads", [1, 3])
+    def test_migration_reads_add_to_the_open_window_count(self, reads):
+        """A key read ``reads`` times in the open profile window, then read
+        again by the migration's bulk copy, is harvested with every read
+        counted: migration reads stamp the window's epoch, not epoch 0."""
+        addresses = {n: ("127.0.0.1", free_port(), free_tcp_port()) for n in ("a", "b")}
+        m1 = build_manifest(["a"], 1, {"a": addresses["a"]})
+        m2 = build_manifest(["a", "b"], 2, addresses)
+        system = DidoSystem(memory_bytes=8 << 20, expected_objects=4096)
+        node = ClusterNode("a", DidoUDPServer(("127.0.0.1", 0), system=system), m1)
+        try:
+            system.process([Query(QueryType.SET, b"hot", b"v")])  # bootstrap window
+            assert system.profiler.epoch > 0
+            system.store.harvest_window()
+            for _ in range(reads):
+                system.process([Query(QueryType.GET, b"hot")])
+            migration = _Migration(node, m2)
+            migration._stream = lambda by_owner: None  # no receiver here
+            migration.pending.append(b"hot")
+            migration.phase = "bulk"
+            migration.step()
+            assert migration.phase == "drained"
+            counts, _ = system.store.harvest_window()
+            assert counts == [reads + 1]
+        finally:
+            node.stop()
 
     def test_flip_without_transfer_rejected(self, fleet):
         _, _, addresses = fleet

@@ -1,12 +1,32 @@
 """End-to-end tests over real localhost UDP sockets."""
 
+import logging
+import socket
+
 import pytest
+from hypothesis import HealthCheck, Phase, given, settings
+from hypothesis import strategies as st
 
 from repro.client import DidoClient, TimeoutError_
 from repro.core.dido import DidoSystem
-from repro.errors import ConfigurationError
-from repro.kv.protocol import Query, QueryType, ResponseStatus
+from repro.errors import ConfigurationError, ProtocolError
+from repro.kv.protocol import (
+    Query,
+    QueryType,
+    ResponseStatus,
+    decode_queries,
+    encode_queries,
+)
+from repro.net.wire import decode_window
 from repro.server import DidoUDPServer
+
+
+def open_window(datagrams):
+    """The serve loop's open window for ``(queries, peer)`` datagrams: the
+    decoded rows plus one ``(row_stop, peer)`` bound per datagram."""
+    window, stops, errors = decode_window([encode_queries(q) for q, _ in datagrams])
+    assert not errors
+    return window, [(stop, peer) for stop, (_, peer) in zip(stops, datagrams)]
 
 
 @pytest.fixture
@@ -147,26 +167,35 @@ class TestCoalescing:
     def test_cut_batch_splits_at_target_and_carries_over(self):
         srv = self.make_server(batch_size=5)
         try:
-            peer_a, peer_b = ("127.0.0.1", 1111), ("127.0.0.1", 2222)
-            pending = [
-                ([Query(QueryType.GET, b"k%d" % i) for i in range(4)], peer_a),
-                ([Query(QueryType.GET, b"m%d" % i) for i in range(4)], peer_b),
-            ]
-            batch = srv._cut_batch(pending)
-            taken = [(len(queries), peer) for queries, peer in batch]
-            assert taken == [(4, peer_a), (1, peer_b)]
-            # The straddling datagram's tail kept its peer and leads the backlog.
-            assert [(len(q), p) for q, p in srv._backlog] == [(3, peer_b)]
-            assert srv._backlog[0][0][0].key == b"m1"
+            peer_a, peer_b, peer_c = (("127.0.0.1", port) for port in (1111, 2222, 3333))
+            window, bounds = open_window(
+                [
+                    ([Query(QueryType.GET, b"k%d" % i) for i in range(4)], peer_a),
+                    ([Query(QueryType.GET, b"m%d" % i) for i in range(4)], peer_b),
+                    ([Query(QueryType.GET, b"n0")], peer_c),
+                ]
+            )
+            batch, batch_bounds = srv._cut_batch(window, bounds)
+            assert batch.keys == [b"k0", b"k1", b"k2", b"k3", b"m0"]
+            assert list(batch.opcodes) == [1] * 5
+            assert batch_bounds == [(4, peer_a), (5, peer_b)]
+            # The straddling datagram's tail kept its peer and leads the
+            # backlog; the bounds after it are rebased onto the backlog.
+            backlog, backlog_bounds = srv._backlog
+            assert backlog.keys == [b"m1", b"m2", b"m3", b"n0"]
+            assert backlog_bounds == [(3, peer_b), (4, peer_c)]
         finally:
             srv.stop()
 
     def test_cut_batch_under_target_leaves_no_backlog(self):
         srv = self.make_server(batch_size=100)
         try:
-            pending = [([Query(QueryType.GET, b"k")], ("127.0.0.1", 1))]
-            assert srv._cut_batch(pending) == pending
-            assert srv._backlog == []
+            peer = ("127.0.0.1", 1)
+            window, bounds = open_window([([Query(QueryType.GET, b"k")], peer)])
+            batch, batch_bounds = srv._cut_batch(window, bounds)
+            assert batch == window and batch_bounds == [(1, peer)]
+            backlog, backlog_bounds = srv._backlog
+            assert len(backlog) == 0 and backlog_bounds == []
         finally:
             srv.stop()
 
@@ -199,11 +228,10 @@ class TestCoalescing:
         try:
             srv = self.make_server(batch_size=3)
             try:
-                pending = [
-                    ([Query(QueryType.GET, b"k%d" % i) for i in range(7)],
-                     ("127.0.0.1", 1)),
-                ]
-                srv._cut_batch(pending)
+                window, bounds = open_window(
+                    [([Query(QueryType.GET, b"k%d" % i) for i in range(7)], ("127.0.0.1", 1))]
+                )
+                srv._cut_batch(window, bounds)
                 registry = get_telemetry().registry
                 depth = dict(registry.gauge("repro_server_queue_depth").samples())
                 fill = dict(registry.gauge("repro_batch_fill_ratio").samples())
@@ -299,17 +327,148 @@ class TestWirePlanes:
             configure(enabled=False)
 
     def test_cut_batch_splits_columnar_segments(self):
-        from repro.net.wire import QueryColumns
-
         srv = self.make_server(batch_size=3)
         try:
             peer = ("127.0.0.1", 4242)
-            segment = QueryColumns.from_queries(
-                [Query(QueryType.GET, b"k%d" % i) for i in range(5)]
+            window, bounds = open_window(
+                [([Query(QueryType.SET, b"k%d" % i, b"v" * i) for i in range(5)], peer)]
             )
-            batch = srv._cut_batch([(segment, peer)])
-            assert [(len(s), p) for s, p in batch] == [(3, peer)]
-            assert [(len(s), p) for s, p in srv._backlog] == [(2, peer)]
-            assert srv._backlog[0][0].keys == [b"k3", b"k4"]
+            batch, batch_bounds = srv._cut_batch(window, bounds)
+            assert batch_bounds == [(3, peer)]
+            # The sealed batch carries the NumPy columns; the backlog stays
+            # an open window the next poll appends to.
+            assert list(batch.value_lens) == [0, 1, 2]
+            backlog, backlog_bounds = srv._backlog
+            assert backlog.keys == [b"k3", b"k4"] and backlog_bounds == [(2, peer)]
+            assert backlog.opcodes == [2, 2] and backlog.key_lens is None
         finally:
             srv.stop()
+
+
+# ------------------------------------------------- the serve loop, fuzzed
+
+#: One datagram of every malformed class in ``docs/wire_protocol.md``, in
+#: the legacy decoder's precedence order.
+MALFORMED = [
+    b"\x01\x01\x00",  # truncated query header
+    b"\x09\x01\x00\x00\x00\x00\x00k",  # unknown opcode
+    b"\x01\x05\x00\x00\x00\x00\x00k",  # truncated query body
+    b"\x01\x00\x00\x00\x00\x00\x00",  # empty key
+    b"\x01\x01\x00\x01\x00\x00\x00kv",  # GET with a value
+    b"\x03\x01\x00\x01\x00\x00\x00kv",  # DELETE with a value
+]
+
+queries_strategy = st.lists(
+    st.tuples(
+        st.sampled_from(list(QueryType)),
+        st.sampled_from([b"k%d" % i for i in range(6)]),
+        st.binary(max_size=32),
+    ),
+    max_size=8,
+).map(lambda rows: [Query(q, k, v if q is QueryType.SET else b"") for q, k, v in rows])
+
+datagram_strategy = st.one_of(
+    queries_strategy.map(encode_queries),
+    # Well-formed queries, then one malformed message: the whole
+    # datagram is dropped.
+    st.tuples(queries_strategy, st.sampled_from(MALFORMED)).map(
+        lambda parts: encode_queries(parts[0]) + parts[1]
+    ),
+)
+
+#: Peer 0 always opens with these: a response larger than one datagram,
+#: between two small ones, so its answers span several datagrams.
+BIG = b"b" * (40 * 1024)
+PREAMBLE = [
+    [Query(QueryType.SET, b"small", b"s" * 100), Query(QueryType.SET, b"big", BIG)],
+    [Query(QueryType.GET, b"small"), Query(QueryType.GET, b"big"), Query(QueryType.GET, b"small")],
+]
+
+
+class _Warnings(logging.Handler):
+    def __init__(self):
+        super().__init__(logging.WARNING)
+        self.messages = []
+
+    def emit(self, record):
+        self.messages.append(record.getMessage())
+
+
+class TestServeLoopFuzz:
+    # Each example drives real sockets and a fresh system: a failure is
+    # reported as found, without a shrink phase of thousands more.
+    @settings(
+        max_examples=12,
+        deadline=None,
+        phases=[Phase.explicit, Phase.reuse, Phase.generate],
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(
+        peer_count=st.integers(1, 4),
+        traffic=st.lists(st.tuples(st.integers(0, 3), datagram_strategy), max_size=78),
+        batch_size=st.integers(3, 24),
+    )
+    def test_every_peer_gets_the_reference_answers_in_order(
+        self, peer_count, traffic, batch_size
+    ):
+        """1–80 datagrams from 1–4 peers, malformed ones mixed in, through
+        the real serve loop on loopback.  Everything is queued before the
+        loop starts, so each window is the next ``batch_size`` well-formed
+        queries in send order; a peer's datagrams from one window must be
+        ReferenceEngine's answers to its queries in it, cut exactly as
+        ``packets._pack`` cuts at 32 KiB.  Each bad datagram is counted
+        once and logged with the legacy decoder's message."""
+        from repro.kv.store import KVStore
+        from repro.net.packets import frames_for_responses
+        from repro.pipeline.functional import FunctionalPipeline
+        from repro.pipeline.megakv import megakv_coupled_config
+        from repro.server import MAX_RESPONSE_PAYLOAD
+
+        datagrams = [(0, encode_queries(q)) for q in PREAMBLE]
+        datagrams += [(who % peer_count, payload) for who, payload in traffic]
+        peers = [socket.socket(socket.AF_INET, socket.SOCK_DGRAM) for _ in range(peer_count)]
+        warnings = _Warnings()
+        logging.getLogger("repro.server").addHandler(warnings)
+        system = DidoSystem(memory_bytes=16 << 20, expected_objects=8192)
+        srv = DidoUDPServer(
+            ("127.0.0.1", 0), system=system, batch_window_s=0.2, batch_size=batch_size
+        )
+        try:
+            for sock in peers:
+                sock.bind(("127.0.0.1", 0))
+                sock.settimeout(5.0)
+            addresses = [sock.getsockname() for sock in peers]
+            rows, expected_errors = [], []
+            for who, payload in datagrams:
+                try:
+                    rows += [(who, q) for q in decode_queries(payload)]
+                except ProtocolError as exc:
+                    expected_errors.append(
+                        "dropping undecodable datagram from %s: %s" % (addresses[who], exc)
+                    )
+                peers[who].sendto(payload, srv.address)
+
+            reference = FunctionalPipeline(KVStore(16 << 20, 8192), engine="reference")
+            config = megakv_coupled_config()
+            expected = [[] for _ in peers]
+            for start in range(0, len(rows), batch_size):
+                window = rows[start : start + batch_size]
+                answers = reference.process_batch(config, [q for _, q in window]).responses
+                for who in range(peer_count):
+                    mine = [a for (owner, _), a in zip(window, answers) if owner == who]
+                    expected[who] += [
+                        f.payload for f in frames_for_responses(mine, MAX_RESPONSE_PAYLOAD)
+                    ]
+            assert any(len(f) > MAX_RESPONSE_PAYLOAD for f in expected[0])
+
+            srv.start()
+            for sock, wanted in zip(peers, expected):
+                assert [sock.recvfrom(128 * 1024)[0] for _ in wanted] == wanted
+        finally:
+            srv.stop()
+            logging.getLogger("repro.server").removeHandler(warnings)
+            for sock in peers:
+                sock.close()
+        assert srv.stats.datagrams_out == sum(map(len, expected))
+        assert srv.stats.protocol_errors == len(expected_errors)
+        assert [m for m in warnings.messages if m.startswith("dropping")] == expected_errors

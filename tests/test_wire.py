@@ -60,15 +60,27 @@ responses_strategy = st.lists(
 )
 
 
+def split(window, stops):
+    """Per-payload row slices of a decoded window."""
+    return [window[a:b] for a, b in zip([0, *stops], stops)]
+
+
 @pytest.fixture(params=["vector", "scalar"])
 def wire_mode(request):
-    """Run the wrapped test against each window decoder ``decode_window``
-    selects between by window shape: the wide-window NumPy gather and the
-    deep-window scalar walk."""
-    return {
+    """Run the wrapped test against each decoder ``decode_window``
+    selects between by poll shape — the many-datagram NumPy gather and the
+    scalar walk — as ``payloads -> (per-payload segments, errors)``."""
+    decode = {
         "vector": wire._decode_window_vector,
         "scalar": wire._decode_window_scalar,
     }[request.param]
+
+    def run(payloads):
+        window = QueryColumns.open_window()
+        stops, errors = decode(payloads, window)
+        return split(window, stops), errors
+
+    return run
 
 
 def peer_chunks(responses: list[Response]) -> list[bytes]:
@@ -98,11 +110,27 @@ class TestDecodeIdentity:
     @given(st.lists(query_batches(max_size=12), max_size=8))
     def test_window_matches_per_datagram_decode(self, batches):
         payloads = [encode_queries(batch) for batch in batches]
-        segments, errors = decode_window(payloads)
+        window, stops, errors = decode_window(payloads)
         assert errors == []
-        assert len(segments) == len(payloads)
-        for segment, payload in zip(segments, payloads):
+        assert len(stops) == len(payloads)
+        for segment, payload in zip(split(window, stops), payloads):
             assert columns_equal_queries(segment, decode_queries(payload))
+
+    def test_polls_append_to_one_open_window(self):
+        """Successive polls extend one window; stops count from its start,
+        and the NumPy columns appear only when the window is sealed."""
+        first = [Query(QueryType.SET, b"a", b"1"), Query(QueryType.GET, b"b")]
+        second = [Query(QueryType.DELETE, b"c")]
+        window, stops, _ = decode_window([encode_queries(first)])
+        assert stops == [2]
+        same, stops, _ = decode_window([encode_queries(second), b""], window)
+        assert same is window and stops == [3, 3]
+        assert window.opcodes == [2, 1, 3] and window.key_lens is None
+        sealed = window.sealed()
+        assert sealed.to_queries() == first + second
+        assert list(sealed.opcodes) == [2, 1, 3]
+        assert list(sealed.key_lens) == [1, 1, 1]
+        assert list(sealed.value_lens) == [1, 0, 0]
 
     @settings(deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(query_batches(), st.data())
@@ -132,7 +160,8 @@ class TestDecodeIdentity:
     def test_error_isolated_to_its_datagram(self):
         good = encode_queries([Query(QueryType.SET, b"k", b"v")])
         bad = b"\x07" + good[1:]  # unknown opcode
-        segments, errors = decode_window([good, bad, good])
+        window, stops, errors = decode_window([good, bad, good])
+        segments = split(window, stops)
         assert [e.datagram for e in errors] == [1]
         assert errors[0].message == "unknown opcode 7 at offset 7"
         assert len(segments[0]) == len(segments[2]) == 1
@@ -145,8 +174,8 @@ class TestDecodeIdentity:
             [Query(QueryType.GET, b"first"), Query(QueryType.GET, b"second")]
         )
         truncated = two[:-3]
-        segments, errors = decode_window([truncated])
-        assert len(segments[0]) == 0
+        window, stops, errors = decode_window([truncated])
+        assert stops == [0] and len(window) == 0
         assert len(errors) == 1
 
     @pytest.mark.parametrize(
@@ -180,13 +209,15 @@ class TestDecodeIdentity:
             [Query(QueryType.DELETE, b"c")],
         ]
         payloads = [encode_queries(batch) for batch in batches] + [b"\xffjunk"]
-        vector = wire._decode_window_vector(payloads)
-        scalar = wire._decode_window_scalar(payloads)
-        assert [
-            (s.qtypes, s.keys, s.values) for s in vector[0]
-        ] == [(s.qtypes, s.keys, s.values) for s in scalar[0]]
-        assert [(e.datagram, e.message) for e in vector[1]] == [
-            (e.datagram, e.message) for e in scalar[1]
+        vector, scalar = QueryColumns.open_window(), QueryColumns.open_window()
+        vector_stops, vector_errors = wire._decode_window_vector(payloads, vector)
+        scalar_stops, scalar_errors = wire._decode_window_scalar(payloads, scalar)
+        assert vector_stops == scalar_stops == [2, 2, 3, 3]
+        assert (vector.qtypes, vector.keys, vector.values, vector.opcodes) == (
+            scalar.qtypes, scalar.keys, scalar.values, scalar.opcodes
+        )
+        assert [(e.datagram, e.message) for e in vector_errors] == [
+            (e.datagram, e.message) for e in scalar_errors
         ]
 
 
@@ -317,7 +348,7 @@ class TestQueryColumns:
         ]
         segments, errors = wire_mode([encode_queries(b) for b in batches])
         assert not errors
-        merged = QueryColumns.concat(segments)
+        merged = QueryColumns.concat([segment.sealed() for segment in segments])
         assert list(merged.opcodes) == [2, 1, 3]
         assert merged.to_queries() == [q for batch in batches for q in batch]
 
