@@ -45,6 +45,7 @@ from repro.errors import ProtocolError
 from repro.kv.protocol import (
     Query,
     QueryType,
+    ResponseStatus,
     _QUERY_HEADER,
     _RESPONSE_HEADER,
 )
@@ -75,6 +76,10 @@ RESPONSE_HEADER_BYTES = _RESPONSE_HEADER.size
 
 #: Opcode -> QueryType, indexable by the raw wire opcode (0 is invalid).
 _QTYPE_BY_OP = (None, QueryType.GET, QueryType.SET, QueryType.DELETE)
+#: The encoded header of a value-less response, indexable by wire status.
+_BARE_RESPONSE_HEADERS = tuple(
+    _RESPONSE_HEADER.pack(status.value, 0) for status in ResponseStatus
+)
 
 _EMPTY = b""
 
@@ -248,8 +253,6 @@ def decode_window(
     """
     if window is None:
         window = QueryColumns.open_window()
-    if not payloads:
-        return window, [], []
     total = 0
     largest = 0
     for payload in payloads:
@@ -508,40 +511,32 @@ def encode_response_window(
     engine's precomputed response-size column; without it sizes are
     derived in one pass.
 
-    Returns ``(buffer, offsets)``: a ``bytearray`` holding every encoded
+    Returns ``(buffer, offsets)``: a ``bytes`` holding every encoded
     response back to back, and the ``len(statuses) + 1`` cumulative byte
     offsets (``buffer[offsets[i]:offsets[i+1]]`` is response ``i``).  The
     bytes are identical to ``encode_responses`` over the same responses.
+
+    Each response is one ``pack`` of its header plus its value, and one
+    ``b"".join`` writes them all: a valued row costs the same as a NumPy
+    header scatter followed by a value copy would, and a window of a few
+    dozen rows pays no NumPy dispatch beyond the offset sum.
     """
-    n = len(statuses)
+    pack = _RESPONSE_HEADER.pack
+    bare = _BARE_RESPONSE_HEADERS
+    parts: list[bytes] = []
+    append = parts.append
+    for status, value in zip(statuses, values):
+        if value:
+            append(pack(status, len(value)))
+            append(value)
+        else:
+            append(bare[status])
     hdr = RESPONSE_HEADER_BYTES
     if sizes is None:
-        vlens = np.fromiter(
-            (0 if v is None else len(v) for v in values), dtype=np.int64, count=n
-        )
-        sz = vlens + hdr
-    else:
-        sz = np.asarray(sizes, dtype=np.int64)
-        vlens = sz - hdr
-    offsets = np.empty(n + 1, dtype=np.int64)
-    offsets[0] = 0
-    np.cumsum(sz, out=offsets[1:])
-    buffer = bytearray(int(offsets[-1]))
-    view = np.frombuffer(buffer, dtype=np.uint8)
-    heads = offsets[:-1]
-    view[heads] = np.asarray(statuses, dtype=np.uint8)
-    view[heads + 1] = (vlens & 0xFF).astype(np.uint8)
-    view[heads + 2] = ((vlens >> 8) & 0xFF).astype(np.uint8)
-    view[heads + 3] = ((vlens >> 16) & 0xFF).astype(np.uint8)
-    view[heads + 4] = ((vlens >> 24) & 0xFF).astype(np.uint8)
-    mv = memoryview(buffer)
-    if vlens.any():
-        heads_l = heads.tolist()
-        for i in np.nonzero(vlens)[0].tolist():
-            start = heads_l[i] + hdr
-            value = values[i]
-            mv[start : start + len(value)] = value
-    return buffer, offsets
+        sizes = [hdr + len(v) if v else hdr for v in values]
+    offsets = np.zeros(len(statuses) + 1, dtype=np.int64)
+    np.cumsum(np.asarray(sizes, dtype=np.int64), out=offsets[1:])
+    return b"".join(parts), offsets
 
 
 def decode_response_window(buffer, sizes, offset: int = 0):

@@ -350,7 +350,8 @@ class DidoUDPServer:
             polls += 1
             drained += len(payloads)
             self.stats.datagrams_in += len(payloads)
-            count += self._ingest(payloads, peers, window, bounds)
+            self._ingest(payloads, peers, window, bounds)
+            count = len(window)
             if deadline is None:
                 deadline = time.monotonic() + self._batch_window_s
         self._socket.settimeout(0.1)
@@ -373,15 +374,14 @@ class DidoUDPServer:
         peers: list[tuple[str, int]],
         window: QueryColumns,
         bounds: list,
-    ) -> int:
+    ) -> None:
         """Decode one poll's datagrams onto the open window.
 
         Their queries are appended to ``window`` and each datagram that
         brought any adds one ``(row_stop, peer)`` entry to ``bounds``.
-        Returns the number of queries added.  Malformed datagrams are
-        dropped with a log line naming the peer and the
-        ``repro_wire_parse_errors_total`` counter; decode errors never
-        propagate.
+        Malformed datagrams are dropped with a log line naming the peer
+        and the ``repro_wire_parse_errors_total`` counter; decode errors
+        never propagate.
         """
         telemetry = get_telemetry()
         start = len(window)
@@ -410,7 +410,6 @@ class DidoUDPServer:
             if stop > row:
                 bounds.append((stop, peer))
                 row = stop
-        return row - start
 
     def _cut_batch(self, window: QueryColumns, bounds: list):
         """Seal the first ``batch_size`` rows as the batch; the rest is

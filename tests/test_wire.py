@@ -5,7 +5,7 @@ codec (:mod:`repro.kv.protocol`, :func:`repro.net.packets._pack`)
 produces, the columnar plane (:mod:`repro.net.wire`) must produce byte
 for byte — including the exact :class:`~repro.errors.ProtocolError`
 messages on malformed input, from the cross-datagram gather and from the
-scalar walk ``decode_window`` picks for deep windows alike.
+scalar walk ``decode_window`` picks for every other poll alike.
 """
 
 import pytest
