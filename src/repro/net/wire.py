@@ -23,9 +23,9 @@ three columnar pieces instead:
   ``decode_queries`` had raised for that payload alone.  The window's
   NumPy columns are built once, by :meth:`QueryColumns.sealed`.
 * :func:`encode_response_window` — writes an entire batch's responses
-  into one preallocated ``bytearray`` in a single pass: the status and
-  length header bytes are scattered with NumPy stores, values are copied
-  once each, and the per-response byte offsets come from one cumulative
+  into one buffer in a single pass: one packed header per valued row
+  (value-less rows reuse a precomputed header), one join that copies
+  each value once, and the per-response byte offsets from one cumulative
   sum.  Frames and datagrams are then *slices* of that buffer.
 * :func:`cut_frame_bounds` / :func:`frames_for_response_columns` /
   :func:`chunk_response_payloads` — the MTU cut as one cumulative-sum
@@ -626,7 +626,7 @@ def frames_for_response_columns(
 
 
 def chunk_response_payloads(
-    buffer: bytearray,
+    buffer: bytes,
     offsets,
     ranges: list[tuple[int, int]],
     max_payload: int,
