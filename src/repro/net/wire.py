@@ -428,7 +428,6 @@ def _decode_window_vector(payloads, window):
     dgram, op = dgram[order], op[order]
     koff, klen, vlen = koff[order], klen[order], vlen[order]
 
-    # Append the rows to the window's list columns.
     ops = op.tolist()
     window.opcodes.extend(ops)
     window.qtypes.extend([_QTYPE_BY_OP[o] for o in ops])
@@ -516,10 +515,10 @@ def encode_response_window(
     offsets (``buffer[offsets[i]:offsets[i+1]]`` is response ``i``).  The
     bytes are identical to ``encode_responses`` over the same responses.
 
-    Each response is one ``pack`` of its header plus its value, and one
-    ``b"".join`` writes them all: a valued row costs the same as a NumPy
-    header scatter followed by a value copy would, and a window of a few
-    dozen rows pays no NumPy dispatch beyond the offset sum.
+    Each response is one packed header plus its value (a value-less row
+    reuses its status's precomputed header), and one ``b"".join`` writes
+    them all, so a window of a few dozen rows pays no NumPy dispatch
+    beyond the offset sum.
     """
     pack = _RESPONSE_HEADER.pack
     bare = _BARE_RESPONSE_HEADERS
