@@ -95,7 +95,8 @@ class QueryColumns:
     is :meth:`sealed`; the workload profiler folds whole batches with
     array sums instead of a per-query loop.  A window still open for
     appending (:meth:`open_window`) keeps its opcodes as a Python list and
-    has no length columns.
+    has no length columns; only the serve loop holds one, and it seals the
+    window before an engine sees it.
 
     Supports ``len()`` and slicing so the server's batch cut / carry-over
     logic treats a columnar window exactly like a ``list[Query]``.
@@ -223,7 +224,7 @@ def decode_payload(payload: bytes) -> QueryColumns:
     window, _, errors = decode_window([payload])
     if errors:
         raise ProtocolError(errors[0].message)
-    return window.sealed()
+    return window
 
 
 def decode_window(
@@ -233,9 +234,10 @@ def decode_window(
     """Decode datagram payloads onto the end of one open window.
 
     The queries of every well-formed payload are appended, in payload
-    order, to the list columns of ``window`` (a fresh
-    :meth:`QueryColumns.open_window` when omitted); no NumPy column is
-    built here — :meth:`QueryColumns.sealed` builds them once per window.
+    order, to the list columns of ``window``; no NumPy column is built
+    here — :meth:`QueryColumns.sealed` builds them once per window.  When
+    ``window`` is omitted the payloads are decoded into a fresh window
+    that is returned sealed, ready for the engines.
     Returns ``(window, stops, errors)``: ``stops[d]`` is the window's row
     count after payload ``d``, so payload ``d``'s queries are the rows
     from the previous stop up to ``stops[d]`` (none for an empty or
@@ -251,7 +253,8 @@ def decode_window(
     scalar walk appends each query straight to the window's lists.  Both
     produce identical rows and identical errors.
     """
-    if window is None:
+    seal = window is None
+    if seal:
         window = QueryColumns.open_window()
     total = 0
     largest = 0
@@ -264,7 +267,7 @@ def decode_window(
         stops, errors = _decode_window_vector(payloads, window)
     else:
         stops, errors = _decode_window_scalar(payloads, window)
-    return window, stops, errors
+    return (window.sealed() if seal else window), stops, errors
 
 
 # ------------------------------------------------------------ vector decode

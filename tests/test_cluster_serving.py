@@ -38,7 +38,7 @@ from repro.kv.protocol import (
     encode_responses,
 )
 from repro.kv.store import KVStore
-from repro.net.wire import decode_window
+from repro.net.wire import QueryColumns, decode_window
 from repro.pipeline.functional import FunctionalPipeline
 from repro.pipeline.megakv import megakv_coupled_config
 from repro.server import DidoUDPServer
@@ -243,7 +243,9 @@ class TestOwnedSplit:
             for sock in peers:
                 sock.bind(("127.0.0.1", 0))
                 sock.settimeout(5.0)
-            window, stops, _ = decode_window([encode_queries(q) for _, q in datagrams])
+            window, stops, _ = decode_window(
+                [encode_queries(q) for _, q in datagrams], QueryColumns.open_window()
+            )
             bounds = [
                 (stop, peers[who].getsockname()) for stop, (who, _) in zip(stops, datagrams)
             ]

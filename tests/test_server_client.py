@@ -17,14 +17,16 @@ from repro.kv.protocol import (
     decode_queries,
     encode_queries,
 )
-from repro.net.wire import decode_window
+from repro.net.wire import QueryColumns, decode_window
 from repro.server import DidoUDPServer
 
 
 def open_window(datagrams):
     """The serve loop's open window for ``(queries, peer)`` datagrams: the
     decoded rows plus one ``(row_stop, peer)`` bound per datagram."""
-    window, stops, errors = decode_window([encode_queries(q) for q, _ in datagrams])
+    window, stops, errors = decode_window(
+        [encode_queries(q) for q, _ in datagrams], QueryColumns.open_window()
+    )
     assert not errors
     return window, [(stop, peer) for stop, (_, peer) in zip(stops, datagrams)]
 

@@ -118,19 +118,22 @@ class TestDecodeIdentity:
 
     def test_polls_append_to_one_open_window(self):
         """Successive polls extend one window; stops count from its start,
-        and the NumPy columns appear only when the window is sealed."""
+        and the NumPy columns appear only when the window is sealed.  A
+        decode with no window to append to comes back sealed."""
         first = [Query(QueryType.SET, b"a", b"1"), Query(QueryType.GET, b"b")]
         second = [Query(QueryType.DELETE, b"c")]
-        window, stops, _ = decode_window([encode_queries(first)])
+        window, stops, _ = decode_window([encode_queries(first)], QueryColumns.open_window())
         assert stops == [2]
         same, stops, _ = decode_window([encode_queries(second), b""], window)
         assert same is window and stops == [3, 3]
         assert window.opcodes == [2, 1, 3] and window.key_lens is None
-        sealed = window.sealed()
-        assert sealed.to_queries() == first + second
-        assert list(sealed.opcodes) == [2, 1, 3]
-        assert list(sealed.key_lens) == [1, 1, 1]
-        assert list(sealed.value_lens) == [1, 0, 0]
+        alone, stops, _ = decode_window([encode_queries(first), encode_queries(second)])
+        assert stops == [2, 3]
+        for sealed in (window.sealed(), alone):
+            assert sealed.to_queries() == first + second
+            assert sealed.opcodes.tolist() == [2, 1, 3]
+            assert sealed.key_lens.tolist() == [1, 1, 1]
+            assert sealed.value_lens.tolist() == [1, 0, 0]
 
     @settings(deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(query_batches(), st.data())
