@@ -12,7 +12,7 @@ each.
 Run:  python examples/facebook_workloads.py
 """
 
-from repro import DidoSystem
+from repro import APU_A10_7850K, DidoSystem, PipelineExecutor, best_config_for
 from repro.core.profiler import WorkloadProfile
 from repro.workloads.facebook import (
     FACEBOOK_ETC,
@@ -35,14 +35,16 @@ def run_trace(system: DidoSystem, workload, batches: int = 8) -> None:
     print(f"  model est.  : {report.estimated_mops:.1f} MOPS on the APU")
 
     # Analytical cross-check: what the detailed simulator measures for the
-    # same traffic shape.
+    # cost model's pick on the same traffic shape (asked apart from the
+    # serving system, so its plan stays the one it served with).
     profile = WorkloadProfile(
         get_ratio=workload.get_ratio,
         avg_key_size=key_size,
         avg_value_size=value_size,
         zipf_skew=workload.zipf_skew,
     )
-    measured = system.measure_steady_state(profile)
+    config = best_config_for(APU_A10_7850K, profile)
+    measured = PipelineExecutor(APU_A10_7850K).measure(config, profile)
     print(f"  simulated   : {measured.throughput_mops:.1f} MOPS "
           f"(GPU {measured.gpu_utilization:.0%} busy)")
     print()

@@ -2,15 +2,23 @@
 """Quickstart: stand up a DIDO key-value store and talk to it.
 
 Runs a small YCSB-B-style workload (95 % GET, Zipf-skewed keys) through the
-full functional pipeline — NIC frames in, parsed queries, slab allocation,
-cuckoo index, responses out — while the controller plans the pipeline with
-the cost model.  Then asks the analytical side what the chosen configuration
-achieves on the modelled APU.
+full functional pipeline — log-arena allocation, cuckoo index, responses
+out — while the controller plans the pipeline with the cost model.  Then
+asks the cost model and the detailed simulator, apart from the serving
+system, what the best configuration for that workload achieves on the
+modelled APU.
 
 Run:  python examples/quickstart.py
 """
 
-from repro import DidoSystem, QueryStream, standard_workload
+from repro import (
+    APU_A10_7850K,
+    DidoSystem,
+    PipelineExecutor,
+    QueryStream,
+    best_config_for,
+    standard_workload,
+)
 from repro.core.profiler import WorkloadProfile
 from repro.kv.protocol import Query, QueryType, ResponseStatus
 
@@ -69,7 +77,8 @@ def main() -> None:
 
     # --- analytical steady state --------------------------------------------
     profile = WorkloadProfile.from_spec(spec)
-    measurement = system.measure_steady_state(profile)
+    config = best_config_for(APU_A10_7850K, profile)
+    measurement = PipelineExecutor(APU_A10_7850K).measure(config, profile)
     print(
         f"modelled steady state on the APU: {measurement.throughput_mops:.1f} MOPS "
         f"(batch {measurement.batch_size}, "

@@ -26,7 +26,6 @@ reproduction results.
 
 from repro.analysis.latency import LatencyProfile, latency_profile
 from repro.client import DidoClient
-from repro.cluster.fleet import KVCluster
 from repro.cluster.ring import HashRing
 from repro.core.config_search import ConfigurationSearch, best_config_for, enumerate_configs
 from repro.core.controller import AdaptationController
@@ -85,7 +84,6 @@ __all__ = [
     "DidoClient",
     "DidoUDPServer",
     "HashRing",
-    "KVCluster",
     "LatencyProfile",
     "latency_profile",
     "measure_memcachedgpu",

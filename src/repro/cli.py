@@ -44,6 +44,7 @@ from repro.errors import ReproError
 from repro.hardware.specs import APU_A10_7850K
 from repro.pipeline.executor import PipelineExecutor
 from repro.pipeline.megakv import megakv_coupled_config
+from repro.server import DEFAULT_COALESCE_US
 from repro.workloads.ycsb import STANDARD_WORKLOADS, standard_workload
 
 #: Figures cheap enough for interactive use (the rest live in benchmarks/).
@@ -299,7 +300,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
         system=system,
         batch_size=args.batch_size,
         coalesce_us=args.coalesce_us,
-        drain_limit=args.drain_limit,
     )
     if args.cluster_node:
         return _serve_cluster_node(args, server)
@@ -532,12 +532,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="dispatch a batch once it holds this many queries (default: 4096)",
     )
     p.add_argument(
-        "--coalesce-us", type=float, default=None, metavar="US",
-        help="coalescing deadline in microseconds (default: 2000)",
-    )
-    p.add_argument(
-        "--drain-limit", type=int, default=64,
-        help="datagrams drained from the kernel per receive poll (default: 64)",
+        "--coalesce-us", type=float, default=DEFAULT_COALESCE_US, metavar="US",
+        help=f"coalescing deadline in microseconds (default: {DEFAULT_COALESCE_US:g})",
     )
     p.add_argument("--telemetry-out", metavar="PATH", help="write a JSONL telemetry trace")
     cluster_group = p.add_argument_group("cluster membership (spawned by `repro cluster`)")

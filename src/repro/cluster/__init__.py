@@ -3,21 +3,14 @@
 The paper's motivation (Section II-C1) notes that production IMKV traffic
 shifts abruptly "when machines go down, keys will be redistributed with
 consistent hashing, which may change the workload characteristics of other
-IMKV nodes".  This package provides that substrate in two tiers:
-
-* **Simulation** — a consistent-hash ring (:mod:`repro.cluster.ring`)
-  routing client queries across in-process
-  :class:`~repro.core.dido.DidoSystem` nodes (:mod:`repro.cluster.fleet`),
-  so node failure redistributes keys and each surviving node's adaptation
-  controller reacts to its new mix.
-* **Serving** — a real multi-process fleet over the columnar wire plane:
-  epoch-stamped manifests (:mod:`repro.cluster.manifest`) shared by
-  servers and client routers, and ring-routed ``repro serve`` processes
-  with live key migration under a coordinator
-  (:mod:`repro.cluster.serving`); see ``docs/cluster.md``.
+IMKV nodes".  This package provides that substrate as a real multi-process
+fleet over the columnar wire plane: a consistent-hash ring
+(:mod:`repro.cluster.ring`), epoch-stamped manifests
+(:mod:`repro.cluster.manifest`) shared by servers and client routers, and
+ring-routed ``repro serve`` processes with live key migration under a
+coordinator (:mod:`repro.cluster.serving`); see ``docs/cluster.md``.
 """
 
-from repro.cluster.fleet import KVCluster, NodeStats
 from repro.cluster.manifest import ClusterManifest, ManifestRouter, NodeInfo
 from repro.cluster.ring import HashRing
 from repro.cluster.serving import (
@@ -35,11 +28,9 @@ __all__ = [
     "ClusterManifest",
     "ClusterNode",
     "HashRing",
-    "KVCluster",
     "ManifestRouter",
     "NodeInfo",
     "NodeOwnership",
-    "NodeStats",
     "control_request",
     "fetch_manifest",
 ]

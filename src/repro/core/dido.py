@@ -1,19 +1,16 @@
 """The assembled DIDO system (paper Figure 7).
 
-:class:`DidoSystem` wires every component together: the simulated NIC feeds
-frames to the functional pipeline, the workload profiler watches each batch,
-the cost-model-guided controller re-plans the pipeline on substantial
-workload change, and the detailed executor measures what the chosen
-configuration achieves on the modelled APU.
+:class:`DidoSystem` wires the serving components together: the functional
+pipeline executes each batch of real queries against the real store under
+the currently planned configuration and returns real responses, the
+workload profiler watches each batch, and the cost-model-guided controller
+re-plans the pipeline on substantial workload change.  The UDP server
+(:mod:`repro.server`) feeds it decoded windows.
 
-Two usage styles:
-
-* **functional** — :meth:`process` / :meth:`process_frames` push real
-  queries through the real store under the currently planned pipeline and
-  return real responses (what the correctness tests and examples use);
-* **analytical** — :meth:`measure_steady_state` evaluates the planned
-  configuration's throughput/utilisation on the hardware model (what the
-  benchmark harness uses to regenerate the paper's figures).
+What a configuration achieves on the modelled APU is asked of
+:func:`~repro.core.config_search.best_config_for` and
+:class:`~repro.pipeline.executor.PipelineExecutor` directly (as
+``repro plan`` / ``repro measure`` do), never of a serving system.
 """
 
 from __future__ import annotations
@@ -21,15 +18,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.core.controller import AdaptationController
-from repro.core.profiler import WorkloadProfile, WorkloadProfiler
+from repro.core.profiler import WorkloadProfiler
 from repro.engine import resolve_engine
 from repro.errors import ConfigurationError, WorkloadError
 from repro.hardware.specs import APU_A10_7850K, PlatformSpec
-from repro.kv.protocol import Query, decode_queries
 from repro.kv.store import KVStore
-from repro.net.nic import SimulatedNIC
-from repro.net.packets import Frame, frames_for_queries
-from repro.pipeline.executor import PipelineExecutor, PipelineMeasurement
 from repro.pipeline.functional import BatchResult, FunctionalPipeline
 from repro.core.pipeline_config import PipelineConfig
 
@@ -114,7 +107,6 @@ class DidoSystem:
             self.store = ProcShardStore(budget, expected_objects, max(shards, 1))
         else:
             self.store = KVStore(budget, expected_objects)
-        self.nic = SimulatedNIC()
         self.profiler = WorkloadProfiler()
         if hasattr(engine, "costs"):
             # One host cost model per system: the engine feeds and asks it,
@@ -127,13 +119,11 @@ class DidoSystem:
             work_stealing=work_stealing,
             host_costs=self.profiler.host_costs,
         )
-        self.executor = PipelineExecutor(platform)
         self.pipeline = FunctionalPipeline(
             self.store,
             epoch_source=lambda: self.profiler.epoch,
             engine=engine,
         )
-        self.latency_budget_ns = latency_budget_ns
         self._batches = 0
         self._queries = 0
 
@@ -212,21 +202,6 @@ class DidoSystem:
         self._queries += pending.num_queries
         return result
 
-    def process_frames(self, frames: list[Frame]) -> BatchResult:
-        """NIC entry point: deliver frames, drain the RX ring, process."""
-        self.nic.deliver(frames)
-        pending = self.nic.receive()
-        queries: list[Query] = []
-        for frame in pending:
-            queries.extend(decode_queries(frame.payload))
-        result = self.process(queries)
-        self.nic.send(result.frames)
-        return result
-
-    def submit(self, queries: list[Query]) -> BatchResult:
-        """Client-style entry: pack queries into frames and go through the NIC."""
-        return self.process_frames(frames_for_queries(queries))
-
     # ------------------------------------------------------------- lifecycle
 
     def maintain(self) -> int | list[int]:
@@ -245,17 +220,6 @@ class DidoSystem:
     def close(self) -> None:
         """Release process-backed resources (worker processes + arenas)."""
         self.store.close()
-
-    # ------------------------------------------------------------ analytical
-
-    def measure_steady_state(self, profile: WorkloadProfile) -> PipelineMeasurement:
-        """Measured performance of the plan DIDO would choose for ``profile``."""
-        config = self.controller.config_for(profile)
-        return self.executor.measure(config, profile, self.latency_budget_ns)
-
-    def plan_for(self, profile: WorkloadProfile) -> PipelineConfig:
-        """The configuration the controller selects for ``profile``."""
-        return self.controller.config_for(profile)
 
     # -------------------------------------------------------------- reporting
 

@@ -18,8 +18,8 @@ Components mirror the paper's Section II-B description of an IMKV node:
   paper's Figure 6 Insert+Delete pairing in its original form), kept as
   the oracle the heap-parity tests compare the log arena against;
 * :mod:`repro.kv.store` — the assembled store exposing GET/SET/DELETE;
-* :mod:`repro.kv.protocol` — the binary wire format used by the simulated
-  clients and NIC.
+* :mod:`repro.kv.protocol` — the binary wire format, and the reference
+  codec the columnar wire plane is tested against.
 """
 
 from repro.kv.hashtable import CuckooHashTable, IndexStats

@@ -1,17 +1,15 @@
-"""Simulated network substrate: Ethernet/UDP frames and a batching NIC.
+"""Network substrate: Ethernet/UDP frames and the columnar wire plane.
 
-Stands in for the Intel 82599 10 GbE NIC of the paper's testbed.  Queries
-and responses are batched into Ethernet frames "as many as possible"
-(Section V-A) so that per-packet costs amortise; the RV and SD tasks consume
-and produce :class:`Frame` objects through :class:`SimulatedNIC` rings.
+The frame constants stand in for the paper's 10 GbE testbed in the cost
+model's RV and SD terms; queries and responses are batched into frames "as
+many as possible" (Section V-A).  The UDP server decodes and frames real
+datagrams through :mod:`repro.net.wire`.
 """
 
-from repro.net.nic import NICStats, SimulatedNIC
 from repro.net.packets import (
     ETHERNET_MTU,
     FRAME_HEADER_BYTES,
     Frame,
-    frames_for_queries,
     frames_for_responses,
 )
 from repro.net.wire import (
@@ -29,16 +27,13 @@ __all__ = [
     "ETHERNET_MTU",
     "FRAME_HEADER_BYTES",
     "Frame",
-    "NICStats",
     "QueryColumns",
-    "SimulatedNIC",
     "WindowParseError",
     "chunk_response_payloads",
     "cut_frame_bounds",
     "decode_payload",
     "decode_window",
     "encode_response_window",
-    "frames_for_queries",
     "frames_for_response_columns",
     "frames_for_responses",
 ]

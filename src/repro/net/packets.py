@@ -1,16 +1,19 @@
-"""Ethernet/UDP frame model and query/response frame packing.
+"""Ethernet/UDP frame model and the reference response packer.
 
-Frames carry an opaque payload produced by :mod:`repro.kv.protocol`; the
-packing helpers fill each frame up to the MTU, matching the paper's setup
-where "queries and their responses are batched in an Ethernet frame as many
-as possible" (Section V-A).
+The frame constants price the RV and SD tasks in the cost model
+(:mod:`repro.core.tasks`).  Frames carry an opaque payload produced by
+:mod:`repro.kv.protocol`; :func:`frames_for_responses` fills each frame up
+to the MTU, matching the paper's setup where "queries and their responses
+are batched in an Ethernet frame as many as possible" (Section V-A), and
+is the reference the columnar framer in :mod:`repro.net.wire` is tested
+against.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.kv.protocol import Query, Response, encode_queries, encode_responses
+from repro.kv.protocol import Response, encode_responses
 
 #: Standard Ethernet payload limit.
 ETHERNET_MTU = 1500
@@ -35,23 +38,13 @@ class Frame:
         return FRAME_HEADER_BYTES + len(self.payload)
 
 
-def frames_for_queries(queries: list[Query], mtu: int = ETHERNET_MTU) -> list[Frame]:
-    """Pack queries into the minimum number of MTU-bounded frames.
-
-    Greedy first-fit in arrival order (clients stream queries, they do not
-    bin-pack).  A query whose wire size alone exceeds the MTU travels in a
-    dedicated frame: one UDP datagram that the IP layer fragments
-    transparently (production workloads carry values up to tens of
-    kilobytes, e.g. Facebook's ETC).
-    """
-    return _pack(queries, encode_queries, mtu)
-
-
 def frames_for_responses(responses: list[Response], mtu: int = ETHERNET_MTU) -> list[Frame]:
     """Pack responses into MTU-bounded frames (the SD task's output unit).
 
-    Oversized responses get dedicated IP-fragmented frames, mirroring
-    :func:`frames_for_queries`.
+    Greedy first-fit in order.  A response whose wire size alone exceeds
+    the MTU travels in a dedicated frame: one UDP datagram that the IP
+    layer fragments transparently (production workloads carry values up to
+    tens of kilobytes, e.g. Facebook's ETC).
     """
     return _pack(responses, encode_responses, mtu)
 

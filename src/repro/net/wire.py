@@ -12,9 +12,7 @@ three columnar pieces instead:
 
 * :func:`decode_window` — appends the queries of a poll's datagram
   payloads to one open window's list columns and reports where each
-  datagram's rows stop.  Few datagrams take a scalar walk; many small
-  ones take a NumPy frontier gather that decodes one query of every
-  still-active datagram per round.  Validation (unknown opcodes,
+  datagram's rows stop, in one scalar walk.  Validation (unknown opcodes,
   truncation, empty keys, values on non-SET queries) reports error
   messages byte-identical to the legacy decoder's
   :class:`~repro.errors.ProtocolError` texts.  A malformed datagram
@@ -50,24 +48,6 @@ from repro.kv.protocol import (
     _RESPONSE_HEADER,
 )
 from repro.net.packets import ETHERNET_MTU, Frame
-
-#: Per-round header gather: ``u8[cur[:, None] + _HDR_OFFSETS]`` pulls
-#: each active datagram's 7 header bytes in one fancy index.
-_HDR_OFFSETS = np.arange(7, dtype=np.int64)
-#: One matmul turns the gathered header bytes into the three fields:
-#: columns are (opcode, key_len, value_len) in little-endian weights.
-_HDR_WEIGHTS = np.array(
-    [
-        [1, 0, 0],
-        [0, 1, 0],
-        [0, 1 << 8, 0],
-        [0, 0, 1],
-        [0, 0, 1 << 8],
-        [0, 0, 1 << 16],
-        [0, 0, 1 << 24],
-    ],
-    dtype=np.int64,
-)
 
 #: Query header bytes: ``opcode:u8 | key_len:u16 | value_len:u32``.
 QUERY_HEADER_BYTES = _QUERY_HEADER.size
@@ -245,219 +225,13 @@ def decode_window(
     even ones parsed before the error — matching the legacy
     all-or-nothing per-datagram decode.
 
-    The implementation is picked per call: the cross-datagram NumPy
-    gather parses one query per datagram per *round*, so its cost scales
-    with the deepest datagram's query count no matter how many datagrams
-    there are — it amortises only when the payloads are many more than
-    deep (a poll that drained many small datagrams).  Otherwise the
-    scalar walk appends each query straight to the window's lists.  Both
-    produce identical rows and identical errors.
+    Each query costs one ``unpack_from`` and two slices, with no
+    per-query object and no NumPy call; a malformed payload's rows are
+    truncated off the window again.
     """
     seal = window is None
     if seal:
         window = QueryColumns.open_window()
-    total = 0
-    largest = 0
-    for payload in payloads:
-        size = len(payload)
-        total += size
-        if size > largest:
-            largest = size
-    if largest and total >= 64 * largest:
-        stops, errors = _decode_window_vector(payloads, window)
-    else:
-        stops, errors = _decode_window_scalar(payloads, window)
-    return (window.sealed() if seal else window), stops, errors
-
-
-# ------------------------------------------------------------ vector decode
-
-
-def _decode_window_vector(payloads, window):
-    m = len(payloads)
-    arena = payloads[0] if m == 1 else b"".join(payloads)
-    u8 = np.frombuffer(arena, dtype=np.uint8)
-    lens = np.fromiter(map(len, payloads), dtype=np.int64, count=m)
-    ends = np.cumsum(lens)
-    starts = ends - lens
-    cursors = starts.copy()
-
-    errors: list[WindowParseError] = []
-    errored: set[int] = set()
-
-    def fail(ids, messages) -> None:
-        for d, msg in zip(ids.tolist(), messages):
-            errored.add(d)
-            errors.append(WindowParseError(d, msg))
-
-    # Per-round column chunks, concatenated (and reordered) at the end.
-    chunk_dgram: list = []
-    chunk_round: list = []
-    chunk_op: list = []
-    chunk_koff: list = []
-    chunk_klen: list = []
-    chunk_vlen: list = []
-
-    active = np.nonzero(cursors < ends)[0]
-    round_no = 0
-    hdr = QUERY_HEADER_BYTES
-    while active.size:
-        cur = cursors[active]
-        end = ends[active]
-        base = starts[active]
-
-        # 1. Header truncation (offset relative to the datagram start).
-        bad = cur + hdr > end
-        if bad.any():
-            rel = (cur - base)[bad]
-            fail(
-                active[bad],
-                [f"truncated query header at offset {o}" for o in rel.tolist()],
-            )
-            keep = ~bad
-            active, cur, end, base = active[keep], cur[keep], end[keep], base[keep]
-            if not active.size:
-                break
-
-        # One (A, 7) gather pulls every active header; one matmul against
-        # the little-endian weight matrix assembles all three fields.
-        fields = u8[cur[:, None] + _HDR_OFFSETS].astype(np.int64) @ _HDR_WEIGHTS
-        op = fields[:, 0]
-        klen = fields[:, 1]
-        vlen = fields[:, 2]
-        body = cur + hdr
-        rel_body = body - base
-
-        # Fast path: windows are overwhelmingly well-formed, so checks
-        # 2-5 collapse into one combined mask; the ordered per-check
-        # filtering below runs only when something is actually malformed
-        # (error-message precedence must match the legacy decoder).
-        malformed = (
-            (op < 1)
-            | (op > 3)
-            | (body + klen + vlen > end)
-            | (klen == 0)
-            | ((op != 2) & (vlen > 0))
-        )
-        if malformed.any():
-            # 2. Unknown opcode (legacy reports the offset *after* the
-            # header).
-            bad = (op < 1) | (op > 3)
-            if bad.any():
-                fail(
-                    active[bad],
-                    [
-                        f"unknown opcode {o} at offset {r}"
-                        for o, r in zip(op[bad].tolist(), rel_body[bad].tolist())
-                    ],
-                )
-                keep = ~bad
-                active, cur, end = active[keep], cur[keep], end[keep]
-                op, klen, vlen = op[keep], klen[keep], vlen[keep]
-                body, rel_body = body[keep], rel_body[keep]
-                if not active.size:
-                    break
-
-            # 3. Body truncation.
-            bad = body + klen + vlen > end
-            if bad.any():
-                fail(
-                    active[bad],
-                    [
-                        f"truncated query body at offset {o}"
-                        for o in rel_body[bad].tolist()
-                    ],
-                )
-                keep = ~bad
-                active, cur, end = active[keep], cur[keep], end[keep]
-                op, klen, vlen, body = op[keep], klen[keep], vlen[keep], body[keep]
-                if not active.size:
-                    break
-
-            # 4. The Query constraints: non-empty key, value only on SET.
-            bad = klen == 0
-            if bad.any():
-                fail(active[bad], ["query key must be non-empty"] * int(bad.sum()))
-                keep = ~bad
-                active, end = active[keep], end[keep]
-                op, klen, vlen, body = op[keep], klen[keep], vlen[keep], body[keep]
-                if not active.size:
-                    break
-            bad = (op != 2) & (vlen > 0)
-            if bad.any():
-                fail(
-                    active[bad],
-                    [
-                        f"{_QTYPE_BY_OP[o].name} query cannot carry a value"
-                        for o in op[bad].tolist()
-                    ],
-                )
-                keep = ~bad
-                active, end = active[keep], end[keep]
-                op, klen, vlen, body = op[keep], klen[keep], vlen[keep], body[keep]
-                if not active.size:
-                    break
-
-        chunk_dgram.append(active)
-        chunk_round.append(np.full(active.size, round_no, dtype=np.int64))
-        chunk_op.append(op)
-        chunk_koff.append(body)
-        chunk_klen.append(klen)
-        chunk_vlen.append(vlen)
-
-        nxt = body + klen + vlen
-        cursors[active] = nxt
-        active = active[nxt < end]
-        round_no += 1
-
-    start = len(window)
-    if not chunk_dgram:
-        return [start] * m, errors
-
-    dgram = np.concatenate(chunk_dgram)
-    rounds = np.concatenate(chunk_round)
-    op = np.concatenate(chunk_op)
-    koff = np.concatenate(chunk_koff)
-    klen = np.concatenate(chunk_klen)
-    vlen = np.concatenate(chunk_vlen)
-
-    if errored:
-        mask = ~np.isin(dgram, np.fromiter(errored, dtype=np.int64))
-        dgram, rounds = dgram[mask], rounds[mask]
-        op, koff, klen, vlen = op[mask], koff[mask], klen[mask], vlen[mask]
-
-    # Rounds interleave datagrams; restore datagram-major, arrival order.
-    order = np.lexsort((rounds, dgram))
-    dgram, op = dgram[order], op[order]
-    koff, klen, vlen = koff[order], klen[order], vlen[order]
-
-    ops = op.tolist()
-    window.opcodes.extend(ops)
-    window.qtypes.extend([_QTYPE_BY_OP[o] for o in ops])
-    window.keys.extend(
-        [arena[o : o + L] for o, L in zip(koff.tolist(), klen.tolist())]
-    )
-    values = [_EMPTY] * len(ops)
-    has_value = np.nonzero(vlen > 0)[0]
-    if has_value.size:
-        voff = koff + klen
-        for i in has_value.tolist():
-            o = voff[i]
-            values[i] = arena[o : o + vlen[i]]
-    window.values.extend(values)
-    stops = np.cumsum(np.bincount(dgram, minlength=m)) + start
-    return stops.tolist(), errors
-
-
-# ------------------------------------------------------------ scalar decode
-
-
-def _decode_window_scalar(payloads, window):
-    """Legacy-identical walk appending straight to the window's lists.
-
-    One ``unpack_from`` and two slices per query, no per-query objects,
-    no NumPy call.  A malformed payload's rows are truncated off again.
-    """
     qtypes, keys, values, ops = window.qtypes, window.keys, window.values, window.opcodes
     stops: list[int] = []
     errors: list[WindowParseError] = []
@@ -494,7 +268,7 @@ def _decode_window_scalar(payloads, window):
             del qtypes[start:], keys[start:], values[start:], ops[start:]
             errors.append(WindowParseError(d, str(exc)))
         stops.append(len(qtypes))
-    return stops, errors
+    return (window.sealed() if seal else window), stops, errors
 
 
 # --------------------------------------------------------- response framing

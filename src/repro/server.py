@@ -1,10 +1,10 @@
 """A real UDP server front-end for the DIDO store.
 
-Everything else in this package simulates the NIC; this module binds an
-actual UDP socket and speaks the package's binary protocol
-(:mod:`repro.kv.protocol`), so the library runs as a usable key-value
-service: one datagram in (a batch of queries), one or more datagrams out
-(the responses), processed through the full adaptive pipeline.
+This module binds an actual UDP socket and speaks the package's binary
+protocol (:mod:`repro.kv.protocol`), so the library runs as a usable
+key-value service: one datagram in (a batch of queries), one or more
+datagrams out (the responses), processed through the full adaptive
+pipeline.
 
 The paper's system batches queries for the GPU; a network server front-end
 does the same here with **adaptive batch coalescing**: queries accumulate
@@ -21,7 +21,7 @@ via ``repro telemetry``.
 There is one wire path, and it pays per window, not per datagram.  The
 open window is one :class:`~repro.net.wire.QueryColumns` plus a bounds
 column of one ``(row_stop, peer)`` entry per datagram.  Each poll drains
-up to ``drain_limit`` datagrams from the kernel and
+up to :data:`DRAIN_LIMIT` datagrams from the kernel and
 :func:`repro.net.wire.decode_window` appends their queries to the window's
 lists (zero per-query objects); the NumPy columns are built once, when the
 window is cut.  Responses go out through the single-pass columnar framer
@@ -76,8 +76,9 @@ logger = logging.getLogger("repro.server")
 #: Largest datagram we attempt to receive (jumbo values are IP-fragmented).
 MAX_DATAGRAM = 64 * 1024
 
-#: How long the server waits to coalesce datagrams into one pipeline batch.
-DEFAULT_BATCH_WINDOW_S = 0.002
+#: How long (µs) the server waits to coalesce datagrams into one pipeline
+#: batch, measured from the first query.
+DEFAULT_COALESCE_US = 2000.0
 
 #: Batch-size target: a batch is dispatched as soon as it holds this many
 #: queries, even if the coalescing deadline has not expired.
@@ -87,8 +88,8 @@ DEFAULT_BATCH_SIZE = 4096
 MAX_RESPONSE_PAYLOAD = 32 * 1024
 
 #: Datagrams drained from the kernel per poll (one blocking receive plus
-#: up to ``drain_limit - 1`` non-blocking ones).
-DEFAULT_DRAIN_LIMIT = 64
+#: up to ``DRAIN_LIMIT - 1`` non-blocking ones).
+DRAIN_LIMIT = 64
 
 #: Ask the kernel for this much socket receive buffer so bursts from the
 #: load generator survive between polls (best-effort).
@@ -128,16 +129,12 @@ class DidoUDPServer:
     system:
         The :class:`~repro.core.dido.DidoSystem` that processes batches; a
         default-sized one is created if omitted.
-    batch_window_s:
-        Coalescing deadline in seconds, measured from the first query of a
-        batch; ``coalesce_us`` overrides it when given.
     batch_size:
         Dispatch a batch as soon as it holds this many queries (the
         adaptive cutoff); excess queries carry over to the next batch.
     coalesce_us:
-        Coalescing deadline in microseconds (overrides ``batch_window_s``).
-    drain_limit:
-        Upper bound on datagrams taken from the kernel per poll.
+        Coalescing deadline in microseconds, measured from the first query
+        of a batch.
 
     On a system that supports pipelining (procshard) the serve loop keeps
     :data:`~repro.engine.procshard.MAX_INFLIGHT_WINDOWS` windows in
@@ -152,21 +149,13 @@ class DidoUDPServer:
         self,
         address: tuple[str, int] = ("127.0.0.1", 0),
         system: DidoSystem | None = None,
-        batch_window_s: float = DEFAULT_BATCH_WINDOW_S,
         batch_size: int = DEFAULT_BATCH_SIZE,
-        coalesce_us: float | None = None,
-        drain_limit: int = DEFAULT_DRAIN_LIMIT,
+        coalesce_us: float = DEFAULT_COALESCE_US,
     ):
-        if coalesce_us is not None:
-            if coalesce_us < 0:
-                raise ConfigurationError("coalesce deadline must be non-negative")
-            batch_window_s = coalesce_us / 1e6
-        if batch_window_s < 0:
-            raise ConfigurationError("batch window must be non-negative")
+        if coalesce_us < 0:
+            raise ConfigurationError("coalesce deadline must be non-negative")
         if batch_size < 1:
             raise ConfigurationError("batch size must be positive")
-        if drain_limit < 1:
-            raise ConfigurationError("drain limit must be positive")
         self.system = system or DidoSystem(
             memory_bytes=64 << 20, expected_objects=65536
         )
@@ -177,9 +166,8 @@ class DidoUDPServer:
             pass
         self._socket.bind(address)
         self._socket.settimeout(0.1)
-        self._batch_window_s = batch_window_s
+        self._coalesce_s = coalesce_us / 1e6
         self._batch_size = batch_size
-        self._drain_limit = drain_limit
         #: Queries received but not yet dispatched (the carry-over queue),
         #: as the open window the next poll appends to: its columns and
         #: its bounds column, one ``(row_stop, peer)`` per datagram, oldest
@@ -307,19 +295,19 @@ class DidoUDPServer:
         is never starved waiting for traffic that may not come.
 
         Each poll takes one blocking receive and then drains whatever else
-        the kernel already queued (up to ``drain_limit`` datagrams) without
+        the kernel already queued (up to :data:`DRAIN_LIMIT` datagrams) without
         blocking; every poll's queries are appended to the one open window.
         """
         window, bounds = self._backlog
         count = len(window)
         deadline = (
-            time.monotonic() + self._batch_window_s if bounds else None
+            time.monotonic() + self._coalesce_s if bounds else None
         )
         if deadline is None and self._inflight_windows:
             # Windows are in flight: cap the blocking wait at one coalesce
             # window so a traffic lull drains (and transmits) them quickly
             # instead of holding replies for the full poll timeout.
-            deadline = time.monotonic() + self._batch_window_s
+            deadline = time.monotonic() + self._coalesce_s
         polls = 0
         drained = 0
         while count < self._batch_size:
@@ -338,7 +326,7 @@ class DidoUDPServer:
             peers = [peer]
             # Burst drain: take what the kernel already queued, no waiting.
             self._socket.settimeout(0.0)
-            while len(payloads) < self._drain_limit:
+            while len(payloads) < DRAIN_LIMIT:
                 try:
                     payload, peer = self._socket.recvfrom(MAX_DATAGRAM)
                 except (BlockingIOError, InterruptedError, socket.timeout):
@@ -353,7 +341,7 @@ class DidoUDPServer:
             self._ingest(payloads, peers, window, bounds)
             count = len(window)
             if deadline is None:
-                deadline = time.monotonic() + self._batch_window_s
+                deadline = time.monotonic() + self._coalesce_s
         self._socket.settimeout(0.1)
         if polls:
             telemetry = get_telemetry()

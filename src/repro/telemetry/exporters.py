@@ -199,9 +199,9 @@ def _family_of(series_name: str, families: dict[str, dict]) -> str | None:
 # ----------------------------------------------------------------- console
 
 #: The batch-coalescing gauges the console summary calls out explicitly
-#: (queue carry-over, batch fill vs target, shard balance, receive-loop
-#: drain depth) — what an operator tunes ``--batch-size``/
-#: ``--coalesce-us``/``--shards``/``--drain-limit`` against.
+#: (queue carry-over, batch fill vs target, shard balance, datagrams per
+#: receive poll, capped at ``repro.server.DRAIN_LIMIT``) — what an
+#: operator tunes ``--batch-size``/``--coalesce-us``/``--shards`` against.
 COALESCING_SERIES = (
     "repro_server_queue_depth",
     "repro_batch_fill_ratio",

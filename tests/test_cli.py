@@ -1,4 +1,5 @@
-"""Tests for the command-line interface and the scripts under ``tools/``."""
+"""Tests for the command-line interface and the scripts under ``tools/`` and
+``examples/``."""
 
 import importlib.util
 import os
@@ -143,8 +144,8 @@ class TestStoreFlags:
     OWN_FLAGS = {
         "serve": {
             "--help", "--host", "--port", "--batch-size", "--coalesce-us",
-            "--drain-limit", "--telemetry-out", "--cluster-node",
-            "--cluster-manifest", "--cluster-control-port", "--cluster-gated",
+            "--telemetry-out", "--cluster-node", "--cluster-manifest",
+            "--cluster-control-port", "--cluster-gated",
         },
         "cluster": {
             "--help", "--host", "--batch-size", "--nodes", "--workdir",
@@ -200,7 +201,7 @@ class TestStoreFlags:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["serve", "--help"])
         text = capsys.readouterr().out
-        assert "--shards" in text and "--drain-limit" in text
+        assert "--shards" in text
         assert "--wire" not in text
         assert "--pipeline-depth" not in text
 
@@ -213,12 +214,20 @@ REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     [
         (["tools/diag.py", "K8-G95-S"], r"DIDO choice .* thr= *\d+\.\d+"),
         (["tools/calibrate.py"], r"K8-G95-S +mega= *\d+\.\d+ dido= *\d+\.\d+ speedup="),
+        (["examples/quickstart.py"], r"batch of 4096: \d+ GET hits, pipeline = \[RV"),
+        (
+            ["examples/adaptive_pipeline.py"],
+            r"batch +\d+ +\[ *\d+% change\] +-> \[RV.*\(est \d+\.\d+ MOPS\)",
+        ),
+        (["examples/facebook_workloads.py"], r"simulated +: \d+\.\d+ MOPS \(GPU \d+% busy\)"),
+        (["examples/cost_model_explorer.py"], r"\n1 +\d+\.\d+ +\d+\.\d+ +\[RV"),
     ],
-    ids=["diag", "calibrate"],
+    ids=["diag", "calibrate", "quickstart", "adaptive_pipeline", "facebook_workloads",
+         "cost_model_explorer"],
 )
 def test_tool_scripts_run(argv, row):
-    """The two model-diagnostic scripts still run against today's
-    ``repro`` and print their tables (they have no other test)."""
+    """The model-diagnostic scripts and the examples still run against
+    today's ``repro`` and print their tables (they have no other test)."""
     env = {**os.environ, "PYTHONPATH": os.path.join(REPO, "src")}
     done = subprocess.run(
         [sys.executable, *argv], cwd=REPO, env=env, capture_output=True, text=True, timeout=120
@@ -266,3 +275,22 @@ def test_ab_serving_runs_each_workload_in_turn(monkeypatch, capsys):
     assert all(" 2/2 " in line for line in table)
     with pytest.raises(SystemExit):
         ab.build_parser().parse_args(["--parent", "p", "--change", "c"])
+
+
+@pytest.mark.parametrize(
+    "parent, change, verdict",
+    [
+        ([10.0, 10.2, 10.4, 10.6], [10.5, 10.9, 11.0, 11.2], "within bound"),
+        ([10.0, 10.2, 10.4, 10.6], [11.6, 11.8, 12.0, 12.2], "worse beyond bound"),
+        ([8.0, 10.0, 12.0, 14.0], [10.0, 11.0, 12.0, 13.0], "unresolved"),
+        ([8.0, 10.0, 12.0, 14.0], [5.0, 6.0, 7.0, 7.5], "within bound"),
+    ],
+    ids=["within", "worse", "unresolved", "every-change-run-better"],
+)
+def test_ab_serving_no_regression_verdict(parent, change, verdict):
+    """With a 10 % bound: the medians decide while the parent's IQR is
+    narrower than the bound; a wider IQR is unresolved unless every change
+    run reads better than every parent run."""
+    ab = _load_tool("ab_serving")
+    assert ab.compare(parent, change, 0.10)["bound_verdict"] == verdict
+    assert set(ab.load_bounds()) == set(ab.METRICS)

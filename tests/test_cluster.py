@@ -1,12 +1,9 @@
-"""Unit tests for the consistent-hash ring and the DIDO fleet."""
+"""Unit tests for the consistent-hash ring."""
 
 import pytest
 
-from repro.cluster.fleet import KVCluster
 from repro.cluster.ring import HashRing
 from repro.errors import ConfigurationError
-from repro.kv.protocol import Query, QueryType, ResponseStatus
-from repro.workloads.ycsb import QueryStream, standard_workload
 
 
 class TestHashRing:
@@ -71,64 +68,3 @@ class TestHashRing:
 
     def test_len(self):
         assert len(self.make()) == 3
-
-
-class TestKVCluster:
-    @pytest.fixture
-    def cluster(self):
-        return KVCluster(
-            ["n1", "n2", "n3"], node_memory_bytes=8 << 20, expected_objects=4096
-        )
-
-    def test_round_trip_across_nodes(self, cluster):
-        sets = [Query(QueryType.SET, f"key-{i}".encode(), f"v{i}".encode()) for i in range(60)]
-        responses = cluster.process(sets)
-        assert all(r.status is ResponseStatus.STORED for r in responses)
-        gets = [Query(QueryType.GET, f"key-{i}".encode()) for i in range(60)]
-        responses = cluster.process(gets)
-        for i, response in enumerate(responses):
-            assert response.value == f"v{i}".encode()
-
-    def test_responses_keep_input_order(self, cluster):
-        batch = [Query(QueryType.SET, f"k{i}".encode(), str(i).encode()) for i in range(40)]
-        cluster.process(batch)
-        gets = [Query(QueryType.GET, f"k{i}".encode()) for i in range(40)]
-        values = [r.value for r in cluster.process(gets)]
-        assert values == [str(i).encode() for i in range(40)]
-
-    def test_routing_partitions_batch(self, cluster):
-        batch = [Query(QueryType.GET, f"key-{i}".encode()) for i in range(300)]
-        routed = cluster.route(batch)
-        total = sum(len(v) for v in routed.values())
-        assert total == 300
-        assert len(routed) == 3
-
-    def test_failover_redistributes(self, cluster):
-        stream = QueryStream(standard_workload("K16-G95-U"), num_keys=3000, seed=2)
-        cluster.process(stream.next_batch(900))
-        victim = "n2"
-        before = {s.name: s.queries for s in cluster.stats()}
-        cluster.fail_node(victim)
-        assert victim not in cluster.nodes
-        cluster.process(stream.next_batch(900))
-        after = {s.name: s.queries for s in cluster.stats()}
-        # Survivors absorbed more traffic than before.
-        for name in after:
-            assert after[name] > before[name]
-
-    def test_failed_nodes_data_lost(self, cluster):
-        cluster.process([Query(QueryType.SET, b"somekey", b"val")])
-        owner = cluster.ring.node_for(b"somekey")
-        cluster.fail_node(owner)
-        response = cluster.process([Query(QueryType.GET, b"somekey")])[0]
-        assert response.status is ResponseStatus.NOT_FOUND
-
-    def test_constructor_validation(self):
-        with pytest.raises(ConfigurationError):
-            KVCluster([])
-        with pytest.raises(ConfigurationError):
-            KVCluster(["x", "x"])
-
-    def test_fail_unknown_node(self, cluster):
-        with pytest.raises(ConfigurationError):
-            cluster.fail_node("nope")

@@ -56,7 +56,7 @@ def build_manifest(names, epoch, addresses):
 def spawn_node(name, manifest, *, gated=False):
     system = DidoSystem(memory_bytes=8 << 20, expected_objects=4096)
     info = manifest.nodes[name]
-    server = DidoUDPServer(info.address, system=system, batch_window_s=0.001)
+    server = DidoUDPServer(info.address, system=system, coalesce_us=1000)
     node = ClusterNode(
         name, server, manifest, ("127.0.0.1", info.control_port), gated=gated
     )

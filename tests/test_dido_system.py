@@ -6,10 +6,7 @@ from repro.core.dido import DidoSystem
 from repro.core.profiler import WINDOW_QUERIES
 from repro.errors import WorkloadError
 from repro.kv.protocol import Query, QueryType, ResponseStatus
-from repro.net.packets import frames_for_queries
 from repro.workloads.ycsb import QueryStream, standard_workload
-
-from conftest import profile_for
 
 
 @pytest.fixture
@@ -57,19 +54,6 @@ class TestFunctionalPath:
         for _ in range(2):
             system.process(big.next_batch(300))
         assert system.report().replans > before
-
-    def test_frames_path(self, system):
-        frames = frames_for_queries(
-            [Query(QueryType.SET, b"k", b"v"), Query(QueryType.GET, b"k")]
-        )
-        result = system.process_frames(frames)
-        assert result.responses[1].value == b"v"
-        assert system.nic.stats.rx_frames == len(frames)
-        assert system.nic.stats.tx_frames >= 1
-
-    def test_submit_path(self, system):
-        result = system.submit([Query(QueryType.SET, b"a", b"1")])
-        assert result.responses[0].status is ResponseStatus.STORED
 
     def test_results_match_store_semantics(self, system):
         """Whatever pipeline the controller picks, responses agree with a
@@ -133,14 +117,6 @@ class TestEngineResolution:
 
 
 class TestAnalyticalPath:
-    def test_measure_steady_state(self, system):
-        m = system.measure_steady_state(profile_for("K16-G95-S"))
-        assert m.throughput_mops > 0
-
-    def test_plan_for_returns_config(self, system):
-        config = system.plan_for(profile_for("K8-G95-U"))
-        assert config.gpu_stage is not None
-
     def test_skew_estimator_feeds_controller(self, system):
         """After processing a skewed stream, the profiler's estimated skew
         is visible in the controller's planned-for profile."""

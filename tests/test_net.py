@@ -1,72 +1,55 @@
-"""Unit tests for the simulated network substrate (frames + NIC)."""
+"""Unit tests for the frame model and the reference response packer."""
 
-import pytest
-
-from repro.errors import ConfigurationError
-from repro.kv.protocol import (
-    Query,
-    QueryType,
-    Response,
-    ResponseStatus,
-    decode_queries,
-    decode_responses,
-)
-from repro.net.nic import SimulatedNIC
-from repro.net.packets import (
-    ETHERNET_MTU,
-    FRAME_HEADER_BYTES,
-    Frame,
-    frames_for_queries,
-    frames_for_responses,
-)
+from repro.kv.protocol import Response, ResponseStatus, decode_responses
+from repro.net.packets import ETHERNET_MTU, FRAME_HEADER_BYTES, frames_for_responses
 
 
-def gets(n):
-    return [Query(QueryType.GET, f"key-{i:05d}".encode()) for i in range(n)]
+def hits(n):
+    return [Response(ResponseStatus.OK, f"value-{i:05d}".encode()) for i in range(n)]
 
 
 class TestFramePacking:
     def test_small_batch_one_frame(self):
-        frames = frames_for_queries(gets(10))
+        frames = frames_for_responses(hits(10))
         assert len(frames) == 1
         assert frames[0].query_count == 10
 
     def test_packs_to_mtu(self):
-        frames = frames_for_queries(gets(500))
+        frames = frames_for_responses(hits(500))
         for frame in frames:
             assert len(frame.payload) <= ETHERNET_MTU
         # Maximal batching: every frame except the last is nearly full.
-        per_query = gets(1)[0].wire_size
+        per_response = hits(1)[0].wire_size
         for frame in frames[:-1]:
-            assert len(frame.payload) + per_query > ETHERNET_MTU
+            assert len(frame.payload) + per_response > ETHERNET_MTU
 
     def test_round_trip_through_frames(self):
-        queries = gets(300)
-        frames = frames_for_queries(queries)
+        responses = hits(300)
+        frames = frames_for_responses(responses)
         decoded = []
         for frame in frames:
-            decoded.extend(decode_queries(frame.payload))
-        assert [q.key for q in decoded] == [q.key for q in queries]
+            decoded.extend(decode_responses(frame.payload))
+        assert [r.value for r in decoded] == [r.value for r in responses]
 
-    def test_oversized_query_gets_dedicated_frame(self):
+    def test_oversized_response_gets_dedicated_frame(self):
         """A jumbo value rides alone in one IP-fragmented datagram."""
-        small = Query(QueryType.GET, b"key-a")
-        jumbo = Query(QueryType.SET, b"k", b"x" * 8000)
-        frames = frames_for_queries([small, jumbo, small])
+        small = Response(ResponseStatus.STORED)
+        jumbo = Response(ResponseStatus.OK, b"x" * 8000)
+        frames = frames_for_responses([small, jumbo, small])
         assert len(frames) == 3
         assert frames[1].query_count == 1
         assert len(frames[1].payload) > ETHERNET_MTU
         decoded = []
         for frame in frames:
-            decoded.extend(decode_queries(frame.payload))
-        assert [q.key for q in decoded] == [b"key-a", b"k", b"key-a"]
+            decoded.extend(decode_responses(frame.payload))
+        assert [r.value for r in decoded] == [b"", b"x" * 8000, b""]
 
     def test_wire_bytes_include_headers(self):
-        frame = frames_for_queries(gets(1))[0]
+        frame = frames_for_responses(hits(1))[0]
         assert frame.wire_bytes == FRAME_HEADER_BYTES + len(frame.payload)
 
     def test_empty_batch_no_frames(self):
-        assert frames_for_queries([]) == []
+        assert frames_for_responses([]) == []
 
     def test_response_packing_round_trip(self):
         responses = [Response(ResponseStatus.OK, b"v" * 50) for _ in range(100)]
@@ -76,46 +59,3 @@ class TestFramePacking:
         for frame in frames:
             decoded.extend(decode_responses(frame.payload))
         assert len(decoded) == 100
-
-
-class TestNIC:
-    def test_deliver_receive(self):
-        nic = SimulatedNIC()
-        frames = frames_for_queries(gets(50))
-        assert nic.deliver(frames) == len(frames)
-        assert nic.rx_pending == len(frames)
-        out = nic.receive()
-        assert len(out) == len(frames)
-        assert nic.rx_pending == 0
-
-    def test_receive_bounded(self):
-        nic = SimulatedNIC()
-        nic.deliver(frames_for_queries(gets(500)))
-        got = nic.receive(max_frames=2)
-        assert len(got) == 2
-
-    def test_ring_overflow_drops(self):
-        nic = SimulatedNIC(ring_size=3)
-        frames = [Frame(b"x" * 100) for _ in range(10)]
-        accepted = nic.deliver(frames)
-        assert accepted == 3
-        assert nic.stats.rx_dropped == 7
-
-    def test_tx_accounting(self):
-        nic = SimulatedNIC()
-        frames = frames_for_responses([Response(ResponseStatus.OK, b"v")] * 10)
-        nic.send(frames)
-        assert nic.stats.tx_frames == len(frames)
-        assert nic.drain_tx() == frames
-        assert nic.drain_tx() == []
-
-    def test_wire_time(self):
-        nic = SimulatedNIC(line_rate_gbps=10.0)
-        # 10 Gb/s = 1.25 bytes/ns -> 1250 bytes take 1000 ns.
-        assert nic.wire_time_ns(1250) == pytest.approx(1000.0)
-
-    def test_invalid_construction(self):
-        with pytest.raises(ConfigurationError):
-            SimulatedNIC(line_rate_gbps=0)
-        with pytest.raises(ConfigurationError):
-            SimulatedNIC(ring_size=0)

@@ -7,7 +7,6 @@ from repro.core.tasks import Task
 from repro.kv.protocol import Query, QueryType, ResponseStatus, decode_responses
 from repro.kv.slab import SlabAllocator
 from repro.kv.store import KVStore
-from repro.net.packets import frames_for_queries
 from repro.pipeline.functional import FunctionalPipeline
 from repro.pipeline.megakv import megakv_coupled_config
 from repro.workloads.ycsb import QueryStream, standard_workload
@@ -86,12 +85,6 @@ class TestBasicSemantics:
         for frame in result.frames:
             decoded.extend(decode_responses(frame.payload))
         assert [r.status for r in decoded] == [r.status for r in result.responses]
-
-    def test_process_frames_entry_point(self):
-        pipeline, _ = fresh_pipeline()
-        frames = frames_for_queries([Query(QueryType.SET, b"k", b"v")])
-        result = pipeline.process_frames(megakv_coupled_config(), frames)
-        assert result.responses[0].status is ResponseStatus.STORED
 
 
 class TestConfigEquivalence:

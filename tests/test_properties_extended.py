@@ -11,9 +11,9 @@ from repro.core.profiler import WorkloadProfile
 from repro.hardware.specs import APU_A10_7850K
 from repro.kv.chaining import ChainedHashTable
 from repro.kv.hashtable import CuckooHashTable
-from repro.kv.protocol import Query, QueryType
+from repro.kv.protocol import Query, QueryType, Response, ResponseStatus
 from repro.kv.store import KVStore
-from repro.net.packets import ETHERNET_MTU, frames_for_queries
+from repro.net.packets import ETHERNET_MTU, frames_for_responses
 from repro.pipeline.megakv import megakv_coupled_config
 from repro.workloads.trace import read_trace, summarize_trace, write_trace
 
@@ -81,12 +81,12 @@ def test_store_backends_agree(ops):
 
 
 @settings(max_examples=20, deadline=None)
-@given(st.lists(query_strategy, max_size=200))
-def test_frame_packing_never_splits_and_never_wastes(queries):
-    frames = frames_for_queries(queries)
-    # Every query appears exactly once across frames.
+@given(st.lists(st.builds(Response, st.sampled_from(list(ResponseStatus)), values), max_size=200))
+def test_frame_packing_never_splits_and_never_wastes(responses):
+    frames = frames_for_responses(responses)
+    # Every response appears exactly once across frames.
     total = sum(f.query_count for f in frames)
-    assert total == len(queries)
+    assert total == len(responses)
     # No frame exceeds the MTU unless it carries a single jumbo message.
     for frame in frames:
         if len(frame.payload) > ETHERNET_MTU:

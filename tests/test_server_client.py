@@ -34,7 +34,7 @@ def open_window(datagrams):
 @pytest.fixture
 def server():
     system = DidoSystem(memory_bytes=16 << 20, expected_objects=8192)
-    srv = DidoUDPServer(("127.0.0.1", 0), system=system, batch_window_s=0.001)
+    srv = DidoUDPServer(("127.0.0.1", 0), system=system, coalesce_us=1000)
     srv.start()
     yield srv
     srv.stop()
@@ -120,7 +120,7 @@ class TestServerLifecycle:
 
     def test_negative_window_rejected(self):
         with pytest.raises(ConfigurationError):
-            DidoUDPServer(("127.0.0.1", 0), batch_window_s=-1.0)
+            DidoUDPServer(("127.0.0.1", 0), coalesce_us=-1.0)
 
     def test_malformed_datagram_counted_not_fatal(self, server, client):
         import socket as socketlib
@@ -158,13 +158,6 @@ class TestCoalescing:
             self.make_server(batch_size=0)
         with pytest.raises(ConfigurationError):
             self.make_server(coalesce_us=-1.0)
-
-    def test_coalesce_us_overrides_window(self):
-        srv = self.make_server(batch_window_s=5.0, coalesce_us=1500.0)
-        try:
-            assert srv._batch_window_s == pytest.approx(0.0015)
-        finally:
-            srv.stop()
 
     def test_cut_batch_splits_at_target_and_carries_over(self):
         srv = self.make_server(batch_size=5)
@@ -250,10 +243,6 @@ class TestWirePlanes:
         system = DidoSystem(memory_bytes=16 << 20, expected_objects=8192, engine="vector")
         return DidoUDPServer(("127.0.0.1", 0), system=system, **kwargs)
 
-    def test_invalid_drain_limit_rejected(self):
-        with pytest.raises(ConfigurationError):
-            self.make_server(drain_limit=0)
-
     @pytest.mark.parametrize("engine", ["vector", "serial"])
     def test_server_bytes_equal_reference_codec(self, engine):
         """The one TX path — response columns filled by the engine (vector)
@@ -277,7 +266,7 @@ class TestWirePlanes:
         reference = FunctionalPipeline(KVStore(16 << 20, 8192), engine="reference")
         config = megakv_coupled_config()
         system = DidoSystem(memory_bytes=16 << 20, expected_objects=8192, engine=engine)
-        srv = DidoUDPServer(("127.0.0.1", 0), system=system, batch_window_s=0.001)
+        srv = DidoUDPServer(("127.0.0.1", 0), system=system, coalesce_us=1000)
         srv.start()
         try:
             with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as sock:
@@ -294,7 +283,7 @@ class TestWirePlanes:
         from repro.telemetry import configure, get_telemetry
 
         configure(enabled=True)
-        srv = self.make_server(batch_window_s=0.001)
+        srv = self.make_server(coalesce_us=1000)
         srv.start()
         try:
             with DidoClient(srv.address, timeout_s=5.0) as client:
@@ -312,7 +301,7 @@ class TestWirePlanes:
         from repro.telemetry import configure, get_telemetry
 
         configure(enabled=True)
-        srv = self.make_server(batch_window_s=0.001)
+        srv = self.make_server(coalesce_us=1000)
         srv.start()
         try:
             with DidoClient(srv.address, timeout_s=5.0) as client:
@@ -433,7 +422,7 @@ class TestServeLoopFuzz:
         logging.getLogger("repro.server").addHandler(warnings)
         system = DidoSystem(memory_bytes=16 << 20, expected_objects=8192)
         srv = DidoUDPServer(
-            ("127.0.0.1", 0), system=system, batch_window_s=0.2, batch_size=batch_size
+            ("127.0.0.1", 0), system=system, coalesce_us=200_000, batch_size=batch_size
         )
         try:
             for sock in peers:

@@ -4,15 +4,13 @@ Every test here is an identity check: whatever the per-object reference
 codec (:mod:`repro.kv.protocol`, :func:`repro.net.packets._pack`)
 produces, the columnar plane (:mod:`repro.net.wire`) must produce byte
 for byte — including the exact :class:`~repro.errors.ProtocolError`
-messages on malformed input, from the cross-datagram gather and from the
-scalar walk ``decode_window`` picks for every other poll alike.
+messages on malformed input.
 """
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-import repro.net.wire as wire
 from repro.errors import ProtocolError
 from repro.kv.protocol import (
     Query,
@@ -26,6 +24,7 @@ from repro.kv.protocol import (
 from repro.net.packets import ETHERNET_MTU, frames_for_responses
 from repro.net.wire import (
     QueryColumns,
+    WindowParseError,
     chunk_response_payloads,
     cut_frame_bounds,
     decode_payload,
@@ -63,24 +62,6 @@ responses_strategy = st.lists(
 def split(window, stops):
     """Per-payload row slices of a decoded window."""
     return [window[a:b] for a, b in zip([0, *stops], stops)]
-
-
-@pytest.fixture(params=["vector", "scalar"])
-def wire_mode(request):
-    """Run the wrapped test against each decoder ``decode_window``
-    selects between by poll shape — the many-datagram NumPy gather and the
-    scalar walk — as ``payloads -> (per-payload segments, errors)``."""
-    decode = {
-        "vector": wire._decode_window_vector,
-        "scalar": wire._decode_window_scalar,
-    }[request.param]
-
-    def run(payloads):
-        window = QueryColumns.open_window()
-        stops, errors = decode(payloads, window)
-        return split(window, stops), errors
-
-    return run
 
 
 def peer_chunks(responses: list[Response]) -> list[bytes]:
@@ -169,6 +150,22 @@ class TestDecodeIdentity:
         assert errors[0].message == "unknown opcode 7 at offset 7"
         assert len(segments[0]) == len(segments[2]) == 1
         assert len(segments[1]) == 0
+        # A poll of 64 equal-size datagrams, one of them malformed, decodes
+        # exactly like one legacy decode per payload.
+        payloads = [
+            encode_queries([Query(QueryType.GET, b"key-%02d" % d)] * 4) for d in range(64)
+        ]
+        payloads[17] = b"\x07" + payloads[17][1:]
+        window, stops, errors = decode_window(payloads)
+        for d, (segment, payload) in enumerate(zip(split(window, stops), payloads)):
+            try:
+                expected = decode_queries(payload)
+            except ProtocolError as exc:
+                assert errors == [WindowParseError(d, str(exc))]
+                assert len(segment) == 0
+            else:
+                assert columns_equal_queries(segment, expected)
+        assert [e.datagram for e in errors] == [17]
 
     def test_errored_datagram_drops_all_its_queries(self):
         """A datagram failing mid-way contributes nothing, like the legacy
@@ -198,30 +195,12 @@ class TestDecodeIdentity:
             ),
         ],
     )
-    def test_exact_error_messages(self, wire_mode, payload, message):
-        segments, errors = wire_mode([payload])
+    def test_exact_error_messages(self, payload, message):
+        window, stops, errors = decode_window([payload])
         assert [(e.datagram, e.message) for e in errors] == [(0, message)]
-        assert len(segments[0]) == 0
+        assert stops == [0] and len(window) == 0
         with pytest.raises(ProtocolError, match=f"^{message}$"):
             decode_queries(payload)
-
-    def test_scalar_window_matches_vector(self):
-        batches = [
-            [Query(QueryType.SET, b"a", b"1"), Query(QueryType.GET, b"b")],
-            [],
-            [Query(QueryType.DELETE, b"c")],
-        ]
-        payloads = [encode_queries(batch) for batch in batches] + [b"\xffjunk"]
-        vector, scalar = QueryColumns.open_window(), QueryColumns.open_window()
-        vector_stops, vector_errors = wire._decode_window_vector(payloads, vector)
-        scalar_stops, scalar_errors = wire._decode_window_scalar(payloads, scalar)
-        assert vector_stops == scalar_stops == [2, 2, 3, 3]
-        assert (vector.qtypes, vector.keys, vector.values, vector.opcodes) == (
-            scalar.qtypes, scalar.keys, scalar.values, scalar.opcodes
-        )
-        assert [(e.datagram, e.message) for e in vector_errors] == [
-            (e.datagram, e.message) for e in scalar_errors
-        ]
 
 
 # ------------------------------------------------------------------- encode
@@ -344,14 +323,14 @@ class TestQueryColumns:
         assert list(part.opcodes) == [2, 2, 2]
         assert list(part.key_lens) == [2, 2, 2]
 
-    def test_concat_restores_window(self, wire_mode):
+    def test_concat_restores_window(self):
         batches = [
             [Query(QueryType.SET, b"a", b"1")],
             [Query(QueryType.GET, b"b"), Query(QueryType.DELETE, b"c")],
         ]
-        segments, errors = wire_mode([encode_queries(b) for b in batches])
+        window, stops, errors = decode_window([encode_queries(b) for b in batches])
         assert not errors
-        merged = QueryColumns.concat([segment.sealed() for segment in segments])
+        merged = QueryColumns.concat(split(window, stops))
         assert list(merged.opcodes) == [2, 1, 3]
         assert merged.to_queries() == [q for batch in batches for q in batch]
 

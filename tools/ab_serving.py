@@ -10,12 +10,16 @@ benchmark's own run length, untraced, parent first on even pairs and change
 first on odd ones, with nothing else running.  ``--workload`` may be given
 more than once: the pairs of each workload run in turn.  For each workload
 and end-to-end metric it prints every run, then per side q1 / median / q3,
-the wins (ties count for neither) and the verdict of the rule in the
-`choosing-metrics` guide: the change wins at least nine tenths of the pairs
-and the medians differ by more than the parent's own inter-quartile
-distance.  It ends with one row per workload x metric.  A run that is not
-``correct`` or has failed operations is printed as such and makes the exit
-status 1.
+the wins (ties count for neither) and two verdicts.  The gain verdict is
+the rule in the `choosing-metrics` guide: the change wins at least nine
+tenths of the pairs and the medians differ by more than the parent's own
+inter-quartile distance.  The no-regression verdict reads the metric's
+bound from ``BENCHMARK.json``: *within bound* when the change's median is
+at most the parent's times (1 + bound), *worse beyond bound* otherwise,
+and *unresolved* when the parent's inter-quartile distance is wider than
+the bound, unless every change run reads better than every parent run.  It
+ends with one row per workload x metric.  A run that is not ``correct`` or
+has failed operations is printed as such and makes the exit status 1.
 """
 
 from __future__ import annotations
@@ -32,6 +36,14 @@ from pathlib import Path
 RUN_SECONDS = 20
 #: The end-to-end metrics of an untraced run; lower is better for all three.
 METRICS = ("setup_s", "cpu_us_per_q", "rss_mb")
+#: Declares each end-to-end metric's no-regression bound (read only).
+BENCHMARK = Path(__file__).resolve().parents[1] / "BENCHMARK.json"
+
+
+def load_bounds(path: Path = BENCHMARK) -> dict[str, float]:
+    """Each end-to-end metric's bound, a fraction of the parent's median."""
+    with open(path, encoding="utf-8") as handle:
+        return {metric["name"]: metric["bound"] for metric in json.load(handle)["end_to_end"]}
 
 
 def run_once(checkout: Path, workload: str, seed: int) -> dict:
@@ -56,8 +68,8 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
     return q1, median, q3
 
 
-def compare(parent: list[float], change: list[float]) -> dict:
-    """Quartiles per side, wins and the verdict for one metric."""
+def compare(parent: list[float], change: list[float], bound: float) -> dict:
+    """Quartiles per side, wins and both verdicts for one metric."""
     wins = sum(c < p for p, c in zip(parent, change))
     losses = sum(c > p for p, c in zip(parent, change))
     p_q1, p_med, p_q3 = quartiles(parent)
@@ -70,10 +82,18 @@ def compare(parent: list[float], change: list[float]) -> dict:
         verdict = "gain holds"
     else:
         verdict = "no gain shown"
+    if max(change) < min(parent):
+        bound_verdict = "within bound"
+    elif p_q3 - p_q1 > bound * p_med:
+        bound_verdict = "unresolved"
+    elif c_med <= p_med * (1 + bound):
+        bound_verdict = "within bound"
+    else:
+        bound_verdict = "worse beyond bound"
     return {
         "parent": (p_q1, p_med, p_q3), "change": (c_q1, c_med, c_q3),
         "wins": wins, "decided": decided, "pairs": len(parent),
-        "gap": gap, "verdict": verdict,
+        "gap": gap, "verdict": verdict, "bound": bound, "bound_verdict": bound_verdict,
     }
 
 
@@ -89,15 +109,20 @@ def report(workload: str, metric: str, row: dict) -> None:
         f"({100 * gap / p_med if p_med else 0.0:+.1f} % of parent) "
         f"against parent IQR {p_q3 - p_q1:.4g}: {row['verdict']}"
     )
+    print(f"   no-regression bound {row['bound']:.0%}: {row['bound_verdict']}")
 
 
 def summary(rows: list[tuple[str, str, dict]]) -> None:
-    """One line per workload x metric: medians, wins and the verdict."""
-    print(f"{'workload':14s} {'metric':14s} {'parent':>10s} {'change':>10s} {'wins':>7s}  verdict")
+    """One line per workload x metric: medians, wins and both verdicts."""
+    print(
+        f"{'workload':14s} {'metric':14s} {'parent':>10s} {'change':>10s} {'wins':>7s}  "
+        f"{'bound':>5s}  {'no-regression':18s}  gain verdict"
+    )
     for workload, metric, row in rows:
         print(
             f"{workload:14s} {metric:14s} {row['parent'][1]:10.4g} {row['change'][1]:10.4g} "
-            f"{row['wins']:>3d}/{row['decided']:<3d}  {row['verdict']}"
+            f"{row['wins']:>3d}/{row['decided']:<3d}  {row['bound']:5.0%}  "
+            f"{row['bound_verdict']:18s}  {row['verdict']}"
         )
 
 
@@ -115,6 +140,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    bounds = load_bounds()
     sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     first_seed = int(time.time()) % 1_000_000
     clean = True
@@ -141,7 +167,7 @@ def main(argv: list[str] | None = None) -> int:
                 )
         print()
         for name in METRICS:
-            row = compare(values[name]["parent"], values[name]["change"])
+            row = compare(values[name]["parent"], values[name]["change"], bounds[name])
             report(workload, name, row)
             rows.append((workload, name, row))
         print()
