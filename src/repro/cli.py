@@ -42,6 +42,7 @@ from repro.core.profiler import WorkloadProfile
 from repro.engine import ENGINE_NAMES
 from repro.errors import ReproError
 from repro.hardware.specs import APU_A10_7850K
+from repro.kv.protocol import MAX_QUERY_PAYLOAD
 from repro.pipeline.executor import PipelineExecutor
 from repro.pipeline.megakv import megakv_coupled_config
 from repro.server import DEFAULT_COALESCE_US
@@ -398,7 +399,7 @@ def cmd_cluster(args: argparse.Namespace) -> int:
 def cmd_loadgen(args: argparse.Namespace) -> int:
     import json
 
-    from repro.loadgen import WorkloadShape, run_loadgen
+    from repro.loadgen import WorkloadShape, run_cluster_loadgen, run_loadgen
 
     shape = WorkloadShape(
         num_keys=args.num_keys,
@@ -407,30 +408,12 @@ def cmd_loadgen(args: argparse.Namespace) -> int:
         get_ratio=args.get_ratio,
         seed=args.seed,
     )
+    run, target = run_loadgen, (args.host, args.port)
     if args.cluster:
-        from repro.loadgen import run_cluster_loadgen
-
         host, _, port = args.cluster.rpartition(":")
-        report = run_cluster_loadgen(
-            (host or "127.0.0.1", int(port)),
-            shape,
-            mode=args.mode,
-            queries=args.queries,
-            workers=args.workers,
-            depth=args.depth,
-            duration_s=args.duration,
-            rate_qps=args.rate,
-            timeout_s=args.timeout,
-            do_prefill=not args.no_prefill,
-            max_payload=args.max_payload,
-        )
-        if args.json:
-            print(json.dumps(report.to_dict(), indent=2))
-        else:
-            print(report)
-        return 0
-    report = run_loadgen(
-        (args.host, args.port),
+        run, target = run_cluster_loadgen, (host or "127.0.0.1", int(port))
+    report = run(
+        target,
         shape,
         mode=args.mode,
         queries=args.queries,
@@ -442,10 +425,7 @@ def cmd_loadgen(args: argparse.Namespace) -> int:
         do_prefill=not args.no_prefill,
         max_payload=args.max_payload,
     )
-    if args.json:
-        print(json.dumps(report.to_dict(), indent=2))
-    else:
-        print(report)
+    print(json.dumps(report.to_dict(), indent=2) if args.json else report)
     return 0
 
 
@@ -605,11 +585,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--max-payload",
         type=int,
-        default=48 * 1024,
+        default=MAX_QUERY_PAYLOAD,
         help="request datagram size cap in bytes (1400 = one query "
         "datagram per Ethernet MTU)",
     )
-    p.add_argument("--no-prefill", action="store_true", help="skip the SET prefill pass")
+    p.add_argument(
+        "--no-prefill", action="store_true",
+        help="skip the SET prefill pass (GETs may then miss; the closed loop "
+        "counts answers by their headers)",
+    )
     p.add_argument("--json", action="store_true", help="emit the report as JSON")
     p.set_defaults(func=cmd_loadgen)
 

@@ -63,14 +63,17 @@ from dataclasses import dataclass
 from repro.cluster.manifest import ClusterManifest, ManifestRouter
 from repro.cluster.ring import HashRing
 from repro.errors import ConfigurationError, ReproError
-from repro.kv.protocol import Query, QueryType, encode_queries
+from repro.kv.protocol import (
+    MAX_QUERY_PAYLOAD,
+    Query,
+    QueryType,
+    datagram_groups,
+    encode_queries,
+)
 from repro.net.wire import decode_payload
 from repro.telemetry import get_telemetry
 
 logger = logging.getLogger("repro.cluster.serving")
-
-#: Payload bound for one migration SET window (matches the client bound).
-MIGRATION_WINDOW_BYTES = 48 * 1024
 
 #: Keys scanned/streamed per serve-loop tick during the bulk phase — the
 #: knob trading migration speed against serve-loop latency blips.
@@ -292,16 +295,7 @@ class _Migration:
     def _stream(self, queries_by_owner: dict[str, list[Query]]) -> None:
         for owner, queries in queries_by_owner.items():
             channel = self._channel_for(owner)
-            group: list[Query] = []
-            size = 0
-            for query in queries:
-                wire = query.wire_size
-                if group and size + wire > MIGRATION_WINDOW_BYTES:
-                    channel.send_window(encode_queries(group), len(group))
-                    group, size = [], 0
-                group.append(query)
-                size += wire
-            if group:
+            for group in datagram_groups(queries, MAX_QUERY_PAYLOAD):
                 channel.send_window(encode_queries(group), len(group))
 
     def _bulk_chunk(self) -> None:

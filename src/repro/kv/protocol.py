@@ -78,6 +78,29 @@ class Response:
         return _RESPONSE_HEADER.size + len(self.value)
 
 
+#: Request payload bound for one client datagram: comfortably below the
+#: server's receive buffer, shared by every client-side packer.
+MAX_QUERY_PAYLOAD = 48 * 1024
+
+
+def datagram_groups(queries: list[Query], max_payload: int) -> list[list[Query]]:
+    """Split ``queries`` into runs whose encoded size fits ``max_payload``,
+    in order; a query larger than the bound travels alone."""
+    groups: list[list[Query]] = []
+    current: list[Query] = []
+    size = 0
+    for query in queries:
+        wire = query.wire_size
+        if current and size + wire > max_payload:
+            groups.append(current)
+            current, size = [], 0
+        current.append(query)
+        size += wire
+    if current:
+        groups.append(current)
+    return groups
+
+
 def encode_queries(queries: list[Query]) -> bytes:
     """Serialise queries into one payload (what a client frame carries)."""
     parts: list[bytes] = []

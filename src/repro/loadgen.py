@@ -3,25 +3,30 @@
 A :class:`~repro.client.DidoClient` is a correctness tool: one batch in
 flight, responses decoded into objects.  Measuring the server's wire plane
 needs the opposite — datagrams pre-encoded once and replayed, several
-windows in flight, and responses *counted* (header-walked) rather than
-decoded — so the generator saturates the server instead of itself.
+windows in flight, and responses *counted* rather than decoded — so the
+generator saturates the server instead of itself.
 
-Two driving disciplines:
+A single server is the one-node case of a fleet: the seeded query sequence
+is routed to its owners (all of it to the one server), one tape is built
+per owner, and a driver runs one job per ``(name, address, tape)``.  Two
+driving disciplines:
 
 * **closed loop** — each worker keeps ``depth`` request datagrams in
   flight on its own socket, waits for the responses to its window, then
   immediately sends the next; measures sustainable throughput plus
   per-window latency percentiles.
-* **open loop** — a sender paces datagrams at a target queries/second
-  regardless of responses while a receiver thread counts what comes back;
-  measures behaviour under offered load (the paper's client machines).
+* **open loop** — per node, a sender paces datagrams at that node's share
+  of a target queries/second regardless of responses while a receiver
+  thread counts what comes back and a prober times single GETs; measures
+  behaviour under offered load (the paper's client machines).
 
-Both report a :class:`LoadgenReport`; the CLI prints it or dumps JSON for
-scripts.
+Both report a :class:`LoadgenReport`: one per node, merged for the fleet.
+The CLI prints it or dumps JSON for scripts.
 """
 
 from __future__ import annotations
 
+import functools
 import random
 import socket
 import threading
@@ -29,13 +34,17 @@ import time
 from dataclasses import dataclass, field
 
 from repro.errors import ConfigurationError
-from repro.kv.protocol import Query, QueryType, encode_queries
+from repro.kv.protocol import (
+    MAX_QUERY_PAYLOAD,
+    Query,
+    QueryType,
+    ResponseStatus,
+    datagram_groups,
+    decode_queries,
+    encode_queries,
+)
 from repro.net.wire import RESPONSE_HEADER_BYTES
 from repro.server import MAX_DATAGRAM
-
-#: Keep request datagrams comfortably below the receive-buffer bound
-#: (matches :data:`repro.client._MAX_SEND_PAYLOAD`).
-MAX_SEND_PAYLOAD = 48 * 1024
 
 #: Receive-buffer request for load-generator sockets.  Response bursts for
 #: a deep window arrive faster than a worker thread drains them; the
@@ -86,17 +95,36 @@ def make_keys(shape: WorkloadShape) -> list[bytes]:
     ]
 
 
+def _query_sequence(shape: WorkloadShape, queries: int) -> list[Query]:
+    """The seeded GET/SET sequence every tape of ``shape`` is cut from."""
+    if queries < 1:
+        raise ConfigurationError("need at least one query")
+    rng = random.Random(shape.seed)
+    keys = make_keys(shape)
+    value = b"v" * shape.value_size
+    sequence: list[Query] = []
+    for _ in range(queries):
+        key = keys[rng.randrange(shape.num_keys)]
+        if rng.random() < shape.get_ratio:
+            sequence.append(Query(QueryType.GET, key))
+        else:
+            sequence.append(Query(QueryType.SET, key, value))
+    return sequence
+
+
 @dataclass
 class RequestTape:
     """Pre-encoded request datagrams, replayed verbatim by every worker.
 
     ``payloads[i]`` holds ``counts[i]`` encoded queries and the whole tape
     carries ``total_queries``; encoding happens once, so the measured loop
-    is sendto/recv only.  ``response_bytes[i]`` is the exact response
-    volume datagram ``i`` produces against a prefilled store (every GET
-    hits, every SET stores): the closed loop counts received *bytes*
-    against it instead of walking response headers, keeping the client
-    out of the measurement on shared CPUs.
+    is sendto/recv only.  ``response_bytes[i]``, when present, is the
+    exact response volume datagram ``i`` produces against a prefilled
+    store (every GET hits, every SET stores): the closed loop counts
+    received *bytes* against it instead of walking response headers,
+    keeping the client out of the measurement on shared CPUs.  Tapes for
+    an unfilled store (GETs may miss) or a fleet (redirects differ in
+    size) carry none, and the closed loop walks the headers.
     """
 
     payloads: list[bytes]
@@ -105,85 +133,81 @@ class RequestTape:
     response_bytes: list[int] = field(default_factory=list)
 
 
-def build_tape(
-    shape: WorkloadShape,
-    queries: int,
-    max_payload: int = MAX_SEND_PAYLOAD,
-) -> RequestTape:
-    """Encode ``queries`` random GET/SET queries into datagram payloads."""
-    if queries < 1:
-        raise ConfigurationError("need at least one query")
-    rng = random.Random(shape.seed)
-    keys = make_keys(shape)
-    value = b"v" * shape.value_size
-    # Response wire sizes against a prefilled store: GET hits return the
-    # stored value, SETs return a bare STORED status.
-    get_response = RESPONSE_HEADER_BYTES + shape.value_size
-    set_response = RESPONSE_HEADER_BYTES
-    payloads: list[bytes] = []
-    counts: list[int] = []
+def _tape(queries: list[Query], max_payload: int, hit_value_size: int | None) -> RequestTape:
+    """Pack ``queries`` into datagrams; with ``hit_value_size`` (the run
+    prefilled), also record each datagram's response volume."""
+    groups = datagram_groups(queries, max_payload)
     response_bytes: list[int] = []
-    group: list[Query] = []
-    size = 0
-    reply = 0
-    for _ in range(queries):
-        key = keys[rng.randrange(shape.num_keys)]
-        if rng.random() < shape.get_ratio:
-            query = Query(QueryType.GET, key)
-            answer = get_response
-        else:
-            query = Query(QueryType.SET, key, value)
-            answer = set_response
-        wire = query.wire_size
-        if group and size + wire > max_payload:
-            payloads.append(encode_queries(group))
-            counts.append(len(group))
-            response_bytes.append(reply)
-            group, size, reply = [], 0, 0
-        group.append(query)
-        size += wire
-        reply += answer
-    if group:
-        payloads.append(encode_queries(group))
-        counts.append(len(group))
-        response_bytes.append(reply)
+    if hit_value_size is not None:
+        # GET hits return the stored value, SETs a bare STORED status.
+        get_response = RESPONSE_HEADER_BYTES + hit_value_size
+        response_bytes = [
+            sum(
+                get_response if q.qtype is QueryType.GET else RESPONSE_HEADER_BYTES
+                for q in group
+            )
+            for group in groups
+        ]
     return RequestTape(
-        payloads=payloads,
-        counts=counts,
-        total_queries=queries,
+        payloads=[encode_queries(group) for group in groups],
+        counts=[len(group) for group in groups],
+        total_queries=len(queries),
         response_bytes=response_bytes,
     )
 
 
-def prefill(address: tuple[str, int], shape: WorkloadShape, batch: int = 512) -> int:
-    """SET every key of the keyspace so GETs during the run mostly hit."""
-    from repro.client import DidoClient
+def build_tape(
+    shape: WorkloadShape,
+    queries: int,
+    max_payload: int = MAX_QUERY_PAYLOAD,
+) -> RequestTape:
+    """Encode ``queries`` random GET/SET queries into datagram payloads,
+    with the response volume each draws from a prefilled store."""
+    return _tape(_query_sequence(shape, queries), max_payload, shape.value_size)
 
+
+def build_cluster_tapes(
+    shape: WorkloadShape,
+    queries: int,
+    manifest,
+    max_payload: int = MAX_QUERY_PAYLOAD,
+) -> dict[str, RequestTape]:
+    """Hash-split the deterministic request tape across the fleet.
+
+    Routes the *same* query sequence as :func:`build_tape` (same shape,
+    same seed) to its owners under ``manifest`` and builds one tape per
+    owner, preserving the per-node order.  The union of the per-node
+    tapes equals the single-node tape's query multiset, which is what lets
+    the cluster bench compare merged responses byte-for-byte against a
+    single-node replay.
+    """
+    from repro.cluster.manifest import ManifestRouter
+
+    sequence = _query_sequence(shape, queries)
+    router = ManifestRouter(manifest)
+    per_node: dict[str, list[Query]] = {name: [] for name in router.names}
+    for query, owner in zip(sequence, router.owners_for([q.key for q in sequence])):
+        per_node[owner].append(query)
+    return {
+        name: _tape(node_queries, max_payload, None)
+        for name, node_queries in per_node.items()
+        if node_queries
+    }
+
+
+def prefill(client, shape: WorkloadShape, batch: int = 512) -> int:
+    """SET every key of the keyspace through ``client`` — anything with
+    ``execute``: one server's client or the fleet's routed one — so GETs
+    during the run hit; returns how many SETs were stored."""
     keys = make_keys(shape)
     value = b"v" * shape.value_size
     stored = 0
-    with DidoClient(address, timeout_s=5.0) as client:
-        for start in range(0, len(keys), batch):
-            group = [
-                Query(QueryType.SET, key, value)
-                for key in keys[start : start + batch]
-            ]
-            stored += len(client.execute(group))
-    return stored
-
-
-def count_responses(payload: bytes) -> int:
-    """Messages in one response datagram, by walking the headers only."""
-    count = 0
-    offset = 0
-    end = len(payload)
-    while offset + RESPONSE_HEADER_BYTES <= end:
-        value_len = int.from_bytes(
-            payload[offset + 1 : offset + RESPONSE_HEADER_BYTES], "little"
+    for start in range(0, len(keys), batch):
+        answers = client.execute(
+            [Query(QueryType.SET, key, value) for key in keys[start : start + batch]]
         )
-        offset += RESPONSE_HEADER_BYTES + value_len
-        count += 1
-    return count
+        stored += sum(answer.status is ResponseStatus.STORED for answer in answers)
+    return stored
 
 
 #: Wire value of :attr:`repro.kv.protocol.ResponseStatus.WRONG_NODE`.
@@ -191,12 +215,8 @@ _WRONG_NODE_STATUS = 5
 
 
 def count_responses_and_redirects(payload: bytes) -> tuple[int, int]:
-    """Like :func:`count_responses`, also counting ``WRONG_NODE`` statuses.
-
-    Cluster loops use this instead of byte counting: a redirect response
-    has a different size than the real answer, so only a header walk can
-    both credit the window and surface the redirect rate.
-    """
+    """Messages and ``WRONG_NODE`` statuses in one response datagram, by
+    walking the headers only (values are skipped, never decoded)."""
     count = 0
     redirects = 0
     offset = 0
@@ -217,7 +237,11 @@ def count_responses_and_redirects(payload: bytes) -> tuple[int, int]:
 
 @dataclass
 class LoadgenReport:
-    """Outcome of one load-generator run."""
+    """Outcome of one load-generator run, for one node or a whole fleet.
+
+    A fleet's report is its per-node reports merged: counts summed and
+    latencies concatenated; ``per_node`` keeps the breakdown.
+    """
 
     mode: str
     duration_s: float
@@ -229,8 +253,10 @@ class LoadgenReport:
     latencies_ms: list[float] = field(default_factory=list, repr=False)
     #: ``WRONG_NODE`` responses observed (cluster runs; 0 single-node).
     redirects: int = 0
-    #: Client-side retry rounds (cluster client flows; 0 for blind loops).
+    #: Client-side retry rounds (the fleet's prefill; 0 single-node).
     retries: int = 0
+    #: The merged reports by node name (a fleet run; empty for one node).
+    per_node: dict[str, LoadgenReport] = field(default_factory=dict, repr=False)
 
     @property
     def qps(self) -> float:
@@ -249,7 +275,7 @@ class LoadgenReport:
         return ordered[rank]
 
     def to_dict(self) -> dict:
-        return {
+        out = {
             "mode": self.mode,
             "duration_s": round(self.duration_s, 4),
             "workers": self.workers,
@@ -265,16 +291,73 @@ class LoadgenReport:
             "redirects": self.redirects,
             "retries": self.retries,
         }
+        if self.per_node:
+            out["nodes"] = len(self.per_node)
+            out["per_node"] = {
+                name: report.to_dict() for name, report in sorted(self.per_node.items())
+            }
+        return out
 
     def __str__(self) -> str:
-        return (
+        lines = [
             f"{self.mode}: {self.qps:,.0f} qps "
             f"({self.responses_received:,}/{self.queries_sent:,} answered in "
             f"{self.duration_s:.2f}s, {self.workers} workers x depth {self.depth}, "
             f"p50 {self.latency_ms(0.5):.2f}ms p99 {self.latency_ms(0.99):.2f}ms, "
             f"{self.timeouts} timeouts, {self.redirects} redirects, "
             f"{self.retries} retries)"
-        )
+        ]
+        for name, report in sorted(self.per_node.items()):
+            lines.append(
+                f"  {name}: {report.qps:,.0f} qps, "
+                f"p50 {report.latency_ms(0.5):.2f}ms "
+                f"p99 {report.latency_ms(0.99):.2f}ms, "
+                f"{report.redirects} redirects"
+            )
+        return "\n".join(lines)
+
+
+def _summed(mode: str, duration_s: float, depth: int, outs: list[dict]) -> LoadgenReport:
+    """One report over the tallies of ``outs`` (one dict per worker)."""
+    return LoadgenReport(
+        mode=mode,
+        duration_s=duration_s,
+        workers=len(outs),
+        depth=depth,
+        queries_sent=sum(out["sent"] for out in outs),
+        responses_received=sum(out["received"] for out in outs),
+        timeouts=sum(out["timeouts"] for out in outs),
+        redirects=sum(out["redirects"] for out in outs),
+        latencies_ms=[ms for out in outs for ms in out["latencies"]],
+    )
+
+
+#: One driven node: its name, UDP address and request tape.
+Job = tuple[str, tuple[str, int], RequestTape]
+
+
+def _run_jobs(mode: str, jobs: list[Job], copies: int, depth: int, worker) -> LoadgenReport:
+    """Run ``copies`` threads of ``worker(address, tape, out)`` per job at
+    once, then report per node and merged."""
+    work = [(name, address, tape, {}) for name, address, tape in jobs for _ in range(copies)]
+    threads = [
+        threading.Thread(target=worker, args=(address, tape, out), daemon=True)
+        for _, address, tape, out in work
+    ]
+    start = time.monotonic()
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+    elapsed = time.monotonic() - start
+    by_node: dict[str, list[dict]] = {}
+    for name, _, _, out in work:
+        by_node.setdefault(name, []).append(out)
+    report = _summed(mode, elapsed, depth, [out for *_, out in work])
+    report.per_node = {
+        name: _summed(mode, elapsed, depth, outs) for name, outs in by_node.items()
+    }
+    return report
 
 
 # ------------------------------------------------------------ closed loop
@@ -283,143 +366,108 @@ class LoadgenReport:
 def _closed_worker(
     address: tuple[str, int],
     tape: RequestTape,
+    out: dict,
+    *,
     depth: int,
     stop_at: float,
     timeout_s: float,
-    out: dict,
 ) -> None:
     sock = _make_socket(timeout_s)
     sent = received = timeouts = redirects = 0
     latencies: list[float] = []
     cursor = 0
     num_payloads = len(tape.payloads)
-    # Tapes built by build_tape know the exact response volume of every
-    # datagram (prefilled store), so the wait can count received bytes —
-    # one len() per response datagram instead of a header walk per
-    # response, which matters when client and server share cores.
+    # A tape that knows every datagram's response volume (prefilled store)
+    # lets the wait count received bytes — one len() per response datagram
+    # instead of a header walk per response, which matters when client and
+    # server share cores.
     by_bytes = len(tape.response_bytes) == num_payloads
     try:
         while time.monotonic() < stop_at:
-            expected = 0
-            expected_bytes = 0
+            expected = want = 0
             t0 = time.perf_counter()
             for _ in range(depth):
                 sock.sendto(tape.payloads[cursor], address)
                 expected += tape.counts[cursor]
-                if by_bytes:
-                    expected_bytes += tape.response_bytes[cursor]
+                want += tape.response_bytes[cursor] if by_bytes else tape.counts[cursor]
                 cursor = (cursor + 1) % num_payloads
             sent += expected
-            if by_bytes:
-                got_bytes = 0
-                while got_bytes < expected_bytes:
-                    try:
-                        payload = sock.recv(MAX_DATAGRAM)
-                    except socket.timeout:
-                        timeouts += 1
-                        break  # window lost (UDP); move on
-                    got_bytes += len(payload)
-                if got_bytes >= expected_bytes:
-                    received += expected
-                    latencies.append((time.perf_counter() - t0) * 1e3)
-                else:
-                    # Pro-rate the partial window (responses are not
-                    # individually identifiable without a header walk).
-                    received += expected * got_bytes // max(1, expected_bytes)
-                continue
             got = 0
-            while got < expected:
+            while got < want:
                 try:
                     payload = sock.recv(MAX_DATAGRAM)
                 except socket.timeout:
+                    # Window lost (UDP).  Its stragglers must not count
+                    # toward the next window: move on from a fresh socket.
                     timeouts += 1
-                    break  # window lost (UDP); move on
-                messages, redirected = count_responses_and_redirects(payload)
-                got += messages
-                redirects += redirected
-            received += got
-            if got >= expected:
+                    sock.close()
+                    sock = _make_socket(timeout_s)
+                    break
+                if by_bytes:
+                    got += len(payload)
+                else:
+                    messages, redirected = count_responses_and_redirects(payload)
+                    got += messages
+                    redirects += redirected
+            if got >= want:
                 latencies.append((time.perf_counter() - t0) * 1e3)
+            # A header walk counted the answers; bytes credit the window,
+            # pro-rated when it was cut short.
+            received += expected * min(got, want) // want if by_bytes else got
     finally:
         sock.close()
-    out["sent"] = sent
-    out["received"] = received
-    out["timeouts"] = timeouts
-    out["redirects"] = redirects
-    out["latencies"] = latencies
+    out.update(
+        sent=sent, received=received, timeouts=timeouts, redirects=redirects,
+        latencies=latencies,
+    )
 
 
 def run_closed_loop(
-    address: tuple[str, int],
-    tape: RequestTape,
+    jobs: list[Job],
     *,
     workers: int = 2,
     depth: int = 4,
     duration_s: float = 2.0,
     timeout_s: float = 2.0,
 ) -> LoadgenReport:
-    """Drive ``workers`` closed loops, each ``depth`` datagrams in flight."""
+    """Drive ``workers`` closed loops per job at once, each keeping
+    ``depth`` datagrams in flight."""
     if workers < 1 or depth < 1:
         raise ConfigurationError("workers and depth must be positive")
     if duration_s <= 0:
         raise ConfigurationError("duration must be positive")
-    outs: list[dict] = [{} for _ in range(workers)]
-    start = time.monotonic()
-    stop_at = start + duration_s
-    threads = [
-        threading.Thread(
-            target=_closed_worker,
-            args=(address, tape, depth, stop_at, timeout_s, out),
-            daemon=True,
-        )
-        for out in outs
-    ]
-    for thread in threads:
-        thread.start()
-    for thread in threads:
-        thread.join()
-    elapsed = time.monotonic() - start
-    latencies: list[float] = []
-    for out in outs:
-        latencies.extend(out.get("latencies", ()))
-    return LoadgenReport(
-        mode="closed",
-        duration_s=elapsed,
-        workers=workers,
+    worker = functools.partial(
+        _closed_worker,
         depth=depth,
-        queries_sent=sum(out.get("sent", 0) for out in outs),
-        responses_received=sum(out.get("received", 0) for out in outs),
-        timeouts=sum(out.get("timeouts", 0) for out in outs),
-        redirects=sum(out.get("redirects", 0) for out in outs),
-        latencies_ms=latencies,
+        stop_at=time.monotonic() + duration_s,
+        timeout_s=timeout_s,
     )
+    return _run_jobs("closed", jobs, workers, depth, worker)
 
 
 # -------------------------------------------------------------- open loop
 
 
-def run_open_loop(
+def _open_worker(
     address: tuple[str, int],
     tape: RequestTape,
+    out: dict,
     *,
-    rate_qps: float = 100_000.0,
-    duration_s: float = 2.0,
-    drain_s: float = 0.25,
-    probe_payload: bytes | None = None,
-    probe_interval_s: float = 0.005,
-) -> LoadgenReport:
-    """Offer ``rate_qps`` regardless of responses; count what comes back.
+    rate_qps: float,
+    duration_s: float,
+    drain_s: float,
+    probe_interval_s: float,
+) -> None:
+    """Offer ``rate_qps`` to one node regardless of responses.
 
     One socket: the sender paces request datagrams on it while a receiver
     thread counts response messages, then a short drain window collects
-    stragglers after the last send.  When ``probe_payload`` is given (a
-    single encoded query), a prober thread round-trips it on its own
-    socket every ``probe_interval_s`` so the report carries latency
-    percentiles *under the offered load* — the open loop itself never
-    matches responses to sends, so it cannot time them.
+    stragglers after the last send.  A prober thread round-trips a single
+    GET of a key the node owns on its own socket every
+    ``probe_interval_s``, so the report carries latency percentiles *under
+    the offered load* — the open loop itself never matches responses to
+    sends, so it cannot time them.
     """
-    if rate_qps <= 0 or duration_s <= 0:
-        raise ConfigurationError("rate and duration must be positive")
     sock = _make_socket(0.05)
     received = 0
     redirects = 0
@@ -439,30 +487,29 @@ def run_open_loop(
             received += messages
             redirects += redirected
 
-    receiver = threading.Thread(target=_receiver, daemon=True)
-    receiver.start()
+    probe = encode_queries([Query(QueryType.GET, decode_queries(tape.payloads[0])[0].key)])
     probe_latencies: list[float] = []
-    prober: threading.Thread | None = None
-    if probe_payload is not None:
-        def _prober() -> None:
-            probe_sock = _make_socket(0.25)
-            try:
-                while receiving.is_set():
-                    t0 = time.perf_counter()
-                    try:
-                        probe_sock.sendto(probe_payload, address)
-                        probe_sock.recv(MAX_DATAGRAM)
-                    except socket.timeout:
-                        continue
-                    except OSError:
-                        return
-                    probe_latencies.append((time.perf_counter() - t0) * 1e3)
-                    time.sleep(probe_interval_s)
-            finally:
-                probe_sock.close()
 
-        prober = threading.Thread(target=_prober, daemon=True)
-        prober.start()
+    def _prober() -> None:
+        probe_sock = _make_socket(0.25)
+        try:
+            while receiving.is_set():
+                t0 = time.perf_counter()
+                try:
+                    probe_sock.sendto(probe, address)
+                    probe_sock.recv(MAX_DATAGRAM)
+                except socket.timeout:
+                    continue
+                except OSError:
+                    return
+                probe_latencies.append((time.perf_counter() - t0) * 1e3)
+                time.sleep(probe_interval_s)
+        finally:
+            probe_sock.close()
+
+    helpers = [threading.Thread(target=fn, daemon=True) for fn in (_receiver, _prober)]
+    for helper in helpers:
+        helper.start()
     sent = 0
     cursor = 0
     num_payloads = len(tape.payloads)
@@ -482,357 +529,67 @@ def run_open_loop(
             time.sleep(0.001)
         time.sleep(drain_s)
     finally:
-        elapsed = time.monotonic() - start
         receiving.clear()
-        receiver.join(timeout=1.0)
-        if prober is not None:
-            prober.join(timeout=1.0)
+        for helper in helpers:
+            helper.join(timeout=1.0)
         sock.close()
-    return LoadgenReport(
-        mode="open",
-        duration_s=elapsed,
-        workers=1,
-        depth=1,
-        queries_sent=sent,
-        responses_received=received,
-        timeouts=0,
-        redirects=redirects,
-        latencies_ms=probe_latencies,
+    out.update(
+        sent=sent, received=received, timeouts=0, redirects=redirects,
+        latencies=probe_latencies,
     )
 
 
-# ----------------------------------------------------------------- cluster
-
-
-def build_cluster_tapes(
-    shape: WorkloadShape,
-    queries: int,
-    manifest,
-    max_payload: int = MAX_SEND_PAYLOAD,
-) -> dict[str, RequestTape]:
-    """Hash-split the deterministic request tape across the fleet.
-
-    Generates the *same* query sequence as :func:`build_tape` (same shape,
-    same seed), routes every query to its owner under ``manifest``, and
-    packs one per-node tape preserving the per-node order.  The union of
-    the per-node tapes equals the single-node tape's query multiset, which
-    is what lets the cluster bench compare merged responses byte-for-byte
-    against a single-node replay.
-
-    Per-node tapes carry no ``response_bytes``: a cluster window can
-    contain ``WRONG_NODE`` redirects (whose size differs from the real
-    answer), so cluster loops must header-walk responses.
-    """
-    from repro.cluster.manifest import ManifestRouter
-
-    if queries < 1:
-        raise ConfigurationError("need at least one query")
-    rng = random.Random(shape.seed)
-    keys = make_keys(shape)
-    value = b"v" * shape.value_size
-    sequence: list[Query] = []
-    for _ in range(queries):
-        key = keys[rng.randrange(shape.num_keys)]
-        if rng.random() < shape.get_ratio:
-            sequence.append(Query(QueryType.GET, key))
-        else:
-            sequence.append(Query(QueryType.SET, key, value))
-    router = ManifestRouter(manifest)
-    owners = router.owners_for([query.key for query in sequence])
-    per_node: dict[str, list[Query]] = {name: [] for name in router.names}
-    for query, owner in zip(sequence, owners):
-        per_node[owner].append(query)
-
-    tapes: dict[str, RequestTape] = {}
-    for name, node_queries in per_node.items():
-        if not node_queries:
-            continue
-        payloads: list[bytes] = []
-        counts: list[int] = []
-        group: list[Query] = []
-        size = 0
-        for query in node_queries:
-            wire = query.wire_size
-            if group and size + wire > max_payload:
-                payloads.append(encode_queries(group))
-                counts.append(len(group))
-                group, size = [], 0
-            group.append(query)
-            size += wire
-        if group:
-            payloads.append(encode_queries(group))
-            counts.append(len(group))
-        tapes[name] = RequestTape(
-            payloads=payloads, counts=counts, total_queries=len(node_queries)
-        )
-    return tapes
-
-
-def cluster_prefill(manifest, shape: WorkloadShape, batch: int = 512) -> int:
-    """SET the whole keyspace through the manifest-routed client."""
-    from repro.client import ClusterClient
-
-    keys = make_keys(shape)
-    value = b"v" * shape.value_size
-    stored = 0
-    with ClusterClient(manifest, timeout_s=5.0) as client:
-        for start in range(0, len(keys), batch):
-            group = [
-                Query(QueryType.SET, key, value)
-                for key in keys[start : start + batch]
-            ]
-            stored += len(client.execute(group))
-    return stored
-
-
-@dataclass
-class ClusterLoadgenReport:
-    """Aggregate plus per-node breakdown of one cluster run."""
-
-    mode: str
-    duration_s: float
-    per_node: dict[str, LoadgenReport]
-    retries: int = 0
-
-    @property
-    def queries_sent(self) -> int:
-        return sum(r.queries_sent for r in self.per_node.values())
-
-    @property
-    def responses_received(self) -> int:
-        return sum(r.responses_received for r in self.per_node.values())
-
-    @property
-    def redirects(self) -> int:
-        return sum(r.redirects for r in self.per_node.values())
-
-    @property
-    def timeouts(self) -> int:
-        return sum(r.timeouts for r in self.per_node.values())
-
-    @property
-    def qps(self) -> float:
-        return self.responses_received / self.duration_s if self.duration_s else 0.0
-
-    def latency_ms(self, quantile: float) -> float:
-        merged: list[float] = []
-        for report in self.per_node.values():
-            merged.extend(report.latencies_ms)
-        if not merged:
-            return 0.0
-        merged.sort()
-        rank = min(len(merged) - 1, int(quantile * len(merged)))
-        return merged[rank]
-
-    def to_dict(self) -> dict:
-        return {
-            "mode": self.mode,
-            "nodes": len(self.per_node),
-            "duration_s": round(self.duration_s, 4),
-            "queries_sent": self.queries_sent,
-            "responses_received": self.responses_received,
-            "qps": round(self.qps, 1),
-            "latency_p50_ms": round(self.latency_ms(0.50), 3),
-            "latency_p95_ms": round(self.latency_ms(0.95), 3),
-            "latency_p99_ms": round(self.latency_ms(0.99), 3),
-            "timeouts": self.timeouts,
-            "redirects": self.redirects,
-            "retries": self.retries,
-            "per_node": {
-                name: report.to_dict() for name, report in sorted(self.per_node.items())
-            },
-        }
-
-    def __str__(self) -> str:
-        lines = [
-            f"cluster-{self.mode}: {self.qps:,.0f} qps across "
-            f"{len(self.per_node)} nodes "
-            f"({self.responses_received:,}/{self.queries_sent:,} answered in "
-            f"{self.duration_s:.2f}s, p50 {self.latency_ms(0.5):.2f}ms "
-            f"p99 {self.latency_ms(0.99):.2f}ms, {self.timeouts} timeouts, "
-            f"{self.redirects} redirects, {self.retries} retries)"
-        ]
-        for name, report in sorted(self.per_node.items()):
-            lines.append(
-                f"  {name}: {report.qps:,.0f} qps, "
-                f"p50 {report.latency_ms(0.5):.2f}ms "
-                f"p99 {report.latency_ms(0.99):.2f}ms, "
-                f"{report.redirects} redirects"
-            )
-        return "\n".join(lines)
-
-
-def run_cluster_closed_loop(
-    manifest,
-    tapes: dict[str, RequestTape],
-    *,
-    workers: int = 1,
-    depth: int = 4,
-    duration_s: float = 2.0,
-    timeout_s: float = 2.0,
-) -> ClusterLoadgenReport:
-    """Drive every node's tape concurrently, ``workers`` loops per node."""
-    if workers < 1 or depth < 1:
-        raise ConfigurationError("workers and depth must be positive")
-    if duration_s <= 0:
-        raise ConfigurationError("duration must be positive")
-    jobs: list[tuple[str, tuple[str, int], RequestTape, dict]] = []
-    for name, tape in sorted(tapes.items()):
-        address = manifest.nodes[name].address
-        for _ in range(workers):
-            jobs.append((name, address, tape, {}))
-    start = time.monotonic()
-    stop_at = start + duration_s
-    threads = [
-        threading.Thread(
-            target=_closed_worker,
-            args=(address, tape, depth, stop_at, timeout_s, out),
-            daemon=True,
-        )
-        for _, address, tape, out in jobs
-    ]
-    for thread in threads:
-        thread.start()
-    for thread in threads:
-        thread.join()
-    elapsed = time.monotonic() - start
-    per_node: dict[str, LoadgenReport] = {}
-    for name, _, _, _ in jobs:
-        if name in per_node:
-            continue
-        outs = [out for job_name, _, _, out in jobs if job_name == name]
-        latencies: list[float] = []
-        for out in outs:
-            latencies.extend(out.get("latencies", ()))
-        per_node[name] = LoadgenReport(
-            mode="closed",
-            duration_s=elapsed,
-            workers=workers,
-            depth=depth,
-            queries_sent=sum(out.get("sent", 0) for out in outs),
-            responses_received=sum(out.get("received", 0) for out in outs),
-            timeouts=sum(out.get("timeouts", 0) for out in outs),
-            redirects=sum(out.get("redirects", 0) for out in outs),
-            latencies_ms=latencies,
-        )
-    return ClusterLoadgenReport(mode="closed", duration_s=elapsed, per_node=per_node)
-
-
-def _probe_payloads(shape: WorkloadShape, manifest) -> dict[str, bytes]:
-    """One single-GET probe datagram per node, keyed by a key it owns."""
-    from repro.cluster.manifest import ManifestRouter
-
-    router = ManifestRouter(manifest)
-    keys = make_keys(shape)
-    owners = router.owners_for(keys)
-    probes: dict[str, bytes] = {}
-    for key, owner in zip(keys, owners):
-        if owner not in probes:
-            probes[owner] = encode_queries([Query(QueryType.GET, key)])
-        if len(probes) == len(router.names):
-            break
-    return probes
-
-
-def run_cluster_open_loop(
-    manifest,
-    tapes: dict[str, RequestTape],
-    shape: WorkloadShape,
+def run_open_loop(
+    jobs: list[Job],
     *,
     rate_qps: float = 100_000.0,
     duration_s: float = 2.0,
-) -> ClusterLoadgenReport:
-    """Open loop against every node at once, rate split by key ownership.
-
-    Each node gets a sender/receiver pair pacing its share of the offered
-    rate (proportional to its tape's query count) plus a latency prober,
-    so the report breaks QPS *and* p99 down per node under load.
-    """
+    drain_s: float = 0.25,
+    probe_interval_s: float = 0.005,
+) -> LoadgenReport:
+    """Open loop against every job at once; each node is offered the share
+    of ``rate_qps`` its tape's query count carries."""
     if rate_qps <= 0 or duration_s <= 0:
         raise ConfigurationError("rate and duration must be positive")
-    total = sum(tape.total_queries for tape in tapes.values())
-    probes = _probe_payloads(shape, manifest)
-    per_node: dict[str, LoadgenReport] = {}
-    lock = threading.Lock()
+    total = sum(tape.total_queries for _, _, tape in jobs)
 
-    def run_node(name: str, tape: RequestTape) -> None:
-        share = tape.total_queries / total if total else 0.0
-        report = run_open_loop(
-            manifest.nodes[name].address,
+    def worker(address: tuple[str, int], tape: RequestTape, out: dict) -> None:
+        _open_worker(
+            address,
             tape,
-            rate_qps=max(1.0, rate_qps * share),
+            out,
+            rate_qps=max(1.0, rate_qps * tape.total_queries / total),
             duration_s=duration_s,
-            probe_payload=probes.get(name),
+            drain_s=drain_s,
+            probe_interval_s=probe_interval_s,
         )
-        with lock:
-            per_node[name] = report
 
-    threads = [
-        threading.Thread(target=run_node, args=(name, tape), daemon=True)
-        for name, tape in sorted(tapes.items())
-    ]
-    start = time.monotonic()
-    for thread in threads:
-        thread.start()
-    for thread in threads:
-        thread.join()
-    elapsed = time.monotonic() - start
-    return ClusterLoadgenReport(mode="open", duration_s=elapsed, per_node=per_node)
+    return _run_jobs("open", jobs, 1, 1, worker)
 
 
-def run_cluster_loadgen(
-    control_address: tuple[str, int],
-    shape: WorkloadShape,
-    *,
-    mode: str = "closed",
-    queries: int = 65536,
-    workers: int = 1,
-    depth: int = 4,
-    duration_s: float = 2.0,
-    rate_qps: float = 100_000.0,
-    timeout_s: float = 2.0,
-    do_prefill: bool = True,
-    max_payload: int = MAX_SEND_PAYLOAD,
-) -> ClusterLoadgenReport:
-    """Fetch the manifest, prefill through the routed client, and drive
-    the whole fleet concurrently over the columnar wire."""
-    from repro.cluster.serving import fetch_manifest
+# -------------------------------------------------------------- front doors
 
+
+def _check_mode(mode: str) -> None:
     if mode not in ("closed", "open"):
         raise ConfigurationError(f"mode must be 'closed' or 'open', not {mode!r}")
-    manifest = fetch_manifest(control_address)
-    prefill_retries = 0
-    if do_prefill:
-        from repro.client import ClusterClient
 
-        with ClusterClient(manifest, timeout_s=5.0) as client:
-            keys = make_keys(shape)
-            value = b"v" * shape.value_size
-            for start in range(0, len(keys), 512):
-                client.execute(
-                    [Query(QueryType.SET, k, value) for k in keys[start : start + 512]]
-                )
-            prefill_retries = client.stats.retries
-            manifest = client.manifest  # pick up any newer epoch seen
-    tapes = build_cluster_tapes(shape, queries, manifest, max_payload=max_payload)
+
+def _drive(
+    mode: str,
+    jobs: list[Job],
+    *,
+    workers: int,
+    depth: int,
+    duration_s: float,
+    rate_qps: float,
+    timeout_s: float,
+) -> LoadgenReport:
     if mode == "closed":
-        report = run_cluster_closed_loop(
-            manifest,
-            tapes,
-            workers=workers,
-            depth=depth,
-            duration_s=duration_s,
-            timeout_s=timeout_s,
+        return run_closed_loop(
+            jobs, workers=workers, depth=depth, duration_s=duration_s, timeout_s=timeout_s
         )
-    else:
-        report = run_cluster_open_loop(
-            manifest, tapes, shape, rate_qps=rate_qps, duration_s=duration_s
-        )
-    report.retries += prefill_retries
-    return report
-
-
-# -------------------------------------------------------------- front door
+    return run_open_loop(jobs, rate_qps=rate_qps, duration_s=duration_s)
 
 
 def run_loadgen(
@@ -847,23 +604,59 @@ def run_loadgen(
     rate_qps: float = 100_000.0,
     timeout_s: float = 2.0,
     do_prefill: bool = True,
-    max_payload: int = MAX_SEND_PAYLOAD,
+    max_payload: int = MAX_QUERY_PAYLOAD,
 ) -> LoadgenReport:
-    """Prefill, build the request tape, and run the chosen discipline."""
-    if mode not in ("closed", "open"):
-        raise ConfigurationError(f"mode must be 'closed' or 'open', not {mode!r}")
+    """Prefill, build the request tape, and drive one server: the one-node
+    case of :func:`run_cluster_loadgen`."""
+    from repro.client import DidoClient
+
+    _check_mode(mode)
     if do_prefill:
-        prefill(address, shape)
-    tape = build_tape(shape, queries, max_payload=max_payload)
-    if mode == "closed":
-        return run_closed_loop(
-            address,
-            tape,
-            workers=workers,
-            depth=depth,
-            duration_s=duration_s,
-            timeout_s=timeout_s,
-        )
-    return run_open_loop(
-        address, tape, rate_qps=rate_qps, duration_s=duration_s
+        with DidoClient(address, timeout_s=5.0) as client:
+            prefill(client, shape)
+    tape = _tape(
+        _query_sequence(shape, queries),
+        max_payload,
+        shape.value_size if do_prefill else None,
     )
+    name = f"{address[0]}:{address[1]}"
+    report = _drive(
+        mode, [(name, address, tape)], workers=workers, depth=depth,
+        duration_s=duration_s, rate_qps=rate_qps, timeout_s=timeout_s,
+    )
+    return report.per_node[name]
+
+
+def run_cluster_loadgen(
+    control_address: tuple[str, int],
+    shape: WorkloadShape,
+    *,
+    mode: str = "closed",
+    queries: int = 65536,
+    workers: int = 1,
+    depth: int = 4,
+    duration_s: float = 2.0,
+    rate_qps: float = 100_000.0,
+    timeout_s: float = 2.0,
+    do_prefill: bool = True,
+    max_payload: int = MAX_QUERY_PAYLOAD,
+) -> LoadgenReport:
+    """Fetch the manifest, prefill through the routed client, and drive
+    every node of the fleet at once; ``workers`` loops per node."""
+    from repro.client import ClusterClient
+
+    _check_mode(mode)
+    with ClusterClient(control_address, timeout_s=5.0) as client:
+        if do_prefill:
+            prefill(client, shape)
+    manifest = client.manifest  # any newer epoch the prefill was sent to
+    tapes = build_cluster_tapes(shape, queries, manifest, max_payload=max_payload)
+    jobs = [
+        (name, manifest.nodes[name].address, tape) for name, tape in sorted(tapes.items())
+    ]
+    report = _drive(
+        mode, jobs, workers=workers, depth=depth, duration_s=duration_s,
+        rate_qps=rate_qps, timeout_s=timeout_s,
+    )
+    report.retries = client.stats.retries
+    return report

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import os
 import signal
+import socket
+import threading
 import time
 
 import pytest
@@ -11,6 +13,12 @@ import pytest
 from repro.core.cost_model import CostModel
 from repro.core.profiler import WorkloadProfile
 from repro.hardware.specs import APU_A10_7850K, DISCRETE_MEGAKV
+from repro.kv.protocol import (
+    Response,
+    ResponseStatus,
+    decode_queries,
+    encode_responses,
+)
 from repro.kv.store import KVStore
 from repro.pipeline.executor import PipelineExecutor
 from repro.pipeline.megakv import megakv_coupled_config
@@ -151,3 +159,48 @@ def heap_named(kind: str, memory_bytes: int):
 def profile_for(label: str) -> WorkloadProfile:
     """Helper used across test modules (import from conftest)."""
     return WorkloadProfile.from_spec(standard_workload(label))
+
+
+#: How long :func:`late_udp_server` sits on its first request: longer than
+#: the 0.2 s timeout the straggler tests give their clients.
+LATE_REPLY_S = 0.35
+
+
+@pytest.fixture
+def late_udp_server():
+    """A one-thread UDP stand-in for a server, answering in arrival order.
+
+    Every query is answered ``OK`` with ``b"answer-to-" + key``, but the
+    first datagram's answer leaves only after :data:`LATE_REPLY_S`, so a
+    client with a 0.2 s timeout gives up on it and has already sent its
+    next request when the straggler lands.  Yields the ``(host, port)``.
+    """
+    sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
+    sock.bind(("127.0.0.1", 0))
+    sock.settimeout(0.05)
+    running = threading.Event()
+    running.set()
+
+    def serve() -> None:
+        late = True
+        while running.is_set():
+            try:
+                payload, peer = sock.recvfrom(65535)
+            except socket.timeout:
+                continue
+            answers = [
+                Response(ResponseStatus.OK, b"answer-to-" + query.key)
+                for query in decode_queries(payload)
+            ]
+            if late:
+                time.sleep(LATE_REPLY_S)
+                late = False
+            sock.sendto(encode_responses(answers), peer)
+
+    thread = threading.Thread(target=serve, daemon=True)
+    thread.start()
+    yield sock.getsockname()
+    running.clear()
+    thread.join(timeout=5.0)
+    assert not thread.is_alive()
+    sock.close()

@@ -1,6 +1,8 @@
 """Unit tests for the binary wire protocol."""
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.errors import ProtocolError
 from repro.kv.protocol import (
@@ -8,6 +10,7 @@ from repro.kv.protocol import (
     QueryType,
     Response,
     ResponseStatus,
+    datagram_groups,
     decode_queries,
     decode_responses,
     encode_queries,
@@ -107,3 +110,23 @@ class TestResponseRoundTrip:
         payload[0] = 200
         with pytest.raises(ProtocolError):
             decode_responses(bytes(payload))
+
+
+@given(
+    sizes=st.lists(st.integers(min_value=0, max_value=300), max_size=60),
+    max_payload=st.integers(min_value=1, max_value=400),
+)
+def test_datagram_groups_fit_the_bound_and_keep_order(sizes, max_payload):
+    """Every group fits ``max_payload`` unless it is one oversized query,
+    no group closes while the next query would still fit, and the groups
+    concatenate back to the input, in order."""
+    queries = [
+        Query(QueryType.SET, b"k%d" % i, b"v" * size) for i, size in enumerate(sizes)
+    ]
+    groups = datagram_groups(queries, max_payload)
+    assert [q for group in groups for q in group] == queries
+    for group in groups:
+        assert group
+        assert len(group) == 1 or sum(q.wire_size for q in group) <= max_payload
+    for group, following in zip(groups, groups[1:]):
+        assert sum(q.wire_size for q in group) + following[0].wire_size > max_payload

@@ -147,6 +147,16 @@ class TestClientValidation:
     def test_empty_batch(self, client):
         assert client.execute([]) == []
 
+    def test_late_reply_never_answers_the_next_batch(self, late_udp_server):
+        """The server answers ``k1`` only after the client gave up on it;
+        that straggler must not be taken for the answer to ``k2``."""
+        with DidoClient(late_udp_server, timeout_s=0.2) as c:
+            with pytest.raises(TimeoutError_):
+                c.get(b"k1")
+            assert c.get(b"k2") == b"answer-to-k2"
+            assert c.get(b"k3") == b"answer-to-k3"
+        assert c.stats.timeouts == 1
+
 
 class TestCoalescing:
     def make_server(self, **kwargs):
