@@ -37,9 +37,7 @@ from repro.engine import (
     ENGINE_NAMES,
     BatchPlane,
     ReferenceEngine,
-    SerialEngine,
     StagePlan,
-    StealingEngine,
     compile_stage_plan,
     resolve_engine,
 )
@@ -104,9 +102,7 @@ __all__ = [
     "IndexOp",
     "KVStore",
     "ReferenceEngine",
-    "SerialEngine",
     "StagePlan",
-    "StealingEngine",
     "PipelineConfig",
     "PipelineEstimate",
     "PipelineExecutor",

@@ -32,7 +32,7 @@ from repro.core.tasks import (
     Task,
     TaskModel,
 )
-from repro.core.work_stealing import StealOutcome, TagArray, WAVEFRONT, plan_steal
+from repro.core.work_stealing import StealOutcome, plan_steal
 
 __all__ = [
     "AdaptationController",
@@ -49,10 +49,8 @@ __all__ = [
     "StealOutcome",
     "SystemReport",
     "TASK_ORDER",
-    "TagArray",
     "Task",
     "TaskModel",
-    "WAVEFRONT",
     "WorkloadProfile",
     "WorkloadProfiler",
     "enumerate_configs",

@@ -59,12 +59,14 @@ class DidoSystem:
     latency_budget_ns:
         The periodical scheduler's latency limit (paper: 1,000 us).
     work_stealing:
-        Enable work stealing in planned configurations.
+        Enable work stealing in planned configurations (the cost model
+        credits it; the functional engines run every phase over every row
+        either way).
     engine:
-        Functional execution backend ("serial", "stealing", "reference",
-        "vector", "procshard", or a backend instance).  Unset/"auto" is
-        the production engine: "vector" — Search on the kernel the
-        fitted host cost model picks — or "procshard" when ``shards > 1``.
+        Functional execution backend ("reference", "vector", "procshard",
+        or a backend instance).  Unset/"auto" is the production engine:
+        "vector" — Search on the kernel the fitted host cost model picks —
+        or "procshard" when ``shards > 1``.
     shards:
         Hash-partition the store across this many shard worker processes
         (a :class:`~repro.engine.procshard.ProcShardStore`), served by

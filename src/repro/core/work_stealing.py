@@ -1,99 +1,18 @@
-"""Chunked work stealing via a tag array (paper Section III-B3).
+"""Work stealing's finish-time estimate (paper Section III-B3, Equation 3).
 
-Queries in a batch are claimed in wavefront-sized sets of 64: tag ``i``
-covers queries ``64*i .. 64*(i+1)-1`` and is flipped with an atomic
-compare-exchange by whichever processor grabs that set.  Stealing whole
-sets amortises the synchronisation cost; 64 matches the APU wavefront so a
-GPU wavefront maps exactly onto one set.
-
-:class:`TagArray` is the functional implementation used by the functional
-pipeline (its claim discipline is what guarantees each query is processed
-exactly once even when two executors race).  :func:`plan_steal` is the
-analytic helper implementing the paper's Equation 3, used by tests to
-cross-check the analyzer's stealing arithmetic.
+In the paper a helper processor steals wavefront-sized (64-query) sets of
+the bottleneck stage's queries through an atomic tag array.  That chunked
+race is modelled by the simulator
+(:class:`~repro.pipeline.executor.PipelineExecutor`, Figure 15) and costed
+by the analyzer; :func:`plan_steal` is the closed form of Equation 3, used
+by tests to cross-check the analyzer's stealing arithmetic.
 """
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 
 from repro.errors import ConfigurationError
-from repro.telemetry import get_telemetry
-
-#: Queries per claimable set — the APU wavefront width.
-WAVEFRONT = 64
-
-
-class TagArray:
-    """Claim tags over a batch of queries, one tag per 64-query set.
-
-    The real system uses atomic compare-exchange on a shared array; here a
-    lock guards each claim, giving the same exactly-once semantics for the
-    thread-based functional pipeline and for single-threaded use.
-    """
-
-    def __init__(self, batch_size: int, chunk: int = WAVEFRONT):
-        if batch_size <= 0 or chunk <= 0:
-            raise ConfigurationError("batch_size and chunk must be positive")
-        self._chunk = chunk
-        self._num_tags = -(-batch_size // chunk)  # ceil division
-        self._batch_size = batch_size
-        self._claimed = [False] * self._num_tags
-        self._owner = [""] * self._num_tags
-        self._lock = threading.Lock()
-
-    @property
-    def num_tags(self) -> int:
-        return self._num_tags
-
-    @property
-    def chunk(self) -> int:
-        return self._chunk
-
-    def claim_next(self, owner: str, *, reverse: bool = False) -> range | None:
-        """Atomically claim the next unclaimed set; None when exhausted.
-
-        The owner processor scans forward while a stealing helper scans from
-        the tail (``reverse=True``), so the two meet in the middle with
-        minimal contention — the FIFO-vs-steal split of the paper.
-        Returns the query index range covered by the claimed set.
-        """
-        with self._lock:
-            indices = range(self._num_tags - 1, -1, -1) if reverse else range(self._num_tags)
-            for tag in indices:
-                if not self._claimed[tag]:
-                    self._claimed[tag] = True
-                    self._owner[tag] = owner
-                    start = tag * self._chunk
-                    end = min(start + self._chunk, self._batch_size)
-                    telemetry = get_telemetry()
-                    if telemetry.enabled:
-                        telemetry.registry.counter(
-                            "repro_steal_claims_total",
-                            help="Tag sets claimed, by claiming executor",
-                        ).inc(owner=owner, stolen=str(reverse).lower())
-                    return range(start, end)
-        return None
-
-    def all_claimed(self) -> bool:
-        with self._lock:
-            return all(self._claimed)
-
-    def claims_by(self, owner: str) -> int:
-        """Number of sets claimed by ``owner`` (test/metrics aid)."""
-        with self._lock:
-            return sum(1 for o in self._owner if o == owner)
-
-    def coverage(self) -> int:
-        """Total queries covered by claimed sets."""
-        with self._lock:
-            covered = 0
-            for tag, claimed in enumerate(self._claimed):
-                if claimed:
-                    start = tag * self._chunk
-                    covered += min(self._chunk, self._batch_size - start)
-            return covered
 
 
 @dataclass(frozen=True)

@@ -6,8 +6,9 @@ decided — once, for both execution planes.  :func:`compile_stage_plan`
 turns a :class:`~repro.core.pipeline_config.PipelineConfig` into an ordered
 list of whole-batch *phases*: each phase is one pass of one task (or one
 index operation) over the batch, in the exact order the pipeline executes
-them.  The functional plane's engines (:mod:`repro.engine.backends`) run
-the phases against real data structures; the analytical plane's
+them.  The functional plane's engines (:mod:`repro.engine.vector`,
+:mod:`repro.engine.reference`) run the phases against real data
+structures; the analytical plane's
 :class:`~repro.core.cost_model.PipelineAnalyzer` derives its per-stage task
 demands from the same phases — so the phase-ordering and
 index-op-priority rules exist in exactly one place.

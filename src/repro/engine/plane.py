@@ -34,13 +34,21 @@ SET bookkeeping mirrors the per-query design exactly:
 
 from __future__ import annotations
 
-from bisect import bisect_left
+import time
 
 from repro.errors import SimulationError
-from repro.kv.protocol import QueryType, Response
+from repro.kv.protocol import QueryType, Response, ResponseStatus
 
 #: Shared empty candidate list sentinel (never mutated; KC only reads it).
 NO_CANDIDATES: tuple[int, ...] = ()
+
+#: Shared immutable response singletons for the value-less statuses; GET
+#: hits still allocate (they carry the value).  Nothing in the pipeline or
+#: the wire encoder mutates responses, so sharing is safe and saves one
+#: object construction per SET/DELETE/miss.
+STORED_RESPONSE = Response(ResponseStatus.STORED)
+DELETED_RESPONSE = Response(ResponseStatus.DELETED)
+NOT_FOUND_RESPONSE = Response(ResponseStatus.NOT_FOUND)
 
 
 class BatchPlane:
@@ -60,7 +68,6 @@ class BatchPlane:
         "pending_deletes",
         "batch_inserts",
         "_subsets",
-        "all_indices",
         "scratch",
         "response_sizes",
         "response_statuses",
@@ -108,10 +115,8 @@ class BatchPlane:
         #: splits/merges whole windows) never does, so it skips the
         #: O(rows) pass entirely.
         self._subsets: tuple | None = None
-        #: Every query (the WR pass).
-        self.all_indices = range(n)
-        #: Engine-private per-batch state (the vector engine parks its
-        #: hashed key columns here); plain engines leave it None.
+        #: Engine-private per-batch state (the vector engine's hand-offs
+        #: between passes); the reference engine leaves it None.
         self.scratch = None
         #: Optional wire-size column filled by the WR pass (vector engine):
         #: ``response_sizes[i]`` is ``responses[i].wire_size``, precomputed
@@ -226,15 +231,27 @@ class BatchPlane:
         return responses  # type: ignore[return-value]
 
 
-def indices_between(indices, start: int, stop: int):
-    """The subset of a sorted index list falling in ``[start, stop)``.
+def credit_time(task_times: dict | None, task, t0: float) -> None:
+    """Add the elapsed time since ``t0`` to ``task``'s running total."""
+    if task_times is not None:
+        elapsed_us = (time.perf_counter() - t0) * 1e6
+        task_times[task] = task_times.get(task, 0.0) + elapsed_us
 
-    Used by the stealing engine to intersect a phase's applicable queries
-    with one claimed tag-array chunk.  Accepts a ``range`` (the WR pass's
-    all-queries set) or a sorted list.
+
+def count_store_ops(store, plane: BatchPlane, get_hits: int | None = None) -> None:
+    """Add a finished batch's GET/SET counts to ``store.stats``, once.
+
+    DELETEs are not counted here: the Delete pass answers them through
+    :meth:`KVStore.delete`, which counts ``deletes``/``delete_hits`` itself.
+    ``get_hits`` may be passed by an engine that already knows it (the
+    vector engine does); the per-row reference engine has it read off the
+    batch's value column.
     """
-    if isinstance(indices, range):
-        return range(max(indices.start, start), min(indices.stop, stop))
-    lo = bisect_left(indices, start)
-    hi = bisect_left(indices, stop)
-    return indices[lo:hi]
+    get_rows = plane.get_indices
+    if get_hits is None:
+        read_values = plane.read_values
+        get_hits = sum(1 for i in get_rows if read_values[i] is not None)
+    stats = store.stats
+    stats.gets += len(get_rows)
+    stats.get_hits += get_hits
+    stats.sets += len(plane.set_indices)

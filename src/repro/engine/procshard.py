@@ -682,8 +682,7 @@ class ProcShardTicket:
 
     Created by :meth:`ProcShardEngine.submit`, finished by
     :meth:`ProcShardEngine.collect` (idempotent — a window drained early
-    by the store's control-plane barrier just returns its cached claims
-    when collected again).
+    by the store's control-plane barrier is a no-op when collected again).
     """
 
     __slots__ = (
@@ -696,7 +695,6 @@ class ProcShardTicket:
         "sizes_col",
         "values_col",
         "done",
-        "claims",
         "encode_ns",
         "send_ns",
         "overlapped",
@@ -715,7 +713,6 @@ class ProcShardTicket:
         self.sizes_col = None
         self.values_col = None
         self.done = False
-        self.claims: dict[str, int] = {}
         self.encode_ns = 0
         self.send_ns = 0
         self.overlapped = False
@@ -871,7 +868,7 @@ class ProcShardEngine:
             ).set(len(store._inflight))
         return ticket
 
-    def collect(self, ticket: ProcShardTicket) -> dict[str, int]:
+    def collect(self, ticket: ProcShardTicket) -> None:
         """Merge one submitted window's replies into its plane.
 
         Idempotent; collects any older in-flight windows first (worker
@@ -881,7 +878,7 @@ class ProcShardEngine:
         fills down, none hangs.
         """
         if ticket.done:
-            return ticket.claims
+            return
         store = ticket.store
         inflight = store._inflight
         while inflight and inflight[0] is not ticket:
@@ -1023,7 +1020,6 @@ class ProcShardEngine:
                 "repro_procshard_overlap_ratio",
                 help="Fraction of windows submitted while another was in flight",
             ).set(self.overlap_ratio)
-        return ticket.claims
 
     # ------------------------------------------------------------------ run
 
@@ -1035,8 +1031,8 @@ class ProcShardEngine:
         *,
         epoch: int = 0,
         task_times=None,
-    ) -> dict[str, int]:
-        return self.collect(self.submit(store, plan, plane, epoch=epoch))
+    ) -> None:
+        self.collect(self.submit(store, plan, plane, epoch=epoch))
 
     def _fill_down(self, ticket: ProcShardTicket, rows) -> None:
         """Answer a window's rows with ERROR (serve loop survives)."""

@@ -8,7 +8,8 @@ still live in exactly one module.  It serves two purposes:
 
 * **ground truth** for the engine-equivalence property tests: every legal
   configuration must produce byte-identical response frames through the
-  columnar engines and through this per-query path;
+  batch engine (:class:`~repro.engine.vector.VectorEngine`, alone or
+  behind the procshard router) and through this per-query path;
 * **verifier** for ``benchmarks/serving``, which replays every run's
   traffic through this path and requires the served bytes to match.
 """
@@ -18,17 +19,15 @@ from __future__ import annotations
 import time
 
 from repro.core.tasks import IndexOp, Task
-from repro.core.work_stealing import TagArray
-from repro.engine.backends import (
+from repro.engine.plan import PhaseKind, PlanPhase, StagePlan
+from repro.engine.plane import (
     DELETED_RESPONSE,
     NOT_FOUND_RESPONSE,
     STORED_RESPONSE,
-    _credit,
+    BatchPlane,
     count_store_ops,
+    credit_time,
 )
-from repro.engine.plan import PhaseKind, PlanPhase, StagePlan
-from repro.engine.plane import BatchPlane
-from repro.hardware.specs import ProcessorKind
 from repro.kv.protocol import QueryType, Response, ResponseStatus
 from repro.kv.store import KVStore
 
@@ -46,45 +45,16 @@ class ReferenceEngine:
         *,
         epoch: int = 0,
         task_times: dict[Task, float] | None = None,
-    ) -> dict[str, int]:
-        claims: dict[str, int] = {}
-        config = plan.config
-        for stage_index, stage in enumerate(config.stages):
-            steal = (
-                config.work_stealing
-                and stage.processor is ProcessorKind.GPU
-                and plane.size > 0
-            )
-            for phase in plan.stage_phases(stage_index):
-                if phase.kind is PhaseKind.BOUNDARY:
-                    continue
-                step = self._step_for(phase)
-                t0 = time.perf_counter() if task_times is not None else 0.0
-                if steal:
-                    self._run_phase_stolen(store, plane, step, claims, epoch)
-                else:
-                    for i in range(plane.size):
-                        step(store, plane, i, epoch)
-                _credit(task_times, phase.task, t0)
-        count_store_ops(store, plane)
-        return claims
-
-    def _run_phase_stolen(self, store, plane, step, claims, epoch) -> None:
-        tags = TagArray(plane.size)
-        turn = 0
-        while True:
-            if turn % 3 == 2:
-                claimed = tags.claim_next("cpu", reverse=True)
-                owner = "cpu"
-            else:
-                claimed = tags.claim_next("gpu")
-                owner = "gpu"
-            if claimed is None:
-                break
-            claims[owner] = claims.get(owner, 0) + 1
-            for i in claimed:
+    ) -> None:
+        for phase in plan.phases:
+            if phase.kind is PhaseKind.BOUNDARY:
+                continue
+            step = self._step_for(phase)
+            t0 = time.perf_counter() if task_times is not None else 0.0
+            for i in range(plane.size):
                 step(store, plane, i, epoch)
-            turn += 1
+            credit_time(task_times, phase.task, t0)
+        count_store_ops(store, plane)
 
     # ------------------------------------------------------- per-query steps
 

@@ -13,16 +13,21 @@ on the kernel a fitted :class:`~repro.core.profiler.HostCostModel` predicts
 cheaper at that window's row count; the pass times the kernel it ran (two
 clock reads) and feeds the fit.
 
-The passes, in plan order, and what they hand each other on the plane's
-:class:`_VectorScratch`:
+This is the one batch engine: ``run`` walks the compiled
+:class:`~repro.engine.plan.StagePlan` and applies each phase to every row
+it covers before the next phase starts, exactly as Mega-KV's staged
+kernels do.  The passes, in plan order, and what they hand each other on
+the plane's :class:`_VectorScratch`:
 
-* **MM / Insert / Delete** — inherited from
-  :class:`~repro.engine.backends.SerialEngine` unchanged: they mutate
-  Python heap objects and the authoritative cuckoo slots, which have no
-  array form (paper Figure 6: these operations do not benefit from batched
-  kernels the way Search does).
+* **MM / Insert / Delete** — scalar row loops: they mutate Python heap
+  objects and the authoritative cuckoo slots, which have no array form
+  (paper Figure 6: these operations do not benefit from batched kernels
+  the way Search does).  MM places a SET run with one columnar arena
+  append (:meth:`~repro.kv.store.KVStore.multi_allocate_columns`), or
+  row by row through :meth:`~repro.kv.store.KVStore.allocate` on a heap
+  without a bulk allocator or when one item exceeds the heap budget.
 * **Search** — two kernels, one hand-off.  *Scalar*: the probe-cache walk
-  :class:`SerialEngine` does.
+  (:meth:`~repro.kv.store.KVStore.multi_index_search`).
   *Columnar*: the key column hashed in one pass (keys packed into a
   ``uint8`` matrix, 64-bit FNV-1a mixed across byte columns for all
   ``num_hashes + 1`` seeds at once, a scalar fallback for oversized
@@ -54,13 +59,17 @@ import time
 import numpy as np
 
 from repro.core.profiler import SCALAR, SEARCH_PASS, HostCostModel
-from repro.engine.backends import (
+from repro.core.tasks import IndexOp, Task
+from repro.engine.plan import PhaseKind, PlanPhase, StagePlan
+from repro.engine.plane import (
+    DELETED_RESPONSE,
     NOT_FOUND_RESPONSE,
     STORED_RESPONSE,
-    SerialEngine,
+    BatchPlane,
     count_store_ops,
+    credit_time,
 )
-from repro.engine.plane import BatchPlane
+from repro.errors import ConfigurationError
 from repro.kv.hashtable import EMPTY
 from repro.kv.objects import _FNV_OFFSET, _FNV_PRIME, fnv1a64
 from repro.kv.protocol import QueryType, Response, ResponseStatus
@@ -158,8 +167,9 @@ class _VectorScratch:
         self.value_lens: list[int] = []
 
 
-class VectorEngine(SerialEngine):
-    """Whole-batch execution; Search on the kernel the host cost model picks."""
+class VectorEngine:
+    """Whole-batch execution, one pass per phase; Search on the kernel the
+    host cost model picks."""
 
     name = "vector"
 
@@ -173,21 +183,157 @@ class VectorEngine(SerialEngine):
     def run(
         self,
         store: KVStore,
-        plan,
+        plan: StagePlan,
         plane: BatchPlane,
         *,
         epoch: int = 0,
-        task_times=None,
-    ) -> dict[str, int]:
+        task_times: dict[Task, float] | None = None,
+    ) -> None:
+        """Execute every non-boundary phase, crediting each task's time to
+        ``task_times`` when given."""
         index = store.index
         if hasattr(index, "ensure_mirror"):
             index.ensure_mirror()
         plane.scratch = _VectorScratch()
-        return super().run(store, plan, plane, epoch=epoch, task_times=task_times)
-
-    def _count_store_ops(self, store: KVStore, plane: BatchPlane) -> None:
-        # The RD/WR passes already listed every GET hit: no per-row work.
+        for phase in plan.phases:
+            if phase.kind is PhaseKind.BOUNDARY:
+                continue
+            t0 = time.perf_counter() if task_times is not None else 0.0
+            self._execute(store, plane, phase, epoch)
+            credit_time(task_times, phase.task, t0)
+        # The RD pass already listed every GET hit: no per-row count.
         count_store_ops(store, plane, len(plane.scratch.value_rows))
+
+    def _execute(self, store: KVStore, plane: BatchPlane, phase: PlanPhase, epoch: int) -> None:
+        """Run one phase over the rows it applies to (ascending order)."""
+        if phase.kind is PhaseKind.INDEX_OP:
+            if phase.op is IndexOp.SEARCH:
+                self._pass_search(store, plane, plane.search_indices)
+            elif phase.op is IndexOp.INSERT:
+                self._pass_insert(store, plane, plane.set_indices)
+            else:
+                self._pass_delete(store, plane, plane.mutation_indices)
+        elif phase.task is Task.MM:
+            self._pass_mm(store, plane, plane.set_indices)
+        elif phase.task is Task.KC:
+            self._pass_kc(store, plane)
+        elif phase.task is Task.RD:
+            self._pass_rd(store, plane, epoch)
+        elif phase.task is Task.WR:
+            self._pass_wr(plane)
+        else:
+            raise ConfigurationError(f"phase {phase.label} is not executable")
+
+    # ------------------------------------------------------------ MM / IN
+
+    @staticmethod
+    def _displaced(plane: BatchPlane, index: int, key: bytes, location: int | None) -> None:
+        """Record index cleanup for an object displaced by query ``index``.
+
+        If the displaced version was itself SET earlier in this batch, its
+        Insert has not executed yet — cancel it instead of queueing a
+        Delete for an entry that will never exist.
+        """
+        earlier = plane.batch_inserts.pop(key, None)
+        if earlier is not None and plane.pending_inserts[earlier] is not None:
+            plane.pending_inserts[earlier] = None
+        else:
+            deletes = plane.pending_deletes[index]
+            if deletes is None:
+                deletes = plane.pending_deletes[index] = []
+            deletes.append((key, location))
+
+    def _pass_mm(self, store: KVStore, plane: BatchPlane, indices) -> None:
+        if not indices:
+            return
+        keys = plane.keys
+        values = plane.set_values
+        locations = plane.locations
+        pending = plane.pending_inserts
+        batch_inserts = plane.batch_inserts
+        displaced = self._displaced
+        if len(indices) == len(keys):
+            # All-SET batch: the phase covers every row in order, so the
+            # plane's own columns go straight through without a gather.
+            columns = store.multi_allocate_columns(keys, values)
+        else:
+            columns = store.multi_allocate_columns(
+                [keys[i] for i in indices], [values[i] for i in indices]
+            )
+        if columns is None:
+            # No bulk allocator (the slab oracle), or an item exceeds the
+            # heap budget: place row by row, so an oversized item fails at
+            # its position with every earlier item placed.
+            allocate = store.allocate
+            for i in indices:
+                key = keys[i]
+                outcome = allocate(key, values[i])
+                locations[i] = outcome.location
+                pending[i] = (key, outcome.location)
+                if outcome.replaced is not None:
+                    displaced(plane, i, key, outcome.replaced_location)
+                if outcome.evicted is not None:
+                    displaced(plane, i, outcome.evicted.key, outcome.evicted_location)
+                batch_inserts[key] = i
+            return
+        # One arena append for the run, replace locations as a parallel
+        # column, no eviction outcomes to unpack.  Settled items had their
+        # Insert+Delete pair applied in place at MM time, so they queue no
+        # pending index work (and need no batch_inserts entry — there is no
+        # pending Insert a later displacement would have to cancel).
+        new_locations, replaced, settled = columns
+        for i, location, old_location, done in zip(
+            indices, new_locations, replaced, settled
+        ):
+            key = keys[i]
+            locations[i] = location
+            if done:
+                pending[i] = None
+                continue
+            pending[i] = (key, location)
+            if old_location is not None:
+                displaced(plane, i, key, old_location)
+            batch_inserts[key] = i
+
+    @staticmethod
+    def _pass_insert(store: KVStore, plane: BatchPlane, indices) -> None:
+        pending = plane.pending_inserts
+        entries: list[tuple[bytes, int]] = []
+        live: list[int] = []
+        for i in indices:
+            entry = pending[i]
+            if entry is not None:
+                entries.append(entry)
+                live.append(i)
+        if entries:
+            store.multi_index_insert(entries)
+            for i in live:
+                pending[i] = None
+
+    @staticmethod
+    def _pass_delete(store: KVStore, plane: BatchPlane, indices) -> None:
+        qtypes = plane.qtypes
+        keys = plane.keys
+        responses = plane.responses
+        pending_deletes = plane.pending_deletes
+        batch_inserts = plane.batch_inserts
+        pending_inserts = plane.pending_inserts
+        delete = store.delete
+        delete_qtype = QueryType.DELETE
+        for i in indices:
+            if qtypes[i] is delete_qtype:
+                # Cancel any not-yet-executed Insert for this key from
+                # earlier in the batch (its entry must never appear).
+                earlier = batch_inserts.pop(keys[i], None)
+                if earlier is not None:
+                    pending_inserts[earlier] = None
+                removed = delete(keys[i])
+                responses[i] = DELETED_RESPONSE if removed else NOT_FOUND_RESPONSE
+            else:
+                stale = pending_deletes[i]
+                if stale:
+                    store.multi_index_delete(stale)
+                    pending_deletes[i] = None
 
     # --------------------------------------------------------------- search
 
@@ -225,10 +371,10 @@ class VectorEngine(SerialEngine):
 
     @staticmethod
     def _search_scalar(store: KVStore, plane: BatchPlane, indices) -> None:
-        """The scalar Search kernel: :meth:`SerialEngine._pass_search`'s
-        probe-cache walk (:meth:`KVStore.multi_index_search`, which
-        accounts ``IndexStats`` itself), with the candidates left where
-        the columnar kernel leaves them.  DELETE rows are probed (the
+        """The scalar Search kernel: the probe-cache walk
+        (:meth:`KVStore.multi_index_search`, which accounts ``IndexStats``
+        itself), with the candidates left where the columnar kernel leaves
+        them.  DELETE rows are probed (the
         Search op covers them) and dropped — the Delete pass answers them.
         """
         scratch = plane.scratch
@@ -328,7 +474,8 @@ class VectorEngine(SerialEngine):
 
     # ------------------------------------------------------------------- KC
 
-    def _pass_kc(self, store: KVStore, plane: BatchPlane, indices) -> None:
+    @staticmethod
+    def _pass_kc(store: KVStore, plane: BatchPlane) -> None:
         scratch = plane.scratch
         heap = store.heap
         probe = getattr(heap, "probe", None)
@@ -369,7 +516,8 @@ class VectorEngine(SerialEngine):
 
     # ------------------------------------------------------------------- RD
 
-    def _pass_rd(self, store: KVStore, plane: BatchPlane, indices, epoch: int) -> None:
+    @staticmethod
+    def _pass_rd(store: KVStore, plane: BatchPlane, epoch: int) -> None:
         scratch = plane.scratch
         read_values = plane.read_values
         value_rows = scratch.value_rows
@@ -397,7 +545,8 @@ class VectorEngine(SerialEngine):
 
     # ------------------------------------------------------------------- WR
 
-    def _pass_wr(self, plane: BatchPlane, indices) -> None:
+    @staticmethod
+    def _pass_wr(plane: BatchPlane) -> None:
         scratch = plane.scratch
         responses = plane.responses
         read_values = plane.read_values

@@ -341,7 +341,7 @@ class LogValueArena:
         at the first item whose key+value exceed the whole budget, with
         every earlier item applied (callers that need the scalar loop's
         positional semantics pre-screen sizes; see
-        :meth:`KVStore.multi_allocate <repro.kv.store.KVStore.multi_allocate>`).
+        :meth:`~repro.kv.store.KVStore.multi_allocate_columns`).
         """
         n = len(values)
         entries = self._entries

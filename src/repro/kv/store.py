@@ -138,7 +138,6 @@ class KVStore:
         #: Log-arena fast paths, bound once (None on an injected slab).
         self._heap_alloc_kv = getattr(self.heap, "allocate_kv", None)
         self._heap_bulk_alloc = getattr(self.heap, "multi_allocate_kv", None)
-        self._heap_discard = getattr(self.heap, "discard", None)
         self._heap_compact = getattr(self.heap, "compact", None)
         self._key_location: dict[bytes, int] = {}
         self.stats = StoreStats()
@@ -241,105 +240,12 @@ class KVStore:
         search = self.index.search
         return [search(key)[0] for key in keys]
 
-    def multi_key_compare(
-        self, keys: list[bytes], candidate_lists: list[list[int]]
-    ) -> list[int | None]:
-        """Bulk KC: verify full keys against each query's candidates."""
-        heap_get = self.heap.get
-        false_positives = 0
-        matches: list[int | None] = []
-        append = matches.append
-        for key, candidates in zip(keys, candidate_lists):
-            match: int | None = None
-            for location in candidates:
-                obj = heap_get(location, touch=False)
-                if obj is not None and obj.key == key:
-                    match = location
-                else:
-                    false_positives += 1
-            append(match)
-        self.stats.signature_false_positives += false_positives
-        return matches
-
-    def multi_read_value(
-        self, locations: list[int | None], *, epoch: int = 0
-    ) -> list[bytes | None]:
-        """Bulk RD: value bytes per location (None passes through as a miss)."""
-        heap_get = self.heap.get
-        touched = self.heap.touched
-        values: list[bytes | None] = []
-        append = values.append
-        for location in locations:
-            if location is None:
-                append(None)
-                continue
-            obj = heap_get(location)
-            if obj is None:
-                append(None)
-            else:
-                obj.record_access(epoch, touched, location)
-                append(obj.value)
-        return values
-
-    def multi_allocate(self, items: list[tuple[bytes, bytes]]) -> list[SetOutcome]:
-        """Bulk MM: allocate each (key, value) in order; outcomes per item.
-
-        On a log-arena heap the whole run is placed with one columnar
-        append (:meth:`~repro.kv.logarena.LogValueArena.multi_allocate_kv`)
-        and only the replace bookkeeping stays per item; outcomes are
-        identical to N scalar calls (in-batch duplicate keys replace the
-        earlier version, ``evicted`` is always ``None`` — the arena defers
-        eviction to the compaction barrier).
-        """
-        bulk = self._heap_bulk_alloc
-        if bulk is None or not items:
-            allocate = self.allocate
-            return [allocate(key, value) for key, value in items]
-        keys = [key for key, _ in items]
-        values = [value for _, value in items]
-        if max(map(len, keys)) + max(map(len, values)) > self.heap.budget_bytes:
-            # Conservative screen tripped: re-check exactly — an oversized
-            # item must fail at its position with every earlier item
-            # applied, which is exactly the scalar loop.
-            budget = self.heap.budget_bytes
-            if any(len(key) + len(value) > budget for key, value in items):
-                allocate = self.allocate
-                return [allocate(key, value) for key, value in items]
-        locations = bulk(keys, values)
-        key_location = self._key_location
-        key_location_get = key_location.get
-        discard = self._heap_discard
-        if discard is None:
-            heap_free, heap_contains = self.heap.free, self.heap.__contains__
-
-            def discard(location):
-                return heap_free(location) if heap_contains(location) else None
-
-        outcomes: list[SetOutcome] = []
-        append = outcomes.append
-        for key, location in zip(keys, locations):
-            old_location = key_location_get(key)
-            replaced = (
-                discard(old_location) if old_location is not None else None
-            )
-            key_location[key] = location
-            append(
-                SetOutcome(
-                    location,
-                    None,
-                    replaced,
-                    None,
-                    old_location if replaced is not None else None,
-                )
-            )
-        return outcomes
-
     def multi_allocate_columns(
         self, keys: list[bytes], values: list[bytes]
     ) -> tuple[list[int], list[int | None], list[bool]] | None:
         """Columnar MM over parallel key/value columns (bulk-heap fast path).
 
-        The engines' MM stage calls this first: on a bulk-alloc heap the
+        The engine's MM pass calls this first: on a bulk-alloc heap the
         whole SET run lands with one columnar append and the replace
         bookkeeping returns as aligned columns — ``locations[i]`` for the
         new object, ``replaced[i]`` as the displaced old location (``None``
@@ -351,25 +257,25 @@ class KVStore:
         :class:`SetOutcome` is built, and ``evicted`` is structurally
         ``None`` (the arena defers eviction to the compaction barrier).
 
-        Returns ``None`` when the heap has no bulk allocator or an item
-        might exceed the budget (positional failure semantics require the
-        scalar loop); callers then fall back to :meth:`multi_allocate`.
+        Returns ``None`` for an empty run, when the heap has no bulk
+        allocator (the slab oracle), or when an item exceeds the heap
+        budget: an oversized item must fail at its position with every
+        earlier item placed, so the caller then allocates row by row
+        through :meth:`allocate`.
         """
         bulk = self._heap_bulk_alloc
         if bulk is None or not keys:
             return None
-        if max(map(len, keys)) + max(map(len, values)) > self.heap.budget_bytes:
+        budget = self.heap.budget_bytes
+        # The per-item check runs only when the cheap screen trips.
+        if max(map(len, keys)) + max(map(len, values)) > budget and any(
+            len(key) + len(value) > budget for key, value in zip(keys, values)
+        ):
             return None
         locations = bulk(keys, values)
         key_location = self._key_location
         key_location_get = key_location.get
-        discard = self._heap_discard
-        if discard is None:
-            heap_free, heap_contains = self.heap.free, self.heap.__contains__
-
-            def discard(location):
-                return heap_free(location) if heap_contains(location) else None
-
+        discard = self.heap.discard
         index = self.index
         probe = getattr(index, "probe_cached", None)
         reassign = (

@@ -14,12 +14,10 @@ Since the engine refactor this class is a thin adapter: stage semantics are
 compiled once by :func:`~repro.engine.plan.compile_stage_plan` (the same
 plan the analytical cost model consumes), batch state lives in a columnar
 :class:`~repro.engine.plane.BatchPlane`, and execution is delegated to an
-engine backend — :class:`~repro.engine.backends.StealingEngine` when the
-config wants work stealing on a GPU stage,
-:class:`~repro.engine.backends.SerialEngine` otherwise, or whatever the
-caller pinned via the ``engine`` parameter.  The pipeline itself only does
-the batch boundaries: batch intake (RV), response framing (SD), and
-telemetry emission.  Wire parsing (PP) happens upstream, in the UDP
+engine backend — :class:`~repro.engine.vector.VectorEngine` unless the
+caller pinned another via the ``engine`` parameter.  The pipeline itself
+only does the batch boundaries: batch intake (RV), response framing (SD),
+and telemetry emission.  Wire parsing (PP) happens upstream, in the UDP
 server's window decode.
 """
 
@@ -29,17 +27,11 @@ import time
 
 from repro.core.pipeline_config import PipelineConfig
 from repro.core.tasks import Task
-from repro.engine import (
-    BatchPlane,
-    SerialEngine,
-    StealingEngine,
-    compile_stage_plan,
-    resolve_engine,
-)
+from repro.engine import BatchPlane, compile_stage_plan, resolve_engine
 from repro.kv.protocol import Response, ResponseStatus
 from repro.net.packets import Frame
 from repro.net.wire import frames_for_response_columns
-from repro.telemetry import get_telemetry, stage_span, steal_event
+from repro.telemetry import get_telemetry, stage_span
 
 _ERROR_CODE = ResponseStatus.ERROR.value
 
@@ -53,16 +45,15 @@ class BatchResult:
     there.  First access builds the frames through the columnar wire
     framer and caches them.
 
-    The status/size/value columns are always present: an engine that
-    builds only :class:`Response` objects (serial, stealing, reference)
-    gets them derived from ``responses`` here, so framing, ``ok_count``
-    and the server's TX read columns whatever engine ran.
+    The status/size/value columns are always present: when only
+    :class:`Response` objects were built (the reference engine, a
+    server's failed window) they are derived from ``responses`` here, so
+    framing, ``ok_count`` and the server's TX read columns whatever ran.
     """
 
     __slots__ = (
         "responses",
         "config_label",
-        "steal_claims",
         "response_sizes",
         "response_statuses",
         "response_values",
@@ -73,7 +64,6 @@ class BatchResult:
         self,
         responses: list[Response],
         config_label: str,
-        steal_claims: dict[str, int] | None = None,
         frames: list[Frame] | None = None,
         response_sizes: list[int] | None = None,
         response_statuses: list[int] | None = None,
@@ -81,7 +71,6 @@ class BatchResult:
     ):
         self.responses = responses
         self.config_label = config_label
-        self.steal_claims = steal_claims if steal_claims is not None else {}
         if response_statuses is None:
             response_statuses = [r.status.value for r in responses]
             response_values = [r.value for r in responses]
@@ -154,14 +143,13 @@ class FunctionalPipeline:
         Callable returning the profiler's current sampling epoch, used to
         stamp object access counters; defaults to a constant 0.
     engine:
-        Execution backend: ``None``/"auto" picks per batch (stealing when
-        the config enables it on a GPU stage, serial otherwise — what a
-        pipeline built standalone does; ``DidoSystem`` always names one);
-        "serial", "stealing", "reference", "vector" or "procshard" pins a
-        backend; an object with a ``run`` method is used as-is (and keeps
-        whatever cost model it was handed).  "procshard" needs the
-        store to be a :class:`~repro.engine.procshard.ProcShardStore` and
-        raises :class:`~repro.errors.ConfigurationError` here otherwise.
+        Execution backend: ``None``/"auto" or "vector" is the production
+        :class:`~repro.engine.vector.VectorEngine`; "reference" or
+        "procshard" pins that backend; an object with a ``run`` method is
+        used as-is (and keeps whatever cost model it was handed).
+        "procshard" needs the store to be a
+        :class:`~repro.engine.procshard.ProcShardStore` and raises
+        :class:`~repro.errors.ConfigurationError` here otherwise.
     """
 
     def __init__(self, store, epoch_source=None, engine=None):
@@ -171,24 +159,12 @@ class FunctionalPipeline:
         #: Whether submit/collect overlap windows.  Only the procshard
         #: engine splits a window, and only against the worker fleet it
         #: routes to — checked here, once, so nothing downstream asks.
-        self.supports_pipelining = (
-            self._engine is not None and self._engine.name == "procshard"
-        )
+        self.supports_pipelining = self._engine.name == "procshard"
         if self.supports_pipelining:
             self._engine.check_store(store)
-        self._serial = SerialEngine()
-        self._stealing = StealingEngine()
         self._batch_counter = 0
 
     # ------------------------------------------------------------ execution
-
-    def _engine_for(self, config: PipelineConfig):
-        """The backend for one batch: pinned engine, else by config."""
-        if self._engine is not None:
-            return self._engine
-        if config.work_stealing and config.gpu_stage is not None:
-            return self._stealing
-        return self._serial
 
     def process_batch(self, config: PipelineConfig, queries) -> BatchResult:
         """Run one batch through every stage of ``config`` in order.
@@ -200,7 +176,7 @@ class FunctionalPipeline:
         telemetry = get_telemetry()
         collect = telemetry.enabled
         plan = compile_stage_plan(config)
-        engine = self._engine_for(config)
+        engine = self._engine
         task_times: dict[Task, float] | None = {} if collect else None
         t0 = time.perf_counter() if collect else 0.0
         plane = BatchPlane(queries)
@@ -208,14 +184,14 @@ class FunctionalPipeline:
             # Batch intake (building the columnar plane) is RV's footprint
             # on this plane; PP ran upstream, so its span reads zero.
             task_times[Task.RV] = (time.perf_counter() - t0) * 1e6
-        steal_claims = engine.run(
+        engine.run(
             self.store,
             plan,
             plane,
             epoch=self._epoch_source(),
             task_times=task_times,
         )
-        result = self._finish_batch(config, plane, steal_claims)
+        result = self._finish_batch(config, plane)
         if collect:
             # Frame eagerly under telemetry so the SD span stays a real
             # measurement of response framing; otherwise frames build
@@ -223,9 +199,7 @@ class FunctionalPipeline:
             t_send = time.perf_counter()
             result.frames  # noqa: B018 - builds and caches the frames
             task_times[Task.SD] = (time.perf_counter() - t_send) * 1e6
-            self._emit_batch(
-                telemetry, config, engine, task_times, steal_claims, len(queries)
-            )
+            self._emit_batch(telemetry, config, engine, task_times, len(queries))
         return result
 
     # --------------------------------------------------- pipelined windows
@@ -260,9 +234,8 @@ class FunctionalPipeline:
         """Merge a submitted window into a :class:`BatchResult`."""
         if pending.result is not None:
             return pending.result
-        steal_claims = pending.engine.collect(pending.ticket)
-        plane = pending.plane
-        result = self._finish_batch(pending.config, plane, steal_claims)
+        pending.engine.collect(pending.ticket)
+        result = self._finish_batch(pending.config, pending.plane)
         pending.result = result
         telemetry = get_telemetry()
         if telemetry.enabled:
@@ -282,9 +255,7 @@ class FunctionalPipeline:
             ).inc(engine=pending.engine.name)
         return result
 
-    def _finish_batch(
-        self, config: PipelineConfig, plane: BatchPlane, steal_claims
-    ) -> BatchResult:
+    def _finish_batch(self, config: PipelineConfig, plane: BatchPlane) -> BatchResult:
         """What every executed window ends with: take the responses, run
         the post-batch barrier, count the batch, assemble the result."""
         responses = plane.take_responses()
@@ -298,7 +269,6 @@ class FunctionalPipeline:
         return BatchResult(
             responses=responses,
             config_label=config.label,
-            steal_claims=steal_claims,
             response_sizes=plane.response_sizes,
             response_statuses=plane.response_statuses,
             response_values=plane.read_values
@@ -312,10 +282,9 @@ class FunctionalPipeline:
         config: PipelineConfig,
         engine,
         task_times: dict[Task, float],
-        steal_claims: dict[str, int],
         num_queries: int,
     ) -> None:
-        """Append this batch's spans, steal summary, and counters."""
+        """Append this batch's spans and counters."""
         batch = self._batch_counter
         for stage in config.stages:
             for task in stage.tasks:
@@ -332,15 +301,6 @@ class FunctionalPipeline:
                 telemetry.registry.histogram(
                     "repro_task_time_us", help="Wall-clock task time per batch"
                 ).observe(duration, task=task.name)
-        if steal_claims:
-            gpu_stage = config.gpu_stage
-            telemetry.events.append(
-                steal_event(
-                    stage=gpu_stage.label if gpu_stage else "<none>",
-                    claims=steal_claims,
-                    batch=batch,
-                )
-            )
         telemetry.registry.counter(
             "repro_pipeline_batches_total", help="Functional batches executed"
         ).inc()

@@ -35,6 +35,13 @@ A malformed datagram is dropped (never crashes the serve loop): the peer
 is logged, ``stats.protocol_errors`` increments, and the
 ``repro_wire_parse_errors_total`` counter records it.
 
+A window the store cannot apply (a :class:`~repro.errors.ReproError` out of
+the system, e.g. a full cuckoo index) does not stop the server either:
+every row of that window is answered ``ERROR``, ``stats.failed_windows``
+increments, a warning is logged, and serving goes on.  A SET in a failed
+window may or may not have applied; its client was told ``ERROR``.
+Everything applied before the window stays readable.
+
 Usage::
 
     server = DidoUDPServer(("127.0.0.1", 0), system=DidoSystem(...))
@@ -60,7 +67,7 @@ from itertools import compress
 import numpy as np
 
 from repro.core.dido import DidoSystem
-from repro.errors import ConfigurationError, ProtocolError
+from repro.errors import ConfigurationError, ProtocolError, ReproError
 from repro.kv.protocol import Response, ResponseStatus
 from repro.pipeline.functional import BatchResult
 from repro.net.wire import (
@@ -95,6 +102,9 @@ DRAIN_LIMIT = 64
 #: load generator survive between polls (best-effort).
 _RCVBUF_BYTES = 1 << 21
 
+#: The answer to every row of a window the store failed to apply.
+_FAILED = Response(ResponseStatus.ERROR)
+
 
 @dataclass
 class ServerStats:
@@ -108,6 +118,8 @@ class ServerStats:
     #: Queries answered with a cluster WRONG_NODE redirect (the key is
     #: not owned under the server's current manifest).
     redirects: int = 0
+    #: Windows the store failed to apply, answered ``ERROR`` row by row.
+    failed_windows: int = 0
 
 
 def _scatter(owned, rows, fill) -> list:
@@ -252,10 +264,12 @@ class DidoUDPServer:
         except OSError:  # pragma: no cover - double close
             pass
         logger.info(
-            "stopped: %d queries in %d batches, %d protocol errors",
+            "stopped: %d queries in %d batches, %d protocol errors, "
+            "%d failed windows",
             self.stats.queries,
             self.stats.batches,
             self.stats.protocol_errors,
+            self.stats.failed_windows,
         )
 
     def serve_forever(self) -> None:
@@ -436,19 +450,25 @@ class DidoUDPServer:
 
     def _process_window(self, batch: QueryColumns, bounds: list) -> None:
         ownership = self.ownership
-        if ownership is not None:
-            # Cluster serving: ownership filtering (and migration's batch
-            # hook) reason about one window at a time — run synchronously
-            # behind any windows already in flight.
-            self._drain_inflight_windows()
-            result = self._process_owned(batch, ownership)
-        elif self._pipeline_depth > 1 and self.batch_hook is None:
+        if ownership is None and self._pipeline_depth > 1 and self.batch_hook is None:
             self._submit_window(batch, bounds)
             return
-        else:
-            self._drain_inflight_windows()
-            result = self.system.process(batch)
-            self._observe_batch(batch)
+        # Cluster serving too runs synchronously behind any windows already
+        # in flight: ownership filtering (and migration's batch hook)
+        # reason about one window at a time.
+        self._drain_inflight_windows()
+        try:
+            if ownership is not None:
+                result = self._process_owned(batch, ownership)
+            else:
+                result = self.system.process(batch)
+                self._observe_batch(batch)
+        except ReproError as exc:
+            self.stats.failed_windows += 1
+            logger.warning(
+                "answering a %d-query window ERROR: %s", len(batch), exc
+            )
+            result = BatchResult([_FAILED] * len(batch), "failed")
         self._finish_window(bounds, batch, result)
 
     def _submit_window(self, batch, bounds) -> None:

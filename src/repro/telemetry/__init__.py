@@ -3,7 +3,7 @@
 The adaptive pipeline's whole premise is that the right configuration
 changes with the workload; this package makes the system's view of itself
 observable: what each stage cost per batch, why the controller re-planned,
-how often work stealing fired, and what the profiler saw.  Production KV
+and what the profiler saw.  Production KV
 stores drive elasticity and offload policies from exactly these signals.
 
 Three pieces, one switch:
@@ -11,7 +11,7 @@ Three pieces, one switch:
 * :class:`MetricsRegistry` (``registry``) — process-wide counters, gauges,
   and fixed-bucket histograms with labels;
 * :class:`EventLog` (``events``) — a bounded ring of structured
-  :class:`TraceEvent` records (stage spans, replan audits, steal claims);
+  :class:`TraceEvent` records (stage spans, replan audits);
 * exporters (``exporters``) — JSONL traces for analysis, Prometheus text
   for scraping, and a console summary for humans.
 
@@ -27,7 +27,6 @@ from repro.telemetry.events import (
     TraceEvent,
     replan_event,
     stage_span,
-    steal_event,
 )
 from repro.telemetry.exporters import (
     console_summary,
@@ -66,6 +65,5 @@ __all__ = [
     "replan_event",
     "span",
     "stage_span",
-    "steal_event",
     "timed",
 ]

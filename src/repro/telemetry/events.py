@@ -1,8 +1,8 @@
 """Structured trace events and the bounded ring buffer that stores them.
 
 Where :mod:`repro.telemetry.registry` aggregates, this module records
-*occurrences*: one :class:`TraceEvent` per pipeline-stage span, re-planning
-decision, or work-steal claim, in the order they happened.  The
+*occurrences*: one :class:`TraceEvent` per pipeline-stage span or
+re-planning decision, in the order they happened.  The
 :class:`EventLog` is a fixed-capacity ring so a long-running server never
 grows without bound — old events fall off the head and are counted in
 :attr:`EventLog.dropped` instead of silently vanishing.
@@ -17,8 +17,6 @@ Event kinds used by the instrumented system:
     One :class:`~repro.core.controller.AdaptationController` decision with
     the full before/after pipeline configuration, the profile delta that
     triggered it, and the cost model's expectations.
-``steal``
-    Work-steal claim summary for one stage execution (sets per owner).
 """
 
 from __future__ import annotations
@@ -127,16 +125,6 @@ def replan_event(
             "search_ms": search_seconds * 1e3,
             "host_costs": host_costs,
         },
-    )
-
-
-def steal_event(stage: str, claims: dict[str, int], batch: int) -> TraceEvent:
-    """Summary of one stage's work-steal claims, keyed by owner."""
-    return TraceEvent(
-        kind="steal",
-        name="work_steal",
-        t_wall=time.time(),
-        fields={"stage": stage, "batch": batch, **{f"sets_{o}": c for o, c in claims.items()}},
     )
 
 

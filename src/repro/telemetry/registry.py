@@ -6,9 +6,8 @@ Instruments follow the Prometheus data model — a metric family has a name,
 a help string, and one sample per label set — because that is the format
 the exporters speak and the format operators already know how to scrape.
 
-Everything is thread-safe: the UDP server's background thread, the
-functional pipeline's steal helpers, and the main thread all update the
-same instruments.  Updates take one short lock per call; hot paths are
+Everything is thread-safe: the UDP server's background thread and the
+main thread both update the same instruments.  Updates take one short lock per call; hot paths are
 expected to check :attr:`repro.telemetry.hub.Telemetry.enabled` first so a
 disabled system never reaches these locks at all.
 """

@@ -42,7 +42,25 @@ def test_every_wrap_point_resolves(monkeypatch):
 
 
 def test_engine_names():
-    assert ENGINE_NAMES == ("auto", "serial", "stealing", "reference", "vector", "procshard")
+    assert ENGINE_NAMES == ("auto", "reference", "vector", "procshard")
+
+
+def test_verifier_pipeline_answers_a_batch():
+    """``run.py::reference_responses`` builds its verifier exactly so and
+    compares the served bytes with ``encode_responses`` of its answers."""
+    from repro.core.pipeline_config import PipelineConfig
+    from repro.kv.protocol import Query, QueryType, Response, ResponseStatus, encode_responses
+    from repro.kv.store import KVStore
+    from repro.pipeline.functional import FunctionalPipeline
+
+    pipeline = FunctionalPipeline(KVStore(64 << 20, 65536), engine="reference")
+    config = PipelineConfig.assemble((), total_cpu_cores=4)
+    result = pipeline.process_batch(
+        config, [Query(QueryType.SET, b"k", b"v"), Query(QueryType.GET, b"k")]
+    )
+    assert encode_responses(result.responses) == encode_responses(
+        [Response(ResponseStatus.STORED), Response(ResponseStatus.OK, b"v")]
+    )
 
 
 def test_system_exposes_the_counters_the_benchmark_reads():

@@ -93,11 +93,10 @@ class TestEngineResolution:
         assert chosen.costs is system.profiler.host_costs is system.controller.host_costs
 
     def test_named_engines_still_selectable(self):
-        from repro.engine import SerialEngine, StealingEngine
+        from repro.engine import ReferenceEngine
 
-        for name, cls in (("serial", SerialEngine), ("stealing", StealingEngine)):
-            system = DidoSystem(memory_bytes=16 << 20, expected_objects=16384, engine=name)
-            assert type(system.pipeline._engine) is cls
+        system = DidoSystem(memory_bytes=16 << 20, expected_objects=16384, engine="reference")
+        assert type(system.pipeline._engine) is ReferenceEngine
 
     def test_replan_events_carry_the_fitted_pass_costs(self, system):
         writes = QueryStream(standard_workload("K16-G50-U"), 500, seed=5)

@@ -12,15 +12,13 @@ from repro.core.tasks import IndexOp, Task
 from repro.engine import (
     BatchPlane,
     ReferenceEngine,
-    SerialEngine,
-    StealingEngine,
+    VectorEngine,
     compile_stage_plan,
     resolve_engine,
 )
 from repro.engine.plan import BOUNDARY_TASKS, INDEX_OP_PRIORITY, PhaseKind
-from repro.engine.plane import indices_between
-from repro.errors import ConfigurationError, SimulationError
-from repro.kv.protocol import Query, QueryType
+from repro.errors import CapacityError, ConfigurationError, SimulationError
+from repro.kv.protocol import Query, QueryType, ResponseStatus
 from repro.kv.store import KVStore
 from repro.pipeline.functional import FunctionalPipeline
 from repro.pipeline.megakv import megakv_coupled_config
@@ -184,7 +182,6 @@ class TestBatchPlane:
         assert plane.delete_indices == [2]
         assert plane.search_indices == [1, 2, 3]  # GET and DELETE
         assert plane.mutation_indices == [0, 2]  # SET and DELETE
-        assert list(plane.all_indices) == [0, 1, 2, 3]
 
     def test_take_responses_raises_when_incomplete(self):
         plane = BatchPlane([Query(QueryType.GET, b"a")])
@@ -220,12 +217,6 @@ class TestBatchPlane:
         assert "..." in message  # only the first few indices are spelled out
         assert "19:GET" not in message
 
-    def test_indices_between_list_and_range(self):
-        assert indices_between([1, 4, 6, 9], 4, 9) == [4, 6]
-        assert indices_between([1, 4, 6, 9], 0, 100) == [1, 4, 6, 9]
-        assert indices_between(range(10), 3, 7) == range(3, 7)
-        assert list(indices_between(range(5), 4, 100)) == [4]
-
 
 # ------------------------------------------------------------------ bulk ops
 
@@ -251,20 +242,6 @@ class TestBulkStoreOps:
             store.index.stats.search_bucket_reads
             == scalar_store.index.stats.search_bucket_reads
         )
-
-    def test_multi_key_compare_matches_scalar(self):
-        store = self.populated_store()
-        keys = [f"key-{i}".encode() for i in range(0, 40)]
-        candidates = [store.index_search(k) for k in keys]
-        bulk = store.multi_key_compare(keys, candidates)
-        assert bulk == [store.key_compare(k, c) for k, c in zip(keys, candidates)]
-
-    def test_multi_read_value_handles_misses(self):
-        store = self.populated_store()
-        key = b"key-7"
-        location = store.key_compare(key, store.index_search(key))
-        values = store.multi_read_value([location, None])
-        assert values == [b"value-7", None]
 
     def test_multi_index_insert_then_search(self):
         store = KVStore(memory_bytes=1 << 20, expected_objects=512)
@@ -316,23 +293,63 @@ class TestProbeCache:
 
 
 class TestEngineEquivalence:
-    """Every legal config: columnar backends == preserved per-query path."""
+    """Every legal config: the batch engine == the preserved per-query path."""
 
-    def run_all(self, engine, config, batches):
-        store = KVStore(memory_bytes=8 << 20, expected_objects=4096)
+    def run_all(self, engine, config, batches, heap="log"):
+        store = KVStore(8 << 20, 4096, heap=heap_named(heap, 8 << 20))
         return batch_frames(store, engine, config, batches), store
 
+    @pytest.mark.parametrize("heap", ["log", "slab"])
     @pytest.mark.parametrize("label", ["K16-G50-S", "K16-G95-U"])
-    def test_serial_and_stealing_match_reference(self, label):
+    def test_vector_matches_reference_on_every_config(self, label, heap):
+        """All 37 canonical configs (their work-stealing variants
+        included) through the production engine on either heap answer
+        byte for byte like the reference on the log arena, with the same
+        store and Search counts."""
         batches = workload_batches(label=label)
-        for config in all_canonical_configs():
+        configs = all_canonical_configs()
+        assert len(configs) == 37
+        for config in configs:
             ref_frames, ref_store = self.run_all("reference", config, batches)
-            col_frames, col_store = self.run_all(None, config, batches)
-            assert col_frames == ref_frames, config.label
-            assert col_store.stats == ref_store.stats, config.label
-            assert col_store.index.stats.searches == ref_store.index.stats.searches
+            frames, store = self.run_all("vector", config, batches, heap)
+            assert frames == ref_frames, config.label
+            assert store.stats == ref_store.stats, config.label
+            assert store.index.stats.searches == ref_store.index.stats.searches
 
-    @pytest.mark.parametrize("engine", ["serial", "stealing", "vector"])
+    @pytest.mark.parametrize("heap", ["log", "slab"])
+    def test_oversized_set_fails_its_window_like_reference(self, heap):
+        """A SET bigger than the heap budget fails its window at its
+        position, on either heap, as it does on the reference: the window
+        raises after MM placed the SET before it and before any Insert
+        ran, so none of the window's keys reads back; a later re-SET
+        does, and the store counts match the reference's.  (A bulk append
+        that raised mid-run would leave ``a`` placed but unmapped.)"""
+        config = megakv_coupled_config()
+        stats = []
+        for engine, heap_kind in (("vector", heap), ("reference", "log")):
+            store = KVStore(1 << 20, 512, heap=heap_named(heap_kind, 1 << 20))
+            pipeline = FunctionalPipeline(store, engine=engine)
+            window = [
+                Query(QueryType.SET, b"a", b"1"),
+                Query(QueryType.SET, b"b", b"x" * (store.heap.budget_bytes + 1)),
+                Query(QueryType.SET, b"c", b"3"),
+            ]
+            with pytest.raises(CapacityError):
+                pipeline.process_batch(config, window)
+            gets = [Query(QueryType.GET, key) for key in (b"a", b"b", b"c")]
+            result = pipeline.process_batch(config, gets)
+            assert [r.status for r in result.responses] == [ResponseStatus.NOT_FOUND] * 3
+            result = pipeline.process_batch(
+                config, [Query(QueryType.SET, b"a", b"2"), Query(QueryType.GET, b"a")]
+            )
+            assert result.responses[1].value == b"2"
+            # ``a``'s first version was mapped, so the re-SET displaced it:
+            # the heap holds no orphan of the failed window.
+            assert store.keys() == [b"a"]
+            stats.append(store.stats)
+        assert stats[0] == stats[1]
+
+    @pytest.mark.parametrize("engine", ["vector"])
     def test_duplicate_heavy_windows_match_reference(self, engine):
         """Skewed windows that repeat keys (and the write barrier spelled
         out: a GET between two SETs of its key) answer byte for byte like
@@ -360,14 +377,6 @@ class TestEngineEquivalence:
             assert frames == ref_frames, config.label
             assert store.stats == ref_store.stats, config.label
             assert store.index.stats.searches == ref_store.index.stats.searches
-
-    def test_pinned_engines_match_auto(self):
-        config = megakv_coupled_config()
-        batches = workload_batches()
-        auto_frames, _ = self.run_all(None, config, batches)
-        for name in ("serial", "stealing"):
-            frames, _ = self.run_all(name, config, batches)
-            assert frames == auto_frames, name
 
 
 #: Batches of (op, key index, value index) triples; a 24-key pool
@@ -411,8 +420,6 @@ def stream_batches(raw):
 @pytest.mark.parametrize(
     "engine, heap",
     [
-        ("serial", "slab"),
-        ("serial", "log"),
         ("vector", "slab"),
         ("vector", "log"),
         ("procshard", "log"),  # workers only ever hold the log arena
@@ -437,48 +444,19 @@ def test_engines_match_reference_over_multi_batch_streams(engine, heap, raw):
     )
 
 
-class TestEngineSelection:
-    def test_auto_picks_stealing_for_stealing_config(self):
-        store = KVStore(memory_bytes=1 << 20, expected_objects=256)
-        pipeline = FunctionalPipeline(store)
-        stealing_config = PipelineConfig.assemble(
-            (Task.IN, Task.KC, Task.RD), total_cpu_cores=4, work_stealing=True
-        )
-        assert isinstance(pipeline._engine_for(stealing_config), StealingEngine)
-        assert type(pipeline._engine_for(megakv_coupled_config())) is SerialEngine
-
-    def test_stealing_engine_records_claims(self):
-        store = KVStore(memory_bytes=1 << 20, expected_objects=256)
-        pipeline = FunctionalPipeline(store)
-        config = PipelineConfig.assemble(
-            (Task.IN, Task.KC, Task.RD), total_cpu_cores=4, work_stealing=True
-        )
-        result = pipeline.process_batch(
-            config, [Query(QueryType.SET, b"k", b"v"), Query(QueryType.GET, b"k")]
-        )
-        assert sum(result.steal_claims.values()) > 0
-
-    def test_serial_engine_reports_no_claims(self):
-        store = KVStore(memory_bytes=1 << 20, expected_objects=256)
-        pipeline = FunctionalPipeline(store, engine="serial")
-        result = pipeline.process_batch(
-            megakv_coupled_config(), [Query(QueryType.GET, b"missing")]
-        )
-        assert result.steal_claims == {}
-
-
 class TestResolveEngine:
-    def test_auto_and_none_resolve_to_none(self):
-        assert resolve_engine(None) is None
-        assert resolve_engine("auto") is None
+    def test_auto_and_none_resolve_to_vector(self):
+        """A standalone pipeline runs the production passes."""
+        assert type(resolve_engine(None)) is VectorEngine
+        assert type(resolve_engine("auto")) is VectorEngine
+        assert type(FunctionalPipeline(KVStore(1 << 20, 256))._engine) is VectorEngine
 
     def test_names_resolve_to_backends(self):
-        assert isinstance(resolve_engine("serial"), SerialEngine)
-        assert isinstance(resolve_engine("stealing"), StealingEngine)
+        assert isinstance(resolve_engine("vector"), VectorEngine)
         assert isinstance(resolve_engine("reference"), ReferenceEngine)
 
     def test_engine_objects_pass_through(self):
-        engine = SerialEngine()
+        engine = VectorEngine()
         assert resolve_engine(engine) is engine
 
     def test_unknown_name_rejected(self):

@@ -26,7 +26,6 @@ from hypothesis import strategies as st
 from repro.engine import (
     BatchPlane,
     ReferenceEngine,
-    SerialEngine,
     VectorEngine,
     compile_stage_plan,
 )
@@ -731,7 +730,7 @@ class TestReassignFusionThroughEngines:
     (``CuckooHashTable.reassign_prehashed``); results must stay identical
     to the scalar reference path, which never fuses."""
 
-    @pytest.mark.parametrize("engine_cls", [SerialEngine, VectorEngine])
+    @pytest.mark.parametrize("engine_cls", [VectorEngine])
     def test_replaces_settle_in_place_with_identical_results(self, engine_cls):
         store = KVStore(8 << 20, 4096)
         reference = KVStore(8 << 20, 4096, heap=SlabAllocator(8 << 20))

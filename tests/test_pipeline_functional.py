@@ -3,7 +3,6 @@
 
 from repro.core.config_search import enumerate_configs
 from repro.core.pipeline_config import PipelineConfig
-from repro.core.tasks import Task
 from repro.kv.protocol import Query, QueryType, ResponseStatus, decode_responses
 from repro.kv.slab import SlabAllocator
 from repro.kv.store import KVStore
@@ -127,29 +126,6 @@ class TestConfigEquivalence:
             dynamic.extend((r.status, r.value) for r in result.responses)
         static = run_workload(megakv_coupled_config(), batches)
         assert dynamic == static
-
-
-class TestWorkStealingClaims:
-    def test_claims_recorded_for_gpu_stage(self):
-        batches = workload_batches("K16-G95-S", batches=1, size=500)
-        pipeline, _ = fresh_pipeline()
-        config = PipelineConfig.assemble(
-            (Task.IN, Task.KC, Task.RD), total_cpu_cores=4, work_stealing=True
-        )
-        result = pipeline.process_batch(config, batches[0])
-        assert result.steal_claims.get("gpu", 0) > 0
-        assert result.steal_claims.get("cpu", 0) > 0
-
-    def test_claims_cover_batch_per_phase(self):
-        batches = workload_batches("K16-G95-S", batches=1, size=640)
-        pipeline, _ = fresh_pipeline()
-        config = PipelineConfig.assemble((Task.IN,), total_cpu_cores=4)
-        result = pipeline.process_batch(config, batches[0])
-        total_chunks = sum(result.steal_claims.values())
-        chunks_per_phase = -(-640 // 64)
-        # The [IN] stage has three phases (Delete, Insert, Search), each
-        # fully claimed once.
-        assert total_chunks == 3 * chunks_per_phase
 
 
 class TestEvictionThroughPipeline:

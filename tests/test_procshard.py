@@ -594,7 +594,7 @@ class TestProcShardSystem:
         before = shm_segments()
         with pytest.raises(ConfigurationError, match="cannot execute across 4 shards"):
             DidoSystem(memory_bytes=8 << 20, expected_objects=4096,
-                       engine="serial", shards=4)
+                       engine="reference", shards=4)
         assert shm_segments() <= before  # rejected before any worker spawned
 
     def test_system_matches_plain_system_with_flags(self):

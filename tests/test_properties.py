@@ -7,7 +7,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core.pipeline_config import PipelineConfig, gpu_segments
-from repro.core.work_stealing import TagArray, plan_steal
+from repro.core.work_stealing import plan_steal
 from repro.errors import CapacityError
 from repro.hardware.memory import AccessPattern, object_access_pattern
 from repro.hardware.processor import gpu_batch_efficiency, gpu_task_time_ns
@@ -137,21 +137,6 @@ def test_zipf_samples_in_range(num_keys):
 
 
 # ------------------------------------------------------------- work stealing
-
-
-@settings(max_examples=40, deadline=None)
-@given(
-    st.integers(min_value=1, max_value=5000),
-    st.integers(min_value=1, max_value=256),
-)
-def test_tag_array_exactly_once(batch, chunk):
-    tags = TagArray(batch, chunk=chunk)
-    seen = []
-    reverse = False
-    while (claimed := tags.claim_next("x", reverse=reverse)) is not None:
-        seen.extend(claimed)
-        reverse = not reverse
-    assert sorted(seen) == list(range(batch))
 
 
 @settings(max_examples=60, deadline=None)

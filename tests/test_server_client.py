@@ -132,6 +132,38 @@ class TestServerLifecycle:
         assert client.set(b"still-alive", b"yes")
         assert server.stats.protocol_errors >= 1
 
+    def test_full_index_fails_its_window_not_the_server(self):
+        """SETs of fresh keys past what ``expected_objects`` sized the
+        cuckoo index for make a window's Insert raise.  That window's rows
+        are answered ERROR and counted; the serve loop keeps answering,
+        and a key SET before the failure still reads back."""
+        from repro.kv.protocol import decode_responses
+
+        system = DidoSystem(memory_bytes=32 << 20, expected_objects=128, engine="vector")
+        srv = DidoUDPServer(("127.0.0.1", 0), system=system, batch_size=16)
+        srv.start()
+        try:
+            with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as sock:
+                sock.settimeout(5.0)
+
+                def exchange(queries):
+                    sock.sendto(encode_queries(queries), srv.address)
+                    return [r.status for r in decode_responses(sock.recvfrom(65536)[0])]
+
+                failed = []
+                for w in range(20):
+                    statuses = exchange(
+                        [Query(QueryType.SET, b"key-%02d-%02d" % (w, i), b"v") for i in range(16)]
+                    )
+                    if statuses != [ResponseStatus.STORED] * 16:
+                        assert statuses == [ResponseStatus.ERROR] * 16
+                        failed.append(w)
+                assert failed and failed[0] > 0
+                assert srv.stats.failed_windows == len(failed)
+                assert exchange([Query(QueryType.GET, b"key-00-00")]) == [ResponseStatus.OK]
+        finally:
+            srv.stop()
+
 
 class TestClientValidation:
     def test_timeout_positive(self):
@@ -253,10 +285,10 @@ class TestWirePlanes:
         system = DidoSystem(memory_bytes=16 << 20, expected_objects=8192, engine="vector")
         return DidoUDPServer(("127.0.0.1", 0), system=system, **kwargs)
 
-    @pytest.mark.parametrize("engine", ["vector", "serial"])
+    @pytest.mark.parametrize("engine", ["vector", "reference"])
     def test_server_bytes_equal_reference_codec(self, engine):
         """The one TX path — response columns filled by the engine (vector)
-        or derived from its Response objects (serial) — puts the bytes on
+        or derived from its Response objects (reference) — puts the bytes on
         the wire that ``encode_responses`` gives for ReferenceEngine's
         answers to the same datagrams."""
         import socket

@@ -385,13 +385,6 @@ class TestInstrumentedSystem:
             e.host_costs for e in system.controller.events
         ]
 
-    def test_steal_claims_counted_per_owner(self, live_telemetry):
-        self.drive(engine="stealing")
-        counter = live_telemetry.registry.get("repro_steal_claims_total")
-        assert counter is not None
-        assert counter.value(owner="gpu", stolen="false") > 0
-        assert counter.value(owner="cpu", stolen="true") > 0
-
     def test_profiler_gauges_exposed(self, traced_system):
         _, telemetry = traced_system
         get_ratio = telemetry.registry.get("repro_profile_get_ratio")

@@ -273,7 +273,7 @@ class TestKickedKeysAnswerEverywhere:
         store, keys = prefilled
         assert [key for key in keys if store.get(key) is None] == []
 
-    @pytest.mark.parametrize("engine", ["reference", "serial", "vector"])
+    @pytest.mark.parametrize("engine", ["reference", "vector"])
     def test_engine_get_and_store_counters(self, prefilled, engine):
         from repro.kv.protocol import Query, QueryType, ResponseStatus
 

@@ -1,87 +1,9 @@
-"""Unit tests for the tag array and the Equation-3 stealing estimate."""
-
-import threading
+"""Unit tests for the Equation-3 stealing estimate."""
 
 import pytest
 
-from repro.core.work_stealing import WAVEFRONT, TagArray, plan_steal
+from repro.core.work_stealing import plan_steal
 from repro.errors import ConfigurationError
-
-
-class TestTagArray:
-    def test_tag_count(self):
-        assert TagArray(640).num_tags == 10
-        assert TagArray(641).num_tags == 11
-        assert TagArray(1).num_tags == 1
-
-    def test_claims_cover_batch_exactly_once(self):
-        tags = TagArray(1000)
-        seen = []
-        while (claimed := tags.claim_next("owner")) is not None:
-            seen.extend(claimed)
-        assert sorted(seen) == list(range(1000))
-
-    def test_forward_and_reverse_meet_in_middle(self):
-        tags = TagArray(64 * 10)
-        owner_chunks, helper_chunks = [], []
-        for turn in range(10):
-            if turn % 2 == 0:
-                owner_chunks.append(tags.claim_next("gpu"))
-            else:
-                helper_chunks.append(tags.claim_next("cpu", reverse=True))
-        assert tags.all_claimed()
-        covered = sorted(i for r in owner_chunks + helper_chunks for i in r)
-        assert covered == list(range(640))
-
-    def test_owner_accounting(self):
-        tags = TagArray(64 * 4)
-        tags.claim_next("gpu")
-        tags.claim_next("cpu", reverse=True)
-        tags.claim_next("gpu")
-        assert tags.claims_by("gpu") == 2
-        assert tags.claims_by("cpu") == 1
-
-    def test_last_chunk_partial(self):
-        tags = TagArray(100, chunk=64)
-        first = tags.claim_next("a")
-        second = tags.claim_next("a")
-        assert len(first) == 64
-        assert len(second) == 36
-        assert tags.claim_next("a") is None
-
-    def test_coverage(self):
-        tags = TagArray(100, chunk=64)
-        tags.claim_next("a")
-        assert tags.coverage() == 64
-
-    def test_thread_safety(self):
-        """Two racing claimants never claim the same chunk."""
-        tags = TagArray(64 * 200)
-        claimed: dict[str, list[range]] = {"a": [], "b": []}
-
-        def worker(name, reverse):
-            while (r := tags.claim_next(name, reverse=reverse)) is not None:
-                claimed[name].append(r)
-
-        threads = [
-            threading.Thread(target=worker, args=("a", False)),
-            threading.Thread(target=worker, args=("b", True)),
-        ]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        indices = sorted(i for rs in claimed.values() for r in rs for i in r)
-        assert indices == list(range(64 * 200))
-
-    def test_invalid_construction(self):
-        with pytest.raises(ConfigurationError):
-            TagArray(0)
-        with pytest.raises(ConfigurationError):
-            TagArray(10, chunk=0)
-
-    def test_default_chunk_is_wavefront(self):
-        assert TagArray(256).chunk == WAVEFRONT == 64
 
 
 class TestPlanSteal:
