@@ -10,8 +10,8 @@ Commands
 ``figures [IDS ...]``
     Regenerate paper figures (e.g. ``fig11 fig15``; default: the quick ones)
     and print their tables.
-``serve [--host H] [--port P] [--engine NAME] [--shards N]
-[--batch-size N] [--coalesce-us US]``
+``serve [--host H] [--port P] [--engine NAME] [--batch-size N]
+[--coalesce-us US]``
     Run a real UDP key-value server backed by an adaptive DIDO system,
     with adaptive batch coalescing (size target or deadline) over the
     columnar wire plane.
@@ -66,16 +66,7 @@ _STORE_FLAGS = (
         dict(
             choices=ENGINE_NAMES, default="auto",
             help="functional execution backend (default: auto — vector, "
-            "which places Search by its fitted host cost; procshard "
-            "with --shards > 1)",
-        ),
-    ),
-    (
-        "--shards",
-        dict(
-            type=int, default=1,
-            help="hash-partition the store across N shard worker processes "
-            "(default: 1; more than 1 needs --engine auto or procshard)",
+            "which places Search by its fitted host cost)",
         ),
     ),
 )
@@ -306,9 +297,8 @@ def cmd_serve(args: argparse.Namespace) -> int:
         return _serve_cluster_node(args, server)
     import signal
 
-    # SIGTERM drains like Ctrl-C: the serve loop finishes its window, the
-    # system closes (procshard workers shut down and every shared-memory
-    # arena is unlinked) before the process exits.
+    # SIGTERM drains like Ctrl-C: the serve loop finishes its window and
+    # the final stats print before the process exits.
     signal.signal(signal.SIGTERM, lambda *_: server.stop())
     host, port = server.address
     print(f"serving on {host}:{port} (Ctrl-C to stop)")
@@ -318,7 +308,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
         pass
     finally:
         server.stop()
-        system.close()
         print(f"\n{server.stats}")
     return 0
 
@@ -357,7 +346,6 @@ def _serve_cluster_node(args: argparse.Namespace, server) -> int:
         pass
     finally:
         node.stop()
-        server.system.close()
         print(f"\n{server.stats}")
     return 0
 
@@ -448,14 +436,10 @@ def cmd_telemetry(args: argparse.Namespace) -> int:
 
     telemetry = configure(enabled=True)
     system = DidoSystem(**_store_kwargs(args))
-    try:
-        for label in _TELEMETRY_PHASES:
-            stream = QueryStream(standard_workload(label), num_keys=6_000, seed=3)
-            for _ in range(args.batches):
-                system.process(stream.next_batch(args.batch_size))
-    finally:
-        # --shards N runs shard worker processes; stop them with the run.
-        system.close()
+    for label in _TELEMETRY_PHASES:
+        stream = QueryStream(standard_workload(label), num_keys=6_000, seed=3)
+        for _ in range(args.batches):
+            system.process(stream.next_batch(args.batch_size))
     if args.export == "jsonl":
         if args.out:
             records = export_jsonl(telemetry, args.out)

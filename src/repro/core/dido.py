@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from repro.core.controller import AdaptationController
 from repro.core.profiler import WorkloadProfiler
 from repro.engine import resolve_engine
-from repro.errors import ConfigurationError, WorkloadError
+from repro.errors import WorkloadError
 from repro.hardware.specs import APU_A10_7850K, PlatformSpec
 from repro.kv.store import KVStore
 from repro.pipeline.functional import BatchResult, FunctionalPipeline
@@ -63,19 +63,12 @@ class DidoSystem:
         credits it; the functional engines run every phase over every row
         either way).
     engine:
-        Functional execution backend ("reference", "vector", "procshard",
-        or a backend instance).  Unset/"auto" is the production engine:
-        "vector" — Search on the kernel the fitted host cost model picks —
-        or "procshard" when ``shards > 1``.
-    shards:
-        Hash-partition the store across this many shard worker processes
-        (a :class:`~repro.engine.procshard.ProcShardStore`), served by
-        "procshard" — the only backend that executes across partitions;
-        any other engine raises :class:`~repro.errors.ConfigurationError`.
+        Functional execution backend ("reference", "vector", or a backend
+        instance).  Unset/"auto" is the production engine, "vector":
+        Search on the kernel the fitted host cost model picks.
 
-    Whichever store is built, the system reaches it through the same
-    store protocol (see :mod:`repro.kv.store`); which one it holds is
-    decided here in the constructor and asked nowhere else.
+    The system builds one :class:`~repro.kv.store.KVStore` and reaches it
+    through the store protocol (see :mod:`repro.kv.store`).
     """
 
     def __init__(
@@ -87,33 +80,16 @@ class DidoSystem:
         latency_budget_ns: float = 1_000_000.0,
         work_stealing: bool = True,
         engine=None,
-        shards: int = 1,
     ):
         self.platform = platform
         budget = memory_bytes if memory_bytes is not None else platform.shared_memory_bytes
-        if engine is None or engine == "auto":
-            # The system decides: the engine that places Search by the
-            # fitted host costs, behind the shard router when partitioned.
-            engine = "procshard" if shards > 1 else "vector"
         engine = resolve_engine(engine)
-        procshard = engine.name == "procshard"
-        if shards > 1 and not procshard:
-            raise ConfigurationError(
-                f"engine {engine.name!r} cannot execute across {shards} "
-                "shards; use engine='procshard' (or shards=1)"
-            )
-        if procshard:
-            # Process-per-shard: the store owns one worker process per shard.
-            from repro.engine.procshard import ProcShardStore
-
-            self.store = ProcShardStore(budget, expected_objects, max(shards, 1))
-        else:
-            self.store = KVStore(budget, expected_objects)
+        self.store = KVStore(budget, expected_objects)
         self.profiler = WorkloadProfiler()
         if hasattr(engine, "costs"):
             # One host cost model per system: the engine feeds and asks it,
             # the profiler resets it on a key-size shift, the controller
-            # audits it.  (Procshard workers each fit their own.)
+            # audits it.
             engine.costs = self.profiler.host_costs
         self.controller = AdaptationController(
             platform,
@@ -178,50 +154,20 @@ class DidoSystem:
         profiler.observe_frequencies(counts)
         return self.controller.config_for(profiler.snapshot())
 
-    @property
-    def supports_pipelining(self) -> bool:
-        """Whether :meth:`process_submit` actually overlaps windows."""
-        return self.pipeline.supports_pipelining
-
-    def process_submit(self, queries):
-        """Pipelined entry: plan and submit one window without merging.
-
-        Returns a :class:`~repro.pipeline.functional.PendingBatch` to pass
-        to :meth:`process_collect` (in submission order).  On a
-        non-pipelining configuration the window runs synchronously here
-        and collect just unwraps it — callers never need to special-case.
-        All profiler/controller pre-work happens at submit time, reading
-        only router-side cached worker counters (no ring round trips that
-        would interleave with in-flight windows).
-        """
-        config = self._plan_batch(queries)
-        return self.pipeline.submit_batch(config, queries)
-
-    def process_collect(self, pending) -> BatchResult:
-        """Finish a window submitted with :meth:`process_submit`."""
-        result = self.pipeline.collect_batch(pending)
-        self._batches += 1
-        self._queries += pending.num_queries
-        return result
-
     # ------------------------------------------------------------- lifecycle
 
-    def maintain(self) -> int | list[int]:
+    def maintain(self) -> int:
         """Periodic idle-tick work, a barrier the UDP server reaches every
         0.5 s between windows: the store's :meth:`maintenance`.
 
-        In-process that compacts the log arena if its one gate — the same
-        the post-batch barrier reads — is open, and returns the number of
-        records evicted.  A procshard store respawns dead shard workers
-        (compaction happens inside the workers, at their own idle ticks)
-        and returns the respawned shard ids; a respawned worker starts
-        empty — same durability contract as a rebooted cache node.
+        That compacts the log arena if its one gate — the same the
+        post-batch barrier reads — is open, and returns the number of
+        records evicted.
         """
         return self.store.maintenance()
 
     def close(self) -> None:
-        """Release process-backed resources (worker processes + arenas)."""
-        self.store.close()
+        """Nothing to release: the store lives in this process's memory."""
 
     # -------------------------------------------------------------- reporting
 

@@ -13,11 +13,7 @@ This package is the single home of pipeline *stage semantics*:
   kernel for Search, and a fitted host cost model placing each window's
   Search on the cheaper one;
 * :mod:`repro.engine.reference` — the per-query :class:`ReferenceEngine`,
-  kept as equivalence ground truth and the benchmark's verifier;
-* :mod:`repro.engine.procshard` — :class:`ProcShardEngine`, the only
-  backend that executes across partitions: it splits each batch by the
-  seed-0 FNV shard hash and fans it out to one worker process per shard
-  over shared-memory rings (imported lazily by :func:`resolve_engine`).
+  kept as equivalence ground truth and the benchmark's verifier.
 """
 
 from __future__ import annotations
@@ -36,25 +32,19 @@ from repro.engine.vector import VectorEngine
 from repro.errors import ConfigurationError
 
 #: Engines selectable by name (CLI flags, DidoSystem's ``engine=`` knob).
-ENGINE_NAMES = ("auto", "reference", "vector", "procshard")
+ENGINE_NAMES = ("auto", "reference", "vector")
 
 
 def resolve_engine(engine):
     """Map an engine selector to a backend instance.
 
-    ``None``/"auto" is the production engine, a :class:`VectorEngine`.
-    (``DidoSystem`` resolves unset to "procshard" first when sharded.)  A
+    ``None``/"auto" is the production engine, a :class:`VectorEngine`.  A
     backend instance passes through unchanged; a known name constructs the
-    backend ("procshard" lazily: its module pulls in multiprocessing
-    machinery nothing else needs).
+    backend.
     """
     if engine is None or engine == "auto":
         return VectorEngine()
     if isinstance(engine, str):
-        if engine == "procshard":
-            from repro.engine.procshard import ProcShardEngine
-
-            return ProcShardEngine()
         factory = {
             "reference": ReferenceEngine,
             "vector": VectorEngine,

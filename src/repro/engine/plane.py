@@ -71,11 +71,7 @@ class BatchPlane:
         "scratch",
         "response_sizes",
         "response_statuses",
-        "wants_responses",
-        "responses_complete",
         "opcodes",
-        "key_lens",
-        "value_lens",
     )
 
     def __init__(self, queries):
@@ -96,13 +92,10 @@ class BatchPlane:
             self.keys = [q.key for q in queries]
             self.set_values = [q.value for q in queries]
             opcodes = None
-        #: Wire-decoder opcode/length columns when the batch arrived
-        #: columnar (None on the legacy Query-object path).  The procshard
-        #: router gathers per-shard sub-blocks straight from these instead
-        #: of recomputing lengths per batch.
+        #: The wire decoder's opcode column when the batch arrived columnar
+        #: (None on the legacy Query-object path); the per-type subsets
+        #: are masks over it.
         self.opcodes = opcodes
-        self.key_lens = getattr(queries, "key_lens", None)
-        self.value_lens = getattr(queries, "value_lens", None)
         self.candidates: list = [NO_CANDIDATES] * n
         self.locations: list[int | None] = [None] * n
         self.read_values: list[bytes | None] = [None] * n
@@ -110,10 +103,7 @@ class BatchPlane:
         self.pending_inserts: list[tuple[bytes, int] | None] = [None] * n
         self.pending_deletes: list[list[tuple[bytes, int | None]] | None] = [None] * n
         self.batch_inserts: dict[bytes, int] = {}
-        #: Per-qtype index subsets are built on first access — engine
-        #: passes need them, but the procshard router plane (which only
-        #: splits/merges whole windows) never does, so it skips the
-        #: O(rows) pass entirely.
+        #: Per-qtype index subsets, built on first access.
         self._subsets: tuple | None = None
         #: Engine-private per-batch state (the vector engine's hand-offs
         #: between passes); the reference engine leaves it None.
@@ -130,16 +120,6 @@ class BatchPlane:
         #: response bytes without touching Response objects.  None when
         #: the executing engine does not produce it.
         self.response_statuses: list[int] | None = None
-        #: When False, engines that fill the status/size/value columns may
-        #: skip materializing per-row :class:`Response` objects entirely
-        #: (the procshard worker ships columns, never objects).  Callers
-        #: that clear this must not use :meth:`take_responses` afterwards
-        #: unless ``response_statuses`` stayed None.
-        self.wants_responses: bool = True
-        #: Set by engines that fill every response slot by construction
-        #: (the procshard merge covers all rows, including fill-downs);
-        #: lets :meth:`take_responses` skip its per-row completeness scan.
-        self.responses_complete: bool = False
 
     def _build_subsets(self) -> tuple:
         opcodes = self.opcodes
@@ -216,8 +196,6 @@ class BatchPlane:
         rather than at "somewhere in the batch".
         """
         responses = self.responses
-        if self.responses_complete:
-            return responses  # type: ignore[return-value]
         if any(r is None for r in responses):
             missing = [i for i, r in enumerate(responses) if r is None]
             shown = ", ".join(

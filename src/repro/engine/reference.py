@@ -8,8 +8,8 @@ still live in exactly one module.  It serves two purposes:
 
 * **ground truth** for the engine-equivalence property tests: every legal
   configuration must produce byte-identical response frames through the
-  batch engine (:class:`~repro.engine.vector.VectorEngine`, alone or
-  behind the procshard router) and through this per-query path;
+  batch engine (:class:`~repro.engine.vector.VectorEngine`) and through
+  this per-query path;
 * **verifier** for ``benchmarks/serving``, which replays every run's
   traffic through this path and requires the served bytes to match.
 """

@@ -95,7 +95,7 @@ _MASK64 = (1 << 64) - 1
 _SIG_MASK32 = (1 << 32) - 1
 
 
-def fnv_hash_columns(keys: list[bytes], num_states: int, lens=None):
+def fnv_hash_columns(keys: list[bytes], num_states: int):
     """64-bit FNV-1a of every key under seeds ``0..num_states-1``, batched.
 
     Returns a ``(num_states, len(keys))`` uint64 array where row ``s``
@@ -104,9 +104,7 @@ def fnv_hash_columns(keys: list[bytes], num_states: int, lens=None):
     the same byte column per step, so the whole batch costs one pass over
     ``max_key_len`` byte columns regardless of how many hash functions the
     index uses.  Keys longer than :data:`MAX_VECTOR_KEY_BYTES` are hashed
-    scalar and patched into the result.  ``lens`` may carry a precomputed
-    per-key byte-length column (any integer dtype) so callers that already
-    built one don't pay a second pass over the keys.
+    scalar and patched into the result.
     """
     n = len(keys)
     prime = np.uint64(_FNV_PRIME)
@@ -115,10 +113,7 @@ def fnv_hash_columns(keys: list[bytes], num_states: int, lens=None):
         states[seed, :] = np.uint64(_FNV_OFFSET ^ (seed * _FNV_PRIME & _MASK64))
     if n == 0:
         return states
-    if lens is None:
-        lens = np.fromiter(map(len, keys), dtype=np.intp, count=n)
-    else:
-        lens = np.asarray(lens, dtype=np.intp)
+    lens = np.fromiter(map(len, keys), dtype=np.intp, count=n)
     max_len = int(lens.max())
     uniform = bool((lens == max_len).all())
     if uniform and max_len <= MAX_VECTOR_KEY_BYTES:
@@ -177,7 +172,7 @@ class VectorEngine:
         #: Fitted kernel costs, fed by this engine's Search timer and asked
         #: for each window's placement.  ``DidoSystem`` swaps in its
         #: profiler's model so the controller audits the same fits; a
-        #: standalone engine (a procshard worker's) fits its own windows.
+        #: standalone engine fits its own windows.
         self.costs = HostCostModel()
 
     def run(
@@ -551,19 +546,14 @@ class VectorEngine:
         responses = plane.responses
         read_values = plane.read_values
         ok = ResponseStatus.OK
-        # Consumers that only read the status/size/value columns (the
-        # procshard worker wire path) opt out of per-row Response objects;
-        # the columns below are computed either way.
-        wants_responses = plane.wants_responses
-        if wants_responses:
-            for i in plane.set_indices:
-                responses[i] = STORED_RESPONSE
-            for i in plane.get_indices:
-                value = read_values[i]
-                if value is None:
-                    responses[i] = NOT_FOUND_RESPONSE
-                else:
-                    responses[i] = Response(ok, value)
+        for i in plane.set_indices:
+            responses[i] = STORED_RESPONSE
+        for i in plane.get_indices:
+            value = read_values[i]
+            if value is None:
+                responses[i] = NOT_FOUND_RESPONSE
+            else:
+                responses[i] = Response(ok, value)
         # The raw status-code and wire-size columns mirror the Response
         # column so the wire framer never needs the objects: NOT_FOUND and
         # a bare header everywhere, then SETs stored, GET hits OK plus
@@ -584,10 +574,5 @@ class VectorEngine:
             response = responses[i]
             if response is not None:
                 statuses[i] = response.status.value
-        if not wants_responses:
-            # Column-only consumers get ndarrays (the wire framer casts
-            # them for free).
-            statuses = np.array(statuses, dtype=np.int64)
-            sizes = np.array(sizes, dtype=np.int64)
         plane.response_statuses = statuses
         plane.response_sizes = sizes

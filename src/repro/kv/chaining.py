@@ -73,12 +73,6 @@ class ChainedHashTable:
         hit, the whole chain on a miss — approximated as 1 + load/2."""
         return 1.0 + self.load_factor / 2.0
 
-    def average_chain_length(self) -> float:
-        populated = [len(b) for b in self._buckets if b]
-        if not populated:
-            return 0.0
-        return sum(populated) / len(populated)
-
     # ------------------------------------------------------------ operations
 
     def _bucket(self, key: bytes) -> list[_Node]:

@@ -345,7 +345,8 @@ class CuckooHashTable:
         inserting the *same* key again adds another entry — the store layer
         deletes the old entry first on overwrite, as Mega-KV does via its
         eviction-generated Delete.  Raises :class:`CapacityError` when the
-        displacement chain exceeds ``max_kicks``.
+        displacement chain exceeds ``max_kicks``; the table is then as it
+        was before the call.
         """
         if location < 0:
             raise ConfigurationError("location must be a non-negative slab offset")
@@ -376,10 +377,14 @@ class CuckooHashTable:
         victim_bucket = candidates[0]
         victim_slot_idx = (signature + location) % self._slots_per_bucket
         carried_sig, carried_loc = signature, location
+        # Every overwritten victim slot with its old entry, so a failed
+        # chain can put each displaced entry back (in reverse order).
+        undo: list[tuple[int, int, int, int]] = []
         for kick in range(self._max_kicks):
             bucket = self._buckets[victim_bucket]
             slot = bucket[victim_slot_idx]
             evicted_sig, evicted_loc = slot.signature, slot.location
+            undo.append((victim_bucket, victim_slot_idx, evicted_sig, evicted_loc))
             self._write_slot(victim_bucket, victim_slot_idx, carried_sig, carried_loc)
             writes += 1
             self.stats.insert_kicks += 1
@@ -401,6 +406,10 @@ class CuckooHashTable:
                 return writes
             victim_bucket = alt
             victim_slot_idx = (carried_sig + kick) % self._slots_per_bucket
+        # The chain ran out still carrying an entry that was already
+        # indexed: undo it, so a failed insert loses only its own entry.
+        for bucket_idx, slot_idx, old_sig, old_loc in reversed(undo):
+            self._write_slot(bucket_idx, slot_idx, old_sig, old_loc)
         self.stats.failed_inserts += 1
         raise CapacityError(
             f"cuckoo insert failed after {self._max_kicks} kicks "

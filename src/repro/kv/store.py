@@ -9,11 +9,9 @@ allocators with the same interface as instances (small-segment arenas,
 and :class:`~repro.kv.slab.SlabAllocator` as the parity oracle).
 
 Beyond ``get``/``set``/``delete``/``populate``/``len``/``stats`` the
-system asks four things of a store, and :class:`KVStore` and
-:class:`~repro.engine.procshard.ProcShardStore` both answer them:
-:meth:`KVStore.keys`, :meth:`KVStore.harvest_window`,
-:attr:`KVStore.needs_maintenance` with :meth:`KVStore.maintenance`, and
-:meth:`KVStore.close`.
+system asks three things of a store: :meth:`KVStore.keys`,
+:meth:`KVStore.harvest_window`, and :attr:`KVStore.needs_maintenance`
+with :meth:`KVStore.maintenance`.
 
 The pipeline engine does not call ``get``/``set`` directly — it runs the
 fine-grained tasks (IN, KC, RD, ...) separately so they can live on
@@ -369,7 +367,7 @@ class KVStore:
 
     # ------------------------------------------------------- store protocol
     # What DidoSystem, FunctionalPipeline and the cluster ask of a store
-    # beyond the operations above; ProcShardStore answers the same four.
+    # beyond the operations above.
 
     def keys(self) -> list[bytes]:
         """The live keys (what cluster migration scans)."""
@@ -441,10 +439,6 @@ class KVStore:
             self._export_heap_balance(registry)
         return len(evicted)
 
-    def close(self) -> None:
-        """Nothing to release in-process (the procshard store stops its
-        workers here)."""
-
     def _export_heap_balance(self, registry) -> None:
         registry.gauge(
             "repro_logarena_live_bytes",
@@ -457,18 +451,15 @@ class KVStore:
 
     # ------------------------------------------------------- bulk entry points
 
-    def bulk_set_columns(self, keys: list[bytes], values: list[bytes]) -> int:
-        """Apply a columnar SET block in order; returns items stored.
+    def populate(self, items: list[tuple[bytes, bytes]]) -> int:
+        """Bulk-load ``(key, value)`` pairs in order (benchmark warm-up);
+        returns the count stored.
 
-        Sequential full SETs over parallel key/value columns — typically
-        sliced straight out of a shared-memory arena block
-        (:func:`repro.net.arena.decode_query_block`; the procshard workers'
-        populate path).  Stops early if the index cannot absorb more
-        (cuckoo capacity), which callers treat as "store is full" rather
-        than an error.
+        Stops early if the index cannot absorb more (cuckoo capacity),
+        which callers treat as "store is full" rather than an error.
         """
         stored = 0
-        for key, value in zip(keys, values):
+        for key, value in items:
             try:
                 self.set(key, value)
             except CapacityError:
@@ -479,10 +470,3 @@ class KVStore:
                 # periodically instead of overcommitting unboundedly.
                 self.maintenance()
         return stored
-
-    def populate(self, items: list[tuple[bytes, bytes]]) -> int:
-        """Bulk-load ``(key, value)`` pairs (benchmark warm-up); returns
-        count stored — :meth:`bulk_set_columns` over the zipped columns."""
-        return self.bulk_set_columns(
-            [key for key, _ in items], [value for _, value in items]
-        )

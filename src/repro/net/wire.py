@@ -315,47 +315,6 @@ def encode_response_window(
     return b"".join(parts), offsets
 
 
-def decode_response_window(buffer, sizes, offset: int = 0):
-    """Inverse of :func:`encode_response_window` given per-row frame sizes.
-
-    ``sizes`` is the per-row total frame size column (header + payload,
-    the WR column the procshard response block carries).  Returns
-    ``(statuses, values)``: an int64 status array and an object array of
-    payload bytes (``None`` for non-OK rows, ``b""`` for OK rows with an
-    empty value) — the plane's ``read_values`` convention.  Status bytes
-    are gathered with one fancy-indexed load over the window; only OK
-    rows' payloads are copied out.
-    """
-    hdr = RESPONSE_HEADER_BYTES
-    sz = np.asarray(sizes, dtype=np.int64)
-    n = len(sz)
-    ends = np.empty(n, dtype=np.int64)
-    np.cumsum(sz, out=ends)
-    ends += offset
-    starts = ends - sz
-    u8 = np.frombuffer(buffer, dtype=np.uint8, count=len(buffer))
-    statuses = u8[starts].astype(np.int64) if n else np.empty(0, dtype=np.int64)
-    values = np.empty(n, dtype=object)
-    ok_rows = np.nonzero(statuses == 0)[0]
-    if ok_rows.size:
-        payload_starts = (starts[ok_rows] + hdr).tolist()
-        payload_ends = ends[ok_rows].tolist()
-        if type(buffer) is bytes:
-            # bytes slices straight to bytes — no memoryview round trip —
-            # and one fancy-indexed scatter replaces per-row assignment.
-            values[ok_rows] = [
-                buffer[start:end] if end > start else _EMPTY
-                for start, end in zip(payload_starts, payload_ends)
-            ]
-        else:
-            mv = memoryview(buffer)
-            values[ok_rows] = [
-                bytes(mv[start:end]) if end > start else _EMPTY
-                for start, end in zip(payload_starts, payload_ends)
-            ]
-    return statuses, values
-
-
 def cut_frame_bounds(offsets, limit: int) -> list[int]:
     """Greedy first-fit cut over a cumulative byte-offset column.
 

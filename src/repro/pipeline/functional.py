@@ -98,70 +98,30 @@ class BatchResult:
         return sum(1 for s in self.response_statuses if s != _ERROR_CODE)
 
 
-class PendingBatch:
-    """A batch submitted to a pipelined engine but not yet merged.
-
-    Produced by :meth:`FunctionalPipeline.submit_batch`, finished by
-    :meth:`FunctionalPipeline.collect_batch`.  When the pipeline does not
-    split windows, the batch ran synchronously at submit time and
-    ``result`` is already populated — collect just returns it.
-    """
-
-    __slots__ = ("ticket", "plane", "config", "engine", "num_queries", "result")
-
-    def __init__(
-        self,
-        *,
-        ticket=None,
-        plane=None,
-        config=None,
-        engine=None,
-        num_queries: int = 0,
-        result: BatchResult | None = None,
-    ):
-        self.ticket = ticket
-        self.plane = plane
-        self.config = config
-        self.engine = engine
-        self.num_queries = num_queries
-        self.result = result
-
-
 class FunctionalPipeline:
     """Executes batches against a store.
 
     Parameters
     ----------
     store:
-        The store to operate on (shared across batches and reconfigurations,
-        as on the real shared-memory APU): a
-        :class:`~repro.kv.store.KVStore`, or the
-        :class:`~repro.engine.procshard.ProcShardStore` the "procshard"
-        engine routes to.  The pipeline itself asks it only for the
-        post-batch barrier (``needs_maintenance`` / ``maintenance()``).
+        The :class:`~repro.kv.store.KVStore` to operate on (shared across
+        batches and reconfigurations, as on the real shared-memory APU).
+        The pipeline itself asks it only for the post-batch barrier
+        (``needs_maintenance`` / ``maintenance()``).
     epoch_source:
         Callable returning the profiler's current sampling epoch, used to
         stamp object access counters; defaults to a constant 0.
     engine:
         Execution backend: ``None``/"auto" or "vector" is the production
-        :class:`~repro.engine.vector.VectorEngine`; "reference" or
-        "procshard" pins that backend; an object with a ``run`` method is
-        used as-is (and keeps whatever cost model it was handed).
-        "procshard" needs the store to be a
-        :class:`~repro.engine.procshard.ProcShardStore` and raises
-        :class:`~repro.errors.ConfigurationError` here otherwise.
+        :class:`~repro.engine.vector.VectorEngine`; "reference" pins that
+        backend; an object with a ``run`` method is used as-is (and keeps
+        whatever cost model it was handed).
     """
 
     def __init__(self, store, epoch_source=None, engine=None):
         self.store = store
         self._epoch_source = epoch_source or (lambda: 0)
         self._engine = resolve_engine(engine)
-        #: Whether submit/collect overlap windows.  Only the procshard
-        #: engine splits a window, and only against the worker fleet it
-        #: routes to — checked here, once, so nothing downstream asks.
-        self.supports_pipelining = self._engine.name == "procshard"
-        if self.supports_pipelining:
-            self._engine.check_store(store)
         self._batch_counter = 0
 
     # ------------------------------------------------------------ execution
@@ -191,7 +151,23 @@ class FunctionalPipeline:
             epoch=self._epoch_source(),
             task_times=task_times,
         )
-        result = self._finish_batch(config, plane)
+        responses = plane.take_responses()
+        # The store does its upkeep only between batches (the log arena
+        # never moves live values under a running engine); the gate is one
+        # cheap property read.
+        store = self.store
+        if store.needs_maintenance:
+            store.maintenance()
+        self._batch_counter += 1
+        result = BatchResult(
+            responses=responses,
+            config_label=config.label,
+            response_sizes=plane.response_sizes,
+            response_statuses=plane.response_statuses,
+            response_values=plane.read_values
+            if plane.response_statuses is not None
+            else None,
+        )
         if collect:
             # Frame eagerly under telemetry so the SD span stays a real
             # measurement of response framing; otherwise frames build
@@ -201,80 +177,6 @@ class FunctionalPipeline:
             task_times[Task.SD] = (time.perf_counter() - t_send) * 1e6
             self._emit_batch(telemetry, config, engine, task_times, len(queries))
         return result
-
-    # --------------------------------------------------- pipelined windows
-
-    def submit_batch(self, config: PipelineConfig, queries) -> PendingBatch:
-        """Hand one window to the engine without waiting for its merge.
-
-        The returned :class:`PendingBatch` must be finished with
-        :meth:`collect_batch` (in submission order — the engine enforces
-        FIFO anyway).  Falls back to a synchronous :meth:`process_batch`
-        unless :attr:`supports_pipelining`, so callers can use the
-        submit/collect pair unconditionally.
-        """
-        if not self.supports_pipelining:
-            return PendingBatch(
-                result=self.process_batch(config, queries),
-                num_queries=len(queries),
-            )
-        engine = self._engine
-        plan = compile_stage_plan(config)
-        plane = BatchPlane(queries)
-        ticket = engine.submit(self.store, plan, plane, epoch=self._epoch_source())
-        return PendingBatch(
-            ticket=ticket,
-            plane=plane,
-            config=config,
-            engine=engine,
-            num_queries=len(queries),
-        )
-
-    def collect_batch(self, pending: PendingBatch) -> BatchResult:
-        """Merge a submitted window into a :class:`BatchResult`."""
-        if pending.result is not None:
-            return pending.result
-        pending.engine.collect(pending.ticket)
-        result = self._finish_batch(pending.config, pending.plane)
-        pending.result = result
-        telemetry = get_telemetry()
-        if telemetry.enabled:
-            # No per-task spans for a split window: the engine's per-stage
-            # ring timers (encode/send/wait/decode/scatter) carry the
-            # breakdown.  Batch/query counters stay honest.
-            telemetry.registry.counter(
-                "repro_pipeline_batches_total", help="Functional batches executed"
-            ).inc()
-            telemetry.registry.counter(
-                "repro_pipeline_queries_total",
-                help="Queries through the functional pipeline",
-            ).inc(pending.num_queries)
-            telemetry.registry.counter(
-                "repro_engine_batches_total",
-                help="Functional batches executed, by engine backend",
-            ).inc(engine=pending.engine.name)
-        return result
-
-    def _finish_batch(self, config: PipelineConfig, plane: BatchPlane) -> BatchResult:
-        """What every executed window ends with: take the responses, run
-        the post-batch barrier, count the batch, assemble the result."""
-        responses = plane.take_responses()
-        # The store does its upkeep only between batches (the log arena
-        # never moves live values under a running engine); the gate is one
-        # cheap property read.
-        store = self.store
-        if store.needs_maintenance:
-            store.maintenance()
-        self._batch_counter += 1
-        return BatchResult(
-            responses=responses,
-            config_label=config.label,
-            response_sizes=plane.response_sizes,
-            response_statuses=plane.response_statuses,
-            response_values=plane.read_values
-            if plane.response_statuses is not None
-            else None,
-        )
 
     def _emit_batch(
         self,

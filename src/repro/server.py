@@ -14,9 +14,8 @@ expires — whichever comes first.  Under heavy traffic batches fill to the
 target and the deadline never fires (maximum kernel efficiency); under
 light traffic the deadline bounds latency and the pipeline sees partial
 batches.  Queries beyond the target carry over to the next batch, and the
-carry-over depth, batch fill ratio, and (on procshard stores) shard
-imbalance are exported as gauges so the coalescing behaviour is observable
-via ``repro telemetry``.
+carry-over depth and batch fill ratio are exported as gauges so the
+coalescing behaviour is observable via ``repro telemetry``.
 
 There is one wire path, and it pays per window, not per datagram.  The
 open window is one :class:`~repro.net.wire.QueryColumns` plus a bounds
@@ -60,7 +59,6 @@ import logging
 import socket
 import threading
 import time
-from collections import deque
 from dataclasses import dataclass
 from itertools import compress
 
@@ -148,13 +146,7 @@ class DidoUDPServer:
         Coalescing deadline in microseconds, measured from the first query
         of a batch.
 
-    On a system that supports pipelining (procshard) the serve loop keeps
-    :data:`~repro.engine.procshard.MAX_INFLIGHT_WINDOWS` windows in
-    flight: it submits window N+1 to the shard workers while window N's
-    replies are still pending, completing (and transmitting) the oldest
-    window only once the next is in flight — IPC transport hides under
-    worker compute.  Every other system dispatches synchronously, as does
-    cluster ownership filtering regardless of the system.
+    Each window is processed and answered before the next is cut.
     """
 
     def __init__(
@@ -205,23 +197,9 @@ class DidoUDPServer:
         #: transfer runs in the serve thread and never races batch
         #: processing on the store.
         self.idle_hook = None
-        #: Next maintenance tick (compaction, or worker health checks on a
-        #: procshard store); throttled so the per-window cost is one
-        #: monotonic read.
+        #: Next maintenance tick (log-arena compaction); throttled so the
+        #: per-window cost is one monotonic read.
         self._next_maintenance = 0.0
-        self._pipeline_depth = 1
-        if self.system.supports_pipelining:
-            # Only a procshard system pipelines, so its module is already
-            # loaded; importing it at the top would charge every other
-            # server the multiprocessing machinery.
-            from repro.engine.procshard import MAX_INFLIGHT_WINDOWS
-
-            self._pipeline_depth = MAX_INFLIGHT_WINDOWS
-        #: Submitted-but-unmerged windows, oldest first:
-        #: ``(pending_handle, batch, bounds)``.  Completion is
-        #: strictly FIFO so every peer still sees its responses in
-        #: submission order.
-        self._inflight_windows: deque = deque()
 
     # ------------------------------------------------------------ lifecycle
 
@@ -251,14 +229,6 @@ class DidoUDPServer:
         if self._thread is not None:
             self._thread.join(timeout=2.0)
             self._thread = None
-        try:
-            # Windows submitted before the stop still owe their peers
-            # responses; the serve thread has exited, so drain here
-            # (before the socket closes under the TX path).
-            self._drain_inflight_windows()
-        except Exception:  # pragma: no cover - teardown best-effort
-            logger.exception("failed to drain in-flight windows on stop")
-            self._inflight_windows.clear()
         try:
             self._socket.close()
         except OSError:  # pragma: no cover - double close
@@ -317,11 +287,6 @@ class DidoUDPServer:
         deadline = (
             time.monotonic() + self._coalesce_s if bounds else None
         )
-        if deadline is None and self._inflight_windows:
-            # Windows are in flight: cap the blocking wait at one coalesce
-            # window so a traffic lull drains (and transmits) them quickly
-            # instead of holding replies for the full poll timeout.
-            deadline = time.monotonic() + self._coalesce_s
         polls = 0
         drained = 0
         while count < self._batch_size:
@@ -365,7 +330,6 @@ class DidoUDPServer:
                     help="Datagrams drained from the kernel per receive poll",
                 ).set(drained / polls)
         if not bounds:
-            self._drain_inflight_windows()
             return
         batch, bounds = self._cut_batch(window, bounds)
         self._process_window(batch, bounds)
@@ -449,14 +413,8 @@ class DidoUDPServer:
         return QueryColumns.concat([batch.sealed()]), bounds
 
     def _process_window(self, batch: QueryColumns, bounds: list) -> None:
+        """Apply one window, plain or ownership-filtered, and answer it."""
         ownership = self.ownership
-        if ownership is None and self._pipeline_depth > 1 and self.batch_hook is None:
-            self._submit_window(batch, bounds)
-            return
-        # Cluster serving too runs synchronously behind any windows already
-        # in flight: ownership filtering (and migration's batch hook)
-        # reason about one window at a time.
-        self._drain_inflight_windows()
         try:
             if ownership is not None:
                 result = self._process_owned(batch, ownership)
@@ -469,29 +427,6 @@ class DidoUDPServer:
                 "answering a %d-query window ERROR: %s", len(batch), exc
             )
             result = BatchResult([_FAILED] * len(batch), "failed")
-        self._finish_window(bounds, batch, result)
-
-    def _submit_window(self, batch, bounds) -> None:
-        """Pipelined dispatch: hand the window to the shard workers and
-        return to coalescing; the oldest window completes (merge + TX)
-        once the in-flight count reaches the pipeline depth."""
-        handle = self.system.process_submit(batch)
-        self._inflight_windows.append((handle, batch, bounds))
-        while len(self._inflight_windows) >= self._pipeline_depth:
-            self._complete_oldest_window()
-
-    def _complete_oldest_window(self) -> None:
-        handle, batch, bounds = self._inflight_windows.popleft()
-        result = self.system.process_collect(handle)
-        self._observe_batch(batch)
-        self._finish_window(bounds, batch, result)
-
-    def _drain_inflight_windows(self) -> None:
-        while self._inflight_windows:
-            self._complete_oldest_window()
-
-    def _finish_window(self, bounds, batch, result) -> None:
-        """Stats, counters, and response TX for one completed window."""
         self.stats.queries += len(batch)
         self.stats.batches += 1
         telemetry = get_telemetry()

@@ -199,13 +199,12 @@ def _family_of(series_name: str, families: dict[str, dict]) -> str | None:
 # ----------------------------------------------------------------- console
 
 #: The batch-coalescing gauges the console summary calls out explicitly
-#: (queue carry-over, batch fill vs target, shard balance, datagrams per
-#: receive poll, capped at ``repro.server.DRAIN_LIMIT``) — what an
-#: operator tunes ``--batch-size``/``--coalesce-us``/``--shards`` against.
+#: (queue carry-over, batch fill vs target, datagrams per receive poll,
+#: capped at ``repro.server.DRAIN_LIMIT``) — what an operator tunes
+#: ``--batch-size``/``--coalesce-us`` against.
 COALESCING_SERIES = (
     "repro_server_queue_depth",
     "repro_batch_fill_ratio",
-    "repro_shard_imbalance",
     "repro_datagrams_per_poll",
 )
 
@@ -227,24 +226,6 @@ LOGARENA_SERIES = (
     "repro_logarena_relocations_total",
     "repro_logarena_relocated_bytes_total",
 )
-
-#: Procshard pipelined-IPC breakdown: where a window's wall time goes
-#: (gather/encode, ring send, reply wait, response decode, result
-#: scatter), writer-side ring backpressure, and how deep the in-flight
-#: overlap actually runs (see
-#: :class:`repro.engine.procshard.ProcShardEngine`).
-PROCSHARD_SERIES = (
-    "repro_procshard_encode_ns",
-    "repro_procshard_send_ns",
-    "repro_procshard_wait_ns",
-    "repro_procshard_decode_ns",
-    "repro_procshard_scatter_ns",
-    "repro_procshard_ring_stall_ns",
-    "repro_procshard_queue_depth_bytes",
-    "repro_procshard_inflight_windows",
-    "repro_procshard_overlap_ratio",
-)
-
 
 def console_summary(telemetry: Telemetry, max_events: int = 10) -> str:
     """Human-readable digest: metric totals, coalescing gauges, recent events."""
@@ -292,24 +273,6 @@ def console_summary(telemetry: Telemetry, max_events: int = 10) -> str:
             for labels, value in sorted(snapshot[name]["samples"].items()):
                 label_text = f"{{{labels}}}" if labels else ""
                 lines.append(f"  {name}{label_text}: {value:g}")
-    procshard = [name for name in PROCSHARD_SERIES if name in snapshot]
-    if procshard:
-        lines.append("")
-        lines.append("procshard pipeline")
-        for name in procshard:
-            entry = snapshot[name]
-            if entry["kind"] == "histogram":
-                for labels, slot in sorted(entry["samples"].items()):
-                    mean = slot["sum"] / slot["count"] if slot["count"] else 0.0
-                    label_text = f"{{{labels}}}" if labels else ""
-                    lines.append(
-                        f"  {name}{label_text}: n={slot['count']} "
-                        f"mean={mean / 1e3:.1f}us"
-                    )
-            else:
-                for labels, value in sorted(entry["samples"].items()):
-                    label_text = f"{{{labels}}}" if labels else ""
-                    lines.append(f"  {name}{label_text}: {value:g}")
     events = telemetry.events.snapshot()
     replans = [e for e in events if e.kind == "replan"]
     lines.append("")

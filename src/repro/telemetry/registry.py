@@ -69,10 +69,6 @@ class _Instrument:
         with self._lock:
             self._samples.clear()
 
-    def label_sets(self) -> list[LabelKey]:
-        with self._lock:
-            return list(self._samples)
-
 
 class Counter(_Instrument):
     """Monotonically increasing count (queries served, claims made, ...)."""

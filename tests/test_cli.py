@@ -119,11 +119,8 @@ class TestStoreFlags:
     """``serve``, ``cluster`` and ``telemetry`` share one declaration of
     the store flags, and ``cluster`` forwards it whole to its nodes."""
 
-    ALL_SET = [
-        "--memory-mb", "8", "--expected-objects", "4096", "--engine", "procshard",
-        "--shards", "3",
-    ]
-    DESTS = ["memory_mb", "expected_objects", "engine", "shards"]
+    ALL_SET = ["--memory-mb", "8", "--expected-objects", "4096", "--engine", "reference"]
+    DESTS = ["memory_mb", "expected_objects", "engine"]
 
     def test_three_subcommands_accept_identical_store_flags(self):
         parser = build_parser()
@@ -140,7 +137,7 @@ class TestStoreFlags:
             assert getattr(parsed[0], dest) != getattr(defaults[0], dest), dest
 
     #: Each subcommand's own flags; everything else it accepts must be
-    #: one of the four store flags.
+    #: one of the three store flags.
     OWN_FLAGS = {
         "serve": {
             "--help", "--host", "--port", "--batch-size", "--coalesce-us",
@@ -155,16 +152,16 @@ class TestStoreFlags:
     }
 
     @pytest.mark.parametrize("command", ["serve", "cluster", "telemetry"])
-    def test_store_flags_are_exactly_these_four(self, command, capsys, monkeypatch):
-        """No store flag beyond the four — in the declaration or in what
+    def test_store_flags_are_exactly_these_three(self, command, capsys, monkeypatch):
+        """No store flag beyond the three — in the declaration or in what
         ``--help`` offers (so a deleted switch cannot linger in either)."""
-        four = [flag for flag in self.ALL_SET if flag.startswith("--")]
-        assert [flag for flag, _ in _STORE_FLAGS] == four
+        three = [flag for flag in self.ALL_SET if flag.startswith("--")]
+        assert [flag for flag, _ in _STORE_FLAGS] == three
         monkeypatch.setenv("COLUMNS", "400")  # no flag wrapped mid-name
         with pytest.raises(SystemExit):
             build_parser().parse_args([command, "--help"])
         offered = set(re.findall(r"(?<![\w-])--[a-z]+(?:-[a-z]+)*", capsys.readouterr().out))
-        assert offered - self.OWN_FLAGS[command] == set(four)
+        assert offered - self.OWN_FLAGS[command] == set(three)
 
     @pytest.mark.parametrize("flags", [ALL_SET, []], ids=["all-set", "defaults"])
     def test_cluster_forwards_every_store_flag(self, flags, monkeypatch):
@@ -201,7 +198,7 @@ class TestStoreFlags:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["serve", "--help"])
         text = capsys.readouterr().out
-        assert "--shards" in text
+        assert "--engine" in text
         assert "--wire" not in text
         assert "--pipeline-depth" not in text
 

@@ -75,7 +75,7 @@ class Traffic:
         system = DidoSystem(
             memory_bytes=64 << 20, expected_objects=65536, engine="vector"
         )
-        system.store.bulk_set_columns(self.keys, [self.value] * NUM_KEYS)
+        system.store.populate([(key, self.value) for key in self.keys])
         return system
 
 

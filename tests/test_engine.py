@@ -25,7 +25,7 @@ from repro.pipeline.megakv import megakv_coupled_config
 from repro.workloads.distributions import make_distribution
 from repro.workloads.ycsb import QueryStream, standard_workload
 
-from conftest import ProcShardPool, heap_named
+from conftest import heap_named
 
 
 def all_canonical_configs():
@@ -392,15 +392,6 @@ op_streams = st.lists(
     max_size=6,
 )
 
-_POOL = ProcShardPool()
-
-
-@pytest.fixture(scope="module", autouse=True)
-def _close_procshard_stores():
-    yield
-    _POOL.close()
-
-
 def stream_batches(raw):
     batches = []
     for raw_batch in raw:
@@ -422,7 +413,6 @@ def stream_batches(raw):
     [
         ("vector", "slab"),
         ("vector", "log"),
-        ("procshard", "log"),  # workers only ever hold the log arena
     ],
 )
 @settings(max_examples=8, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -435,10 +425,7 @@ def test_engines_match_reference_over_multi_batch_streams(engine, heap, raw):
     config = megakv_coupled_config()
     batches = stream_batches(raw)
     oracle = KVStore(8 << 20, 4096, heap=heap_named("slab", 8 << 20))
-    if engine == "procshard":
-        store = _POOL.store(8 << 20, 4096, 2)
-    else:
-        store = KVStore(8 << 20, 4096, heap=heap_named(heap, 8 << 20))
+    store = KVStore(8 << 20, 4096, heap=heap_named(heap, 8 << 20))
     assert batch_frames(store, engine, config, batches) == batch_frames(
         oracle, "reference", config, batches
     )

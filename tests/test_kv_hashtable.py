@@ -227,6 +227,35 @@ class TestDisplacement:
             pass
         assert table.stats.failed_inserts == 1
 
+    def test_failed_insert_loses_no_earlier_entry(self):
+        """A kick chain that runs out puts every displaced entry back: the
+        failed key alone is missing, and every earlier key is still found."""
+        table = CuckooHashTable(num_buckets=4, slots_per_bucket=2, max_kicks=8)
+        table.ensure_mirror()
+        stored = {}
+        for i in range(100):
+            key = f"key-{i}".encode()
+            before, count = sorted(table.entries()), len(table)
+            try:
+                table.insert(key, i)
+            except CapacityError:
+                break
+            stored[key] = i
+        else:
+            pytest.fail("the table never filled")
+        assert sorted(table.entries()) == before
+        assert len(table) == count == len(stored)
+        for key, loc in stored.items():
+            assert loc in table.search(key)[0], f"{key!r} was lost"
+        mirrored = [
+            (int(sig), int(loc))
+            for sig, loc in zip(
+                table.mirror.signatures.ravel(), table.mirror.locations.ravel()
+            )
+            if loc != -1
+        ]
+        assert sorted(mirrored) == before
+
     def test_load_factor(self):
         table = make_table(buckets=64)
         for i in range(32):

@@ -702,17 +702,6 @@ class TestHeapEquivalence:
         assert log_store.get(b"poison") is None
         assert len(slab_store) == len(log_store) == poison_at
 
-    def test_bulk_set_columns_saturation_parity(self):
-        keys = [b"key-%04d" % i for i in range(64)]
-        values = [b"x" * 8] * 64
-        values[40] = b"x" * (2 << 20)
-        slab_store = KVStore(1 << 20, 4096, heap=SlabAllocator(1 << 20))
-        log_store = KVStore(1 << 20, 4096)
-        assert slab_store.bulk_set_columns(keys, values) == 40
-        assert log_store.bulk_set_columns(keys, values) == 40
-        for key in keys[:40]:
-            assert slab_store.get(key) == log_store.get(key) == b"x" * 8
-
 
 # ------------------------------------------------- engines on the log
 

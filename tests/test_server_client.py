@@ -136,7 +136,8 @@ class TestServerLifecycle:
         """SETs of fresh keys past what ``expected_objects`` sized the
         cuckoo index for make a window's Insert raise.  That window's rows
         are answered ERROR and counted; the serve loop keeps answering,
-        and a key SET before the failure still reads back."""
+        and every key of a window answered STORED still reads back (a
+        failed Insert loses no entry it displaced)."""
         from repro.kv.protocol import decode_responses
 
         system = DidoSystem(memory_bytes=32 << 20, expected_objects=128, engine="vector")
@@ -150,17 +151,20 @@ class TestServerLifecycle:
                     sock.sendto(encode_queries(queries), srv.address)
                     return [r.status for r in decode_responses(sock.recvfrom(65536)[0])]
 
-                failed = []
+                failed, stored = [], []
                 for w in range(20):
-                    statuses = exchange(
-                        [Query(QueryType.SET, b"key-%02d-%02d" % (w, i), b"v") for i in range(16)]
-                    )
-                    if statuses != [ResponseStatus.STORED] * 16:
+                    keys = [b"key-%02d-%02d" % (w, i) for i in range(16)]
+                    statuses = exchange([Query(QueryType.SET, key, b"v") for key in keys])
+                    if statuses == [ResponseStatus.STORED] * 16:
+                        stored.append(keys)
+                    else:
                         assert statuses == [ResponseStatus.ERROR] * 16
                         failed.append(w)
                 assert failed and failed[0] > 0
                 assert srv.stats.failed_windows == len(failed)
-                assert exchange([Query(QueryType.GET, b"key-00-00")]) == [ResponseStatus.OK]
+                for keys in stored:
+                    statuses = exchange([Query(QueryType.GET, key) for key in keys])
+                    assert statuses == [ResponseStatus.OK] * 16, keys
         finally:
             srv.stop()
 

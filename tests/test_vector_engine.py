@@ -342,7 +342,7 @@ def kicked_store() -> KVStore:
     return store
 
 
-def served_bytes(engine, wants_responses: bool, batches) -> tuple[list[bytes], tuple]:
+def served_bytes(engine, batches) -> tuple[list[bytes], tuple]:
     """Run ``batches`` through ``engine`` on a fresh kicked store; the wire
     bytes of each batch's answers plus the final (store, index) counters."""
     store = kicked_store()
@@ -350,7 +350,6 @@ def served_bytes(engine, wants_responses: bool, batches) -> tuple[list[bytes], t
     out = []
     for batch in batches:
         plane = BatchPlane(batch)
-        plane.wants_responses = wants_responses
         engine.run(store, plan, plane, epoch=0)
         if plane.response_statuses is None:
             out.append(encode_responses(plane.take_responses()))
@@ -360,36 +359,29 @@ def served_bytes(engine, wants_responses: bool, batches) -> tuple[list[bytes], t
                 plane.response_statuses, plane.read_values, plane.response_sizes
             )[0]
         )
-        if wants_responses:
-            assert framed == encode_responses(plane.take_responses())
-            assert isinstance(plane.response_statuses, list)
-        else:
-            # Column-only consumers (the procshard worker) get ndarrays.
-            assert isinstance(plane.response_statuses, np.ndarray)
-            assert isinstance(plane.response_sizes, np.ndarray)
+        assert framed == encode_responses(plane.take_responses())
+        assert isinstance(plane.response_statuses, list)
         out.append(framed)
     counters = (dataclasses.asdict(store.stats), dataclasses.asdict(store.index.stats))
     return out, counters
 
 
-@pytest.mark.parametrize("wants_responses", [True, False])
 @settings(max_examples=8, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(raw=op_streams)
-def test_both_search_kernels_match_reference(wants_responses, raw):
+def test_both_search_kernels_match_reference(raw):
     """Either Search kernel answers a colliding multi-batch stream, then
     Zipf-skewed windows that repeat keys, byte for byte like the per-query
-    reference — after a forced cuckoo kick, and in the column-only form
-    the procshard worker asks for — and both leave identical store and
-    index counters behind."""
+    reference — after a forced cuckoo kick — and both leave identical
+    store and index counters behind."""
     batches = stream_batches(raw) + skewed_repeat_batches(batches=2)
     # Every prefilled key once more, so kick-displaced entries are read.
     batches.append([Query(QueryType.GET, key) for key in _FILL_KEYS])
-    expected, reference_counters = served_bytes(ReferenceEngine(), True, batches)
+    expected, reference_counters = served_bytes(ReferenceEngine(), batches)
     outcomes = []
     for kernel in KERNELS:
         engine = VectorEngine()
         engine.costs = ForcedKernel(kernel)
-        served, counters = served_bytes(engine, wants_responses, batches)
+        served, counters = served_bytes(engine, batches)
         assert served == expected, kernel
         assert engine.costs.fit("search", kernel).samples > 0
         outcomes.append(counters)
@@ -457,12 +449,10 @@ class TestSearchTimer:
 
 
 class TestResolveNewEngines:
-    def test_vector_and_procshard_resolve(self):
-        from repro.engine.procshard import ProcShardEngine
+    def test_vector_resolves_and_unknown_names_are_named(self):
         from repro.errors import ConfigurationError
 
         assert isinstance(resolve_engine("vector"), VectorEngine)
-        assert isinstance(resolve_engine("procshard"), ProcShardEngine)
         with pytest.raises(ConfigurationError, match="unknown engine 'sharded'"):
             resolve_engine("sharded")
 
