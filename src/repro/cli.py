@@ -64,9 +64,9 @@ _STORE_FLAGS = (
     (
         "--engine",
         dict(
-            choices=ENGINE_NAMES, default="auto",
-            help="functional execution backend (default: auto — vector, "
-            "which places Search by its fitted host cost)",
+            choices=ENGINE_NAMES, default="vector",
+            help="functional execution backend (default: vector, which "
+            "places Search by its fitted host cost)",
         ),
     ),
 )

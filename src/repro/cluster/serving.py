@@ -533,13 +533,10 @@ class ClusterNode:
         migration = self._migration
         if migration is None or migration.phase not in ("scan", "bulk", "drained"):
             return
-        if hasattr(batch, "qtypes"):
-            qtypes, keys = batch.qtypes, batch.keys
-        else:
-            qtypes = [q.qtype for q in batch]
-            keys = [q.key for q in batch]
         written = [
-            key for qtype, key in zip(qtypes, keys) if qtype is not QueryType.GET
+            key
+            for qtype, key in zip(batch.qtypes, batch.keys)
+            if qtype is not QueryType.GET
         ]
         if written:
             migration.track_writes(written)

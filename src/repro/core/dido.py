@@ -21,8 +21,9 @@ from repro.core.controller import AdaptationController
 from repro.core.profiler import WorkloadProfiler
 from repro.engine import resolve_engine
 from repro.errors import WorkloadError
-from repro.hardware.specs import APU_A10_7850K, PlatformSpec
+from repro.hardware.specs import APU_A10_7850K
 from repro.kv.store import KVStore
+from repro.net.wire import QueryColumns
 from repro.pipeline.functional import BatchResult, FunctionalPipeline
 from repro.core.pipeline_config import PipelineConfig
 
@@ -50,52 +51,44 @@ class DidoSystem:
 
     Parameters
     ----------
-    platform:
-        Hardware model (defaults to the paper's A10-7850K APU).
     memory_bytes:
-        Heap budget for objects; defaults to the platform's shareable region.
+        Heap budget for objects; defaults to the modelled APU's (the
+        paper's A10-7850K) shareable region.
     expected_objects:
         Index sizing hint.
-    latency_budget_ns:
-        The periodical scheduler's latency limit (paper: 1,000 us).
-    work_stealing:
-        Enable work stealing in planned configurations (the cost model
-        credits it; the functional engines run every phase over every row
-        either way).
     engine:
         Functional execution backend ("reference", "vector", or a backend
-        instance).  Unset/"auto" is the production engine, "vector":
-        Search on the kernel the fitted host cost model picks.
+        instance).  Unset is the production engine, "vector": Search on
+        the kernel the fitted host cost model picks.
 
     The system builds one :class:`~repro.kv.store.KVStore` and reaches it
-    through the store protocol (see :mod:`repro.kv.store`).
+    through the store protocol (see :mod:`repro.kv.store`).  The
+    controller plans for the A10-7850K under the paper's 1,000 us latency
+    limit, with work stealing credited (the functional engines run every
+    phase over every row either way).
     """
 
     def __init__(
         self,
-        platform: PlatformSpec = APU_A10_7850K,
         *,
         memory_bytes: int | None = None,
         expected_objects: int = 1 << 16,
-        latency_budget_ns: float = 1_000_000.0,
-        work_stealing: bool = True,
         engine=None,
     ):
-        self.platform = platform
-        budget = memory_bytes if memory_bytes is not None else platform.shared_memory_bytes
+        if memory_bytes is None:
+            memory_bytes = APU_A10_7850K.shared_memory_bytes
         engine = resolve_engine(engine)
-        self.store = KVStore(budget, expected_objects)
+        self.store = KVStore(memory_bytes, expected_objects)
         self.profiler = WorkloadProfiler()
         if hasattr(engine, "costs"):
             # One host cost model per system: the engine feeds and asks it,
             # the profiler resets it on a key-size shift, the controller
             # audits it.
             engine.costs = self.profiler.host_costs
+        # The controller's defaults: the paper's 1,000 us latency limit,
+        # work stealing on.
         self.controller = AdaptationController(
-            platform,
-            latency_budget_ns,
-            work_stealing=work_stealing,
-            host_costs=self.profiler.host_costs,
+            APU_A10_7850K, host_costs=self.profiler.host_costs
         )
         self.pipeline = FunctionalPipeline(
             self.store,
@@ -110,10 +103,10 @@ class DidoSystem:
     def process(self, queries) -> BatchResult:
         """Process one batch of queries under the adaptive pipeline.
 
-        ``queries`` is a ``list[Query]`` or a columnar
-        :class:`~repro.net.wire.QueryColumns` batch straight off the wire
-        decoder (the UDP server's hot path — no per-query objects exist
-        anywhere on it).
+        ``queries`` is a sealed :class:`~repro.net.wire.QueryColumns`
+        batch straight off the wire decoder (the UDP server's hot path —
+        no per-query objects exist anywhere on it), or a ``list[Query]``,
+        sealed into columns here once.
 
         Folds the batch into the open profile window and executes it
         functionally under the current configuration; only when that
@@ -121,6 +114,8 @@ class DidoSystem:
         object frequencies harvested for the skew estimator and the
         controller asked whether to re-plan.
         """
+        if not isinstance(queries, QueryColumns):
+            queries = QueryColumns.from_queries(queries)
         config = self._plan_batch(queries)
         result = self.pipeline.process_batch(config, queries)
         self._batches += 1

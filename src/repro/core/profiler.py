@@ -98,7 +98,7 @@ KERNELS = (SCALAR, COLUMNAR)
 #: name the engine reports it by; its fits reset on a key-size shift.
 SEARCH_PASS = IndexOp.SEARCH.value
 
-#: Wire opcodes of the columnar fast path (``QueryType`` values).
+#: Wire opcodes (``QueryType`` values) the batch's opcode column holds.
 _GET_OPCODE = QueryType.GET.value
 _SET_OPCODE = QueryType.SET.value
 
@@ -469,62 +469,23 @@ class WorkloadProfiler:
     # ------------------------------------------------------------ observing
 
     def observe_batch(self, queries) -> None:
-        """Fold one batch's queries into the open window.
-
-        Accepts a ``list[Query]`` or a columnar
-        :class:`~repro.net.wire.QueryColumns` batch.  When the wire
-        decoder's NumPy length columns are attached, the whole batch
-        folds with a handful of array reductions instead of a per-query
-        loop.  Sums of squares ride along so :meth:`window_ready` knows
-        each mean's sampling error.
+        """Fold one sealed :class:`~repro.net.wire.QueryColumns` batch
+        into the open window with a handful of array reductions over its
+        opcode and length columns.  Sums of squares ride along so
+        :meth:`window_ready` knows each mean's sampling error.
         """
-        opcodes = getattr(queries, "opcodes", None)
-        if opcodes is not None:
-            per_opcode = np.bincount(opcodes, minlength=_SET_OPCODE + 1)
-            gets = int(per_opcode[_GET_OPCODE])
-            self._gets += gets
-            self._non_gets += len(queries) - gets
-            # Only SETs carry a value (wire-validated), so the value
-            # column's totals are exactly the SET payload's.
-            self._value_events += int(per_opcode[_SET_OPCODE])
-            key_lens, value_lens = queries.key_lens, queries.value_lens
-            if key_lens.dtype != np.int64 or value_lens.dtype != np.int64:
-                # Squares of u16/u32 lengths overflow their own dtype.
-                key_lens = key_lens.astype(np.int64)
-                value_lens = value_lens.astype(np.int64)
-            self._key_bytes += int(key_lens.sum())
-            self._key_squares += int(np.dot(key_lens, key_lens))
-            self._value_bytes += int(value_lens.sum())
-            self._value_squares += int(np.dot(value_lens, value_lens))
-            return
-        qtypes = getattr(queries, "qtypes", None)
-        if qtypes is not None:
-            rows = zip(qtypes, queries.keys, queries.values)
-        else:
-            rows = ((q.qtype, q.key, q.value) for q in queries)
-        get_type, set_type = QueryType.GET, QueryType.SET
-        for qtype, key, value in rows:
-            size = len(key)
-            self._key_bytes += size
-            self._key_squares += size * size
-            if qtype is get_type:
-                self._gets += 1
-                continue
-            self._non_gets += 1
-            if qtype is set_type:
-                self.observe_value_size(len(value))
-
-    def observe_value_size(self, size: int) -> None:
-        """Record one value's size: a SET payload, or a value served by a
-        GET (those are only known after RD)."""
-        self._value_bytes += size
-        self._value_squares += size * size
-        self._value_events += 1
-
-    def observe_frequency(self, in_window_count: int) -> None:
-        """Record one sampled object's in-window access count (the paper's
-        counter+timestamp mechanism reports these as objects are touched)."""
-        self._frequencies.append(in_window_count)
+        per_opcode = np.bincount(queries.opcodes, minlength=_SET_OPCODE + 1)
+        gets = int(per_opcode[_GET_OPCODE])
+        self._gets += gets
+        self._non_gets += len(queries) - gets
+        # Only SETs carry a value (wire-validated), so the value column's
+        # totals are exactly the SET payload's.
+        self._value_events += int(per_opcode[_SET_OPCODE])
+        key_lens, value_lens = queries.key_lens, queries.value_lens
+        self._key_bytes += int(key_lens.sum())
+        self._key_squares += int(np.dot(key_lens, key_lens))
+        self._value_bytes += int(value_lens.sum())
+        self._value_squares += int(np.dot(value_lens, value_lens))
 
     def observe_frequencies(self, in_window_counts: list[int]) -> None:
         """Record a harvest of sampled objects' in-window access counts."""
@@ -596,9 +557,8 @@ class WorkloadProfiler:
         total = self.window_queries
         if total == 0:
             raise WorkloadError("cannot profile an empty window")
-        # Value size: average over SET payloads and served GET values; a
-        # window without either says nothing about it, so the last
-        # observed size stands.
+        # Value size: average over SET payloads; a window without one says
+        # nothing about it, so the last observed size stands.
         if self._value_events:
             self._last_value_size = max(
                 _VALUE_SIZE_FLOOR, self._value_bytes / self._value_events

@@ -32,17 +32,17 @@ from repro.engine.vector import VectorEngine
 from repro.errors import ConfigurationError
 
 #: Engines selectable by name (CLI flags, DidoSystem's ``engine=`` knob).
-ENGINE_NAMES = ("auto", "reference", "vector")
+ENGINE_NAMES = ("reference", "vector")
 
 
 def resolve_engine(engine):
     """Map an engine selector to a backend instance.
 
-    ``None``/"auto" is the production engine, a :class:`VectorEngine`.  A
+    ``None`` is the production engine, a :class:`VectorEngine`.  A
     backend instance passes through unchanged; a known name constructs the
     backend.
     """
-    if engine is None or engine == "auto":
+    if engine is None:
         return VectorEngine()
     if isinstance(engine, str):
         factory = {

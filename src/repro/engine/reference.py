@@ -21,14 +21,15 @@ import time
 from repro.core.tasks import IndexOp, Task
 from repro.engine.plan import PhaseKind, PlanPhase, StagePlan
 from repro.engine.plane import (
-    DELETED_RESPONSE,
-    NOT_FOUND_RESPONSE,
-    STORED_RESPONSE,
+    DELETED_CODE,
+    NOT_FOUND_CODE,
+    OK_CODE,
+    STORED_CODE,
     BatchPlane,
     count_store_ops,
     credit_time,
 )
-from repro.kv.protocol import QueryType, Response, ResponseStatus
+from repro.kv.protocol import QueryType
 from repro.kv.store import KVStore
 
 
@@ -118,7 +119,7 @@ class ReferenceEngine:
             if earlier is not None:
                 plane.pending_inserts[earlier] = None
             removed = store.delete(key)
-            plane.responses[i] = DELETED_RESPONSE if removed else NOT_FOUND_RESPONSE
+            plane.statuses[i] = DELETED_CODE if removed else NOT_FOUND_CODE
             return
         stale = plane.pending_deletes[i]
         if stale:
@@ -140,16 +141,12 @@ class ReferenceEngine:
 
     @staticmethod
     def _task_wr(store, plane, i, epoch) -> None:
-        if plane.responses[i] is not None:
+        if plane.statuses[i] is not None:
             return  # DELETE already answered
         qtype = plane.qtypes[i]
-        if qtype is QueryType.GET:
-            value = plane.read_values[i]
-            if value is None:
-                plane.responses[i] = NOT_FOUND_RESPONSE
-            else:
-                plane.responses[i] = Response(ResponseStatus.OK, value)
+        if qtype is QueryType.GET and plane.read_values[i] is not None:
+            plane.statuses[i] = OK_CODE
         elif qtype is QueryType.SET:
-            plane.responses[i] = STORED_RESPONSE
+            plane.statuses[i] = STORED_CODE
         else:
-            plane.responses[i] = NOT_FOUND_RESPONSE
+            plane.statuses[i] = NOT_FOUND_CODE

@@ -40,12 +40,11 @@ the plane's :class:`_VectorScratch`:
   chained-hash alternative) has only the scalar kernel.
 * **KC / RD** — one row loop each over the hits: key-compare touches only
   rows with candidates, RD only locations that passed it.
-* **WR** — responses are filled per query-type subset (shared singletons
-  bulk-assigned), and the batch's status and *response-size* columns are
-  filled next to them, so SD framing and server chunking need no
-  per-response ``wire_size`` property calls.  One kernel, a row loop: the
-  consumer wants Python lists, and NumPy broadcasts plus ``tolist`` were
-  measured slower at 40-query windows and no faster at 2,000.
+* **WR** — the status-code column filled per query-type subset, next to
+  the ``read_values`` column RD filled; the wire framer reads those two
+  columns.  One kernel, a row loop: the consumer wants Python lists, and
+  NumPy broadcasts plus ``tolist`` were measured slower at 40-query
+  windows and no faster at 2,000.
 
 Either Search kernel is byte-identical to
 :class:`~repro.engine.reference.ReferenceEngine` with equal store and
@@ -62,9 +61,10 @@ from repro.core.profiler import SCALAR, SEARCH_PASS, HostCostModel
 from repro.core.tasks import IndexOp, Task
 from repro.engine.plan import PhaseKind, PlanPhase, StagePlan
 from repro.engine.plane import (
-    DELETED_RESPONSE,
-    NOT_FOUND_RESPONSE,
-    STORED_RESPONSE,
+    DELETED_CODE,
+    NOT_FOUND_CODE,
+    OK_CODE,
+    STORED_CODE,
     BatchPlane,
     count_store_ops,
     credit_time,
@@ -72,21 +72,13 @@ from repro.engine.plane import (
 from repro.errors import ConfigurationError
 from repro.kv.hashtable import EMPTY
 from repro.kv.objects import _FNV_OFFSET, _FNV_PRIME, fnv1a64
-from repro.kv.protocol import QueryType, Response, ResponseStatus
+from repro.kv.protocol import QueryType
 from repro.kv.store import KVStore
 from repro.telemetry import get_telemetry
 
 #: Keys longer than this take the scalar FNV path (the padded matrix would
 #: waste cache on a few giants; production keys are tens of bytes).
 MAX_VECTOR_KEY_BYTES = 128
-
-#: Wire bytes of a value-less response (status byte + length word).
-_RESPONSE_HEADER_BYTES = Response(ResponseStatus.STORED).wire_size
-
-#: Raw wire status codes for the bulk-assigned response subsets.
-_OK_CODE = ResponseStatus.OK.value
-_NOT_FOUND_CODE = ResponseStatus.NOT_FOUND.value
-_STORED_CODE = ResponseStatus.STORED.value
 
 #: ``repro_cost_model_error`` buckets (a ratio, not microseconds).
 _MODEL_ERROR_BUCKETS = (0.05, 0.1, 0.2, 0.35, 0.5, 1.0, 2.0)
@@ -142,7 +134,7 @@ def fnv_hash_columns(keys: list[bytes], num_states: int):
 class _VectorScratch:
     """Per-batch columnar state the vector passes hand to each other."""
 
-    __slots__ = ("hit_rows", "hit_locs", "multi_hits", "rd_rows", "rd_locs", "rd_objs", "value_rows", "value_lens")
+    __slots__ = ("hit_rows", "hit_locs", "multi_hits", "rd_rows", "rd_locs", "rd_objs", "value_rows")
 
     def __init__(self) -> None:
         #: Plane indices whose Search matched exactly one candidate, and
@@ -156,10 +148,8 @@ class _VectorScratch:
         self.rd_rows: list[int] = []
         self.rd_locs: list[int] = []
         self.rd_objs: list = []
-        #: Plane indices (and value byte lengths) of GET hits, for the
-        #: response-size column.
+        #: Plane indices of GET hits, answered OK by WR.
         self.value_rows: list[int] = []
-        self.value_lens: list[int] = []
 
 
 class VectorEngine:
@@ -309,7 +299,7 @@ class VectorEngine:
     def _pass_delete(store: KVStore, plane: BatchPlane, indices) -> None:
         qtypes = plane.qtypes
         keys = plane.keys
-        responses = plane.responses
+        statuses = plane.statuses
         pending_deletes = plane.pending_deletes
         batch_inserts = plane.batch_inserts
         pending_inserts = plane.pending_inserts
@@ -323,7 +313,7 @@ class VectorEngine:
                 if earlier is not None:
                     pending_inserts[earlier] = None
                 removed = delete(keys[i])
-                responses[i] = DELETED_RESPONSE if removed else NOT_FOUND_RESPONSE
+                statuses[i] = DELETED_CODE if removed else NOT_FOUND_CODE
             else:
                 stale = pending_deletes[i]
                 if stale:
@@ -405,12 +395,8 @@ class VectorEngine:
         reads = np.full(n, num_hashes, dtype=np.int64)
         hit_rows = scratch.hit_rows
         hit_locs = scratch.hit_locs
-        qtypes = plane.qtypes
-        get_type = QueryType.GET
-        # Columnar batches carry the wire opcode column; one boolean mask
-        # replaces the per-hit ``qtypes[row] is GET`` interpreter branch.
-        opcodes = plane.opcodes
-        get_mask = opcodes == 1 if opcodes is not None else None
+        # One boolean mask over the wire opcode column keeps the GET rows.
+        get_mask = plane.opcodes == 1
         # One round per candidate bucket; once any insert has kicked, rows
         # they all miss get one more round over the buckets' displaced twins.
         slots = index.slots_per_bucket
@@ -445,22 +431,14 @@ class VectorEngine:
                 first_locs = loc_slots[local, first_slot]
                 single = counts == 1
                 resolved_planes = plane_rows[resolved]
-                if get_mask is not None:
-                    single_rows = resolved_planes[single]
-                    keep = get_mask[single_rows]
-                    hit_rows.extend(single_rows[keep].tolist())
-                    hit_locs.extend(first_locs[single][keep].tolist())
-                else:
-                    for row, loc in zip(
-                        resolved_planes[single].tolist(), first_locs[single].tolist()
-                    ):
-                        if qtypes[row] is get_type:
-                            hit_rows.append(row)
-                            hit_locs.append(loc)
+                single_rows = resolved_planes[single]
+                keep = get_mask[single_rows]
+                hit_rows.extend(single_rows[keep].tolist())
+                hit_locs.extend(first_locs[single][keep].tolist())
                 for li in np.nonzero(~single)[0].tolist():
                     row = int(resolved_planes[li])
-                    locs = loc_slots[local[li]][match[local[li]]].tolist()
-                    if qtypes[row] is get_type:
+                    if get_mask[row]:
+                        locs = loc_slots[local[li]][match[local[li]]].tolist()
                         scratch.multi_hits[row] = locs
                 remaining = remaining[~matched]
         stats = index.stats
@@ -516,7 +494,6 @@ class VectorEngine:
         scratch = plane.scratch
         read_values = plane.read_values
         value_rows = scratch.value_rows
-        value_lens = scratch.value_lens
         # KC already fetched every surviving record; re-fetching by location
         # here would repeat the dict probe per row.  Heaps that expose a bulk
         # recency refresh take it in one call (same tick order the per-row
@@ -533,46 +510,19 @@ class VectorEngine:
             if obj is None:
                 continue
             obj.record_access(epoch, touched, loc)
-            value = obj.value
-            read_values[row] = value
+            read_values[row] = obj.value
             value_rows.append(row)
-            value_lens.append(len(value))
 
     # ------------------------------------------------------------------- WR
 
     @staticmethod
     def _pass_wr(plane: BatchPlane) -> None:
-        scratch = plane.scratch
-        responses = plane.responses
-        read_values = plane.read_values
-        ok = ResponseStatus.OK
+        # DELETE rows were answered by the Delete pass; GET rows start
+        # NOT_FOUND and the hits RD listed turn OK.
+        statuses = plane.statuses
         for i in plane.set_indices:
-            responses[i] = STORED_RESPONSE
+            statuses[i] = STORED_CODE
         for i in plane.get_indices:
-            value = read_values[i]
-            if value is None:
-                responses[i] = NOT_FOUND_RESPONSE
-            else:
-                responses[i] = Response(ok, value)
-        # The raw status-code and wire-size columns mirror the Response
-        # column so the wire framer never needs the objects: NOT_FOUND and
-        # a bare header everywhere, then SETs stored, GET hits OK plus
-        # their value bytes, DELETEs copied from the answers the Delete
-        # pass already wrote.  Filled per row: Response consumers want
-        # plain lists, and in the serve loop the fill costs a third of
-        # NumPy broadcasts plus ``tolist`` at 40-query windows and no more
-        # at 2,000-query ones.
-        size = plane.size
-        statuses = [_NOT_FOUND_CODE] * size
-        sizes = [_RESPONSE_HEADER_BYTES] * size
-        for i in plane.set_indices:
-            statuses[i] = _STORED_CODE
-        for i, value_len in zip(scratch.value_rows, scratch.value_lens):
-            statuses[i] = _OK_CODE
-            sizes[i] = _RESPONSE_HEADER_BYTES + value_len
-        for i in plane.delete_indices:
-            response = responses[i]
-            if response is not None:
-                statuses[i] = response.status.value
-        plane.response_statuses = statuses
-        plane.response_sizes = sizes
+            statuses[i] = NOT_FOUND_CODE
+        for i in plane.scratch.value_rows:
+            statuses[i] = OK_CODE

@@ -152,11 +152,14 @@ class QueryColumns:
 
     @classmethod
     def from_queries(cls, queries: list[Query]) -> "QueryColumns":
+        """``queries`` as sealed columns, equal to what
+        :func:`decode_payload` makes of ``encode_queries(queries)``."""
         return cls(
             [q.qtype for q in queries],
             [q.key for q in queries],
             [q.value for q in queries],
-        )
+            [q.qtype.value for q in queries],
+        ).sealed()
 
     @classmethod
     def concat(cls, parts: list["QueryColumns"]) -> "QueryColumns":
@@ -274,18 +277,12 @@ def decode_window(
 # --------------------------------------------------------- response framing
 
 
-def encode_response_window(
-    statuses: list[int],
-    values: list[bytes | None],
-    sizes: list[int] | None = None,
-):
+def encode_response_window(statuses: list[int], values: list[bytes | None]):
     """Encode a whole response batch into one buffer, single pass.
 
     ``statuses`` are raw wire status codes; ``values`` may contain ``None``
     for value-less responses (the plane's ``read_values`` column is used
-    directly — SET/DELETE/miss rows are ``None`` there).  ``sizes`` is the
-    engine's precomputed response-size column; without it sizes are
-    derived in one pass.
+    directly — SET/DELETE/miss rows are ``None`` there).
 
     Returns ``(buffer, offsets)``: a ``bytes`` holding every encoded
     response back to back, and the ``len(statuses) + 1`` cumulative byte
@@ -308,8 +305,7 @@ def encode_response_window(
         else:
             append(bare[status])
     hdr = RESPONSE_HEADER_BYTES
-    if sizes is None:
-        sizes = [hdr + len(v) if v else hdr for v in values]
+    sizes = [hdr + len(v) if v else hdr for v in values]
     offsets = np.zeros(len(statuses) + 1, dtype=np.int64)
     np.cumsum(np.asarray(sizes, dtype=np.int64), out=offsets[1:])
     return b"".join(parts), offsets
@@ -340,10 +336,7 @@ def cut_frame_bounds(offsets, limit: int) -> list[int]:
 
 
 def frames_for_response_columns(
-    statuses: list[int],
-    values: list[bytes | None],
-    sizes: list[int] | None = None,
-    mtu: int = ETHERNET_MTU,
+    statuses: list[int], values: list[bytes | None], mtu: int = ETHERNET_MTU
 ) -> list[Frame]:
     """Columnar replacement for ``frames_for_responses``.
 
@@ -351,7 +344,7 @@ def frames_for_response_columns(
     is a slice of the shared buffer.  Byte-identical to the legacy
     per-``Response`` packing.
     """
-    buffer, offsets = encode_response_window(statuses, values, sizes)
+    buffer, offsets = encode_response_window(statuses, values)
     bounds = cut_frame_bounds(offsets, mtu)
     mv = memoryview(buffer)
     return [

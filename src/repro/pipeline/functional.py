@@ -5,8 +5,9 @@ correct".  A :class:`FunctionalPipeline` takes a
 :class:`~repro.core.pipeline_config.PipelineConfig` and pushes a batch of
 queries through the *actual* store — MM really allocates and evicts, IN
 really mutates the cuckoo table, KC really compares keys, RD/WR really
-produce response bytes — stage by stage in the configured order.  Because the pipeline information is carried with the batch (the
-paper embeds it per batch), two consecutive batches may run under different
+produce response bytes — stage by stage in the configured order.  Because
+the pipeline information is carried with the batch (the paper embeds it
+per batch), two consecutive batches may run under different
 configurations and still produce correct results; the test suite asserts
 that every legal configuration produces byte-identical responses.
 
@@ -30,68 +31,61 @@ from repro.core.tasks import Task
 from repro.engine import BatchPlane, compile_stage_plan, resolve_engine
 from repro.kv.protocol import Response, ResponseStatus
 from repro.net.packets import Frame
-from repro.net.wire import frames_for_response_columns
+from repro.net.wire import QueryColumns, frames_for_response_columns
 from repro.telemetry import get_telemetry, stage_span
 
 _ERROR_CODE = ResponseStatus.ERROR.value
 
 
 class BatchResult:
-    """Outcome of one functional batch.
+    """Outcome of one functional batch: one raw wire status code and one
+    value (None on a value-less row) per query, in batch order.
 
-    ``frames`` (the SD task's MTU-packed output) is materialised lazily:
-    the UDP server sends datagrams straight from the response columns and
-    never reads it, so per-batch frame packing would be pure overhead
-    there.  First access builds the frames through the columnar wire
-    framer and caches them.
-
-    The status/size/value columns are always present: when only
-    :class:`Response` objects were built (the reference engine, a
-    server's failed window) they are derived from ``responses`` here, so
-    framing, ``ok_count`` and the server's TX read columns whatever ran.
+    ``frames`` (the SD task's MTU-packed output) and ``responses`` (one
+    :class:`Response` per row) are views built on first access and
+    cached: the UDP server sends datagrams straight from the two columns
+    and reads neither.
     """
 
     __slots__ = (
-        "responses",
-        "config_label",
-        "response_sizes",
         "response_statuses",
         "response_values",
+        "config_label",
         "_frames",
+        "_responses",
     )
 
     def __init__(
         self,
-        responses: list[Response],
+        response_statuses: list[int],
+        response_values: list[bytes | None],
         config_label: str,
-        frames: list[Frame] | None = None,
-        response_sizes: list[int] | None = None,
-        response_statuses: list[int] | None = None,
-        response_values: list[bytes | None] | None = None,
     ):
-        self.responses = responses
-        self.config_label = config_label
-        if response_statuses is None:
-            response_statuses = [r.status.value for r in responses]
-            response_values = [r.value for r in responses]
-            response_sizes = [r.wire_size for r in responses]
-        #: Wire size per response.
-        self.response_sizes = response_sizes
         #: Raw wire status codes per response.
         self.response_statuses = response_statuses
         #: Per-response value bytes (None or empty for value-less
-        #: responses) — the plane's read-value column when the engine
-        #: filled the status column.
+        #: responses) — the plane's read-value column on an engine's batch.
         self.response_values = response_values
-        self._frames = frames
+        self.config_label = config_label
+        self._frames: list[Frame] | None = None
+        self._responses: list[Response] | None = None
 
     @property
     def frames(self) -> list[Frame]:
         if self._frames is None:
             self._frames = frames_for_response_columns(
-                self.response_statuses, self.response_values, self.response_sizes
+                self.response_statuses, self.response_values
             )
         return self._frames
+
+    @property
+    def responses(self) -> list[Response]:
+        if self._responses is None:
+            self._responses = [
+                Response(ResponseStatus(status), value or b"")
+                for status, value in zip(self.response_statuses, self.response_values)
+            ]
+        return self._responses
 
     @property
     def ok_count(self) -> int:
@@ -112,7 +106,7 @@ class FunctionalPipeline:
         Callable returning the profiler's current sampling epoch, used to
         stamp object access counters; defaults to a constant 0.
     engine:
-        Execution backend: ``None``/"auto" or "vector" is the production
+        Execution backend: ``None`` or "vector" is the production
         :class:`~repro.engine.vector.VectorEngine`; "reference" pins that
         backend; an object with a ``run`` method is used as-is (and keeps
         whatever cost model it was handed).
@@ -129,10 +123,12 @@ class FunctionalPipeline:
     def process_batch(self, config: PipelineConfig, queries) -> BatchResult:
         """Run one batch through every stage of ``config`` in order.
 
-        ``queries`` is a ``list[Query]`` or a columnar
-        :class:`~repro.net.wire.QueryColumns` batch from the wire
-        decoder; both produce identical results.
+        ``queries`` is a sealed :class:`~repro.net.wire.QueryColumns`
+        batch (the wire decoder's) or a ``list[Query]``, which is sealed
+        into columns here first.
         """
+        if not isinstance(queries, QueryColumns):
+            queries = QueryColumns.from_queries(queries)
         telemetry = get_telemetry()
         collect = telemetry.enabled
         plan = compile_stage_plan(config)
@@ -151,7 +147,7 @@ class FunctionalPipeline:
             epoch=self._epoch_source(),
             task_times=task_times,
         )
-        responses = plane.take_responses()
+        statuses = plane.take_responses()
         # The store does its upkeep only between batches (the log arena
         # never moves live values under a running engine); the gate is one
         # cheap property read.
@@ -159,15 +155,7 @@ class FunctionalPipeline:
         if store.needs_maintenance:
             store.maintenance()
         self._batch_counter += 1
-        result = BatchResult(
-            responses=responses,
-            config_label=config.label,
-            response_sizes=plane.response_sizes,
-            response_statuses=plane.response_statuses,
-            response_values=plane.read_values
-            if plane.response_statuses is not None
-            else None,
-        )
+        result = BatchResult(statuses, plane.read_values, config.label)
         if collect:
             # Frame eagerly under telemetry so the SD span stays a real
             # measurement of response framing; otherwise frames build

@@ -36,10 +36,13 @@ is logged, ``stats.protocol_errors`` increments, and the
 
 A window the store cannot apply (a :class:`~repro.errors.ReproError` out of
 the system, e.g. a full cuckoo index) does not stop the server either:
-every row of that window is answered ``ERROR``, ``stats.failed_windows``
-increments, a warning is logged, and serving goes on.  A SET in a failed
-window may or may not have applied; its client was told ``ERROR``.
-Everything applied before the window stays readable.
+every row the store was asked to apply is answered ``ERROR``,
+``stats.failed_windows`` increments, a warning is logged, and serving goes
+on.  Under a cluster ownership view the misrouted rows of such a window
+still get their ``WRONG_NODE`` redirect: the store never saw them, so
+their clients may retry them at the owner.  A SET in a failed window may
+or may not have applied; its client was told ``ERROR``.  Everything
+applied before the window stays readable.
 
 Usage::
 
@@ -66,7 +69,7 @@ import numpy as np
 
 from repro.core.dido import DidoSystem
 from repro.errors import ConfigurationError, ProtocolError, ReproError
-from repro.kv.protocol import Response, ResponseStatus
+from repro.kv.protocol import ResponseStatus
 from repro.pipeline.functional import BatchResult
 from repro.net.wire import (
     QueryColumns,
@@ -100,8 +103,9 @@ DRAIN_LIMIT = 64
 #: load generator survive between polls (best-effort).
 _RCVBUF_BYTES = 1 << 21
 
-#: The answer to every row of a window the store failed to apply.
-_FAILED = Response(ResponseStatus.ERROR)
+#: The status of every row the store failed to apply, and of a redirect.
+_ERROR_CODE = ResponseStatus.ERROR.value
+_WRONG_NODE_CODE = ResponseStatus.WRONG_NODE.value
 
 
 @dataclass
@@ -415,18 +419,11 @@ class DidoUDPServer:
     def _process_window(self, batch: QueryColumns, bounds: list) -> None:
         """Apply one window, plain or ownership-filtered, and answer it."""
         ownership = self.ownership
-        try:
-            if ownership is not None:
-                result = self._process_owned(batch, ownership)
-            else:
-                result = self.system.process(batch)
-                self._observe_batch(batch)
-        except ReproError as exc:
-            self.stats.failed_windows += 1
-            logger.warning(
-                "answering a %d-query window ERROR: %s", len(batch), exc
-            )
-            result = BatchResult([_FAILED] * len(batch), "failed")
+        misrouted = ownership.misrouted_rows(batch.keys) if ownership is not None else ()
+        if misrouted:
+            result = self._process_owned(batch, misrouted, ownership)
+        else:
+            result = self._apply(batch)
         self.stats.queries += len(batch)
         self.stats.batches += 1
         telemetry = get_telemetry()
@@ -445,29 +442,36 @@ class DidoUDPServer:
                 ).inc(errors)
         self._send_columnar(bounds, result, telemetry)
 
-    def _observe_batch(self, batch) -> None:
+    def _apply(self, batch: QueryColumns) -> BatchResult:
+        """Run ``batch`` through the system and the batch hook; a batch the
+        store cannot apply is answered ``ERROR`` row by row and counted."""
+        try:
+            result = self.system.process(batch)
+        except ReproError as exc:
+            self.stats.failed_windows += 1
+            logger.warning(
+                "answering a %d-query window ERROR: %s", len(batch), exc
+            )
+            return BatchResult([_ERROR_CODE] * len(batch), [None] * len(batch), "failed")
         hook = self.batch_hook
         if hook is not None:
             try:
                 hook(batch)
             except Exception:  # pragma: no cover - hook bug, not traffic
                 logger.exception("cluster batch hook failed")
+        return result
 
-    def _process_owned(self, batch, ownership) -> BatchResult:
-        """Ownership-filtered processing: apply owned rows to the store,
-        answer the rest with ``WRONG_NODE`` redirects carrying the current
-        manifest epoch, and merge both into one window-shaped result.
+    def _process_owned(self, batch, misrouted, ownership) -> BatchResult:
+        """Ownership-filtered processing: apply the owned rows to the store,
+        answer the ``misrouted`` ones with ``WRONG_NODE`` redirects carrying
+        the current manifest epoch, and merge both into one window-shaped
+        result.
 
         Misrouted queries never touch the store — a SET routed to the
         wrong node during a membership change must not create a divergent
         replica.
         """
         n = len(batch)
-        misrouted = ownership.misrouted_rows(batch.keys)
-        if not misrouted:
-            result = self.system.process(batch)
-            self._observe_batch(batch)
-            return result
         self.stats.redirects += len(misrouted)
         telemetry = get_telemetry()
         if telemetry.enabled:
@@ -479,34 +483,30 @@ class DidoUDPServer:
                 "repro_cluster_redirect_rate",
                 help="Redirected fraction of the last ownership-checked window",
             ).set(len(misrouted) / n)
-        redirect = Response(ResponseStatus.WRONG_NODE, ownership.redirect_value)
         # One boolean mask splits the window: the owned rows run as one
         # sub-batch, and their answers scatter back over redirect columns.
         owned = np.ones(n, dtype=bool)
         owned[misrouted] = False
         config_label = "redirect-only"
-        responses, sizes, statuses, values = [], [], [], []
+        statuses, values = [], []
         if len(misrouted) < n:
             keep = owned.tolist()
-            sub = QueryColumns(
-                list(compress(batch.qtypes, keep)),
-                list(compress(batch.keys, keep)),
-                list(compress(batch.values, keep)),
-                batch.opcodes[owned],
-                batch.key_lens[owned],
-                batch.value_lens[owned],
+            inner = self._apply(
+                QueryColumns(
+                    list(compress(batch.qtypes, keep)),
+                    list(compress(batch.keys, keep)),
+                    list(compress(batch.values, keep)),
+                    batch.opcodes[owned],
+                    batch.key_lens[owned],
+                    batch.value_lens[owned],
+                )
             )
-            inner = self.system.process(sub)
-            self._observe_batch(sub)
             config_label = inner.config_label
-            responses, sizes = inner.responses, inner.response_sizes
             statuses, values = inner.response_statuses, inner.response_values
         return BatchResult(
-            _scatter(owned, responses, redirect),
+            _scatter(owned, statuses, _WRONG_NODE_CODE),
+            _scatter(owned, values, ownership.redirect_value),
             config_label,
-            response_sizes=_scatter(owned, sizes, redirect.wire_size),
-            response_statuses=_scatter(owned, statuses, redirect.status.value),
-            response_values=_scatter(owned, values, redirect.value),
         )
 
     def _send_columnar(self, bounds, result, telemetry) -> None:
@@ -515,7 +515,7 @@ class DidoUDPServer:
         (one join per peer unless its answers overflow a datagram)."""
         t0 = time.perf_counter_ns()
         buffer, offsets = encode_response_window(
-            result.response_statuses, result.response_values, result.response_sizes
+            result.response_statuses, result.response_values
         )
         # Row ranges per peer, in first-arrival order.
         ranges: dict[tuple[str, int], list[tuple[int, int]]] = {}

@@ -42,7 +42,7 @@ def test_every_wrap_point_resolves(monkeypatch):
 
 
 def test_engine_names():
-    assert ENGINE_NAMES == ("auto", "reference", "vector")
+    assert ENGINE_NAMES == ("reference", "vector")
 
 
 def test_verifier_pipeline_answers_a_batch():

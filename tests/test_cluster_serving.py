@@ -273,6 +273,44 @@ class TestOwnedSplit:
                 sock.close()
 
 
+    def test_failed_owned_window_still_redirects_its_misrouted_rows(self):
+        """An owned sub-batch the store cannot apply (fresh SETs past what
+        a 128-object index holds) answers its own rows ``ERROR`` and is
+        counted, but the misrouted row the store never saw keeps its
+        ``WRONG_NODE`` redirect, so the client re-routes it instead of
+        failing it."""
+        system = DidoSystem(memory_bytes=8 << 20, expected_objects=128)
+        server = DidoUDPServer(("127.0.0.1", 0), system=system)
+        server.ownership = _RowOwnership([0])
+        peer = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
+        try:
+            peer.bind(("127.0.0.1", 0))
+            peer.settimeout(5.0)
+            redirect = Response(ResponseStatus.WRONG_NODE, _RowOwnership.redirect_value)
+            failed = []
+            for w in range(24):
+                rows = [Query(QueryType.SET, b"elsewhere-%02d" % w, b"v")] + [
+                    Query(QueryType.SET, b"key-%02d-%02d" % (w, i), b"v") for i in range(16)
+                ]
+                window, stops, _ = decode_window(
+                    [encode_queries(rows)], QueryColumns.open_window()
+                )
+                server._process_window(
+                    *server._cut_batch(window, [(stops[0], peer.getsockname())])
+                )
+                answers = decode_responses(peer.recvfrom(65535)[0])
+                assert answers[0] == redirect
+                if answers[1:] != [Response(ResponseStatus.STORED)] * 16:
+                    assert answers[1:] == [Response(ResponseStatus.ERROR)] * 16
+                    failed.append(w)
+            assert failed
+            assert server.stats.failed_windows == len(failed)
+            assert server.stats.redirects == 24
+        finally:
+            server.stop()
+            peer.close()
+
+
 # ------------------------------------------------------------ control plane
 
 

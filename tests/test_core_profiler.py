@@ -20,17 +20,23 @@ from repro.core.profiler import (
     sample_skewness,
 )
 from repro.errors import WorkloadError
-from repro.kv.protocol import Query, QueryType
+from repro.kv.protocol import Query, QueryType, encode_queries
+from repro.net.wire import QueryColumns, decode_payload
 from repro.workloads.distributions import ZipfKeys
 from repro.workloads.ycsb import standard_workload
 
 
-def queries(gets: int, sets: int, key_size: int = 16, value_size: int = 64):
+def query_rows(gets: int, sets: int, key_size: int = 16, value_size: int = 64):
     out = [Query(QueryType.GET, bytes(key_size)) for _ in range(gets)]
     out += [
         Query(QueryType.SET, bytes(key_size), b"v" * value_size) for _ in range(sets)
     ]
     return out
+
+
+def queries(gets: int, sets: int, key_size: int = 16, value_size: int = 64):
+    """A sealed batch, as ``DidoSystem.process`` hands the profiler."""
+    return QueryColumns.from_queries(query_rows(gets, sets, key_size, value_size))
 
 
 class TestWorkloadProfile:
@@ -66,14 +72,6 @@ class TestProfiler:
         profile = profiler.snapshot()
         assert profile.avg_key_size == pytest.approx(32.0)
         assert profile.avg_value_size == pytest.approx(128.0)
-
-    def test_get_value_sizes_via_observation(self):
-        profiler = WorkloadProfiler()
-        profiler.observe_batch(queries(10, 0))
-        for _ in range(10):
-            profiler.observe_value_size(200)
-        profile = profiler.snapshot()
-        assert profile.avg_value_size == pytest.approx(200.0)
 
     def test_empty_window_rejected(self):
         with pytest.raises(WorkloadError):
@@ -119,20 +117,14 @@ class TestProfiler:
     @pytest.mark.parametrize("columnar", [False, True])
     def test_deletes_are_not_value_events(self, columnar):
         """K32/V256 at 45 % SET / 5 % DELETE profiled 230 B: DELETEs were
-        averaged in as zero-length values."""
-        batch = queries(50, 45, key_size=32, value_size=256)
-        batch += [Query(QueryType.DELETE, bytes(32)) for _ in range(5)]
+        averaged in as zero-length values.  Both ways a batch is sealed:
+        from ``Query`` objects and by the wire decoder."""
+        rows = query_rows(50, 45, key_size=32, value_size=256)
+        rows += [Query(QueryType.DELETE, bytes(32)) for _ in range(5)]
         if columnar:
-            from repro.net.wire import QueryColumns
-
-            batch = QueryColumns(
-                [q.qtype for q in batch],
-                [q.key for q in batch],
-                [q.value for q in batch],
-                opcodes=np.array([q.qtype.value for q in batch], dtype=np.uint8),
-                key_lens=np.array([len(q.key) for q in batch], dtype=np.uint16),
-                value_lens=np.array([len(q.value) for q in batch], dtype=np.uint32),
-            )
+            batch = decode_payload(encode_queries(rows))
+        else:
+            batch = QueryColumns.from_queries(rows)
         profiler = WorkloadProfiler()
         profiler.observe_batch(batch)
         profile = profiler.snapshot()
@@ -199,8 +191,7 @@ class TestWindows:
         ranks = ZipfKeys(32768, skew=0.99, seed=4).sample(3000)
         counts = np.unique(ranks, return_counts=True)[1].tolist()
         profiler = WorkloadProfiler()
-        profiler.observe_frequency(counts[0])
-        profiler.observe_frequencies(counts[1:])
+        profiler.observe_frequencies(counts)
         profiler.observe_batch(queries(1, 0))
         estimate = estimate_zipf_skew(np.array(counts, dtype=float))
         assert profiler.snapshot().zipf_skew == estimate > 0.3

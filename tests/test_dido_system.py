@@ -1,11 +1,14 @@
 """Integration tests for the assembled DidoSystem facade."""
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.core.dido import DidoSystem
 from repro.core.profiler import WINDOW_QUERIES
 from repro.errors import WorkloadError
-from repro.kv.protocol import Query, QueryType, ResponseStatus
+from repro.kv.protocol import Query, QueryType, ResponseStatus, encode_queries
+from repro.net.wire import decode_payload
 from repro.workloads.ycsb import QueryStream, standard_workload
 
 
@@ -77,11 +80,49 @@ class TestFunctionalPath:
                     # NOT_FOUND may legitimately occur (unset or evicted key)
 
 
-class TestEngineResolution:
-    """Unset/``auto`` is the production engine, not a per-batch pick from
-    the simulated plan."""
+#: Streams of small batches over a few colliding keys, all three opcodes.
+query_streams = st.lists(
+    st.lists(
+        st.tuples(
+            st.sampled_from(list(QueryType)),
+            st.sampled_from([b"k%d" % i for i in range(6)]),
+            st.binary(max_size=12),
+        ).map(lambda row: Query(row[0], row[1], row[2] if row[0] is QueryType.SET else b"")),
+        min_size=1,
+        max_size=24,
+    ),
+    min_size=1,
+    max_size=6,
+)
 
-    @pytest.mark.parametrize("engine", [None, "auto", "vector"])
+
+class TestOneBatchShape:
+    @settings(max_examples=15, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(query_streams)
+    def test_query_lists_serve_like_decoded_windows(self, stream):
+        """``process`` seals a ``list[Query]`` into the columns the wire
+        decoder makes of the same queries: answers, store counters and the
+        profile are the same either way."""
+        listed = DidoSystem(memory_bytes=2 << 20, expected_objects=256)
+        decoded = DidoSystem(memory_bytes=2 << 20, expected_objects=256)
+        for batch in stream:
+            ours = listed.process(batch)
+            wire = decoded.process(decode_payload(encode_queries(batch)))
+            assert ours.response_statuses == wire.response_statuses
+            assert ours.response_values == wire.response_values
+            assert ours.config_label == wire.config_label
+        assert listed.store.stats == decoded.store.stats
+        assert listed.controller.planned_profile == decoded.controller.planned_profile
+        assert listed.profiler.window_queries == decoded.profiler.window_queries
+        if listed.profiler.window_queries:
+            assert listed.profiler.snapshot() == decoded.profiler.snapshot()
+
+
+class TestEngineResolution:
+    """Unset is the production engine, not a per-batch pick from the
+    simulated plan."""
+
+    @pytest.mark.parametrize("engine", [None, "vector"])
     def test_default_is_the_engine_the_benchmark_measures(self, engine):
         from repro.engine import VectorEngine
 

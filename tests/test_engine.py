@@ -20,6 +20,7 @@ from repro.engine.plan import BOUNDARY_TASKS, INDEX_OP_PRIORITY, PhaseKind
 from repro.errors import CapacityError, ConfigurationError, SimulationError
 from repro.kv.protocol import Query, QueryType, ResponseStatus
 from repro.kv.store import KVStore
+from repro.net.wire import QueryColumns
 from repro.pipeline.functional import FunctionalPipeline
 from repro.pipeline.megakv import megakv_coupled_config
 from repro.workloads.distributions import make_distribution
@@ -175,7 +176,7 @@ class TestBatchPlane:
             Query(QueryType.DELETE, b"a"),
             Query(QueryType.GET, b"b"),
         ]
-        plane = BatchPlane(queries)
+        plane = BatchPlane(QueryColumns.from_queries(queries))
         assert plane.size == 4
         assert plane.get_indices == [1, 3]
         assert plane.set_indices == [0]
@@ -184,22 +185,24 @@ class TestBatchPlane:
         assert plane.mutation_indices == [0, 2]  # SET and DELETE
 
     def test_take_responses_raises_when_incomplete(self):
-        plane = BatchPlane([Query(QueryType.GET, b"a")])
+        plane = BatchPlane(QueryColumns.from_queries([Query(QueryType.GET, b"a")]))
         with pytest.raises(SimulationError):
             plane.take_responses()
 
     def test_take_responses_error_names_missing_indices(self):
         """The failure message points at the exact queries a pass skipped."""
-        from repro.kv.protocol import Response, ResponseStatus
+        from repro.kv.protocol import ResponseStatus
 
         plane = BatchPlane(
-            [
-                Query(QueryType.GET, b"a"),
-                Query(QueryType.SET, b"b", b"1"),
-                Query(QueryType.DELETE, b"c"),
-            ]
+            QueryColumns.from_queries(
+                [
+                    Query(QueryType.GET, b"a"),
+                    Query(QueryType.SET, b"b", b"1"),
+                    Query(QueryType.DELETE, b"c"),
+                ]
+            )
         )
-        plane.responses[1] = Response(ResponseStatus.STORED)
+        plane.statuses[1] = ResponseStatus.STORED.value
         with pytest.raises(SimulationError) as excinfo:
             plane.take_responses()
         message = str(excinfo.value)
@@ -209,7 +212,9 @@ class TestBatchPlane:
         assert "1:SET" not in message
 
     def test_take_responses_error_truncates_long_index_lists(self):
-        plane = BatchPlane([Query(QueryType.GET, b"k%d" % i) for i in range(20)])
+        plane = BatchPlane(
+            QueryColumns.from_queries([Query(QueryType.GET, b"k%d" % i) for i in range(20)])
+        )
         with pytest.raises(SimulationError) as excinfo:
             plane.take_responses()
         message = str(excinfo.value)
@@ -432,10 +437,12 @@ def test_engines_match_reference_over_multi_batch_streams(engine, heap, raw):
 
 
 class TestResolveEngine:
-    def test_auto_and_none_resolve_to_vector(self):
-        """A standalone pipeline runs the production passes."""
+    def test_none_resolves_to_vector(self):
+        """A standalone pipeline runs the production passes; there is no
+        alias for the default."""
         assert type(resolve_engine(None)) is VectorEngine
-        assert type(resolve_engine("auto")) is VectorEngine
+        with pytest.raises(ConfigurationError):
+            resolve_engine("auto")
         assert type(FunctionalPipeline(KVStore(1 << 20, 256))._engine) is VectorEngine
 
     def test_names_resolve_to_backends(self):

@@ -35,6 +35,7 @@ from repro.kv.objects import KVObject
 from repro.kv.protocol import Query, QueryType, ResponseStatus
 from repro.kv.slab import SlabAllocator
 from repro.kv.store import KVStore
+from repro.net.wire import QueryColumns
 from repro.pipeline.functional import FunctionalPipeline
 from repro.pipeline.megakv import megakv_coupled_config
 
@@ -708,9 +709,13 @@ class TestHeapEquivalence:
 
 def run_batch(engine, store, queries):
     """One batch through ``engine``; returns (plane, (status, value) rows)."""
-    plane = BatchPlane(list(queries))
+    plane = BatchPlane(QueryColumns.from_queries(list(queries)))
     engine.run(store, PLAN, plane)
-    return plane, [(r.status, r.value) for r in plane.take_responses()]
+    statuses = plane.take_responses()
+    return plane, [
+        (ResponseStatus(status), value or b"")
+        for status, value in zip(statuses, plane.read_values)
+    ]
 
 
 class TestReassignFusionThroughEngines:

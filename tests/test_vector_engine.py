@@ -22,7 +22,7 @@ from repro.kv.objects import fnv1a64, key_signature
 from repro.kv.protocol import Query, QueryType, encode_responses
 from repro.kv.store import KVStore
 from repro.pipeline.functional import FunctionalPipeline
-from repro.net.wire import encode_response_window
+from repro.net.wire import QueryColumns, encode_response_window
 from repro.pipeline.megakv import megakv_coupled_config
 
 from test_engine import (
@@ -206,8 +206,10 @@ class TestVectorEquivalence:
         pipeline = FunctionalPipeline(store, engine="vector")
         for batch in workload_batches(batches=2):
             result = pipeline.process_batch(config, batch)
-            assert result.response_sizes is not None
-            assert result.response_sizes == [r.wire_size for r in result.responses]
+            _, offsets = encode_response_window(
+                result.response_statuses, result.response_values
+            )
+            assert np.diff(offsets).tolist() == [r.wire_size for r in result.responses]
 
     def test_duplicate_hot_key_batch(self):
         """Batch-local dedup: many SETs + GETs of one key in one batch."""
@@ -251,7 +253,6 @@ class TestVectorEquivalence:
         assert result.responses[1].value == b"v"
         assert pipeline._engine.costs.summary() == {}
         assert result.response_statuses == [r.status.value for r in result.responses]
-        assert result.response_sizes == [r.wire_size for r in result.responses]
 
 
 class TestKickedKeysAnswerEverywhere:
@@ -281,12 +282,12 @@ class TestKickedKeysAnswerEverywhere:
         plan = compile_stage_plan(megakv_coupled_config())
         queries = [Query(QueryType.GET, key) for key in keys]
         queries.append(Query(QueryType.GET, b"k" * 8 + b"99999999"))
-        plane = BatchPlane(queries)
+        plane = BatchPlane(QueryColumns.from_queries(queries))
         gets, hits = store.stats.gets, store.stats.get_hits
         resolve_engine(engine).run(store, plan, plane, epoch=0)
-        statuses = [response.status for response in plane.take_responses()]
-        assert statuses[:-1] == [ResponseStatus.OK] * len(keys)
-        assert statuses[-1] is ResponseStatus.NOT_FOUND
+        statuses = plane.take_responses()
+        assert statuses[:-1] == [ResponseStatus.OK.value] * len(keys)
+        assert statuses[-1] == ResponseStatus.NOT_FOUND.value
         assert store.stats.gets - gets == len(queries)
         assert store.stats.get_hits - hits == len(keys)
 
@@ -349,19 +350,9 @@ def served_bytes(engine, batches) -> tuple[list[bytes], tuple]:
     plan = compile_stage_plan(megakv_coupled_config())
     out = []
     for batch in batches:
-        plane = BatchPlane(batch)
+        plane = BatchPlane(QueryColumns.from_queries(batch))
         engine.run(store, plan, plane, epoch=0)
-        if plane.response_statuses is None:
-            out.append(encode_responses(plane.take_responses()))
-            continue
-        framed = bytes(
-            encode_response_window(
-                plane.response_statuses, plane.read_values, plane.response_sizes
-            )[0]
-        )
-        assert framed == encode_responses(plane.take_responses())
-        assert isinstance(plane.response_statuses, list)
-        out.append(framed)
+        out.append(bytes(encode_response_window(plane.take_responses(), plane.read_values)[0]))
     counters = (dataclasses.asdict(store.stats), dataclasses.asdict(store.index.stats))
     return out, counters
 
@@ -404,7 +395,7 @@ class TestSearchTimer:
         store = KVStore(memory_bytes=1 << 20, expected_objects=512)
         engine = VectorEngine()
         plan = compile_stage_plan(megakv_coupled_config())
-        engine.run(store, plan, BatchPlane(list(self.QUERIES)), task_times=task_times)
+        engine.run(store, plan, BatchPlane(QueryColumns.from_queries(self.QUERIES)), task_times=task_times)
         return engine
 
     @pytest.mark.parametrize("telemetry_on", [False, True])
@@ -438,7 +429,7 @@ class TestSearchTimer:
             engine = VectorEngine()
             plan = compile_stage_plan(megakv_coupled_config())
             for _ in range(40):
-                engine.run(store, plan, BatchPlane(list(self.QUERIES)))
+                engine.run(store, plan, BatchPlane(QueryColumns.from_queries(self.QUERIES)))
             mix = telemetry.registry.get("repro_pass_kernel_total")
             counts = [mix.value(**{"pass": "search", "kernel": kernel}) for kernel in KERNELS]
             assert min(counts) >= 8 and sum(counts) == 40
@@ -465,12 +456,12 @@ class TestVectorScratchLifecycle:
         store = KVStore(memory_bytes=1 << 20, expected_objects=512)
         engine = VectorEngine()
         plan = compile_stage_plan(megakv_coupled_config())
-        from repro.kv.protocol import Query, QueryType
+        from repro.kv.protocol import Query, QueryType, ResponseStatus
 
-        plane = BatchPlane([Query(QueryType.GET, b"nope")])
+        plane = BatchPlane(QueryColumns.from_queries([Query(QueryType.GET, b"nope")]))
         engine.run(store, plan, plane, epoch=0)
         assert plane.scratch is not None
-        assert plane.response_sizes == [plane.responses[0].wire_size]
+        assert plane.take_responses() == [ResponseStatus.NOT_FOUND.value]
 
     def test_mirror_survives_numpy_roundtrip_signatures(self):
         """uint32 signatures in the mirror equal the scalar signatures."""

@@ -233,16 +233,6 @@ class TestEncodeIdentity:
             (f.payload, f.query_count) for f in expected
         ]
 
-    @settings(deadline=None, suppress_health_check=[HealthCheck.too_slow])
-    @given(responses_strategy)
-    def test_precomputed_sizes_change_nothing(self, raw):
-        responses, statuses, values_col = make_responses(raw)
-        sizes = [r.wire_size for r in responses]
-        with_sizes = encode_response_window(statuses, values_col, sizes)
-        without = encode_response_window(statuses, values_col)
-        assert bytes(with_sizes[0]) == bytes(without[0])
-        assert list(with_sizes[1]) == list(without[1])
-
 
 # ----------------------------------------------------------------- chunking
 
@@ -311,6 +301,19 @@ class TestQueryColumns:
         columns = QueryColumns.from_queries(queries)
         assert columns.to_queries() == queries
         assert len(columns) == 3
+
+    @settings(deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(query_batches())
+    def test_from_queries_is_sealed_like_the_decoder(self, queries):
+        """The public entries' conversion yields what the wire decoder
+        yields for the same queries, NumPy columns and dtypes included."""
+        ours = QueryColumns.from_queries(queries)
+        decoded = decode_payload(encode_queries(queries))
+        assert ours == decoded
+        for name in ("opcodes", "key_lens", "value_lens"):
+            mine, theirs = getattr(ours, name), getattr(decoded, name)
+            assert mine.dtype == theirs.dtype, name
+            assert mine.tolist() == theirs.tolist(), name
 
     def test_slicing_keeps_numpy_columns(self):
         payload = encode_queries(
