@@ -20,23 +20,25 @@ kernels do.  The passes, in plan order, and what they hand each other on
 the plane's :class:`_VectorScratch`:
 
 * **MM / Insert / Delete** — scalar row loops: they mutate Python heap
-  objects and the authoritative cuckoo slots, which have no array form
-  (paper Figure 6: these operations do not benefit from batched kernels
-  the way Search does).  MM places a SET run with one columnar arena
-  append (:meth:`~repro.kv.store.KVStore.multi_allocate_columns`), or
-  row by row through :meth:`~repro.kv.store.KVStore.allocate` on a heap
+  objects and walk the cuckoo table's kick chains slot by slot, through
+  the table's one slot writer (paper Figure 6: these operations do not
+  benefit from batched kernels the way Search does).  MM places a SET
+  run with one columnar arena append
+  (:meth:`~repro.kv.store.KVStore.multi_allocate_columns`), or row by
+  row through :meth:`~repro.kv.store.KVStore.allocate` on a heap
   without a bulk allocator or when one item exceeds the heap budget.
 * **Search** — two kernels, one hand-off.  *Scalar*: the probe-cache walk
   (:meth:`~repro.kv.store.KVStore.multi_index_search`).
   *Columnar*: the key column hashed in one pass (keys packed into a
   ``uint8`` matrix, 64-bit FNV-1a mixed across byte columns for all
   ``num_hashes + 1`` seeds at once, a scalar fallback for oversized
-  keys), then one gather + compare per probe round against the cuckoo
-  table's :class:`~repro.kv.hashtable.SignatureMirror`, with the scalar
-  path's probe-order short-circuit.  Both leave GET rows with one
-  candidate on ``hit_rows`` / ``hit_locs`` and the rare multi-match in
+  keys), then one gather + compare per probe round from the cuckoo
+  table's own ``signatures`` / ``locations`` arrays — the memory the
+  scalar walk reads too — with the scalar path's probe-order
+  short-circuit.  Both leave GET rows with one candidate on
+  ``hit_rows`` / ``hit_locs`` and the rare multi-match in
   ``multi_hits``, and account ``IndexStats.searches`` /
-  ``search_bucket_reads`` identically.  An index without a mirror (the
+  ``search_bucket_reads`` identically.  An index without slot arrays (the
   chained-hash alternative) has only the scalar kernel.
 * **KC / RD** — one row loop each over the hits: key-compare touches only
   rows with candidates, RD only locations that passed it.
@@ -176,9 +178,6 @@ class VectorEngine:
     ) -> None:
         """Execute every non-boundary phase, crediting each task's time to
         ``task_times`` when given."""
-        index = store.index
-        if hasattr(index, "ensure_mirror"):
-            index.ensure_mirror()
         plane.scratch = _VectorScratch()
         for phase in plan.phases:
             if phase.kind is PhaseKind.BOUNDARY:
@@ -326,9 +325,9 @@ class VectorEngine:
         n = len(indices)
         if not n:
             return
-        if getattr(store.index, "mirror", None) is None:
-            # Nothing to gather from: the probe-cache walk is the only
-            # Search kernel this index has, so there is nothing to place.
+        if getattr(store.index, "signatures", None) is None:
+            # No slot arrays to gather from (the chained table): the
+            # probe-cache walk is its only Search kernel, so nothing to place.
             self._search_scalar(store, plane, indices)
             return
         costs = self.costs
@@ -379,11 +378,10 @@ class VectorEngine:
 
     @staticmethod
     def _search_columnar(store: KVStore, plane: BatchPlane, indices) -> None:
-        """The columnar Search kernel: hash the key column, then one mirror
-        gather + signature compare per probe round."""
+        """The columnar Search kernel: hash the key column, then one slot
+        array gather + signature compare per probe round."""
         scratch = plane.scratch
         index = store.index
-        mirror = index.mirror
         num_hashes = index.num_hashes
         keys = plane.keys
         states = fnv_hash_columns([keys[i] for i in indices], num_hashes + 1)
@@ -418,8 +416,8 @@ class VectorEngine:
                     dtype=np.intp,
                 )
                 reads[remaining] = 2 * num_hashes
-            sig_slots = mirror.signatures[buckets].reshape(remaining.size, -1)
-            loc_slots = mirror.locations[buckets].reshape(remaining.size, -1)
+            sig_slots = index.signatures[buckets].reshape(remaining.size, -1)
+            loc_slots = index.locations[buckets].reshape(remaining.size, -1)
             match = (loc_slots != EMPTY) & (sig_slots == signatures[remaining][:, None])
             matched = match.any(axis=1)
             if matched.any():

@@ -45,7 +45,7 @@ class ChainedHashTable:
         while size < num_buckets:
             size <<= 1
         self._mask = size - 1
-        self._buckets: list[list[_Node]] = [[] for _ in range(size)]
+        self._chains: list[list[_Node]] = [[] for _ in range(size)]
         self._count = 0
         self.stats = IndexStats()
 
@@ -76,7 +76,7 @@ class ChainedHashTable:
     # ------------------------------------------------------------ operations
 
     def _bucket(self, key: bytes) -> list[_Node]:
-        return self._buckets[fnv1a64(key, seed=1) & self._mask]
+        return self._chains[fnv1a64(key, seed=1) & self._mask]
 
     def search(self, key: bytes) -> tuple[list[int], int]:
         """Candidates by signature plus nodes traversed."""
@@ -122,6 +122,6 @@ class ChainedHashTable:
     def entries(self) -> list[tuple[int, int]]:
         return [
             (node.signature, node.location)
-            for bucket in self._buckets
+            for bucket in self._chains
             for node in bucket
         ]

@@ -7,6 +7,14 @@ pairs rather than full keys, so a Search may return a false candidate that
 the KC task later rejects — the table exposes signature-level search and the
 store layer performs full-key verification.
 
+The slots are two NumPy arrays of shape ``(num_buckets, slots_per_bucket)``
+— ``signatures`` (uint32) and ``locations`` (int64, :data:`EMPTY` when
+free) — and nothing else: like the one index the CPU and GPU of a coupled
+chip share, one copy serves both host kernels.  The vector engine's
+columnar Search gathers from the arrays; the scalar walks here read and
+write the same memory through flat ``memoryview`` objects, whose items are
+plain Python ints, and every write goes through :meth:`_write_slot`.
+
 Concurrency in the real system uses atomic compare-exchange for writes and
 atomic loads for reads (paper Section III-B2).  This reproduction executes
 pipeline stages deterministically, but the table keeps a per-bucket version
@@ -70,41 +78,6 @@ class IndexStats:
         return self.search_bucket_reads / self.searches
 
 
-@dataclass
-class _Slot:
-    signature: int = 0
-    location: int = EMPTY
-
-
-class SignatureMirror:
-    """Struct-of-arrays copy of the table's ``(signature, location)`` slots.
-
-    The vector engine's batched Search matches whole signature columns with
-    one NumPy broadcast instead of probing bucket lists slot by slot — the
-    coupled-architecture analogue of Mega-KV keeping its compact index in
-    GPU-friendly arrays.  The table itself remains authoritative: every
-    slot write goes through :meth:`CuckooHashTable._write_slot`, which
-    updates both representations, so the mirror can never drift (the fuzz
-    test in ``tests/test_vector_engine.py`` pins this down).
-    """
-
-    __slots__ = ("signatures", "locations")
-
-    def __init__(self, buckets: list[list[_Slot]], slots_per_bucket: int):
-        num_buckets = len(buckets)
-        self.signatures = _np.zeros((num_buckets, slots_per_bucket), dtype=_np.uint32)
-        self.locations = _np.full((num_buckets, slots_per_bucket), EMPTY, dtype=_np.int64)
-        for bucket_idx, bucket in enumerate(buckets):
-            for slot_idx, slot in enumerate(bucket):
-                if slot.location != EMPTY:
-                    self.signatures[bucket_idx, slot_idx] = slot.signature
-                    self.locations[bucket_idx, slot_idx] = slot.location
-
-    def write(self, bucket_idx: int, slot_idx: int, signature: int, location: int) -> None:
-        self.signatures[bucket_idx, slot_idx] = signature
-        self.locations[bucket_idx, slot_idx] = location
-
-
 class CuckooHashTable:
     """Signature-indexed cuckoo hash table mapping keys to object locations.
 
@@ -141,9 +114,13 @@ class CuckooHashTable:
         self._num_hashes = num_hashes
         self._slots_per_bucket = slots_per_bucket
         self._max_kicks = max_kicks
-        self._buckets: list[list[_Slot]] = [
-            [_Slot() for _ in range(slots_per_bucket)] for _ in range(size)
-        ]
+        #: The table: slot ``s`` of bucket ``b`` is ``[b, s]`` of each array.
+        self.signatures = _np.zeros((size, slots_per_bucket), dtype=_np.uint32)
+        self.locations = _np.full((size, slots_per_bucket), EMPTY, dtype=_np.int64)
+        # Flat views of the same memory for the scalar walks: slot
+        # ``b * slots_per_bucket + s``, read and written as Python ints.
+        self._sig_slots = memoryview(self.signatures.reshape(-1))
+        self._loc_slots = memoryview(self.locations.reshape(-1))
         self._versions = [0] * size
         self._count = 0
         #: Set (and never cleared) by the first cuckoo kick: from then on a
@@ -158,7 +135,6 @@ class CuckooHashTable:
         # seen.
         self._probe_cache: OrderedDict[bytes, tuple[int, list[int]]] = OrderedDict()
         self._probe_cache_cap = 1 << 17
-        self._mirror: SignatureMirror | None = None
 
     # ------------------------------------------------------------------ info
 
@@ -248,23 +224,6 @@ class CuckooHashTable:
             cache.move_to_end(key)
         return spec
 
-    # ----------------------------------------------------- signature mirror
-
-    @property
-    def mirror(self) -> SignatureMirror | None:
-        """The NumPy signature mirror, if one has been attached."""
-        return self._mirror
-
-    def ensure_mirror(self) -> SignatureMirror:
-        """Attach (or return) the NumPy mirror of the slot arrays.
-
-        Built once from the authoritative buckets; afterwards every
-        :meth:`_write_slot` updates both representations.
-        """
-        if self._mirror is None:
-            self._mirror = SignatureMirror(self._buckets, self._slots_per_bucket)
-        return self._mirror
-
     # ------------------------------------------------------------ operations
 
     def search(self, key: bytes) -> tuple[list[int], int]:
@@ -304,17 +263,24 @@ class CuckooHashTable:
 
     def _scan(self, signature: int, buckets: list[int]) -> tuple[list[int], int]:
         """Locations matching ``signature`` in the first bucket that has any."""
-        table = self._buckets
+        sigs = self._sig_slots
+        locs = self._loc_slots
+        width = self._slots_per_bucket
         buckets_read = 0
         for bucket_idx in buckets:
             buckets_read += 1
-            found = [
-                s.location
-                for s in table[bucket_idx]
-                if s.location != EMPTY and s.signature == signature
-            ]
-            if found:
-                return found, buckets_read
+            base = bucket_idx * width
+            # One slice per bucket; locations are read only where it matches.
+            row = sigs[base : base + width].tolist()
+            if signature in row:
+                if row.count(signature) == 1:
+                    found = [locs[base + row.index(signature)]]
+                else:
+                    found = [locs[base + s] for s, sig in enumerate(row) if sig == signature]
+                if EMPTY in found:  # an empty slot's signature is 0
+                    found = [loc for loc in found if loc != EMPTY]
+                if found:
+                    return found, buckets_read
         return [], buckets_read
 
     def multi_search(self, keys: list[bytes]) -> list[list[int]]:
@@ -367,11 +333,10 @@ class CuckooHashTable:
         writes = 0
         # Try an empty slot in any candidate bucket first.
         for bucket_idx in candidates:
-            bucket = self._buckets[bucket_idx]
-            for slot_idx, slot in enumerate(bucket):
-                if slot.location == EMPTY:
-                    self._write_slot(bucket_idx, slot_idx, signature, location)
-                    return writes + 1
+            slot_idx = self._free_slot(bucket_idx)
+            if slot_idx >= 0:
+                self._write_slot(bucket_idx, slot_idx, signature, location)
+                return writes + 1
             writes += 1  # full bucket examined counts as a touch
         # All candidate buckets full: displace (kick) from the first one.
         victim_bucket = candidates[0]
@@ -381,9 +346,8 @@ class CuckooHashTable:
         # chain can put each displaced entry back (in reverse order).
         undo: list[tuple[int, int, int, int]] = []
         for kick in range(self._max_kicks):
-            bucket = self._buckets[victim_bucket]
-            slot = bucket[victim_slot_idx]
-            evicted_sig, evicted_loc = slot.signature, slot.location
+            flat = victim_bucket * self._slots_per_bucket + victim_slot_idx
+            evicted_sig, evicted_loc = self._sig_slots[flat], self._loc_slots[flat]
             undo.append((victim_bucket, victim_slot_idx, evicted_sig, evicted_loc))
             self._write_slot(victim_bucket, victim_slot_idx, carried_sig, carried_loc)
             writes += 1
@@ -395,15 +359,10 @@ class CuckooHashTable:
             # from the signature since the key is not stored.
             self.kicked = True
             (alt,) = self.displaced_buckets(carried_sig, [victim_bucket])
-            placed = False
-            for slot2_idx, slot2 in enumerate(self._buckets[alt]):
-                if slot2.location == EMPTY:
-                    self._write_slot(alt, slot2_idx, carried_sig, carried_loc)
-                    writes += 1
-                    placed = True
-                    break
-            if placed:
-                return writes
+            slot_idx = self._free_slot(alt)
+            if slot_idx >= 0:
+                self._write_slot(alt, slot_idx, carried_sig, carried_loc)
+                return writes + 1
             victim_bucket = alt
             victim_slot_idx = (carried_sig + kick) % self._slots_per_bucket
         # The chain ran out still carrying an entry that was already
@@ -415,6 +374,12 @@ class CuckooHashTable:
             f"cuckoo insert failed after {self._max_kicks} kicks "
             f"(load factor {self.load_factor:.2f})"
         )
+
+    def _free_slot(self, bucket_idx: int) -> int:
+        """The first empty slot of bucket ``bucket_idx``, or -1 when full."""
+        base = bucket_idx * self._slots_per_bucket
+        row = self._loc_slots[base : base + self._slots_per_bucket].tolist()
+        return row.index(EMPTY) if EMPTY in row else -1
 
     def reassign_prehashed(
         self,
@@ -441,7 +406,7 @@ class CuckooHashTable:
         hit = self._find_slot(signature, buckets, old_location)
         if hit is None:
             return False
-        self._rewrite_location(*hit, new_location)
+        self._write_slot(*hit, signature, new_location)
         stats = self.stats
         stats.inserts += 1
         stats.deletes += 1
@@ -465,16 +430,19 @@ class CuckooHashTable:
     def _match(
         self, signature: int, buckets: list[int], location: int | None
     ) -> tuple[int, int] | None:
-        table = self._buckets
+        sigs = self._sig_slots
+        locs = self._loc_slots
+        width = self._slots_per_bucket
         for bucket_idx in buckets:
-            slot_idx = 0
-            for slot in table[bucket_idx]:
-                if slot.signature == signature and (
-                    slot.location == location
-                    or (location is None and slot.location != EMPTY)
-                ):
-                    return bucket_idx, slot_idx
-                slot_idx += 1
+            base = bucket_idx * width
+            row = sigs[base : base + width].tolist()
+            if signature not in row:
+                continue
+            for slot_idx, sig in enumerate(row):
+                if sig == signature:
+                    loc = locs[base + slot_idx]
+                    if loc == location or (location is None and loc != EMPTY):
+                        return bucket_idx, slot_idx
         return None
 
     def delete(self, key: bytes, location: int | None = None) -> bool:
@@ -497,47 +465,21 @@ class CuckooHashTable:
         self._count -= 1
         return True
 
-    def _mirror_store(self, bucket_idx: int, slot_idx: int, signature: int, location: int) -> None:
-        """The single mirror-write point for every slot mutation.
-
-        Both writers (:meth:`_write_slot` and :meth:`_rewrite_location`)
-        funnel through here, so mirror coherence is asserted in exactly one
-        place.
-        """
-        if self._mirror is not None:
-            self._mirror.write(bucket_idx, slot_idx, signature, location)
-
-    def _rewrite_location(self, bucket_idx: int, slot_idx: int, location: int) -> None:
-        """Slot rewrite for a reassign: the signature is unchanged, so only
-        the location changes.  Version bump and mirror coherence go through
-        the same :meth:`_mirror_store` point as :meth:`_write_slot`.
-        """
-        slot = self._buckets[bucket_idx][slot_idx]
-        slot.location = location
-        self._versions[bucket_idx] += 1
-        self._mirror_store(bucket_idx, slot_idx, slot.signature, location)
-
     def _write_slot(self, bucket_idx: int, slot_idx: int, signature: int, location: int) -> None:
         """Single-slot "atomic compare-exchange" write with version bump.
 
-        The one mutation point for slot state: the authoritative ``_Slot``
-        and (when attached) the NumPy signature mirror are updated together
-        via :meth:`_mirror_store`, so the two representations cannot
-        diverge.
+        The one writer of slot state: inserts, kicks and their undo,
+        deletes and reassigns all land here.
         """
-        slot = self._buckets[bucket_idx][slot_idx]
-        slot.signature = signature
-        slot.location = location
+        flat = bucket_idx * self._slots_per_bucket + slot_idx
+        self._sig_slots[flat] = signature
+        self._loc_slots[flat] = location
         self._versions[bucket_idx] += 1
-        self._mirror_store(bucket_idx, slot_idx, signature, location)
 
     # ------------------------------------------------------------- iteration
 
     def entries(self) -> list[tuple[int, int]]:
-        """All ``(signature, location)`` pairs currently stored (test aid)."""
-        out = []
-        for bucket in self._buckets:
-            for slot in bucket:
-                if slot.location != EMPTY:
-                    out.append((slot.signature, slot.location))
-        return out
+        """All ``(signature, location)`` pairs currently stored, in slot
+        order (test aid)."""
+        used = self.locations != EMPTY
+        return list(zip(self.signatures[used].tolist(), self.locations[used].tolist()))

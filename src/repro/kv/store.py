@@ -124,13 +124,12 @@ class KVStore:
         self,
         memory_bytes: int,
         expected_objects: int,
-        num_hashes: int = 2,
         index=None,
         heap=None,
     ):
         buckets = max(64, int(expected_objects / 2))
         if index is None:
-            index = CuckooHashTable(num_buckets=buckets, num_hashes=num_hashes)
+            index = CuckooHashTable(num_buckets=buckets)
         self.index = index
         self.heap = LogValueArena(memory_bytes) if heap is None else heap
         #: Log-arena fast paths, bound once (None on an injected slab).

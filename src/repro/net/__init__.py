@@ -16,11 +16,9 @@ from repro.net.wire import (
     QueryColumns,
     WindowParseError,
     chunk_response_payloads,
-    cut_frame_bounds,
     decode_payload,
     decode_window,
     encode_response_window,
-    frames_for_response_columns,
 )
 
 __all__ = [
@@ -30,10 +28,8 @@ __all__ = [
     "QueryColumns",
     "WindowParseError",
     "chunk_response_payloads",
-    "cut_frame_bounds",
     "decode_payload",
     "decode_window",
     "encode_response_window",
-    "frames_for_response_columns",
     "frames_for_responses",
 ]

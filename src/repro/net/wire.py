@@ -24,11 +24,10 @@ three columnar pieces instead:
   into one buffer in a single pass: one packed header per valued row
   (value-less rows reuse a precomputed header), one join that copies
   each value once, and the per-response byte offsets from one cumulative
-  sum.  Frames and datagrams are then *slices* of that buffer.
-* :func:`cut_frame_bounds` / :func:`frames_for_response_columns` /
-  :func:`chunk_response_payloads` — the MTU cut as one cumulative-sum
-  walk (``searchsorted`` per emitted frame rather than a size check per
-  message), byte-identical to the greedy first-fit of
+  sum.  Datagrams are then *slices* of that buffer.
+* :func:`chunk_response_payloads` — the datagram cut as one
+  cumulative-sum walk (``searchsorted`` per emitted datagram rather than
+  a size check per message), byte-identical to the greedy first-fit of
   :func:`repro.net.packets._pack`.  A peer whose answers fit one
   datagram gets them as one join, with no cut at all.
 """
@@ -47,7 +46,6 @@ from repro.kv.protocol import (
     _QUERY_HEADER,
     _RESPONSE_HEADER,
 )
-from repro.net.packets import ETHERNET_MTU, Frame
 
 #: Query header bytes: ``opcode:u8 | key_len:u16 | value_len:u32``.
 QUERY_HEADER_BYTES = _QUERY_HEADER.size
@@ -309,48 +307,6 @@ def encode_response_window(statuses: list[int], values: list[bytes | None]):
     offsets = np.zeros(len(statuses) + 1, dtype=np.int64)
     np.cumsum(np.asarray(sizes, dtype=np.int64), out=offsets[1:])
     return b"".join(parts), offsets
-
-
-def cut_frame_bounds(offsets, limit: int) -> list[int]:
-    """Greedy first-fit cut over a cumulative byte-offset column.
-
-    Returns message indices ``[0, b1, ..., n]`` such that each
-    ``[b_k, b_{k+1})`` span fits in ``limit`` payload bytes (a single
-    over-limit message rides alone), matching
-    :func:`repro.net.packets._pack` boundaries exactly.  One
-    ``searchsorted`` per emitted frame instead of a size check per
-    message.
-    """
-    n = len(offsets) - 1
-    bounds = [0]
-    i = 0
-    append = bounds.append
-    searchsorted = np.searchsorted
-    while i < n:
-        j = int(searchsorted(offsets, offsets[i] + limit, side="right")) - 1
-        if j <= i:
-            j = i + 1
-        append(j)
-        i = j
-    return bounds
-
-
-def frames_for_response_columns(
-    statuses: list[int], values: list[bytes | None], mtu: int = ETHERNET_MTU
-) -> list[Frame]:
-    """Columnar replacement for ``frames_for_responses``.
-
-    One window encode plus one cumulative-sum MTU cut; each frame payload
-    is a slice of the shared buffer.  Byte-identical to the legacy
-    per-``Response`` packing.
-    """
-    buffer, offsets = encode_response_window(statuses, values)
-    bounds = cut_frame_bounds(offsets, mtu)
-    mv = memoryview(buffer)
-    return [
-        Frame(bytes(mv[offsets[a] : offsets[b]]), query_count=b - a)
-        for a, b in zip(bounds, bounds[1:])
-    ]
 
 
 def chunk_response_payloads(

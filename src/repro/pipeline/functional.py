@@ -17,9 +17,9 @@ plan the analytical cost model consumes), batch state lives in a columnar
 :class:`~repro.engine.plane.BatchPlane`, and execution is delegated to an
 engine backend — :class:`~repro.engine.vector.VectorEngine` unless the
 caller pinned another via the ``engine`` parameter.  The pipeline itself
-only does the batch boundaries: batch intake (RV), response framing (SD),
-and telemetry emission.  Wire parsing (PP) happens upstream, in the UDP
-server's window decode.
+only does the batch boundaries: batch intake (RV) and telemetry
+emission.  Wire parsing (PP) and response framing (SD) happen in the UDP
+server, in its window decode and response encode.
 """
 
 from __future__ import annotations
@@ -30,8 +30,7 @@ from repro.core.pipeline_config import PipelineConfig
 from repro.core.tasks import Task
 from repro.engine import BatchPlane, compile_stage_plan, resolve_engine
 from repro.kv.protocol import Response, ResponseStatus
-from repro.net.packets import Frame
-from repro.net.wire import QueryColumns, frames_for_response_columns
+from repro.net.wire import QueryColumns
 from repro.telemetry import get_telemetry, stage_span
 
 _ERROR_CODE = ResponseStatus.ERROR.value
@@ -41,17 +40,15 @@ class BatchResult:
     """Outcome of one functional batch: one raw wire status code and one
     value (None on a value-less row) per query, in batch order.
 
-    ``frames`` (the SD task's MTU-packed output) and ``responses`` (one
-    :class:`Response` per row) are views built on first access and
-    cached: the UDP server sends datagrams straight from the two columns
-    and reads neither.
+    ``responses`` (one :class:`Response` per row) is a view built on
+    first access and cached: the UDP server encodes and chunks its
+    datagrams straight from the two columns and never reads it.
     """
 
     __slots__ = (
         "response_statuses",
         "response_values",
         "config_label",
-        "_frames",
         "_responses",
     )
 
@@ -67,16 +64,7 @@ class BatchResult:
         #: responses) — the plane's read-value column on an engine's batch.
         self.response_values = response_values
         self.config_label = config_label
-        self._frames: list[Frame] | None = None
         self._responses: list[Response] | None = None
-
-    @property
-    def frames(self) -> list[Frame]:
-        if self._frames is None:
-            self._frames = frames_for_response_columns(
-                self.response_statuses, self.response_values
-            )
-        return self._frames
 
     @property
     def responses(self) -> list[Response]:
@@ -138,7 +126,8 @@ class FunctionalPipeline:
         plane = BatchPlane(queries)
         if collect:
             # Batch intake (building the columnar plane) is RV's footprint
-            # on this plane; PP ran upstream, so its span reads zero.
+            # on this plane; PP and SD run in the server, so their spans
+            # read zero.
             task_times[Task.RV] = (time.perf_counter() - t0) * 1e6
         engine.run(
             self.store,
@@ -157,12 +146,6 @@ class FunctionalPipeline:
         self._batch_counter += 1
         result = BatchResult(statuses, plane.read_values, config.label)
         if collect:
-            # Frame eagerly under telemetry so the SD span stays a real
-            # measurement of response framing; otherwise frames build
-            # lazily on first access (the UDP server never needs them).
-            t_send = time.perf_counter()
-            result.frames  # noqa: B018 - builds and caches the frames
-            task_times[Task.SD] = (time.perf_counter() - t_send) * 1e6
             self._emit_batch(telemetry, config, engine, task_times, len(queries))
         return result
 

@@ -20,7 +20,7 @@ from repro.engine.plan import BOUNDARY_TASKS, INDEX_OP_PRIORITY, PhaseKind
 from repro.errors import CapacityError, ConfigurationError, SimulationError
 from repro.kv.protocol import Query, QueryType, ResponseStatus
 from repro.kv.store import KVStore
-from repro.net.wire import QueryColumns
+from repro.net.wire import QueryColumns, encode_response_window
 from repro.pipeline.functional import FunctionalPipeline
 from repro.pipeline.megakv import megakv_coupled_config
 from repro.workloads.distributions import make_distribution
@@ -83,7 +83,9 @@ def batch_frames(store, engine, config, batches):
     frames = []
     for batch in batches:
         result = pipeline.process_batch(config, batch)
-        frames.append(b"".join(f.payload for f in result.frames))
+        frames.append(
+            encode_response_window(result.response_statuses, result.response_values)[0]
+        )
     return frames
 
 

@@ -1,5 +1,7 @@
 """Unit tests for the cuckoo hash table index."""
 
+import tracemalloc
+
 import pytest
 
 from repro.errors import CapacityError, ConfigurationError
@@ -23,6 +25,19 @@ class TestConstruction:
     def test_rejects_single_hash(self):
         with pytest.raises(ConfigurationError):
             CuckooHashTable(num_buckets=16, num_hashes=1)
+
+    def test_slot_arrays_are_the_only_copy(self):
+        """The table at the serving benchmark's size (32768 buckets, 131,072
+        slots) allocates its two slot arrays, 1.5 MB, and not a second
+        per-slot representation beside them."""
+        tracemalloc.start()
+        try:
+            table = CuckooHashTable(num_buckets=32768)
+            allocated, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert table.capacity == 131072
+        assert allocated < 4 << 20
 
     def test_rejects_bad_slots(self):
         with pytest.raises(ConfigurationError):
@@ -231,7 +246,6 @@ class TestDisplacement:
         """A kick chain that runs out puts every displaced entry back: the
         failed key alone is missing, and every earlier key is still found."""
         table = CuckooHashTable(num_buckets=4, slots_per_bucket=2, max_kicks=8)
-        table.ensure_mirror()
         stored = {}
         for i in range(100):
             key = f"key-{i}".encode()
@@ -247,14 +261,12 @@ class TestDisplacement:
         assert len(table) == count == len(stored)
         for key, loc in stored.items():
             assert loc in table.search(key)[0], f"{key!r} was lost"
-        mirrored = [
+        in_arrays = [
             (int(sig), int(loc))
-            for sig, loc in zip(
-                table.mirror.signatures.ravel(), table.mirror.locations.ravel()
-            )
+            for sig, loc in zip(table.signatures.ravel(), table.locations.ravel())
             if loc != -1
         ]
-        assert sorted(mirrored) == before
+        assert sorted(in_arrays) == before
 
     def test_load_factor(self):
         table = make_table(buckets=64)
@@ -263,22 +275,49 @@ class TestDisplacement:
         assert table.load_factor == pytest.approx(32 / table.capacity)
 
 
-class _RecordingBuckets(list):
-    """The bucket array, remembering which buckets were read and whether
-    anything walked the whole table."""
+class _RecordingSlots:
+    """Installs itself over a table's two flat slot views, remembering
+    which buckets were read and whether anything read a whole view."""
 
-    def __init__(self, buckets):
-        super().__init__(buckets)
+    def __init__(self, table):
         self.read: list[int] = []
         self.walked = False
+        self.width = table.slots_per_bucket
+        table._sig_slots = _RecordingView(table._sig_slots, self)
+        table._loc_slots = _RecordingView(table._loc_slots, self)
 
-    def __getitem__(self, index):
-        self.read.append(index)
-        return super().__getitem__(index)
+
+class _RecordingView:
+    """One flat slot view: each item read is recorded as its bucket
+    (``i // slots_per_bucket``; a one-bucket slice as the bucket it
+    covers), and any read wider than a bucket flags a walk."""
+
+    def __init__(self, view, recording):
+        self.view = view
+        self.recording = recording
+
+    def __getitem__(self, i):
+        recording = self.recording
+        if isinstance(i, slice):
+            first, last = i.start, i.stop - 1
+            if first is None or first // recording.width != last // recording.width:
+                recording.walked = True
+            i_bucket = first or 0
+        else:
+            i_bucket = i
+        recording.read.append(i_bucket // recording.width)
+        return self.view[i]
+
+    def __setitem__(self, i, value):
+        self.view[i] = value
 
     def __iter__(self):
-        self.walked = True
-        return super().__iter__()
+        self.recording.walked = True
+        return iter(self.view)
+
+    def tolist(self):
+        self.recording.walked = True
+        return self.view.tolist()
 
 
 class TestKickedEntries:
@@ -302,9 +341,10 @@ class TestKickedEntries:
         for key, location in stored.items():
             signature, buckets = table.probe(key)
             home = any(
-                slot.location == location and slot.signature == signature
+                int(table.locations[bucket, s]) == location
+                and int(table.signatures[bucket, s]) == signature
                 for bucket in buckets
-                for slot in table._buckets[bucket]
+                for s in range(table.slots_per_bucket)
             )
             if not home:
                 out.append(key)
@@ -340,7 +380,7 @@ class TestKickedEntries:
         signature, buckets = table.probe(key)
         allowed = set(buckets) | set(table.displaced_buckets(signature, buckets))
         versions = [table.bucket_version(b) for b in range(table.num_buckets)]
-        table._buckets = recording = _RecordingBuckets(table._buckets)
+        recording = _RecordingSlots(table)
         count = len(table)
         assert table.delete(key, stored[key])
         assert not recording.walked
@@ -357,7 +397,7 @@ class TestKickedEntries:
 
     def test_delete_miss_in_kicked_table_scans_no_table(self):
         table, stored = self.loaded_table()
-        table._buckets = recording = _RecordingBuckets(table._buckets)
+        recording = _RecordingSlots(table)
         for i in range(50):
             assert not table.delete(b"never-stored-%d" % i, 12345)
         assert not recording.walked

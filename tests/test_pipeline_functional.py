@@ -6,6 +6,7 @@ from repro.core.pipeline_config import PipelineConfig
 from repro.kv.protocol import Query, QueryType, ResponseStatus, decode_responses
 from repro.kv.slab import SlabAllocator
 from repro.kv.store import KVStore
+from repro.net.wire import encode_response_window
 from repro.pipeline.functional import FunctionalPipeline
 from repro.pipeline.megakv import megakv_coupled_config
 from repro.workloads.ycsb import QueryStream, standard_workload
@@ -80,9 +81,9 @@ class TestBasicSemantics:
         pipeline, _ = fresh_pipeline()
         batch = [Query(QueryType.SET, b"k", b"v"), Query(QueryType.GET, b"k")]
         result = pipeline.process_batch(megakv_coupled_config(), batch)
-        decoded = []
-        for frame in result.frames:
-            decoded.extend(decode_responses(frame.payload))
+        decoded = decode_responses(
+            encode_response_window(result.response_statuses, result.response_values)[0]
+        )
         assert [r.status for r in decoded] == [r.status for r in result.responses]
 
 

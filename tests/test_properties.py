@@ -26,6 +26,7 @@ from repro.kv.protocol import (
 from repro.kv.slab import SlabAllocator
 from repro.kv.objects import KVObject
 from repro.kv.store import KVStore
+from repro.net.wire import encode_response_window
 from repro.workloads.distributions import ZipfKeys
 
 keys = st.binary(min_size=1, max_size=64)
@@ -243,7 +244,8 @@ def test_engine_matches_reference_for_any_config_and_batch(segment, stealing, ra
         store = KVStore(memory_bytes=4 << 20, expected_objects=2048)
         pipeline = FunctionalPipeline(store, engine=engine)
         result = pipeline.process_batch(config, queries)
-        return b"".join(f.payload for f in result.frames), store.stats
+        payload = encode_response_window(result.response_statuses, result.response_values)[0]
+        return payload, store.stats
 
     reference_frames, reference_stats = run("reference")
     columnar_frames, columnar_stats = run(None)

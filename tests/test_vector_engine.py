@@ -1,4 +1,4 @@
-"""VectorEngine: hash-kernel exactness, mirror consistency, equivalence."""
+"""VectorEngine: hash-kernel exactness, slot-array search, equivalence."""
 
 import dataclasses
 import random
@@ -6,7 +6,9 @@ import random
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from repro.core.dido import DidoSystem
 from repro.core.profiler import KERNELS, HostCostModel
 from repro.core.tasks import Task
 from repro.engine import (
@@ -16,8 +18,11 @@ from repro.engine import (
     compile_stage_plan,
     resolve_engine,
 )
-from repro.engine.vector import MAX_VECTOR_KEY_BYTES, fnv_hash_columns
+from repro.engine.vector import MAX_VECTOR_KEY_BYTES, _VectorScratch, fnv_hash_columns
+from repro.errors import CapacityError
+from repro.kv.chaining import ChainedHashTable
 from repro.kv.hashtable import EMPTY, CuckooHashTable
+from repro.kv.logarena import LogValueArena
 from repro.kv.objects import fnv1a64, key_signature
 from repro.kv.protocol import Query, QueryType, encode_responses
 from repro.kv.store import KVStore
@@ -81,20 +86,20 @@ class TestFnvHashColumns:
             assert int(states[0, i]) & 0xFFFFFFFF == key_signature(key)
 
 
-# -------------------------------------------------------- signature mirror
+# ------------------------------------------------------------- slot arrays
 
 
-def mirror_search(index: CuckooHashTable, key: bytes) -> list[int]:
-    """Search via the NumPy mirror exactly as the vector kernel does."""
+def gather_search(index: CuckooHashTable, key: bytes) -> list[int]:
+    """Search by gathering from ``index.signatures`` / ``index.locations``,
+    probe round by probe round, as the columnar kernel does."""
     signature = key_signature(key)
-    mirror = index.mirror
     buckets = index.candidate_buckets(key)
     if index.kicked:
         buckets = buckets + index.displaced_buckets(signature, buckets)
     for bucket in buckets:
         found = [
             int(loc)
-            for loc, sig in zip(mirror.locations[bucket], mirror.signatures[bucket])
+            for loc, sig in zip(index.locations[bucket], index.signatures[bucket])
             if loc != EMPTY and int(sig) == signature
         ]
         if found:
@@ -102,75 +107,39 @@ def mirror_search(index: CuckooHashTable, key: bytes) -> list[int]:
     return []
 
 
-def mirror_matches_table(index: CuckooHashTable) -> bool:
-    """The NumPy mirror agrees with the authoritative slots everywhere."""
-    mirror = index.mirror
-    for b, bucket in enumerate(index._buckets):
-        for s, slot in enumerate(bucket):
-            if slot.location == EMPTY:
-                if mirror.locations[b, s] != EMPTY:
-                    return False
-            else:
-                if int(mirror.locations[b, s]) != slot.location:
-                    return False
-                if int(mirror.signatures[b, s]) != slot.signature:
-                    return False
-    return True
-
-
-class TestSignatureMirror:
-    def test_ensure_mirror_builds_once(self):
-        index = CuckooHashTable(num_buckets=64)
-        index.insert(b"pre-existing", 1)
-        mirror = index.ensure_mirror()
-        assert index.ensure_mirror() is mirror
-        assert mirror_matches_table(index)
-
-    def test_mirror_tracks_inserts_and_deletes(self):
-        index = CuckooHashTable(num_buckets=64)
-        index.ensure_mirror()
-        for i in range(100):
-            index.insert(f"k{i}".encode(), i)
-        for i in range(0, 100, 3):
-            index.delete(f"k{i}".encode())
-        assert mirror_matches_table(index)
-
+class TestSlotArrays:
     def test_randomized_insert_delete_fuzz_never_diverges(self):
-        """Acceptance criterion: the mirror tracks every mutation path —
-        empty-slot inserts, cuckoo kick chains, deletes, re-inserts."""
+        """Every mutation path — empty-slot inserts, cuckoo kick chains and
+        their undo, deletes, re-inserts — against a dict model: after the
+        churn the scalar search, the bulk search and a gather over the slot
+        arrays each find every live key at its location."""
         rng = random.Random(1234)
-        # Small and tight so kick chains (and occasional failed inserts,
-        # which drop a displaced victim) actually occur.
+        # Small and tight so kick chains (and any failed insert, which undoes
+        # its chain and loses only its own entry) actually occur.
         index = CuckooHashTable(num_buckets=64, slots_per_bucket=2)
-        index.ensure_mirror()
         live: dict[bytes, int] = {}
         next_loc = 0
-        for step in range(3000):
+        for _ in range(3000):
             if live and rng.random() < 0.4:
                 key = rng.choice(list(live))
-                index.delete(key, live.pop(key))
+                assert index.delete(key, live.pop(key))
             else:
                 key = f"key-{rng.randrange(200)}".encode()
                 if key in live:
-                    index.delete(key, live.pop(key))
+                    assert index.delete(key, live.pop(key))
                 try:
                     index.insert(key, next_loc)
                     live[key] = next_loc
-                except Exception:
-                    # table full: the failed kick chain dropped a victim,
-                    # but it must not desynchronise the two views
+                except CapacityError:
                     pass
-                finally:
-                    if step % 50 == 0:
-                        assert mirror_matches_table(index)
                 next_loc += 1
-        assert mirror_matches_table(index)
         assert index.stats.insert_kicks > 0  # the hard paths actually ran
-        # The property the vector engine relies on: searching through the
-        # mirror returns exactly what the authoritative table returns.
-        for i in range(200):
-            key = f"key-{i}".encode()
-            assert mirror_search(index, key) == index.search(key)[0]
+        assert len(index) == len(live)
+        keys = list(live)
+        for key, found in zip(keys, index.multi_search(keys)):
+            assert live[key] in found
+            assert live[key] in index.search(key)[0]
+            assert live[key] in gather_search(index, key)
 
 
 # ------------------------------------------------------------- equivalence
@@ -183,7 +152,9 @@ class TestVectorEquivalence:
         frames = []
         for batch in batches:
             result = pipeline.process_batch(config, batch)
-            frames.append(b"".join(f.payload for f in result.frames))
+            frames.append(
+                encode_response_window(result.response_statuses, result.response_values)[0]
+            )
         return frames, store
 
     @pytest.mark.parametrize("label", ["K16-G50-S", "K16-G95-U"])
@@ -231,17 +202,13 @@ class TestVectorEquivalence:
         assert outs[0] == outs[1]
 
     def test_falls_back_without_mirror_support(self):
-        """A store whose index has no mirror still runs: Search has only
-        its scalar kernel there (so nothing is placed or fitted),
-        everything else is unchanged."""
-
-        class NoMirrorIndex(CuckooHashTable):
-            ensure_mirror = property()  # attribute access raises -> hasattr False
-
+        """A store whose index has no slot arrays (the chained table) still
+        runs: Search has only its scalar kernel there (so nothing is placed
+        or fitted), everything else is unchanged."""
         store = KVStore(
             memory_bytes=1 << 20,
             expected_objects=512,
-            index=NoMirrorIndex(num_buckets=256),
+            index=ChainedHashTable(num_buckets=256),
         )
         pipeline = FunctionalPipeline(store, engine="vector")
         from repro.kv.protocol import Query, QueryType
@@ -384,6 +351,71 @@ def test_both_search_kernels_match_reference(raw):
         assert outcomes[0][1][name] == reference_counters[1][name], name
 
 
+#: SET value sizes of the oracle stream: empty, small, and large enough
+#: that one SET overruns the arena budget, so compaction evicts a segment.
+_ORACLE_VALUE_BYTES = (0, 9, 300_000)
+
+
+def missed_by_search(store: KVStore, kernel: str) -> list[bytes]:
+    """Keys of ``store._key_location`` whose location Search on ``kernel``
+    does not return among the key's candidates."""
+    expected = dict(store._key_location)
+    keys = list(expected)
+    engine = VectorEngine()
+    engine.costs = ForcedKernel(kernel)
+    plane = BatchPlane(QueryColumns.from_queries([Query(QueryType.GET, k) for k in keys]))
+    plane.scratch = _VectorScratch()
+    engine._pass_search(store, plane, plane.search_indices)
+    found = {row: [loc] for row, loc in zip(plane.scratch.hit_rows, plane.scratch.hit_locs)}
+    found.update(plane.scratch.multi_hits)
+    return [key for row, key in enumerate(keys) if expected[key] not in found.get(row, ())]
+
+
+@settings(max_examples=10, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    windows=st.lists(
+        st.lists(
+            st.tuples(
+                st.sampled_from(list(QueryType)),
+                st.integers(0, 47),
+                st.sampled_from(_ORACLE_VALUE_BYTES),
+            ),
+            min_size=1,
+            max_size=24,
+        ),
+        min_size=1,
+        max_size=5,
+    )
+)
+def test_search_finds_every_mapped_key_through_windows_and_compaction(windows):
+    """An oracle that shares no code with the table: the store's exact
+    key -> location map.  After every window through a ``DidoSystem`` on a
+    kicked index, and after a compaction forced between windows, both
+    Search kernels find every mapped key at its location."""
+    # The prefill spans two 1 MiB log segments and nearly fills the budget.
+    system = DidoSystem(memory_bytes=5 << 18, expected_objects=128, engine="vector")
+    store = system.store
+    assert store.populate([(key, b"x" * 6000) for key in _FILL_KEYS]) == len(_FILL_KEYS)
+    assert store.index.kicked
+    # Room for the new half of the pool; the other half is prefilled keys.
+    assert all(store.delete(key) for key in _FILL_KEYS[1::8])
+    pool = _FILL_KEYS[::8] + [b"new-%02d" % i for i in range(24)]
+    for window in windows:
+        system.process(
+            [
+                Query(qtype, pool[k], bytes([k]) * size if qtype is QueryType.SET else b"")
+                for qtype, k, size in window
+            ]
+        )
+        for kernel in KERNELS:
+            assert missed_by_search(store, kernel) == [], kernel
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(LogValueArena, "needs_maintenance", property(lambda arena: True))
+            system.maintain()
+        for kernel in KERNELS:
+            assert missed_by_search(store, kernel) == [], kernel
+
+
 class TestSearchTimer:
     """The engine times the kernel it placed whether or not anyone asked."""
 
@@ -464,10 +496,9 @@ class TestVectorScratchLifecycle:
         assert plane.take_responses() == [ResponseStatus.NOT_FOUND.value]
 
     def test_mirror_survives_numpy_roundtrip_signatures(self):
-        """uint32 signatures in the mirror equal the scalar signatures."""
+        """uint32 signatures in the slot array equal the scalar signatures."""
         index = CuckooHashTable(num_buckets=64)
-        index.ensure_mirror()
         key = b"roundtrip"
         index.insert(key, 9)
         sig = key_signature(key)
-        assert sig in [int(s) for s in np.ravel(index.mirror.signatures)]
+        assert sig in [int(s) for s in np.ravel(index.signatures)]

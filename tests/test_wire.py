@@ -26,11 +26,9 @@ from repro.net.wire import (
     QueryColumns,
     WindowParseError,
     chunk_response_payloads,
-    cut_frame_bounds,
     decode_payload,
     decode_window,
     encode_response_window,
-    frames_for_response_columns,
 )
 from repro.server import MAX_RESPONSE_PAYLOAD
 
@@ -223,16 +221,6 @@ class TestEncodeIdentity:
         assert list(offsets)[0] == 0
         assert int(list(offsets)[-1]) == len(buffer)
 
-    @settings(deadline=None, suppress_health_check=[HealthCheck.too_slow])
-    @given(responses_strategy)
-    def test_frames_match_legacy_pack(self, raw):
-        responses, statuses, values_col = make_responses(raw)
-        expected = frames_for_responses(responses)
-        got = frames_for_response_columns(statuses, values_col)
-        assert [(f.payload, f.query_count) for f in got] == [
-            (f.payload, f.query_count) for f in expected
-        ]
-
 
 # ----------------------------------------------------------------- chunking
 
@@ -260,18 +248,6 @@ class TestChunkingIdentity:
         ranges = list(zip(bounds, bounds[1:]))
         got = chunk_response_payloads(buffer, offsets, ranges, MAX_RESPONSE_PAYLOAD)
         assert got == peer_chunks(responses)
-
-    @settings(deadline=None, suppress_health_check=[HealthCheck.too_slow])
-    @given(responses_strategy, st.sampled_from([64, 600, ETHERNET_MTU]))
-    def test_cut_frame_bounds_match_pack_boundaries(self, raw, mtu):
-        responses, statuses, values_col = make_responses(raw)
-        _, offsets = encode_response_window(statuses, values_col)
-        bounds = cut_frame_bounds(offsets, mtu)
-        from repro.net.packets import _pack
-
-        expected = _pack(responses, encode_responses, mtu)
-        spans = [b - a for a, b in zip(bounds, bounds[1:])]
-        assert spans == [f.query_count for f in expected]
 
     def test_oversized_response_rides_alone(self):
         raw = [
