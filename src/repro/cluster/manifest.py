@@ -34,6 +34,7 @@ import numpy as np
 
 from repro.cluster.ring import DEFAULT_VNODES, HashRing, key_point
 from repro.errors import ConfigurationError
+from repro.kv.objects import fnv_hash_columns
 
 _U64 = np.uint64
 _SPLITMIX_A = np.uint64(0x9E3779B97F4A7C15)
@@ -230,8 +231,6 @@ class ManifestRouter:
 
 def _key_points_vector(keys: list[bytes]):
     """Vectorized :func:`repro.cluster.ring.key_point` over a key column."""
-    from repro.engine.vector import fnv_hash_columns
-
     with np.errstate(over="ignore"):
         value = fnv_hash_columns(keys, 1)[0]
         value = value + _SPLITMIX_A

@@ -73,64 +73,15 @@ from repro.engine.plane import (
 )
 from repro.errors import ConfigurationError
 from repro.kv.hashtable import EMPTY
-from repro.kv.objects import _FNV_OFFSET, _FNV_PRIME, fnv1a64
+from repro.kv.objects import fnv_hash_columns
 from repro.kv.protocol import QueryType
 from repro.kv.store import KVStore
 from repro.telemetry import get_telemetry
 
-#: Keys longer than this take the scalar FNV path (the padded matrix would
-#: waste cache on a few giants; production keys are tens of bytes).
-MAX_VECTOR_KEY_BYTES = 128
-
 #: ``repro_cost_model_error`` buckets (a ratio, not microseconds).
 _MODEL_ERROR_BUCKETS = (0.05, 0.1, 0.2, 0.35, 0.5, 1.0, 2.0)
 
-_MASK64 = (1 << 64) - 1
 _SIG_MASK32 = (1 << 32) - 1
-
-
-def fnv_hash_columns(keys: list[bytes], num_states: int):
-    """64-bit FNV-1a of every key under seeds ``0..num_states-1``, batched.
-
-    Returns a ``(num_states, len(keys))`` uint64 array where row ``s``
-    equals ``fnv1a64(key, seed=s)`` for every key — bit-exact with the
-    scalar hash, which the vector kernel tests assert.  All seed states mix
-    the same byte column per step, so the whole batch costs one pass over
-    ``max_key_len`` byte columns regardless of how many hash functions the
-    index uses.  Keys longer than :data:`MAX_VECTOR_KEY_BYTES` are hashed
-    scalar and patched into the result.
-    """
-    n = len(keys)
-    prime = np.uint64(_FNV_PRIME)
-    states = np.empty((num_states, n), dtype=np.uint64)
-    for seed in range(num_states):
-        states[seed, :] = np.uint64(_FNV_OFFSET ^ (seed * _FNV_PRIME & _MASK64))
-    if n == 0:
-        return states
-    lens = np.fromiter(map(len, keys), dtype=np.intp, count=n)
-    max_len = int(lens.max())
-    uniform = bool((lens == max_len).all())
-    if uniform and max_len <= MAX_VECTOR_KEY_BYTES:
-        matrix = np.frombuffer(b"".join(keys), dtype=np.uint8).reshape(n, max_len)
-        for j in range(max_len):
-            states = (states ^ matrix[:, j].astype(np.uint64)) * prime
-        return states
-    # Ragged or oversized keys: pad in-bound keys into a zero matrix and
-    # mask each mixing step by key length; hash oversized keys scalar.
-    bounded = min(max_len, MAX_VECTOR_KEY_BYTES)
-    oversized = lens > MAX_VECTOR_KEY_BYTES
-    matrix = np.zeros((n, bounded), dtype=np.uint8)
-    for i, key in enumerate(keys):
-        if not oversized[i]:
-            matrix[i, : lens[i]] = np.frombuffer(key, dtype=np.uint8)
-    for j in range(bounded):
-        mixed = (states ^ matrix[:, j].astype(np.uint64)) * prime
-        states = np.where(lens > j, mixed, states)
-    if oversized.any():
-        for i in np.nonzero(oversized)[0].tolist():
-            for seed in range(num_states):
-                states[seed, i] = fnv1a64(keys[i], seed=seed)
-    return states
 
 
 class _VectorScratch:
@@ -179,6 +130,13 @@ class VectorEngine:
         """Execute every non-boundary phase, crediting each task's time to
         ``task_times`` when given."""
         plane.scratch = _VectorScratch()
+        warm = getattr(store.index, "warm_probe_cache", None)
+        if warm is not None:
+            # The window's fresh keys hashed at once, ahead of every pass
+            # that probes them; an IN cost, like the probes it replaces.
+            t0 = time.perf_counter() if task_times is not None else 0.0
+            warm(plane.keys)
+            credit_time(task_times, Task.IN, t0)
         for phase in plan.phases:
             if phase.kind is PhaseKind.BOUNDARY:
                 continue

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 import numpy as _np
 
 from repro.errors import CapacityError, ConfigurationError
-from repro.kv.objects import fnv1a64, key_signature
+from repro.kv.objects import _SIGNATURE_MASK, fnv1a64, fnv_hash_columns, key_signature
 
 #: Slots per bucket; 4-way set-associativity is the common choice in
 #: Mega-KV-like stores (one bucket per 32-byte index line on the GPU).
@@ -223,6 +223,30 @@ class CuckooHashTable:
         else:
             cache.move_to_end(key)
         return spec
+
+    def warm_probe_cache(self, keys: list[bytes]) -> None:
+        """Cache the :meth:`probe` spec of every distinct key in ``keys``
+        the probe cache lacks, hashed in one :func:`fnv_hash_columns` pass.
+
+        The batch engine calls this once per window before its first pass
+        (DIDO's PP task hashes each key once and ships the spec with the
+        query), so every scalar walk of the window — Search, MM's
+        reassign, Insert, Delete — hits the cache.  New specs join at the
+        recent end in first-appearance order and the LRU cap evicts from
+        the old end, as the same misses through :meth:`probe_cached` would;
+        cached keys stay where they are until a pass refreshes them.
+        """
+        cache = self._probe_cache
+        fresh = [key for key in keys if key not in cache]
+        if not fresh:
+            return
+        fresh = list(dict.fromkeys(fresh))
+        states = fnv_hash_columns(fresh, self._num_hashes + 1)
+        signatures = (states[0] & _np.uint64(_SIGNATURE_MASK)).tolist()
+        buckets = (states[1:] & _np.uint64(self._mask)).T.tolist()
+        cache.update(zip(fresh, zip(signatures, buckets)))
+        for _ in range(len(cache) - self._probe_cache_cap):
+            cache.popitem(last=False)
 
     # ------------------------------------------------------------ operations
 

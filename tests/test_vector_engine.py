@@ -18,12 +18,12 @@ from repro.engine import (
     compile_stage_plan,
     resolve_engine,
 )
-from repro.engine.vector import MAX_VECTOR_KEY_BYTES, _VectorScratch, fnv_hash_columns
+from repro.engine.vector import _VectorScratch
 from repro.errors import CapacityError
 from repro.kv.chaining import ChainedHashTable
 from repro.kv.hashtable import EMPTY, CuckooHashTable
 from repro.kv.logarena import LogValueArena
-from repro.kv.objects import fnv1a64, key_signature
+from repro.kv.objects import MAX_VECTOR_KEY_BYTES, fnv1a64, fnv_hash_columns, key_signature
 from repro.kv.protocol import Query, QueryType, encode_responses
 from repro.kv.store import KVStore
 from repro.pipeline.functional import FunctionalPipeline
@@ -332,6 +332,8 @@ def test_both_search_kernels_match_reference(raw):
     reference — after a forced cuckoo kick — and both leave identical
     store and index counters behind."""
     batches = stream_batches(raw) + skewed_repeat_batches(batches=2)
+    # Keys the probe cache has not seen, SET twice, deleted and read.
+    batches.append(fresh_key_window(num_keys=12, repeats=4))
     # Every prefilled key once more, so kick-displaced entries are read.
     batches.append([Query(QueryType.GET, key) for key in _FILL_KEYS])
     expected, reference_counters = served_bytes(ReferenceEngine(), batches)
@@ -414,6 +416,69 @@ def test_search_finds_every_mapped_key_through_windows_and_compaction(windows):
             system.maintain()
         for kernel in KERNELS:
             assert missed_by_search(store, kernel) == [], kernel
+
+
+# ------------------------------------------------------ window probe specs
+
+
+def fresh_key_window(num_keys: int = 48, repeats: int = 16) -> list[Query]:
+    """SETs of ``num_keys`` fresh 32-byte keys, the first ``repeats`` SET
+    again, then a DELETE and GETs of window keys and of keys never SET."""
+    keys = [b"fresh-%026d" % i for i in range(num_keys)]
+    window = [Query(QueryType.SET, key, b"v%d" % i) for i, key in enumerate(keys)]
+    window += [Query(QueryType.SET, key, b"again") for key in keys[:repeats]]
+    return window + [
+        Query(QueryType.DELETE, keys[3]),
+        Query(QueryType.DELETE, b"unset-%026d" % 1),
+        Query(QueryType.GET, keys[5]),
+        Query(QueryType.GET, keys[3]),
+        Query(QueryType.GET, b"unset-%026d" % 2),
+    ]
+
+
+class TestWindowProbeSpecs:
+    """The vector engine hashes a window's fresh keys in one columnar pass
+    before its first phase, so no pass probes a key scalar."""
+
+    @staticmethod
+    def serve(engine: str, window: list[Query], cache_cap: int | None = None):
+        store = KVStore(memory_bytes=1 << 20, expected_objects=512)
+        if cache_cap is not None:
+            store.index._probe_cache_cap = cache_cap
+        result = FunctionalPipeline(store, engine=engine).process_batch(
+            megakv_coupled_config(), window
+        )
+        served = encode_response_window(result.response_statuses, result.response_values)[0]
+        return bytes(served), store
+
+    def test_fresh_keys_are_never_probed_scalar(self, monkeypatch):
+        window = fresh_key_window()
+        assert sum(q.qtype is QueryType.SET for q in window) == 64
+        expected, reference = self.serve("reference", window)
+        probed = []
+        scalar_probe = CuckooHashTable.probe
+
+        def counting_probe(index, key):
+            probed.append(key)
+            return scalar_probe(index, key)
+
+        monkeypatch.setattr(CuckooHashTable, "probe", counting_probe)
+        served, store = self.serve("vector", window)
+        monkeypatch.undo()
+        assert probed == []
+        cache = store.index._probe_cache
+        assert set(cache) == {q.key for q in window}
+        assert all(spec == store.index.probe(key) for key, spec in cache.items())
+        assert served == expected
+        assert store.stats == reference.stats
+        assert store.index.stats == reference.index.stats
+
+    def test_window_larger_than_the_cache_stays_capped(self):
+        window = fresh_key_window(num_keys=20, repeats=4)
+        expected, _ = self.serve("reference", window)
+        served, store = self.serve("vector", window, cache_cap=8)
+        assert len(store.index._probe_cache) <= 8
+        assert served == expected
 
 
 class TestSearchTimer:
