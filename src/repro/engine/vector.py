@@ -16,8 +16,13 @@ clock reads) and feeds the fit.
 This is the one batch engine: ``run`` walks the compiled
 :class:`~repro.engine.plan.StagePlan` and applies each phase to every row
 it covers before the next phase starts, exactly as Mega-KV's staged
-kernels do.  The passes, in plan order, and what they hand each other on
-the plane's :class:`_VectorScratch`:
+kernels do.  Before the first phase it hashes the window's fresh keys —
+those the cuckoo table's probe cache lacks — in one columnar pass
+(:meth:`~repro.kv.hashtable.CuckooHashTable.warm_probe_cache`, credited
+to IN), so every scalar pass below takes its probe specs from the cache:
+hot keys from earlier windows, fresh keys from this one.  The passes, in
+plan order, and what they hand each other on the plane's
+:class:`_VectorScratch`:
 
 * **MM / Insert / Delete** — scalar row loops: they mutate Python heap
   objects and walk the cuckoo table's kick chains slot by slot, through
@@ -73,15 +78,13 @@ from repro.engine.plane import (
 )
 from repro.errors import ConfigurationError
 from repro.kv.hashtable import EMPTY
-from repro.kv.objects import fnv_hash_columns
+from repro.kv.objects import _SIGNATURE_MASK, fnv_hash_columns
 from repro.kv.protocol import QueryType
 from repro.kv.store import KVStore
 from repro.telemetry import get_telemetry
 
 #: ``repro_cost_model_error`` buckets (a ratio, not microseconds).
 _MODEL_ERROR_BUCKETS = (0.05, 0.1, 0.2, 0.35, 0.5, 1.0, 2.0)
-
-_SIG_MASK32 = (1 << 32) - 1
 
 
 class _VectorScratch:
@@ -343,7 +346,7 @@ class VectorEngine:
         num_hashes = index.num_hashes
         keys = plane.keys
         states = fnv_hash_columns([keys[i] for i in indices], num_hashes + 1)
-        signatures = (states[0] & np.uint64(_SIG_MASK32)).astype(np.uint32)
+        signatures = (states[0] & np.uint64(_SIGNATURE_MASK)).astype(np.uint32)
         bucket_mask = np.uint64(index.num_buckets - 1)
         n = len(indices)
         plane_rows = np.asarray(indices, dtype=np.intp)

@@ -15,6 +15,12 @@ columnar Search gathers from the arrays; the scalar walks here read and
 write the same memory through flat ``memoryview`` objects, whose items are
 plain Python ints, and every write goes through :meth:`_write_slot`.
 
+Each key's probe spec (signature plus candidate buckets) is hashed once and
+kept in a bounded LRU probe cache.  The batch engine hashes a window's
+fresh keys together (:meth:`~CuckooHashTable.warm_probe_cache`, one
+columnar FNV pass); hot keys come from the cache; a key seen by neither
+is hashed scalar by :meth:`~CuckooHashTable.probe`.
+
 Concurrency in the real system uses atomic compare-exchange for writes and
 atomic loads for reads (paper Section III-B2).  This reproduction executes
 pipeline stages deterministically, but the table keeps a per-bucket version
@@ -197,10 +203,12 @@ class CuckooHashTable:
     def probe(self, key: bytes) -> tuple[int, list[int]]:
         """Precomputed probe spec: ``(signature, candidate bucket indices)``.
 
-        The batch engine computes this once per distinct key per batch (as
-        Mega-KV computes signatures during packet processing and ships them
-        with the job) and feeds the ``*_prehashed`` operations, instead of
-        re-hashing the key inside every index operation.
+        Index operations take this spec (through :meth:`probe_cached`) and
+        feed the ``*_prehashed`` operations, instead of re-hashing the key
+        inside every one — as Mega-KV computes signatures during packet
+        processing and ships them with the job.  This is the scalar hash;
+        :meth:`warm_probe_cache` computes the same specs for many keys at
+        once.
         """
         return key_signature(key), self.candidate_buckets(key)
 
@@ -208,11 +216,16 @@ class CuckooHashTable:
         """:meth:`probe` through the table's persistent LRU probe cache.
 
         Hot keys under skewed workloads recur across batches; caching their
-        probe specs makes repeat index operations hash-free.  The cache is
-        a true LRU bounded at ``_probe_cache_cap`` entries: a hit refreshes
-        the key, a miss at capacity evicts the least-recently-used spec —
-        so unbounded key churn recycles cold entries instead of growing the
-        cache (or dropping the hot set wholesale) forever.
+        probe specs makes repeat index operations hash-free.  The batch
+        engine fills the cache with a window's fresh keys up front
+        (:meth:`warm_probe_cache`), so there a miss — one scalar
+        :meth:`probe` — is left only to keys the LRU cap evicted within
+        the window; the scalar store operations miss once per new key.
+        The cache is a true LRU bounded at ``_probe_cache_cap`` entries: a
+        hit refreshes the key, a miss at capacity evicts the
+        least-recently-used spec — so unbounded key churn recycles cold
+        entries instead of growing the cache (or dropping the hot set
+        wholesale) forever.
         """
         cache = self._probe_cache
         spec = cache.get(key)
