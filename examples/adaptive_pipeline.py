@@ -17,7 +17,8 @@ gauges — and writes it as JSONL for offline analysis.
 import argparse
 import sys
 
-from repro import DidoSystem, QueryStream, standard_workload
+from repro.core.dido import DidoSystem
+from repro.workloads.ycsb import QueryStream, standard_workload
 
 
 PHASES = [

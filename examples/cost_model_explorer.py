@@ -13,9 +13,12 @@ Run:  python examples/cost_model_explorer.py [WORKLOAD]
 
 import sys
 
-from repro import APU_A10_7850K, ConfigurationSearch, CostModel, PipelineExecutor
 from repro.analysis.reporting import Table
+from repro.core.config_search import ConfigurationSearch
+from repro.core.cost_model import CostModel
 from repro.core.profiler import WorkloadProfile
+from repro.hardware.specs import APU_A10_7850K
+from repro.pipeline.executor import PipelineExecutor
 from repro.workloads.ycsb import standard_workload
 
 

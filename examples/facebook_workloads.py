@@ -12,8 +12,11 @@ each.
 Run:  python examples/facebook_workloads.py
 """
 
-from repro import APU_A10_7850K, DidoSystem, PipelineExecutor, best_config_for
+from repro.core.config_search import best_config_for
+from repro.core.dido import DidoSystem
 from repro.core.profiler import WorkloadProfile
+from repro.hardware.specs import APU_A10_7850K
+from repro.pipeline.executor import PipelineExecutor
 from repro.workloads.facebook import (
     FACEBOOK_ETC,
     FACEBOOK_USR,

@@ -11,16 +11,13 @@ modelled APU.
 Run:  python examples/quickstart.py
 """
 
-from repro import (
-    APU_A10_7850K,
-    DidoSystem,
-    PipelineExecutor,
-    QueryStream,
-    best_config_for,
-    standard_workload,
-)
+from repro.core.config_search import best_config_for
+from repro.core.dido import DidoSystem
 from repro.core.profiler import WorkloadProfile
+from repro.hardware.specs import APU_A10_7850K
 from repro.kv.protocol import Query, QueryType, ResponseStatus
+from repro.pipeline.executor import PipelineExecutor
+from repro.workloads.ycsb import QueryStream, standard_workload
 
 
 def main() -> None:

@@ -7,20 +7,3 @@
 * :mod:`repro.analysis.experiments` — one function per paper figure, shared
   by the benchmark suite and EXPERIMENTS.md generation.
 """
-
-from repro.analysis.metrics import (
-    energy_efficiency_kops_per_watt,
-    error_rate,
-    price_performance_kops_per_usd,
-    speedup,
-)
-from repro.analysis.reporting import Table, format_row
-
-__all__ = [
-    "Table",
-    "energy_efficiency_kops_per_watt",
-    "error_rate",
-    "format_row",
-    "price_performance_kops_per_usd",
-    "speedup",
-]

@@ -35,18 +35,12 @@ import argparse
 import sys
 from contextlib import contextmanager
 
-from repro.analysis.reporting import Table
-from repro.core.config_search import ConfigurationSearch
-from repro.core.cost_model import CostModel
 from repro.core.profiler import WorkloadProfile
 from repro.engine import ENGINE_NAMES
 from repro.errors import ReproError
 from repro.hardware.specs import APU_A10_7850K
 from repro.kv.protocol import MAX_QUERY_PAYLOAD
-from repro.pipeline.executor import PipelineExecutor
-from repro.pipeline.megakv import megakv_coupled_config
 from repro.server import DEFAULT_COALESCE_US
-from repro.workloads.ycsb import STANDARD_WORKLOADS, standard_workload
 
 #: Figures cheap enough for interactive use (the rest live in benchmarks/).
 _QUICK_FIGURES = ("fig04", "fig05", "fig06", "fig11", "fig12")
@@ -97,6 +91,8 @@ def _store_argv(args: argparse.Namespace) -> list[str]:
 
 
 def _profile(label: str) -> WorkloadProfile:
+    from repro.workloads.ycsb import standard_workload
+
     return WorkloadProfile.from_spec(standard_workload(label))
 
 
@@ -117,6 +113,9 @@ def _telemetry_to(path: str | None):
 
 
 def cmd_workloads(args: argparse.Namespace) -> int:
+    from repro.analysis.reporting import Table
+    from repro.workloads.ycsb import STANDARD_WORKLOADS
+
     table = Table("Standard workloads (paper Section V-A)", ["label", "key", "value", "GET", "distribution"])
     for spec in STANDARD_WORKLOADS:
         table.add(
@@ -131,6 +130,10 @@ def cmd_workloads(args: argparse.Namespace) -> int:
 
 
 def cmd_plan(args: argparse.Namespace) -> int:
+    from repro.analysis.reporting import Table
+    from repro.core.config_search import ConfigurationSearch
+    from repro.core.cost_model import CostModel
+
     profile = _profile(args.workload)
     search = ConfigurationSearch(CostModel(APU_A10_7850K))
     ranked = search.rank(profile, args.latency_us * 1000.0)
@@ -146,6 +149,12 @@ def cmd_plan(args: argparse.Namespace) -> int:
 
 
 def cmd_measure(args: argparse.Namespace) -> int:
+    from repro.analysis.reporting import Table
+    from repro.core.config_search import ConfigurationSearch
+    from repro.core.cost_model import CostModel
+    from repro.pipeline.executor import PipelineExecutor
+    from repro.pipeline.megakv import megakv_coupled_config
+
     profile = _profile(args.workload)
     executor = PipelineExecutor(APU_A10_7850K)
     if args.config == "megakv":
@@ -198,6 +207,7 @@ def cmd_figures(args: argparse.Namespace) -> int:
 
 def _render_fig04(h) -> None:
     from repro.analysis.experiments import fig04_stage_times
+    from repro.analysis.reporting import Table
 
     table = Table("Figure 4 — Mega-KV stage times (us)", ["dataset", "NP", "IN", "RSV"])
     for r in fig04_stage_times(h):
@@ -207,6 +217,7 @@ def _render_fig04(h) -> None:
 
 def _render_fig05(h) -> None:
     from repro.analysis.experiments import fig04_stage_times
+    from repro.analysis.reporting import Table
 
     table = Table("Figure 5 — Mega-KV GPU utilisation", ["dataset", "gpu", "cpu"])
     for r in fig04_stage_times(h):
@@ -216,6 +227,7 @@ def _render_fig05(h) -> None:
 
 def _render_fig06(h) -> None:
     from repro.analysis.experiments import fig06_index_op_shares
+    from repro.analysis.reporting import Table
 
     table = Table(
         "Figure 6 — GPU index-op time shares", ["insert_batch", "search", "insert", "delete"]
@@ -227,6 +239,7 @@ def _render_fig06(h) -> None:
 
 def _render_fig09(h) -> None:
     from repro.analysis.experiments import fig09_cost_model_error
+    from repro.analysis.reporting import Table
 
     table = Table("Figure 9 — cost model error", ["workload", "est", "meas", "err_%"])
     for r in fig09_cost_model_error(h):
@@ -236,6 +249,7 @@ def _render_fig09(h) -> None:
 
 def _render_fig11(h) -> None:
     from repro.analysis.experiments import fig11_throughput
+    from repro.analysis.reporting import Table
 
     table = Table(
         "Figure 11 — DIDO vs Mega-KV (Coupled)", ["workload", "megakv", "dido", "speedup"]
@@ -247,6 +261,7 @@ def _render_fig11(h) -> None:
 
 def _render_fig12(h) -> None:
     from repro.analysis.experiments import fig12_utilization
+    from repro.analysis.reporting import Table
 
     table = Table(
         "Figure 12 — utilisation", ["workload", "dido_gpu", "megakv_gpu", "dido_cpu", "megakv_cpu"]
@@ -258,6 +273,7 @@ def _render_fig12(h) -> None:
 
 def _render_fig15(h) -> None:
     from repro.analysis.experiments import fig15_work_stealing
+    from repro.analysis.reporting import Table
 
     table = Table(
         "Figure 15 — work stealing", ["workload", "no_steal", "steal", "speedup"]
@@ -269,6 +285,7 @@ def _render_fig15(h) -> None:
 
 def _render_host_kernels(_h) -> None:
     from repro.analysis.experiments import host_kernel_choice
+    from repro.analysis.reporting import Table
 
     table = Table(
         "Figures 9/10 on the host — Search kernel placement (us per window)",
@@ -432,7 +449,7 @@ def cmd_telemetry(args: argparse.Namespace) -> int:
         get_telemetry,
         prometheus_text,
     )
-    from repro.workloads.ycsb import QueryStream
+    from repro.workloads.ycsb import QueryStream, standard_workload
 
     telemetry = configure(enabled=True)
     system = DidoSystem(**_store_kwargs(args))

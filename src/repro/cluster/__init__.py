@@ -10,27 +10,3 @@ fleet over the columnar wire plane: a consistent-hash ring
 ring-routed ``repro serve`` processes with live key migration under a
 coordinator (:mod:`repro.cluster.serving`); see ``docs/cluster.md``.
 """
-
-from repro.cluster.manifest import ClusterManifest, ManifestRouter, NodeInfo
-from repro.cluster.ring import HashRing
-from repro.cluster.serving import (
-    ClusterCoordinator,
-    ClusterError,
-    ClusterNode,
-    NodeOwnership,
-    control_request,
-    fetch_manifest,
-)
-
-__all__ = [
-    "ClusterCoordinator",
-    "ClusterError",
-    "ClusterManifest",
-    "ClusterNode",
-    "HashRing",
-    "ManifestRouter",
-    "NodeInfo",
-    "NodeOwnership",
-    "control_request",
-    "fetch_manifest",
-]

@@ -1,8 +1,7 @@
 """Pipeline partitioning schemes and index-operation assignment policies.
 
-(Exposed publicly as :mod:`repro.pipeline.partition`; defined inside
-``repro.core`` so the cost model can depend on these types without a
-package-level import cycle.)
+(Defined inside ``repro.core`` so the cost model can depend on these types
+without a package-level import cycle.)
 
 A :class:`PipelineConfig` captures one point of DIDO's configuration space
 (Section III): a contiguous partition of the eight tasks into stages mapped
@@ -265,11 +264,6 @@ class PipelineConfig:
                 text += " (" + ", ".join(notes) + ")"
             object.__setattr__(self, "_label", text)
         return text
-
-
-def format_pipeline(config: PipelineConfig) -> str:
-    """Free-function alias for :attr:`PipelineConfig.label`."""
-    return config.label
 
 
 def gpu_segments() -> tuple[tuple[Task, ...], ...]:

@@ -274,9 +274,6 @@ class LineFit:
         self.seen_at = 0
         self._w = self._sx = self._sy = self._sxx = self._sxy = 0.0
 
-    def predict(self, n: float) -> float:
-        return self.a + self.b * n
-
     def covers(self, n: float) -> bool:
         """Whether the line can be trusted at ``n``: up to
         :data:`EXTRAPOLATION_LIMIT` times the most rows it remembers.

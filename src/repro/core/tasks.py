@@ -173,27 +173,6 @@ class CalibrationConstants:
             updates[name] = getattr(self, name) * factor
         return replace(self, **updates)
 
-    def scaled(self, factor: float) -> "CalibrationConstants":
-        """All instruction constants scaled by ``factor`` (sensitivity tests)."""
-        updates = {
-            name: getattr(self, name) * factor
-            for name in (
-                "rv_instr_per_query",
-                "rv_instr_per_frame",
-                "sd_instr_per_query",
-                "sd_instr_per_frame",
-                "pp_instr_base",
-                "mm_instr_base",
-                "search_instr",
-                "insert_instr",
-                "delete_instr",
-                "kc_instr_base",
-                "rd_instr_base",
-                "wr_instr_base",
-            )
-        }
-        return replace(self, **updates)
-
 
 DEFAULT_CALIBRATION = CalibrationConstants()
 

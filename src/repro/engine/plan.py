@@ -92,10 +92,6 @@ class StagePlan:
         """The phases belonging to one stage, in execution order."""
         return tuple(p for p in self.phases if p.stage_index == stage_index)
 
-    def batch_phases(self) -> tuple[PlanPhase, ...]:
-        """The phases an engine executes (everything but the boundaries)."""
-        return tuple(p for p in self.phases if p.kind is not PhaseKind.BOUNDARY)
-
     @property
     def label(self) -> str:
         return self.config.label

@@ -119,11 +119,6 @@ class BatchPlane:
         return (self._subsets or self._build_subsets())[1]
 
     @property
-    def delete_indices(self) -> list[int]:
-        """DELETE queries."""
-        return (self._subsets or self._build_subsets())[2]
-
-    @property
     def search_indices(self) -> list[int]:
         """Queries the index Search pass touches (GET and DELETE)."""
         return (self._subsets or self._build_subsets())[3]

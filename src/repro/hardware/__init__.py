@@ -19,42 +19,3 @@ platform is available here, so this package models them analytically:
 Every quantity DIDO's cost model consumes (paper Section IV) is produced by
 these modules, so the adaptation mechanics are exercised end to end.
 """
-
-from repro.hardware.interference import InterferenceModel, measure_interference
-from repro.hardware.memory import MemorySystem, access_cost_ns, object_access_pattern
-from repro.hardware.pcie import PCIeLink
-from repro.hardware.processor import (
-    ComputeThroughput,
-    cpu_task_time_ns,
-    gpu_batch_efficiency,
-    gpu_task_time_ns,
-)
-from repro.hardware.specs import (
-    APU_A10_7850K,
-    DISCRETE_MEGAKV,
-    GPU_GTX780_PAIR,
-    XEON_E5_2650V2_PAIR,
-    PlatformSpec,
-    ProcessorKind,
-    ProcessorSpec,
-)
-
-__all__ = [
-    "APU_A10_7850K",
-    "DISCRETE_MEGAKV",
-    "GPU_GTX780_PAIR",
-    "XEON_E5_2650V2_PAIR",
-    "ComputeThroughput",
-    "InterferenceModel",
-    "MemorySystem",
-    "PCIeLink",
-    "PlatformSpec",
-    "ProcessorKind",
-    "ProcessorSpec",
-    "access_cost_ns",
-    "cpu_task_time_ns",
-    "gpu_batch_efficiency",
-    "gpu_task_time_ns",
-    "measure_interference",
-    "object_access_pattern",
-]

@@ -19,8 +19,6 @@ specialised by processor kind:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from repro.errors import ConfigurationError
 from repro.hardware.memory import AccessPattern, access_cost_ns
 from repro.hardware.specs import ProcessorKind, ProcessorSpec
@@ -37,18 +35,6 @@ _SEQUENTIAL_LINE_COST = 1.0
 #: Bus-traffic multiplier for atomic compare-exchange operations: an atomic
 #: is a read-modify-write (two bus crossings) plus contention retries.
 _ATOMIC_BUS_FACTOR = 1.6
-
-
-@dataclass(frozen=True)
-class ComputeThroughput:
-    """Summary of one task execution: time plus the memory traffic generated.
-
-    ``memory_accesses`` is the total random-access count for the whole
-    batch, which the interference model consumes to compute ``mu``.
-    """
-
-    time_ns: float
-    memory_accesses: float
 
 
 def cpu_task_time_ns(

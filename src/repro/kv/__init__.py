@@ -21,37 +21,3 @@ Components mirror the paper's Section II-B description of an IMKV node:
 * :mod:`repro.kv.protocol` — the binary wire format, and the reference
   codec the columnar wire plane is tested against.
 """
-
-from repro.kv.hashtable import CuckooHashTable, IndexStats
-from repro.kv.objects import KVObject, key_signature
-from repro.kv.protocol import (
-    Query,
-    QueryType,
-    Response,
-    ResponseStatus,
-    decode_queries,
-    decode_responses,
-    encode_queries,
-    encode_responses,
-)
-from repro.kv.slab import SlabAllocator, SlabStats
-from repro.kv.store import KVStore, StoreStats
-
-__all__ = [
-    "CuckooHashTable",
-    "IndexStats",
-    "KVObject",
-    "KVStore",
-    "Query",
-    "QueryType",
-    "Response",
-    "ResponseStatus",
-    "SlabAllocator",
-    "SlabStats",
-    "StoreStats",
-    "decode_queries",
-    "decode_responses",
-    "encode_queries",
-    "encode_responses",
-    "key_signature",
-]

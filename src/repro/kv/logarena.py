@@ -93,13 +93,6 @@ class ArenaStats:
     #: pass does, bounded by the records of the segments it rewrites/evicts.
     scanned: int = 0
 
-    @property
-    def eviction_rate(self) -> float:
-        """Fraction of allocations that were later paid for by an eviction."""
-        if self.allocations == 0:
-            return 0.0
-        return self.evictions / self.allocations
-
 
 class _Segment:
     """One contiguous run of the log: a byte buffer plus accounting.

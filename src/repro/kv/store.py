@@ -98,10 +98,6 @@ class SetOutcome:
     evicted_location: int | None = None
     replaced_location: int | None = None
 
-    @property
-    def index_deletes(self) -> int:
-        return int(self.evicted is not None) + int(self.replaced is not None)
-
 
 class KVStore:
     """A functional IMKV node body (index + heap), no networking attached.

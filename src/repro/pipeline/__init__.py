@@ -1,8 +1,5 @@
-"""Pipeline engine: stage/config representation, timing simulator, baselines.
+"""Pipeline engine: timing simulator, functional execution, baselines.
 
-* :mod:`repro.pipeline.partition` — :class:`StageSpec` / :class:`PipelineConfig`,
-  the representation of a pipeline partitioning scheme plus index-operation
-  assignment (paper Figure 8's notation);
 * :mod:`repro.pipeline.executor` — the detailed timing simulator that plays
   the role of the paper's measured system (periodic scheduling, batch
   sizing, interference fixed point, chunked work stealing);
@@ -13,26 +10,3 @@
 * :mod:`repro.pipeline.megakv` — the static Mega-KV baseline (coupled and
   discrete).
 """
-
-from repro.pipeline.executor import PipelineExecutor, PipelineMeasurement, StageMeasurement
-from repro.pipeline.functional import BatchResult, FunctionalPipeline
-from repro.pipeline.megakv import (
-    MEGAKV_PIPELINE,
-    megakv_coupled_config,
-    megakv_discrete_config,
-)
-from repro.pipeline.partition import PipelineConfig, StageSpec, format_pipeline
-
-__all__ = [
-    "BatchResult",
-    "FunctionalPipeline",
-    "MEGAKV_PIPELINE",
-    "PipelineConfig",
-    "PipelineExecutor",
-    "PipelineMeasurement",
-    "StageMeasurement",
-    "StageSpec",
-    "format_pipeline",
-    "megakv_coupled_config",
-    "megakv_discrete_config",
-]

@@ -15,12 +15,10 @@ from __future__ import annotations
 
 from repro.core.profiler import WorkloadProfile
 from repro.core.tasks import Task
-from repro.hardware.specs import DISCRETE_MEGAKV, PlatformSpec
+from repro.hardware.specs import PlatformSpec
 from repro.pipeline.executor import PipelineExecutor, PipelineMeasurement
 from repro.core.pipeline_config import PipelineConfig
 
-#: Display name of the baseline pipeline, paper notation.
-MEGAKV_PIPELINE = "[RV, PP, MM]CPU -> [IN]GPU -> [KC, RD, WR, SD]CPU"
 
 #: CPU-side overhead of the Mega-KV OpenCL port relative to DIDO's native
 #: implementation (paper Section II-C ports CUDA Mega-KV to OpenCL 2.0 to
@@ -84,10 +82,3 @@ def measure_megakv(
     else:
         config = megakv_discrete_config(platform.cpu.cores)
     return executor.measure(config, profile, latency_budget_ns)
-
-
-def measure_megakv_discrete(
-    profile: WorkloadProfile, latency_budget_ns: float = 1_000_000.0
-) -> PipelineMeasurement:
-    """Convenience wrapper for the discrete testbed (Figures 16-18)."""
-    return measure_megakv(DISCRETE_MEGAKV, profile, latency_budget_ns)

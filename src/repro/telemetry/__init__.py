@@ -43,7 +43,6 @@ from repro.telemetry.registry import (
     Histogram,
     MetricsRegistry,
 )
-from repro.telemetry.scoped import span, timed
 
 __all__ = [
     "DEFAULT_BUCKETS",
@@ -63,7 +62,5 @@ __all__ = [
     "prometheus_text",
     "read_jsonl",
     "replan_event",
-    "span",
     "stage_span",
-    "timed",
 ]

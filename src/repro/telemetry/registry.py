@@ -105,9 +105,6 @@ class Gauge(_Instrument):
             key = _label_key(labels)
             self._samples[key] = float(self._samples.get(key, 0.0)) + amount
 
-    def dec(self, amount: float = 1.0, **labels: object) -> None:
-        self.inc(-amount, **labels)
-
     def value(self, **labels: object) -> float:
         with self._lock:
             return float(self._samples.get(_label_key(labels), 0.0))

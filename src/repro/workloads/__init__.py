@@ -7,46 +7,3 @@ standard workloads.  This package also provides Facebook-style USR/ETC
 approximations (motivating diverse workloads) and alternating generators for
 the dynamic-adaptation experiments (Figures 20–21).
 """
-
-from repro.workloads.datasets import (
-    DATASETS,
-    K8,
-    K16,
-    K32,
-    K128,
-    Dataset,
-    dataset_by_name,
-)
-from repro.workloads.distributions import KeyDistribution, UniformKeys, ZipfKeys
-from repro.workloads.dynamic import AlternatingWorkload, WorkloadPhase
-from repro.workloads.facebook import FACEBOOK_ETC, FACEBOOK_USR, FacebookWorkload
-from repro.workloads.ycsb import (
-    STANDARD_WORKLOADS,
-    QueryStream,
-    WorkloadSpec,
-    standard_workload,
-    workload_label,
-)
-
-__all__ = [
-    "AlternatingWorkload",
-    "DATASETS",
-    "Dataset",
-    "FACEBOOK_ETC",
-    "FACEBOOK_USR",
-    "FacebookWorkload",
-    "K128",
-    "K16",
-    "K32",
-    "K8",
-    "KeyDistribution",
-    "QueryStream",
-    "STANDARD_WORKLOADS",
-    "UniformKeys",
-    "WorkloadPhase",
-    "WorkloadSpec",
-    "ZipfKeys",
-    "dataset_by_name",
-    "standard_workload",
-    "workload_label",
-]

@@ -46,10 +46,6 @@ class WorkloadSpec:
             raise WorkloadError("zipf_skew must be non-negative")
 
     @property
-    def set_ratio(self) -> float:
-        return 1.0 - self.get_ratio
-
-    @property
     def skewed(self) -> bool:
         return self.zipf_skew > 0.0
 
@@ -59,11 +55,6 @@ class WorkloadSpec:
         pct = round(self.get_ratio * 100)
         dist = "S" if self.skewed else "U"
         return f"{self.dataset.name}-G{pct}-{dist}"
-
-
-def workload_label(spec: WorkloadSpec) -> str:
-    """Free-function alias for :attr:`WorkloadSpec.label` (reporting helper)."""
-    return spec.label
 
 
 def standard_workload(label: str) -> WorkloadSpec:
@@ -115,10 +106,6 @@ class QueryStream:
             num_keys, spec.zipf_skew, seed=seed
         )
         self._rng = np.random.default_rng(seed ^ 0x5EED)
-
-    @property
-    def distribution(self) -> KeyDistribution:
-        return self._distribution
 
     def next_batch(self, count: int) -> list[Query]:
         """Generate ``count`` queries with the spec's GET/SET mix."""

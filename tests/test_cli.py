@@ -234,6 +234,43 @@ def test_tool_scripts_run(argv, row):
     assert len(done.stdout.splitlines()) >= 6
 
 
+#: Evaluation machinery (figures, baselines, generators, the fleet and the
+#: client side) that a ``repro serve`` process has no reason to load.
+_NOT_SERVING = (
+    "repro.analysis",
+    "repro.workloads",
+    "repro.pipeline.megakv",
+    "repro.pipeline.memcachedgpu",
+    "repro.pipeline.executor",
+    "repro.cluster",
+    "repro.client",
+)
+
+
+@pytest.mark.parametrize("module", ["repro.server", "repro.cli"])
+def test_serve_path_loads_no_evaluation_module(module):
+    """Importing the server, or the CLI that starts it, in a fresh
+    interpreter loads none of the evaluation modules."""
+    env = {**os.environ, "PYTHONPATH": os.path.join(REPO, "src")}
+    done = subprocess.run(
+        [sys.executable, "-c", f"import sys, {module}; print(*sorted(sys.modules))"],
+        cwd=REPO, env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert [name for name in done.stdout.split() if name.startswith(_NOT_SERVING)] == []
+
+
+def test_readme_python_blocks_run(capsys):
+    """Every fenced ``python`` block of README.md runs as written, except
+    the client one, which needs a live server."""
+    with open(os.path.join(REPO, "README.md"), encoding="utf-8") as handle:
+        blocks = re.findall(r"```python\n(.*?)```", handle.read(), flags=re.S)
+    runnable = [block for block in blocks if "DidoClient" not in block]
+    assert runnable and len(runnable) < len(blocks)
+    for block in runnable:
+        exec(compile(block, "README.md", "exec"), {})
+
+
 def _load_tool(name):
     spec = importlib.util.spec_from_file_location(name, os.path.join(REPO, "tools", f"{name}.py"))
     module = importlib.util.module_from_spec(spec)

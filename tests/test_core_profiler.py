@@ -293,7 +293,7 @@ class TestLineFit:
             fit.observe(n, 40.0 + 2.5 * n)
         assert fit.a == pytest.approx(40.0, rel=1e-6)
         assert fit.b == pytest.approx(2.5, rel=1e-6)
-        assert fit.predict(100) == pytest.approx(290.0, rel=1e-6)
+        assert fit.a + fit.b * 100 == pytest.approx(290.0, rel=1e-6)
 
     def test_no_spread_in_n_goes_through_the_origin(self):
         fit = LineFit()
@@ -384,7 +384,8 @@ class TestHostCostModel:
         explored = sum(1 for _, kernel in picks if kernel == "columnar")
         assert BOOTSTRAP_SAMPLES <= explored <= 1000 // RESAMPLE_PERIOD + BOOTSTRAP_SAMPLES
         # ... and the schedule keeps the idle kernel's fit alive.
-        assert model.fit("search", "columnar").predict(40) == pytest.approx(144.0, rel=0.1)
+        columnar = model.fit("search", "columnar")
+        assert columnar.a + columnar.b * 40 == pytest.approx(144.0, rel=0.1)
 
     def test_a_jump_in_window_size_is_measured_not_extrapolated(self):
         """After a fifty-fold jump in ``n`` both kernels run within two
@@ -399,7 +400,7 @@ class TestHostCostModel:
         # From then on columnar, but for the 1-in-32 slot.
         assert picks[2:].count("columnar") >= len(picks) - 2 - 2
         columnar = model.fit("search", "columnar")
-        assert columnar.predict(1650) == pytest.approx(120.0 + 0.6 * 1650, rel=0.10)
+        assert columnar.a + columnar.b * 1650 == pytest.approx(120.0 + 0.6 * 1650, rel=0.10)
 
     def test_relative_error_once_fitted(self):
         model = HostCostModel()

@@ -162,11 +162,6 @@ class TestIndexDemands:
 
 
 class TestCalibrationConstants:
-    def test_scaled(self):
-        doubled = DEFAULT_CALIBRATION.scaled(2.0)
-        assert doubled.search_instr == pytest.approx(2 * DEFAULT_CALIBRATION.search_instr)
-        assert doubled.query_header_bytes == DEFAULT_CALIBRATION.query_header_bytes
-
     def test_with_cpu_overhead(self):
         heavy = DEFAULT_CALIBRATION.with_cpu_overhead(1.5)
         assert heavy.kc_instr_base == pytest.approx(1.5 * DEFAULT_CALIBRATION.kc_instr_base)

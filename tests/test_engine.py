@@ -116,7 +116,9 @@ class TestStagePlan:
             boundary = {p.task for p in plan.phases if p.kind is PhaseKind.BOUNDARY}
             assert boundary == set(BOUNDARY_TASKS)
             assert not any(
-                p.task in BOUNDARY_TASKS for p in plan.batch_phases()
+                p.task in BOUNDARY_TASKS
+                for p in plan.phases
+                if p.kind is not PhaseKind.BOUNDARY
             )
 
     def test_index_ops_ordered_by_priority_within_each_stage(self):
@@ -182,7 +184,6 @@ class TestBatchPlane:
         assert plane.size == 4
         assert plane.get_indices == [1, 3]
         assert plane.set_indices == [0]
-        assert plane.delete_indices == [2]
         assert plane.search_indices == [1, 2, 3]  # GET and DELETE
         assert plane.mutation_indices == [0, 2]  # SET and DELETE
 

@@ -79,7 +79,6 @@ class TestPrimitives:
         store.set(b"k", b"v1")
         outcome = store.allocate(b"k", b"v2")
         assert outcome.replaced_location is not None
-        assert outcome.index_deletes == 1
 
 
 class TestEvictionIntegration:

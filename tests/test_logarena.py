@@ -541,7 +541,6 @@ class TestStoreOnLogArena:
         outcome = store.set(b"k", b"v2")
         assert outcome.evicted is None
         assert outcome.replaced is not None
-        assert outcome.index_deletes == 1
         assert store.get(b"k") == b"v2"
         assert store.delete(b"k") is True
         assert store.get(b"k") is None

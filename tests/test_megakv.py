@@ -6,7 +6,6 @@ from repro.hardware.specs import APU_A10_7850K, DISCRETE_MEGAKV, ProcessorKind
 from repro.pipeline.megakv import (
     MEGAKV_PORT_OVERHEAD,
     measure_megakv,
-    measure_megakv_discrete,
     megakv_coupled_config,
     megakv_discrete_config,
     megakv_executor,
@@ -65,7 +64,7 @@ class TestMeasurements:
         """Figure 16: the discrete testbed far outruns the APU."""
         profile = profile_for("K8-G95-U")
         coupled = measure_megakv(APU_A10_7850K, profile)
-        discrete = measure_megakv_discrete(profile)
+        discrete = measure_megakv(DISCRETE_MEGAKV, profile)
         assert discrete.throughput_mops > 3 * coupled.throughput_mops
 
     def test_discrete_gap_larger_for_small_kv(self):
@@ -75,7 +74,7 @@ class TestMeasurements:
         for label in ("K8-G95-U", "K128-G95-U"):
             profile = profile_for(label)
             coupled = measure_megakv(APU_A10_7850K, profile).throughput_mops
-            discrete = measure_megakv_discrete(profile).throughput_mops
+            discrete = measure_megakv(DISCRETE_MEGAKV, profile).throughput_mops
             gap[label] = discrete / coupled
         assert gap["K8-G95-U"] != gap["K128-G95-U"]  # workload-dependent gap
         assert min(gap.values()) > 2.0

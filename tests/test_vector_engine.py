@@ -515,7 +515,7 @@ class TestSearchTimer:
         engine = self.run_once(None)
         assert set(engine.costs.summary()) == {"search"}
         scalar = engine.costs.fit("search", "scalar")  # bootstrap starts scalar
-        assert scalar.samples == 1 and scalar.predict(8) > 0.0
+        assert scalar.samples == 1 and scalar.a + scalar.b * 8 > 0.0
 
     def test_kernel_mix_and_model_error_exported(self):
         from repro.telemetry import configure
