@@ -260,7 +260,7 @@ def test_serve_path_loads_no_evaluation_module(module):
     assert [name for name in done.stdout.split() if name.startswith(_NOT_SERVING)] == []
 
 
-def test_readme_python_blocks_run(capsys):
+def test_readme_python_blocks_run():
     """Every fenced ``python`` block of README.md runs as written, except
     the client one, which needs a live server."""
     with open(os.path.join(REPO, "README.md"), encoding="utf-8") as handle:

@@ -4,11 +4,12 @@
 Runs the entry points under ``sys.setprofile`` (the CLI commands but
 ``cluster``, every ``examples/*.py``, and ``repro serve`` in process under
 the closed- and open-loop ``repro loadgen``), then prints each module-level
-function and method of ``src/repro`` whose code never ran, with the files
-under ``src``, ``tests``, ``benchmarks``, ``tools`` and ``examples`` that
-name it and how many lines of each do.  Names are matched as words, so a
-common method name lists false callers; and ``benchmarks/`` and ``tools/``
-are not run, so check the callers listed there before deleting anything.
+function and method (dunders aside) of ``src/repro`` that never ran, with
+the files under ``src``, ``tests``, ``benchmarks``, ``tools`` and
+``examples`` that name it and how many lines of each do.  Names are matched
+as words, so a common method name lists false callers; and ``benchmarks/``
+and ``tools/`` are not run, so check the callers listed there before
+deleting anything.
 
 Run:  PYTHONPATH=src python tools/reach.py
 """
