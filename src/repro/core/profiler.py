@@ -353,10 +353,9 @@ class HostCostModel:
     measured on both kernels within two windows.  Nothing else decides: no
     size threshold, flag or environment variable.
 
-    The columnar Search kernel hashes keys a byte column at a time, so its
-    intercept is per key byte: :meth:`observe_key_size` (called with each
-    closed profile window's average key size) drops the Search fits when
-    the key size moves past the re-plan threshold.
+    :meth:`observe_key_size` (called with each closed profile window's
+    average key size) drops the Search fits when the key size moves past
+    the re-plan threshold.
     """
 
     def __init__(self) -> None:

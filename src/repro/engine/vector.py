@@ -5,10 +5,10 @@ the profiled workload, because a GPU's efficiency depends on batch size.
 This host has the same curve between its two "processors": a **scalar**
 kernel (a Python row loop: no fixed cost, microseconds per row) and a
 **columnar** kernel (NumPy over the :class:`~repro.engine.plane.BatchPlane`
-columns: a fixed cost per call — tens of small-array dispatches, three per
-key *byte* for the hash — and a fraction of the per-row cost).  For Search
-the two cross inside the window sizes the server sees (columnar loses
-40-query windows and wins 1,000-query ones), so each window's Search runs
+columns: a fixed cost per call — tens of small-array dispatches — and a
+fraction of the per-row cost).  For Search the two cross inside the window
+sizes the server sees (columnar loses the smallest windows and wins
+1,000-query ones), so each window's Search runs
 on the kernel a fitted :class:`~repro.core.profiler.HostCostModel` predicts
 cheaper at that window's row count; the pass times the kernel it ran (two
 clock reads) and feeds the fit.
@@ -16,31 +16,29 @@ clock reads) and feeds the fit.
 This is the one batch engine: ``run`` walks the compiled
 :class:`~repro.engine.plan.StagePlan` and applies each phase to every row
 it covers before the next phase starts, exactly as Mega-KV's staged
-kernels do.  Before the first phase it hashes the window's fresh keys —
-those the cuckoo table's probe cache lacks — in one columnar pass
-(:meth:`~repro.kv.hashtable.CuckooHashTable.warm_probe_cache`, credited
-to IN), so every scalar pass below takes its probe specs from the cache:
-hot keys from earlier windows, fresh keys from this one.  The passes, in
-plan order, and what they hand each other on the plane's
-:class:`_VectorScratch`:
+kernels do.  Before the first phase it resolves every row's probe spec
+once (:meth:`~repro.kv.store.KVStore.window_specs`, credited to IN): keys
+holding a row of the store's key directory gather theirs from its columns,
+and the rest — fresh SETs and misses — are hashed together in one columnar
+pass, so no pass below hashes a key.  The passes, in plan order, and what they hand
+each other on the plane's :class:`_VectorScratch`:
 
 * **MM / Insert / Delete** — scalar row loops: they mutate Python heap
   objects and walk the cuckoo table's kick chains slot by slot, through
   the table's one slot writer (paper Figure 6: these operations do not
   benefit from batched kernels the way Search does).  MM places a SET
   run with one columnar arena append
-  (:meth:`~repro.kv.store.KVStore.multi_allocate_columns`), or row by
-  row through :meth:`~repro.kv.store.KVStore.allocate` on a heap
-  without a bulk allocator or when one item exceeds the heap budget.
-* **Search** — two kernels, one hand-off.  *Scalar*: the probe-cache walk
-  (:meth:`~repro.kv.store.KVStore.multi_index_search`).
-  *Columnar*: the key column hashed in one pass (keys packed into a
-  ``uint8`` matrix, 64-bit FNV-1a mixed across byte columns for all
-  ``num_hashes + 1`` seeds at once, a scalar fallback for oversized
-  keys), then one gather + compare per probe round from the cuckoo
-  table's own ``signatures`` / ``locations`` arrays — the memory the
-  scalar walk reads too — with the scalar path's probe-order
-  short-circuit.  Both leave GET rows with one candidate on
+  (:meth:`~repro.kv.store.KVStore.multi_allocate_columns`, which detects
+  replaces from the directory's ``location`` column and gives fresh keys
+  their rows), or row by row through
+  :meth:`~repro.kv.store.KVStore.allocate` on a heap without a bulk
+  allocator or when one item exceeds the heap budget.
+* **Search** — two kernels, one hand-off.  *Scalar*: the walk over the
+  rows' specs (:meth:`~repro.kv.store.KVStore.multi_index_search`).
+  *Columnar*: the rows' bucket columns, then one gather + compare per
+  probe round from the cuckoo table's own ``signatures`` / ``locations``
+  arrays — the memory the scalar walk reads too — with the scalar path's
+  probe-order short-circuit.  Both leave GET rows with one candidate on
   ``hit_rows`` / ``hit_locs`` and the rare multi-match in
   ``multi_hits``, and account ``IndexStats.searches`` /
   ``search_bucket_reads`` identically.  An index without slot arrays (the
@@ -78,7 +76,6 @@ from repro.engine.plane import (
 )
 from repro.errors import ConfigurationError
 from repro.kv.hashtable import EMPTY
-from repro.kv.objects import _SIGNATURE_MASK, fnv_hash_columns
 from repro.kv.protocol import QueryType
 from repro.kv.store import KVStore
 from repro.telemetry import get_telemetry
@@ -90,9 +87,21 @@ _MODEL_ERROR_BUCKETS = (0.05, 0.1, 0.2, 0.35, 0.5, 1.0, 2.0)
 class _VectorScratch:
     """Per-batch columnar state the vector passes hand to each other."""
 
-    __slots__ = ("hit_rows", "hit_locs", "multi_hits", "rd_rows", "rd_locs", "rd_objs", "value_rows")
+    __slots__ = (
+        "specs",
+        "hit_rows",
+        "hit_locs",
+        "multi_hits",
+        "rd_rows",
+        "rd_locs",
+        "rd_objs",
+        "value_rows",
+    )
 
     def __init__(self) -> None:
+        #: Every row's probe spec, ``(signatures, buckets)`` columns
+        #: (:meth:`KVStore.window_specs`); ``None`` on an index without specs.
+        self.specs = None
         #: Plane indices whose Search matched exactly one candidate, and
         #: the candidate location, aligned.
         self.hit_rows: list[int] = []
@@ -132,14 +141,12 @@ class VectorEngine:
     ) -> None:
         """Execute every non-boundary phase, crediting each task's time to
         ``task_times`` when given."""
-        plane.scratch = _VectorScratch()
-        warm = getattr(store.index, "warm_probe_cache", None)
-        if warm is not None:
-            # The window's fresh keys hashed at once, ahead of every pass
-            # that probes them; an IN cost, like the probes it replaces.
-            t0 = time.perf_counter() if task_times is not None else 0.0
-            warm(plane.keys)
-            credit_time(task_times, Task.IN, t0)
+        plane.scratch = scratch = _VectorScratch()
+        # Every row's spec resolved once, ahead of every pass that probes
+        # it; an IN cost, like the hashing it replaces.
+        t0 = time.perf_counter() if task_times is not None else 0.0
+        scratch.specs = store.window_specs(plane.keys)
+        credit_time(task_times, Task.IN, t0)
         for phase in plan.phases:
             if phase.kind is PhaseKind.BOUNDARY:
                 continue
@@ -172,6 +179,17 @@ class VectorEngine:
     # ------------------------------------------------------------ MM / IN
 
     @staticmethod
+    def _row_specs(plane: BatchPlane, rows):
+        """The probe specs of plane ``rows`` as ``(signatures, buckets)``
+        lists, or ``None`` on an index without specs."""
+        specs = plane.scratch.specs
+        if specs is None:
+            return None
+        signatures, buckets = specs
+        rows = np.asarray(rows, dtype=np.intp)
+        return signatures[rows].tolist(), buckets[rows].tolist()
+
+    @staticmethod
     def _displaced(plane: BatchPlane, index: int, key: bytes, location: int | None) -> None:
         """Record index cleanup for an object displaced by query ``index``.
 
@@ -197,13 +215,17 @@ class VectorEngine:
         pending = plane.pending_inserts
         batch_inserts = plane.batch_inserts
         displaced = self._displaced
+        specs = plane.scratch.specs
         if len(indices) == len(keys):
             # All-SET batch: the phase covers every row in order, so the
             # plane's own columns go straight through without a gather.
-            columns = store.multi_allocate_columns(keys, values)
+            columns = store.multi_allocate_columns(keys, values, specs)
         else:
+            if specs is not None:
+                rows = np.asarray(indices, dtype=np.intp)
+                specs = (specs[0][rows], specs[1][rows])
             columns = store.multi_allocate_columns(
-                [keys[i] for i in indices], [values[i] for i in indices]
+                [keys[i] for i in indices], [values[i] for i in indices], specs
             )
         if columns is None:
             # No bulk allocator (the slab oracle), or an item exceeds the
@@ -240,8 +262,7 @@ class VectorEngine:
                 displaced(plane, i, key, old_location)
             batch_inserts[key] = i
 
-    @staticmethod
-    def _pass_insert(store: KVStore, plane: BatchPlane, indices) -> None:
+    def _pass_insert(self, store: KVStore, plane: BatchPlane, indices) -> None:
         pending = plane.pending_inserts
         entries: list[tuple[bytes, int]] = []
         live: list[int] = []
@@ -251,7 +272,7 @@ class VectorEngine:
                 entries.append(entry)
                 live.append(i)
         if entries:
-            store.multi_index_insert(entries)
+            store.multi_index_insert(entries, self._row_specs(plane, live))
             for i in live:
                 pending[i] = None
 
@@ -288,7 +309,7 @@ class VectorEngine:
             return
         if getattr(store.index, "signatures", None) is None:
             # No slot arrays to gather from (the chained table): the
-            # probe-cache walk is its only Search kernel, so nothing to place.
+            # scalar walk is its only Search kernel, so nothing to place.
             self._search_scalar(store, plane, indices)
             return
         costs = self.costs
@@ -314,9 +335,8 @@ class VectorEngine:
                 ).observe(error, **{"pass": SEARCH_PASS})
         costs.observe(SEARCH_PASS, kernel, n, elapsed_us)
 
-    @staticmethod
-    def _search_scalar(store: KVStore, plane: BatchPlane, indices) -> None:
-        """The scalar Search kernel: the probe-cache walk
+    def _search_scalar(self, store: KVStore, plane: BatchPlane, indices) -> None:
+        """The scalar Search kernel: the walk over the rows' probe specs
         (:meth:`KVStore.multi_index_search`, which accounts ``IndexStats``
         itself), with the candidates left where the columnar kernel leaves
         them.  DELETE rows are probed (the
@@ -328,7 +348,9 @@ class VectorEngine:
         get_type = QueryType.GET
         hit_rows = scratch.hit_rows
         hit_locs = scratch.hit_locs
-        found = store.multi_index_search([keys[i] for i in indices])
+        found = store.multi_index_search(
+            [keys[i] for i in indices], self._row_specs(plane, indices)
+        )
         for i, candidates in zip(indices, found):
             if candidates and qtypes[i] is get_type:
                 if len(candidates) == 1:
@@ -339,17 +361,17 @@ class VectorEngine:
 
     @staticmethod
     def _search_columnar(store: KVStore, plane: BatchPlane, indices) -> None:
-        """The columnar Search kernel: hash the key column, then one slot
-        array gather + signature compare per probe round."""
+        """The columnar Search kernel: the rows' specs gathered from the
+        window's columns, then one slot array gather + signature compare
+        per probe round."""
         scratch = plane.scratch
         index = store.index
         num_hashes = index.num_hashes
-        keys = plane.keys
-        states = fnv_hash_columns([keys[i] for i in indices], num_hashes + 1)
-        signatures = (states[0] & np.uint64(_SIGNATURE_MASK)).astype(np.uint32)
-        bucket_mask = np.uint64(index.num_buckets - 1)
-        n = len(indices)
         plane_rows = np.asarray(indices, dtype=np.intp)
+        window_signatures, window_buckets = scratch.specs
+        signatures = window_signatures[plane_rows]
+        row_buckets = window_buckets[plane_rows]
+        n = len(indices)
         remaining = np.arange(n, dtype=np.intp)
         reads = np.full(n, num_hashes, dtype=np.int64)
         hit_rows = scratch.hit_rows
@@ -363,10 +385,10 @@ class VectorEngine:
             if remaining.size == 0:
                 break
             if probe < num_hashes:
-                buckets = (states[probe + 1][remaining] & bucket_mask).astype(np.intp)
+                buckets = row_buckets[remaining, probe]
             else:
                 twins = index.displaced_buckets
-                candidates = (states[1:, remaining] & bucket_mask).T.tolist()
+                candidates = row_buckets[remaining].tolist()
                 buckets = np.array(
                     [
                         twins(signature, row)

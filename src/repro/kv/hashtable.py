@@ -15,11 +15,14 @@ columnar Search gathers from the arrays; the scalar walks here read and
 write the same memory through flat ``memoryview`` objects, whose items are
 plain Python ints, and every write goes through :meth:`_write_slot`.
 
-Each key's probe spec (signature plus candidate buckets) is hashed once and
-kept in a bounded LRU probe cache.  The batch engine hashes a window's
-fresh keys together (:meth:`~CuckooHashTable.warm_probe_cache`, one
-columnar FNV pass); hot keys come from the cache; a key seen by neither
-is hashed scalar by :meth:`~CuckooHashTable.probe`.
+A key's probe spec (signature plus candidate buckets) is a pure function
+of the key and the table geometry: :meth:`~CuckooHashTable.probe` hashes
+one key, :meth:`~CuckooHashTable.probe_columns` many at once in one
+columnar FNV pass, and the ``*_prehashed`` operations take a spec computed
+elsewhere.  The table keeps no spec: the store's key directory
+(:class:`~repro.kv.store.KeyDirectory`) keeps each stored key's spec in a
+row, so a key is hashed only while it holds none, and the key-level
+:meth:`search`, :meth:`insert` and :meth:`delete` hash on every call.
 
 Concurrency in the real system uses atomic compare-exchange for writes and
 atomic loads for reads (paper Section III-B2).  This reproduction executes
@@ -36,7 +39,6 @@ runtime", Section IV-B).
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as _np
@@ -134,13 +136,6 @@ class CuckooHashTable:
         #: :meth:`displaced_buckets`.
         self.kicked = False
         self.stats = IndexStats()
-        # Probe specs are a pure function of the key and the (fixed) table
-        # geometry, so they can be cached indefinitely; kept as a bounded
-        # LRU so long-running servers under key churn hold only the hot
-        # working set instead of leaking one entry per distinct key ever
-        # seen.
-        self._probe_cache: OrderedDict[bytes, tuple[int, list[int]]] = OrderedDict()
-        self._probe_cache_cap = 1 << 17
 
     # ------------------------------------------------------------------ info
 
@@ -203,63 +198,25 @@ class CuckooHashTable:
     def probe(self, key: bytes) -> tuple[int, list[int]]:
         """Precomputed probe spec: ``(signature, candidate bucket indices)``.
 
-        Index operations take this spec (through :meth:`probe_cached`) and
-        feed the ``*_prehashed`` operations, instead of re-hashing the key
-        inside every one — as Mega-KV computes signatures during packet
-        processing and ships them with the job.  This is the scalar hash;
-        :meth:`warm_probe_cache` computes the same specs for many keys at
-        once.
+        The ``*_prehashed`` operations take this spec instead of re-hashing
+        the key inside every one — as Mega-KV computes signatures during
+        packet processing and ships them with the job.  This is the scalar
+        hash; :meth:`probe_columns` computes the same specs for many keys
+        at once.
         """
         return key_signature(key), self.candidate_buckets(key)
 
-    def probe_cached(self, key: bytes) -> tuple[int, list[int]]:
-        """:meth:`probe` through the table's persistent LRU probe cache.
+    def probe_columns(self, keys: list[bytes]) -> tuple[_np.ndarray, _np.ndarray]:
+        """:meth:`probe` of every key in one :func:`fnv_hash_columns` pass.
 
-        Hot keys under skewed workloads recur across batches; caching their
-        probe specs makes repeat index operations hash-free.  The batch
-        engine fills the cache with a window's fresh keys up front
-        (:meth:`warm_probe_cache`), so there a miss — one scalar
-        :meth:`probe` — is left only to keys the LRU cap evicted within
-        the window; the scalar store operations miss once per new key.
-        The cache is a true LRU bounded at ``_probe_cache_cap`` entries: a
-        hit refreshes the key, a miss at capacity evicts the
-        least-recently-used spec — so unbounded key churn recycles cold
-        entries instead of growing the cache (or dropping the hot set
-        wholesale) forever.
+        Returns the signatures (``uint32``, one per key) and the candidate
+        buckets (``int64``, one row of ``num_hashes`` per key), row ``i``
+        equal to ``probe(keys[i])``.
         """
-        cache = self._probe_cache
-        spec = cache.get(key)
-        if spec is None:
-            if len(cache) >= self._probe_cache_cap:
-                cache.popitem(last=False)
-            spec = cache[key] = self.probe(key)
-        else:
-            cache.move_to_end(key)
-        return spec
-
-    def warm_probe_cache(self, keys: list[bytes]) -> None:
-        """Cache the :meth:`probe` spec of every distinct key in ``keys``
-        the probe cache lacks, hashed in one :func:`fnv_hash_columns` pass.
-
-        The batch engine calls this once per window before its first pass
-        (DIDO's PP task hashes each key once and ships the spec with the
-        query), so every scalar walk of the window — Search, MM's
-        reassign, Insert, Delete — hits the cache.  New specs join at the
-        recent end in first-appearance order and the LRU cap evicts from
-        the old end, as the same misses through :meth:`probe_cached` would;
-        cached keys stay where they are until a pass refreshes them.
-        """
-        cache = self._probe_cache
-        fresh = [key for key in keys if key not in cache]
-        if not fresh:
-            return
-        fresh = list(dict.fromkeys(fresh))
-        states = fnv_hash_columns(fresh, self._num_hashes + 1)
-        signatures = (states[0] & _np.uint64(_SIGNATURE_MASK)).tolist()
-        buckets = (states[1:] & _np.uint64(self._mask)).T.tolist()
-        cache.update(zip(fresh, zip(signatures, buckets)))
-        for _ in range(len(cache) - self._probe_cache_cap):
-            cache.popitem(last=False)
+        states = fnv_hash_columns(keys, self._num_hashes + 1)
+        signatures = (states[0] & _np.uint64(_SIGNATURE_MASK)).astype(_np.uint32)
+        buckets = (states[1:] & _np.uint64(self._mask)).T.astype(_np.int64)
+        return signatures, buckets
 
     # ------------------------------------------------------------ operations
 
@@ -273,7 +230,7 @@ class CuckooHashTable:
         matching signature, modelling the short-circuit a real
         implementation performs.
         """
-        return self.search_prehashed(*self.probe_cached(key))
+        return self.search_prehashed(*self.probe(key))
 
     def search_prehashed(self, signature: int, buckets: list[int]) -> tuple[list[int], int]:
         """:meth:`search` with the key's probe spec already computed."""
@@ -321,23 +278,26 @@ class CuckooHashTable:
         return [], buckets_read
 
     def multi_search(self, keys: list[bytes]) -> list[list[int]]:
-        """Bulk search: candidate locations per key, in input order.
+        """Bulk search: candidate locations per key, in input order; each
+        element is exactly what ``search(key)[0]`` would return."""
+        signatures, buckets = self.probe_columns(keys)
+        return self.multi_search_prehashed(signatures.tolist(), buckets.tolist())
 
-        One tight loop inside the table (probe specs via the persistent
-        cache, stats updated in aggregate); each element is exactly what
-        ``search(key)[0]`` would return.
-        """
-        probe = self.probe_cached
+    def multi_search_prehashed(
+        self, signatures: list[int], buckets: list[list[int]]
+    ) -> list[list[int]]:
+        """:meth:`multi_search` over probe specs already computed: one tight
+        loop inside the table, stats updated in aggregate."""
         lookup = self._lookup
         out: list[list[int]] = []
         append = out.append
         total_reads = 0
-        for key in keys:
-            candidates, buckets_read = lookup(*probe(key))
+        for signature, candidates in zip(signatures, buckets):
+            found, buckets_read = lookup(signature, candidates)
             total_reads += buckets_read
-            append(candidates)
+            append(found)
         stats = self.stats
-        stats.searches += len(keys)
+        stats.searches += len(signatures)
         stats.search_bucket_reads += total_reads
         return out
 
@@ -353,7 +313,7 @@ class CuckooHashTable:
         """
         if location < 0:
             raise ConfigurationError("location must be a non-negative slab offset")
-        signature, buckets = self.probe_cached(key)
+        signature, buckets = self.probe(key)
         return self.insert_prehashed(signature, buckets, location)
 
     def insert_prehashed(self, signature: int, buckets: list[int], location: int) -> int:
@@ -488,7 +448,7 @@ class CuckooHashTable:
         Returns True when an entry was removed.  Probes the same buckets a
         search would.
         """
-        return self.delete_prehashed(*self.probe_cached(key), location)
+        return self.delete_prehashed(*self.probe(key), location)
 
     def delete_prehashed(
         self, signature: int, buckets: list[int], location: int | None = None

@@ -8,6 +8,15 @@ workload profiler and the cost model consume.  Tests inject other
 allocators with the same interface as instances (small-segment arenas,
 and :class:`~repro.kv.slab.SlabAllocator` as the parity oracle).
 
+The store's ``key -> location`` map is its :class:`KeyDirectory`: one row
+per live key, holding the key's heap location beside its probe spec
+(signature and candidate buckets) as aligned NumPy columns.  Only a SET
+gives a key a row, and a key is hashed only while it holds none (one scalar
+hash on the ``get``/``set``/``delete`` path, one columnar pass per window
+on the engine's, :meth:`KVStore.window_specs`).  A DELETE or an eviction
+retires the row onto a free list, where the key keeps it until another key
+needs a row.
+
 Beyond ``get``/``set``/``delete``/``populate``/``len``/``stats`` the
 system asks three things of a store: :meth:`KVStore.keys`,
 :meth:`KVStore.harvest_window`, and :attr:`KVStore.needs_maintenance`
@@ -25,9 +34,12 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from itertools import repeat
+
+import numpy as np
 
 from repro.errors import CapacityError
-from repro.kv.hashtable import CuckooHashTable
+from repro.kv.hashtable import EMPTY, CuckooHashTable
 from repro.kv.logarena import LogValueArena
 from repro.kv.objects import KVObject
 from repro.telemetry import get_telemetry
@@ -99,6 +111,134 @@ class SetOutcome:
     replaced_location: int | None = None
 
 
+class KeyDirectory:
+    """The store's one key directory: ``key -> id`` over id-indexed columns.
+
+    Row ``id`` holds a key's probe spec — ``signature[id]`` and
+    ``buckets[id, :]``, equal to the index's ``probe(key)`` — and its heap
+    ``location[id]``; the row is live while that location is not
+    :data:`~repro.kv.hashtable.EMPTY`.  Only a SET gives a key a row.  A
+    DELETE or an eviction retires it: the location empties and the id joins
+    the free list, and the key keeps the row until the free list hands the
+    id to a key that has none — so a deleted key SET or read again takes
+    its spec back without a hash.  The columns grow (doubling) only when
+    every row is live, so the rows in use are exactly the live keys.  The
+    scalar paths read and write the columns through flat ``memoryview``
+    objects, whose items are plain Python ints; the engine gathers from the
+    arrays.
+    """
+
+    def __init__(self, rows: int, num_hashes: int):
+        #: Key -> id, for live keys and for keys still holding a retired row.
+        self.ids: dict[bytes, int] = {}
+        self._num_hashes = num_hashes
+        #: Id -> the key holding it, for the ids handed out so far.
+        self._holders: list[bytes] = []
+        #: Retired ids, an ordered set: the most recently retired goes first.
+        self._free: dict[int, None] = {}
+        self._live = 0
+        self._resize(max(1, rows))
+
+    def _resize(self, rows: int) -> None:
+        used = len(self._holders)
+        signature = np.zeros(rows, dtype=np.uint32)
+        buckets = np.zeros((rows, self._num_hashes), dtype=np.int64)
+        location = np.full(rows, EMPTY, dtype=np.int64)
+        if used:
+            signature[:used] = self.signature[:used]
+            buckets[:used] = self.buckets[:used]
+            location[:used] = self.location[:used]
+        self.signature = signature
+        self.buckets = buckets
+        self.location = location
+        self._sig = memoryview(signature)
+        self._bkt = memoryview(buckets.reshape(-1))
+        self._loc = memoryview(location)
+
+    def __len__(self) -> int:
+        """Live keys, which are the rows in use."""
+        return self._live
+
+    def __contains__(self, key: bytes) -> bool:
+        return self.location_of(key) is not None
+
+    @property
+    def rows(self) -> int:
+        """Rows the columns hold (live, retired or never used)."""
+        return len(self.location)
+
+    def location_of(self, key: bytes) -> int | None:
+        """``key``'s heap location, or ``None`` when it has no live row."""
+        row = self.ids.get(key)
+        if row is None:
+            return None
+        location = self._loc[row]
+        return None if location == EMPTY else location
+
+    def spec(self, row: int) -> tuple[int, list[int]]:
+        """Row ``row``'s probe spec, as ``probe`` returns it."""
+        width = self._num_hashes
+        return self._sig[row], self._bkt[row * width : (row + 1) * width].tolist()
+
+    def claim(self, key: bytes) -> int:
+        """A live row for ``key``, which holds none: the most recently
+        retired id (its holder loses it), else a new one.  The caller
+        writes the row's spec and location."""
+        holders = self._holders
+        if self._free:
+            row = self._free.popitem()[0]
+            del self.ids[holders[row]]
+            holders[row] = key
+        else:
+            row = len(holders)
+            if row == len(self.location):
+                self._resize(2 * row)
+            holders.append(key)
+        self.ids[key] = row
+        self._live += 1
+        return row
+
+    def revive(self, row: int) -> None:
+        """Take retired ``row`` back for the key still holding it; the
+        caller writes its location."""
+        del self._free[row]
+        self._live += 1
+
+    def add(self, key: bytes, signature: int, buckets, location: int) -> None:
+        """Give ``key``, which holds no row, one with its spec and ``location``."""
+        row = self.claim(key)
+        self._sig[row] = signature
+        base = row * self._num_hashes
+        for offset, bucket in enumerate(buckets):
+            self._bkt[base + offset] = bucket
+        self._loc[row] = location
+
+    def place(self, key: bytes, location: int) -> bool:
+        """Point ``key``'s row at ``location``, reviving it if retired;
+        ``False`` when ``key`` holds no row."""
+        row = self.ids.get(key)
+        if row is None:
+            return False
+        if self._loc[row] == EMPTY:
+            self.revive(row)
+        self._loc[row] = location
+        return True
+
+    def retire(self, key: bytes) -> int | None:
+        """Retire ``key``'s live row; returns the location it held, or
+        ``None`` when it had none."""
+        row = self.ids.get(key)
+        if row is None:
+            return None
+        location = self._loc[row]
+        if location == EMPTY:
+            return None
+        self._loc[row] = EMPTY
+        self._free[row] = None
+        self._live -= 1
+        return location
+
+
 class KVStore:
     """A functional IMKV node body (index + heap), no networking attached.
 
@@ -132,19 +272,63 @@ class KVStore:
         self._heap_alloc_kv = getattr(self.heap, "allocate_kv", None)
         self._heap_bulk_alloc = getattr(self.heap, "multi_allocate_kv", None)
         self._heap_compact = getattr(self.heap, "compact", None)
-        self._key_location: dict[bytes, int] = {}
+        #: Whether the index takes probe specs (the cuckoo table); an index
+        #: without them (the chained table) hashes inside its key-level
+        #: operations, and the directory then holds locations only.
+        self._prehashed = hasattr(index, "probe")
+        self.directory = KeyDirectory(
+            expected_objects, index.num_hashes if self._prehashed else 0
+        )
         self.stats = StoreStats()
 
     def __len__(self) -> int:
-        return len(self._key_location)
+        return len(self.directory)
+
+    # ---------------------------------------------------------- probe specs
+
+    def spec(self, key: bytes) -> tuple[int, list[int]]:
+        """``key``'s probe spec: from its directory row when it holds one,
+        else hashed (and not kept)."""
+        row = self.directory.ids.get(key)
+        if row is None:
+            return self.index.probe(key)
+        return self.directory.spec(row)
+
+    def window_specs(self, keys: list[bytes]) -> tuple[np.ndarray, np.ndarray] | None:
+        """Every row's probe spec for one window, resolved once.
+
+        Keys holding a directory row gather their specs from its columns;
+        the rest — fresh SETs and misses of keys never SET alike — are
+        hashed together in one columnar pass.  Returns ``(signatures, buckets)``
+        aligned with ``keys``, or ``None`` for an index that takes no
+        specs.
+        """
+        if not self._prehashed:
+            return None
+        directory = self.directory
+        ids = list(map(directory.ids.get, keys, repeat(-1)))
+        if -1 not in ids:
+            rows = np.array(ids, dtype=np.intp)
+            return directory.signature[rows], directory.buckets[rows]
+        absent = [i for i, row in enumerate(ids) if row < 0]
+        if len(absent) == len(keys):
+            return self.index.probe_columns(keys)
+        rows = np.array(ids, dtype=np.intp)
+        signatures = directory.signature[rows]
+        buckets = directory.buckets[rows]
+        signatures[absent], buckets[absent] = self.index.probe_columns(
+            [keys[i] for i in absent]
+        )
+        return signatures, buckets
 
     # ------------------------------------------------------------ primitives
     # These are what the pipeline's fine-grained tasks call.
 
     def index_search(self, key: bytes) -> list[int]:
         """IN/Search: candidate locations by signature."""
-        candidates, _ = self.index.search(key)
-        return candidates
+        if not self._prehashed:
+            return self.index.search(key)[0]
+        return self.index.search_prehashed(*self.spec(key))[0]
 
     def key_compare(self, key: bytes, candidates: list[int]) -> int | None:
         """KC: verify the full key against candidate objects.
@@ -171,9 +355,10 @@ class KVStore:
 
     def allocate(self, key: bytes, value: bytes) -> SetOutcome:
         """MM: place a new object, evicting/replacing as needed."""
+        directory = self.directory
         replaced = None
         replaced_location: int | None = None
-        old_location = self._key_location.get(key)
+        old_location = directory.location_of(key)
         if old_location is not None and old_location in self.heap:
             replaced = self.heap.free(old_location)
             replaced_location = old_location
@@ -188,13 +373,15 @@ class KVStore:
                 # The old version is already freed: drop every reference
                 # to it so a later GET misses instead of resolving a
                 # dangling handle through the stale mapping.
-                self._key_location.pop(key, None)
                 self.index_delete(key, replaced_location)
+                directory.retire(key)
             raise
         evicted_location: int | None = None
         if evicted is not None:
-            evicted_location = self._key_location.pop(evicted.key, None)
-        self._key_location[key] = location
+            evicted_location = directory.retire(evicted.key)
+        if not directory.place(key, location):
+            spec = self.index.probe(key) if self._prehashed else (0, ())
+            directory.add(key, *spec, location)
         return SetOutcome(
             location=location,
             evicted=evicted,
@@ -205,11 +392,15 @@ class KVStore:
 
     def index_insert(self, key: bytes, location: int) -> int:
         """IN/Insert: add the new entry; returns buckets written."""
-        return self.index.insert(key, location)
+        if not self._prehashed:
+            return self.index.insert(key, location)
+        return self.index.insert_prehashed(*self.spec(key), location)
 
     def index_delete(self, key: bytes, location: int | None = None) -> bool:
         """IN/Delete: drop an index entry (for evicted/replaced/deleted keys)."""
-        return self.index.delete(key, location)
+        if not self._prehashed:
+            return self.index.delete(key, location)
+        return self.index.delete_prehashed(*self.spec(key), location)
 
     # ------------------------------------------------------- bulk primitives
     # Whole-batch forms of the primitives above, used by the engine layer
@@ -217,24 +408,34 @@ class KVStore:
     # instead of one cross-module call per query.  Each is semantically
     # exactly N applications of its scalar counterpart, in order.
     #
-    # The index-touching bulk operations route probe specs (signature +
-    # candidate buckets) through the index's persistent probe cache, so a
-    # hot key is hashed once ever rather than once per operation — the
-    # columnar analogue of Mega-KV computing signatures during packet
-    # processing and shipping them with the job.  Alternative index
-    # implementations without the prehashed interface fall back to their
-    # scalar operations, so the engine works against any index.
+    # The index-touching bulk operations take the rows' probe specs from
+    # the window's one resolve (window_specs) when the engine passes them,
+    # else from the key directory, hashing only absent keys — the columnar
+    # analogue of Mega-KV computing signatures during packet processing and
+    # shipping them with the job.  An index without the prehashed interface
+    # runs its scalar operations, so the engine works against any index.
 
-    def multi_index_search(self, keys: list[bytes]) -> list[list[int]]:
-        """Bulk IN/Search: candidate locations per key, in input order."""
-        multi = getattr(self.index, "multi_search", None)
-        if multi is not None:
-            return multi(keys)
-        search = self.index.search
-        return [search(key)[0] for key in keys]
+    def _specs(self, keys) -> tuple[list[int], list[list[int]]]:
+        specs = list(map(self.spec, keys))
+        return [signature for signature, _ in specs], [buckets for _, buckets in specs]
+
+    def multi_index_search(
+        self, keys: list[bytes], specs: tuple[list[int], list[list[int]]] | None = None
+    ) -> list[list[int]]:
+        """Bulk IN/Search: candidate locations per key, in input order.
+
+        ``specs`` is ``(signatures, buckets)`` aligned with ``keys``.
+        """
+        if not self._prehashed:
+            search = self.index.search
+            return [search(key)[0] for key in keys]
+        return self.index.multi_search_prehashed(*(specs or self._specs(keys)))
 
     def multi_allocate_columns(
-        self, keys: list[bytes], values: list[bytes]
+        self,
+        keys: list[bytes],
+        values: list[bytes],
+        specs: tuple[np.ndarray, np.ndarray] | None,
     ) -> tuple[list[int], list[int | None], list[bool]] | None:
         """Columnar MM over parallel key/value columns (bulk-heap fast path).
 
@@ -249,6 +450,13 @@ class KVStore:
         those need no pending index work at all.  No per-item
         :class:`SetOutcome` is built, and ``evicted`` is structurally
         ``None`` (the arena defers eviction to the compaction barrier).
+
+        ``specs`` are the keys' ``(signatures, buckets)`` columns from
+        :meth:`window_specs` (``None`` exactly when the index takes no
+        specs).  Replace detection is the directory's ``location`` column:
+        a SET replaces where its key's row holds a location, revives a
+        retired row, and gives a key with no row a new one, whose spec is
+        written from ``specs`` in one scatter after the loop.
 
         Returns ``None`` for an empty run, when the heap has no bulk
         allocator (the slab oracle), or when an item exceeds the heap
@@ -266,23 +474,39 @@ class KVStore:
         ):
             return None
         locations = bulk(keys, values)
-        key_location = self._key_location
-        key_location_get = key_location.get
+        directory = self.directory
+        ids_get = directory.ids.get
+        claim = directory.claim
+        revive = directory.revive
+        location_col = directory._loc
         discard = self.heap.discard
-        index = self.index
-        probe = getattr(index, "probe_cached", None)
-        reassign = (
-            getattr(index, "reassign_prehashed", None) if probe is not None else None
-        )
+        if specs is None:
+            reassign = None
+            signatures = buckets = repeat(None)
+        else:
+            reassign = self.index.reassign_prehashed
+            signatures, buckets = specs[0].tolist(), specs[1].tolist()
+        rows: list[int] = []
         replaced: list[int | None] = []
         settled: list[bool] = []
+        rowappend = rows.append
         rappend = replaced.append
         sappend = settled.append
-        for key, location in zip(keys, locations):
-            old_location = key_location_get(key)
-            if old_location is not None and discard(old_location) is not None:
+        for key, location, signature, candidates in zip(keys, locations, signatures, buckets):
+            row = ids_get(key)
+            if row is None:
+                row = claim(key)
+                location_col = directory._loc  # a claim may grow the columns
+                old_location = EMPTY
+            else:
+                old_location = location_col[row]
+                if old_location == EMPTY:
+                    revive(row)
+            location_col[row] = location
+            rowappend(row)
+            if old_location != EMPTY and discard(old_location) is not None:
                 if reassign is not None and reassign(
-                    *probe(key), old_location, location
+                    signature, candidates, old_location, location
                 ):
                     rappend(None)
                     sappend(True)
@@ -292,35 +516,42 @@ class KVStore:
             else:
                 rappend(None)
                 sappend(False)
-            key_location[key] = location
+        if specs is not None:
+            # New rows take their specs here; every other row gets its own
+            # spec again.
+            directory.signature[rows] = specs[0]
+            directory.buckets[rows] = specs[1]
         return locations, replaced, settled
 
-    def multi_index_insert(self, entries: list[tuple[bytes, int]]) -> int:
-        """Bulk IN/Insert: apply entries in order; returns buckets written."""
-        index = self.index
-        probe = getattr(index, "probe_cached", None)
-        if probe is None:
-            insert = index.insert
+    def multi_index_insert(
+        self,
+        entries: list[tuple[bytes, int]],
+        specs: tuple[list[int], list[list[int]]] | None = None,
+    ) -> int:
+        """Bulk IN/Insert: apply entries in order; returns buckets written.
+
+        ``specs`` is ``(signatures, buckets)`` aligned with ``entries``.
+        """
+        if not self._prehashed:
+            insert = self.index.insert
             return sum(insert(key, location) for key, location in entries)
-        insert = index.insert_prehashed
-        buckets = 0
-        for key, location in entries:
-            signature, candidates = probe(key)
-            buckets += insert(signature, candidates, location)
-        return buckets
+        signatures, buckets = specs or self._specs([key for key, _ in entries])
+        insert = self.index.insert_prehashed
+        written = 0
+        for (_, location), signature, candidates in zip(entries, signatures, buckets):
+            written += insert(signature, candidates, location)
+        return written
 
     def multi_index_delete(self, entries: list[tuple[bytes, int | None]]) -> int:
         """Bulk IN/Delete: apply entries in order; returns entries removed."""
-        index = self.index
-        probe = getattr(index, "probe_cached", None)
-        if probe is None:
-            delete = index.delete
+        if not self._prehashed:
+            delete = self.index.delete
             return sum(bool(delete(key, location)) for key, location in entries)
-        delete = index.delete_prehashed
+        delete = self.index.delete_prehashed
+        spec = self.spec
         removed = 0
         for key, location in entries:
-            signature, candidates = probe(key)
-            if delete(signature, candidates, location):
+            if delete(*spec(key), location):
                 removed += 1
         return removed
 
@@ -352,7 +583,7 @@ class KVStore:
     def delete(self, key: bytes) -> bool:
         """Full DELETE: remove from heap and index."""
         self.stats.deletes += 1
-        location = self._key_location.pop(key, None)
+        location = self.directory.retire(key)
         if location is None or location not in self.heap:
             return False
         self.heap.free(location)
@@ -398,7 +629,7 @@ class KVStore:
         Compaction is log-arena only (a no-op on an injected slab, which
         never defers work).  It evicts whole least-recently-touched segments
         while the live set exceeds the budget; every evicted record gets
-        its index Delete and key-location unmapping here — the aggregate
+        its index Delete and its directory row retired here — the aggregate
         settlement of the paper's one-Insert-one-Delete SET accounting
         (§II-C2).
         """
@@ -416,11 +647,12 @@ class KVStore:
         stats = heap.stats
         before = (stats.compactions, stats.relocations, stats.relocated_bytes)
         evicted = compact()
+        directory = self.directory
         for location, record in evicted:
             key = record.key
-            if self._key_location.get(key) == location:
-                del self._key_location[key]
             self.index_delete(key, location)
+            if directory.location_of(key) == location:
+                directory.retire(key)
         if registry is not None and stats.compactions > before[0]:
             registry.histogram(
                 "repro_maintenance_ns",

@@ -267,36 +267,6 @@ class TestBulkStoreOps:
         assert all(store.index_search(k) == [] for k, _ in entries)
 
 
-class TestProbeCache:
-    def test_probe_matches_fresh_hashing(self):
-        store = KVStore(memory_bytes=1 << 20, expected_objects=512)
-        index = store.index
-        for key in (b"a", b"hot-key", b"x" * 40):
-            assert index.probe_cached(key) == index.probe(key)
-            # second lookup is served from the cache, same spec object
-            assert index.probe_cached(key) is index.probe_cached(key)
-
-    def test_cache_bounded(self):
-        store = KVStore(memory_bytes=1 << 20, expected_objects=512)
-        index = store.index
-        index._probe_cache_cap = 8
-        for i in range(30):
-            index.probe_cached(f"k{i}".encode())
-        assert len(index._probe_cache) <= 8
-
-    def test_cache_evicts_least_recently_used(self):
-        """Hot keys survive churn: a re-touched key outlives colder ones."""
-        store = KVStore(memory_bytes=1 << 20, expected_objects=512)
-        index = store.index
-        index._probe_cache_cap = 4
-        for i in range(4):
-            index.probe_cached(f"k{i}".encode())
-        index.probe_cached(b"k0")  # refresh the oldest entry
-        index.probe_cached(b"k-new")  # forces one eviction
-        assert b"k0" in index._probe_cache  # refreshed, kept
-        assert b"k1" not in index._probe_cache  # now the LRU, evicted
-
-
 # ------------------------------------------------------------------ backends
 
 

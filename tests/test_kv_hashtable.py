@@ -161,7 +161,7 @@ class TestReassign:
     def test_reassign_moves_entry_in_place(self):
         table = make_table()
         table.insert(b"alpha", 7)
-        assert table.reassign_prehashed(*table.probe_cached(b"alpha"), 7, 42)
+        assert table.reassign_prehashed(*table.probe(b"alpha"), 7, 42)
         candidates, _ = table.search(b"alpha")
         assert 42 in candidates
         assert 7 not in candidates
@@ -172,7 +172,7 @@ class TestReassign:
         table = make_table()
         table.insert(b"k", 1)
         inserts, deletes = table.stats.inserts, table.stats.deletes
-        assert table.reassign_prehashed(*table.probe_cached(b"k"), 1, 2)
+        assert table.reassign_prehashed(*table.probe(b"k"), 1, 2)
         assert table.stats.inserts == inserts + 1
         assert table.stats.deletes == deletes + 1
         assert table.stats.reassigns == 1
@@ -181,7 +181,7 @@ class TestReassign:
         table = make_table()
         table.insert(b"k", 1)
         stats_before = (table.stats.inserts, table.stats.deletes)
-        assert not table.reassign_prehashed(*table.probe_cached(b"k"), 999, 2)
+        assert not table.reassign_prehashed(*table.probe(b"k"), 999, 2)
         assert (table.stats.inserts, table.stats.deletes) == stats_before
         candidates, _ = table.search(b"k")
         assert candidates == [1]
@@ -190,7 +190,7 @@ class TestReassign:
         table = make_table()
         table.insert(b"k", 1)
         with pytest.raises(ConfigurationError):
-            table.reassign_prehashed(*table.probe_cached(b"k"), 1, -3)
+            table.reassign_prehashed(*table.probe(b"k"), 1, -3)
 
     def test_reassign_leaves_signature_colliders_alone(self):
         """Only the (signature, old_location) entry moves; another entry
@@ -198,16 +198,9 @@ class TestReassign:
         table = make_table()
         table.insert(b"dup", 1)
         table.insert(b"dup", 2)
-        assert table.reassign_prehashed(*table.probe_cached(b"dup"), 1, 9)
+        assert table.reassign_prehashed(*table.probe(b"dup"), 1, 9)
         candidates, _ = table.search(b"dup")
         assert sorted(candidates) == [2, 9]
-
-    def test_scalar_ops_warm_the_probe_cache(self):
-        """Scalar insert/search/delete route through the persistent probe
-        cache, so a populated table serves prehashed batches hash-free."""
-        table = make_table()
-        table.insert(b"warm", 3)
-        assert b"warm" in table._probe_cache
 
 
 class TestDisplacement:

@@ -569,7 +569,7 @@ class TestStoreOnLogArena:
         for key in keys:
             value = store.get(key)
             if value is None:
-                assert key not in store._key_location
+                assert key not in store.directory
             else:
                 assert value == b"x" * 100
                 hits += 1
@@ -598,7 +598,7 @@ class TestStaleMappingRegression:
             store.set(b"k", b"x" * (2 << 20))  # exceeds the whole budget
         # The old version was freed before the allocation failed: every
         # reference must be gone, not left dangling at a freed location.
-        assert b"k" not in store._key_location
+        assert b"k" not in store.directory
         assert store.key_compare(b"k", store.index_search(b"k")) is None
         assert store.get(b"k") is None
         # And the store still works for that key afterwards.

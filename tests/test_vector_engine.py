@@ -1,7 +1,9 @@
 """VectorEngine: hash-kernel exactness, slot-array search, equivalence."""
 
 import dataclasses
+import gc
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -358,15 +360,31 @@ def test_both_search_kernels_match_reference(raw):
 _ORACLE_VALUE_BYTES = (0, 9, 300_000)
 
 
+def live_locations(store: KVStore) -> dict[bytes, int]:
+    """The log arena's own ``key -> location`` map, read off its records."""
+    return {record.key: location for location, record in store.heap._entries.items()}
+
+
+def assert_directory_is_live(store: KVStore) -> None:
+    """The key directory's live rows are exactly the live keys, and each
+    such row's ``location`` column is the key's live location."""
+    directory = store.directory
+    live = live_locations(store)
+    rows = {key: int(directory.location[row]) for key, row in directory.ids.items()}
+    assert {key: loc for key, loc in rows.items() if loc != EMPTY} == live
+    assert len(directory) == len(live)
+
+
 def missed_by_search(store: KVStore, kernel: str) -> list[bytes]:
-    """Keys of ``store._key_location`` whose location Search on ``kernel``
-    does not return among the key's candidates."""
-    expected = dict(store._key_location)
+    """Live keys whose location Search on ``kernel`` does not return among
+    the key's candidates."""
+    expected = live_locations(store)
     keys = list(expected)
     engine = VectorEngine()
     engine.costs = ForcedKernel(kernel)
     plane = BatchPlane(QueryColumns.from_queries([Query(QueryType.GET, k) for k in keys]))
     plane.scratch = _VectorScratch()
+    plane.scratch.specs = store.window_specs(plane.keys)
     engine._pass_search(store, plane, plane.search_indices)
     found = {row: [loc] for row, loc in zip(plane.scratch.hit_rows, plane.scratch.hit_locs)}
     found.update(plane.scratch.multi_hits)
@@ -390,10 +408,12 @@ def missed_by_search(store: KVStore, kernel: str) -> list[bytes]:
     )
 )
 def test_search_finds_every_mapped_key_through_windows_and_compaction(windows):
-    """An oracle that shares no code with the table: the store's exact
-    key -> location map.  After every window through a ``DidoSystem`` on a
-    kicked index, and after a compaction forced between windows, both
-    Search kernels find every mapped key at its location."""
+    """An oracle that shares no code with the table or the key directory:
+    the log arena's own records.  After every window through a
+    ``DidoSystem`` on a kicked index, and after a compaction forced between
+    windows, both Search kernels find every live key at its location, the
+    directory's ``location`` column holds that location, and every key the
+    compaction evicted has no live directory row."""
     # The prefill spans two 1 MiB log segments and nearly fills the budget.
     system = DidoSystem(memory_bytes=5 << 18, expected_objects=128, engine="vector")
     store = system.store
@@ -411,11 +431,16 @@ def test_search_finds_every_mapped_key_through_windows_and_compaction(windows):
         )
         for kernel in KERNELS:
             assert missed_by_search(store, kernel) == [], kernel
+        assert_directory_is_live(store)
+        before = set(live_locations(store))
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(LogValueArena, "needs_maintenance", property(lambda arena: True))
             system.maintain()
         for kernel in KERNELS:
             assert missed_by_search(store, kernel) == [], kernel
+        assert_directory_is_live(store)
+        evicted = before - set(live_locations(store))
+        assert not any(key in store.directory for key in evicted)
 
 
 # ------------------------------------------------------ window probe specs
@@ -437,14 +462,13 @@ def fresh_key_window(num_keys: int = 48, repeats: int = 16) -> list[Query]:
 
 
 class TestWindowProbeSpecs:
-    """The vector engine hashes a window's fresh keys in one columnar pass
-    before its first phase, so no pass probes a key scalar."""
+    """The vector engine resolves every row's probe spec once per window:
+    live keys from the key directory's columns, absent keys hashed in one
+    columnar pass, so no pass probes a key scalar."""
 
     @staticmethod
-    def serve(engine: str, window: list[Query], cache_cap: int | None = None):
+    def serve(engine: str, window: list[Query]):
         store = KVStore(memory_bytes=1 << 20, expected_objects=512)
-        if cache_cap is not None:
-            store.index._probe_cache_cap = cache_cap
         result = FunctionalPipeline(store, engine=engine).process_batch(
             megakv_coupled_config(), window
         )
@@ -466,19 +490,75 @@ class TestWindowProbeSpecs:
         served, store = self.serve("vector", window)
         monkeypatch.undo()
         assert probed == []
-        cache = store.index._probe_cache
-        assert set(cache) == {q.key for q in window}
-        assert all(spec == store.index.probe(key) for key, spec in cache.items())
+        directory = store.directory
+        # Every SET key holds a row (the deleted one retired); the misses
+        # hold none.
+        set_keys = {q.key for q in window if q.qtype is QueryType.SET}
+        deleted = b"fresh-%026d" % 3
+        assert set(directory.ids) == set_keys
+        assert {key for key in set_keys if key in directory} == set_keys - {deleted}
+        for key, row in directory.ids.items():
+            spec = (int(directory.signature[row]), directory.buckets[row].tolist())
+            assert spec == store.index.probe(key)
         assert served == expected
         assert store.stats == reference.stats
         assert store.index.stats == reference.index.stats
 
-    def test_window_larger_than_the_cache_stays_capped(self):
-        window = fresh_key_window(num_keys=20, repeats=4)
-        expected, _ = self.serve("reference", window)
-        served, store = self.serve("vector", window, cache_cap=8)
-        assert len(store.index._probe_cache) <= 8
-        assert served == expected
+    def test_rows_in_use_stay_the_live_keys_under_churn(self):
+        """The bound the directory keeps without a cap: under churn of
+        SETs, DELETEs, arena evictions and GETs of keys never SET, the rows
+        in use are exactly the live keys, a miss leaves no row, a freed id
+        is reused, and the columns never outgrow the peak live set."""
+        rng = random.Random(7)
+        # Room for about 40 values of 30 KB: the post-batch barrier evicts.
+        system = DidoSystem(memory_bytes=5 << 18, expected_objects=64, engine="vector")
+        store = system.store
+        directory = store.directory
+        live: list[bytes] = []
+        fresh = (b"churn-%05d" % i for i in range(100_000))
+        for step in range(60):
+            window = [Query(QueryType.SET, next(fresh), b"v" * 30_000) for _ in range(8)]
+            window += [Query(QueryType.DELETE, key) for key in rng.sample(live, min(3, len(live)))]
+            window += [Query(QueryType.GET, b"never-%05d" % (step * 8 + i)) for i in range(8)]
+            window += [Query(QueryType.GET, key) for key in live[-4:]]
+            system.process(window)
+            assert_directory_is_live(store)
+            assert not any(key.startswith(b"never-") for key in directory.ids)
+            live = list(live_locations(store))
+        assert store.heap.stats.evictions > 0
+        assert store.stats.delete_hits > 0
+        assert directory.rows == 64  # 480 keys SET, never more than 64 live
+        # A freed id goes to the next key that holds none.
+        key = live[0]
+        row = directory.ids[key]
+        assert store.delete(key)
+        store.set(b"reuses-the-row", b"v")
+        assert directory.ids[b"reuses-the-row"] == row
+        assert key not in directory.ids
+        # The scalar SET wrote the new holder's spec over the old one.
+        assert directory.spec(row) == store.index.probe(b"reuses-the-row")
+
+    def test_store_growth_is_the_data_plus_the_directory_columns(self):
+        """32 windows of 1,024 fresh K16/V64 SETs grow the store by the
+        values, the records and one directory row per key — not by a
+        per-key Python probe spec beside them (20.1 MB with one)."""
+        windows = [
+            [Query(QueryType.SET, b"%016d" % (w * 1024 + i), b"v" * 64) for i in range(1024)]
+            for w in range(32)
+        ]
+        system = DidoSystem(engine="vector")
+        tracemalloc.start()
+        try:
+            before, _ = tracemalloc.get_traced_memory()
+            for window in windows:
+                system.process(window)
+            del windows
+            gc.collect()
+            after, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(system.store) == 32 * 1024
+        assert after - before <= 13_000_000
 
 
 class TestSearchTimer:
