@@ -334,7 +334,7 @@ def test_both_search_kernels_match_reference(raw):
     reference — after a forced cuckoo kick — and both leave identical
     store and index counters behind."""
     batches = stream_batches(raw) + skewed_repeat_batches(batches=2)
-    # Keys the probe cache has not seen, SET twice, deleted and read.
+    # Keys that hold no directory row, SET twice, deleted and read.
     batches.append(fresh_key_window(num_keys=12, repeats=4))
     # Every prefilled key once more, so kick-displaced entries are read.
     batches.append([Query(QueryType.GET, key) for key in _FILL_KEYS])
@@ -537,6 +537,14 @@ class TestWindowProbeSpecs:
         assert key not in directory.ids
         # The scalar SET wrote the new holder's spec over the old one.
         assert directory.spec(row) == store.index.probe(b"reuses-the-row")
+        # A window with more fresh keys than the directory has rows grows
+        # the columns inside MM's loop and still answers every GET.
+        grow = [b"grow-%03d" % i for i in range(100)]
+        system.process([Query(QueryType.SET, key, key) for key in grow])
+        result = system.process([Query(QueryType.GET, key) for key in grow])
+        assert result.response_values == grow
+        assert directory.rows // 2 < len(directory) <= directory.rows
+        assert_directory_is_live(store)
 
     def test_store_growth_is_the_data_plus_the_directory_columns(self):
         """32 windows of 1,024 fresh K16/V64 SETs grow the store by the
