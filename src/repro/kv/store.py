@@ -307,18 +307,16 @@ class KVStore:
             return None
         directory = self.directory
         ids = list(map(directory.ids.get, keys, repeat(-1)))
-        if -1 not in ids:
-            rows = np.array(ids, dtype=np.intp)
-            return directory.signature[rows], directory.buckets[rows]
-        absent = [i for i, row in enumerate(ids) if row < 0]
-        if len(absent) == len(keys):
+        absent = [i for i, row in enumerate(ids) if row < 0] if -1 in ids else []
+        if absent and len(absent) == len(keys):
             return self.index.probe_columns(keys)
         rows = np.array(ids, dtype=np.intp)
         signatures = directory.signature[rows]
         buckets = directory.buckets[rows]
-        signatures[absent], buckets[absent] = self.index.probe_columns(
-            [keys[i] for i in absent]
-        )
+        if absent:
+            signatures[absent], buckets[absent] = self.index.probe_columns(
+                [keys[i] for i in absent]
+            )
         return signatures, buckets
 
     # ------------------------------------------------------------ primitives
