@@ -351,16 +351,14 @@ class HostCostModel:
     the idle kernel's (the windows grew fifty-fold) that kernel runs the
     window instead of being extrapolated, so a change of regime is
     measured on both kernels within two windows.  Nothing else decides: no
-    size threshold, flag or environment variable.
-
-    :meth:`observe_key_size` (called with each closed profile window's
-    average key size) drops the Search fits when the key size moves past
-    the re-plan threshold.
+    size threshold, flag or environment variable.  A shift in key size
+    keeps the fits: neither Search kernel hashes a key (the window's specs
+    are resolved before Search and timed as IN), so their lines do not
+    scale with key bytes.
     """
 
     def __init__(self) -> None:
         self._passes: dict[str, _PassCosts] = {}
-        self._key_size: float | None = None
 
     def fit(self, pass_name: str, kernel: str) -> LineFit:
         """The fit of one (pass, kernel), created empty on first use.  Its
@@ -406,16 +404,6 @@ class HostCostModel:
         if fit.samples < BOOTSTRAP_SAMPLES or elapsed_us <= 0.0:
             return None
         return abs(fit.a + fit.b * n - elapsed_us) / elapsed_us
-
-    def observe_key_size(self, avg_key_size: float) -> None:
-        """Drop the Search fits when the profiled key size has moved more
-        than the re-plan threshold from the size they were fitted at."""
-        fitted_at = self._key_size
-        if fitted_at is None:
-            self._key_size = avg_key_size
-        elif _relative_change(avg_key_size, fitted_at, _KEY_SIZE_FLOOR) > CHANGE_THRESHOLD:
-            self._key_size = avg_key_size
-            self._passes.pop(SEARCH_PASS, None)
 
     def summary(self) -> dict[str, dict]:
         """The audit trail of the current fits, JSON-ready: per pass, each
@@ -569,7 +557,6 @@ class WorkloadProfiler:
             batch_queries=total,
             insert_buckets=self._last_insert_buckets,
         )
-        self.host_costs.observe_key_size(profile.avg_key_size)
         telemetry = get_telemetry()
         if telemetry.enabled:
             gauges = {

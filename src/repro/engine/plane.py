@@ -79,8 +79,8 @@ class BatchPlane:
         self.opcodes = batch.opcodes
         self.candidates: list = [NO_CANDIDATES] * n
         self.locations: list[int | None] = [None] * n
-        #: GET hits' values; None on every other row.
-        self.read_values: list[bytes | None] = [None] * n
+        #: GET hits' values (each record's ``view``); None on every other row.
+        self.read_values: list[bytes | memoryview | None] = [None] * n
         #: Raw wire status code per row, written by the pass that answers
         #: it (Delete for DELETE rows, WR for the rest).
         self.statuses: list[int | None] = [None] * n

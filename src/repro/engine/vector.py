@@ -44,7 +44,9 @@ each other on the plane's :class:`_VectorScratch`:
   ``search_bucket_reads`` identically.  An index without slot arrays (the
   chained-hash alternative) has only the scalar kernel.
 * **KC / RD** — one row loop each over the hits: key-compare touches only
-  rows with candidates, RD only locations that passed it.
+  rows with candidates, RD only locations that passed it.  RD copies no
+  value: each record's ``view`` (a read-only slice of its log segment)
+  goes in ``read_values``, and the framer's one join copies it.
 * **WR** — the status-code column filled per query-type subset, next to
   the ``read_values`` column RD filled; the wire framer reads those two
   columns.  One kernel, a row loop: the consumer wants Python lists, and
@@ -387,16 +389,8 @@ class VectorEngine:
             if probe < num_hashes:
                 buckets = row_buckets[remaining, probe]
             else:
-                twins = index.displaced_buckets
-                candidates = row_buckets[remaining].tolist()
-                buckets = np.array(
-                    [
-                        twins(signature, row)
-                        for signature, row in zip(
-                            signatures[remaining].tolist(), candidates
-                        )
-                    ],
-                    dtype=np.intp,
+                buckets = index.displaced_bucket_columns(
+                    signatures[remaining], row_buckets[remaining]
                 )
                 reads[remaining] = 2 * num_hashes
             sig_slots = index.signatures[buckets].reshape(remaining.size, -1)
@@ -491,7 +485,7 @@ class VectorEngine:
             if obj is None:
                 continue
             obj.record_access(epoch, touched, loc)
-            read_values[row] = obj.value
+            read_values[row] = obj.view
             value_rows.append(row)
 
     # ------------------------------------------------------------------- WR

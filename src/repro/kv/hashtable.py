@@ -45,6 +45,7 @@ import numpy as _np
 
 from repro.errors import CapacityError, ConfigurationError
 from repro.kv.objects import _SIGNATURE_MASK, fnv1a64, fnv_hash_columns, key_signature
+from repro.kv.objects import _FNV_OFFSET, _FNV_PRIME
 
 #: Slots per bucket; 4-way set-associativity is the common choice in
 #: Mega-KV-like stores (one bucket per 32-byte index line on the GPU).
@@ -194,6 +195,18 @@ class CuckooHashTable:
         """
         delta = fnv1a64(signature.to_bytes(4, "little")) & self._mask
         return [bucket ^ delta for bucket in buckets]
+
+    def displaced_bucket_columns(self, signatures, buckets):
+        """:meth:`displaced_buckets` of many rows in one NumPy pass: row
+        ``i`` of the result is ``displaced_buckets(signatures[i],
+        buckets[i])`` — FNV-1a over each signature's four little-endian
+        bytes, masked and XORed into its row of ``buckets``."""
+        words = signatures.astype(_np.uint64)
+        delta = _np.full(len(words), _FNV_OFFSET, dtype=_np.uint64)
+        for shift in (0, 8, 16, 24):
+            byte = (words >> _np.uint64(shift)) & _np.uint64(0xFF)
+            delta = (delta ^ byte) * _np.uint64(_FNV_PRIME)
+        return buckets ^ (delta & _np.uint64(self._mask)).astype(buckets.dtype)[:, None]
 
     def probe(self, key: bytes) -> tuple[int, list[int]]:
         """Precomputed probe spec: ``(signature, candidate bucket indices)``.

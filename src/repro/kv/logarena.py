@@ -53,6 +53,12 @@ the arena at every barrier, and on a uniform stream the deadest segment is
 then still ~70 % live when its turn comes (see ``docs/architecture.md``,
 "Value storage").
 
+**One copy per value.**  A value lives only in its segment buffer: the
+read pass hands the wire framer read-only views of it (:attr:`LogRecord.view`)
+and only the public edges copy it into ``bytes``.  Bytes below a segment's
+write position are never rewritten, and a view keeps a dropped segment's
+buffer alive, so a view handed out stays valid.
+
 Locations are stable integer handles exactly like the slab's, so the store
 and every engine backend work unchanged on either heap.
 """
@@ -65,7 +71,7 @@ from dataclasses import dataclass
 from itertools import accumulate, compress
 
 from repro.errors import CapacityError, ConfigurationError
-from repro.kv.objects import KVObject, drain_touched, key_signature
+from repro.kv.objects import KVObject, drain_touched
 
 #: Default segment capacity (value bytes per segment).
 DEFAULT_SEGMENT_BYTES = 1 << 20
@@ -103,12 +109,15 @@ class _Segment:
     batch plane already materialised, referenced from the records.
     ``locations`` lists every location ever written here, so the record at
     ``loc`` is live in this segment iff ``probe(loc).segment is self``.
+    ``view`` is a read-only ``memoryview`` of the buffer, made once; the
+    read pass hands out slices of it.
     """
 
-    __slots__ = ("buf", "wpos", "acct_used", "acct_live", "last_touch", "locations")
+    __slots__ = ("buf", "view", "wpos", "acct_used", "acct_live", "last_touch", "locations")
 
     def __init__(self, buf: bytearray, wpos: int = 0):
         self.buf = buf
+        self.view = memoryview(buf).toreadonly()
         self.wpos = wpos
         self.acct_used = 0
         self.acct_live = 0
@@ -120,12 +129,13 @@ class LogRecord:
     """One live (or just-tombstoned) key-value record in the arena.
 
     Interface-compatible with :class:`~repro.kv.objects.KVObject` where the
-    store and engines touch it: ``key``/``value`` payloads, the profiler's
-    ``access_count``/``sample_epoch`` counters with :meth:`record_access`,
-    ``size_bytes`` and a (lazily computed) ``signature``.  Value bytes are
-    cached on first materialisation; a record returned by ``free`` keeps a
-    reference to its segment, so its value stays readable even after the
-    compactor drops the segment from the arena.
+    store and engines touch it: ``key``/``value`` payloads, the ``view``
+    read accessor, the profiler's ``access_count``/``sample_epoch``
+    counters with :meth:`record_access` and ``size_bytes``.  The segment
+    buffer is the only copy of the value: ``view`` is a zero-copy slice of
+    it, ``value`` a ``bytes`` copy made on each call.  A record returned by
+    ``free`` keeps a reference to its segment, so its value stays readable
+    even after the compactor drops the segment from the arena.
     """
 
     __slots__ = (
@@ -135,7 +145,6 @@ class LogRecord:
         "vlen",
         "access_count",
         "sample_epoch",
-        "_value",
     )
 
     def __init__(self, key: bytes, segment: _Segment, offset: int, vlen: int):
@@ -145,25 +154,19 @@ class LogRecord:
         self.vlen = vlen
         self.access_count = 0
         self.sample_epoch = -1
-        self._value: bytes | None = None
+
+    @property
+    def view(self) -> memoryview:
+        offset = self.offset
+        return self.segment.view[offset : offset + self.vlen]
 
     @property
     def value(self) -> bytes:
-        value = self._value
-        if value is None:
-            value = bytes(
-                memoryview(self.segment.buf)[self.offset : self.offset + self.vlen]
-            )
-            self._value = value
-        return value
+        return bytes(self.view)
 
     @property
     def size_bytes(self) -> int:
         return len(self.key) + self.vlen
-
-    @property
-    def signature(self) -> int:
-        return key_signature(self.key)
 
     #: Same counter+timestamp scheme, same first-touch log.
     record_access = KVObject.record_access
@@ -308,11 +311,9 @@ class LogValueArena:
             )
         self._tick += 1
         segment, offset = self._append(value, vlen)
-        record = LogRecord(key, segment, offset, vlen)
-        record._value = value
         location = self._next_location
         self._next_location = location + 1
-        self._entries[location] = record
+        self._entries[location] = LogRecord(key, segment, offset, vlen)
         segment.locations.append(location)
         segment.acct_used += size
         segment.acct_live += size
@@ -381,9 +382,7 @@ class LogValueArena:
                         f"{budget} B"
                     )
                 segment, offset = self._append(value, vlen)
-                record = LogRecord(key, segment, offset, vlen)
-                record._value = value
-                entries[location] = record
+                entries[location] = LogRecord(key, segment, offset, vlen)
                 locations.append(location)
                 segment.locations.append(location)
                 location += 1
@@ -406,11 +405,8 @@ class LogValueArena:
             append = locations.append
             head.locations.extend(range(location, location + j - i))
             for k in range(i, j):
-                value = values[k]
-                vlen = len(value)
-                record = LogRecord(keys[k], head, offset, vlen)
-                record._value = value
-                entries[location] = record
+                vlen = len(values[k])
+                entries[location] = LogRecord(keys[k], head, offset, vlen)
                 append(location)
                 location += 1
                 offset += vlen
@@ -563,8 +559,9 @@ class LogValueArena:
         """Copy ``victim``'s live records to the log tail, as runs.
 
         One join and one slice-assign per destination segment, sizes
-        summed once per run — the shape of :meth:`multi_allocate_kv`.  (A
-        jumbo segment never gets here: its single record is either live,
+        summed once per run — the shape of :meth:`multi_allocate_kv`.  The
+        join reads the survivors' bytes as views of the victim's buffer,
+        their only copy.  (A jumbo segment never gets here: its single record is either live,
         leaving nothing to reclaim, or dead, and the segment is dropped.)
         """
         stats = self.stats
@@ -573,13 +570,7 @@ class LogValueArena:
         records: list[LogRecord] = list(compress(found, live))
         locations = list(compress(victim.locations, live))
         stats.scanned += len(found)
-        values = [record._value for record in records]
-        if None in values:  # a record whose write-path cache was dropped
-            source = memoryview(victim.buf)
-            values = [
-                source[r.offset : r.offset + r.vlen] if v is None else v
-                for r, v in zip(records, values)
-            ]
+        values = [record.view for record in records]
         # ends[k] = value bytes of survivors [0, k]; a run is a bisect away.
         ends = list(accumulate([record.vlen for record in records]))
         starts = [0, *ends[:-1]]

@@ -40,9 +40,9 @@ class BatchResult:
     """Outcome of one functional batch: one raw wire status code and one
     value (None on a value-less row) per query, in batch order.
 
-    ``responses`` (one :class:`Response` per row) is a view built on
-    first access and cached: the UDP server encodes and chunks its
-    datagrams straight from the two columns and never reads it.
+    ``responses`` (one :class:`Response` per row, values copied into
+    ``bytes``) is built on first access and cached: the UDP server frames
+    its datagrams straight from the two columns and never reads it.
     """
 
     __slots__ = (
@@ -55,13 +55,13 @@ class BatchResult:
     def __init__(
         self,
         response_statuses: list[int],
-        response_values: list[bytes | None],
+        response_values: list,
         config_label: str,
     ):
         #: Raw wire status codes per response.
         self.response_statuses = response_statuses
-        #: Per-response value bytes (None or empty for value-less
-        #: responses) — the plane's read-value column on an engine's batch.
+        #: Per-response values (None or empty on value-less rows): an engine
+        #: batch's read-value column, so a hit may be a ``memoryview``.
         self.response_values = response_values
         self.config_label = config_label
         self._responses: list[Response] | None = None
@@ -70,7 +70,7 @@ class BatchResult:
     def responses(self) -> list[Response]:
         if self._responses is None:
             self._responses = [
-                Response(ResponseStatus(status), value or b"")
+                Response(ResponseStatus(status), b"" if value is None else bytes(value))
                 for status, value in zip(self.response_statuses, self.response_values)
             ]
         return self._responses

@@ -126,11 +126,12 @@ class ServerStats:
 
 def _scatter(owned, rows, fill) -> list:
     """One response column: ``rows`` at the ``owned`` positions, in order,
-    and ``fill`` everywhere else."""
-    column = np.empty(len(owned), dtype=object)
-    column.fill(fill)
-    column[owned] = rows
-    return column.tolist()
+    and ``fill`` everywhere else.  A plain list walk: NumPy would unpack
+    the value column's ``memoryview`` rows as arrays."""
+    column = [fill] * len(owned)
+    for i, row in zip(np.flatnonzero(owned).tolist(), rows):
+        column[i] = row
+    return column
 
 
 class DidoUDPServer:

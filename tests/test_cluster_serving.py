@@ -273,6 +273,32 @@ class TestOwnedSplit:
                 sock.close()
 
 
+    def test_owned_hits_scatter_as_values_beside_a_redirect(self):
+        """Owned GET hits of equal length (the engine hands them out as
+        views of the heap's bytes, which NumPy would unpack as arrays)
+        keep their values when a misrouted row is scattered between them."""
+        system = DidoSystem(memory_bytes=2 << 20, expected_objects=256)
+        server = DidoUDPServer(("127.0.0.1", 0), system=system)
+        peer = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
+        try:
+            peer.bind(("127.0.0.1", 0))
+            peer.settimeout(5.0)
+            system.process([Query(QueryType.SET, b"k%d" % i, b"value-%d" % i) for i in range(2)])
+            server.ownership = _RowOwnership([1])
+            rows = [Query(QueryType.GET, key) for key in (b"k0", b"elsewhere", b"k1")]
+            window, stops, _ = decode_window([encode_queries(rows)], QueryColumns.open_window())
+            server._process_window(*server._cut_batch(window, [(stops[0], peer.getsockname())]))
+            assert peer.recvfrom(65535)[0] == encode_responses(
+                [
+                    Response(ResponseStatus.OK, b"value-0"),
+                    Response(ResponseStatus.WRONG_NODE, _RowOwnership.redirect_value),
+                    Response(ResponseStatus.OK, b"value-1"),
+                ]
+            )
+        finally:
+            server.stop()
+            peer.close()
+
     def test_failed_owned_window_still_redirects_its_misrouted_rows(self):
         """An owned sub-batch the store cannot apply (fresh SETs past what
         a 128-object index holds) answers its own rows ``ERROR`` and is

@@ -19,11 +19,12 @@ from repro.core.profiler import (
     profile_delta,
     sample_skewness,
 )
+from repro.core.dido import DidoSystem
 from repro.errors import WorkloadError
 from repro.kv.protocol import Query, QueryType, encode_queries
 from repro.net.wire import QueryColumns, decode_payload
 from repro.workloads.distributions import ZipfKeys
-from repro.workloads.ycsb import standard_workload
+from repro.workloads.ycsb import QueryStream, standard_workload
 
 
 def query_rows(gets: int, sets: int, key_size: int = 16, value_size: int = 64):
@@ -362,21 +363,27 @@ class TestHostCostModel:
         assert above.count("scalar") > 0.9 * len(above)
         assert model.summary()["search"]["crossover_rows"] == pytest.approx(CROSSOVER, rel=0.10)
 
-    def test_key_size_shift_resets_search(self):
-        model = HostCostModel()
-        rng = random.Random(4)
-        model.observe_key_size(16.0)
-        drive(model, LINES, 200, rng)
-        model.observe_key_size(17.0)  # +6 %: inside the re-plan threshold
-        assert model.fit("search", "columnar").samples > BOOTSTRAP_SAMPLES
-        model.observe_key_size(32.0)
-        assert model.fit("search", "scalar").samples == 0
-        assert model.fit("search", "columnar").samples == 0
-        # ... and Search bootstraps again.
-        kernels = [k for _, k in drive(model, LINES, 4, rng)]
-        assert kernels == ["scalar", "columnar", "scalar", "columnar"]
-        model.observe_key_size(33.0)  # measured against 32 now, not 16
-        assert model.fit("search", "scalar").samples == 2
+    def test_a_key_size_shift_keeps_the_search_fits(self):
+        """Neither Search kernel hashes a key, so a K16 -> K32 phase change
+        through the vector engine re-plans on the lines already fitted:
+        the fits keep their samples and the re-plan's audit is not empty."""
+        system = DidoSystem(memory_bytes=16 << 20, expected_objects=16384, engine="vector")
+        model = system.profiler.host_costs
+        short = QueryStream(standard_workload("K16-G95-U"), 500, seed=5)
+        for _ in range(12):
+            system.process(short.next_batch(300))
+        kernels = ("scalar", "columnar")
+        before = {kernel: model.fit("search", kernel).samples for kernel in kernels}
+        assert min(before.values()) > 0
+        events = len(system.controller.events)
+        wide = QueryStream(standard_workload("K32-G95-U"), 500, seed=5)
+        for _ in range(12):
+            system.process(wide.next_batch(300))
+        shifted = system.controller.events[events:]
+        assert shifted and shifted[0].host_costs != {}
+        for kernel in kernels:
+            assert shifted[0].host_costs["search"][kernel][2] >= before[kernel]
+            assert model.fit("search", kernel).samples >= before[kernel]
 
     def test_steady_windows_explore_on_a_bounded_schedule(self):
         model = HostCostModel()
@@ -421,16 +428,3 @@ class TestHostCostModel:
         a_us, b_us, samples = summary["search"]["columnar"]
         assert a_us == pytest.approx(120.0, rel=0.15) and b_us == pytest.approx(0.6, rel=0.15)
         assert samples == model.fit("search", "columnar").samples
-
-    def test_profiler_resets_search_when_a_window_closes_on_new_key_sizes(self):
-        profiler = WorkloadProfiler()
-        model = profiler.host_costs
-        profiler.observe_batch(queries(90, 10, key_size=16))
-        profiler.snapshot()
-        drive(model, LINES, 50, random.Random(8))
-        profiler.observe_batch(queries(90, 10, key_size=16))
-        profiler.snapshot()
-        assert model.fit("search", "scalar").samples > 0
-        profiler.observe_batch(queries(90, 10, key_size=32))
-        profiler.snapshot()
-        assert model.fit("search", "scalar").samples == 0

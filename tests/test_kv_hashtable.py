@@ -2,6 +2,7 @@
 
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from repro.errors import CapacityError, ConfigurationError
@@ -349,6 +350,19 @@ class TestKickedEntries:
         twins = table.displaced_buckets(signature, buckets)
         assert all(0 <= twin < table.num_buckets for twin in twins)
         assert table.displaced_buckets(signature, twins) == buckets
+
+    def test_displaced_bucket_columns_match_the_row_walk(self):
+        """The one-pass twins equal ``displaced_buckets`` row for row, for
+        random signatures over the whole 32-bit range and random rows."""
+        table = make_table(buckets=1 << 12)
+        rng = np.random.default_rng(3)
+        signatures = rng.integers(0, 1 << 32, size=500, dtype=np.uint64).astype(np.uint32)
+        buckets = rng.integers(0, table.num_buckets, size=(500, 2), dtype=np.int64)
+        twins = table.displaced_bucket_columns(signatures, buckets)
+        assert twins.tolist() == [
+            table.displaced_buckets(signature, row)
+            for signature, row in zip(signatures.tolist(), buckets.tolist())
+        ]
 
     def test_unkicked_table_probes_only_candidates(self):
         table = make_table(buckets=256)

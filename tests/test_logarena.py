@@ -66,7 +66,6 @@ class TestArenaBasics:
         arena = LogValueArena(1 << 20, segment_bytes=1 << 12)
         location, _ = arena.allocate_kv(b"k", b"payload")
         record = arena.get(location)
-        record._value = None  # drop the write-path cache
         assert record.value == b"payload"
 
     def test_tombstone_keeps_bytes_until_compaction(self):
@@ -79,7 +78,6 @@ class TestArenaBasics:
         assert arena.dead_bytes == len(b"k" b"vvvv")
         # Accounting-only: the segment (and the bytes) are still there.
         assert arena.claimed_bytes == claimed
-        record._value = None
         assert record.value == b"vvvv"
         assert arena.stats.frees == 1
 
@@ -126,7 +124,6 @@ class TestArenaBasics:
         for epoch in (1, 1, 1, 2, 2):
             assert record.record_access(epoch) == obj.record_access(epoch)
         assert record.access_count == 2
-        assert record.signature == obj.signature
         assert record.size_bytes == obj.size_bytes
 
 
@@ -143,7 +140,6 @@ class TestMultiAllocate:
         for (key, value), location in zip(items, locations):
             record = bulk.get(location)
             assert record.key == key
-            record._value = None
             assert record.value == value
         assert bulk.live_bytes == scalar.live_bytes
         assert bulk.stats.allocations == scalar.stats.allocations == 100
@@ -162,7 +158,6 @@ class TestMultiAllocate:
         for key, value, location in zip(keys, values, locations):
             record = arena.get(location)
             assert record.key == key
-            record._value = None
             assert record.value == value
 
     def test_oversize_item_fails_at_position_with_prefix_applied(self):
@@ -202,7 +197,6 @@ class TestCompaction:
         # Survivors keep their locations and bytes through the move.
         for i in (2, 3, 4, 5, 6, 7):
             record = arena.get(locations[i])
-            record._value = None
             assert record.value == bytes([i]) * 64
 
     def test_lightly_dead_segments_left_alone(self):
@@ -302,7 +296,6 @@ class TestCompaction:
         assert not arena.needs_maintenance
         for i in (7, 10, 11):
             record = arena.get(locations[i])
-            record._value = None
             assert record.value == bytes([i]) * 63
 
     def test_pass_examines_only_the_segments_it_rewrites(self):
@@ -358,7 +351,6 @@ class TestCompaction:
         assert len({id(segment) for segment in homes}) == 3  # moved twice
         assert arena.stats.relocations == 2
         assert arena.get(survivor) is record
-        record._value = None
         assert record.value == bytes([3]) * 61
         # The first-touch log names locations, which outlive every move.
         assert arena.drain_touched() == [5]
@@ -428,7 +420,6 @@ class ArenaModel:
             assert record.key == key
             assert any(record.segment is s for s in segments)
             assert location in record.segment.locations
-            record._value = None  # force a read of the segment's bytes
             assert record.value == value
         assert arena.live_bytes == sum(
             len(k) + len(v) for k, (_, v) in self.live.items()
