@@ -196,7 +196,7 @@ class CuckooHashTable:
         delta = fnv1a64(signature.to_bytes(4, "little")) & self._mask
         return [bucket ^ delta for bucket in buckets]
 
-    def displaced_bucket_columns(self, signatures, buckets):
+    def displaced_bucket_columns(self, signatures: _np.ndarray, buckets: _np.ndarray):
         """:meth:`displaced_buckets` of many rows in one NumPy pass: row
         ``i`` of the result is ``displaced_buckets(signatures[i],
         buckets[i])`` — FNV-1a over each signature's four little-endian

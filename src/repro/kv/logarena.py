@@ -559,10 +559,10 @@ class LogValueArena:
         """Copy ``victim``'s live records to the log tail, as runs.
 
         One join and one slice-assign per destination segment, sizes
-        summed once per run — the shape of :meth:`multi_allocate_kv`.  The
-        join reads the survivors' bytes as views of the victim's buffer,
-        their only copy.  (A jumbo segment never gets here: its single record is either live,
-        leaving nothing to reclaim, or dead, and the segment is dropped.)
+        summed once per run — the shape of :meth:`multi_allocate_kv` — over
+        views of the victim's buffer, the survivors' only copy.  (A jumbo
+        segment never gets here: its single record is either live, leaving
+        nothing to reclaim, or dead, and the segment is dropped.)
         """
         stats = self.stats
         found = list(map(self.probe, victim.locations))

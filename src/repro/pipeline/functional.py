@@ -55,7 +55,7 @@ class BatchResult:
     def __init__(
         self,
         response_statuses: list[int],
-        response_values: list,
+        response_values: list[bytes | memoryview | None],
         config_label: str,
     ):
         #: Raw wire status codes per response.
