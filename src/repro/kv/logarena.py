@@ -560,9 +560,12 @@ class LogValueArena:
 
         One join and one slice-assign per destination segment, sizes
         summed once per run — the shape of :meth:`multi_allocate_kv` — over
-        views of the victim's buffer, the survivors' only copy.  (A jumbo
-        segment never gets here: its single record is either live, leaving
-        nothing to reclaim, or dead, and the segment is dropped.)
+        ``bytearray`` slices of the victim's buffer.  Not views: the cycle
+        collector tracks those, and a segment's worth alive at once set it
+        off often enough to make a pass about a third dearer in process;
+        the slices' extra copy costs less than that.  (A jumbo segment
+        never gets here: its single record is either live, leaving nothing
+        to reclaim, or dead, and the segment is dropped.)
         """
         stats = self.stats
         found = list(map(self.probe, victim.locations))
@@ -570,7 +573,8 @@ class LogValueArena:
         records: list[LogRecord] = list(compress(found, live))
         locations = list(compress(victim.locations, live))
         stats.scanned += len(found)
-        values = [record.view for record in records]
+        buf = victim.buf
+        values = [buf[r.offset : r.offset + r.vlen] for r in records]
         # ends[k] = value bytes of survivors [0, k]; a run is a bisect away.
         ends = list(accumulate([record.vlen for record in records]))
         starts = [0, *ends[:-1]]
