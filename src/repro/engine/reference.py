@@ -93,8 +93,6 @@ class ReferenceEngine:
         plane.pending_inserts[i] = (key, outcome.location)
         if outcome.replaced is not None:
             self._displaced(plane, i, key, outcome.replaced_location)
-        if outcome.evicted is not None:
-            self._displaced(plane, i, outcome.evicted.key, outcome.evicted_location)
         plane.batch_inserts[key] = i
 
     @staticmethod

@@ -23,16 +23,16 @@ and the rest — fresh SETs and misses — are hashed together in one columnar
 pass, so no pass below hashes a key.  The passes, in plan order, and what they hand
 each other on the plane's :class:`_VectorScratch`:
 
-* **MM / Insert / Delete** — scalar row loops: they mutate Python heap
-  objects and walk the cuckoo table's kick chains slot by slot, through
+* **MM / Insert / Delete** — scalar row loops: they mutate the arena's
+  records and walk the cuckoo table's kick chains slot by slot, through
   the table's one slot writer (paper Figure 6: these operations do not
   benefit from batched kernels the way Search does).  MM places a SET
   run with one columnar arena append
   (:meth:`~repro.kv.store.KVStore.multi_allocate_columns`, which detects
   replaces from the directory's ``location`` column and gives fresh keys
   their rows), or row by row through
-  :meth:`~repro.kv.store.KVStore.allocate` on a heap without a bulk
-  allocator or when one item exceeds the heap budget.
+  :meth:`~repro.kv.store.KVStore.allocate` when one item exceeds the heap
+  budget, so it fails at its position.
 * **Search** — two kernels, one hand-off.  *Scalar*: the walk over the
   rows' specs (:meth:`~repro.kv.store.KVStore.multi_index_search`).
   *Columnar*: the rows' bucket columns, then one gather + compare per
@@ -41,8 +41,7 @@ each other on the plane's :class:`_VectorScratch`:
   probe-order short-circuit.  Both leave GET rows with one candidate on
   ``hit_rows`` / ``hit_locs`` and the rare multi-match in
   ``multi_hits``, and account ``IndexStats.searches`` /
-  ``search_bucket_reads`` identically.  An index without slot arrays (the
-  chained-hash alternative) has only the scalar kernel.
+  ``search_bucket_reads`` identically.
 * **KC / RD** — one row loop each over the hits: key-compare touches only
   rows with candidates, RD only locations that passed it.  RD copies no
   value: each record's ``view`` (a read-only slice of its log segment)
@@ -102,7 +101,7 @@ class _VectorScratch:
 
     def __init__(self) -> None:
         #: Every row's probe spec, ``(signatures, buckets)`` columns
-        #: (:meth:`KVStore.window_specs`); ``None`` on an index without specs.
+        #: (:meth:`KVStore.window_specs`).
         self.specs = None
         #: Plane indices whose Search matched exactly one candidate, and
         #: the candidate location, aligned.
@@ -183,11 +182,8 @@ class VectorEngine:
     @staticmethod
     def _row_specs(plane: BatchPlane, rows):
         """The probe specs of plane ``rows`` as ``(signatures, buckets)``
-        lists, or ``None`` on an index without specs."""
-        specs = plane.scratch.specs
-        if specs is None:
-            return None
-        signatures, buckets = specs
+        lists."""
+        signatures, buckets = plane.scratch.specs
         rows = np.asarray(rows, dtype=np.intp)
         return signatures[rows].tolist(), buckets[rows].tolist()
 
@@ -223,16 +219,14 @@ class VectorEngine:
             # plane's own columns go straight through without a gather.
             columns = store.multi_allocate_columns(keys, values, specs)
         else:
-            if specs is not None:
-                rows = np.asarray(indices, dtype=np.intp)
-                specs = (specs[0][rows], specs[1][rows])
+            rows = np.asarray(indices, dtype=np.intp)
+            specs = (specs[0][rows], specs[1][rows])
             columns = store.multi_allocate_columns(
                 [keys[i] for i in indices], [values[i] for i in indices], specs
             )
         if columns is None:
-            # No bulk allocator (the slab oracle), or an item exceeds the
-            # heap budget: place row by row, so an oversized item fails at
-            # its position with every earlier item placed.
+            # An item exceeds the heap budget: place row by row, so it
+            # fails at its position with every earlier item placed.
             allocate = store.allocate
             for i in indices:
                 key = keys[i]
@@ -241,15 +235,13 @@ class VectorEngine:
                 pending[i] = (key, outcome.location)
                 if outcome.replaced is not None:
                     displaced(plane, i, key, outcome.replaced_location)
-                if outcome.evicted is not None:
-                    displaced(plane, i, outcome.evicted.key, outcome.evicted_location)
                 batch_inserts[key] = i
             return
         # One arena append for the run, replace locations as a parallel
-        # column, no eviction outcomes to unpack.  Settled items had their
-        # Insert+Delete pair applied in place at MM time, so they queue no
-        # pending index work (and need no batch_inserts entry — there is no
-        # pending Insert a later displacement would have to cancel).
+        # column.  Settled items had their Insert+Delete pair applied in
+        # place at MM time, so they queue no pending index work (and need
+        # no batch_inserts entry — there is no pending Insert a later
+        # displacement would have to cancel).
         new_locations, replaced, settled = columns
         for i, location, old_location, done in zip(
             indices, new_locations, replaced, settled
@@ -308,11 +300,6 @@ class VectorEngine:
     def _pass_search(self, store: KVStore, plane: BatchPlane, indices) -> None:
         n = len(indices)
         if not n:
-            return
-        if getattr(store.index, "signatures", None) is None:
-            # No slot arrays to gather from (the chained table): the
-            # scalar walk is its only Search kernel, so nothing to place.
-            self._search_scalar(store, plane, indices)
             return
         costs = self.costs
         kernel = costs.choose(SEARCH_PASS, n)
@@ -425,11 +412,7 @@ class VectorEngine:
     @staticmethod
     def _pass_kc(store: KVStore, plane: BatchPlane) -> None:
         scratch = plane.scratch
-        heap = store.heap
-        probe = getattr(heap, "probe", None)
-        if probe is None:
-            heap_get = heap.get
-            probe = lambda loc: heap_get(loc, touch=False)  # noqa: E731
+        probe = store.heap.probe
         keys = plane.keys
         locations = plane.locations
         rd_rows = scratch.rd_rows
@@ -470,20 +453,12 @@ class VectorEngine:
         read_values = plane.read_values
         value_rows = scratch.value_rows
         # KC already fetched every surviving record; re-fetching by location
-        # here would repeat the dict probe per row.  Heaps that expose a bulk
-        # recency refresh take it in one call (same tick order the per-row
-        # gets would assign); others re-fetch to keep their touch semantics.
+        # here would repeat the dict probe per row.  The recency refresh is
+        # one call, in the tick order per-row gets would assign.
         rd_objs = scratch.rd_objs
-        touch_records = getattr(store.heap, "touch_records", None)
-        if touch_records is not None:
-            touch_records(rd_objs)
-        else:
-            heap_get = store.heap.get
-            rd_objs = [heap_get(loc) for loc in scratch.rd_locs]
+        store.heap.touch_records(rd_objs)
         touched = store.heap.touched
         for row, loc, obj in zip(scratch.rd_rows, scratch.rd_locs, rd_objs):
-            if obj is None:
-                continue
             obj.record_access(epoch, touched, loc)
             read_values[row] = obj.view
             value_rows.append(row)

@@ -20,7 +20,7 @@ class CapacityError(ReproError):
 
     Raised, for example, when the cuckoo hash table cannot place an item
     even after the maximum number of displacement ("kick") attempts, or when
-    the slab allocator has no evictable object of a suitable class.
+    one key-value pair alone exceeds the log arena's whole budget.
     """
 
 

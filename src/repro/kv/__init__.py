@@ -2,7 +2,8 @@
 
 This package is a *working* key-value store, not a stub: queries parsed from
 the simulated network really look keys up in a cuckoo hash table, really
-allocate/evict through the value heap, and really produce response bytes.
+allocate in (and, at barriers, evict from) the log arena, and really
+produce response bytes.
 The pipeline engine charges simulated time for each of those actions, but
 their functional results are exact, which is what the test suite verifies.
 
@@ -14,10 +15,13 @@ Components mirror the paper's Section II-B description of an IMKV node:
   signatures plus object locations (Section II-B, [15]);
 * :mod:`repro.kv.logarena` — the value heap: an append-only log arena
   with tombstoned deletes and barrier-time compaction/eviction;
-* :mod:`repro.kv.slab` — slab allocation with per-SET LRU eviction (the
-  paper's Figure 6 Insert+Delete pairing in its original form), kept as
-  the oracle the heap-parity tests compare the log arena against;
-* :mod:`repro.kv.store` — the assembled store exposing GET/SET/DELETE;
+* :mod:`repro.kv.store` — the assembled store exposing GET/SET/DELETE,
+  over exactly those two: the cuckoo table and the log arena;
+* :mod:`repro.kv.slab` and :mod:`repro.kv.chaining` — slab allocation
+  with per-SET LRU eviction (the paper's Figure 6 Insert+Delete pairing in
+  its original form) and a chained hash table, standalone alternatives
+  that the store does not take (the chained table serves the index
+  ablation benchmark);
 * :mod:`repro.kv.protocol` — the binary wire format, and the reference
   codec the columnar wire plane is tested against.
 """

@@ -7,12 +7,13 @@ lane does the same small number of dependent memory accesses.  A chained
 table (memcached's classic design) has unbounded chains whose length grows
 with load, which serialises badly on a GPU.
 
-This module provides :class:`ChainedHashTable` with the same interface as
-:class:`~repro.kv.hashtable.CuckooHashTable` (search/insert/delete plus
-bucket-traffic statistics), so it can be dropped into
-:class:`~repro.kv.store.KVStore` and the cost model can consume its
-*measured* probe counts — the index-structure ablation benchmark shows the
-cuckoo choice paying off exactly where the paper says it should.
+This module provides :class:`ChainedHashTable` with the key-level
+interface of :class:`~repro.kv.hashtable.CuckooHashTable` (search/insert/
+delete plus bucket-traffic statistics), so the index-structure ablation
+benchmark can drive both tables key by key and compare their *measured*
+probe counts — the cuckoo choice pays off exactly where the paper says it
+should.  It is a standalone table: :class:`~repro.kv.store.KVStore` takes
+only the cuckoo table, whose probe specs its key directory keeps.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ class _Node:
 class ChainedHashTable:
     """Separate-chaining hash index storing (signature, location) pairs.
 
-    Interface-compatible with :class:`CuckooHashTable`: ``search`` returns
+    Key-level interface of :class:`CuckooHashTable`: ``search`` returns
     signature-matching candidate locations plus the buckets (here: chain
     nodes) read; ``insert``/``delete`` return their traffic likewise.
     """

@@ -325,14 +325,14 @@ class CuckooHashTable:
         was before the call.
         """
         if location < 0:
-            raise ConfigurationError("location must be a non-negative slab offset")
+            raise ConfigurationError("location must be a non-negative heap location")
         signature, buckets = self.probe(key)
         return self.insert_prehashed(signature, buckets, location)
 
     def insert_prehashed(self, signature: int, buckets: list[int], location: int) -> int:
         """:meth:`insert` with the key's probe spec already computed."""
         if location < 0:
-            raise ConfigurationError("location must be a non-negative slab offset")
+            raise ConfigurationError("location must be a non-negative heap location")
         self.stats.inserts += 1
         writes = self._insert_signature(signature, location, buckets)
         self.stats.insert_bucket_writes += writes
@@ -412,7 +412,7 @@ class CuckooHashTable:
         the queued Delete + Insert pair.
         """
         if new_location < 0:
-            raise ConfigurationError("location must be a non-negative slab offset")
+            raise ConfigurationError("location must be a non-negative heap location")
         hit = self._find_slot(signature, buckets, old_location)
         if hit is None:
             return False

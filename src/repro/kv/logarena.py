@@ -59,8 +59,8 @@ and only the public edges copy it into ``bytes``.  Bytes below a segment's
 write position are never rewritten, and a view keeps a dropped segment's
 buffer alive, so a view handed out stays valid.
 
-Locations are stable integer handles exactly like the slab's, so the store
-and every engine backend work unchanged on either heap.
+Locations are stable integer handles, never reused: a stale index entry
+can only miss, never resolve to another key's record.
 """
 
 from __future__ import annotations
@@ -128,10 +128,10 @@ class _Segment:
 class LogRecord:
     """One live (or just-tombstoned) key-value record in the arena.
 
-    Interface-compatible with :class:`~repro.kv.objects.KVObject` where the
-    store and engines touch it: ``key``/``value`` payloads, the ``view``
-    read accessor, the profiler's ``access_count``/``sample_epoch``
-    counters with :meth:`record_access` and ``size_bytes``.  The segment
+    What the store and engines touch: ``key``/``value`` payloads, the
+    ``view`` read accessor, the profiler's ``access_count``/``sample_epoch``
+    counters with :meth:`record_access` (the scheme of
+    :class:`~repro.kv.objects.KVObject`) and ``size_bytes``.  The segment
     buffer is the only copy of the value: ``view`` is a zero-copy slice of
     it, ``value`` a ``bytes`` copy made on each call.  A record returned by
     ``free`` keeps a reference to its segment, so its value stays readable
@@ -295,12 +295,9 @@ class LogValueArena:
 
     # ------------------------------------------------------------ allocation
 
-    def allocate_kv(self, key: bytes, value: bytes) -> tuple[int, None]:
-        """Place one key-value pair; returns ``(location, None)``.
-
-        The second element is always ``None`` — the log never evicts
-        synchronously (the slab returns its LRU victim here).
-        """
+    def allocate_kv(self, key: bytes, value: bytes) -> int:
+        """Place one key-value pair; returns its location.  Never evicts:
+        :meth:`compact` settles the memory debt at a barrier."""
         vlen = len(value)
         size = len(key) + vlen
         if size > self._budget_bytes:
@@ -320,11 +317,7 @@ class LogValueArena:
         segment.last_touch = self._tick
         self._live_bytes += size
         self.stats.allocations += 1
-        return location, None
-
-    def allocate(self, obj) -> tuple[int, None]:
-        """KVObject-compatible shim over :meth:`allocate_kv`."""
-        return self.allocate_kv(obj.key, obj.value)
+        return location
 
     def multi_allocate_kv(self, keys: list[bytes], values: list[bytes]) -> list[int]:
         """Columnar bulk SET: one offsets walk + one copy per segment run.

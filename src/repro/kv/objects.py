@@ -130,13 +130,6 @@ class KVObject:
         """Payload footprint (key + value), the slab-class sizing input."""
         return len(self.key) + len(self.value)
 
-    @property
-    def view(self) -> bytes:
-        """The value as the engine's read pass hands it to the framer (a
-        log record's is a zero-copy slice of its segment; this one's is
-        its own ``bytes``)."""
-        return self.value
-
     def record_access(
         self,
         epoch: int,

@@ -4,9 +4,9 @@
 append-only :class:`~repro.kv.logarena.LogValueArena` — into the
 GET/SET/DELETE semantics of Section II-B, and reports the per-operation
 cost observations (buckets touched, evictions generated) that both the
-workload profiler and the cost model consume.  Tests inject other
-allocators with the same interface as instances (small-segment arenas,
-and :class:`~repro.kv.slab.SlabAllocator` as the parity oracle).
+workload profiler and the cost model consume.  The store takes only these
+two: tests pass them in as instances (small tables, small-segment arenas),
+and check the store against a dict model that shares none of its code.
 
 The store's ``key -> location`` map is its :class:`KeyDirectory`: one row
 per live key, holding the key's heap location beside its probe spec
@@ -41,7 +41,6 @@ import numpy as np
 from repro.errors import CapacityError
 from repro.kv.hashtable import EMPTY, CuckooHashTable
 from repro.kv.logarena import LogValueArena
-from repro.kv.objects import KVObject
 from repro.telemetry import get_telemetry
 
 #: 10 us .. 1 s: a maintenance step is a barrier the next window waits on.
@@ -85,29 +84,22 @@ class StoreStats:
 
 @dataclass(slots=True)
 class SetOutcome:
-    """What one SET did: where the object went and what it displaced.
+    """What one SET did: where the record went and what it displaced.
 
-    ``evicted`` is the LRU object pushed out by the slab allocator (paper:
-    "a SET query needs to evict an existing key-value object"), and
-    ``replaced`` is a previous version of the same key.  Either generates an
-    index Delete; the new object generates an index Insert — the Insert +
-    Delete pairing analysed in Figure 6.  The ``*_location`` fields identify
-    the displaced index entries so Deletes remove exactly the stale entry
+    ``replaced`` is the previous version of the same key (a
+    :class:`~repro.kv.logarena.LogRecord`), which generates an index
+    Delete; the new record generates an index Insert — the Insert + Delete
+    pairing analysed in Figure 6.  ``replaced_location`` identifies the
+    displaced index entry so the Delete removes exactly the stale entry
     even when a reassigned Insert has already added the new one.
 
-    On a log-arena heap ``evicted`` is always ``None``: the arena never
-    evicts inside a SET, it tombstones and settles evictions (with their
-    index Deletes) in bulk at the compaction barrier — see
-    :meth:`KVStore.maintenance`.  Displaced objects are
-    :class:`~repro.kv.objects.KVObject` on the slab and
-    :class:`~repro.kv.logarena.LogRecord` on the log arena; both expose
-    ``key``/``value``.
+    A SET never evicts: the arena overcommits and settles evictions (with
+    their index Deletes) in bulk at the compaction barrier — see
+    :meth:`KVStore.maintenance`.
     """
 
     location: int
-    evicted: object | None
     replaced: object | None
-    evicted_location: int | None = None
     replaced_location: int | None = None
 
 
@@ -249,11 +241,15 @@ class KVStore:
     expected_objects:
         Sizing hint for the index (buckets ~ expected / slots, padded to
         keep cuckoo load factors safe).
+    index:
+        ``None`` (default) for a
+        :class:`~repro.kv.hashtable.CuckooHashTable` sized from
+        ``expected_objects``, or a cuckoo table instance.
     heap:
         ``None`` (default) for a
         :class:`~repro.kv.logarena.LogValueArena` over ``memory_bytes``
         (bump-pointer SETs, tombstoned deletes, barrier-time compaction),
-        or an allocator instance with the same interface.
+        or an arena instance.
     """
 
     def __init__(
@@ -268,17 +264,7 @@ class KVStore:
             index = CuckooHashTable(num_buckets=buckets)
         self.index = index
         self.heap = LogValueArena(memory_bytes) if heap is None else heap
-        #: Log-arena fast paths, bound once (None on an injected slab).
-        self._heap_alloc_kv = getattr(self.heap, "allocate_kv", None)
-        self._heap_bulk_alloc = getattr(self.heap, "multi_allocate_kv", None)
-        self._heap_compact = getattr(self.heap, "compact", None)
-        #: Whether the index takes probe specs (the cuckoo table); an index
-        #: without them (the chained table) hashes inside its key-level
-        #: operations, and the directory then holds locations only.
-        self._prehashed = hasattr(index, "probe")
-        self.directory = KeyDirectory(
-            expected_objects, index.num_hashes if self._prehashed else 0
-        )
+        self.directory = KeyDirectory(expected_objects, index.num_hashes)
         self.stats = StoreStats()
 
     def __len__(self) -> int:
@@ -294,17 +280,14 @@ class KVStore:
             return self.index.probe(key)
         return self.directory.spec(row)
 
-    def window_specs(self, keys: list[bytes]) -> tuple[np.ndarray, np.ndarray] | None:
+    def window_specs(self, keys: list[bytes]) -> tuple[np.ndarray, np.ndarray]:
         """Every row's probe spec for one window, resolved once.
 
         Keys holding a directory row gather their specs from its columns;
         the rest — fresh SETs and misses of keys never SET alike — are
         hashed together in one columnar pass.  Returns ``(signatures, buckets)``
-        aligned with ``keys``, or ``None`` for an index that takes no
-        specs.
+        aligned with ``keys``.
         """
-        if not self._prehashed:
-            return None
         directory = self.directory
         ids = list(map(directory.ids.get, keys, repeat(-1)))
         absent = [i for i, row in enumerate(ids) if row < 0] if -1 in ids else []
@@ -324,8 +307,6 @@ class KVStore:
 
     def index_search(self, key: bytes) -> list[int]:
         """IN/Search: candidate locations by signature."""
-        if not self._prehashed:
-            return self.index.search(key)[0]
         return self.index.search_prehashed(*self.spec(key))[0]
 
     def key_compare(self, key: bytes, candidates: list[int]) -> int | None:
@@ -352,7 +333,7 @@ class KVStore:
         return obj.value
 
     def allocate(self, key: bytes, value: bytes) -> SetOutcome:
-        """MM: place a new object, evicting/replacing as needed."""
+        """MM: place a new record, tombstoning the key's old one."""
         directory = self.directory
         replaced = None
         replaced_location: int | None = None
@@ -360,12 +341,8 @@ class KVStore:
         if old_location is not None and old_location in self.heap:
             replaced = self.heap.free(old_location)
             replaced_location = old_location
-        alloc_kv = self._heap_alloc_kv
         try:
-            if alloc_kv is not None:
-                location, evicted = alloc_kv(key, value)
-            else:
-                location, evicted = self.heap.allocate(KVObject(key, value))
+            location = self.heap.allocate_kv(key, value)
         except CapacityError:
             if replaced is not None:
                 # The old version is already freed: drop every reference
@@ -374,30 +351,16 @@ class KVStore:
                 self.index_delete(key, replaced_location)
                 directory.retire(key)
             raise
-        evicted_location: int | None = None
-        if evicted is not None:
-            evicted_location = directory.retire(evicted.key)
         if not directory.place(key, location):
-            spec = self.index.probe(key) if self._prehashed else (0, ())
-            directory.add(key, *spec, location)
-        return SetOutcome(
-            location=location,
-            evicted=evicted,
-            replaced=replaced,
-            evicted_location=evicted_location,
-            replaced_location=replaced_location,
-        )
+            directory.add(key, *self.index.probe(key), location)
+        return SetOutcome(location, replaced, replaced_location)
 
     def index_insert(self, key: bytes, location: int) -> int:
         """IN/Insert: add the new entry; returns buckets written."""
-        if not self._prehashed:
-            return self.index.insert(key, location)
         return self.index.insert_prehashed(*self.spec(key), location)
 
     def index_delete(self, key: bytes, location: int | None = None) -> bool:
         """IN/Delete: drop an index entry (for evicted/replaced/deleted keys)."""
-        if not self._prehashed:
-            return self.index.delete(key, location)
         return self.index.delete_prehashed(*self.spec(key), location)
 
     # ------------------------------------------------------- bulk primitives
@@ -410,8 +373,7 @@ class KVStore:
     # the window's one resolve (window_specs) when the engine passes them,
     # else from the key directory, hashing only absent keys — the columnar
     # analogue of Mega-KV computing signatures during packet processing and
-    # shipping them with the job.  An index without the prehashed interface
-    # runs its scalar operations, so the engine works against any index.
+    # shipping them with the job.
 
     def _specs(self, keys) -> tuple[list[int], list[list[int]]]:
         specs = list(map(self.spec, keys))
@@ -424,46 +386,40 @@ class KVStore:
 
         ``specs`` is ``(signatures, buckets)`` aligned with ``keys``.
         """
-        if not self._prehashed:
-            search = self.index.search
-            return [search(key)[0] for key in keys]
         return self.index.multi_search_prehashed(*(specs or self._specs(keys)))
 
     def multi_allocate_columns(
         self,
         keys: list[bytes],
         values: list[bytes],
-        specs: tuple[np.ndarray, np.ndarray] | None,
+        specs: tuple[np.ndarray, np.ndarray],
     ) -> tuple[list[int], list[int | None], list[bool]] | None:
-        """Columnar MM over parallel key/value columns (bulk-heap fast path).
+        """Columnar MM over parallel key/value columns.
 
-        The engine's MM pass calls this first: on a bulk-alloc heap the
-        whole SET run lands with one columnar append and the replace
-        bookkeeping returns as aligned columns — ``locations[i]`` for the
-        new object, ``replaced[i]`` as the displaced old location (``None``
-        when ``keys[i]`` was fresh or its index entry was settled here),
-        and ``settled[i]`` marking items whose Insert+Delete pair was
-        already applied as one in-place slot rewrite
+        The engine's MM pass calls this first: the whole SET run lands
+        with one columnar arena append and the replace bookkeeping returns
+        as aligned columns — ``locations[i]`` for the new record,
+        ``replaced[i]`` as the displaced old location (``None`` when
+        ``keys[i]`` was fresh or its index entry was settled here), and
+        ``settled[i]`` marking items whose Insert+Delete pair was already
+        applied as one in-place slot rewrite
         (:meth:`~repro.kv.hashtable.CuckooHashTable.reassign_prehashed`) —
         those need no pending index work at all.  No per-item
-        :class:`SetOutcome` is built, and ``evicted`` is structurally
-        ``None`` (the arena defers eviction to the compaction barrier).
+        :class:`SetOutcome` is built.
 
         ``specs`` are the keys' ``(signatures, buckets)`` columns from
-        :meth:`window_specs` (``None`` exactly when the index takes no
-        specs).  Replace detection is the directory's ``location`` column:
-        a SET replaces where its key's row holds a location, revives a
-        retired row, and gives a key with no row a new one, whose spec is
-        written from ``specs`` in one scatter after the loop.
+        :meth:`window_specs`.  Replace detection is the directory's
+        ``location`` column: a SET replaces where its key's row holds a
+        location, revives a retired row, and gives a key with no row a new
+        one, whose spec is written from ``specs`` in one scatter after the
+        loop.
 
-        Returns ``None`` for an empty run, when the heap has no bulk
-        allocator (the slab oracle), or when an item exceeds the heap
+        Returns ``None`` for an empty run, or when an item exceeds the heap
         budget: an oversized item must fail at its position with every
         earlier item placed, so the caller then allocates row by row
         through :meth:`allocate`.
         """
-        bulk = self._heap_bulk_alloc
-        if bulk is None or not keys:
+        if not keys:
             return None
         budget = self.heap.budget_bytes
         # The per-item check runs only when the cheap screen trips.
@@ -471,19 +427,15 @@ class KVStore:
             len(key) + len(value) > budget for key, value in zip(keys, values)
         ):
             return None
-        locations = bulk(keys, values)
+        locations = self.heap.multi_allocate_kv(keys, values)
         directory = self.directory
         ids_get = directory.ids.get
         claim = directory.claim
         revive = directory.revive
         location_col = directory._loc
         discard = self.heap.discard
-        if specs is None:
-            reassign = None
-            signatures = buckets = repeat(None)
-        else:
-            reassign = self.index.reassign_prehashed
-            signatures, buckets = specs[0].tolist(), specs[1].tolist()
+        reassign = self.index.reassign_prehashed
+        signatures, buckets = specs[0].tolist(), specs[1].tolist()
         rows: list[int] = []
         replaced: list[int | None] = []
         settled: list[bool] = []
@@ -503,9 +455,7 @@ class KVStore:
             location_col[row] = location
             rowappend(row)
             if old_location != EMPTY and discard(old_location) is not None:
-                if reassign is not None and reassign(
-                    signature, candidates, old_location, location
-                ):
+                if reassign(signature, candidates, old_location, location):
                     rappend(None)
                     sappend(True)
                 else:
@@ -514,11 +464,10 @@ class KVStore:
             else:
                 rappend(None)
                 sappend(False)
-        if specs is not None:
-            # New rows take their specs here; every other row gets its own
-            # spec again.
-            directory.signature[rows] = specs[0]
-            directory.buckets[rows] = specs[1]
+        # New rows take their specs here; every other row gets its own
+        # spec again.
+        directory.signature[rows] = specs[0]
+        directory.buckets[rows] = specs[1]
         return locations, replaced, settled
 
     def multi_index_insert(
@@ -530,9 +479,6 @@ class KVStore:
 
         ``specs`` is ``(signatures, buckets)`` aligned with ``entries``.
         """
-        if not self._prehashed:
-            insert = self.index.insert
-            return sum(insert(key, location) for key, location in entries)
         signatures, buckets = specs or self._specs([key for key, _ in entries])
         insert = self.index.insert_prehashed
         written = 0
@@ -542,9 +488,6 @@ class KVStore:
 
     def multi_index_delete(self, entries: list[tuple[bytes, int | None]]) -> int:
         """Bulk IN/Delete: apply entries in order; returns entries removed."""
-        if not self._prehashed:
-            delete = self.index.delete
-            return sum(bool(delete(key, location)) for key, location in entries)
         delete = self.index.delete_prehashed
         spec = self.spec
         removed = 0
@@ -568,13 +511,11 @@ class KVStore:
         return value
 
     def set(self, key: bytes, value: bytes) -> SetOutcome:
-        """Full SET: MM -> Insert (+ Delete for displaced entries)."""
+        """Full SET: MM -> Insert (+ Delete for a replaced entry)."""
         self.stats.sets += 1
         outcome = self.allocate(key, value)
         if outcome.replaced is not None:
             self.index_delete(key, outcome.replaced_location)
-        if outcome.evicted is not None:
-            self.index_delete(outcome.evicted.key, outcome.evicted_location)
         self.index_insert(key, outcome.location)
         return outcome
 
@@ -609,12 +550,7 @@ class KVStore:
 
     @property
     def needs_maintenance(self) -> bool:
-        """Cheap barrier gate: does the heap want compaction?
-
-        Always ``False`` on an injected slab (it reclaims inline, per SET).
-        """
-        if self._heap_compact is None:
-            return False
+        """Cheap barrier gate: does the heap want compaction?"""
         return self.heap.needs_maintenance
 
     def maintenance(self) -> int:
@@ -624,16 +560,12 @@ class KVStore:
         :attr:`~repro.kv.logarena.LogValueArena.needs_maintenance`, shared
         by the server's idle tick and the post-batch barrier.
 
-        Compaction is log-arena only (a no-op on an injected slab, which
-        never defers work).  It evicts whole least-recently-touched segments
-        while the live set exceeds the budget; every evicted record gets
-        its index Delete and its directory row retired here — the aggregate
+        Compaction evicts whole least-recently-touched segments while the
+        live set exceeds the budget; every evicted record gets its index
+        Delete and its directory row retired here — the aggregate
         settlement of the paper's one-Insert-one-Delete SET accounting
         (§II-C2).
         """
-        compact = self._heap_compact
-        if compact is None:
-            return 0
         telemetry = get_telemetry()
         registry = telemetry.registry if telemetry.enabled else None
         heap = self.heap
@@ -644,7 +576,7 @@ class KVStore:
         started = time.perf_counter_ns()
         stats = heap.stats
         before = (stats.compactions, stats.relocations, stats.relocated_bytes)
-        evicted = compact()
+        evicted = heap.compact()
         directory = self.directory
         for location, record in evicted:
             key = record.key
@@ -691,7 +623,7 @@ class KVStore:
                 break
             stored += 1
             if not stored % 4096 and self.needs_maintenance:
-                # A bulk load on the log arena settles its memory debt
-                # periodically instead of overcommitting unboundedly.
+                # A bulk load settles the arena's memory debt periodically
+                # instead of overcommitting unboundedly.
                 self.maintenance()
         return stored

@@ -37,7 +37,6 @@ from repro.pipeline.functional import FunctionalPipeline
 from repro.pipeline.megakv import megakv_coupled_config
 from repro.workloads.distributions import make_distribution
 
-from conftest import heap_named
 
 NUM_KEYS = 32768
 _QTYPES = (None, QueryType.GET, QueryType.SET, QueryType.DELETE)
@@ -279,9 +278,8 @@ def scan_sample(heap, epoch: int) -> list[int]:
     )
 
 
-@pytest.mark.parametrize("heap", ["slab", "log"])
-def test_touched_log_matches_heap_scan(heap):
-    store = KVStore(8 << 20, 8192, heap=heap_named(heap, 8 << 20))
+def test_touched_log_matches_heap_scan():
+    store = KVStore(8 << 20, 8192)
     keys = [b"key-%05d" % i for i in range(2000)]
     for key in keys:
         store.set(key, b"x" * 100)
@@ -324,9 +322,8 @@ def test_touched_log_matches_heap_scan_under_the_vector_engine():
     assert sorted(store.heap.drain_touched()) == scan_sample(store.heap, epoch[0])
 
 
-@pytest.mark.parametrize("heap", ["slab", "log"])
-def test_touched_log_is_bounded_and_pins_nothing(heap):
-    store = KVStore(32 << 20, 16384, heap=heap_named(heap, 32 << 20))
+def test_touched_log_is_bounded_and_pins_nothing():
+    store = KVStore(32 << 20, 16384)
     keys = [b"key-%05d" % i for i in range(TOUCH_LOG_LIMIT + 500)]
     for key in keys:
         store.set(key, b"x" * 16)

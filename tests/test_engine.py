@@ -18,6 +18,7 @@ from repro.engine import (
 )
 from repro.engine.plan import BOUNDARY_TASKS, INDEX_OP_PRIORITY, PhaseKind
 from repro.errors import CapacityError, ConfigurationError, SimulationError
+from repro.kv.hashtable import CuckooHashTable
 from repro.kv.protocol import Query, QueryType, ResponseStatus
 from repro.kv.store import KVStore
 from repro.net.wire import QueryColumns, encode_response_window
@@ -26,7 +27,7 @@ from repro.pipeline.megakv import megakv_coupled_config
 from repro.workloads.distributions import make_distribution
 from repro.workloads.ycsb import QueryStream, standard_workload
 
-from conftest import heap_named
+from dict_model import DictModel, answers, assert_agrees
 
 
 def all_canonical_configs():
@@ -87,6 +88,12 @@ def batch_frames(store, engine, config, batches):
             encode_response_window(result.response_statuses, result.response_values)[0]
         )
     return frames
+
+
+def batch_answers(store, engine, config, batches):
+    """Each batch's ``(status, value)`` rows through ``engine``, batch by batch."""
+    pipeline = FunctionalPipeline(store, engine=engine)
+    return [answers(pipeline.process_batch(config, batch)) for batch in batches]
 
 
 # ------------------------------------------------------------------ the plan
@@ -273,39 +280,47 @@ class TestBulkStoreOps:
 class TestEngineEquivalence:
     """Every legal config: the batch engine == the preserved per-query path."""
 
-    def run_all(self, engine, config, batches, heap="log"):
-        store = KVStore(8 << 20, 4096, heap=heap_named(heap, 8 << 20))
+    def run_all(self, engine, config, batches):
+        store = KVStore(8 << 20, 4096)
         return batch_frames(store, engine, config, batches), store
 
-    @pytest.mark.parametrize("heap", ["log", "slab"])
+    @pytest.mark.parametrize("oracle", ["log", "model"])
     @pytest.mark.parametrize("label", ["K16-G50-S", "K16-G95-U"])
-    def test_vector_matches_reference_on_every_config(self, label, heap):
+    def test_vector_matches_reference_on_every_config(self, label, oracle):
         """All 37 canonical configs (their work-stealing variants
-        included) through the production engine on either heap answer
-        byte for byte like the reference on the log arena, with the same
-        store and Search counts."""
+        included) through the production engine answer like the oracle:
+        byte for byte like the reference engine on the log arena, with the
+        same store and Search counts (``log``); or row for row like the
+        dict model, which shares no code with either, with the same five
+        operation counts (``model``)."""
         batches = workload_batches(label=label)
         configs = all_canonical_configs()
         assert len(configs) == 37
+        model = DictModel()
+        expected = [model.window(batch) for batch in batches]
         for config in configs:
+            if oracle == "model":
+                store = KVStore(8 << 20, 4096)
+                assert batch_answers(store, "vector", config, batches) == expected, config.label
+                assert_agrees(store, model)
+                continue
             ref_frames, ref_store = self.run_all("reference", config, batches)
-            frames, store = self.run_all("vector", config, batches, heap)
+            frames, store = self.run_all("vector", config, batches)
             assert frames == ref_frames, config.label
             assert store.stats == ref_store.stats, config.label
             assert store.index.stats.searches == ref_store.index.stats.searches
 
-    @pytest.mark.parametrize("heap", ["log", "slab"])
-    def test_oversized_set_fails_its_window_like_reference(self, heap):
+    def test_oversized_set_fails_its_window_like_reference(self):
         """A SET bigger than the heap budget fails its window at its
-        position, on either heap, as it does on the reference: the window
+        position, as it does on the reference: the window
         raises after MM placed the SET before it and before any Insert
         ran, so none of the window's keys reads back; a later re-SET
         does, and the store counts match the reference's.  (A bulk append
         that raised mid-run would leave ``a`` placed but unmapped.)"""
         config = megakv_coupled_config()
         stats = []
-        for engine, heap_kind in (("vector", heap), ("reference", "log")):
-            store = KVStore(1 << 20, 512, heap=heap_named(heap_kind, 1 << 20))
+        for engine in ("vector", "reference"):
+            store = KVStore(1 << 20, 512)
             pipeline = FunctionalPipeline(store, engine=engine)
             window = [
                 Query(QueryType.SET, b"a", b"1"),
@@ -387,26 +402,63 @@ def stream_batches(raw):
 
 
 @pytest.mark.parametrize(
-    "engine, heap",
+    "engine, oracle",
     [
-        ("vector", "slab"),
+        ("vector", "model"),
         ("vector", "log"),
+        ("reference", "model"),
     ],
 )
 @settings(max_examples=8, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(raw=op_streams)
-def test_engines_match_reference_over_multi_batch_streams(engine, heap, raw):
-    """Every serving engine, on the heap it serves from, answers a
-    colliding multi-batch stream byte for byte like the per-query
-    reference on the slab oracle — the two sides share neither the
-    batching nor the allocator."""
+def test_engines_match_reference_over_multi_batch_streams(engine, oracle, raw):
+    """Each engine answers a colliding multi-batch stream like its oracle:
+    row for row like the dict model, which shares no code with the store
+    or either engine, with the same operation counts (``model``); or byte
+    for byte like the per-query reference, which shares the store but not
+    the batching (``log``)."""
     config = megakv_coupled_config()
     batches = stream_batches(raw)
-    oracle = KVStore(8 << 20, 4096, heap=heap_named("slab", 8 << 20))
-    store = KVStore(8 << 20, 4096, heap=heap_named(heap, 8 << 20))
-    assert batch_frames(store, engine, config, batches) == batch_frames(
-        oracle, "reference", config, batches
-    )
+    store = KVStore(8 << 20, 4096)
+    if oracle == "log":
+        assert batch_frames(store, engine, config, batches) == batch_frames(
+            KVStore(8 << 20, 4096), "reference", config, batches
+        )
+        return
+    model = DictModel()
+    expected = [model.window(batch) for batch in batches]
+    assert batch_answers(store, engine, config, batches) == expected
+    assert_agrees(store, model)
+
+
+@pytest.mark.parametrize("engine", ["vector", "reference"])
+def test_engines_match_the_model_on_a_kicked_table(engine):
+    """300 windows of 1-60 queries (45 % SET, 45 % GET, 10 % DELETE) over
+    200 keys on a 64-bucket table, which kicks: every window answers like
+    the dict model, and after every window the store, its index and the
+    model hold the same number of keys.  Fewer keys leave the table
+    unkicked, and then the model cannot see a lost or misplaced kick."""
+    rng = random.Random(41)
+    keys = [b"kick-key-%03d" % i for i in range(200)]
+    store = KVStore(8 << 20, 4096, index=CuckooHashTable(num_buckets=64))
+    pipeline = FunctionalPipeline(store, engine=engine)
+    config = megakv_coupled_config()
+    model = DictModel()
+    for w in range(300):
+        window = []
+        for i in range(rng.randint(1, 60)):
+            key = rng.choice(keys)
+            roll = rng.random()
+            if roll < 0.45:
+                window.append(Query(QueryType.SET, key, b"v%d.%d" % (w, i)))
+            elif roll < 0.9:
+                window.append(Query(QueryType.GET, key))
+            else:
+                window.append(Query(QueryType.DELETE, key))
+        assert answers(pipeline.process_batch(config, window)) == model.window(window), w
+        assert len(store) == len(store.index) == len(model), w
+    assert store.index.kicked
+    assert_agrees(store, model)
 
 
 class TestResolveEngine:

@@ -1,11 +1,10 @@
-"""Tests for the chained-hash index backend and its interchangeability."""
+"""Tests for the chained-hash index table and its key-level parity with cuckoo."""
 
 import pytest
 
 from repro.errors import ConfigurationError
 from repro.kv.chaining import ChainedHashTable
 from repro.kv.hashtable import CuckooHashTable
-from repro.kv.store import KVStore
 
 
 class TestChainedBasics:
@@ -92,35 +91,28 @@ class TestProbeGrowth:
 
 
 class TestStoreInterchangeability:
+    """The index ablation drives either table through its key-level
+    ``insert`` / ``search`` / ``delete``; both must agree with a dict."""
+
     @pytest.mark.parametrize("index_factory", [
         lambda: CuckooHashTable(num_buckets=2048),
         lambda: ChainedHashTable(num_buckets=2048),
     ])
     def test_store_semantics_identical(self, index_factory):
-        store = KVStore(8 << 20, 4096, index=index_factory())
+        table = index_factory()
+        live: dict[bytes, int] = {}
         for i in range(300):
-            store.set(f"key-{i}".encode(), f"value-{i}".encode())
-        for i in range(300):
-            assert store.get(f"key-{i}".encode()) == f"value-{i}".encode()
-        assert store.delete(b"key-000") is False  # different key format
-        assert store.delete(b"key-0")
-        assert store.get(b"key-0") is None
-
-    def test_functional_pipeline_with_chained_index(self):
-        from repro.kv.protocol import Query, QueryType, ResponseStatus
-        from repro.pipeline.functional import FunctionalPipeline
-        from repro.pipeline.megakv import megakv_coupled_config
-
-        store = KVStore(8 << 20, 4096, index=ChainedHashTable(2048))
-        pipeline = FunctionalPipeline(store)
-        config = megakv_coupled_config()
-        r1 = pipeline.process_batch(
-            config,
-            [Query(QueryType.SET, b"k", b"v"), Query(QueryType.GET, b"k")],
-        )
-        assert [r.status for r in r1.responses] == [
-            ResponseStatus.STORED,
-            ResponseStatus.OK,
-        ]
-        r2 = pipeline.process_batch(config, [Query(QueryType.DELETE, b"k")])
-        assert r2.responses[0].status is ResponseStatus.DELETED
+            key = f"key-{i}".encode()
+            table.insert(key, i)
+            live[key] = i
+        for i in range(0, 300, 3):  # re-map a third, replacing each entry
+            key = f"key-{i}".encode()
+            assert table.delete(key, live[key])
+            table.insert(key, 1000 + i)
+            live[key] = 1000 + i
+        for key, location in live.items():
+            assert location in table.search(key)[0]
+        assert not table.delete(b"key-000")  # different key format
+        assert table.delete(b"key-0", live.pop(b"key-0"))
+        assert table.search(b"key-0")[0] == []
+        assert len(table) == len(live)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.kv.slab import SlabAllocator
+from repro.kv.logarena import LogValueArena
 from repro.kv.store import KVStore
 
 
@@ -81,42 +81,59 @@ class TestPrimitives:
         assert outcome.replaced_location is not None
 
 
+def small_arena_store() -> KVStore:
+    """A store whose 64 KiB arena (4 KiB segments) overfills after ~3,600
+    SETs of an 18 B record, on an index sized never to fill."""
+    return KVStore(
+        memory_bytes=1 << 20,
+        expected_objects=70000,
+        heap=LogValueArena(1 << 16, segment_bytes=1 << 12),
+    )
+
+
 class TestEvictionIntegration:
     def test_set_on_full_store_evicts_and_cleans_index(self):
-        store = KVStore(
-            memory_bytes=1 << 20, expected_objects=70000, heap=SlabAllocator(1 << 20)
-        )
-        evictions = 0
-        n = 0
-        while evictions == 0 and n < 80000:
-            outcome = store.set(f"key-{n:06d}".encode(), b"x" * 8)
-            if outcome.evicted is not None:
-                evictions += 1
-                evicted_key = outcome.evicted.key
-            n += 1
-        assert evictions == 1
-        # The evicted key is gone from both heap and index.
-        assert store.get(evicted_key) is None
+        """SETs past the budget never evict; the barrier does, and every
+        evicted key is gone from the heap, the directory and the index."""
+        store = small_arena_store()
+        keys = [f"key-{n:06d}".encode() for n in range(4000)]
+        for key in keys:
+            store.set(key, b"x" * 8)
+        assert store.heap.stats.evictions == 0
+        assert store.needs_maintenance
+        evictions = store.maintenance()
+        assert evictions > 0
+        evicted = [key for key in keys if store.get(key) is None]
+        assert len(evicted) == evictions
+        assert not any(key in store.directory for key in evicted)
+        assert len(store) == len(store.index) == len(keys) - evictions
 
     def test_steady_state_insert_delete_pairing(self):
-        """At steady state each SET produces one Insert and one Delete
-        (the paper's Figure 6 premise)."""
-        store = KVStore(
-            memory_bytes=1 << 20, expected_objects=70000, heap=SlabAllocator(1 << 20)
-        )
-        # Fill until the first eviction.
+        """At steady state each SET produces one Insert and, in aggregate,
+        one Delete (the paper's Figure 6 premise): the barrier settles one
+        index Delete per evicted record, and a full arena evicts about as
+        many records as it takes new ones."""
+        store = small_arena_store()
         n = 0
-        while True:
-            outcome = store.set(f"key-{n:06d}".encode(), b"x" * 8)
+        while not store.needs_maintenance:
+            store.set(f"key-{n:06d}".encode(), b"x" * 8)
             n += 1
-            if outcome.evicted is not None:
-                break
+        store.maintenance()
+        live_before = len(store)
         inserts_before = store.index.stats.inserts
         deletes_before = store.index.stats.deletes
-        for i in range(100):
+        evictions_before = store.heap.stats.evictions
+        for i in range(2000):
             store.set(f"new-{i:06d}".encode(), b"x" * 8)
-        assert store.index.stats.inserts - inserts_before == 100
-        assert store.index.stats.deletes - deletes_before == 100
+            if store.needs_maintenance:
+                store.maintenance()
+        evictions = store.heap.stats.evictions - evictions_before
+        assert store.index.stats.inserts - inserts_before == 2000
+        assert store.index.stats.deletes - deletes_before == evictions
+        # A pass evicts whole segments of 512 records (4 KiB of 8 B
+        # values), so the live set moves by at most one segment's worth.
+        assert abs(len(store) - live_before) <= 512
+        assert len(store) == len(store.index) == live_before + 2000 - evictions
 
 
 class TestStats:

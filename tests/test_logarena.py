@@ -8,11 +8,11 @@ Three layers:
   segment victimisation, deadest-first rewrite), a model-based fuzz
   against a dict, and the work and steady-state bounds of a pass;
 * :class:`KVStore` on the arena — maintenance-driven eviction with index
-  cleanup, and the stale-mapping regression on a failed replace (both
-  heaps);
-* slab-vs-log equivalence — hypothesis GET/SET/DELETE fuzz plus the
-  capacity-saturation parity property (both heaps stop a bulk load at the
-  same item and agree on every stored value).
+  cleanup, and the stale-mapping regression on a failed replace;
+* the store against the dict model (``tests/dict_model.py``) — hypothesis
+  GET/SET/DELETE fuzz plus the capacity-saturation property (a bulk load
+  stops at the one item bigger than the budget, and every earlier item
+  reads back like the model).
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ from repro.net.wire import QueryColumns
 from repro.pipeline.functional import FunctionalPipeline
 from repro.pipeline.megakv import megakv_coupled_config
 
-from conftest import heap_named
+from dict_model import DictModel, assert_agrees
 
 PLAN = compile_stage_plan(megakv_coupled_config())
 
@@ -50,9 +50,8 @@ PLAN = compile_stage_plan(megakv_coupled_config())
 class TestArenaBasics:
     def test_bump_allocation_round_trip(self):
         arena = LogValueArena(1 << 20, segment_bytes=1 << 12)
-        loc_a, evicted = arena.allocate_kv(b"a", b"alpha")
-        assert evicted is None
-        loc_b, _ = arena.allocate_kv(b"b", b"beta")
+        loc_a = arena.allocate_kv(b"a", b"alpha")
+        loc_b = arena.allocate_kv(b"b", b"beta")
         assert loc_b == loc_a + 1
         assert arena.get(loc_a).value == b"alpha"
         assert arena.get(loc_b).value == b"beta"
@@ -64,13 +63,13 @@ class TestArenaBasics:
 
     def test_value_materialises_from_segment_bytes(self):
         arena = LogValueArena(1 << 20, segment_bytes=1 << 12)
-        location, _ = arena.allocate_kv(b"k", b"payload")
+        location = arena.allocate_kv(b"k", b"payload")
         record = arena.get(location)
         assert record.value == b"payload"
 
     def test_tombstone_keeps_bytes_until_compaction(self):
         arena = LogValueArena(1 << 20, segment_bytes=1 << 12)
-        location, _ = arena.allocate_kv(b"k", b"vvvv")
+        location = arena.allocate_kv(b"k", b"vvvv")
         claimed = arena.claimed_bytes
         record = arena.free(location)
         assert location not in arena
@@ -88,12 +87,12 @@ class TestArenaBasics:
 
     def test_jumbo_value_gets_dedicated_segment(self):
         arena = LogValueArena(1 << 20, segment_bytes=64)
-        small, _ = arena.allocate_kv(b"s", b"x" * 10)
-        jumbo, _ = arena.allocate_kv(b"j", b"y" * 200)
+        small = arena.allocate_kv(b"s", b"x" * 10)
+        jumbo = arena.allocate_kv(b"j", b"y" * 200)
         assert arena.num_segments == 2
         assert arena.get(jumbo).value == b"y" * 200
         # The open head is unaffected: the next small value appends to it.
-        after, _ = arena.allocate_kv(b"t", b"z" * 10)
+        after = arena.allocate_kv(b"t", b"z" * 10)
         assert arena.get(small).segment is arena.get(after).segment
         assert arena.num_segments == 2
 
@@ -104,12 +103,6 @@ class TestArenaBasics:
         assert arena.stats.failed_allocations == 1
         assert len(arena) == 0 and arena.live_bytes == 0
 
-    def test_kvobject_shim(self):
-        arena = LogValueArena(1 << 20)
-        location, evicted = arena.allocate(KVObject(b"k", b"v"))
-        assert evicted is None
-        assert arena.get(location).value == b"v"
-
     def test_config_validation(self):
         with pytest.raises(ConfigurationError):
             LogValueArena(0)
@@ -118,7 +111,7 @@ class TestArenaBasics:
 
     def test_record_access_matches_kvobject_semantics(self):
         arena = LogValueArena(1 << 20)
-        location, _ = arena.allocate_kv(b"k", b"v")
+        location = arena.allocate_kv(b"k", b"v")
         record = arena.get(location)
         obj = KVObject(b"k", b"v")
         for epoch in (1, 1, 1, 2, 2):
@@ -135,7 +128,7 @@ class TestMultiAllocate:
         locations = bulk.multi_allocate_kv(
             [k for k, _ in items], [v for _, v in items]
         )
-        expected = [scalar.allocate_kv(k, v)[0] for k, v in items]
+        expected = [scalar.allocate_kv(k, v) for k, v in items]
         assert locations == expected
         for (key, value), location in zip(items, locations):
             record = bulk.get(location)
@@ -172,7 +165,7 @@ class TestMultiAllocate:
         assert record.key == b"a"
         assert arena.live_bytes == len(b"a") + 8
         # The arena stays consistent for further allocation.
-        location, _ = arena.allocate_kv(b"d", b"w" * 8)
+        location = arena.allocate_kv(b"d", b"w" * 8)
         assert arena.get(location).value == b"w" * 8
 
 
@@ -370,8 +363,7 @@ class ArenaModel:
         if old is not None:
             assert self.arena.discard(old[0]).key == key
             self.touches.pop(old[0], None)
-        location, evicted = self.arena.allocate_kv(key, value)
-        assert evicted is None
+        location = self.arena.allocate_kv(key, value)
         self.live[key] = (location, value)
 
     def set_many(self, keys: list[bytes], value: bytes) -> None:
@@ -506,7 +498,7 @@ class TestSteadyState:
         for op in range(1, 4 * n + 1):
             i = rng.randrange(n)
             arena.discard(locations[i])
-            locations[i] = arena.allocate_kv(keys[i], b"w" * 256)[0]
+            locations[i] = arena.allocate_kv(keys[i], b"w" * 256)
             if op % every == 0 and arena.needs_maintenance:
                 assert arena.compact() == []
                 passes += 1
@@ -527,10 +519,9 @@ class TestStoreOnLogArena:
         store = KVStore(1 << 20, 1024)  # log arena is the default heap
         assert isinstance(store.heap, LogValueArena)
         outcome = store.set(b"k", b"v1")
-        assert outcome.evicted is None and outcome.replaced is None
+        assert outcome.replaced is None
         assert store.get(b"k") == b"v1"
         outcome = store.set(b"k", b"v2")
-        assert outcome.evicted is None
         assert outcome.replaced is not None
         assert store.get(b"k") == b"v2"
         assert store.delete(b"k") is True
@@ -566,11 +557,6 @@ class TestStoreOnLogArena:
                 hits += 1
         assert hits == 700 - evictions
 
-    def test_maintenance_noop_on_slab(self):
-        store = KVStore(1 << 20, 1024, heap=SlabAllocator(1 << 20))
-        assert not store.needs_maintenance
-        assert store.maintenance() == 0
-
     def test_populate_stops_at_index_capacity_on_log(self):
         store = KVStore(1 << 20, 64)
         items = [(b"key-%08d" % i, b"x" * 8) for i in range(10000)]
@@ -579,11 +565,8 @@ class TestStoreOnLogArena:
 
 
 class TestStaleMappingRegression:
-    @pytest.mark.parametrize("heap", ["slab", "log"])
-    def test_failed_replace_drops_mapping(self, heap):
-        store = KVStore(
-            memory_bytes=1 << 20, expected_objects=256, heap=heap_named(heap, 1 << 20)
-        )
+    def test_failed_replace_drops_mapping(self):
+        store = KVStore(memory_bytes=1 << 20, expected_objects=256)
         store.set(b"k", b"small")
         with pytest.raises(CapacityError):
             store.set(b"k", b"x" * (2 << 20))  # exceeds the whole budget
@@ -613,7 +596,7 @@ class TestSlabGrowPath:
         assert slab.get(location, touch=False) is objs[16]
 
 
-# -------------------------------------------------- slab-vs-log equivalence
+# ------------------------------------------------- the store against a dict
 
 
 OPS = st.lists(
@@ -634,30 +617,27 @@ class TestHeapEquivalence:
         suppress_health_check=[HealthCheck.too_slow],
     )
     def test_get_set_delete_fuzz(self, ops):
-        """With no capacity pressure the two heaps are indistinguishable.
-
-        8 MiB funds a slab page for every size class the 0-64 B values
-        can touch, so neither heap ever evicts or rejects.
+        """With no capacity pressure the store is indistinguishable from a
+        dict: 16 keys of at most 64 B values never fill 8 MiB, so the
+        arena never evicts or rejects.
         """
-        slab_store = KVStore(8 << 20, 1024, heap=SlabAllocator(8 << 20))
+        model = DictModel()
         log_store = KVStore(8 << 20, 1024)
         for op, kid, value in ops:
             key = b"key-%02d" % kid
             if op == "set":
-                s = slab_store.set(key, value)
-                l = log_store.set(key, value)
-                assert (s.replaced is None) == (l.replaced is None)
-                assert s.evicted is None and l.evicted is None
+                replaced = log_store.set(key, value).replaced is not None
+                assert replaced == model.set(key, value)
             elif op == "get":
-                assert slab_store.get(key) == log_store.get(key)
+                assert log_store.get(key) == model.get(key)
             else:
-                assert slab_store.delete(key) == log_store.delete(key)
+                assert log_store.delete(key) == model.delete(key)
         # Compaction must not change observable state either.
         log_store.heap.compact()
         for kid in range(16):
             key = b"key-%02d" % kid
-            assert slab_store.get(key) == log_store.get(key)
-        assert len(slab_store) == len(log_store)
+            assert log_store.get(key) == model.get(key)
+        assert_agrees(log_store, model)
 
     @given(data=st.data())
     @settings(
@@ -666,14 +646,12 @@ class TestHeapEquivalence:
         suppress_health_check=[HealthCheck.too_slow],
     )
     def test_capacity_saturation_parity(self, data):
-        """Both heaps stop a bulk load at the same item under saturation.
+        """A bulk load stops at exactly the item bigger than the budget.
 
-        Small items all land in the 32 B slab class (8 B key + 9-20 B
-        value), far below its chunk count, so neither heap evicts; the
-        poison item exceeds the whole 1 MiB budget, so the slab (its class
-        full-and-empty after the one affordable page went to the small
-        class) and the log (object bigger than the budget) must both
-        raise at exactly its position.
+        The small items (8 B key + 9-20 B value, at most 120 of them) are
+        far below the 1 MiB budget, so the arena never evicts; the poison
+        item exceeds the whole budget, so its allocation raises, and the
+        prefix before it reads back like the dict model.
         """
         n = data.draw(st.integers(2, 120))
         poison_at = data.draw(st.integers(1, n - 1))
@@ -682,16 +660,17 @@ class TestHeapEquivalence:
         )
         items = [(b"key-%04d" % i, b"x" * vlens[i]) for i in range(n)]
         items[poison_at] = (b"poison", b"x" * (2 << 20))
-        slab_store = KVStore(1 << 20, 4096, heap=SlabAllocator(1 << 20))
+        model = DictModel()
         log_store = KVStore(1 << 20, 4096)
-        assert slab_store.populate(items) == poison_at
         assert log_store.populate(items) == poison_at
         for key, value in items[:poison_at]:
-            assert slab_store.get(key) == value
-            assert log_store.get(key) == value
-        assert slab_store.get(b"poison") is None
-        assert log_store.get(b"poison") is None
-        assert len(slab_store) == len(log_store) == poison_at
+            model.set(key, value)
+        for key, _ in items:
+            assert log_store.get(key) == model.get(key)
+        # The store counts the failed SET as a SET, so only the key counts
+        # of ``assert_agrees`` apply here.
+        assert log_store.heap.stats.evictions == 0
+        assert len(log_store) == len(log_store.index) == len(model) == poison_at
 
 
 # ------------------------------------------------- engines on the log
@@ -709,15 +688,15 @@ def run_batch(engine, store, queries):
 
 
 class TestReassignFusionThroughEngines:
-    """Replace-heavy batches on the log arena settle each SET's
-    Insert+Delete pair as one in-place slot rewrite at MM time
+    """Replace-heavy batches settle each SET's Insert+Delete pair as one
+    in-place slot rewrite at MM time
     (``CuckooHashTable.reassign_prehashed``); results must stay identical
-    to the scalar reference path, which never fuses."""
+    to the scalar reference path on its own store, which never fuses."""
 
     @pytest.mark.parametrize("engine_cls", [VectorEngine])
     def test_replaces_settle_in_place_with_identical_results(self, engine_cls):
         store = KVStore(8 << 20, 4096)
-        reference = KVStore(8 << 20, 4096, heap=SlabAllocator(8 << 20))
+        reference = KVStore(8 << 20, 4096)
         keys = [f"key-{i:04d}".encode() for i in range(256)]
         for s in (store, reference):
             s.populate([(k, b"seed") for k in keys])
@@ -745,7 +724,7 @@ class TestReassignFusionThroughEngines:
         """A SET whose old version is still pending in the same batch falls
         back to the queued pair; a trailing DELETE leaves no trace."""
         store = KVStore(8 << 20, 4096)
-        reference = KVStore(8 << 20, 4096, heap=SlabAllocator(8 << 20))
+        reference = KVStore(8 << 20, 4096)
         batch = [
             Query(QueryType.SET, b"dup", b"v1"),
             Query(QueryType.SET, b"dup", b"v2"),

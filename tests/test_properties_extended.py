@@ -1,5 +1,5 @@
-"""Additional property-based tests: trace codec, cross-backend store
-equivalence, analyzer monotonicity, frame packing."""
+"""Additional property-based tests: trace codec, the store against a dict
+model, analyzer monotonicity, frame packing."""
 
 
 import pytest
@@ -9,13 +9,14 @@ from hypothesis import strategies as st
 from repro.core.cost_model import CostModel
 from repro.core.profiler import WorkloadProfile
 from repro.hardware.specs import APU_A10_7850K
-from repro.kv.chaining import ChainedHashTable
 from repro.kv.hashtable import CuckooHashTable
 from repro.kv.protocol import Query, QueryType, Response, ResponseStatus
 from repro.kv.store import KVStore
 from repro.net.packets import ETHERNET_MTU, frames_for_responses
 from repro.pipeline.megakv import megakv_coupled_config
 from repro.workloads.trace import read_trace, summarize_trace, write_trace
+
+from dict_model import DictModel, assert_agrees
 
 keys = st.binary(min_size=1, max_size=48)
 values = st.binary(min_size=0, max_size=200)
@@ -60,24 +61,20 @@ def test_trace_summary_invariants(queries):
     )
 )
 def test_store_backends_agree(ops):
-    """Cuckoo-indexed and chain-indexed stores observe identical semantics
-    under any operation sequence."""
-    stores = [
-        KVStore(8 << 20, 1024, index=CuckooHashTable(num_buckets=512)),
-        KVStore(8 << 20, 1024, index=ChainedHashTable(num_buckets=512)),
-    ]
+    """A cuckoo-indexed store observes a dict's semantics under any
+    operation sequence, and its index holds exactly the live keys."""
+    store = KVStore(8 << 20, 1024, index=CuckooHashTable(num_buckets=512))
+    model = DictModel()
     for op, key_id, value in ops:
         key = f"key-{key_id}".encode()
-        results = []
-        for store in stores:
-            if op == "set":
-                store.set(key, value)
-                results.append(("set", True))
-            elif op == "get":
-                results.append(("get", store.get(key)))
-            else:
-                results.append(("del", store.delete(key)))
-        assert results[0] == results[1], f"backends diverged on {op} {key!r}"
+        if op == "set":
+            replaced = store.set(key, value).replaced is not None
+            assert replaced == model.set(key, value)
+        elif op == "get":
+            assert store.get(key) == model.get(key), f"diverged on get {key!r}"
+        else:
+            assert store.delete(key) == model.delete(key), f"diverged on delete {key!r}"
+    assert_agrees(store, model)
 
 
 @settings(max_examples=20, deadline=None)

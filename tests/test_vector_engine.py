@@ -22,7 +22,6 @@ from repro.engine import (
 )
 from repro.engine.vector import _VectorScratch
 from repro.errors import CapacityError
-from repro.kv.chaining import ChainedHashTable
 from repro.kv.hashtable import EMPTY, CuckooHashTable
 from repro.kv.logarena import LogValueArena
 from repro.kv.objects import MAX_VECTOR_KEY_BYTES, fnv1a64, fnv_hash_columns, key_signature
@@ -202,26 +201,6 @@ class TestVectorEquivalence:
             result = pipeline.process_batch(config, list(queries))
             outs.append(encode_responses(result.responses))
         assert outs[0] == outs[1]
-
-    def test_falls_back_without_mirror_support(self):
-        """A store whose index has no slot arrays (the chained table) still
-        runs: Search has only its scalar kernel there (so nothing is placed
-        or fitted), everything else is unchanged."""
-        store = KVStore(
-            memory_bytes=1 << 20,
-            expected_objects=512,
-            index=ChainedHashTable(num_buckets=256),
-        )
-        pipeline = FunctionalPipeline(store, engine="vector")
-        from repro.kv.protocol import Query, QueryType
-
-        result = pipeline.process_batch(
-            megakv_coupled_config(),
-            [Query(QueryType.SET, b"k", b"v"), Query(QueryType.GET, b"k")],
-        )
-        assert result.responses[1].value == b"v"
-        assert pipeline._engine.costs.summary() == {}
-        assert result.response_statuses == [r.status.value for r in result.responses]
 
 
 class TestKickedKeysAnswerEverywhere:
