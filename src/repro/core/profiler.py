@@ -2,8 +2,9 @@
 
 The profiler maintains "only a few counters" — GET/SET counts and key/value
 byte totals — plus the sampling-based Zipf-skew estimator: each key-value
-object carries an access counter and a sampling-epoch timestamp (see
-:class:`repro.kv.logarena.LogRecord`), and at the end of a window the observed
+object carries an access counter and a sampling-epoch timestamp (the
+``access`` and ``epoch`` columns of the store's
+:class:`repro.kv.store.KeyDirectory`), and at the end of a window the observed
 frequency distribution of the *sampled* keys yields a skew estimate.
 Re-planning triggers when any profiled characteristic moves by more than
 10 % relative to the profile the current pipeline was planned for

@@ -3,7 +3,7 @@
 The original functional pipeline threaded a ``_QueryContext`` object per
 query through each task method — one Python call per query per phase.  The
 BatchPlane turns the batch sideways: parallel arrays of query types, keys,
-candidate lists, heap locations, values and status codes, indexed by the
+candidate lists, directory rows, values and status codes, indexed by the
 query's position in the batch.  Engines then execute each compiled phase as
 one tight loop over the relevant index subset (Mega-KV-style staged batch
 kernels over columnar state), with the per-query-type subsets
@@ -16,19 +16,18 @@ per-type index subsets with masks over its NumPy opcode column.  The
 engines answer every row in one status-code column (``statuses``) next to
 ``read_values``; no ``Query`` or ``Response`` object exists on the path.
 
-SET bookkeeping mirrors the per-query design exactly:
+SET bookkeeping is one column: ``pending_inserts[i]`` is the
+``(key, row)`` the MM pass produced for a SET that gave its key a live
+directory row, consumed by the Insert pass.  A SET that replaces a live
+value keeps its key's row and queues nothing, so a key SET several times in
+a batch reaches the index once.
 
-* ``pending_inserts[i]`` is the (key, location) the MM pass produced for a
-  SET, consumed by the Insert pass;
-* ``pending_deletes[i]`` lists stale index entries (displaced by query
-  ``i``'s allocation) with the entry's location, so a Delete cannot remove
-  a freshly inserted entry for the same key;
-* ``batch_inserts`` maps key -> index of the *last* SET of that key whose
-  Insert is still pending, enabling batch-local dedup: when one key is SET
-  several times in a batch, only the last version's Insert reaches the
-  index (earlier versions were never inserted, so they need no Delete
-  either).  Without this, a hot Zipf key could stack enough identical
-  signatures in one batch to overflow its cuckoo buckets.
+**Window order.**  Every compiled plan runs MM, then the index Deletes,
+then the Searches, and GETs read the window's end state; a key's mutations
+apply in row order.  MM applying every SET first would let a DELETE undo a
+later SET of its key, so :func:`answer_overridden_deletes` answers such a
+DELETE before MM, from the key's state just before its row, and the Delete
+pass skips it.
 """
 
 from __future__ import annotations
@@ -36,7 +35,7 @@ from __future__ import annotations
 import time
 
 from repro.errors import SimulationError
-from repro.kv.protocol import ResponseStatus
+from repro.kv.protocol import QueryType, ResponseStatus
 
 #: Shared empty candidate list sentinel (never mutated; KC only reads it).
 NO_CANDIDATES: tuple[int, ...] = ()
@@ -62,8 +61,6 @@ class BatchPlane:
         "read_values",
         "statuses",
         "pending_inserts",
-        "pending_deletes",
-        "batch_inserts",
         "_subsets",
         "scratch",
     )
@@ -79,14 +76,13 @@ class BatchPlane:
         self.opcodes = batch.opcodes
         self.candidates: list = [NO_CANDIDATES] * n
         self.locations: list[int | None] = [None] * n
-        #: GET hits' values (each record's ``view``); None on every other row.
+        #: GET hits' values (read-only views of their log segments); None on
+        #: every other row.
         self.read_values: list[bytes | memoryview | None] = [None] * n
         #: Raw wire status code per row, written by the pass that answers
         #: it (Delete for DELETE rows, WR for the rest).
         self.statuses: list[int | None] = [None] * n
         self.pending_inserts: list[tuple[bytes, int] | None] = [None] * n
-        self.pending_deletes: list[list[tuple[bytes, int | None]] | None] = [None] * n
-        self.batch_inserts: dict[bytes, int] = {}
         #: Per-qtype index subsets, built on first access.
         self._subsets: tuple | None = None
         #: Engine-private per-batch state (the vector engine's hand-offs
@@ -119,14 +115,18 @@ class BatchPlane:
         return (self._subsets or self._build_subsets())[1]
 
     @property
+    def delete_indices(self) -> list[int]:
+        """DELETE queries (answered by the Delete pass)."""
+        return (self._subsets or self._build_subsets())[2]
+
+    @property
     def search_indices(self) -> list[int]:
         """Queries the index Search pass touches (GET and DELETE)."""
         return (self._subsets or self._build_subsets())[3]
 
     @property
     def mutation_indices(self) -> list[int]:
-        """Queries the index Delete pass touches (DELETE queries answer
-        here; SET queries flush their displaced-entry deletes)."""
+        """SET and DELETE queries, in row order."""
         return (self._subsets or self._build_subsets())[4]
 
     def take_responses(self) -> list[int]:
@@ -155,6 +155,51 @@ def credit_time(task_times: dict | None, task, t0: float) -> None:
     if task_times is not None:
         elapsed_us = (time.perf_counter() - t0) * 1e6
         task_times[task] = task_times.get(task, 0.0) + elapsed_us
+
+
+def answer_overridden_deletes(store, plane: BatchPlane) -> None:
+    """Answer, before MM runs, each DELETE that a later SET of its key in
+    the window overrides, and count it in ``store.stats``.
+
+    Such a DELETE is not applied: the key's last mutation is a SET.  Its
+    answer is the key's state just before its row — DELETED iff the key's
+    nearest earlier mutation in the window is a SET, or it has none and
+    the key is live before the window.  The Delete pass skips the rows
+    answered here; every other DELETE follows all of its key's SETs, so
+    applying it after MM keeps row order.
+    """
+    deletes = plane.delete_indices
+    if not deletes or not plane.set_indices:
+        return
+    keys = plane.keys
+    last_set = {keys[i]: i for i in plane.set_indices}
+    if all(last_set.get(keys[i], -1) < i for i in deletes):
+        return
+    qtypes = plane.qtypes
+    statuses = plane.statuses
+    directory = store.directory
+    live: dict[bytes, bool] = {}
+    answered = hits = 0
+    for i in plane.mutation_indices:
+        key = keys[i]
+        if last_set.get(key, -1) < i:
+            continue
+        if qtypes[i] is QueryType.SET:
+            live[key] = True
+            continue
+        hit = live[key] if key in live else key in directory
+        live[key] = False
+        statuses[i] = DELETED_CODE if hit else NOT_FOUND_CODE
+        answered += 1
+        hits += hit
+    store.stats.deletes += answered
+    store.stats.delete_hits += hits
+
+
+def drop_pending_inserts(store, plane: BatchPlane) -> None:
+    """A failed window's clean-up: drop the rows its MM gave a key and no
+    Insert indexed (:meth:`~repro.kv.store.KVStore.drop_unindexed`)."""
+    store.drop_unindexed([entry[1] for entry in plane.pending_inserts if entry is not None])
 
 
 def count_store_ops(store, plane: BatchPlane, get_hits: int | None = None) -> None:

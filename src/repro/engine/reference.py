@@ -26,9 +26,13 @@ from repro.engine.plane import (
     OK_CODE,
     STORED_CODE,
     BatchPlane,
+    answer_overridden_deletes,
     count_store_ops,
     credit_time,
+    drop_pending_inserts,
 )
+from repro.errors import CapacityError
+from repro.kv.hashtable import EMPTY
 from repro.kv.protocol import QueryType
 from repro.kv.store import KVStore
 
@@ -47,14 +51,19 @@ class ReferenceEngine:
         epoch: int = 0,
         task_times: dict[Task, float] | None = None,
     ) -> None:
-        for phase in plan.phases:
-            if phase.kind is PhaseKind.BOUNDARY:
-                continue
-            step = self._step_for(phase)
-            t0 = time.perf_counter() if task_times is not None else 0.0
-            for i in range(plane.size):
-                step(store, plane, i, epoch)
-            credit_time(task_times, phase.task, t0)
+        answer_overridden_deletes(store, plane)
+        try:
+            for phase in plan.phases:
+                if phase.kind is PhaseKind.BOUNDARY:
+                    continue
+                step = self._step_for(phase)
+                t0 = time.perf_counter() if task_times is not None else 0.0
+                for i in range(plane.size):
+                    step(store, plane, i, epoch)
+                credit_time(task_times, phase.task, t0)
+        except CapacityError:
+            drop_pending_inserts(store, plane)
+            raise
         count_store_ops(store, plane)
 
     # ------------------------------------------------------- per-query steps
@@ -74,26 +83,13 @@ class ReferenceEngine:
         }[phase.task]
 
     @staticmethod
-    def _displaced(plane: BatchPlane, index: int, key: bytes, location: int | None) -> None:
-        earlier = plane.batch_inserts.pop(key, None)
-        if earlier is not None and plane.pending_inserts[earlier] is not None:
-            plane.pending_inserts[earlier] = None
-        else:
-            deletes = plane.pending_deletes[index]
-            if deletes is None:
-                deletes = plane.pending_deletes[index] = []
-            deletes.append((key, location))
-
-    def _task_mm(self, store, plane, i, epoch) -> None:
+    def _task_mm(store, plane, i, epoch) -> None:
         if plane.qtypes[i] is not QueryType.SET:
             return
         key = plane.keys[i]
-        outcome = store.allocate(key, plane.set_values[i])
-        plane.locations[i] = outcome.location
-        plane.pending_inserts[i] = (key, outcome.location)
-        if outcome.replaced is not None:
-            self._displaced(plane, i, key, outcome.replaced_location)
-        plane.batch_inserts[key] = i
+        row, fresh = store.allocate(key, plane.set_values[i])
+        if fresh:
+            plane.pending_inserts[i] = (key, row)
 
     @staticmethod
     def _op_search(store, plane, i, epoch) -> None:
@@ -102,28 +98,21 @@ class ReferenceEngine:
 
     @staticmethod
     def _op_insert(store, plane, i, epoch) -> None:
-        entry = plane.pending_inserts[i]
+        pending = plane.pending_inserts
+        entry = pending[i]
         if entry is None:
             return
-        key, location = entry
-        store.index_insert(key, location)
-        plane.pending_inserts[i] = None
+        pending[i] = None
+        key, row = entry
+        if store.directory.segment[row] != EMPTY:  # else a DELETE retired it
+            store.index_insert(key, row)
 
     @staticmethod
     def _op_delete(store, plane, i, epoch) -> None:
-        if plane.qtypes[i] is QueryType.DELETE:
-            key = plane.keys[i]
-            earlier = plane.batch_inserts.pop(key, None)
-            if earlier is not None:
-                plane.pending_inserts[earlier] = None
-            removed = store.delete(key)
+        # Rows already answered were overridden by a later SET.
+        if plane.qtypes[i] is QueryType.DELETE and plane.statuses[i] is None:
+            removed = store.delete(plane.keys[i])
             plane.statuses[i] = DELETED_CODE if removed else NOT_FOUND_CODE
-            return
-        stale = plane.pending_deletes[i]
-        if stale:
-            for key, location in stale:
-                store.index_delete(key, location)
-            plane.pending_deletes[i] = None
 
     @staticmethod
     def _task_kc(store, plane, i, epoch) -> None:

@@ -23,16 +23,18 @@ and the rest — fresh SETs and misses — are hashed together in one columnar
 pass, so no pass below hashes a key.  The passes, in plan order, and what they hand
 each other on the plane's :class:`_VectorScratch`:
 
-* **MM / Insert / Delete** — scalar row loops: they mutate the arena's
-  records and walk the cuckoo table's kick chains slot by slot, through
-  the table's one slot writer (paper Figure 6: these operations do not
-  benefit from batched kernels the way Search does).  MM places a SET
-  run with one columnar arena append
-  (:meth:`~repro.kv.store.KVStore.multi_allocate_columns`, which detects
-  replaces from the directory's ``location`` column and gives fresh keys
-  their rows), or row by row through
+* **MM / Insert / Delete** — scalar row loops: they write the key
+  directory's row columns and walk the cuckoo table's kick chains slot by
+  slot, through the table's one slot writer (paper Figure 6: these
+  operations do not benefit from batched kernels the way Search does).
+  MM places a SET run with one columnar arena append
+  (:meth:`~repro.kv.store.KVStore.multi_allocate_columns`: a replace
+  keeps its key's row and touches no index slot, a fresh key gets a row
+  and a pending Insert), or row by row through
   :meth:`~repro.kv.store.KVStore.allocate` when one item exceeds the heap
-  budget, so it fails at its position.
+  budget, so it fails at its position.  Before MM, the DELETEs that a
+  later SET of their key overrides are answered
+  (:func:`~repro.engine.plane.answer_overridden_deletes`).
 * **Search** — two kernels, one hand-off.  *Scalar*: the walk over the
   rows' specs (:meth:`~repro.kv.store.KVStore.multi_index_search`).
   *Columnar*: the rows' bucket columns, then one gather + compare per
@@ -42,9 +44,10 @@ each other on the plane's :class:`_VectorScratch`:
   ``hit_rows`` / ``hit_locs`` and the rare multi-match in
   ``multi_hits``, and account ``IndexStats.searches`` /
   ``search_bucket_reads`` identically.
-* **KC / RD** — one row loop each over the hits: key-compare touches only
-  rows with candidates, RD only locations that passed it.  RD copies no
-  value: each record's ``view`` (a read-only slice of its log segment)
+* **KC / RD** — one row loop each over the hits: key-compare is one
+  compare per candidate, against the key's live row resolved after MM
+  (which gives fresh keys their rows); RD reads only the rows that passed
+  it.  RD copies no value: a read-only slice of each value's log segment
   goes in ``read_values``, and the framer's one join copies it.
 * **WR** — the status-code column filled per query-type subset, next to
   the ``read_values`` column RD filled; the wire framer reads those two
@@ -72,10 +75,12 @@ from repro.engine.plane import (
     OK_CODE,
     STORED_CODE,
     BatchPlane,
+    answer_overridden_deletes,
     count_store_ops,
     credit_time,
+    drop_pending_inserts,
 )
-from repro.errors import ConfigurationError
+from repro.errors import CapacityError, ConfigurationError
 from repro.kv.hashtable import EMPTY
 from repro.kv.protocol import QueryType
 from repro.kv.store import KVStore
@@ -94,9 +99,7 @@ class _VectorScratch:
         "hit_locs",
         "multi_hits",
         "rd_rows",
-        "rd_locs",
-        "rd_objs",
-        "value_rows",
+        "rd_ids",
     )
 
     def __init__(self) -> None:
@@ -104,18 +107,15 @@ class _VectorScratch:
         #: (:meth:`KVStore.window_specs`).
         self.specs = None
         #: Plane indices whose Search matched exactly one candidate, and
-        #: the candidate location, aligned.
+        #: the candidate directory row, aligned.
         self.hit_rows: list[int] = []
         self.hit_locs: list[int] = []
-        #: Plane index -> candidate locations, for the rare multi-match.
+        #: Plane index -> candidate rows, for the rare multi-match.
         self.multi_hits: dict[int, list[int]] = {}
-        #: Plane indices (and locations) that survived key-compare, plus
-        #: the fetched records so RD never re-probes the heap.
+        #: Plane indices of the GET hits that survived key-compare (read
+        #: by RD, answered OK by WR), and their directory rows.
         self.rd_rows: list[int] = []
-        self.rd_locs: list[int] = []
-        self.rd_objs: list = []
-        #: Plane indices of GET hits, answered OK by WR.
-        self.value_rows: list[int] = []
+        self.rd_ids: list[int] = []
 
 
 class VectorEngine:
@@ -147,15 +147,20 @@ class VectorEngine:
         # it; an IN cost, like the hashing it replaces.
         t0 = time.perf_counter() if task_times is not None else 0.0
         scratch.specs = store.window_specs(plane.keys)
+        answer_overridden_deletes(store, plane)
         credit_time(task_times, Task.IN, t0)
-        for phase in plan.phases:
-            if phase.kind is PhaseKind.BOUNDARY:
-                continue
-            t0 = time.perf_counter() if task_times is not None else 0.0
-            self._execute(store, plane, phase, epoch)
-            credit_time(task_times, phase.task, t0)
-        # The RD pass already listed every GET hit: no per-row count.
-        count_store_ops(store, plane, len(plane.scratch.value_rows))
+        try:
+            for phase in plan.phases:
+                if phase.kind is PhaseKind.BOUNDARY:
+                    continue
+                t0 = time.perf_counter() if task_times is not None else 0.0
+                self._execute(store, plane, phase, epoch)
+                credit_time(task_times, phase.task, t0)
+        except CapacityError:
+            drop_pending_inserts(store, plane)
+            raise
+        # KC already listed every GET hit: no per-row count.
+        count_store_ops(store, plane, len(scratch.rd_rows))
 
     def _execute(self, store: KVStore, plane: BatchPlane, phase: PlanPhase, epoch: int) -> None:
         """Run one phase over the rows it applies to (ascending order)."""
@@ -165,7 +170,7 @@ class VectorEngine:
             elif phase.op is IndexOp.INSERT:
                 self._pass_insert(store, plane, plane.set_indices)
             else:
-                self._pass_delete(store, plane, plane.mutation_indices)
+                self._pass_delete(store, plane, plane.delete_indices)
         elif phase.task is Task.MM:
             self._pass_mm(store, plane, plane.set_indices)
         elif phase.task is Task.KC:
@@ -187,32 +192,12 @@ class VectorEngine:
         rows = np.asarray(rows, dtype=np.intp)
         return signatures[rows].tolist(), buckets[rows].tolist()
 
-    @staticmethod
-    def _displaced(plane: BatchPlane, index: int, key: bytes, location: int | None) -> None:
-        """Record index cleanup for an object displaced by query ``index``.
-
-        If the displaced version was itself SET earlier in this batch, its
-        Insert has not executed yet — cancel it instead of queueing a
-        Delete for an entry that will never exist.
-        """
-        earlier = plane.batch_inserts.pop(key, None)
-        if earlier is not None and plane.pending_inserts[earlier] is not None:
-            plane.pending_inserts[earlier] = None
-        else:
-            deletes = plane.pending_deletes[index]
-            if deletes is None:
-                deletes = plane.pending_deletes[index] = []
-            deletes.append((key, location))
-
     def _pass_mm(self, store: KVStore, plane: BatchPlane, indices) -> None:
         if not indices:
             return
         keys = plane.keys
         values = plane.set_values
-        locations = plane.locations
         pending = plane.pending_inserts
-        batch_inserts = plane.batch_inserts
-        displaced = self._displaced
         specs = plane.scratch.specs
         if len(indices) == len(keys):
             # All-SET batch: the phase covers every row in order, so the
@@ -229,71 +214,42 @@ class VectorEngine:
             # fails at its position with every earlier item placed.
             allocate = store.allocate
             for i in indices:
-                key = keys[i]
-                outcome = allocate(key, values[i])
-                locations[i] = outcome.location
-                pending[i] = (key, outcome.location)
-                if outcome.replaced is not None:
-                    displaced(plane, i, key, outcome.replaced_location)
-                batch_inserts[key] = i
+                row, fresh = allocate(keys[i], values[i])
+                if fresh:
+                    pending[i] = (keys[i], row)
             return
-        # One arena append for the run, replace locations as a parallel
-        # column.  Settled items had their Insert+Delete pair applied in
-        # place at MM time, so they queue no pending index work (and need
-        # no batch_inserts entry — there is no pending Insert a later
-        # displacement would have to cancel).
-        new_locations, replaced, settled = columns
-        for i, location, old_location, done in zip(
-            indices, new_locations, replaced, settled
-        ):
-            key = keys[i]
-            locations[i] = location
-            if done:
-                pending[i] = None
-                continue
-            pending[i] = (key, location)
-            if old_location is not None:
-                displaced(plane, i, key, old_location)
-            batch_inserts[key] = i
+        # Replaces kept their rows and queue nothing; each key given a
+        # live row queues its Insert.
+        rows, fresh = columns
+        for j in fresh:
+            i = indices[j]
+            pending[i] = (keys[i], rows[j])
 
     def _pass_insert(self, store: KVStore, plane: BatchPlane, indices) -> None:
         pending = plane.pending_inserts
+        live = store.directory._segment
         entries: list[tuple[bytes, int]] = []
-        live: list[int] = []
+        queued: list[int] = []
         for i in indices:
             entry = pending[i]
             if entry is not None:
-                entries.append(entry)
-                live.append(i)
-        if entries:
-            store.multi_index_insert(entries, self._row_specs(plane, live))
-            for i in live:
                 pending[i] = None
+                # A later DELETE of the window may have retired the row.
+                if live[entry[1]] != EMPTY:
+                    entries.append(entry)
+                    queued.append(i)
+        if entries:
+            store.multi_index_insert(entries, self._row_specs(plane, queued))
 
     @staticmethod
     def _pass_delete(store: KVStore, plane: BatchPlane, indices) -> None:
-        qtypes = plane.qtypes
         keys = plane.keys
         statuses = plane.statuses
-        pending_deletes = plane.pending_deletes
-        batch_inserts = plane.batch_inserts
-        pending_inserts = plane.pending_inserts
         delete = store.delete
-        delete_qtype = QueryType.DELETE
         for i in indices:
-            if qtypes[i] is delete_qtype:
-                # Cancel any not-yet-executed Insert for this key from
-                # earlier in the batch (its entry must never appear).
-                earlier = batch_inserts.pop(keys[i], None)
-                if earlier is not None:
-                    pending_inserts[earlier] = None
-                removed = delete(keys[i])
-                statuses[i] = DELETED_CODE if removed else NOT_FOUND_CODE
-            else:
-                stale = pending_deletes[i]
-                if stale:
-                    store.multi_index_delete(stale)
-                    pending_deletes[i] = None
+            # Rows already answered were overridden by a later SET.
+            if statuses[i] is None:
+                statuses[i] = DELETED_CODE if delete(keys[i]) else NOT_FOUND_CODE
 
     # --------------------------------------------------------------- search
 
@@ -411,38 +367,32 @@ class VectorEngine:
 
     @staticmethod
     def _pass_kc(store: KVStore, plane: BatchPlane) -> None:
+        """A candidate passes iff it is its key's live row, resolved now:
+        MM has run, and may have given the row to another key."""
         scratch = plane.scratch
-        probe = store.heap.probe
+        ids_get = store.directory.ids.get
+        segment = store.directory._segment
         keys = plane.keys
-        locations = plane.locations
         rd_rows = scratch.rd_rows
-        rd_locs = scratch.rd_locs
-        rd_objs = scratch.rd_objs
+        rd_ids = scratch.rd_ids
         false_positives = 0
-        for row, loc in zip(scratch.hit_rows, scratch.hit_locs):
-            obj = probe(loc)
-            if obj is not None and obj.key == keys[row]:
-                locations[row] = loc
+        for row, candidate in zip(scratch.hit_rows, scratch.hit_locs):
+            if candidate == ids_get(keys[row]) and segment[candidate] != EMPTY:
                 rd_rows.append(row)
-                rd_locs.append(loc)
-                rd_objs.append(obj)
+                rd_ids.append(candidate)
             else:
                 false_positives += 1
         for row, candidates in scratch.multi_hits.items():
+            own = ids_get(keys[row])
             match = None
-            match_obj = None
-            for loc in candidates:
-                obj = probe(loc)
-                if obj is not None and obj.key == keys[row]:
-                    match = loc
-                    match_obj = obj
+            for candidate in candidates:
+                if candidate == own and segment[candidate] != EMPTY:
+                    match = candidate
                 else:
                     false_positives += 1
             if match is not None:
-                locations[row] = match
                 rd_rows.append(row)
-                rd_locs.append(match)
-                rd_objs.append(match_obj)
+                rd_ids.append(match)
         store.stats.signature_false_positives += false_positives
 
     # ------------------------------------------------------------------- RD
@@ -451,17 +401,8 @@ class VectorEngine:
     def _pass_rd(store: KVStore, plane: BatchPlane, epoch: int) -> None:
         scratch = plane.scratch
         read_values = plane.read_values
-        value_rows = scratch.value_rows
-        # KC already fetched every surviving record; re-fetching by location
-        # here would repeat the dict probe per row.  The recency refresh is
-        # one call, in the tick order per-row gets would assign.
-        rd_objs = scratch.rd_objs
-        store.heap.touch_records(rd_objs)
-        touched = store.heap.touched
-        for row, loc, obj in zip(scratch.rd_rows, scratch.rd_locs, rd_objs):
-            obj.record_access(epoch, touched, loc)
-            read_values[row] = obj.view
-            value_rows.append(row)
+        for row, value in zip(scratch.rd_rows, store.read_rows(scratch.rd_ids, epoch)):
+            read_values[row] = value
 
     # ------------------------------------------------------------------- WR
 
@@ -474,5 +415,5 @@ class VectorEngine:
             statuses[i] = STORED_CODE
         for i in plane.get_indices:
             statuses[i] = NOT_FOUND_CODE
-        for i in plane.scratch.value_rows:
+        for i in plane.scratch.rd_rows:
             statuses[i] = OK_CODE

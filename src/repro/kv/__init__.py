@@ -9,14 +9,16 @@ their functional results are exact, which is what the test suite verifies.
 
 Components mirror the paper's Section II-B description of an IMKV node:
 
-* :mod:`repro.kv.objects` — key-value object layout including the access
-  counter and sampling timestamp used by the skew estimator (Section IV-B);
+* :mod:`repro.kv.objects` — key signatures, and the slab's key-value
+  object with the access counter and sampling timestamp used by the skew
+  estimator (Section IV-B);
 * :mod:`repro.kv.hashtable` — the cuckoo hash index storing short key
-  signatures plus object locations (Section II-B, [15]);
+  signatures plus each key's directory row (Section II-B, [15]);
 * :mod:`repro.kv.logarena` — the value heap: an append-only log arena
   with tombstoned deletes and barrier-time compaction/eviction;
 * :mod:`repro.kv.store` — the assembled store exposing GET/SET/DELETE,
-  over exactly those two: the cuckoo table and the log arena;
+  over exactly those two: the cuckoo table and the log arena, with one
+  key directory row per key holding its spec, value place and counters;
 * :mod:`repro.kv.slab` and :mod:`repro.kv.chaining` — slab allocation
   with per-SET LRU eviction (the paper's Figure 6 Insert+Delete pairing in
   its original form) and a chained hash table, standalone alternatives

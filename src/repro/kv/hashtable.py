@@ -69,9 +69,18 @@ class IndexStats:
     insert_bucket_writes: int = 0
     insert_kicks: int = 0
     failed_inserts: int = 0
-    #: Insert+Delete pairs settled as one in-place slot rewrite (each also
-    #: counts once in ``inserts`` and once in ``deletes``).
+    #: Replaces: the key keeps its directory row, so no slot changes, but
+    #: each counts as the modelled Insert+Delete pair (once in ``inserts``,
+    #: ``deletes`` and ``insert_bucket_writes``).
     reassigns: int = 0
+
+    def count_replaces(self, n: int) -> None:
+        """Count ``n`` replaces as the paper's steady-state SET pair, one
+        Insert (one bucket written) and one Delete each (§II-C2)."""
+        self.inserts += n
+        self.deletes += n
+        self.insert_bucket_writes += n
+        self.reassigns += n
 
     def average_insert_buckets(self) -> float:
         """Average buckets written per insert — the paper's runtime estimate
@@ -391,39 +400,6 @@ class CuckooHashTable:
         row = self._loc_slots[base : base + self._slots_per_bucket].tolist()
         return row.index(EMPTY) if EMPTY in row else -1
 
-    def reassign_prehashed(
-        self,
-        signature: int,
-        buckets: list[int],
-        old_location: int,
-        new_location: int,
-    ) -> bool:
-        """Fused Delete+Insert for a replaced key: rewrite the slot in place.
-
-        The steady-state SET generates one index Insert and one Delete for
-        the *same* key (paper §II-C2), so both ops share one probe spec and
-        — when the old entry is found — one slot: overwriting its location
-        settles the pair in a single bucket scan instead of an
-        empty-then-refill round trip.  Counts as one insert plus one delete
-        in the stats (the modelled op pair is unchanged; ``reassigns``
-        records the fusion).  Returns ``False`` when no entry matches
-        ``(signature, old_location)`` — e.g. the old version's Insert is
-        still pending in the current batch — and the caller falls back to
-        the queued Delete + Insert pair.
-        """
-        if new_location < 0:
-            raise ConfigurationError("location must be a non-negative heap location")
-        hit = self._find_slot(signature, buckets, old_location)
-        if hit is None:
-            return False
-        self._write_slot(*hit, signature, new_location)
-        stats = self.stats
-        stats.inserts += 1
-        stats.deletes += 1
-        stats.insert_bucket_writes += 1
-        stats.reassigns += 1
-        return True
-
     def _find_slot(
         self, signature: int, buckets: list[int], location: int | None
     ) -> tuple[int, int] | None:
@@ -478,8 +454,8 @@ class CuckooHashTable:
     def _write_slot(self, bucket_idx: int, slot_idx: int, signature: int, location: int) -> None:
         """Single-slot "atomic compare-exchange" write with version bump.
 
-        The one writer of slot state: inserts, kicks and their undo,
-        deletes and reassigns all land here.
+        The one writer of slot state: inserts, kicks and their undo, and
+        deletes all land here.
         """
         flat = bucket_idx * self._slots_per_bucket + slot_idx
         self._sig_slots[flat] = signature

@@ -4,7 +4,9 @@ Mega-KV-style IMKVs keep a short fixed-length *signature* of each key in the
 index so GPU lookups touch compact, coalescable data; the full key lives
 with the object and is verified by the KC (key compare) task.  Each object
 also carries the access counter and sampling timestamp that the workload
-profiler's skew estimator uses (paper Section IV-B).
+profiler's skew estimator uses (paper Section IV-B).  The store keeps those
+as row columns of its key directory; :class:`KVObject` is the standalone
+slab allocator's object.
 """
 
 from __future__ import annotations
@@ -154,15 +156,3 @@ class KVObject:
             self.access_count += 1
         return self.access_count
 
-
-def drain_touched(touched: list[int], probe) -> list[int]:
-    """In-window access counts of the objects in a heap's first-touch log,
-    which is emptied.
-
-    ``probe(location)`` returns the live object or ``None``; an object
-    freed, evicted or replaced since its touch is skipped, exactly as a
-    scan over the live heap would not have seen it.
-    """
-    counts = [obj.access_count for obj in map(probe, touched) if obj is not None]
-    touched.clear()
-    return counts

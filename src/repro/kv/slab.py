@@ -17,7 +17,7 @@ from collections import OrderedDict
 from dataclasses import dataclass, field
 
 from repro.errors import CapacityError, ConfigurationError
-from repro.kv.objects import KVObject, drain_touched
+from repro.kv.objects import KVObject
 
 #: Default geometric growth factor between slab classes, memcached-style.
 DEFAULT_GROWTH_FACTOR = 2.0
@@ -198,9 +198,10 @@ class SlabAllocator:
             out.extend(slab.objects.values())
         return out
 
-    def _probe(self, location: int) -> KVObject | None:
-        return self.get(location, touch=False)
-
     def drain_touched(self) -> list[int]:
-        """Access counts of the window's touched objects (profiler harvest)."""
-        return drain_touched(self.touched, self._probe)
+        """Access counts of the window's touched objects (profiler
+        harvest), the log emptied; an object freed or evicted since its
+        touch is skipped, as a scan of the live heap would not see it."""
+        found = [self.get(location, touch=False) for location in self.touched]
+        self.touched.clear()
+        return [obj.access_count for obj in found if obj is not None]

@@ -8,14 +8,18 @@ workload profiler and the cost model consume.  The store takes only these
 two: tests pass them in as instances (small tables, small-segment arenas),
 and check the store against a dict model that shares none of its code.
 
-The store's ``key -> location`` map is its :class:`KeyDirectory`: one row
-per live key, holding the key's heap location beside its probe spec
-(signature and candidate buckets) as aligned NumPy columns.  Only a SET
-gives a key a row, and a key is hashed only while it holds none (one scalar
-hash on the ``get``/``set``/``delete`` path, one columnar pass per window
-on the engine's, :meth:`KVStore.window_specs`).  A DELETE or an eviction
-retires the row onto a free list, where the key keeps it until another key
-needs a row.
+A key's one handle is its row of the :class:`KeyDirectory`.  The index
+maps a key's signature to that row, and the row's NumPy columns hold the
+rest of what DIDO keeps with an object (§IV-B): the probe spec (signature
+and candidate buckets), where the value lives in the arena (segment,
+offset, length), and the profiler's access counter and sampling epoch.
+Only a SET gives a key a row, and a key is hashed only while it holds none
+(one scalar hash on the ``get``/``set``/``delete`` path, one columnar pass
+per window on the engine's, :meth:`KVStore.window_specs`).  A replace keeps
+its row, so it writes columns and touches no index slot; it is counted as
+the paper's modelled Insert+Delete pair all the same.  A DELETE or an
+eviction retires the row onto a free list, where the key keeps it until
+another key needs a row.
 
 Beyond ``get``/``set``/``delete``/``populate``/``len``/``stats`` the
 system asks three things of a store: :meth:`KVStore.keys`,
@@ -41,6 +45,7 @@ import numpy as np
 from repro.errors import CapacityError
 from repro.kv.hashtable import EMPTY, CuckooHashTable
 from repro.kv.logarena import LogValueArena
+from repro.kv.objects import TOUCH_LOG_LIMIT
 from repro.telemetry import get_telemetry
 
 #: 10 us .. 1 s: a maintenance step is a barrier the next window waits on.
@@ -63,6 +68,10 @@ _COMPACTION_COUNTERS = (
     ),
 )
 
+#: The int64 row columns beside the probe spec, each with a flat
+#: ``memoryview`` named ``_<column>`` for the scalar paths.
+_ROW_COLUMNS = ("segment", "offset", "vlen", "klen", "access", "epoch")
+
 
 @dataclass
 class StoreStats:
@@ -82,90 +91,77 @@ class StoreStats:
         return self.get_hits / self.gets
 
 
-@dataclass(slots=True)
-class SetOutcome:
-    """What one SET did: where the record went and what it displaced.
-
-    ``replaced`` is the previous version of the same key (a
-    :class:`~repro.kv.logarena.LogRecord`), which generates an index
-    Delete; the new record generates an index Insert — the Insert + Delete
-    pairing analysed in Figure 6.  ``replaced_location`` identifies the
-    displaced index entry so the Delete removes exactly the stale entry
-    even when a reassigned Insert has already added the new one.
-
-    A SET never evicts: the arena overcommits and settles evictions (with
-    their index Deletes) in bulk at the compaction barrier — see
-    :meth:`KVStore.maintenance`.
-    """
-
-    location: int
-    replaced: object | None
-    replaced_location: int | None = None
-
-
 class KeyDirectory:
-    """The store's one key directory: ``key -> id`` over id-indexed columns.
+    """The store's one key directory: ``key -> row`` over row-indexed columns.
 
-    Row ``id`` holds a key's probe spec — ``signature[id]`` and
-    ``buckets[id, :]``, equal to the index's ``probe(key)`` — and its heap
-    ``location[id]``; the row is live while that location is not
-    :data:`~repro.kv.hashtable.EMPTY`.  Only a SET gives a key a row.  A
-    DELETE or an eviction retires it: the location empties and the id joins
-    the free list, and the key keeps the row until the free list hands the
-    id to a key that has none — so a deleted key SET or read again takes
-    its spec back without a hash.  The columns grow (doubling) only when
-    every row is live, so the rows in use are exactly the live keys.  The
-    scalar paths read and write the columns through flat ``memoryview``
-    objects, whose items are plain Python ints; the engine gathers from the
-    arrays.
+    Row ``row`` holds a key's probe spec — ``signature[row]`` and
+    ``buckets[row, :]``, equal to the index's ``probe(key)`` — its value's
+    place in the arena — ``segment[row]``, ``offset[row]``, ``vlen[row]``,
+    plus ``klen[row]`` for the arena's accounting — and the profiler's
+    ``access[row]`` / ``epoch[row]``: accesses in sampling epoch
+    ``epoch[row]``, which is -1 until the value is first read.  The row is
+    live while ``segment[row]`` is not :data:`~repro.kv.hashtable.EMPTY`.
+
+    Only a SET gives a key a row.  A DELETE or an eviction retires it: the
+    segment empties and the row joins the free list, and the key keeps the
+    row until the free list hands it to a key that has none — so a deleted
+    key SET or read again takes its spec back without a hash.  The columns
+    grow (doubling) only when every row is live, so the rows in use are
+    exactly the live keys.  The scalar paths read and write the columns
+    through flat ``memoryview`` objects, whose items are plain Python ints;
+    the engine and the compactor work on the arrays.
     """
 
     def __init__(self, rows: int, num_hashes: int):
-        #: Key -> id, for live keys and for keys still holding a retired row.
+        #: Key -> row, for live keys and for keys still holding a retired row.
         self.ids: dict[bytes, int] = {}
         self._num_hashes = num_hashes
-        #: Id -> the key holding it, for the ids handed out so far.
+        #: Row -> the key holding it, for the rows handed out so far.
         self._holders: list[bytes] = []
-        #: Retired ids, an ordered set: the most recently retired goes first.
+        #: Retired rows, an ordered set: the most recently retired goes first.
         self._free: dict[int, None] = {}
         self._live = 0
+        #: Rows first read in the open profiler epoch, in read order, up to
+        #: :data:`~repro.kv.objects.TOUCH_LOG_LIMIT`.
+        self.touched: list[int] = []
         self._resize(max(1, rows))
 
     def _resize(self, rows: int) -> None:
         used = len(self._holders)
         signature = np.zeros(rows, dtype=np.uint32)
         buckets = np.zeros((rows, self._num_hashes), dtype=np.int64)
-        location = np.full(rows, EMPTY, dtype=np.int64)
         if used:
             signature[:used] = self.signature[:used]
             buckets[:used] = self.buckets[:used]
-            location[:used] = self.location[:used]
         self.signature = signature
         self.buckets = buckets
-        self.location = location
         self._sig = memoryview(signature)
         self._bkt = memoryview(buckets.reshape(-1))
-        self._loc = memoryview(location)
+        for name in _ROW_COLUMNS:
+            column = np.full(rows, EMPTY, dtype=np.int64)
+            if used:
+                column[:used] = getattr(self, name)[:used]
+            setattr(self, name, column)
+            setattr(self, "_" + name, memoryview(column))
 
     def __len__(self) -> int:
         """Live keys, which are the rows in use."""
         return self._live
 
     def __contains__(self, key: bytes) -> bool:
-        return self.location_of(key) is not None
+        return self.live_row(key) is not None
 
     @property
     def rows(self) -> int:
         """Rows the columns hold (live, retired or never used)."""
-        return len(self.location)
+        return len(self.segment)
 
-    def location_of(self, key: bytes) -> int | None:
-        """``key``'s heap location, or ``None`` when it has no live row."""
+    def live_row(self, key: bytes) -> int | None:
+        """``key``'s row, or ``None`` when it holds no live one."""
         row = self.ids.get(key)
-        if row is None:
+        if row is None or self._segment[row] == EMPTY:
             return None
-        location = self._loc[row]
-        return None if location == EMPTY else location
+        return row
 
     def spec(self, row: int) -> tuple[int, list[int]]:
         """Row ``row``'s probe spec, as ``probe`` returns it."""
@@ -174,8 +170,8 @@ class KeyDirectory:
 
     def claim(self, key: bytes) -> int:
         """A live row for ``key``, which holds none: the most recently
-        retired id (its holder loses it), else a new one.  The caller
-        writes the row's spec and location."""
+        retired row (its holder loses it), else a new one.  The caller
+        writes the row's spec and place."""
         holders = self._holders
         if self._free:
             row = self._free.popitem()[0]
@@ -183,7 +179,7 @@ class KeyDirectory:
             holders[row] = key
         else:
             row = len(holders)
-            if row == len(self.location):
+            if row == self.rows:
                 self._resize(2 * row)
             holders.append(key)
         self.ids[key] = row
@@ -192,43 +188,78 @@ class KeyDirectory:
 
     def revive(self, row: int) -> None:
         """Take retired ``row`` back for the key still holding it; the
-        caller writes its location."""
+        caller writes its place."""
         del self._free[row]
         self._live += 1
 
-    def add(self, key: bytes, signature: int, buckets, location: int) -> None:
-        """Give ``key``, which holds no row, one with its spec and ``location``."""
+    def add(self, key: bytes, signature: int, buckets) -> int:
+        """Give ``key``, which holds no row, one with its spec."""
         row = self.claim(key)
         self._sig[row] = signature
         base = row * self._num_hashes
         for offset, bucket in enumerate(buckets):
             self._bkt[base + offset] = bucket
-        self._loc[row] = location
+        return row
 
-    def place(self, key: bytes, location: int) -> bool:
-        """Point ``key``'s row at ``location``, reviving it if retired;
-        ``False`` when ``key`` holds no row."""
-        row = self.ids.get(key)
-        if row is None:
-            return False
-        if self._loc[row] == EMPTY:
-            self.revive(row)
-        self._loc[row] = location
-        return True
+    def place(self, row: int, segment: int, offset: int, vlen: int, klen: int) -> None:
+        """Point ``row`` at a new value, not yet read."""
+        self._segment[row] = segment
+        self._offset[row] = offset
+        self._vlen[row] = vlen
+        self._klen[row] = klen
+        self._epoch[row] = EMPTY
 
-    def retire(self, key: bytes) -> int | None:
-        """Retire ``key``'s live row; returns the location it held, or
-        ``None`` when it had none."""
-        row = self.ids.get(key)
-        if row is None:
-            return None
-        location = self._loc[row]
-        if location == EMPTY:
-            return None
-        self._loc[row] = EMPTY
+    def retire(self, row: int) -> None:
+        """Retire live ``row``: it holds no value from now on."""
+        self._segment[row] = EMPTY
         self._free[row] = None
         self._live -= 1
-        return location
+
+    def read(self, rows, epoch: int) -> tuple[list[int], list[int], list[int]]:
+        """Count one access per row in sampling window ``epoch`` and gather
+        the rows' ``(segments, offsets, vlens)``.
+
+        The paper's counter+timestamp scheme: a row whose ``epoch`` differs
+        restarts its count instead of needing a global reset pass, and is
+        logged in :attr:`touched` so the harvest reads the touched rows
+        back instead of scanning the directory.
+        """
+        segment, offset, vlen = self._segment, self._offset, self._vlen
+        access, stamp = self._access, self._epoch
+        touched = self.touched
+        segments: list[int] = []
+        offsets: list[int] = []
+        vlens: list[int] = []
+        for row in rows:
+            if stamp[row] != epoch:
+                stamp[row] = epoch
+                access[row] = 1
+                if len(touched) < TOUCH_LOG_LIMIT:
+                    touched.append(row)
+            else:
+                access[row] += 1
+            segments.append(segment[row])
+            offsets.append(offset[row])
+            vlens.append(vlen[row])
+        return segments, offsets, vlens
+
+    def harvest(self) -> list[int]:
+        """Access counts of the values first read since the last harvest,
+        the log drained.  A row retired, replaced or claimed by another key
+        since its read is skipped: the value read is gone, as a scan of the
+        live values would not have seen it."""
+        if not self.touched:
+            return []
+        rows = np.fromiter(dict.fromkeys(self.touched), dtype=np.intp)
+        self.touched.clear()
+        kept = rows[(self.segment[rows] != EMPTY) & (self.epoch[rows] != EMPTY)]
+        return self.access[kept].tolist()
+
+    def keys(self) -> list[bytes]:
+        """The live keys, in row order."""
+        holders = self._holders
+        live = np.flatnonzero(self.segment[: len(holders)] != EMPTY)
+        return [holders[row] for row in live.tolist()]
 
 
 class KVStore:
@@ -306,62 +337,90 @@ class KVStore:
     # These are what the pipeline's fine-grained tasks call.
 
     def index_search(self, key: bytes) -> list[int]:
-        """IN/Search: candidate locations by signature."""
+        """IN/Search: candidate rows by signature."""
         return self.index.search_prehashed(*self.spec(key))[0]
 
     def key_compare(self, key: bytes, candidates: list[int]) -> int | None:
-        """KC: verify the full key against candidate objects.
+        """KC: the candidate that is ``key``'s live row, or None.
 
-        Returns the matching location or None; counts signature false
-        positives (candidates rejected by the comparison).
+        One compare per candidate; every other candidate is a signature
+        false positive and is counted.
         """
+        live = self.directory.live_row(key)
         match: int | None = None
-        for location in candidates:
-            obj = self.heap.get(location, touch=False)
-            if obj is not None and obj.key == key:
-                match = location
+        for row in candidates:
+            if row == live:
+                match = row
             else:
                 self.stats.signature_false_positives += 1
         return match
 
-    def read_value(self, location: int, *, epoch: int = 0) -> bytes | None:
-        """RD: fetch the value bytes, recording a profiler access."""
-        obj = self.heap.get(location)
-        if obj is None:
-            return None
-        obj.record_access(epoch, self.heap.touched, location)
-        return obj.value
+    def read_rows(self, rows, epoch: int = 0) -> list[memoryview]:
+        """RD over live rows, in order: read-only views of their values,
+        recording a profiler access per row."""
+        return self.heap.views(*self.directory.read(rows, epoch))
 
-    def allocate(self, key: bytes, value: bytes) -> SetOutcome:
-        """MM: place a new record, tombstoning the key's old one."""
+    def read_value(self, row: int, *, epoch: int = 0) -> bytes:
+        """RD of one live row, copied into ``bytes``."""
+        return bytes(self.read_rows((row,), epoch)[0])
+
+    def allocate(self, key: bytes, value: bytes) -> tuple[int, bool]:
+        """MM: place ``key``'s new value; returns ``(row, fresh)``.
+
+        A replace keeps the key's live row and tombstones the old value;
+        ``fresh`` is True when the key had no live row and so needs an
+        index Insert.  A value over the whole budget raises
+        :class:`CapacityError`, and a key it would have replaced is
+        dropped as by a DELETE.
+        """
         directory = self.directory
-        replaced = None
-        replaced_location: int | None = None
-        old_location = directory.location_of(key)
-        if old_location is not None and old_location in self.heap:
-            replaced = self.heap.free(old_location)
-            replaced_location = old_location
+        row = directory.ids.get(key)
+        live = row is not None and directory._segment[row] != EMPTY
         try:
-            location = self.heap.allocate_kv(key, value)
+            segment, offset = self.heap.allocate_kv(key, value)
         except CapacityError:
-            if replaced is not None:
-                # The old version is already freed: drop every reference
-                # to it so a later GET misses instead of resolving a
-                # dangling handle through the stale mapping.
-                self.index_delete(key, replaced_location)
-                directory.retire(key)
+            if live:
+                self._remove(row)
             raise
-        if not directory.place(key, location):
-            directory.add(key, *self.index.probe(key), location)
-        return SetOutcome(location, replaced, replaced_location)
+        if live:
+            self.heap.free(directory._segment[row], directory._klen[row] + directory._vlen[row])
+            self.index.stats.count_replaces(1)
+        elif row is None:
+            row = directory.add(key, *self.index.probe(key))
+        else:
+            directory.revive(row)
+        directory.place(row, segment, offset, len(value), len(key))
+        return row, not live
 
-    def index_insert(self, key: bytes, location: int) -> int:
-        """IN/Insert: add the new entry; returns buckets written."""
-        return self.index.insert_prehashed(*self.spec(key), location)
+    def index_insert(self, key: bytes, row: int) -> int:
+        """IN/Insert: add ``key``'s entry; returns buckets written.  When
+        the Insert fails, the row is dropped before the error propagates."""
+        try:
+            return self.index.insert_prehashed(*self.spec(key), row)
+        except CapacityError:
+            self.drop_unindexed((row,))
+            raise
 
-    def index_delete(self, key: bytes, location: int | None = None) -> bool:
-        """IN/Delete: drop an index entry (for evicted/replaced/deleted keys)."""
-        return self.index.delete_prehashed(*self.spec(key), location)
+    def drop_unindexed(self, rows) -> None:
+        """Drop the live rows among ``rows``, which hold no index entry:
+        the rows a failed window gave a key and never indexed.  A live row
+        without an entry would hide its key from Search for good, since a
+        replace writes no slot."""
+        directory = self.directory
+        for row in rows:
+            if directory._segment[row] != EMPTY:
+                self._release(row)
+
+    def _release(self, row: int) -> None:
+        """Tombstone live ``row``'s value and retire the row."""
+        directory = self.directory
+        self.heap.free(directory._segment[row], directory._klen[row] + directory._vlen[row])
+        directory.retire(row)
+
+    def _remove(self, row: int) -> None:
+        """Delete live ``row``'s index entry, then release it."""
+        self.index.delete_prehashed(*self.directory.spec(row), row)
+        self._release(row)
 
     # ------------------------------------------------------- bulk primitives
     # Whole-batch forms of the primitives above, used by the engine layer
@@ -382,7 +441,7 @@ class KVStore:
     def multi_index_search(
         self, keys: list[bytes], specs: tuple[list[int], list[list[int]]] | None = None
     ) -> list[list[int]]:
-        """Bulk IN/Search: candidate locations per key, in input order.
+        """Bulk IN/Search: candidate rows per key, in input order.
 
         ``specs`` is ``(signatures, buckets)`` aligned with ``keys``.
         """
@@ -393,26 +452,22 @@ class KVStore:
         keys: list[bytes],
         values: list[bytes],
         specs: tuple[np.ndarray, np.ndarray],
-    ) -> tuple[list[int], list[int | None], list[bool]] | None:
+    ) -> tuple[list[int], list[int]] | None:
         """Columnar MM over parallel key/value columns.
 
         The engine's MM pass calls this first: the whole SET run lands
-        with one columnar arena append and the replace bookkeeping returns
-        as aligned columns — ``locations[i]`` for the new record,
-        ``replaced[i]`` as the displaced old location (``None`` when
-        ``keys[i]`` was fresh or its index entry was settled here), and
-        ``settled[i]`` marking items whose Insert+Delete pair was already
-        applied as one in-place slot rewrite
-        (:meth:`~repro.kv.hashtable.CuckooHashTable.reassign_prehashed`) —
-        those need no pending index work at all.  No per-item
-        :class:`SetOutcome` is built.
+        with one columnar arena append, and each item's place is written
+        into its key's row.  Returns ``(rows, fresh)``: ``rows[i]`` is
+        ``keys[i]``'s row, and ``fresh`` lists, in order, the positions
+        whose SET gave its key a live row (claimed or revived) and so
+        needs an index Insert.  Every other item replaced a live value in
+        place: it tombstones the old one and touches no index slot, and
+        the lot are counted as Insert+Delete pairs in one add
+        (:meth:`~repro.kv.hashtable.IndexStats.count_replaces`).
 
         ``specs`` are the keys' ``(signatures, buckets)`` columns from
-        :meth:`window_specs`.  Replace detection is the directory's
-        ``location`` column: a SET replaces where its key's row holds a
-        location, revives a retired row, and gives a key with no row a new
-        one, whose spec is written from ``specs`` in one scatter after the
-        loop.
+        :meth:`window_specs`; new rows take theirs in one scatter after
+        the loop.
 
         Returns ``None`` for an empty run, or when an item exceeds the heap
         budget: an oversized item must fail at its position with every
@@ -427,106 +482,106 @@ class KVStore:
             len(key) + len(value) > budget for key, value in zip(keys, values)
         ):
             return None
-        locations = self.heap.multi_allocate_kv(keys, values)
+        segments, offsets = self.heap.multi_allocate_kv(keys, values)
         directory = self.directory
         ids_get = directory.ids.get
         claim = directory.claim
         revive = directory.revive
-        location_col = directory._loc
-        discard = self.heap.discard
-        reassign = self.index.reassign_prehashed
-        signatures, buckets = specs[0].tolist(), specs[1].tolist()
+        free = self.heap.free
+        segment_col, offset_col, vlen_col, klen_col, epoch_col = (
+            directory._segment,
+            directory._offset,
+            directory._vlen,
+            directory._klen,
+            directory._epoch,
+        )
         rows: list[int] = []
-        replaced: list[int | None] = []
-        settled: list[bool] = []
-        rowappend = rows.append
-        rappend = replaced.append
-        sappend = settled.append
-        for key, location, signature, candidates in zip(keys, locations, signatures, buckets):
+        fresh: list[int] = []
+        for i, (key, value, segment, offset) in enumerate(zip(keys, values, segments, offsets)):
             row = ids_get(key)
             if row is None:
                 row = claim(key)
-                location_col = directory._loc  # a claim may grow the columns
-                old_location = EMPTY
+                fresh.append(i)
+                if row >= len(segment_col):  # the claim grew the columns
+                    segment_col, offset_col, vlen_col, klen_col, epoch_col = (
+                        directory._segment,
+                        directory._offset,
+                        directory._vlen,
+                        directory._klen,
+                        directory._epoch,
+                    )
             else:
-                old_location = location_col[row]
-                if old_location == EMPTY:
+                old = segment_col[row]
+                if old == EMPTY:
                     revive(row)
-            location_col[row] = location
-            rowappend(row)
-            if old_location != EMPTY and discard(old_location) is not None:
-                if reassign(signature, candidates, old_location, location):
-                    rappend(None)
-                    sappend(True)
+                    fresh.append(i)
                 else:
-                    rappend(old_location)
-                    sappend(False)
-            else:
-                rappend(None)
-                sappend(False)
+                    free(old, klen_col[row] + vlen_col[row])
+            segment_col[row] = segment
+            offset_col[row] = offset
+            vlen_col[row] = len(value)
+            klen_col[row] = len(key)
+            epoch_col[row] = EMPTY
+            rows.append(row)
+        self.index.stats.count_replaces(len(keys) - len(fresh))
         # New rows take their specs here; every other row gets its own
         # spec again.
         directory.signature[rows] = specs[0]
         directory.buckets[rows] = specs[1]
-        return locations, replaced, settled
+        return rows, fresh
 
     def multi_index_insert(
         self,
         entries: list[tuple[bytes, int]],
         specs: tuple[list[int], list[list[int]]] | None = None,
     ) -> int:
-        """Bulk IN/Insert: apply entries in order; returns buckets written.
+        """Bulk IN/Insert: apply ``(key, row)`` entries in order; returns
+        buckets written.
 
         ``specs`` is ``(signatures, buckets)`` aligned with ``entries``.
+        When an Insert fails, its row and every later one are dropped
+        (:meth:`drop_unindexed`) before the error propagates.
         """
         signatures, buckets = specs or self._specs([key for key, _ in entries])
         insert = self.index.insert_prehashed
         written = 0
-        for (_, location), signature, candidates in zip(entries, signatures, buckets):
-            written += insert(signature, candidates, location)
+        for done, ((_, row), signature, candidates) in enumerate(
+            zip(entries, signatures, buckets)
+        ):
+            try:
+                written += insert(signature, candidates, row)
+            except CapacityError:
+                self.drop_unindexed([row for _, row in entries[done:]])
+                raise
         return written
-
-    def multi_index_delete(self, entries: list[tuple[bytes, int | None]]) -> int:
-        """Bulk IN/Delete: apply entries in order; returns entries removed."""
-        delete = self.index.delete_prehashed
-        spec = self.spec
-        removed = 0
-        for key, location in entries:
-            if delete(*spec(key), location):
-                removed += 1
-        return removed
 
     # ------------------------------------------------------- whole operations
 
     def get(self, key: bytes, *, epoch: int = 0) -> bytes | None:
         """Full GET: Search -> KC -> RD."""
         self.stats.gets += 1
-        candidates = self.index_search(key)
-        location = self.key_compare(key, candidates)
-        if location is None:
+        row = self.key_compare(key, self.index_search(key))
+        if row is None:
             return None
-        value = self.read_value(location, epoch=epoch)
-        if value is not None:
-            self.stats.get_hits += 1
-        return value
+        self.stats.get_hits += 1
+        return self.read_value(row, epoch=epoch)
 
-    def set(self, key: bytes, value: bytes) -> SetOutcome:
-        """Full SET: MM -> Insert (+ Delete for a replaced entry)."""
+    def set(self, key: bytes, value: bytes) -> bool:
+        """Full SET: MM, then the Insert of a key that held no live row.
+        Returns True when it replaced a live value."""
         self.stats.sets += 1
-        outcome = self.allocate(key, value)
-        if outcome.replaced is not None:
-            self.index_delete(key, outcome.replaced_location)
-        self.index_insert(key, outcome.location)
-        return outcome
+        row, fresh = self.allocate(key, value)
+        if fresh:
+            self.index_insert(key, row)
+        return not fresh
 
     def delete(self, key: bytes) -> bool:
         """Full DELETE: remove from heap and index."""
         self.stats.deletes += 1
-        location = self.directory.retire(key)
-        if location is None or location not in self.heap:
+        row = self.directory.live_row(key)
+        if row is None:
             return False
-        self.heap.free(location)
-        self.index_delete(key, location)
+        self._remove(row)
         self.stats.delete_hits += 1
         return True
 
@@ -536,17 +591,17 @@ class KVStore:
 
     def keys(self) -> list[bytes]:
         """The live keys (what cluster migration scans)."""
-        return [obj.key for obj in self.heap.objects()]
+        return self.directory.keys()
 
     def harvest_window(self) -> tuple[list[int], float]:
         """The closing profile window's harvest, drained.
 
-        Returns the in-window access counts of the objects touched since
-        the last harvest — the heap's first-touch log (bounded at two
-        windows' worth; no heap scan) — and the index's running average of
+        Returns the in-window access counts of the values read since the
+        last harvest — the directory's first-touch log (bounded at two
+        windows' worth; no scan) — and the index's running average of
         buckets written per Insert.
         """
-        return self.heap.drain_touched(), self.index.stats.average_insert_buckets()
+        return self.directory.harvest(), self.index.stats.average_insert_buckets()
 
     @property
     def needs_maintenance(self) -> bool:
@@ -561,10 +616,9 @@ class KVStore:
         by the server's idle tick and the post-batch barrier.
 
         Compaction evicts whole least-recently-touched segments while the
-        live set exceeds the budget; every evicted record gets its index
-        Delete and its directory row retired here — the aggregate
-        settlement of the paper's one-Insert-one-Delete SET accounting
-        (§II-C2).
+        live set exceeds the budget; every evicted row gets its index
+        Delete and is retired here — the aggregate settlement of the
+        paper's one-Insert-one-Delete SET accounting (§II-C2).
         """
         telemetry = get_telemetry()
         registry = telemetry.registry if telemetry.enabled else None
@@ -576,13 +630,12 @@ class KVStore:
         started = time.perf_counter_ns()
         stats = heap.stats
         before = (stats.compactions, stats.relocations, stats.relocated_bytes)
-        evicted = heap.compact()
         directory = self.directory
-        for location, record in evicted:
-            key = record.key
-            self.index_delete(key, location)
-            if directory.location_of(key) == location:
-                directory.retire(key)
+        evicted = heap.compact(directory).tolist()
+        delete = self.index.delete_prehashed
+        for row in evicted:
+            delete(*directory.spec(row), row)
+            directory.retire(row)
         if registry is not None and stats.compactions > before[0]:
             registry.histogram(
                 "repro_maintenance_ns",

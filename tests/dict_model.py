@@ -5,11 +5,9 @@ It imports only the query and status types of :mod:`repro.kv.protocol`, so
 it shares no code with the store, its index, its heap, its key directory
 or either engine: a bug in any of those cannot also sit in the model.
 
-A window follows the staged batch semantics of the engines (every plan
-runs MM, then the index Deletes, then the Searches): its SETs apply first,
-then its DELETEs, then its GETs read, each in row order.  A window of one
-query is plain row order, which is what the scalar ``get`` / ``set`` /
-``delete`` give.  Eviction is not modelled, so every cell that uses the
+A window applies its SETs and DELETEs in row order, then its GETs read
+the end state, in row order.  A window of one query is plain row order,
+which is what the scalar ``get`` / ``set`` / ``delete`` give.  Eviction is not modelled, so every cell that uses the
 model also checks that the arena evicted nothing (:func:`assert_agrees`).
 """
 
@@ -54,11 +52,10 @@ class DictModel:
     def window(self, queries: list[Query]) -> list[tuple[ResponseStatus, bytes]]:
         """Apply one window; each row's ``(status, value)``, in row order."""
         rows: list[tuple[ResponseStatus, bytes]] = [(ResponseStatus.STORED, b"")] * len(queries)
-        for query in queries:
+        for i, query in enumerate(queries):
             if query.qtype is QueryType.SET:
                 self.set(query.key, query.value)
-        for i, query in enumerate(queries):
-            if query.qtype is QueryType.DELETE:
+            elif query.qtype is QueryType.DELETE:
                 hit = self.delete(query.key)
                 rows[i] = (ResponseStatus.DELETED if hit else ResponseStatus.NOT_FOUND, b"")
         for i, query in enumerate(queries):
@@ -84,8 +81,8 @@ def assert_agrees(store, model: DictModel) -> None:
     """The end-of-cell checks: the store's five operation counts equal the
     model's, the arena evicted nothing (the model cannot), and the store,
     its index and the model hold the same number of keys.  A stale index
-    entry never changes an answer — key-compare rejects it, and arena
-    locations are never reused — so only this count sees one."""
+    entry rarely changes an answer — key-compare rejects a row that is not
+    its key's live one — so only this count is sure to see one."""
     stats = store.stats
     assert (
         stats.gets,

@@ -218,9 +218,10 @@ REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
         ),
         (["examples/facebook_workloads.py"], r"simulated +: \d+\.\d+ MOPS \(GPU \d+% busy\)"),
         (["examples/cost_model_explorer.py"], r"\n1 +\d+\.\d+ +\d+\.\d+ +\[RV"),
+        (["tools/loc.py"], r"\nrepro/kv/store\.py +\d+\n(.*\n)*total +\d+\n"),
     ],
     ids=["diag", "calibrate", "quickstart", "adaptive_pipeline", "facebook_workloads",
-         "cost_model_explorer"],
+         "cost_model_explorer", "loc"],
 )
 def test_tool_scripts_run(argv, row):
     """The model-diagnostic scripts and the examples still run against

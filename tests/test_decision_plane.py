@@ -6,7 +6,8 @@ Four properties of the profile -> decide -> plan loop:
 * a real shift is adopted within a stated number of queries;
 * the interpolating batch-size search returns exactly what doubling and
   bisection returned, in a third of the ``evaluate_batch`` calls;
-* the heaps' first-touch log yields the sample a scan of the heap would.
+* the key directory's first-touch log yields the sample a scan of its
+  live rows would.
 """
 
 from __future__ import annotations
@@ -269,12 +270,13 @@ def test_detailed_fidelity_sizes_to_the_largest_fitting_wavefront_multiple():
 # ------------------------------------------------------- harvest equivalence
 
 
-def scan_sample(heap, epoch: int) -> list[int]:
-    """The harvest as a scan of every live object (the previous rule)."""
+def scan_sample(store, epoch: int) -> list[int]:
+    """The harvest as a scan of every live row (the previous rule)."""
+    directory = store.directory
     return sorted(
-        obj.access_count
-        for obj in heap.objects()
-        if obj.sample_epoch == epoch and obj.access_count > 0
+        int(directory.access[row])
+        for row in (directory.ids[key] for key in store.keys())
+        if directory.epoch[row] == epoch and directory.access[row] > 0
     )
 
 
@@ -283,7 +285,7 @@ def test_touched_log_matches_heap_scan():
     keys = [b"key-%05d" % i for i in range(2000)]
     for key in keys:
         store.set(key, b"x" * 100)
-    assert store.heap.drain_touched() == []  # writes are not accesses
+    assert store.directory.harvest() == []  # writes are not accesses
     rng = np.random.default_rng(5)
     epoch = 7
     for round_no in range(6):
@@ -297,13 +299,13 @@ def test_touched_log_matches_heap_scan():
         store.set(picked[3], b"y" * 100)
         if round_no % 2:
             store.maintenance()
-    expected = scan_sample(store.heap, epoch)
+    expected = scan_sample(store, epoch)
     assert len(expected) > 100
-    assert sorted(store.heap.drain_touched()) == expected
-    assert store.heap.touched == []
+    assert sorted(store.directory.harvest()) == expected
+    assert store.directory.touched == []
     # Next epoch starts from an empty log and counts afresh.
     store.get(keys[10], epoch=epoch + 1)
-    assert store.heap.drain_touched() == [1]
+    assert store.directory.harvest() == [1]
 
 
 def test_touched_log_matches_heap_scan_under_the_vector_engine():
@@ -319,7 +321,7 @@ def test_touched_log_matches_heap_scan_under_the_vector_engine():
             Query(QueryType.GET, keys[i]) for i in rng.zipf(1.2, size=600) % len(keys)
         ] + [Query(QueryType.SET, keys[int(rng.integers(1000))], b"w" * 32)]
         pipeline.process_batch(config, batch)
-    assert sorted(store.heap.drain_touched()) == scan_sample(store.heap, epoch[0])
+    assert sorted(store.directory.harvest()) == scan_sample(store, epoch[0])
 
 
 def test_touched_log_is_bounded_and_pins_nothing():
@@ -329,9 +331,9 @@ def test_touched_log_is_bounded_and_pins_nothing():
         store.set(key, b"x" * 16)
     for key in keys:
         store.get(key, epoch=1)
-    assert len(store.heap.touched) == TOUCH_LOG_LIMIT
-    assert all(isinstance(entry, int) for entry in store.heap.touched)  # locations
+    assert len(store.directory.touched) == TOUCH_LOG_LIMIT
+    assert all(isinstance(entry, int) for entry in store.directory.touched)  # rows
     for key in keys:
         store.delete(key)
-    assert store.heap.drain_touched() == []  # all freed: nothing to report
-    assert store.heap.touched == []
+    assert store.directory.harvest() == []  # all freed: nothing to report
+    assert store.directory.touched == []

@@ -7,6 +7,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core.config_search import enumerate_configs
+from repro.core.dido import DidoSystem
 from repro.core.pipeline_config import PipelineConfig
 from repro.core.tasks import IndexOp, Task
 from repro.engine import (
@@ -19,6 +20,7 @@ from repro.engine import (
 from repro.engine.plan import BOUNDARY_TASKS, INDEX_OP_PRIORITY, PhaseKind
 from repro.errors import CapacityError, ConfigurationError, SimulationError
 from repro.kv.hashtable import CuckooHashTable
+from repro.kv.logarena import LogValueArena
 from repro.kv.protocol import Query, QueryType, ResponseStatus
 from repro.kv.store import KVStore
 from repro.net.wire import QueryColumns, encode_response_window
@@ -265,14 +267,6 @@ class TestBulkStoreOps:
         for key, location in entries:
             assert location in store.index_search(key)
 
-    def test_multi_index_delete_removes_entries(self):
-        store = KVStore(memory_bytes=1 << 20, expected_objects=512)
-        entries = [(f"n{i}".encode(), i) for i in range(20)]
-        store.multi_index_insert(entries)
-        removed = store.multi_index_delete(entries)
-        assert removed == 20
-        assert all(store.index_search(k) == [] for k, _ in entries)
-
 
 # ------------------------------------------------------------------ backends
 
@@ -458,6 +452,106 @@ def test_engines_match_the_model_on_a_kicked_table(engine):
         assert answers(pipeline.process_batch(config, window)) == model.window(window), w
         assert len(store) == len(store.index) == len(model), w
     assert store.index.kicked
+    assert_agrees(store, model)
+
+
+def assert_index_matches_directory(store: KVStore) -> None:
+    """A Search of each live key's spec finds its row exactly once, and the
+    index holds one entry per live key."""
+    directory = store.directory
+    for key in store.keys():
+        row = directory.ids[key]
+        candidates, _ = store.index.search_prehashed(*directory.spec(row))
+        assert candidates.count(row) == 1, key
+    assert len(store.index) == len(store)
+
+
+def test_directory_and_index_agree_through_kicked_windows_and_eviction():
+    """The key directory knows every live key's row; the cuckoo index must
+    agree with it after a prefill, after each of 300 windows on a 64-bucket
+    table that kicks, and after a compaction that evicts."""
+    rng = random.Random(43)
+    keys = [b"kick-key-%03d" % i for i in range(200)]
+    store = KVStore(
+        8 << 20,
+        4096,
+        index=CuckooHashTable(num_buckets=64),
+        heap=LogValueArena(8 << 10, segment_bytes=1 << 10),
+    )
+    assert store.populate([(key, b"prefill") for key in keys[:120]]) == 120
+    assert_index_matches_directory(store)
+    pipeline = FunctionalPipeline(store, engine="vector")
+    config = megakv_coupled_config()
+    for w in range(300):
+        window = []
+        for i in range(rng.randint(1, 60)):
+            key = rng.choice(keys)
+            roll = rng.random()
+            if roll < 0.45:
+                window.append(Query(QueryType.SET, key, b"v%d.%d" % (w, i)))
+            elif roll < 0.9:
+                window.append(Query(QueryType.GET, key))
+            else:
+                window.append(Query(QueryType.DELETE, key))
+        pipeline.process_batch(config, window)
+        assert_index_matches_directory(store)
+    assert store.index.kicked
+    evictions = store.heap.stats.evictions
+    store.set(b"big", b"x" * 6000)  # a jumbo value: live bytes pass the budget
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(LogValueArena, "needs_maintenance", property(lambda arena: True))
+        assert store.maintenance() > 0
+    assert store.heap.stats.evictions > evictions
+    assert_index_matches_directory(store)
+
+
+@pytest.mark.parametrize("live", [False, True], ids=["absent", "live"])
+@pytest.mark.parametrize("engine", ["vector", "reference"])
+def test_delete_then_set_in_one_window_keeps_the_set(engine, live):
+    """A window's mutations of one key apply in row order: a DELETE then a
+    SET leaves the key SET.  The DELETE answers DELETED only when the key
+    was live before it."""
+    system = DidoSystem(engine=engine)
+    if live:
+        system.process([Query(QueryType.SET, b"k", b"old")])
+    result = system.process([Query(QueryType.DELETE, b"k"), Query(QueryType.SET, b"k", b"v")])
+    deleted = ResponseStatus.DELETED if live else ResponseStatus.NOT_FOUND
+    assert [r.status for r in result.responses] == [deleted, ResponseStatus.STORED]
+    (got,) = system.process([Query(QueryType.GET, b"k")]).responses
+    assert (got.status, got.value) == (ResponseStatus.OK, b"v")
+    store = system.store
+    assert (store.stats.deletes, store.stats.delete_hits) == (1, int(live))
+    assert len(store) == len(store.index) == 1
+
+
+#: One key's mutations interleaved in a window, with GETs reading the end state.
+_SAME_KEY_WINDOWS = [
+    [(QueryType.DELETE, b"old"), (QueryType.DELETE, b"old"), (QueryType.SET, b"a")],
+    [(QueryType.SET, b"b"), (QueryType.DELETE, b""), (QueryType.SET, b"c"), (QueryType.GET, b"")],
+    [(QueryType.GET, b""), (QueryType.DELETE, b""), (QueryType.SET, b"d"), (QueryType.DELETE, b"")],
+    [(QueryType.DELETE, b""), (QueryType.GET, b""), (QueryType.SET, b"e"), (QueryType.SET, b"f")],
+    [(QueryType.SET, b"g"), (QueryType.DELETE, b""), (QueryType.DELETE, b""), (QueryType.SET, b"h")],
+]
+
+
+@pytest.mark.parametrize("engine", ["vector", "reference"])
+def test_same_key_mutations_apply_in_row_order(engine):
+    """Windows that DELETE and SET one key in every order answer like the
+    dict model, which applies a window's mutations in row order, and leave
+    the same key set behind."""
+    store = KVStore(1 << 20, 256)
+    store.set(b"k", b"seed")
+    model = DictModel()
+    model.set(b"k", b"seed")
+    pipeline = FunctionalPipeline(store, engine=engine)
+    config = megakv_coupled_config()
+    for rows in _SAME_KEY_WINDOWS:
+        window = [
+            Query(qtype, b"k", value) if qtype is QueryType.SET else Query(qtype, b"k")
+            for qtype, value in rows
+        ]
+        assert answers(pipeline.process_batch(config, window)) == model.window(window)
+        assert len(store) == len(store.index) == len(model)
     assert_agrees(store, model)
 
 

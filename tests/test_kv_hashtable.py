@@ -159,49 +159,18 @@ class TestDelete:
 
 
 class TestReassign:
-    def test_reassign_moves_entry_in_place(self):
-        table = make_table()
-        table.insert(b"alpha", 7)
-        assert table.reassign_prehashed(*table.probe(b"alpha"), 7, 42)
-        candidates, _ = table.search(b"alpha")
-        assert 42 in candidates
-        assert 7 not in candidates
-        assert len(table) == 1
-
     def test_reassign_counts_the_insert_delete_pair(self):
-        """One reassign is the paper's one-Insert-one-Delete SET pair."""
+        """A replace keeps its key's directory row and writes no slot, but
+        counts as the paper's one-Insert-one-Delete SET pair."""
         table = make_table()
         table.insert(b"k", 1)
-        inserts, deletes = table.stats.inserts, table.stats.deletes
-        assert table.reassign_prehashed(*table.probe(b"k"), 1, 2)
-        assert table.stats.inserts == inserts + 1
-        assert table.stats.deletes == deletes + 1
-        assert table.stats.reassigns == 1
-
-    def test_reassign_missing_entry_returns_false(self):
-        table = make_table()
-        table.insert(b"k", 1)
-        stats_before = (table.stats.inserts, table.stats.deletes)
-        assert not table.reassign_prehashed(*table.probe(b"k"), 999, 2)
-        assert (table.stats.inserts, table.stats.deletes) == stats_before
-        candidates, _ = table.search(b"k")
-        assert candidates == [1]
-
-    def test_reassign_rejects_negative_location(self):
-        table = make_table()
-        table.insert(b"k", 1)
-        with pytest.raises(ConfigurationError):
-            table.reassign_prehashed(*table.probe(b"k"), 1, -3)
-
-    def test_reassign_leaves_signature_colliders_alone(self):
-        """Only the (signature, old_location) entry moves; another entry
-        for the same key at a different location is untouched."""
-        table = make_table()
-        table.insert(b"dup", 1)
-        table.insert(b"dup", 2)
-        assert table.reassign_prehashed(*table.probe(b"dup"), 1, 9)
-        candidates, _ = table.search(b"dup")
-        assert sorted(candidates) == [2, 9]
+        before = (table.stats.inserts, table.stats.deletes, table.stats.insert_bucket_writes)
+        entries = table.entries()
+        table.stats.count_replaces(3)
+        after = (table.stats.inserts, table.stats.deletes, table.stats.insert_bucket_writes)
+        assert after == tuple(count + 3 for count in before)
+        assert table.stats.reassigns == 3
+        assert table.entries() == entries and len(table) == 1
 
 
 class TestDisplacement:
@@ -409,14 +378,6 @@ class TestKickedEntries:
             assert not table.delete(b"never-stored-%d" % i, 12345)
         assert not recording.walked
         assert len(recording.read) <= 50 * 4
-
-    def test_reassign_rewrites_displaced_entry_in_place(self):
-        table, stored = self.loaded_table()
-        key = self.displaced_keys(table, stored)[0]
-        count = len(table)
-        assert table.reassign_prehashed(*table.probe(key), stored[key], 9999)
-        assert len(table) == count
-        assert table.search(key)[0] == [9999]
 
 
 class TestVersioning:

@@ -20,10 +20,10 @@ class TestBasicOperations:
         assert store.get(b"ghost") is None
 
     def test_overwrite(self, store):
-        store.set(b"k", b"v1")
-        outcome = store.set(b"k", b"v2")
-        assert outcome.replaced is not None
-        assert outcome.replaced.value == b"v1"
+        assert store.set(b"k", b"v1") is False
+        row = store.directory.ids[b"k"]
+        assert store.set(b"k", b"v2") is True  # a replace keeps the row
+        assert store.directory.ids[b"k"] == row
         assert store.get(b"k") == b"v2"
 
     def test_overwrite_keeps_single_entry(self, store):
@@ -56,9 +56,9 @@ class TestPrimitives:
     def test_index_search_then_key_compare(self, store):
         store.set(b"target", b"val")
         candidates = store.index_search(b"target")
-        location = store.key_compare(b"target", candidates)
-        assert location is not None
-        assert store.read_value(location) == b"val"
+        row = store.key_compare(b"target", candidates)
+        assert row == store.directory.ids[b"target"]
+        assert store.read_value(row) == b"val"
 
     def test_key_compare_rejects_false_candidates(self, store):
         store.set(b"real", b"v")
@@ -69,16 +69,22 @@ class TestPrimitives:
 
     def test_read_value_records_access(self, store):
         store.set(b"k", b"v")
-        loc = store.key_compare(b"k", store.index_search(b"k"))
-        store.read_value(loc, epoch=3)
-        obj = store.heap.get(loc, touch=False)
-        assert obj.sample_epoch == 3
-        assert obj.access_count >= 1
+        row = store.key_compare(b"k", store.index_search(b"k"))
+        store.read_value(row, epoch=3)
+        store.read_value(row, epoch=3)
+        assert store.directory.epoch[row] == 3
+        assert store.directory.access[row] == 2
+        assert store.directory.touched == [row]
 
     def test_allocate_reports_locations_for_deletes(self, store):
         store.set(b"k", b"v1")
-        outcome = store.allocate(b"k", b"v2")
-        assert outcome.replaced_location is not None
+        row = store.directory.ids[b"k"]
+        entries = store.index.entries()
+        # A replace keeps the key's row: no index Insert, no slot written.
+        assert store.allocate(b"k", b"v2") == (row, False)
+        assert store.index.entries() == entries
+        assert store.index.stats.reassigns == 1
+        assert store.allocate(b"fresh", b"v") == (store.directory.ids[b"fresh"], True)
 
 
 def small_arena_store() -> KVStore:

@@ -47,53 +47,79 @@ PLAN = compile_stage_plan(megakv_coupled_config())
 # ------------------------------------------------------------- arena unit
 
 
+def log_store(budget: int, segment_bytes: int, objects: int = 4096) -> KVStore:
+    """A store over a small arena.  The arena holds bytes and accounting
+    only; where each value lives is its key's directory row, so the
+    compaction tests drive the arena through the store that owns the rows."""
+    return KVStore(budget, objects, heap=LogValueArena(budget, segment_bytes=segment_bytes))
+
+
+def bulk_set(store: KVStore, keys: list[bytes], values: list[bytes]) -> list[int]:
+    """A SET run through the store's bulk MM and Insert, as the engine's
+    passes make it (one columnar arena append); returns the keys' rows."""
+    specs = store.window_specs(keys)
+    rows, fresh = store.multi_allocate_columns(keys, values, specs)
+    store.multi_index_insert(
+        [(keys[j], rows[j]) for j in fresh],
+        (specs[0][fresh].tolist(), specs[1][fresh].tolist()),
+    )
+    return rows
+
+
+def stored_bytes(store: KVStore, key: bytes) -> bytes:
+    """``key``'s value read off its row's place, touching no counter."""
+    directory = store.directory
+    row = directory.ids[key]
+    place = directory.segment[row], directory.offset[row], directory.vlen[row]
+    return bytes(store.heap.views(*([int(column)] for column in place))[0])
+
+
 class TestArenaBasics:
     def test_bump_allocation_round_trip(self):
         arena = LogValueArena(1 << 20, segment_bytes=1 << 12)
-        loc_a = arena.allocate_kv(b"a", b"alpha")
-        loc_b = arena.allocate_kv(b"b", b"beta")
-        assert loc_b == loc_a + 1
-        assert arena.get(loc_a).value == b"alpha"
-        assert arena.get(loc_b).value == b"beta"
-        assert loc_a in arena and loc_b in arena
-        assert len(arena) == 2
+        place_a = arena.allocate_kv(b"a", b"alpha")
+        place_b = arena.allocate_kv(b"b", b"beta")
+        assert place_a == (0, 0) and place_b == (0, 5)
+        assert arena.views([0, 0], [0, 5], [5, 4]) == [b"alpha", b"beta"]
         assert arena.num_segments == 1
+        assert arena.stats.allocations == 2
         assert arena.live_bytes == len(b"a" b"alpha") + len(b"b" b"beta")
         assert arena.dead_bytes == 0
 
     def test_value_materialises_from_segment_bytes(self):
         arena = LogValueArena(1 << 20, segment_bytes=1 << 12)
-        location = arena.allocate_kv(b"k", b"payload")
-        record = arena.get(location)
-        assert record.value == b"payload"
+        segment, offset = arena.allocate_kv(b"k", b"payload")
+        (view,) = arena.views([segment], [offset], [7])
+        assert bytes(view) == b"payload"
+        with pytest.raises(TypeError):
+            view[0] = 0  # the views are read-only
 
     def test_tombstone_keeps_bytes_until_compaction(self):
         arena = LogValueArena(1 << 20, segment_bytes=1 << 12)
-        location = arena.allocate_kv(b"k", b"vvvv")
+        segment, offset = arena.allocate_kv(b"k", b"vvvv")
         claimed = arena.claimed_bytes
-        record = arena.free(location)
-        assert location not in arena
+        arena.free(segment, len(b"k" b"vvvv"))
         assert arena.live_bytes == 0
         assert arena.dead_bytes == len(b"k" b"vvvv")
         # Accounting-only: the segment (and the bytes) are still there.
         assert arena.claimed_bytes == claimed
-        assert record.value == b"vvvv"
+        assert arena.views([segment], [offset], [4]) == [b"vvvv"]
         assert arena.stats.frees == 1
 
     def test_free_unknown_location_raises(self):
         arena = LogValueArena(1 << 20)
-        with pytest.raises(CapacityError):
-            arena.free(17)
+        with pytest.raises(KeyError):
+            arena.free(17, 4)
 
     def test_jumbo_value_gets_dedicated_segment(self):
         arena = LogValueArena(1 << 20, segment_bytes=64)
         small = arena.allocate_kv(b"s", b"x" * 10)
         jumbo = arena.allocate_kv(b"j", b"y" * 200)
         assert arena.num_segments == 2
-        assert arena.get(jumbo).value == b"y" * 200
+        assert arena.views([jumbo[0]], [jumbo[1]], [200]) == [b"y" * 200]
         # The open head is unaffected: the next small value appends to it.
         after = arena.allocate_kv(b"t", b"z" * 10)
-        assert arena.get(small).segment is arena.get(after).segment
+        assert after == (small[0], 10)
         assert arena.num_segments == 2
 
     def test_oversize_allocation_raises(self):
@@ -101,7 +127,7 @@ class TestArenaBasics:
         with pytest.raises(CapacityError):
             arena.allocate_kv(b"k", b"x" * (1 << 11))
         assert arena.stats.failed_allocations == 1
-        assert len(arena) == 0 and arena.live_bytes == 0
+        assert arena.num_segments == 0 and arena.live_bytes == 0
 
     def test_config_validation(self):
         with pytest.raises(ConfigurationError):
@@ -110,14 +136,18 @@ class TestArenaBasics:
             LogValueArena(1 << 20, segment_bytes=0)
 
     def test_record_access_matches_kvobject_semantics(self):
-        arena = LogValueArena(1 << 20)
-        location = arena.allocate_kv(b"k", b"v")
-        record = arena.get(location)
+        """The directory's access and epoch columns follow the paper's
+        counter+timestamp scheme exactly as a ``KVObject`` does."""
+        store = KVStore(1 << 20, 64)
+        store.set(b"k", b"v")
+        directory = store.directory
+        row = directory.ids[b"k"]
         obj = KVObject(b"k", b"v")
         for epoch in (1, 1, 1, 2, 2):
-            assert record.record_access(epoch) == obj.record_access(epoch)
-        assert record.access_count == 2
-        assert record.size_bytes == obj.size_bytes
+            store.read_value(row, epoch=epoch)
+            assert directory.access[row] == obj.record_access(epoch)
+        assert directory.access[row] == 2
+        assert directory.klen[row] + directory.vlen[row] == obj.size_bytes
 
 
 class TestMultiAllocate:
@@ -125,15 +155,13 @@ class TestMultiAllocate:
         items = [(b"key-%03d" % i, bytes([i]) * (i % 37)) for i in range(100)]
         bulk = LogValueArena(1 << 20, segment_bytes=256)
         scalar = LogValueArena(1 << 20, segment_bytes=256)
-        locations = bulk.multi_allocate_kv(
+        segments, offsets = bulk.multi_allocate_kv(
             [k for k, _ in items], [v for _, v in items]
         )
         expected = [scalar.allocate_kv(k, v) for k, v in items]
-        assert locations == expected
-        for (key, value), location in zip(items, locations):
-            record = bulk.get(location)
-            assert record.key == key
-            assert record.value == value
+        assert list(zip(segments, offsets)) == expected
+        values = [v for _, v in items]
+        assert bulk.views(segments, offsets, list(map(len, values))) == values
         assert bulk.live_bytes == scalar.live_bytes
         assert bulk.stats.allocations == scalar.stats.allocations == 100
 
@@ -147,11 +175,8 @@ class TestMultiAllocate:
         arena = LogValueArena(1 << 20, segment_bytes=64)
         keys = [b"a", b"b", b"c", b"d"]
         values = [b"", b"x" * 200, b"y" * 10, b""]
-        locations = arena.multi_allocate_kv(keys, values)
-        for key, value, location in zip(keys, values, locations):
-            record = arena.get(location)
-            assert record.key == key
-            assert record.value == value
+        segments, offsets = arena.multi_allocate_kv(keys, values)
+        assert arena.views(segments, offsets, list(map(len, values))) == values
 
     def test_oversize_item_fails_at_position_with_prefix_applied(self):
         arena = LogValueArena(1 << 10, segment_bytes=256)
@@ -160,126 +185,119 @@ class TestMultiAllocate:
         with pytest.raises(CapacityError):
             arena.multi_allocate_kv(keys, values)
         # The earlier item is applied; the failed and later ones are not.
-        assert len(arena) == 1
-        (record,) = arena.objects()
-        assert record.key == b"a"
+        assert arena.stats.allocations == 1
         assert arena.live_bytes == len(b"a") + 8
+        assert arena.views([0], [0], [8]) == [b"x" * 8]
         # The arena stays consistent for further allocation.
-        location = arena.allocate_kv(b"d", b"w" * 8)
-        assert arena.get(location).value == b"w" * 8
+        segment, offset = arena.allocate_kv(b"d", b"w" * 8)
+        assert (segment, offset) == (0, 8)
+        assert arena.views([segment], [offset], [8]) == [b"w" * 8]
 
 
 class TestCompaction:
     def test_rewrite_reclaims_dead_space(self):
-        arena = LogValueArena(1 << 20, segment_bytes=256)
+        store = log_store(1 << 20, 256)
+        arena = store.heap
         # 4 values of 64 B fill segment 0 exactly; 4 more open segment 1.
-        locations = arena.multi_allocate_kv(
-            [b"k%d" % i for i in range(8)], [bytes([i]) * 64 for i in range(8)]
-        )
+        keys = [b"k%d" % i for i in range(8)]
+        bulk_set(store, keys, [bytes([i]) * 64 for i in range(8)])
         assert arena.num_segments == 2
-        arena.free(locations[0])
-        arena.free(locations[1])  # segment 0 now 50% dead (>= 25%)
+        store.delete(keys[0])
+        store.delete(keys[1])  # segment 0 now 50% dead (>= 25%)
         claimed = arena.claimed_bytes
-        evicted = arena.compact()
-        assert evicted == []  # rewrite is not eviction
+        evicted = arena.compact(store.directory)
+        assert evicted.size == 0  # rewrite is not eviction
         assert arena.dead_bytes == 0
         assert arena.claimed_bytes <= claimed
         assert arena.stats.relocations == 2
         assert arena.stats.segments_dropped == 1
         assert arena.stats.compactions == 1
-        # Survivors keep their locations and bytes through the move.
+        # Survivors keep their rows and bytes through the move.
         for i in (2, 3, 4, 5, 6, 7):
-            record = arena.get(locations[i])
-            assert record.value == bytes([i]) * 64
+            assert store.get(keys[i]) == bytes([i]) * 64
 
     def test_lightly_dead_segments_left_alone(self):
-        arena = LogValueArena(1 << 20, segment_bytes=1 << 12)
-        locations = arena.multi_allocate_kv(
-            [b"key-%03d" % i for i in range(32)], [b"x" * 64] * 32
-        )
-        arena.free(locations[0])  # ~3% dead: below the rewrite threshold
-        assert arena.compact() == []
-        assert arena.stats.relocations == 0
-        assert arena.dead_bytes > 0
+        store = log_store(1 << 20, 1 << 12)
+        keys = [b"key-%03d" % i for i in range(32)]
+        bulk_set(store, keys, [b"x" * 64] * 32)
+        store.delete(keys[0])  # ~3% dead: below the rewrite threshold
+        assert store.heap.compact(store.directory).size == 0
+        assert store.heap.stats.relocations == 0
+        assert store.heap.dead_bytes > 0
 
     def test_lru_victimisation_settles_budget(self):
-        arena = LogValueArena(1024, segment_bytes=256)
-        # 64 B accounted per record (8 B key + 56 B value), 4 per segment:
-        # 20 records = 5 segments, 1280 live bytes against a 1024 budget.
-        locations = arena.multi_allocate_kv(
-            [b"key-%03d" % i for i in range(20)], [b"v" * 56] * 20
-        )
-        # Touch everything but segment 0's records, making it the LRU.
-        for location in locations[4:]:
-            arena.get(location)
-        evicted = arena.compact()
-        assert {loc for loc, _ in evicted} == set(locations[:4])
+        store = log_store(1024, 256)
+        arena = store.heap
+        # 64 B accounted per value (8 B key + 56 B value), 4 per segment:
+        # 20 values = 5 segments, 1280 live bytes against a 1024 budget.
+        keys = [b"key-%03d" % i for i in range(20)]
+        rows = bulk_set(store, keys, [b"v" * 56] * 20)
+        # Read everything but segment 0's values, making it the LRU.
+        for key in keys[4:]:
+            store.get(key)
+        evicted = arena.compact(store.directory)
+        assert set(evicted.tolist()) == set(rows[:4])
         assert arena.live_bytes <= arena.budget_bytes
         assert arena.stats.evictions == 4
         assert arena.stats.compactions == 1
-        for location in locations[:4]:
-            assert arena.get(location) is None
-        for location in locations[4:]:
-            assert arena.get(location) is not None
-        # Evicted records keep their payloads for the caller's bookkeeping.
-        for _loc, record in evicted:
-            assert record.value == b"v" * 56
+        # The rows still name the dropped segment: the store retires them.
+        assert not any(int(store.directory.segment[row]) in arena._segments for row in rows[:4])
+        for row in rows[4:]:
+            assert int(store.directory.segment[row]) in arena._segments
 
     def test_needs_maintenance_gate(self):
-        arena = LogValueArena(1024, segment_bytes=256)
-        assert not arena.needs_maintenance
-        locations = arena.multi_allocate_kv(
-            [b"key-%03d" % i for i in range(20)], [b"v" * 56] * 20
-        )
-        assert arena.needs_maintenance  # over budget
-        arena.compact()
-        assert not arena.needs_maintenance
+        store = log_store(1024, 256)
+        assert not store.needs_maintenance
+        keys = [b"key-%03d" % i for i in range(20)]
+        bulk_set(store, keys, [b"v" * 56] * 20)
+        assert store.needs_maintenance  # over budget
+        assert store.maintenance() == 4
+        assert not store.needs_maintenance
         # Dead bytes alone re-arm the gate once past the trigger.
-        for location in locations[4:]:
-            if location in arena:
-                arena.free(location)
-        assert arena.needs_maintenance
+        for key in keys[4:]:
+            assert store.delete(key)
+        assert store.needs_maintenance
 
     def test_open_gate_always_means_work(self):
         """Live + dead past the budget, dead under the share: nothing a
         pass would do, so the gate stays shut instead of asking every
         barrier for a pass that relocates nothing."""
-        arena = LogValueArena(1024, segment_bytes=256)
-        locations = arena.multi_allocate_kv(
-            [b"key-%03d" % i for i in range(17)], [b"v" * 56] * 17
-        )
-        arena.free(locations[0])
-        arena.free(locations[5])
+        store = log_store(1024, 256)
+        arena = store.heap
+        keys = [b"key-%03d" % i for i in range(17)]
+        bulk_set(store, keys, [b"v" * 56] * 17)
+        store.delete(keys[0])
+        store.delete(keys[5])
         assert arena.live_bytes + arena.dead_bytes > arena.budget_bytes
         assert arena.live_bytes <= arena.budget_bytes
         assert not arena.needs_maintenance
 
     def test_wholly_dead_segments_always_dropped(self):
-        arena = LogValueArena(1 << 20, segment_bytes=256)
+        store = log_store(1 << 20, 256)
+        arena = store.heap
         # Three 80 B values per segment, 82 B accounted each.
-        locations = arena.multi_allocate_kv(
-            [b"k%d" % i for i in range(9)], [bytes([i]) * 80 for i in range(9)]
-        )
-        for location in locations[:3]:
-            arena.free(location)  # segment 0 is all tombstones
+        keys = [b"k%d" % i for i in range(9)]
+        bulk_set(store, keys, [bytes([i]) * 80 for i in range(9)])
+        for key in keys[:3]:
+            store.delete(key)  # segment 0 is all tombstones
         claimed = arena.claimed_bytes
         assert not arena.needs_maintenance  # 246 B dead: under one segment
-        arena.compact()
+        arena.compact(store.directory)
         assert arena.claimed_bytes == claimed - 256
         assert arena.stats.relocations == 0
         assert arena.dead_bytes == 0
 
     def test_rewrite_takes_deadest_first_and_stops_at_half_the_trigger(self):
-        arena = LogValueArena(1 << 20, segment_bytes=256)
-        # Five full segments of four 66 B records; the sixth is the head.
-        locations = arena.multi_allocate_kv(
-            [b"k%02d" % i for i in range(21)], [bytes([i]) * 63 for i in range(21)]
-        )
-        # Dead records per sealed segment: 1, 3, 2, 1, 0.
+        store = log_store(1 << 20, 256)
+        arena = store.heap
+        # Five full segments of four 66 B values; the sixth is the head.
+        keys = [b"k%02d" % i for i in range(21)]
+        bulk_set(store, keys, [bytes([i]) * 63 for i in range(21)])
+        # Dead values per sealed segment: 1, 3, 2, 1, 0.
         for i in (0, 4, 5, 6, 8, 9, 12):
-            arena.free(locations[i])
+            store.delete(keys[i])
         assert arena.needs_maintenance  # 462 dead of 1386 held: past 25 %
-        arena.compact()
+        arena.compact(store.directory)
         # Segment 1 (75 % dead) and segment 2 (50 %) pay best: rewriting
         # them brings dead bytes to 132, under half the 346 B trigger, so
         # the 25 %-dead segments are left to age.
@@ -288,137 +306,131 @@ class TestCompaction:
         assert arena.dead_bytes == 2 * 66
         assert not arena.needs_maintenance
         for i in (7, 10, 11):
-            record = arena.get(locations[i])
-            assert record.value == bytes([i]) * 63
+            assert store.get(keys[i]) == bytes([i]) * 63
 
     def test_pass_examines_only_the_segments_it_rewrites(self):
-        """Work bound: with N live records, thin dead space everywhere and
-        one dead-heavy segment, a pass reads that segment's membership
-        list and nothing else — not the N entries."""
-        arena = LogValueArena(64 << 20, segment_bytes=1 << 14)
+        """Work bound: with N live values, thin dead space everywhere and
+        one dead-heavy segment, a pass finds that segment's survivors in
+        one compare over the directory's segment column and moves those —
+        no Python work per other value."""
         per_segment = (1 << 14) // 64
         n = 40 * per_segment
-        locations = arena.multi_allocate_kv(
-            [b"key-%06d" % i for i in range(n)], [b"v" * 64] * n
-        )
-        victim = arena.get(locations[0], touch=False).segment
-        for location in locations[: per_segment * 3 // 4]:
-            arena.free(location)  # segment 0: 75 % dead
+        store = log_store(64 << 20, 1 << 14, objects=2 * n)
+        arena = store.heap
+        keys = [b"key-%06d" % i for i in range(n)]
+        bulk_set(store, keys, [b"v" * 64] * n)
+        for key in keys[: per_segment * 3 // 4]:
+            store.delete(key)  # segment 0: 75 % dead
         for first in range(per_segment, n - per_segment, per_segment):
-            for location in locations[first : first + 30]:
-                arena.free(location)  # every other sealed segment: 12 %
+            for key in keys[first : first + 30]:
+                store.delete(key)  # every other sealed segment: 12 %
         target = max(arena.segment_bytes, (arena.live_bytes + arena.dead_bytes) // 4) // 2
         assert target < arena.dead_bytes <= target + per_segment * 3 // 4 * 74
-        live_before = len(arena)
-        arena.compact()
+        live_before = len(store)
+        arena.compact(store.directory)
         assert arena.stats.segments_dropped == 1
         assert arena.stats.relocations == per_segment // 4
-        assert arena.stats.scanned == len(victim.locations) == per_segment
-        assert len(arena) == live_before > 30 * per_segment
+        assert arena.stats.scanned == per_segment // 4
+        assert len(store) == live_before > 30 * per_segment
 
     def test_record_relocated_twice_keeps_bytes_and_touch_log(self):
-        arena = LogValueArena(1 << 20, segment_bytes=256)
-        # Four 64 B records fill a segment.
-        first = arena.multi_allocate_kv(
-            [b"a%02d" % i for i in range(8)], [bytes([i]) * 61 for i in range(8)]
-        )
+        store = log_store(1 << 20, 256)
+        arena = store.heap
+        directory = store.directory
+        # Four 64 B values fill a segment.
+        first = [b"a%02d" % i for i in range(8)]
+        bulk_set(store, first, [bytes([i]) * 61 for i in range(8)])
         survivor = first[3]
-        record = arena.get(survivor)
+        row = directory.ids[survivor]
         for _ in range(5):
-            record.record_access(7, arena.touched, survivor)
-        homes = [record.segment]
-        for location in first[:3]:
-            arena.free(location)  # segment 0: only the survivor is live
-        arena.compact()
-        homes.append(record.segment)
+            store.read_value(row, epoch=7)
+        homes = [int(directory.segment[row])]
+        for key in first[:3]:
+            store.delete(key)  # segment 0: only the survivor is live
+        arena.compact(directory)
+        homes.append(int(directory.segment[row]))
         # Fill the survivor's new segment, seal it, kill its neighbours.
-        second = arena.multi_allocate_kv(
-            [b"b%02d" % i for i in range(4)], [bytes([i]) * 61 for i in range(4)]
-        )
-        assert arena.get(second[0]).segment is record.segment
-        assert arena.get(second[3]).segment is not record.segment
-        for location in second[:3]:
-            arena.free(location)
-        arena.compact()
-        homes.append(record.segment)
-        assert len({id(segment) for segment in homes}) == 3  # moved twice
+        second = [b"b%02d" % i for i in range(4)]
+        rows = bulk_set(store, second, [bytes([i]) * 61 for i in range(4)])
+        assert directory.segment[rows[0]] == directory.segment[row]
+        assert directory.segment[rows[3]] != directory.segment[row]
+        for key in second[:3]:
+            store.delete(key)
+        arena.compact(directory)
+        homes.append(int(directory.segment[row]))
+        assert len(set(homes)) == 3  # moved twice
         assert arena.stats.relocations == 2
-        assert arena.get(survivor) is record
-        assert record.value == bytes([3]) * 61
-        # The first-touch log names locations, which outlive every move.
-        assert arena.drain_touched() == [5]
-        assert arena.touched == []
+        assert directory.ids[survivor] == row
+        assert stored_bytes(store, survivor) == bytes([3]) * 61
+        # The first-touch log names rows, which outlive every move.
+        assert directory.harvest() == [5]
+        assert directory.touched == []
 
 
 class ArenaModel:
-    """A dict the arena must agree with: key -> (location, value)."""
+    """A dict a store on a small arena must agree with: key -> value, and
+    the in-epoch read count of each value read."""
 
-    def __init__(self, arena: LogValueArena):
-        self.arena = arena
-        self.live: dict[bytes, tuple[int, bytes]] = {}
-        self.touches: dict[int, int] = {}
+    def __init__(self, store: KVStore):
+        self.store = store
+        self.live: dict[bytes, bytes] = {}
+        self.touches: dict[bytes, int] = {}
 
     def set(self, key: bytes, value: bytes) -> None:
-        old = self.live.pop(key, None)
-        if old is not None:
-            assert self.arena.discard(old[0]).key == key
-            self.touches.pop(old[0], None)
-        location = self.arena.allocate_kv(key, value)
-        self.live[key] = (location, value)
+        assert self.store.set(key, value) == (key in self.live)
+        self.live[key] = value
+        self.touches.pop(key, None)
 
     def set_many(self, keys: list[bytes], value: bytes) -> None:
         fresh = list(dict.fromkeys(keys))
+        bulk_set(self.store, fresh, [value] * len(fresh))
         for key in fresh:
-            old = self.live.pop(key, None)
-            if old is not None:
-                self.arena.free(old[0])
-                self.touches.pop(old[0], None)
-        for key, location in zip(
-            fresh, self.arena.multi_allocate_kv(fresh, [value] * len(fresh))
-        ):
-            self.live[key] = (location, value)
+            self.live[key] = value
+            self.touches.pop(key, None)
 
     def delete(self, key: bytes) -> None:
-        old = self.live.pop(key, None)
-        if old is not None:
-            self.arena.free(old[0])
-            self.touches.pop(old[0], None)
+        assert self.store.delete(key) == (self.live.pop(key, None) is not None)
+        self.touches.pop(key, None)
 
     def read(self, key: bytes, epoch: int) -> None:
-        entry = self.live.get(key)
-        if entry is not None:
-            location = entry[0]
-            record = self.arena.get(location)
-            record.record_access(epoch, self.arena.touched, location)
-            self.touches[location] = self.touches.get(location, 0) + 1
+        assert self.store.get(key, epoch=epoch) == self.live.get(key)
+        if key in self.live:
+            self.touches[key] = self.touches.get(key, 0) + 1
 
     def compact(self) -> None:
-        arena = self.arena
-        for location, record in arena.compact():
-            assert self.live.pop(record.key)[0] == location
-            self.touches.pop(location, None)
-        assert arena.live_bytes <= arena.budget_bytes
+        store = self.store
+        before = set(store.keys())
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(LogValueArena, "needs_maintenance", property(lambda arena: True))
+            evictions = store.maintenance()
+        evicted = before - set(store.keys())
+        assert len(evicted) == evictions
+        for key in evicted:
+            del self.live[key]
+            self.touches.pop(key, None)
+        assert store.heap.live_bytes <= store.heap.budget_bytes
 
     def harvest(self) -> None:
-        assert sorted(self.arena.drain_touched()) == sorted(self.touches.values())
+        assert sorted(self.store.directory.harvest()) == sorted(self.touches.values())
         self.touches.clear()
 
     def check(self) -> None:
-        arena = self.arena
-        assert len(arena) == len(self.live)
+        store = self.store
+        arena = store.heap
+        directory = store.directory
+        assert sorted(store.keys()) == sorted(self.live)
+        assert len(store) == len(store.index) == len(self.live)
         segments = arena._segments
-        for key, (location, value) in self.live.items():
-            record = arena.get(location, touch=False)
-            assert record.key == key
-            assert any(record.segment is s for s in segments)
-            assert location in record.segment.locations
-            assert record.value == value
-        assert arena.live_bytes == sum(
-            len(k) + len(v) for k, (_, v) in self.live.items()
-        )
-        assert arena.live_bytes == sum(s.acct_live for s in segments)
-        assert arena.dead_bytes == sum(s.acct_used - s.acct_live for s in segments)
-        assert arena.claimed_bytes == sum(len(s.buf) for s in segments)
+        for key, value in self.live.items():
+            row = directory.ids[key]
+            segment = segments[int(directory.segment[row])]
+            offset, vlen = int(directory.offset[row]), int(directory.vlen[row])
+            assert offset + vlen <= segment.wpos
+            assert segment.buf[offset : offset + vlen] == value
+        assert arena.live_bytes == sum(len(k) + len(v) for k, v in self.live.items())
+        assert arena.live_bytes == sum(s.acct_live for s in segments.values())
+        assert arena.dead_bytes == sum(s.acct_used - s.acct_live for s in segments.values())
+        assert arena.claimed_bytes == sum(len(s.buf) for s in segments.values())
 
 
 _KEY_IDS = st.integers(min_value=0, max_value=23)
@@ -439,13 +451,13 @@ _ARENA_OPS = st.lists(
 class TestArenaAgainstModel:
     """SET / replace / DELETE / jumbo / bulk SET / compact at arbitrary
     points against a dict.  The budget (1.5 KiB over 256 B segments) is
-    small enough that passes evict, relocate the same record repeatedly
+    small enough that passes evict, relocate the same value repeatedly
     and drop jumbo segments; the touched log is harvested across them."""
 
     @settings(max_examples=150, deadline=None)
     @given(_ARENA_OPS)
     def test_fuzz(self, ops):
-        model = ArenaModel(LogValueArena(1536, segment_bytes=256))
+        model = ArenaModel(log_store(1536, 256, objects=64))
         epoch = 0
         for step, (op, key_id, arg) in enumerate(ops):
             key = b"key-%02d" % key_id
@@ -463,7 +475,7 @@ class TestArenaAgainstModel:
             else:
                 model.harvest()
                 epoch += 1
-            if model.arena.needs_maintenance and step % 3 == 0:
+            if model.store.needs_maintenance and step % 3 == 0:
                 model.compact()
             model.check()
         model.compact()
@@ -490,17 +502,16 @@ class TestSteadyState:
         proportional to the writing."""
         rng = random.Random(20260927)
         n = 8192
-        arena = LogValueArena(64 << 20, segment_bytes=1 << 18)
+        store = log_store(64 << 20, 1 << 18, objects=2 * n)
+        arena = store.heap
         keys = [b"key-%027d" % i for i in range(n)]
-        locations = arena.multi_allocate_kv(keys, [b"v" * 256] * n)
+        bulk_set(store, keys, [b"v" * 256] * n)
         loaded = arena.stats.allocations
         passes = 0
         for op in range(1, 4 * n + 1):
-            i = rng.randrange(n)
-            arena.discard(locations[i])
-            locations[i] = arena.allocate_kv(keys[i], b"w" * 256)
+            assert store.set(keys[rng.randrange(n)], b"w" * 256)
             if op % every == 0 and arena.needs_maintenance:
-                assert arena.compact() == []
+                assert store.maintenance() == 0
                 passes += 1
                 held = arena.live_bytes + arena.dead_bytes
                 assert arena.dead_bytes <= 0.30 * held
@@ -508,7 +519,7 @@ class TestSteadyState:
         assert passes >= 3
         replaces = arena.stats.allocations - loaded
         assert arena.stats.relocations / replaces <= bound
-        assert len(arena) == n
+        assert len(store) == n
 
 
 # ----------------------------------------------------------- store on log
@@ -518,11 +529,9 @@ class TestStoreOnLogArena:
     def test_set_get_delete_replace(self):
         store = KVStore(1 << 20, 1024)  # log arena is the default heap
         assert isinstance(store.heap, LogValueArena)
-        outcome = store.set(b"k", b"v1")
-        assert outcome.replaced is None
+        assert store.set(b"k", b"v1") is False
         assert store.get(b"k") == b"v1"
-        outcome = store.set(b"k", b"v2")
-        assert outcome.replaced is not None
+        assert store.set(b"k", b"v2") is True
         assert store.get(b"k") == b"v2"
         assert store.delete(b"k") is True
         assert store.get(b"k") is None
@@ -626,14 +635,13 @@ class TestHeapEquivalence:
         for op, kid, value in ops:
             key = b"key-%02d" % kid
             if op == "set":
-                replaced = log_store.set(key, value).replaced is not None
-                assert replaced == model.set(key, value)
+                assert log_store.set(key, value) == model.set(key, value)
             elif op == "get":
                 assert log_store.get(key) == model.get(key)
             else:
                 assert log_store.delete(key) == model.delete(key)
         # Compaction must not change observable state either.
-        log_store.heap.compact()
+        assert log_store.heap.compact(log_store.directory).size == 0
         for kid in range(16):
             key = b"key-%02d" % kid
             assert log_store.get(key) == model.get(key)
@@ -688,10 +696,9 @@ def run_batch(engine, store, queries):
 
 
 class TestReassignFusionThroughEngines:
-    """Replace-heavy batches settle each SET's Insert+Delete pair as one
-    in-place slot rewrite at MM time
-    (``CuckooHashTable.reassign_prehashed``); results must stay identical
-    to the scalar reference path on its own store, which never fuses."""
+    """A replace keeps its key's directory row, so replace-heavy batches
+    write no index slot; each still counts as the modelled Insert+Delete
+    pair, on the vector engine and on the scalar reference path alike."""
 
     @pytest.mark.parametrize("engine_cls", [VectorEngine])
     def test_replaces_settle_in_place_with_identical_results(self, engine_cls):
@@ -701,16 +708,18 @@ class TestReassignFusionThroughEngines:
         for s in (store, reference):
             s.populate([(k, b"seed") for k in keys])
         assert store.index.stats.reassigns == 0
+        entries = store.index.entries()
         batch = [
             Query(QueryType.SET, k, b"v2-%s" % k) for k in keys
         ] + [Query(QueryType.GET, k) for k in keys]
         _, rows = run_batch(engine_cls(), store, batch)
         _, ref_rows = run_batch(ReferenceEngine(), reference, batch)
         assert rows == ref_rows
-        # Every SET replaced a prefilled key whose entry was live, so the
-        # whole batch's index writes were fused reassigns.
+        # Every SET replaced a prefilled key: no slot changed, and each
+        # counts as one Insert+Delete pair.
+        assert store.index.entries() == entries
+        assert store.index.stats == reference.index.stats
         assert store.index.stats.reassigns == len(keys)
-        assert reference.index.stats.reassigns == 0
 
     def test_fresh_keys_do_not_fuse(self):
         store = KVStore(8 << 20, 4096)
@@ -721,8 +730,8 @@ class TestReassignFusionThroughEngines:
         assert all(store.get(f"new-{i}".encode()) == b"v" for i in range(64))
 
     def test_in_batch_duplicate_then_delete_stays_consistent(self):
-        """A SET whose old version is still pending in the same batch falls
-        back to the queued pair; a trailing DELETE leaves no trace."""
+        """A key SET twice in a batch keeps one row and queues one Insert;
+        a trailing DELETE leaves no trace."""
         store = KVStore(8 << 20, 4096)
         reference = KVStore(8 << 20, 4096)
         batch = [

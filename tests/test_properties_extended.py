@@ -68,7 +68,7 @@ def test_store_backends_agree(ops):
     for op, key_id, value in ops:
         key = f"key-{key_id}".encode()
         if op == "set":
-            replaced = store.set(key, value).replaced is not None
+            replaced = store.set(key, value)
             assert replaced == model.set(key, value)
         elif op == "get":
             assert store.get(key) == model.get(key), f"diverged on get {key!r}"

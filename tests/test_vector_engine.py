@@ -25,12 +25,13 @@ from repro.errors import CapacityError
 from repro.kv.hashtable import EMPTY, CuckooHashTable
 from repro.kv.logarena import LogValueArena
 from repro.kv.objects import MAX_VECTOR_KEY_BYTES, fnv1a64, fnv_hash_columns, key_signature
-from repro.kv.protocol import Query, QueryType, encode_responses
+from repro.kv.protocol import Query, QueryType, ResponseStatus, encode_responses
 from repro.kv.store import KVStore
 from repro.pipeline.functional import FunctionalPipeline
 from repro.net.wire import QueryColumns, encode_response_window
 from repro.pipeline.megakv import megakv_coupled_config
 
+from dict_model import DictModel, answers
 from test_engine import (
     all_canonical_configs,
     op_streams,
@@ -339,25 +340,36 @@ def test_both_search_kernels_match_reference(raw):
 _ORACLE_VALUE_BYTES = (0, 9, 300_000)
 
 
-def live_locations(store: KVStore) -> dict[bytes, int]:
-    """The log arena's own ``key -> location`` map, read off its records."""
-    return {record.key: location for location, record in store.heap._entries.items()}
+def live_rows(store: KVStore) -> dict[bytes, int]:
+    """The key directory's live keys and their rows."""
+    return {key: store.directory.ids[key] for key in store.keys()}
 
 
-def assert_directory_is_live(store: KVStore) -> None:
-    """The key directory's live rows are exactly the live keys, and each
-    such row's ``location`` column is the key's live location."""
+def assert_directory_is_live(store: KVStore, values: dict[bytes, bytes] | None = None) -> None:
+    """The key directory's live rows are the rows in use and the index's
+    entries, each names a place inside a segment the arena holds, and
+    their sizes add up to the arena's live bytes; with ``values``, the
+    bytes at each live key's place are its value there."""
     directory = store.directory
-    live = live_locations(store)
-    rows = {key: int(directory.location[row]) for key, row in directory.ids.items()}
-    assert {key: loc for key, loc in rows.items() if loc != EMPTY} == live
-    assert len(directory) == len(live)
+    segments = store.heap._segments
+    live = live_rows(store)
+    assert len(set(live.values())) == len(live) == len(directory) == len(store.index)
+    size = 0
+    for key, row in live.items():
+        segment = segments[int(directory.segment[row])]
+        offset, vlen = int(directory.offset[row]), int(directory.vlen[row])
+        assert offset + vlen <= segment.wpos
+        assert directory.klen[row] == len(key)
+        size += len(key) + vlen
+        if values is not None:
+            assert segment.buf[offset : offset + vlen] == values[key], key
+    assert size == store.heap.live_bytes
 
 
 def missed_by_search(store: KVStore, kernel: str) -> list[bytes]:
-    """Live keys whose location Search on ``kernel`` does not return among
-    the key's candidates."""
-    expected = live_locations(store)
+    """Live keys whose row Search on ``kernel`` does not return among the
+    key's candidates."""
+    expected = live_rows(store)
     keys = list(expected)
     engine = VectorEngine()
     engine.costs = ForcedKernel(kernel)
@@ -368,6 +380,17 @@ def missed_by_search(store: KVStore, kernel: str) -> list[bytes]:
     found = {row: [loc] for row, loc in zip(plane.scratch.hit_rows, plane.scratch.hit_locs)}
     found.update(plane.scratch.multi_hits)
     return [key for row, key in enumerate(keys) if expected[key] not in found.get(row, ())]
+
+
+def settle_evictions(store: KVStore, model: DictModel, evictions: int) -> None:
+    """Drop from ``model`` the keys the arena evicted since it counted
+    ``evictions``: exactly the model's keys the store no longer holds."""
+    live = set(store.keys())
+    evicted = set(model.data) - live
+    assert live <= set(model.data)
+    assert len(evicted) == store.heap.stats.evictions - evictions
+    for key in evicted:
+        del model.data[key]
 
 
 @settings(max_examples=10, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -388,11 +411,11 @@ def missed_by_search(store: KVStore, kernel: str) -> list[bytes]:
 )
 def test_search_finds_every_mapped_key_through_windows_and_compaction(windows):
     """An oracle that shares no code with the table or the key directory:
-    the log arena's own records.  After every window through a
-    ``DidoSystem`` on a kicked index, and after a compaction forced between
-    windows, both Search kernels find every live key at its location, the
-    directory's ``location`` column holds that location, and every key the
-    compaction evicted has no live directory row."""
+    the dict model.  Every window through a ``DidoSystem`` on a kicked
+    index answers like it; after the window, and after a compaction forced
+    between windows, the live keys are the model's less the ones the arena
+    evicted, both Search kernels find every live key at its row, and each
+    row's place holds the model's value."""
     # The prefill spans two 1 MiB log segments and nearly fills the budget.
     system = DidoSystem(memory_bytes=5 << 18, expected_objects=128, engine="vector")
     store = system.store
@@ -400,26 +423,28 @@ def test_search_finds_every_mapped_key_through_windows_and_compaction(windows):
     assert store.index.kicked
     # Room for the new half of the pool; the other half is prefilled keys.
     assert all(store.delete(key) for key in _FILL_KEYS[1::8])
+    model = DictModel()
+    model.data = {key: b"x" * 6000 for key in _FILL_KEYS if key in store.directory}
     pool = _FILL_KEYS[::8] + [b"new-%02d" % i for i in range(24)]
     for window in windows:
-        system.process(
-            [
-                Query(qtype, pool[k], bytes([k]) * size if qtype is QueryType.SET else b"")
-                for qtype, k, size in window
-            ]
-        )
+        queries = [
+            Query(qtype, pool[k], bytes([k]) * size if qtype is QueryType.SET else b"")
+            for qtype, k, size in window
+        ]
+        evictions = store.heap.stats.evictions
+        assert answers(system.process(queries)) == model.window(queries)
+        settle_evictions(store, model, evictions)
         for kernel in KERNELS:
             assert missed_by_search(store, kernel) == [], kernel
-        assert_directory_is_live(store)
-        before = set(live_locations(store))
+        assert_directory_is_live(store, model.data)
+        evictions = store.heap.stats.evictions
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(LogValueArena, "needs_maintenance", property(lambda arena: True))
             system.maintain()
+        settle_evictions(store, model, evictions)
         for kernel in KERNELS:
             assert missed_by_search(store, kernel) == [], kernel
-        assert_directory_is_live(store)
-        evicted = before - set(live_locations(store))
-        assert not any(key in store.directory for key in evicted)
+        assert_directory_is_live(store, model.data)
 
 
 # ------------------------------------------------------ window probe specs
@@ -503,7 +528,7 @@ class TestWindowProbeSpecs:
             system.process(window)
             assert_directory_is_live(store)
             assert not any(key.startswith(b"never-") for key in directory.ids)
-            live = list(live_locations(store))
+            live = store.keys()
         assert store.heap.stats.evictions > 0
         assert store.stats.delete_hits > 0
         assert directory.rows == 64  # 480 keys SET, never more than 64 live
@@ -591,9 +616,22 @@ class TestValueViews:
         for _ in range(8):
             system.process([Query(QueryType.SET, k, b"x" * 256) for k in keys])
             system.maintain()
-        assert sources.isdisjoint(id(segment.buf) for segment in arena._segments)
+        assert sources.isdisjoint(id(segment.buf) for segment in arena._segments.values())
         again = encode_response_window(result.response_statuses, result.response_values)[0]
         assert again == framed
+
+    def test_prefill_tracks_no_object_per_key(self):
+        """A 32,768-key K16/V64 prefill leaves no collector-tracked object
+        per key: a value is bytes in a segment, and its place and counters
+        are numbers in its key's directory row.  With a record object per
+        value the growth read 32,773."""
+        system = DidoSystem(engine="vector")
+        items = [(b"%016d" % i, b"v" * 64) for i in range(32768)]
+        gc.collect()
+        before = len(gc.get_objects())
+        assert system.store.populate(items) == len(items)
+        gc.collect()
+        assert len(gc.get_objects()) - before < 1000
 
     def test_public_edges_hand_out_bytes(self):
         system = DidoSystem(engine="vector")
@@ -603,6 +641,90 @@ class TestValueViews:
         assert type(result.responses[0].value) is bytes
         assert type(system.store.get(b"k")) is bytes
         assert result.responses[0].value == system.store.get(b"k") == b"value"
+
+
+#: Two keys with one signature and one first candidate bucket on a
+#: 64-bucket table (found by brute force; the fixture checks it).
+_TWINS = (b"c0559340", b"c1394847")
+
+
+class TestRowHandles:
+    """A key's directory row is its one handle: what moving records into
+    row columns could break."""
+
+    @staticmethod
+    def twins_pipeline(engine: str) -> FunctionalPipeline:
+        store = KVStore(1 << 20, 64, index=CuckooHashTable(num_buckets=64))
+        (sig_a, buckets_a), (sig_b, buckets_b) = map(store.index.probe, _TWINS)
+        assert sig_a == sig_b and buckets_a[0] == buckets_b[0]
+        return FunctionalPipeline(store, engine=engine)
+
+    @pytest.mark.parametrize("engine", ["vector", "reference"])
+    def test_key_compare_rejects_the_twin_row(self, engine):
+        """Search hands KC the other key's row as a candidate; KC rejects
+        it and counts one signature false positive per rejection."""
+        pipeline = self.twins_pipeline(engine)
+        store = pipeline.store
+        config = megakv_coupled_config()
+        first, second = _TWINS
+        pipeline.process_batch(config, [Query(QueryType.SET, first, b"first")])
+        (miss,) = pipeline.process_batch(config, [Query(QueryType.GET, second)]).responses
+        assert miss.status is ResponseStatus.NOT_FOUND
+        assert store.stats.signature_false_positives == 1
+        pipeline.process_batch(config, [Query(QueryType.SET, second, b"second")])
+        result = pipeline.process_batch(
+            config, [Query(QueryType.GET, first), Query(QueryType.GET, second)]
+        )
+        assert result.response_values == [b"first", b"second"]
+        # Each GET found both rows in the shared bucket and kept its own.
+        assert store.stats.signature_false_positives == 3
+
+    @pytest.mark.parametrize("engine", ["vector", "reference"])
+    def test_a_row_claimed_in_the_window_is_not_its_old_keys(self, engine):
+        """A GET's key is resolved to its live row after MM: a fresh SET
+        earlier in the window may claim the retired row the GET's key
+        still held, and that row must not answer for it."""
+        pipeline = self.twins_pipeline(engine)
+        store = pipeline.store
+        config = megakv_coupled_config()
+        first, second = _TWINS
+        pipeline.process_batch(config, [Query(QueryType.SET, first, b"first")])
+        row = store.directory.ids[first]
+        pipeline.process_batch(config, [Query(QueryType.DELETE, first)])
+        result = pipeline.process_batch(
+            config,
+            [
+                Query(QueryType.SET, second, b"second"),
+                Query(QueryType.GET, first),
+                Query(QueryType.GET, second),
+            ],
+        )
+        assert store.directory.ids[second] == row
+        assert [r.status for r in result.responses] == [
+            ResponseStatus.STORED,
+            ResponseStatus.NOT_FOUND,
+            ResponseStatus.OK,
+        ]
+        assert result.response_values[2] == b"second"
+
+    def test_a_row_handed_on_reports_no_old_access_count(self):
+        """A row retired and claimed by another key, or a value replaced,
+        between a read and the harvest: the old value's count is not
+        reported, and the new holder's reads are, once."""
+        store = KVStore(1 << 20, 64)
+        store.set(b"old", b"v")
+        row = store.directory.ids[b"old"]
+        for _ in range(3):
+            assert store.get(b"old", epoch=4) == b"v"
+        assert store.delete(b"old")
+        store.set(b"new", b"w")
+        assert store.directory.ids[b"new"] == row
+        assert store.harvest_window()[0] == []
+        for _ in range(3):
+            store.get(b"new", epoch=5)
+        store.set(b"new", b"w2")  # a replace: the value read is gone
+        store.get(b"new", epoch=5)
+        assert store.harvest_window()[0] == [1]
 
 
 class TestSearchTimer:
