@@ -3,9 +3,10 @@
 DIDO (like Mega-KV) indexes objects with a cuckoo hash table [Pagh &
 Rodler]: ``num_hashes`` bucket choices per key, multi-slot buckets, and
 displacement ("kicking") on insert.  Buckets store ``(signature, location)``
-pairs rather than full keys, so a Search may return a false candidate that
-the KC task later rejects — the table exposes signature-level search and the
-store layer performs full-key verification.
+pairs rather than full keys — in the store, the location is the key's
+directory row — so a Search may return a false candidate that the KC task
+later rejects: the table exposes signature-level search and the store
+layer verifies the candidate.
 
 The slots are two NumPy arrays of shape ``(num_buckets, slots_per_bucket)``
 — ``signatures`` (uint32) and ``locations`` (int64, :data:`EMPTY` when
@@ -327,21 +328,21 @@ class CuckooHashTable:
         """Insert ``key -> location``; returns buckets written.
 
         Duplicate signatures are allowed (two distinct keys may share one);
-        inserting the *same* key again adds another entry — the store layer
-        deletes the old entry first on overwrite, as Mega-KV does via its
-        eviction-generated Delete.  Raises :class:`CapacityError` when the
+        inserting the *same* key again adds another entry — the store never
+        does: a replace keeps the key's directory row, and with it the
+        entry.  Raises :class:`CapacityError` when the
         displacement chain exceeds ``max_kicks``; the table is then as it
         was before the call.
         """
         if location < 0:
-            raise ConfigurationError("location must be a non-negative heap location")
+            raise ConfigurationError("location must be non-negative")
         signature, buckets = self.probe(key)
         return self.insert_prehashed(signature, buckets, location)
 
     def insert_prehashed(self, signature: int, buckets: list[int], location: int) -> int:
         """:meth:`insert` with the key's probe spec already computed."""
         if location < 0:
-            raise ConfigurationError("location must be a non-negative heap location")
+            raise ConfigurationError("location must be non-negative")
         self.stats.inserts += 1
         writes = self._insert_signature(signature, location, buckets)
         self.stats.insert_bucket_writes += writes
