@@ -16,11 +16,17 @@ per-type index subsets with masks over its NumPy opcode column.  The
 engines answer every row in one status-code column (``statuses``) next to
 ``read_values``; no ``Query`` or ``Response`` object exists on the path.
 
-SET bookkeeping is one column: ``pending_inserts[i]`` is the
-``(key, row)`` the MM pass produced for a SET that gave its key a live
-directory row, consumed by the Insert pass.  A SET that replaces a live
-value keeps its key's row and queues nothing, so a key SET several times in
-a batch reaches the index once.
+SET bookkeeping is one column: ``pending_inserts[i]`` is the key
+directory row the MM pass gave a SET's key when it held no live one; the
+Insert pass reads the probe spec MM wrote into that row.  A SET that
+replaces a live value keeps its key's row and queues nothing, so a key SET
+several times in a batch reaches the index once.
+
+**One job per pass.**  Search probes GET rows only: a DELETE finds its
+key through the directory.  Before any pass runs, both engines reject a
+window holding a SET too big for the whole heap
+(:func:`reject_oversized_sets`), so MM has one path and such a window
+applies nothing.
 
 **Window order.**  Every compiled plan runs MM, then the index Deletes,
 then the Searches, and GETs read the window's end state; a key's mutations
@@ -82,7 +88,7 @@ class BatchPlane:
         #: Raw wire status code per row, written by the pass that answers
         #: it (Delete for DELETE rows, WR for the rest).
         self.statuses: list[int | None] = [None] * n
-        self.pending_inserts: list[tuple[bytes, int] | None] = [None] * n
+        self.pending_inserts: list[int | None] = [None] * n
         #: Per-qtype index subsets, built on first access.
         self._subsets: tuple | None = None
         #: Engine-private per-batch state (the vector engine's hand-offs
@@ -93,12 +99,10 @@ class BatchPlane:
         # One mask per subset over the wire opcode column (GET=1, SET=2,
         # DELETE=3); `.nonzero()` keeps ascending order.
         opcodes = self.opcodes
-        is_set = opcodes == 2
         subsets = (
             (opcodes == 1).nonzero()[0].tolist(),
-            is_set.nonzero()[0].tolist(),
+            (opcodes == 2).nonzero()[0].tolist(),
             (opcodes == 3).nonzero()[0].tolist(),
-            (~is_set).nonzero()[0].tolist(),
             (opcodes != 1).nonzero()[0].tolist(),
         )
         self._subsets = subsets
@@ -106,7 +110,7 @@ class BatchPlane:
 
     @property
     def get_indices(self) -> list[int]:
-        """GET queries (KC/RD consumers)."""
+        """GET queries (Search/KC/RD consumers)."""
         return (self._subsets or self._build_subsets())[0]
 
     @property
@@ -120,14 +124,9 @@ class BatchPlane:
         return (self._subsets or self._build_subsets())[2]
 
     @property
-    def search_indices(self) -> list[int]:
-        """Queries the index Search pass touches (GET and DELETE)."""
-        return (self._subsets or self._build_subsets())[3]
-
-    @property
     def mutation_indices(self) -> list[int]:
         """SET and DELETE queries, in row order."""
-        return (self._subsets or self._build_subsets())[4]
+        return (self._subsets or self._build_subsets())[3]
 
     def take_responses(self) -> list[int]:
         """The completed status column; raises if any row is unanswered.
@@ -155,6 +154,25 @@ def credit_time(task_times: dict | None, task, t0: float) -> None:
     if task_times is not None:
         elapsed_us = (time.perf_counter() - t0) * 1e6
         task_times[task] = task_times.get(task, 0.0) + elapsed_us
+
+
+def reject_oversized_sets(store, plane: BatchPlane) -> None:
+    """Raise :class:`~repro.errors.CapacityError` before any pass runs
+    when one of the window's SETs holds a key and value over the whole heap
+    budget (counted in ``ArenaStats.failed_allocations``), so such a window
+    applies nothing."""
+    sets = plane.set_indices
+    if not sets:
+        return
+    keys, values = plane.keys, plane.set_values
+    budget = store.heap.budget_bytes
+    # The per-SET check runs only when the cheap screen trips.
+    if max(map(len, keys)) + max(map(len, values)) <= budget:
+        return
+    for i in sets:
+        size = len(keys[i]) + len(values[i])
+        if size > budget:
+            raise store.heap.oversized(size)
 
 
 def answer_overridden_deletes(store, plane: BatchPlane) -> None:
@@ -199,7 +217,7 @@ def answer_overridden_deletes(store, plane: BatchPlane) -> None:
 def drop_pending_inserts(store, plane: BatchPlane) -> None:
     """A failed window's clean-up: drop the rows its MM gave a key and no
     Insert indexed (:meth:`~repro.kv.store.KVStore.drop_unindexed`)."""
-    store.drop_unindexed([entry[1] for entry in plane.pending_inserts if entry is not None])
+    store.drop_unindexed([row for row in plane.pending_inserts if row is not None])
 
 
 def count_store_ops(store, plane: BatchPlane, get_hits: int | None = None) -> None:

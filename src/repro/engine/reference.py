@@ -4,7 +4,11 @@ Before the batch-columnar engine existed, the functional pipeline executed
 one Python method call per query per phase.  This backend preserves that
 path exactly — same store-call sequence, same bookkeeping — but driven by
 the same compiled :class:`~repro.engine.plan.StagePlan`, so stage semantics
-still live in exactly one module.  It serves two purposes:
+still live in exactly one module.  Each pass does only its own job, as in
+the batch engine: Search probes GET rows only, Insert indexes the directory
+row MM gave a key, and a window holding a SET over the whole heap budget
+is rejected before any pass runs
+(:func:`~repro.engine.plane.reject_oversized_sets`).  It serves two purposes:
 
 * **ground truth** for the engine-equivalence property tests: every legal
   configuration must produce byte-identical response frames through the
@@ -30,6 +34,7 @@ from repro.engine.plane import (
     count_store_ops,
     credit_time,
     drop_pending_inserts,
+    reject_oversized_sets,
 )
 from repro.errors import CapacityError
 from repro.kv.hashtable import EMPTY
@@ -51,6 +56,7 @@ class ReferenceEngine:
         epoch: int = 0,
         task_times: dict[Task, float] | None = None,
     ) -> None:
+        reject_oversized_sets(store, plane)
         answer_overridden_deletes(store, plane)
         try:
             for phase in plan.phases:
@@ -86,26 +92,24 @@ class ReferenceEngine:
     def _task_mm(store, plane, i, epoch) -> None:
         if plane.qtypes[i] is not QueryType.SET:
             return
-        key = plane.keys[i]
-        row, fresh = store.allocate(key, plane.set_values[i])
+        row, fresh = store.allocate(plane.keys[i], plane.set_values[i])
         if fresh:
-            plane.pending_inserts[i] = (key, row)
+            plane.pending_inserts[i] = row
 
     @staticmethod
     def _op_search(store, plane, i, epoch) -> None:
-        if plane.qtypes[i] is not QueryType.SET:
+        if plane.qtypes[i] is QueryType.GET:
             plane.candidates[i] = store.index_search(plane.keys[i])
 
     @staticmethod
     def _op_insert(store, plane, i, epoch) -> None:
         pending = plane.pending_inserts
-        entry = pending[i]
-        if entry is None:
+        row = pending[i]
+        if row is None:
             return
         pending[i] = None
-        key, row = entry
         if store.directory.segment[row] != EMPTY:  # else a DELETE retired it
-            store.index_insert(key, row)
+            store.index_insert(row)
 
     @staticmethod
     def _op_delete(store, plane, i, epoch) -> None:

@@ -16,8 +16,11 @@ clock reads) and feeds the fit.
 This is the one batch engine: ``run`` walks the compiled
 :class:`~repro.engine.plan.StagePlan` and applies each phase to every row
 it covers before the next phase starts, exactly as Mega-KV's staged
-kernels do.  Before the first phase it resolves every row's probe spec
-once (:meth:`~repro.kv.store.KVStore.window_specs`, credited to IN): keys
+kernels do.  Before the first phase it rejects a window holding a SET
+over the whole heap budget
+(:func:`~repro.engine.plane.reject_oversized_sets`), so such a window
+applies nothing, and resolves every row's probe spec once
+(:meth:`~repro.kv.store.KVStore.window_specs`; both credited to IN): keys
 holding a row of the store's key directory gather theirs from its columns,
 and the rest — fresh SETs and misses — are hashed together in one columnar
 pass, so no pass below hashes a key.  The passes, in plan order, and what they hand
@@ -29,25 +32,22 @@ each other on the plane's :class:`_VectorScratch`:
   operations do not benefit from batched kernels the way Search does).
   MM places a SET run with one columnar arena append
   (:meth:`~repro.kv.store.KVStore.multi_allocate_columns`: a replace
-  keeps its key's row and touches no index slot, a fresh key gets a row
-  and a pending Insert), or row by row through
-  :meth:`~repro.kv.store.KVStore.allocate` when one item exceeds the heap
-  budget, so it fails at its position.  Before MM, the DELETEs that a
-  later SET of their key overrides are answered
-  (:func:`~repro.engine.plane.answer_overridden_deletes`).
-* **Search** — two kernels, one hand-off.  *Scalar*: the walk over the
-  rows' specs (:meth:`~repro.kv.store.KVStore.multi_index_search`).
+  keeps its key's row and touches no index slot, a fresh key gets a row,
+  with the window's spec written into it, and a pending Insert of that
+  row).  Before MM, the DELETEs that a later SET of their key overrides
+  are answered (:func:`~repro.engine.plane.answer_overridden_deletes`).
+* **Search** — GET rows only, two kernels, one hand-off.  *Scalar*: the
+  cuckoo table's walk over the rows' specs
+  (:meth:`~repro.kv.hashtable.CuckooHashTable.multi_search_prehashed`).
   *Columnar*: the rows' bucket columns, then one gather + compare per
   probe round from the cuckoo table's own ``signatures`` / ``locations``
   arrays — the memory the scalar walk reads too — with the scalar path's
-  probe-order short-circuit.  Both leave GET rows with one candidate on
-  ``hit_rows`` / ``hit_locs`` and the rare multi-match in
-  ``multi_hits``, and account ``IndexStats.searches`` /
-  ``search_bucket_reads`` identically.
-* **KC / RD** — one row loop each over the hits: key-compare is one
-  compare per candidate, against the key's live row resolved after MM
-  (which gives fresh keys their rows); RD reads only the rows that passed
-  it.  RD copies no value: a read-only slice of each value's log segment
+  probe-order short-circuit.  Both leave every candidate as a
+  ``(row, candidate)`` pair on ``hit_rows`` / ``hit_locs``, and account
+  ``IndexStats.searches`` / ``search_bucket_reads`` identically.
+* **KC / RD** — one row loop each: key-compare is one compare per
+  candidate pair, against the key's live row resolved after MM (which
+  gives fresh keys their rows); RD reads only the rows that passed it.  RD copies no value: a read-only slice of each value's log segment
   goes in ``read_values``, and the framer's one join copies it.
 * **WR** — the status-code column filled per query-type subset, next to
   the ``read_values`` column RD filled; the wire framer reads those two
@@ -79,10 +79,10 @@ from repro.engine.plane import (
     count_store_ops,
     credit_time,
     drop_pending_inserts,
+    reject_oversized_sets,
 )
 from repro.errors import CapacityError, ConfigurationError
 from repro.kv.hashtable import EMPTY
-from repro.kv.protocol import QueryType
 from repro.kv.store import KVStore
 from repro.telemetry import get_telemetry
 
@@ -93,25 +93,16 @@ _MODEL_ERROR_BUCKETS = (0.05, 0.1, 0.2, 0.35, 0.5, 1.0, 2.0)
 class _VectorScratch:
     """Per-batch columnar state the vector passes hand to each other."""
 
-    __slots__ = (
-        "specs",
-        "hit_rows",
-        "hit_locs",
-        "multi_hits",
-        "rd_rows",
-        "rd_ids",
-    )
+    __slots__ = ("specs", "hit_rows", "hit_locs", "rd_rows", "rd_ids")
 
     def __init__(self) -> None:
         #: Every row's probe spec, ``(signatures, buckets)`` columns
         #: (:meth:`KVStore.window_specs`).
         self.specs = None
-        #: Plane indices whose Search matched exactly one candidate, and
-        #: the candidate directory row, aligned.
+        #: Search's ``(row, candidate)`` pairs, aligned: a GET row's plane
+        #: index once per candidate directory row its probe matched.
         self.hit_rows: list[int] = []
         self.hit_locs: list[int] = []
-        #: Plane index -> candidate rows, for the rare multi-match.
-        self.multi_hits: dict[int, list[int]] = {}
         #: Plane indices of the GET hits that survived key-compare (read
         #: by RD, answered OK by WR), and their directory rows.
         self.rd_rows: list[int] = []
@@ -146,6 +137,7 @@ class VectorEngine:
         # Every row's spec resolved once, ahead of every pass that probes
         # it; an IN cost, like the hashing it replaces.
         t0 = time.perf_counter() if task_times is not None else 0.0
+        reject_oversized_sets(store, plane)
         scratch.specs = store.window_specs(plane.keys)
         answer_overridden_deletes(store, plane)
         credit_time(task_times, Task.IN, t0)
@@ -166,7 +158,7 @@ class VectorEngine:
         """Run one phase over the rows it applies to (ascending order)."""
         if phase.kind is PhaseKind.INDEX_OP:
             if phase.op is IndexOp.SEARCH:
-                self._pass_search(store, plane, plane.search_indices)
+                self._pass_search(store, plane, plane.get_indices)
             elif phase.op is IndexOp.INSERT:
                 self._pass_insert(store, plane, plane.set_indices)
             else:
@@ -185,61 +177,43 @@ class VectorEngine:
     # ------------------------------------------------------------ MM / IN
 
     @staticmethod
-    def _row_specs(plane: BatchPlane, rows):
-        """The probe specs of plane ``rows`` as ``(signatures, buckets)``
-        lists."""
-        signatures, buckets = plane.scratch.specs
-        rows = np.asarray(rows, dtype=np.intp)
-        return signatures[rows].tolist(), buckets[rows].tolist()
-
-    def _pass_mm(self, store: KVStore, plane: BatchPlane, indices) -> None:
+    def _pass_mm(store: KVStore, plane: BatchPlane, indices) -> None:
         if not indices:
             return
         keys = plane.keys
         values = plane.set_values
-        pending = plane.pending_inserts
         specs = plane.scratch.specs
         if len(indices) == len(keys):
             # All-SET batch: the phase covers every row in order, so the
             # plane's own columns go straight through without a gather.
-            columns = store.multi_allocate_columns(keys, values, specs)
+            rows, fresh = store.multi_allocate_columns(keys, values, specs)
         else:
-            rows = np.asarray(indices, dtype=np.intp)
-            specs = (specs[0][rows], specs[1][rows])
-            columns = store.multi_allocate_columns(
-                [keys[i] for i in indices], [values[i] for i in indices], specs
+            gather = np.asarray(indices, dtype=np.intp)
+            rows, fresh = store.multi_allocate_columns(
+                [keys[i] for i in indices],
+                [values[i] for i in indices],
+                (specs[0][gather], specs[1][gather]),
             )
-        if columns is None:
-            # An item exceeds the heap budget: place row by row, so it
-            # fails at its position with every earlier item placed.
-            allocate = store.allocate
-            for i in indices:
-                row, fresh = allocate(keys[i], values[i])
-                if fresh:
-                    pending[i] = (keys[i], row)
-            return
         # Replaces kept their rows and queue nothing; each key given a
         # live row queues its Insert.
-        rows, fresh = columns
+        pending = plane.pending_inserts
         for j in fresh:
-            i = indices[j]
-            pending[i] = (keys[i], rows[j])
+            pending[indices[j]] = rows[j]
 
-    def _pass_insert(self, store: KVStore, plane: BatchPlane, indices) -> None:
+    @staticmethod
+    def _pass_insert(store: KVStore, plane: BatchPlane, indices) -> None:
         pending = plane.pending_inserts
         live = store.directory._segment
-        entries: list[tuple[bytes, int]] = []
-        queued: list[int] = []
+        rows: list[int] = []
         for i in indices:
-            entry = pending[i]
-            if entry is not None:
+            row = pending[i]
+            if row is not None:
                 pending[i] = None
                 # A later DELETE of the window may have retired the row.
-                if live[entry[1]] != EMPTY:
-                    entries.append(entry)
-                    queued.append(i)
-        if entries:
-            store.multi_index_insert(entries, self._row_specs(plane, queued))
+                if live[row] != EMPTY:
+                    rows.append(row)
+        if rows:
+            store.multi_index_insert(rows)
 
     @staticmethod
     def _pass_delete(store: KVStore, plane: BatchPlane, indices) -> None:
@@ -280,29 +254,23 @@ class VectorEngine:
                 ).observe(error, **{"pass": SEARCH_PASS})
         costs.observe(SEARCH_PASS, kernel, n, elapsed_us)
 
-    def _search_scalar(self, store: KVStore, plane: BatchPlane, indices) -> None:
-        """The scalar Search kernel: the walk over the rows' probe specs
-        (:meth:`KVStore.multi_index_search`, which accounts ``IndexStats``
-        itself), with the candidates left where the columnar kernel leaves
-        them.  DELETE rows are probed (the
-        Search op covers them) and dropped — the Delete pass answers them.
-        """
+    @staticmethod
+    def _search_scalar(store: KVStore, plane: BatchPlane, indices) -> None:
+        """The scalar Search kernel: the table's walk over the rows' probe
+        specs (which accounts ``IndexStats`` itself), each candidate left
+        as a pair where the columnar kernel leaves its pairs."""
         scratch = plane.scratch
-        keys = plane.keys
-        qtypes = plane.qtypes
-        get_type = QueryType.GET
         hit_rows = scratch.hit_rows
         hit_locs = scratch.hit_locs
-        found = store.multi_index_search(
-            [keys[i] for i in indices], self._row_specs(plane, indices)
+        gather = np.asarray(indices, dtype=np.intp)
+        signatures, buckets = scratch.specs
+        found = store.index.multi_search_prehashed(
+            signatures[gather].tolist(), buckets[gather].tolist()
         )
         for i, candidates in zip(indices, found):
-            if candidates and qtypes[i] is get_type:
-                if len(candidates) == 1:
-                    hit_rows.append(i)
-                    hit_locs.append(candidates[0])
-                else:
-                    scratch.multi_hits[i] = candidates
+            for candidate in candidates:
+                hit_rows.append(i)
+                hit_locs.append(candidate)
 
     @staticmethod
     def _search_columnar(store: KVStore, plane: BatchPlane, indices) -> None:
@@ -321,8 +289,6 @@ class VectorEngine:
         reads = np.full(n, num_hashes, dtype=np.int64)
         hit_rows = scratch.hit_rows
         hit_locs = scratch.hit_locs
-        # One boolean mask over the wire opcode column keeps the GET rows.
-        get_mask = plane.opcodes == 1
         # One round per candidate bucket; once any insert has kicked, rows
         # they all miss get one more round over the buckets' displaced twins.
         slots = index.slots_per_bucket
@@ -341,23 +307,12 @@ class VectorEngine:
             match = (loc_slots != EMPTY) & (sig_slots == signatures[remaining][:, None])
             matched = match.any(axis=1)
             if matched.any():
+                pair_rows, pair_slots = np.nonzero(match)
+                hit_rows.extend(plane_rows[remaining[pair_rows]].tolist())
+                hit_locs.extend(loc_slots[pair_rows, pair_slots].tolist())
                 local = np.nonzero(matched)[0]
-                resolved = remaining[local]
-                counts = match[local].sum(axis=1)
                 first_slot = match[local].argmax(axis=1)
-                reads[resolved] = probe + 1 + first_slot // slots
-                first_locs = loc_slots[local, first_slot]
-                single = counts == 1
-                resolved_planes = plane_rows[resolved]
-                single_rows = resolved_planes[single]
-                keep = get_mask[single_rows]
-                hit_rows.extend(single_rows[keep].tolist())
-                hit_locs.extend(first_locs[single][keep].tolist())
-                for li in np.nonzero(~single)[0].tolist():
-                    row = int(resolved_planes[li])
-                    if get_mask[row]:
-                        locs = loc_slots[local[li]][match[local[li]]].tolist()
-                        scratch.multi_hits[row] = locs
+                reads[remaining[local]] = probe + 1 + first_slot // slots
                 remaining = remaining[~matched]
         stats = index.stats
         stats.searches += n
@@ -382,17 +337,6 @@ class VectorEngine:
                 rd_ids.append(candidate)
             else:
                 false_positives += 1
-        for row, candidates in scratch.multi_hits.items():
-            own = ids_get(keys[row])
-            match = None
-            for candidate in candidates:
-                if candidate == own and segment[candidate] != EMPTY:
-                    match = candidate
-                else:
-                    false_positives += 1
-            if match is not None:
-                rd_rows.append(row)
-                rd_ids.append(match)
         store.stats.signature_false_positives += false_positives
 
     # ------------------------------------------------------------------- RD

@@ -253,14 +253,3 @@ DISCRETE_MEGAKV = PlatformSpec(
     pcie_latency_us=10.0,
     interference_strength=0.05,
 )
-
-
-def platform_by_name(name: str) -> PlatformSpec:
-    """Look up a built-in platform by short name (``"apu"`` or ``"discrete"``)."""
-    table = {"apu": APU_A10_7850K, "discrete": DISCRETE_MEGAKV}
-    try:
-        return table[name.lower()]
-    except KeyError:
-        raise ConfigurationError(
-            f"unknown platform {name!r}; expected one of {sorted(table)}"
-        ) from None

@@ -178,13 +178,6 @@ class CuckooHashTable:
         """Seqlock-style version of bucket ``index`` (bumped on every write)."""
         return self._versions[index & self._mask]
 
-    def expected_search_buckets(self) -> float:
-        """Theoretical average buckets probed per search:
-        ``(sum_{i=1..n} i) / n`` for ``n`` hash functions (paper Section
-        IV-B)."""
-        n = self._num_hashes
-        return sum(range(1, n + 1)) / n
-
     # --------------------------------------------------------------- hashing
 
     def _bucket_index(self, key: bytes, which: int) -> int:

@@ -227,17 +227,21 @@ class LogValueArena:
 
     # ------------------------------------------------------------ allocation
 
+    def oversized(self, size: int) -> CapacityError:
+        """Count a failed allocation of ``size`` key+value bytes, over the
+        whole budget, and return the error to raise."""
+        self.stats.failed_allocations += 1
+        return CapacityError(
+            f"object of {size} B exceeds the arena budget of {self._budget_bytes} B"
+        )
+
     def allocate_kv(self, key: bytes, value: bytes) -> tuple[int, int]:
         """Place one key-value pair; returns its ``(segment, offset)``.
         Never evicts: :meth:`compact` settles the memory debt at a barrier."""
         vlen = len(value)
         size = len(key) + vlen
         if size > self._budget_bytes:
-            self.stats.failed_allocations += 1
-            raise CapacityError(
-                f"object of {size} B exceeds the arena budget of "
-                f"{self._budget_bytes} B"
-            )
+            raise self.oversized(size)
         self._tick += 1
         segment, offset = self._append(value, vlen)
         segment.acct_used += size
@@ -256,9 +260,9 @@ class LogValueArena:
         join-and-slice-assign per run instead of one copy per item.
         Returns the ``(segments, offsets)`` columns aligned with ``values``.
         Raises :class:`CapacityError` at the first item whose key+value
-        exceed the whole budget, with every earlier item applied (callers
-        that need the scalar loop's positional semantics pre-screen sizes;
-        see :meth:`~repro.kv.store.KVStore.multi_allocate_columns`).
+        exceed the whole budget, with every earlier item applied (the
+        engines reject such a window before MM:
+        :func:`~repro.engine.plane.reject_oversized_sets`).
         """
         n = len(values)
         stats = self.stats
@@ -297,11 +301,7 @@ class LogValueArena:
                 size = len(key) + vlen
                 if size > budget:
                     self._live_bytes += live_add
-                    stats.failed_allocations += 1
-                    raise CapacityError(
-                        f"object of {size} B exceeds the arena budget of "
-                        f"{budget} B"
-                    )
+                    raise self.oversized(size)
                 segment, offset = self._append(value, vlen)
                 segments.append(segment.sid)
                 offsets.append(offset)

@@ -15,9 +15,12 @@ and candidate buckets), where the value lives in the arena (segment,
 offset, length), and the profiler's access counter and sampling epoch.
 Only a SET gives a key a row, and a key is hashed only while it holds none
 (one scalar hash on the ``get``/``set``/``delete`` path, one columnar pass
-per window on the engine's, :meth:`KVStore.window_specs`).  A replace keeps
-its row, so it writes columns and touches no index slot; it is counted as
-the paper's modelled Insert+Delete pair all the same.  A DELETE or an
+per window on the engine's, :meth:`KVStore.window_specs`).  MM writes a
+fresh key's spec into the row it gives the key, and the index Insert of
+that row reads it back.  A replace keeps its row, so it writes columns and
+touches no index slot; it is counted as the paper's modelled Insert+Delete
+pair all the same.  A SET whose key and value exceed the whole heap budget
+raises before it changes anything, so the key's live value stays.  A DELETE or an
 eviction retires the row onto a free list, where the key keeps it until
 another key needs a row.
 
@@ -303,14 +306,6 @@ class KVStore:
 
     # ---------------------------------------------------------- probe specs
 
-    def spec(self, key: bytes) -> tuple[int, list[int]]:
-        """``key``'s probe spec: from its directory row when it holds one,
-        else hashed (and not kept)."""
-        row = self.directory.ids.get(key)
-        if row is None:
-            return self.index.probe(key)
-        return self.directory.spec(row)
-
     def window_specs(self, keys: list[bytes]) -> tuple[np.ndarray, np.ndarray]:
         """Every row's probe spec for one window, resolved once.
 
@@ -337,8 +332,12 @@ class KVStore:
     # These are what the pipeline's fine-grained tasks call.
 
     def index_search(self, key: bytes) -> list[int]:
-        """IN/Search: candidate rows by signature."""
-        return self.index.search_prehashed(*self.spec(key))[0]
+        """IN/Search: candidate rows by signature, under ``key``'s probe
+        spec from its directory row when it holds one, else hashed (and
+        not kept)."""
+        row = self.directory.ids.get(key)
+        spec = self.index.probe(key) if row is None else self.directory.spec(row)
+        return self.index.search_prehashed(*spec)[0]
 
     def key_compare(self, key: bytes, candidates: list[int]) -> int | None:
         """KC: the candidate that is ``key``'s live row, or None.
@@ -369,19 +368,14 @@ class KVStore:
 
         A replace keeps the key's live row and tombstones the old value;
         ``fresh`` is True when the key had no live row and so needs an
-        index Insert.  A value over the whole budget raises
-        :class:`CapacityError`, and a key it would have replaced is
-        dropped as by a DELETE.
+        index Insert.  A key and value over the whole budget raise
+        :class:`CapacityError` before anything changes, so the key's live
+        value stays readable.
         """
         directory = self.directory
         row = directory.ids.get(key)
         live = row is not None and directory._segment[row] != EMPTY
-        try:
-            segment, offset = self.heap.allocate_kv(key, value)
-        except CapacityError:
-            if live:
-                self._remove(row)
-            raise
+        segment, offset = self.heap.allocate_kv(key, value)
         if live:
             self.heap.free(directory._segment[row], directory._klen[row] + directory._vlen[row])
             self.index.stats.count_replaces(1)
@@ -392,11 +386,12 @@ class KVStore:
         directory.place(row, segment, offset, len(value), len(key))
         return row, not live
 
-    def index_insert(self, key: bytes, row: int) -> int:
-        """IN/Insert: add ``key``'s entry; returns buckets written.  When
-        the Insert fails, the row is dropped before the error propagates."""
+    def index_insert(self, row: int) -> int:
+        """IN/Insert: index live ``row`` under the probe spec MM wrote into
+        it; returns buckets written.  When the Insert fails, the row is
+        dropped before the error propagates."""
         try:
-            return self.index.insert_prehashed(*self.spec(key), row)
+            return self.index.insert_prehashed(*self.directory.spec(row), row)
         except CapacityError:
             self.drop_unindexed((row,))
             raise
@@ -428,31 +423,18 @@ class KVStore:
     # instead of one cross-module call per query.  Each is semantically
     # exactly N applications of its scalar counterpart, in order.
     #
-    # The index-touching bulk operations take the rows' probe specs from
-    # the window's one resolve (window_specs) when the engine passes them,
-    # else from the key directory, hashing only absent keys — the columnar
-    # analogue of Mega-KV computing signatures during packet processing and
-    # shipping them with the job.
-
-    def _specs(self, keys) -> tuple[list[int], list[list[int]]]:
-        specs = list(map(self.spec, keys))
-        return [signature for signature, _ in specs], [buckets for _, buckets in specs]
-
-    def multi_index_search(
-        self, keys: list[bytes], specs: tuple[list[int], list[list[int]]] | None = None
-    ) -> list[list[int]]:
-        """Bulk IN/Search: candidate rows per key, in input order.
-
-        ``specs`` is ``(signatures, buckets)`` aligned with ``keys``.
-        """
-        return self.index.multi_search_prehashed(*(specs or self._specs(keys)))
+    # The probe specs come from the window's one resolve (window_specs):
+    # MM writes them into the rows it gives keys, and Insert reads them
+    # back — the columnar analogue of Mega-KV computing signatures during
+    # packet processing and shipping them with the job.  Bulk Search is
+    # the table's own multi_search_prehashed over those specs.
 
     def multi_allocate_columns(
         self,
         keys: list[bytes],
         values: list[bytes],
         specs: tuple[np.ndarray, np.ndarray],
-    ) -> tuple[list[int], list[int]] | None:
+    ) -> tuple[list[int], list[int]]:
         """Columnar MM over parallel key/value columns.
 
         The engine's MM pass calls this first: the whole SET run lands
@@ -467,21 +449,10 @@ class KVStore:
 
         ``specs`` are the keys' ``(signatures, buckets)`` columns from
         :meth:`window_specs`; new rows take theirs in one scatter after
-        the loop.
-
-        Returns ``None`` for an empty run, or when an item exceeds the heap
-        budget: an oversized item must fail at its position with every
-        earlier item placed, so the caller then allocates row by row
-        through :meth:`allocate`.
+        the loop.  The engines reject a window holding an item over the
+        whole heap budget before MM
+        (:func:`~repro.engine.plane.reject_oversized_sets`).
         """
-        if not keys:
-            return None
-        budget = self.heap.budget_bytes
-        # The per-item check runs only when the cheap screen trips.
-        if max(map(len, keys)) + max(map(len, values)) > budget and any(
-            len(key) + len(value) > budget for key, value in zip(keys, values)
-        ):
-            return None
         segments, offsets = self.heap.multi_allocate_kv(keys, values)
         directory = self.directory
         ids_get = directory.ids.get
@@ -530,28 +501,23 @@ class KVStore:
         directory.buckets[rows] = specs[1]
         return rows, fresh
 
-    def multi_index_insert(
-        self,
-        entries: list[tuple[bytes, int]],
-        specs: tuple[list[int], list[list[int]]] | None = None,
-    ) -> int:
-        """Bulk IN/Insert: apply ``(key, row)`` entries in order; returns
-        buckets written.
+    def multi_index_insert(self, rows: list[int]) -> int:
+        """Bulk IN/Insert: index live ``rows`` in order, each under the
+        probe spec MM wrote into it; returns buckets written.
 
-        ``specs`` is ``(signatures, buckets)`` aligned with ``entries``.
         When an Insert fails, its row and every later one are dropped
         (:meth:`drop_unindexed`) before the error propagates.
         """
-        signatures, buckets = specs or self._specs([key for key, _ in entries])
+        directory = self.directory
+        signatures = directory.signature[rows].tolist()
+        buckets = directory.buckets[rows].tolist()
         insert = self.index.insert_prehashed
         written = 0
-        for done, ((_, row), signature, candidates) in enumerate(
-            zip(entries, signatures, buckets)
-        ):
+        for done, (row, signature, candidates) in enumerate(zip(rows, signatures, buckets)):
             try:
                 written += insert(signature, candidates, row)
             except CapacityError:
-                self.drop_unindexed([row for _, row in entries[done:]])
+                self.drop_unindexed(rows[done:])
                 raise
         return written
 
@@ -572,7 +538,7 @@ class KVStore:
         self.stats.sets += 1
         row, fresh = self.allocate(key, value)
         if fresh:
-            self.index_insert(key, row)
+            self.index_insert(row)
         return not fresh
 
     def delete(self, key: bytes) -> bool:

@@ -40,9 +40,12 @@ every row the store was asked to apply is answered ``ERROR``,
 ``stats.failed_windows`` increments, a warning is logged, and serving goes
 on.  Under a cluster ownership view the misrouted rows of such a window
 still get their ``WRONG_NODE`` redirect: the store never saw them, so
-their clients may retry them at the owner.  A SET in a failed window may
-or may not have applied; its client was told ``ERROR``.  Everything
-applied before the window stays readable.
+their clients may retry them at the owner.  A window holding a SET over
+the whole heap budget fails before any pass runs and applies nothing; one
+that fails later (a full index at an Insert) is partly applied, so a SET
+in it may or may not have applied, and its client was told ``ERROR``.
+Everything applied before the window, and not changed by it, stays
+readable.
 
 Usage::
 

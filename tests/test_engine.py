@@ -1,5 +1,6 @@
 """Unit tests for the engine layer: plan compiler, batch plane, backends."""
 
+import dataclasses
 import random
 
 import pytest
@@ -193,7 +194,6 @@ class TestBatchPlane:
         assert plane.size == 4
         assert plane.get_indices == [1, 3]
         assert plane.set_indices == [0]
-        assert plane.search_indices == [1, 2, 3]  # GET and DELETE
         assert plane.mutation_indices == [0, 2]  # SET and DELETE
 
     def test_take_responses_raises_when_incomplete(self):
@@ -248,9 +248,12 @@ class TestBulkStoreOps:
         return store
 
     def test_multi_index_search_matches_scalar(self):
+        """The engine's bulk Search: the table's walk over the window's
+        probe specs."""
         store = self.populated_store()
         keys = [f"key-{i}".encode() for i in range(0, 250, 3)]
-        bulk = store.multi_index_search(keys)
+        signatures, buckets = store.window_specs(keys)
+        bulk = store.index.multi_search_prehashed(signatures.tolist(), buckets.tolist())
         scalar_store = self.populated_store()
         assert bulk == [scalar_store.index_search(k) for k in keys]
         # stats aggregated identically
@@ -261,11 +264,15 @@ class TestBulkStoreOps:
         )
 
     def test_multi_index_insert_then_search(self):
+        """Bulk Insert indexes the rows MM gave keys, under the specs MM
+        wrote into them."""
         store = KVStore(memory_bytes=1 << 20, expected_objects=512)
-        entries = [(f"n{i}".encode(), i) for i in range(20)]
-        store.multi_index_insert(entries)
-        for key, location in entries:
-            assert location in store.index_search(key)
+        keys = [f"n{i}".encode() for i in range(20)]
+        rows, fresh = store.multi_allocate_columns(keys, [b"v"] * 20, store.window_specs(keys))
+        assert fresh == list(range(20))
+        store.multi_index_insert(rows)
+        for key, row in zip(keys, rows):
+            assert row in store.index_search(key)
 
 
 # ------------------------------------------------------------------ backends
@@ -305,12 +312,10 @@ class TestEngineEquivalence:
             assert store.index.stats.searches == ref_store.index.stats.searches
 
     def test_oversized_set_fails_its_window_like_reference(self):
-        """A SET bigger than the heap budget fails its window at its
-        position, as it does on the reference: the window
-        raises after MM placed the SET before it and before any Insert
-        ran, so none of the window's keys reads back; a later re-SET
-        does, and the store counts match the reference's.  (A bulk append
-        that raised mid-run would leave ``a`` placed but unmapped.)"""
+        """A SET bigger than the heap budget fails its whole window, as it
+        does on the reference: the window raises before any pass runs, so
+        none of the window's keys reads back; a later re-SET does, and the
+        store counts match the reference's."""
         config = megakv_coupled_config()
         stats = []
         for engine in ("vector", "reference"):
@@ -330,11 +335,42 @@ class TestEngineEquivalence:
                 config, [Query(QueryType.SET, b"a", b"2"), Query(QueryType.GET, b"a")]
             )
             assert result.responses[1].value == b"2"
-            # ``a``'s first version was mapped, so the re-SET displaced it:
-            # the heap holds no orphan of the failed window.
+            # The heap holds no orphan of the failed window.
             assert store.keys() == [b"a"]
             stats.append(store.stats)
         assert stats[0] == stats[1]
+
+    @pytest.mark.parametrize("engine", ["vector", "reference"])
+    def test_oversized_set_window_applies_nothing(self, engine):
+        """The rows before an oversized SET are not applied either: a
+        replace of a live key keeps the old value, a DELETE keeps its key,
+        and the heap and the store counts are as they were."""
+        config = megakv_coupled_config()
+        store = KVStore(1 << 20, 512)
+        pipeline = FunctionalPipeline(store, engine=engine)
+        pipeline.process_batch(
+            config, [Query(QueryType.SET, b"a", b"old"), Query(QueryType.SET, b"c", b"kept")]
+        )
+        live, stats = store.heap.live_bytes, dataclasses.replace(store.stats)
+        window = [
+            Query(QueryType.SET, b"a", b"a longer new value"),
+            Query(QueryType.DELETE, b"c"),
+            Query(QueryType.SET, b"b", b"x" * (store.heap.budget_bytes + 1)),
+        ]
+        with pytest.raises(CapacityError):
+            pipeline.process_batch(config, window)
+        assert store.heap.stats.failed_allocations == 1
+        assert store.heap.live_bytes == live and store.heap.dead_bytes == 0
+        assert store.stats == stats
+        result = pipeline.process_batch(
+            config, [Query(QueryType.GET, key) for key in (b"a", b"b", b"c")]
+        )
+        assert [r.status for r in result.responses] == [
+            ResponseStatus.OK,
+            ResponseStatus.NOT_FOUND,
+            ResponseStatus.OK,
+        ]
+        assert [result.responses[i].value for i in (0, 2)] == [b"old", b"kept"]
 
     @pytest.mark.parametrize("engine", ["vector"])
     def test_duplicate_heavy_windows_match_reference(self, engine):

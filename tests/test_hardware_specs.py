@@ -9,7 +9,6 @@ from repro.hardware.specs import (
     PlatformSpec,
     ProcessorKind,
     ProcessorSpec,
-    platform_by_name,
 )
 
 
@@ -87,13 +86,3 @@ class TestPlatformSpec:
                 price_usd=100.0,
                 tdp_watts=95.0,
             )
-
-
-class TestPlatformByName:
-    def test_lookup(self):
-        assert platform_by_name("apu") is APU_A10_7850K
-        assert platform_by_name("DISCRETE") is DISCRETE_MEGAKV
-
-    def test_unknown(self):
-        with pytest.raises(ConfigurationError):
-            platform_by_name("laptop")

@@ -48,13 +48,6 @@ class TestConstruction:
         table = make_table(buckets=64)
         assert table.capacity == 64 * table.slots_per_bucket
 
-    def test_expected_search_buckets_two_hashes(self):
-        assert make_table().expected_search_buckets() == pytest.approx(1.5)
-
-    def test_expected_search_buckets_three_hashes(self):
-        table = make_table(num_hashes=3)
-        assert table.expected_search_buckets() == pytest.approx(2.0)
-
 
 class TestInsertSearch:
     def test_insert_then_search_finds_location(self):

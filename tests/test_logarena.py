@@ -57,12 +57,8 @@ def log_store(budget: int, segment_bytes: int, objects: int = 4096) -> KVStore:
 def bulk_set(store: KVStore, keys: list[bytes], values: list[bytes]) -> list[int]:
     """A SET run through the store's bulk MM and Insert, as the engine's
     passes make it (one columnar arena append); returns the keys' rows."""
-    specs = store.window_specs(keys)
-    rows, fresh = store.multi_allocate_columns(keys, values, specs)
-    store.multi_index_insert(
-        [(keys[j], rows[j]) for j in fresh],
-        (specs[0][fresh].tolist(), specs[1][fresh].tolist()),
-    )
+    rows, fresh = store.multi_allocate_columns(keys, values, store.window_specs(keys))
+    store.multi_index_insert([rows[j] for j in fresh])
     return rows
 
 
@@ -574,16 +570,18 @@ class TestStoreOnLogArena:
 
 
 class TestStaleMappingRegression:
-    def test_failed_replace_drops_mapping(self):
+    def test_failed_replace_keeps_the_old_value(self):
         store = KVStore(memory_bytes=1 << 20, expected_objects=256)
         store.set(b"k", b"small")
+        live = store.heap.live_bytes
         with pytest.raises(CapacityError):
             store.set(b"k", b"x" * (2 << 20))  # exceeds the whole budget
-        # The old version was freed before the allocation failed: every
-        # reference must be gone, not left dangling at a freed location.
-        assert b"k" not in store.directory
-        assert store.key_compare(b"k", store.index_search(b"k")) is None
-        assert store.get(b"k") is None
+        # The allocation fails before anything changes: the old version is
+        # still mapped, indexed and accounted, not freed by an ERROR.
+        assert store.heap.stats.failed_allocations == 1
+        assert store.heap.live_bytes == live and store.heap.dead_bytes == 0
+        assert len(store.index) == len(store) == 1
+        assert store.get(b"k") == b"small"
         # And the store still works for that key afterwards.
         store.set(b"k", b"fresh")
         assert store.get(b"k") == b"fresh"

@@ -335,6 +335,32 @@ def test_both_search_kernels_match_reference(raw):
         assert outcomes[0][1][name] == reference_counters[1][name], name
 
 
+@pytest.mark.parametrize("engine", ["reference", *KERNELS])
+def test_search_probes_get_rows_only(engine):
+    """Search runs over a window's GET rows only: a DELETE finds its key
+    through the key directory.  So a window holding DELETEs of live and
+    absent keys counts one Search per GET row, on the reference and on
+    either vector Search kernel."""
+    store = kicked_store()
+    runner = ReferenceEngine() if engine == "reference" else VectorEngine()
+    if engine != "reference":
+        runner.costs = ForcedKernel(engine)
+    window = [
+        Query(QueryType.GET, _FILL_KEYS[0]),
+        Query(QueryType.DELETE, _FILL_KEYS[1]),
+        Query(QueryType.GET, b"absent"),
+        Query(QueryType.DELETE, b"absent"),
+        Query(QueryType.SET, _FILL_KEYS[2], b"y"),
+        Query(QueryType.GET, _FILL_KEYS[1]),
+        Query(QueryType.DELETE, _FILL_KEYS[3]),
+    ]
+    plane = BatchPlane(QueryColumns.from_queries(window))
+    before = store.index.stats.searches
+    runner.run(store, compile_stage_plan(megakv_coupled_config()), plane)
+    assert store.index.stats.searches - before == len(plane.get_indices) == 3
+    assert plane.take_responses()[:2] == [ResponseStatus.OK.value, ResponseStatus.DELETED.value]
+
+
 #: SET value sizes of the oracle stream: empty, small, and large enough
 #: that one SET overruns the arena budget, so compaction evicts a segment.
 _ORACLE_VALUE_BYTES = (0, 9, 300_000)
@@ -376,10 +402,9 @@ def missed_by_search(store: KVStore, kernel: str) -> list[bytes]:
     plane = BatchPlane(QueryColumns.from_queries([Query(QueryType.GET, k) for k in keys]))
     plane.scratch = _VectorScratch()
     plane.scratch.specs = store.window_specs(plane.keys)
-    engine._pass_search(store, plane, plane.search_indices)
-    found = {row: [loc] for row, loc in zip(plane.scratch.hit_rows, plane.scratch.hit_locs)}
-    found.update(plane.scratch.multi_hits)
-    return [key for row, key in enumerate(keys) if expected[key] not in found.get(row, ())]
+    engine._pass_search(store, plane, plane.get_indices)
+    found = set(zip(plane.scratch.hit_rows, plane.scratch.hit_locs))
+    return [key for row, key in enumerate(keys) if (row, expected[key]) not in found]
 
 
 def settle_evictions(store: KVStore, model: DictModel, evictions: int) -> None:
