@@ -47,7 +47,8 @@ each other on the plane's :class:`_VectorScratch`:
   ``IndexStats.searches`` / ``search_bucket_reads`` identically.
 * **KC / RD** — one row loop each: key-compare is one compare per
   candidate pair, against the key's live row resolved after MM (which
-  gives fresh keys their rows); RD reads only the rows that passed it.  RD copies no value: a read-only slice of each value's log segment
+  gives fresh keys their rows); RD reads only the rows that passed it.
+  RD copies no value: a read-only slice of each value's log segment
   goes in ``read_values``, and the framer's one join copies it.
 * **WR** — the status-code column filled per query-type subset, next to
   the ``read_values`` column RD filled; the wire framer reads those two
