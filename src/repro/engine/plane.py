@@ -3,8 +3,8 @@
 The original functional pipeline threaded a ``_QueryContext`` object per
 query through each task method — one Python call per query per phase.  The
 BatchPlane turns the batch sideways: parallel arrays of query types, keys,
-candidate lists, directory rows, values and status codes, indexed by the
-query's position in the batch.  Engines then execute each compiled phase as
+values, pending directory rows and status codes, indexed by the query's
+position in the batch.  Engines then execute each compiled phase as
 one tight loop over the relevant index subset (Mega-KV-style staged batch
 kernels over columnar state), with the per-query-type subsets
 (``get_indices`` etc.) computed once at batch intake.
@@ -43,9 +43,6 @@ import time
 from repro.errors import SimulationError
 from repro.kv.protocol import QueryType, ResponseStatus
 
-#: Shared empty candidate list sentinel (never mutated; KC only reads it).
-NO_CANDIDATES: tuple[int, ...] = ()
-
 #: Raw wire status codes the engines write into ``BatchPlane.statuses``.
 OK_CODE = ResponseStatus.OK.value
 NOT_FOUND_CODE = ResponseStatus.NOT_FOUND.value
@@ -62,8 +59,6 @@ class BatchPlane:
         "keys",
         "set_values",
         "opcodes",
-        "candidates",
-        "locations",
         "read_values",
         "statuses",
         "pending_inserts",
@@ -80,8 +75,6 @@ class BatchPlane:
         self.keys = batch.keys
         self.set_values = batch.values
         self.opcodes = batch.opcodes
-        self.candidates: list = [NO_CANDIDATES] * n
-        self.locations: list[int | None] = [None] * n
         #: GET hits' values (read-only views of their log segments); None on
         #: every other row.
         self.read_values: list[bytes | memoryview | None] = [None] * n
@@ -91,8 +84,8 @@ class BatchPlane:
         self.pending_inserts: list[int | None] = [None] * n
         #: Per-qtype index subsets, built on first access.
         self._subsets: tuple | None = None
-        #: Engine-private per-batch state (the vector engine's hand-offs
-        #: between passes); the reference engine leaves it None.
+        #: Engine-private per-batch state: each engine's hand-offs between
+        #: its passes (Search to KC to RD).
         self.scratch = None
 
     def _build_subsets(self) -> tuple:

@@ -42,6 +42,17 @@ from repro.kv.protocol import QueryType
 from repro.kv.store import KVStore
 
 
+class _RowColumns:
+    """The reference engine's per-row hand-offs, kept on ``plane.scratch``:
+    Search's candidate list and KC's directory row per GET."""
+
+    __slots__ = ("candidates", "locations")
+
+    def __init__(self, n: int):
+        self.candidates: list = [()] * n
+        self.locations: list[int | None] = [None] * n
+
+
 class ReferenceEngine:
     """Per-query scalar execution of a StagePlan (one call per query)."""
 
@@ -58,6 +69,7 @@ class ReferenceEngine:
     ) -> None:
         reject_oversized_sets(store, plane)
         answer_overridden_deletes(store, plane)
+        plane.scratch = _RowColumns(plane.size)
         try:
             for phase in plan.phases:
                 if phase.kind is PhaseKind.BOUNDARY:
@@ -99,7 +111,7 @@ class ReferenceEngine:
     @staticmethod
     def _op_search(store, plane, i, epoch) -> None:
         if plane.qtypes[i] is QueryType.GET:
-            plane.candidates[i] = store.index_search(plane.keys[i])
+            plane.scratch.candidates[i] = store.index_search(plane.keys[i])
 
     @staticmethod
     def _op_insert(store, plane, i, epoch) -> None:
@@ -122,13 +134,15 @@ class ReferenceEngine:
     def _task_kc(store, plane, i, epoch) -> None:
         if plane.qtypes[i] is not QueryType.GET:
             return
-        plane.locations[i] = store.key_compare(plane.keys[i], plane.candidates[i])
+        scratch = plane.scratch
+        scratch.locations[i] = store.key_compare(plane.keys[i], scratch.candidates[i])
 
     @staticmethod
     def _task_rd(store, plane, i, epoch) -> None:
-        if plane.qtypes[i] is not QueryType.GET or plane.locations[i] is None:
+        row = plane.scratch.locations[i]
+        if plane.qtypes[i] is not QueryType.GET or row is None:
             return
-        plane.read_values[i] = store.read_value(plane.locations[i], epoch=epoch)
+        plane.read_values[i] = store.read_value(row, epoch=epoch)
 
     @staticmethod
     def _task_wr(store, plane, i, epoch) -> None:

@@ -60,6 +60,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import accumulate, repeat
+from operator import add
 
 import numpy as np
 
@@ -259,14 +260,17 @@ class LogValueArena:
         Values are packed into the open segment in maximal runs — a single
         join-and-slice-assign per run instead of one copy per item.
         Returns the ``(segments, offsets)`` columns aligned with ``values``.
-        Raises :class:`CapacityError` at the first item whose key+value
-        exceed the whole budget, with every earlier item applied (the
-        engines reject such a window before MM:
+        Raises :class:`CapacityError` before placing anything when an
+        item's key+value exceed the whole budget, counted once (the engines
+        reject such a window before MM:
         :func:`~repro.engine.plane.reject_oversized_sets`).
         """
         n = len(values)
+        sizes = list(map(add, map(len, keys), map(len, values)))
+        largest = max(sizes, default=0)
+        if largest > self._budget_bytes:
+            raise self.oversized(largest)
         stats = self.stats
-        budget = self._budget_bytes
         segment_bytes = self.segment_bytes
         segments: list[int] = []
         offsets: list[int] = []
@@ -284,25 +288,17 @@ class LogValueArena:
             j = i
             while j < n:
                 vlen = len(values[j])
-                if (
-                    vlen > segment_bytes
-                    or run_bytes + vlen > room
-                    or len(keys[j]) + vlen > budget
-                ):
+                if vlen > segment_bytes or run_bytes + vlen > room:
                     break
                 run_bytes += vlen
-                run_acct += len(keys[j]) + vlen
+                run_acct += sizes[j]
                 j += 1
             if j == i:
-                # No room in the head (or a jumbo/oversized value): place
-                # this one item through the scalar appender.
-                key, value = keys[i], values[i]
-                vlen = len(value)
-                size = len(key) + vlen
-                if size > budget:
-                    self._live_bytes += live_add
-                    raise self.oversized(size)
-                segment, offset = self._append(value, vlen)
+                # No room in the head (or a jumbo value): place this one
+                # item through the scalar appender.
+                value = values[i]
+                size = sizes[i]
+                segment, offset = self._append(value, len(value))
                 segments.append(segment.sid)
                 offsets.append(offset)
                 segment.acct_used += size

@@ -19,8 +19,12 @@ coalescing behaviour is observable via ``repro telemetry``.
 
 There is one wire path, and it pays per window, not per datagram.  The
 open window is one :class:`~repro.net.wire.QueryColumns` plus a bounds
-column of one ``(row_stop, peer)`` entry per datagram.  Each poll drains
-up to :data:`DRAIN_LIMIT` datagrams from the kernel and
+column of one ``(row_stop, peer)`` entry per datagram.  The socket is
+non-blocking for the server's life, and a window costs two waits: one
+``select`` for its first datagram, then one ``time.sleep`` to its
+deadline, kept to the clock rather than to a socket timeout's whole
+milliseconds.  After each wait the loop drains what the kernel holds (up to
+:data:`DRAIN_LIMIT` datagrams per drain) and
 :func:`repro.net.wire.decode_window` appends their queries to the window's
 lists (zero per-query objects); the NumPy columns are built once, when the
 window is cut.  Responses go out through the single-pass columnar framer
@@ -62,6 +66,7 @@ for the load generator.
 from __future__ import annotations
 
 import logging
+import select
 import socket
 import threading
 import time
@@ -98,12 +103,17 @@ DEFAULT_BATCH_SIZE = 4096
 #: Responses per outgoing datagram are bounded by this payload size.
 MAX_RESPONSE_PAYLOAD = 32 * 1024
 
-#: Datagrams drained from the kernel per poll (one blocking receive plus
-#: up to ``DRAIN_LIMIT - 1`` non-blocking ones).
+#: Datagrams taken from the kernel per drain (non-blocking receives, one
+#: :func:`~repro.net.wire.decode_window` call).
 DRAIN_LIMIT = 64
 
+#: The longest single wait of the serve loop: an empty window's wait for
+#: its first datagram, and a full send buffer's wait for room.  It bounds
+#: how late ``idle_hook``, maintenance and :meth:`DidoUDPServer.stop` run.
+_WAIT_S = 0.1
+
 #: Ask the kernel for this much socket receive buffer so bursts from the
-#: load generator survive between polls (best-effort).
+#: load generator survive between drains (best-effort).
 _RCVBUF_BYTES = 1 << 21
 
 #: The status of every row the store failed to apply, and of a redirect.
@@ -177,11 +187,11 @@ class DidoUDPServer:
         except OSError:  # pragma: no cover - platform refuses; defaults apply
             pass
         self._socket.bind(address)
-        self._socket.settimeout(0.1)
+        self._socket.setblocking(False)
         self._coalesce_s = coalesce_us / 1e6
         self._batch_size = batch_size
         #: Queries received but not yet dispatched (the carry-over queue),
-        #: as the open window the next poll appends to: its columns and
+        #: as the open window the next drain appends to: its columns and
         #: its bounds column, one ``(row_stop, peer)`` per datagram, oldest
         #: first.
         self._backlog: tuple[QueryColumns, list[tuple[int, tuple[str, int]]]] = (
@@ -286,61 +296,78 @@ class DidoUDPServer:
         carried over or freshly received), so a carried-over partial batch
         is never starved waiting for traffic that may not come.
 
-        Each poll takes one blocking receive and then drains whatever else
-        the kernel already queued (up to :data:`DRAIN_LIMIT` datagrams) without
-        blocking; every poll's queries are appended to the one open window.
+        A window is one drain after one sleep.  Each step drains what the
+        kernel already holds (up to :data:`DRAIN_LIMIT` datagrams, no
+        waiting) onto the one open window.  An empty window waits for its
+        first datagram in one ``select`` of :data:`_WAIT_S`; once the
+        window has a deadline and the kernel queue is empty, the loop
+        sleeps until the deadline in one ``time.sleep`` and drains again.
+        It never sleeps while datagrams are queued, so under load a window
+        fills to ``batch_size`` and the rest carries over.
         """
         window, bounds = self._backlog
-        count = len(window)
         deadline = (
             time.monotonic() + self._coalesce_s if bounds else None
         )
-        polls = 0
+        drains = 0
         drained = 0
-        while count < self._batch_size:
-            if deadline is not None:
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    break
-                self._socket.settimeout(max(remaining, 1e-4))
-            try:
-                payload, peer = self._socket.recvfrom(MAX_DATAGRAM)
-            except socket.timeout:
-                break
-            except OSError:
+        while len(window) < self._batch_size:
+            taken = self._drain()
+            if taken is None:
                 return  # socket closed under us during stop()
-            payloads = [payload]
-            peers = [peer]
-            # Burst drain: take what the kernel already queued, no waiting.
-            self._socket.settimeout(0.0)
-            while len(payloads) < DRAIN_LIMIT:
-                try:
-                    payload, peer = self._socket.recvfrom(MAX_DATAGRAM)
-                except (BlockingIOError, InterruptedError, socket.timeout):
-                    break
-                except OSError:
-                    break  # closing; process what we already have
-                payloads.append(payload)
-                peers.append(peer)
-            polls += 1
-            drained += len(payloads)
-            self.stats.datagrams_in += len(payloads)
-            self._ingest(payloads, peers, window, bounds)
-            count = len(window)
+            payloads, peers = taken
+            if payloads:
+                drains += 1
+                drained += len(payloads)
+                self.stats.datagrams_in += len(payloads)
+                self._ingest(payloads, peers, window, bounds)
+                if deadline is None:
+                    deadline = time.monotonic() + self._coalesce_s
             if deadline is None:
-                deadline = time.monotonic() + self._coalesce_s
-        self._socket.settimeout(0.1)
-        if polls:
+                try:
+                    if not select.select((self._socket,), (), (), _WAIT_S)[0]:
+                        break
+                except (OSError, ValueError):
+                    return  # socket closed under us during stop()
+                continue
+            remaining = deadline - time.monotonic()
+            if remaining <= 0:
+                break
+            if len(payloads) < DRAIN_LIMIT:
+                # The kernel queue was empty: sleep out the deadline, then
+                # take what arrived meanwhile in one drain.
+                time.sleep(remaining)
+        if drains:
             telemetry = get_telemetry()
             if telemetry.enabled:
                 telemetry.registry.gauge(
                     "repro_datagrams_per_poll",
-                    help="Datagrams drained from the kernel per receive poll",
-                ).set(drained / polls)
+                    help="Datagrams taken per drain of the kernel queue",
+                ).set(drained / drains)
         if not bounds:
             return
         batch, bounds = self._cut_batch(window, bounds)
         self._process_window(batch, bounds)
+
+    def _drain(self) -> tuple[list[bytes], list[tuple[str, int]]] | None:
+        """Take what the kernel already queued, up to :data:`DRAIN_LIMIT`
+        datagrams, without waiting.  Returns ``(payloads, peers)``, or
+        ``None`` once the socket is closed."""
+        payloads: list[bytes] = []
+        peers: list[tuple[str, int]] = []
+        recvfrom = self._socket.recvfrom
+        while len(payloads) < DRAIN_LIMIT:
+            try:
+                payload, peer = recvfrom(MAX_DATAGRAM)
+            except BlockingIOError:
+                break
+            except OSError:
+                if payloads:
+                    break  # closing; process what we already have
+                return None
+            payloads.append(payload)
+            peers.append(peer)
+        return payloads, peers
 
     def _ingest(
         self,
@@ -349,7 +376,7 @@ class DidoUDPServer:
         window: QueryColumns,
         bounds: list,
     ) -> None:
-        """Decode one poll's datagrams onto the open window.
+        """Decode one drain's datagrams onto the open window.
 
         Their queries are appended to ``window`` and each datagram that
         brought any adds one ``(row_stop, peer)`` entry to ``bounds``.
@@ -372,7 +399,7 @@ class DidoUDPServer:
         if telemetry.enabled:
             telemetry.registry.histogram(
                 "repro_wire_parse_ns",
-                help="Wire decode time per receive poll (ns)",
+                help="Wire decode time per drain (ns)",
             ).observe(parse_ns)
             if errors:
                 telemetry.registry.counter(
@@ -537,10 +564,16 @@ class DidoUDPServer:
                 "repro_wire_frame_ns",
                 help="Columnar response framing time per batch (ns)",
             ).observe(frame_ns)
+        sock = self._socket
         for peer, payloads in payload_groups:
             for payload in payloads:
                 try:
-                    self._socket.sendto(payload, peer)
-                    self.stats.datagrams_out += 1
-                except OSError:  # pragma: no cover - peer vanished
+                    try:
+                        sock.sendto(payload, peer)
+                    except BlockingIOError:
+                        # The send buffer is full: wait for room once.
+                        select.select((), (sock,), (), _WAIT_S)
+                        sock.sendto(payload, peer)
+                except (OSError, ValueError):  # peer vanished, or stop()
                     break
+                self.stats.datagrams_out += 1

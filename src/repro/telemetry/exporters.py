@@ -199,9 +199,10 @@ def _family_of(series_name: str, families: dict[str, dict]) -> str | None:
 # ----------------------------------------------------------------- console
 
 #: The batch-coalescing gauges the console summary calls out explicitly
-#: (queue carry-over, batch fill vs target, datagrams per receive poll,
-#: capped at ``repro.server.DRAIN_LIMIT``) — what an operator tunes
-#: ``--batch-size``/``--coalesce-us`` against.
+#: (queue carry-over, batch fill vs target, datagrams per drain of the
+#: kernel queue — a window is one drain after one sleep, so this counts
+#: what arrived during the sleep, capped at ``repro.server.DRAIN_LIMIT``)
+#: — what an operator tunes ``--batch-size``/``--coalesce-us`` against.
 COALESCING_SERIES = (
     "repro_server_queue_depth",
     "repro_batch_fill_ratio",

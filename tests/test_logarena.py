@@ -174,20 +174,28 @@ class TestMultiAllocate:
         segments, offsets = arena.multi_allocate_kv(keys, values)
         assert arena.views(segments, offsets, list(map(len, values))) == values
 
-    def test_oversize_item_fails_at_position_with_prefix_applied(self):
-        arena = LogValueArena(1 << 10, segment_bytes=256)
-        keys = [b"a", b"b", b"c"]
-        values = [b"x" * 8, b"y" * (1 << 11), b"z" * 8]
+    def test_oversize_item_fails_before_placing_any(self):
+        """A run holding one item over the whole budget raises before it
+        places an item: nothing it was given is left counted live with no
+        owner, whether it would have gone into a run or a fresh segment."""
+        arena = LogValueArena(64, segment_bytes=32)
+        arena.allocate_kv(b"a", b"x" * 4)
+        live = arena.live_bytes
+        acct_live = {sid: seg.acct_live for sid, seg in arena._segments.items()}
+        allocations = arena.stats.allocations
+        failed = arena.stats.failed_allocations
         with pytest.raises(CapacityError):
-            arena.multi_allocate_kv(keys, values)
-        # The earlier item is applied; the failed and later ones are not.
-        assert arena.stats.allocations == 1
-        assert arena.live_bytes == len(b"a") + 8
-        assert arena.views([0], [0], [8]) == [b"x" * 8]
+            arena.multi_allocate_kv(
+                [b"b", b"c", b"d"], [b"y" * 7, b"z" * 10, b"w" * 100]
+            )
+        assert arena.live_bytes == live
+        assert {sid: seg.acct_live for sid, seg in arena._segments.items()} == acct_live
+        assert arena.stats.allocations == allocations
+        assert arena.stats.failed_allocations == failed + 1
         # The arena stays consistent for further allocation.
-        segment, offset = arena.allocate_kv(b"d", b"w" * 8)
-        assert (segment, offset) == (0, 8)
-        assert arena.views([segment], [offset], [8]) == [b"w" * 8]
+        segment, offset = arena.allocate_kv(b"e", b"v" * 8)
+        assert (segment, offset) == (0, 4)
+        assert arena.views([segment], [offset], [8]) == [b"v" * 8]
 
 
 class TestCompaction:

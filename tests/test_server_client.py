@@ -1,7 +1,10 @@
 """End-to-end tests over real localhost UDP sockets."""
 
 import logging
+import select
 import socket
+import time
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import HealthCheck, Phase, given, settings
@@ -15,9 +18,11 @@ from repro.kv.protocol import (
     QueryType,
     ResponseStatus,
     decode_queries,
+    decode_responses,
     encode_queries,
 )
 from repro.net.wire import QueryColumns, decode_window
+import repro.server
 from repro.server import DidoUDPServer
 
 
@@ -29,6 +34,62 @@ def open_window(datagrams):
     )
     assert not errors
     return window, [(stop, peer) for stop, (_, peer) in zip(stops, datagrams)]
+
+
+class _ClockWithSleep:
+    """``repro.server``'s ``time`` with its ``sleep`` replaced."""
+
+    def __init__(self, sleep):
+        self.sleep = sleep
+
+    def __getattr__(self, name):
+        return getattr(time, name)
+
+
+def serve_window_fed_during_waits(srv, sock, datagrams, monkeypatch):
+    """Run one ``_serve_one_window`` of the unstarted ``srv`` on this thread
+    while ``datagrams`` (query lists) arrive from ``sock`` one ``sendto`` at
+    a time: the first during the loop's first wait, the rest during its
+    second.  Returns the waits the loop made, as ``(kind, seconds)``."""
+    waits = []
+    pending = list(datagrams)
+
+    def arrive(kind, seconds):
+        waits.append((kind, seconds))
+        count = 1 if len(waits) == 1 else len(pending)
+        for queries in pending[:count]:
+            sock.sendto(encode_queries(queries), srv.address)
+        del pending[:count]
+
+    def wait_select(readers, writers, errors, timeout):
+        arrive("select", timeout)
+        return select.select(readers, writers, errors, timeout)
+
+    def wait_sleep(seconds):
+        arrive("sleep", seconds)
+        time.sleep(seconds)
+
+    monkeypatch.setattr(repro.server, "select", SimpleNamespace(select=wait_select), raising=False)
+    monkeypatch.setattr(repro.server, "time", _ClockWithSleep(wait_sleep))
+    srv._serve_one_window()
+    return waits
+
+
+class _SendBlocksOnce:
+    """A server socket whose first ``sendto`` finds the send buffer full."""
+
+    def __init__(self, sock):
+        self._sock = sock
+        self.refused = 0
+
+    def __getattr__(self, name):
+        return getattr(self._sock, name)
+
+    def sendto(self, payload, peer):
+        if not self.refused:
+            self.refused += 1
+            raise BlockingIOError
+        return self._sock.sendto(payload, peer)
 
 
 @pytest.fixture
@@ -284,6 +345,50 @@ class TestCoalescing:
             configure(enabled=False)
 
 
+class TestWindowWaits:
+    """A window costs two waits: one for its first datagram, one to its
+    deadline; what arrives meanwhile is taken in one drain."""
+
+    def make_server(self, **kwargs):
+        system = DidoSystem(memory_bytes=16 << 20, expected_objects=8192)
+        return DidoUDPServer(("127.0.0.1", 0), system=system, **kwargs)
+
+    def test_window_sent_one_datagram_at_a_time_is_one_batch(self, monkeypatch):
+        srv = self.make_server(coalesce_us=50_000)
+        try:
+            with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as sock:
+                sock.bind(("127.0.0.1", 0))
+                sock.settimeout(5.0)
+                datagrams = [
+                    [Query(QueryType.SET, b"w%d" % i, b"v%d" % i), Query(QueryType.GET, b"w%d" % i)]
+                    for i in range(8)
+                ]
+                waits = serve_window_fed_during_waits(srv, sock, datagrams, monkeypatch)
+                payload, _ = sock.recvfrom(64 * 1024)
+        finally:
+            srv.stop()
+        assert [kind for kind, _ in waits] == ["select", "sleep"]
+        assert 0 < waits[1][1] <= 0.05  # to the deadline, no later
+        assert srv.stats.datagrams_in == 8
+        assert srv.stats.batches == 1 and srv.stats.datagrams_out == 1
+        responses = decode_responses(payload)
+        assert [r.status for r in responses] == [ResponseStatus.STORED, ResponseStatus.OK] * 8
+        assert [r.value for r in responses[1::2]] == [b"v%d" % i for i in range(8)]
+
+    def test_send_that_would_block_waits_for_room(self):
+        srv = self.make_server(coalesce_us=1000)
+        srv._socket = _SendBlocksOnce(srv._socket)
+        srv.start()
+        try:
+            with DidoClient(srv.address, timeout_s=1.0) as client:
+                assert client.set(b"k", b"v")
+                assert client.get(b"k") == b"v"
+        finally:
+            srv.stop()
+        assert srv._socket.refused == 1
+        assert srv.stats.datagrams_out == 2
+
+
 class TestWirePlanes:
     def make_server(self, **kwargs):
         system = DidoSystem(memory_bytes=16 << 20, expected_objects=8192, engine="vector")
@@ -343,7 +448,7 @@ class TestWirePlanes:
             srv.stop()
             configure(enabled=False)
 
-    def test_wire_timers_and_drain_gauge_exported(self):
+    def test_wire_timers_and_drain_gauge_exported(self, monkeypatch):
         from repro.telemetry import configure, get_telemetry
 
         configure(enabled=True)
@@ -359,6 +464,19 @@ class TestWirePlanes:
             assert "repro_wire_frame_ns" in snapshot
             gauge = dict(registry.gauge("repro_datagrams_per_poll").samples())
             assert all(v >= 1.0 for v in gauge.values())
+            # Datagrams that arrive while the loop sleeps out the deadline
+            # are taken in one drain: 1 after the select, then 7.
+            quiet = self.make_server(coalesce_us=50_000)
+            try:
+                with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as sock:
+                    sock.bind(("127.0.0.1", 0))
+                    serve_window_fed_during_waits(
+                        quiet, sock, [[Query(QueryType.GET, b"k%d" % i)] for i in range(8)], monkeypatch
+                    )
+            finally:
+                quiet.stop()
+            gauge = dict(registry.gauge("repro_datagrams_per_poll").samples())
+            assert list(gauge.values()) == [4.0]
         finally:
             srv.stop()
             configure(enabled=False)
