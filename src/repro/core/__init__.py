@@ -14,8 +14,6 @@ This package implements the paper's primary contribution (Sections III-IV):
   index-operation assignment (paper Figure 8's notation);
 * :mod:`repro.core.config_search` — exhaustive enumeration of pipeline
   partitioning schemes and index-operation assignment policies;
-* :mod:`repro.core.work_stealing` — the tag-array chunked work-stealing
-  protocol (64-query sets, matching the APU wavefront);
 * :mod:`repro.core.controller` — the runtime adaptation loop (re-plan on
   >10 % workload-counter change, one-batch apply delay);
 * :mod:`repro.core.dido` — the assembled :class:`DidoSystem` facade.

@@ -225,19 +225,6 @@ class PipelineConfig:
                 return stage
         return None
 
-    def stage_of(self, task: Task) -> StageSpec:
-        for stage in self.stages:
-            if task in stage:
-                return stage
-        raise ConfigurationError(f"task {task} not in pipeline")  # pragma: no cover
-
-    def stage_of_index_op(self, op: IndexOp) -> StageSpec:
-        """The stage executing index operation ``op``."""
-        for stage in self.stages:
-            if op in stage.index_ops:
-                return stage
-        raise ConfigurationError(f"index op {op} not placed")  # pragma: no cover
-
     def with_work_stealing(self, enabled: bool) -> "PipelineConfig":
         """Copy of this config with work stealing toggled."""
         return PipelineConfig(

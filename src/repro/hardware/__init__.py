@@ -12,7 +12,7 @@ platform is available here, so this package models them analytically:
 * :mod:`repro.hardware.memory` — cache/memory access-cost model with
   prefetch and hot-set (Zipf) caching effects;
 * :mod:`repro.hardware.interference` — the CPU/GPU shared-memory
-  interference factor ``mu`` and the microbenchmark that measures it;
+  interference factor ``mu``;
 * :mod:`repro.hardware.pcie` — PCIe transfer model for the discrete
   baseline.
 

@@ -13,15 +13,12 @@ the *other* processor's share of total traffic, weighted by the platform's
 available bandwidth.  A discrete platform has near-zero strength (separate
 memories), so ``mu ~ 1`` there.
 
-:func:`measure_interference` plays the role of the paper's microbenchmark:
-it samples the model over a grid and returns an interpolating table, which
-is what :class:`InterferenceModel` then serves — mirroring how the real
-system would measure once and look up at runtime.
+The paper measures once and looks the factors up at runtime; the model
+here is continuous, so :class:`InterferenceModel` evaluates it directly
+instead of sampling it into a table.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from repro.errors import ConfigurationError
 from repro.hardware.specs import PlatformSpec, ProcessorKind
@@ -52,23 +49,8 @@ def _mu(
     return 1.0 + strength * sensitivity * other_share * bandwidth_pressure
 
 
-@dataclass(frozen=True)
-class InterferenceSample:
-    """One microbenchmark grid point: traffic levels and measured factors."""
-
-    cpu_accesses: float
-    gpu_accesses: float
-    mu_cpu: float
-    mu_gpu: float
-
-
 class InterferenceModel:
-    """Serves ``mu`` factors for a platform, per paper Table I.
-
-    The model is continuous, so it can be queried directly; the microbench
-    table produced by :func:`measure_interference` exists to reproduce the
-    paper's methodology and for inspection/testing.
-    """
+    """Serves ``mu`` factors for a platform, per paper Table I."""
 
     #: Random accesses per second at which bandwidth pressure saturates.
     #: One random access moves one cache line (64 B); DRAM efficiency on
@@ -108,27 +90,3 @@ class InterferenceModel:
         if kind is ProcessorKind.CPU:
             return _mu(cpu_rate, gpu_rate, strength, _CPU_SENSITIVITY, pressure)
         return _mu(gpu_rate, cpu_rate, strength, _GPU_SENSITIVITY, pressure)
-
-
-def measure_interference(
-    platform: PlatformSpec,
-    rates: tuple[float, ...] = (0.0, 2e7, 5e7, 1e8, 2e8, 4e8),
-) -> list[InterferenceSample]:
-    """Run the interference microbenchmark over a grid of access rates.
-
-    Returns one :class:`InterferenceSample` per (CPU rate, GPU rate) pair,
-    the same table the paper builds offline and consults at runtime.
-    """
-    model = InterferenceModel(platform)
-    samples = []
-    for cpu_rate in rates:
-        for gpu_rate in rates:
-            samples.append(
-                InterferenceSample(
-                    cpu_accesses=cpu_rate,
-                    gpu_accesses=gpu_rate,
-                    mu_cpu=model.mu(ProcessorKind.CPU, cpu_rate, gpu_rate),
-                    mu_gpu=model.mu(ProcessorKind.GPU, cpu_rate, gpu_rate),
-                )
-            )
-    return samples

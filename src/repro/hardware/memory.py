@@ -12,8 +12,8 @@ into cache hits.  Two workload factors modulate this:
   in the CPU cache; a fraction ``P`` of random accesses become cache hits,
   where ``P`` is the cumulative access frequency of the cached objects.
 
-This module provides those calculations plus a small bandwidth model used by
-the interference microbenchmark.
+This module provides those calculations plus a small shared-memory capacity
+and bandwidth model (:class:`MemorySystem`).
 """
 
 from __future__ import annotations

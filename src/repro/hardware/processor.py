@@ -125,23 +125,3 @@ def gpu_task_time_ns(
                 * interference
             )
     return proc.kernel_launch_ns + max(lane_bound_ns, bandwidth_bound_ns)
-
-
-def task_time_ns(
-    proc: ProcessorSpec,
-    batch: int,
-    instructions: float,
-    pattern: AccessPattern,
-    *,
-    cores: int = 1,
-    interference: float = 1.0,
-    atomic: bool = False,
-) -> float:
-    """Dispatch to the CPU or GPU model based on ``proc.kind``."""
-    if proc.kind is ProcessorKind.CPU:
-        return cpu_task_time_ns(
-            proc, batch, instructions, pattern, cores=cores, interference=interference
-        )
-    return gpu_task_time_ns(
-        proc, batch, instructions, pattern, interference=interference, atomic=atomic
-    )

@@ -9,9 +9,7 @@ their functional results are exact, which is what the test suite verifies.
 
 Components mirror the paper's Section II-B description of an IMKV node:
 
-* :mod:`repro.kv.objects` — key signatures, and the slab's key-value
-  object with the access counter and sampling timestamp used by the skew
-  estimator (Section IV-B);
+* :mod:`repro.kv.objects` — key signatures and the FNV hash behind them;
 * :mod:`repro.kv.hashtable` — the cuckoo hash index storing short key
   signatures plus each key's directory row (Section II-B, [15]);
 * :mod:`repro.kv.logarena` — the value heap: an append-only log arena
@@ -19,11 +17,8 @@ Components mirror the paper's Section II-B description of an IMKV node:
 * :mod:`repro.kv.store` — the assembled store exposing GET/SET/DELETE,
   over exactly those two: the cuckoo table and the log arena, with one
   key directory row per key holding its spec, value place and counters;
-* :mod:`repro.kv.slab` and :mod:`repro.kv.chaining` — slab allocation
-  with per-SET LRU eviction (the paper's Figure 6 Insert+Delete pairing in
-  its original form) and a chained hash table, standalone alternatives
-  that the store does not take (the chained table serves the index
-  ablation benchmark);
+* :mod:`repro.kv.chaining` — a standalone chained hash table that the
+  store does not take; it serves the index ablation benchmark;
 * :mod:`repro.kv.protocol` — the binary wire format, and the reference
   codec the columnar wire plane is tested against.
 """

@@ -69,11 +69,6 @@ class ChainedHashTable:
     def load_factor(self) -> float:
         return self._count / self.num_buckets
 
-    def expected_search_buckets(self) -> float:
-        """Expected nodes touched per search: half the average chain on a
-        hit, the whole chain on a miss — approximated as 1 + load/2."""
-        return 1.0 + self.load_factor / 2.0
-
     # ------------------------------------------------------------ operations
 
     def _bucket(self, key: bytes) -> list[_Node]:

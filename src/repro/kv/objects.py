@@ -1,17 +1,13 @@
-"""Key-value object layout and key signatures.
+"""Key signatures and the FNV hash behind them.
 
 Mega-KV-style IMKVs keep a short fixed-length *signature* of each key in the
 index so GPU lookups touch compact, coalescable data; the full key lives
-with the object and is verified by the KC (key compare) task.  Each object
-also carries the access counter and sampling timestamp that the workload
-profiler's skew estimator uses (paper Section IV-B).  The store keeps those
-as row columns of its key directory; :class:`KVObject` is the standalone
-slab allocator's object.
+with the value and is verified by the KC (key compare) task.  The access
+counter and sampling timestamp that the workload profiler's skew estimator
+uses (paper Section IV-B) are row columns of the store's key directory.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -101,58 +97,3 @@ def key_signature(key: bytes) -> int:
 #: all but the last batch of its own).  A heap nobody drains, or a giant
 #: batch, stops logging here instead of growing.
 TOUCH_LOG_LIMIT = 8192
-
-
-@dataclass
-class KVObject:
-    """One stored key-value object plus profiler bookkeeping.
-
-    Attributes
-    ----------
-    key, value:
-        The payload bytes.
-    access_count:
-        Accesses observed during the current sampling window.
-    sample_epoch:
-        Epoch of the last window that touched this object; a mismatch with
-        the profiler's current epoch resets ``access_count`` to 1 (the
-        paper's lightweight frequency-sampling mechanism).
-    """
-
-    key: bytes
-    value: bytes
-    access_count: int = 0
-    sample_epoch: int = -1
-
-    def __post_init__(self) -> None:
-        self.signature = key_signature(self.key)
-
-    @property
-    def size_bytes(self) -> int:
-        """Payload footprint (key + value), the slab-class sizing input."""
-        return len(self.key) + len(self.value)
-
-    def record_access(
-        self,
-        epoch: int,
-        touched: list[int] | None = None,
-        location: int = -1,
-    ) -> int:
-        """Count one access within sampling window ``epoch``.
-
-        Returns the updated in-window count.  Implements the paper's
-        counter+timestamp scheme: a new epoch restarts the count instead of
-        requiring a global reset pass over all objects.  On the first touch
-        in an epoch the object's ``location`` is appended to ``touched``
-        (the owning heap's first-touch log), so the profiler's harvest
-        reads the touched objects back instead of scanning the heap.
-        """
-        if self.sample_epoch != epoch:
-            self.sample_epoch = epoch
-            self.access_count = 1
-            if touched is not None and len(touched) < TOUCH_LOG_LIMIT:
-                touched.append(location)
-        else:
-            self.access_count += 1
-        return self.access_count
-

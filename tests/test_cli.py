@@ -1,8 +1,10 @@
 """Tests for the command-line interface and the scripts under ``tools/`` and
 ``examples/``."""
 
+import ast
 import importlib.util
 import os
+import pathlib
 import re
 import subprocess
 import sys
@@ -259,6 +261,45 @@ def test_serve_path_loads_no_evaluation_module(module):
     )
     assert done.returncode == 0, done.stderr
     assert [name for name in done.stdout.split() if name.startswith(_NOT_SERVING)] == []
+
+
+def _imported_names(path):
+    """Every dotted name an ``import`` / ``from`` statement in ``path``
+    may load: ``from a.b import c`` yields ``a.b`` and ``a.b.c``."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
+        if isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            names.add(node.module)
+            names.update(f"{node.module}.{alias.name}" for alias in node.names)
+    return names
+
+
+def test_every_src_module_has_a_non_test_importer():
+    """Each ``src`` module is imported by some other file under ``src/``,
+    ``benchmarks/``, ``tools/`` or ``examples/``: a module only tests
+    import is code nothing runs.  Package ``__init__``s and
+    ``repro.__main__`` are entry points, so they are exempt."""
+    root = pathlib.Path(REPO)
+    src = root / "src"
+    modules = {
+        ".".join(path.relative_to(src).with_suffix("").parts): path
+        for path in sorted(src.rglob("*.py"))
+    }
+    imported_by = {}
+    for folder in ("src", "benchmarks", "tools", "examples"):
+        for path in sorted((root / folder).rglob("*.py")):
+            for name in _imported_names(path):
+                imported_by.setdefault(name, set()).add(path)
+    orphans = [
+        name
+        for name, path in modules.items()
+        if path.name != "__init__.py"
+        and name != "repro.__main__"
+        and not imported_by.get(name, set()) - {path}
+    ]
+    assert orphans == [], f"only tests import: {', '.join(orphans)}"
 
 
 def test_readme_python_blocks_run():

@@ -53,13 +53,12 @@ class TestEnumeration:
         fixed = megakv_coupled_config()
         policies = enumerate_configs(4, fixed_pipeline=fixed)
         assert len(policies) == 4
-        placements = {
-            (
-                c.stage_of_index_op(IndexOp.INSERT).processor,
-                c.stage_of_index_op(IndexOp.DELETE).processor,
+        placements = set()
+        for c in policies:
+            stage_by_op = {op: s for s in c.stages for op in s.index_ops}
+            placements.add(
+                (stage_by_op[IndexOp.INSERT].processor, stage_by_op[IndexOp.DELETE].processor)
             )
-            for c in policies
-        }
         assert len(placements) == 4
 
     def test_fixed_pipeline_preserves_partitioning(self):

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.hardware.interference import InterferenceModel, measure_interference
+from repro.hardware.interference import InterferenceModel
 from repro.hardware.specs import APU_A10_7850K, DISCRETE_MEGAKV, ProcessorKind
 
 
@@ -46,24 +46,3 @@ class TestMu:
     def test_negative_rate_rejected(self, model):
         with pytest.raises(ConfigurationError):
             model.mu(ProcessorKind.CPU, -1.0, 0.0)
-
-
-class TestMicrobenchmark:
-    def test_grid_size(self):
-        samples = measure_interference(APU_A10_7850K, rates=(0.0, 1e8))
-        assert len(samples) == 4
-
-    def test_samples_match_model(self):
-        model = InterferenceModel(APU_A10_7850K)
-        for s in measure_interference(APU_A10_7850K):
-            assert s.mu_cpu == pytest.approx(
-                model.mu(ProcessorKind.CPU, s.cpu_accesses, s.gpu_accesses)
-            )
-            assert s.mu_gpu == pytest.approx(
-                model.mu(ProcessorKind.GPU, s.cpu_accesses, s.gpu_accesses)
-            )
-
-    def test_zero_zero_is_neutral(self):
-        samples = measure_interference(APU_A10_7850K, rates=(0.0,))
-        assert samples[0].mu_cpu == 1.0
-        assert samples[0].mu_gpu == 1.0

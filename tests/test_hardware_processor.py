@@ -8,7 +8,6 @@ from repro.hardware.processor import (
     cpu_task_time_ns,
     gpu_batch_efficiency,
     gpu_task_time_ns,
-    task_time_ns,
 )
 from repro.hardware.specs import APU_A10_7850K
 
@@ -111,13 +110,3 @@ class TestGpuModel:
     def test_rejects_cpu_spec(self):
         with pytest.raises(ConfigurationError):
             gpu_task_time_ns(CPU, 10, 1, NOMEM)
-
-
-class TestDispatch:
-    def test_task_time_dispatches_cpu(self):
-        direct = cpu_task_time_ns(CPU, 100, 50, NOMEM, cores=2)
-        assert task_time_ns(CPU, 100, 50, NOMEM, cores=2) == pytest.approx(direct)
-
-    def test_task_time_dispatches_gpu(self):
-        direct = gpu_task_time_ns(GPU, 100, 50, NOMEM)
-        assert task_time_ns(GPU, 100, 50, NOMEM) == pytest.approx(direct)

@@ -82,13 +82,6 @@ class TestProbeGrowth:
             assert i in candidates
             assert probes <= 4
 
-    def test_expected_search_buckets_tracks_load(self):
-        table = ChainedHashTable(64)
-        before = table.expected_search_buckets()
-        for i in range(640):
-            table.insert(f"k{i}".encode(), i)
-        assert table.expected_search_buckets() > before
-
 
 class TestStoreInterchangeability:
     """The index ablation drives either table through its key-level

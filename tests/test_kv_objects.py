@@ -1,7 +1,7 @@
-"""Unit tests for key-value objects, signatures, and the FNV hash."""
+"""Unit tests for key signatures and the FNV hash."""
 
 
-from repro.kv.objects import KVObject, fnv1a64, key_signature
+from repro.kv.objects import fnv1a64, key_signature
 
 
 class TestFnv1a64:
@@ -39,29 +39,3 @@ class TestKeySignature:
     def test_spread(self):
         sigs = {key_signature(bytes([i, j])) for i in range(16) for j in range(16)}
         assert len(sigs) == 256  # no collisions among 256 tiny keys
-
-
-class TestKVObject:
-    def test_size_bytes(self):
-        obj = KVObject(b"abcd", b"0123456789")
-        assert obj.size_bytes == 14
-
-    def test_signature_computed(self):
-        obj = KVObject(b"abcd", b"v")
-        assert obj.signature == key_signature(b"abcd")
-
-    def test_record_access_new_epoch_resets(self):
-        obj = KVObject(b"k", b"v")
-        assert obj.record_access(epoch=1) == 1
-        assert obj.record_access(epoch=1) == 2
-        assert obj.record_access(epoch=2) == 1  # new sampling window
-
-    def test_record_access_tracks_epoch(self):
-        obj = KVObject(b"k", b"v")
-        obj.record_access(epoch=7)
-        assert obj.sample_epoch == 7
-
-    def test_initial_state(self):
-        obj = KVObject(b"k", b"v")
-        assert obj.access_count == 0
-        assert obj.sample_epoch == -1

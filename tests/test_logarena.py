@@ -31,9 +31,7 @@ from repro.engine import (
 )
 from repro.errors import CapacityError, ConfigurationError
 from repro.kv.logarena import LogValueArena
-from repro.kv.objects import KVObject
 from repro.kv.protocol import Query, QueryType, ResponseStatus
-from repro.kv.slab import SlabAllocator
 from repro.kv.store import KVStore
 from repro.net.wire import QueryColumns
 from repro.pipeline.functional import FunctionalPipeline
@@ -131,19 +129,20 @@ class TestArenaBasics:
         with pytest.raises(ConfigurationError):
             LogValueArena(1 << 20, segment_bytes=0)
 
-    def test_record_access_matches_kvobject_semantics(self):
+    def test_read_counts_accesses_per_sampling_epoch(self):
         """The directory's access and epoch columns follow the paper's
-        counter+timestamp scheme exactly as a ``KVObject`` does."""
+        counter+timestamp scheme: a read in the row's epoch adds one, a
+        read in a new epoch restarts the count at one."""
         store = KVStore(1 << 20, 64)
         store.set(b"k", b"v")
         directory = store.directory
         row = directory.ids[b"k"]
-        obj = KVObject(b"k", b"v")
+        counts = []
         for epoch in (1, 1, 1, 2, 2):
             store.read_value(row, epoch=epoch)
-            assert directory.access[row] == obj.record_access(epoch)
-        assert directory.access[row] == 2
-        assert directory.klen[row] + directory.vlen[row] == obj.size_bytes
+            counts.append(int(directory.access[row]))
+        assert counts == [1, 2, 3, 1, 2]
+        assert directory.klen[row] + directory.vlen[row] == 2
 
 
 class TestMultiAllocate:
@@ -593,22 +592,6 @@ class TestStaleMappingRegression:
         # And the store still works for that key afterwards.
         store.set(b"k", b"fresh")
         assert store.get(b"k") == b"fresh"
-
-
-class TestSlabGrowPath:
-    def test_full_class_grows_without_eviction(self):
-        slab = SlabAllocator(2 << 20, min_chunk=1 << 16)
-        objs = [KVObject(b"k%02d" % i, b"x" * 60000) for i in range(17)]
-        for obj in objs[:16]:  # exactly one page of 64 KiB chunks
-            slab.allocate(obj)
-        assert slab.claimed_bytes == 1 << 20
-        location, evicted = slab.allocate(objs[16])
-        # The class was full but the budget was not: the class grows a page
-        # and the allocation lands with no eviction.
-        assert evicted is None
-        assert slab.stats.evictions == 0
-        assert slab.claimed_bytes == 2 << 20
-        assert slab.get(location, touch=False) is objs[16]
 
 
 # ------------------------------------------------- the store against a dict

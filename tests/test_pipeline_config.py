@@ -77,9 +77,10 @@ class TestAssemble:
         config = PipelineConfig.assemble(
             (Task.IN,), total_cpu_cores=4, insert_on_cpu=True
         )
-        assert config.stage_of_index_op(IndexOp.SEARCH).processor is ProcessorKind.GPU
-        assert config.stage_of_index_op(IndexOp.INSERT).processor is ProcessorKind.CPU
-        assert config.stage_of_index_op(IndexOp.DELETE).processor is ProcessorKind.GPU
+        stage_by_op = {op: s for s in config.stages for op in s.index_ops}
+        assert stage_by_op[IndexOp.SEARCH].processor is ProcessorKind.GPU
+        assert stage_by_op[IndexOp.INSERT].processor is ProcessorKind.CPU
+        assert stage_by_op[IndexOp.DELETE].processor is ProcessorKind.GPU
 
     def test_reassignment_without_gpu_search_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -105,8 +106,9 @@ class TestAssemble:
 
     def test_stage_of(self):
         config = PipelineConfig.assemble((Task.IN,), total_cpu_cores=4)
-        assert config.stage_of(Task.RV) is config.stages[0]
-        assert config.stage_of(Task.KC) is config.stages[2]
+        stage_by_task = {task: s for s in config.stages for task in s.tasks}
+        assert stage_by_task[Task.RV] is config.stages[0]
+        assert stage_by_task[Task.KC] is config.stages[2]
 
 
 class TestConfigInvariants:

@@ -7,7 +7,6 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core.pipeline_config import PipelineConfig, gpu_segments
-from repro.core.work_stealing import plan_steal
 from repro.errors import CapacityError
 from repro.hardware.memory import AccessPattern, object_access_pattern
 from repro.hardware.processor import gpu_batch_efficiency, gpu_task_time_ns
@@ -23,8 +22,6 @@ from repro.kv.protocol import (
     encode_queries,
     encode_responses,
 )
-from repro.kv.slab import SlabAllocator
-from repro.kv.objects import KVObject
 from repro.kv.store import KVStore
 from repro.net.wire import encode_response_window
 from repro.workloads.distributions import ZipfKeys
@@ -90,25 +87,6 @@ def test_store_get_returns_latest_set(key_list):
         assert store.get(key) == value
 
 
-# ---------------------------------------------------------------------- slab
-
-
-@settings(max_examples=25, deadline=None)
-@given(st.lists(st.integers(min_value=1, max_value=2048), min_size=1, max_size=200))
-def test_slab_locations_unique_and_live_count_consistent(sizes):
-    slab = SlabAllocator(32 << 20)
-    locations = set()
-    live = 0
-    for i, size in enumerate(sizes):
-        loc, evicted = slab.allocate(KVObject(f"k{i}".encode(), b"x" * size))
-        assert loc not in locations
-        locations.add(loc)
-        live += 1
-        if evicted is not None:
-            live -= 1
-    assert len(slab) == live
-
-
 # ------------------------------------------------------------- distributions
 
 
@@ -135,24 +113,6 @@ def test_zipf_samples_in_range(num_keys):
     ranks = dist.sample(500)
     assert ranks.min() >= 0
     assert ranks.max() < num_keys
-
-
-# ------------------------------------------------------------- work stealing
-
-
-@settings(max_examples=60, deadline=None)
-@given(
-    st.floats(min_value=1.0, max_value=1e7),
-    st.floats(min_value=0.0, max_value=1e7),
-    st.floats(min_value=1.0, max_value=1e7),
-)
-def test_equation3_bounds(owner, helper_own, helper_work):
-    """The steal finish time never exceeds the solo time and never beats
-    the helper's own finish time."""
-    outcome = plan_steal(owner, helper_own, helper_work)
-    assert outcome.finish_ns <= owner + 1e-6
-    assert outcome.finish_ns >= min(owner, helper_own) - 1e-6
-    assert 0.0 <= outcome.stolen_fraction <= 1.0
 
 
 # ------------------------------------------------------------------ hardware

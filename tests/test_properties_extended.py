@@ -1,5 +1,5 @@
-"""Additional property-based tests: trace codec, the store against a dict
-model, analyzer monotonicity, frame packing."""
+"""Additional property-based tests: the store against a dict model,
+analyzer monotonicity, frame packing."""
 
 
 import pytest
@@ -10,46 +10,15 @@ from repro.core.cost_model import CostModel
 from repro.core.profiler import WorkloadProfile
 from repro.hardware.specs import APU_A10_7850K
 from repro.kv.hashtable import CuckooHashTable
-from repro.kv.protocol import Query, QueryType, Response, ResponseStatus
+from repro.kv.protocol import Response, ResponseStatus
 from repro.kv.store import KVStore
 from repro.net.packets import ETHERNET_MTU, frames_for_responses
 from repro.pipeline.megakv import megakv_coupled_config
-from repro.workloads.trace import read_trace, summarize_trace, write_trace
 
 from dict_model import DictModel, assert_agrees
 
 keys = st.binary(min_size=1, max_size=48)
 values = st.binary(min_size=0, max_size=200)
-
-query_strategy = st.builds(
-    lambda qtype, key, value: Query(
-        qtype, key, value if qtype is QueryType.SET else b""
-    ),
-    st.sampled_from(list(QueryType)),
-    keys,
-    values,
-)
-
-
-@settings(max_examples=25, deadline=None)
-@given(st.lists(query_strategy, max_size=80))
-def test_trace_file_round_trip(tmp_path_factory, queries):
-    path = tmp_path_factory.mktemp("traces") / "t.bin"
-    write_trace(path, queries)
-    loaded = read_trace(path)
-    assert [(q.qtype, q.key, q.value) for q in loaded] == [
-        (q.qtype, q.key, q.value) for q in queries
-    ]
-
-
-@settings(max_examples=20, deadline=None)
-@given(st.lists(query_strategy, min_size=1, max_size=80))
-def test_trace_summary_invariants(queries):
-    summary = summarize_trace(queries)
-    assert 0.0 <= summary.get_ratio <= 1.0
-    assert summary.queries == len(queries)
-    assert 0 < summary.distinct_keys <= len(queries)
-    assert summary.avg_key_size > 0
 
 
 @settings(max_examples=15, deadline=None)
