@@ -65,10 +65,6 @@ class ChainedHashTable:
         sizing heuristics still work."""
         return self.num_buckets * 8
 
-    @property
-    def load_factor(self) -> float:
-        return self._count / self.num_buckets
-
     # ------------------------------------------------------------ operations
 
     def _bucket(self, key: bytes) -> list[_Node]:
